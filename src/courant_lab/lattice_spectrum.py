@@ -113,7 +113,6 @@ SQRT3_HALF = math.sqrt(3.0) / 2.0
 def _weyl_guess(d: DomainKind, count: int) -> int:
     # N(lambda) ~ A lambda / 4 pi in physical units; convert to normalized.
     if d is DomainKind.TORUS:
-        per = 4.0 * math.pi / (3.0 * SQRT3_HALF) * SCALE_A2 / SCALE_A2
         guess = count * 4.0 * math.pi / (3.0 * SQRT3_HALF * SCALE_A2)
         return max(4, int(guess) + 4)
     if d is DomainKind.EQUILATERAL:
@@ -138,12 +137,15 @@ def counting_function(d: DomainKind, lam: float) -> int:
     """Strict count of eigenvalues (with multiplicity) below lam (physical)."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
-    cutoff = lam / scale(d)
+    unit = scale(d)
+    cutoff = lam / unit
     if cutoff <= 0:
         return 0
+    # compare in physical units: lam / unit can round above an integer k
+    # with k * unit == lam, which would count the eigenvalue lam itself
     limit = int(math.ceil(cutoff))
     return sum(1 for p in modes_up_to(d, limit)
-               if normalized_value(d, *p) < cutoff)
+               if normalized_value(d, *p) * unit < lam)
 
 
 # Counting lower bound coefficients (a, b, c): N(lambda) >= a*lambda - b*sqrt(lambda) + c.

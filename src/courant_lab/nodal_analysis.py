@@ -4,15 +4,16 @@ nodal-domain counting by sign-grid flood fill."""
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import ndimage, optimize
 
-from .alcove_geometry import AlcovePoint, DomainKind
+from .alcove_geometry import AlcovePoint, DomainKind, weyl_coefficients
 from .eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_isosceles,
                                  eval_psi, eval_psi_grid, eval_S)
-from .lattice_spectrum import Mode
+from .lattice_spectrum import Mode, enumerate_spectrum
+from .pleijel_screening import candidate_indices, index_cutoff
 
 PI = math.pi
 
@@ -242,8 +243,6 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     if not 0.0 < a < 1.0:
         raise ValueError("a must be in (0, 1)")
     m, n = pair
-
-    from .alcove_geometry import weyl_coefficients
     ct, st = math.cos(theta), math.sin(theta)
     coeffs = weyl_coefficients(m, n)
 
@@ -419,20 +418,30 @@ def _grid_values(h: EigenfunctionHandle, resolution: int):
 _FOUR = ndimage.generate_binary_structure(2, 1)
 
 
+def _signs(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """{+1, -1, 0} per sample: the sign inside the mask, 0 in the zero band
+    and outside the mask."""
+    band = ZERO_BAND_REL * float(np.max(np.abs(values[mask])))
+    signs = np.zeros(values.shape, dtype=np.int8)
+    signs[mask & (values > band)] = 1
+    signs[mask & (values < -band)] = -1
+    return signs
+
+
+def _label_counts(signs: np.ndarray) -> Tuple[int, int]:
+    """Numbers of positive and negative 4-connected sign components."""
+    pos = ndimage.label(signs == 1, _FOUR)[1]
+    neg = ndimage.label(signs == -1, _FOUR)[1]
+    return pos, neg
+
+
 def sign_grid(h: EigenfunctionHandle, resolution: int) -> SignGrid:
     vals, mask, _ = _grid_values(h, resolution)
-    band = ZERO_BAND_REL * float(np.max(np.abs(vals[mask])))
-    signs = np.zeros(vals.shape, dtype=np.int8)
-    signs[mask & (vals > band)] = 1
-    signs[mask & (vals < -band)] = -1
-    return SignGrid(resolution, signs, mask)
+    return SignGrid(resolution, _signs(vals, mask), mask)
 
 
 def _count_once(h: EigenfunctionHandle, resolution: int):
-    grid = sign_grid(h, resolution)
-    pos = ndimage.label(grid.values == 1, _FOUR)[1]
-    neg = ndimage.label(grid.values == -1, _FOUR)[1]
-    return pos, neg
+    return _label_counts(sign_grid(h, resolution).values)
 
 
 def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
@@ -453,23 +462,35 @@ def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
 THETA_SWEEP_SAMPLES = 64
 
 
-def _max_count_over_thetas(pair: Mode, resolution: int) -> int:
-    u_b, theta_c = bifurcation_angle()
+def _sweep_counts(pair: Mode, resolution: int) -> List[Tuple[float, int]]:
+    """(theta, nodal count) of the equilateral Psi^theta = cos(theta) C +
+    sin(theta) S at THETA_SWEEP_SAMPLES values of theta in [0, pi/6], then at
+    theta_c and pi/6.
+
+    The mask and the C and S grids do not depend on theta and are evaluated
+    once per call.  Each theta then costs the mix, the zero band and sign
+    grid, and the two component labellings; the mix is written as in
+    eval_psi_grid, so every count equals _count_once at that theta."""
+    _, theta_c = bifurcation_angle()
     thetas = list(np.linspace(0.0, PI / 6.0, THETA_SWEEP_SAMPLES))
     thetas += [theta_c, PI / 6.0]
-    best = 0
+    h = EigenfunctionHandle(DomainKind.EQUILATERAL, pair, 0.0)
+    mask, (ss, tt) = _grid_values(h, resolution)[1:]
+    c_grid = eval_C(*pair, ss, tt)
+    s_grid = eval_S(*pair, ss, tt)
+    counts = []
     for theta in thetas:
-        h = EigenfunctionHandle(DomainKind.EQUILATERAL, pair, float(theta))
-        pos, neg = _count_once(h, resolution)
-        best = max(best, pos + neg)
-    return best
+        values = math.cos(theta) * c_grid + math.sin(theta) * s_grid
+        counts.append((float(theta), sum(_label_counts(_signs(values, mask)))))
+    return counts
+
+
+def _max_count_over_thetas(pair: Mode, resolution: int) -> int:
+    return max(count for _, count in _sweep_counts(pair, resolution))
 
 
 def courant_sharp_verdict(d: DomainKind, resolution: int = 512):
     """(index, sharp) for each screening candidate of the domain."""
-    from .lattice_spectrum import enumerate_spectrum
-    from .pleijel_screening import candidate_indices, index_cutoff
-
     if d is DomainKind.TORUS:
         # constant first eigenfunction; second has one positive and one
         # negative region; higher candidates were all screened out

@@ -108,6 +108,19 @@ def test_counting_function_examples():
     assert counting_function(T, SCALE_A2 * 21.5) == 85
 
 
+def test_counting_function_strict_at_eigenvalue():
+    # (SCALE_A2 * k) / SCALE_A2 rounds above k for these k; the eigenvalue
+    # itself must still not be counted
+    assert counting_function(T, SCALE_A2 * 117) == 421
+    assert counting_function(E, SCALE_A2 * 243) == 130
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_counting_function_at_eigenvalues(d):
+    for e in enumerate_spectrum(d, 300):
+        assert counting_function(d, scale(d) * e.normalized) == e.min_index - 1
+
+
 def test_counting_lower_bound_examples():
     lam = 4 * math.pi ** 2
     expected = 1.5 * math.sqrt(3.0) * math.pi - 9.0 + 1.0

@@ -7,7 +7,8 @@ from courant_lab.alcove_geometry import DomainKind
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_psi,
                                             eval_psi_grid, pullback_theta)
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import (_count_once, bifurcation_angle,
+from courant_lab.nodal_analysis import (THETA_SWEEP_SAMPLES, _count_once,
+                                        _sweep_counts, bifurcation_angle,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
                                         edge_critical_zeros,
@@ -263,6 +264,15 @@ def test_count_transition_at_theta_c():
     crossing = grid[changes[0]]
     assert abs(crossing - theta_c) <= 1e-3 + 1e-9
     assert counts[0] == 3 and counts[-1] == 4
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
+def test_sweep_counts_match_count_once(pair):
+    sweep = _sweep_counts(Mode(*pair), 128)
+    assert len(sweep) == THETA_SWEEP_SAMPLES + 2
+    for theta, mu in sweep:
+        h = EigenfunctionHandle(E, Mode(*pair), theta)
+        assert mu == sum(_count_once(h, 128))
 
 
 def test_hemiequilateral_counts():
