@@ -1,5 +1,7 @@
-"""Lattice bases, coordinate systems, reflection-group action and
-point-in-domain predicates for the equilateral torus and the alcove triangles.
+"""Lattice bases, coordinate systems, reflection-group action, and the
+DomainSpec table that holds every per-domain fact (area, spectrum form,
+screening constants, point-in-domain predicate, grid extent, outline) for the
+equilateral torus and the alcove triangles.
 
 Coordinates: a point may be given in Euclidean coordinates (x, y) or in
 alcove coordinates (s, t), meaning s*alpha1 + t*alpha2 in the coroot basis.
@@ -8,7 +10,7 @@ alcove coordinates (s, t), meaning s*alpha1 + t*alpha2 in the coroot basis.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 SQRT3 = math.sqrt(3.0)
 
@@ -69,18 +71,7 @@ def to_alcove(q) -> AlcovePoint:
 
 
 # The six reflection-group images of a dual-lattice pair (m, n), as
-# (determinant sign, phase) where the eigenfunction term is sign*e^{2 i pi phase}.
-_WEYL_TABLE = (
-    (+1, lambda m, n, s, t: m * s + n * t),
-    (-1, lambda m, n, s, t: -m * s + (m + n) * t),
-    (-1, lambda m, n, s, t: (m + n) * s - n * t),
-    (-1, lambda m, n, s, t: -n * s - m * t),
-    (+1, lambda m, n, s, t: n * s - (m + n) * t),
-    (+1, lambda m, n, s, t: -(m + n) * s + m * t),
-)
-
-# Same data in coefficient form (a, b) with phase = a*s + b*t, handy for
-# analytic derivatives and vectorized evaluation.
+# (determinant sign, a, b): the eigenfunction term is sign*e^{2 i pi (a s + b t)}.
 def weyl_coefficients(m: int, n: int):
     return (
         (+1, m, n),
@@ -92,15 +83,85 @@ def weyl_coefficients(m: int, n: int):
     )
 
 
-def weyl_images(m: int, n: int, s: float, t: float):
-    """The six (sign, phase) pairs of the reflection-group orbit of (m, n)."""
-    return [(sign, phase(m, n, s, t)) for sign, phase in _WEYL_TABLE]
+# Domain predicates: (p, q, tol) -> membership of the point (p, q) in the
+# closed domain widened by tol, for scalars or numpy arrays alike.
 
-
-def _in_triangle(s, t, tol):
+def _in_alcove(s, t, tol):
     # Alcove with vertices O=(0,0), A=(2/3,1/3), B=(1/3,2/3): half-planes
     # t >= s/2 (edge OA), s >= t/2 (edge OB), s + t <= 1 (edge AB).
-    return (t - 0.5 * s >= -tol) and (s - 0.5 * t >= -tol) and (1.0 - s - t >= -tol)
+    return (t - 0.5 * s >= -tol) & (s - 0.5 * t >= -tol) & (1.0 - s - t >= -tol)
+
+
+def _in_half_alcove(s, t, tol):
+    # the half of the alcove on the side s >= t of the median OC
+    return _in_alcove(s, t, tol) & (s - t >= -tol)
+
+
+def _in_half_square(x, y, tol):
+    # Euclidean 0 <= y <= x <= pi
+    return (y >= -tol) & (x - y >= -tol) & (math.pi - x >= -tol)
+
+
+@dataclass(frozen=True)
+class DomainSpec:
+    """Every per-domain fact in one place.
+
+    Eigenvalues are scale * (m^2 + cross*m*n + n^2) over the admissible
+    integer pairs: all of them when lowest is None, else n >= lowest and
+    either m > n (ordered) or m >= lowest.  The counting function satisfies
+    N(lambda) >= a*lambda - bound_b*sqrt(lambda) + bound_c with
+    a = area / 4 pi.  The Faber-Krahn ratio test applies from index
+    first_ratio_index on (on the torus from 4: the small nodal domains
+    assumption behind Faber-Krahn there needs n >= 4), and index_cutoff is
+    the published screening cutoff.
+    inside is the domain predicate; nodal grids sample [0, extent]^2 in alcove
+    coordinates (s, t), or Euclidean (x, y) when alcove is False; outline
+    holds the Euclidean vertices drawn in SVG plots.
+    """
+    area: float
+    scale: float
+    cross: int
+    lowest: Optional[int]
+    ordered: bool
+    bound_b: float
+    bound_c: float
+    index_cutoff: int
+    first_ratio_index: int
+    inside: Callable
+    alcove: bool
+    extent: Optional[float]
+    outline: Optional[Tuple[Tuple[float, float], ...]]
+
+    def value(self, m: int, n: int) -> int:
+        """Normalized (integer) eigenvalue of the pair (m, n)."""
+        return m * m + self.cross * m * n + n * n
+
+
+# Physical eigenvalue per normalized unit on the A2 lattice domains.
+SCALE_A2 = 16.0 * math.pi ** 2 / 9.0
+
+DOMAINS = {
+    DomainKind.TORUS: DomainSpec(
+        area=3.0 * SQRT3 / 2.0, scale=SCALE_A2, cross=1, lowest=None,
+        ordered=False, bound_b=9.0 / (2.0 * math.pi), bound_c=1.0,
+        index_cutoff=63, first_ratio_index=4,
+        inside=lambda p, q, tol: True, alcove=True, extent=None, outline=None),
+    DomainKind.EQUILATERAL: DomainSpec(
+        area=SQRT3 / 4.0, scale=SCALE_A2, cross=1, lowest=1, ordered=False,
+        bound_b=3.0 / (2.0 * math.pi), bound_c=1.0, index_cutoff=40,
+        first_ratio_index=1, inside=_in_alcove, alcove=True, extent=2.0 / 3.0,
+        outline=((0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2.0))),
+    DomainKind.RIGHT_ISOSCELES: DomainSpec(
+        area=math.pi ** 2 / 2.0, scale=1.0, cross=0, lowest=1, ordered=True,
+        bound_b=(4.0 + math.sqrt(2.0)) / 4.0, bound_c=0.5, index_cutoff=26,
+        first_ratio_index=1, inside=_in_half_square, alcove=False,
+        extent=math.pi, outline=((0.0, 0.0), (math.pi, 0.0), (math.pi, math.pi))),
+    DomainKind.HEMIEQUILATERAL: DomainSpec(
+        area=SQRT3 / 8.0, scale=SCALE_A2, cross=1, lowest=1, ordered=True,
+        bound_b=(6.0 + SQRT3) / (8.0 * math.pi), bound_c=0.5, index_cutoff=32,
+        first_ratio_index=1, inside=_in_half_alcove, alcove=True,
+        extent=2.0 / 3.0, outline=((0.0, 0.0), (1.0, 0.0), (0.75, SQRT3 / 4.0))),
+}
 
 
 def in_domain(d: DomainKind, p, strict: bool = False) -> bool:
@@ -110,17 +171,7 @@ def in_domain(d: DomainKind, p, strict: bool = False) -> bool:
     domains use alcove coordinates. The torus has no boundary.
     """
     tol = -EDGE_TOL if strict else EDGE_TOL
-    if d is DomainKind.TORUS:
-        return True
-    if d is DomainKind.RIGHT_ISOSCELES:
-        x, y = p
-        return (y >= -tol) and (x - y >= -tol) and (math.pi - x >= -tol)
-    s, t = p
-    if d is DomainKind.EQUILATERAL:
-        return _in_triangle(s, t, tol)
-    if d is DomainKind.HEMIEQUILATERAL:
-        return _in_triangle(s, t, tol) and (s - t >= -tol)
-    raise ValueError(f"unknown domain {d!r}")
+    return bool(DOMAINS[d].inside(*p, tol))
 
 
 _SYMMETRIES = {

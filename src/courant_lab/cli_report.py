@@ -7,20 +7,17 @@ Exit codes: 0 success, 2 validation error, 3 unstable nodal count.
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .alcove_geometry import DomainKind
+from .alcove_geometry import DOMAINS, DomainKind
 from .lattice_spectrum import Mode, enumerate_spectrum
 from .nodal_analysis import (bifurcation_angle, count_nodal_domains,
                              courant_sharp_verdict, edge_critical_zeros,
                              median_fixed_points)
-from .pleijel_screening import (_ratio_applies, faber_krahn_threshold,
-                                index_cutoff, screening_summary,
-                                screening_table)
+from .pleijel_screening import screening_summary, screening_table
 from .eigenfunction_eval import EigenfunctionHandle
 
 CSV_HEADER = "normalized,min_index,max_index,multiplicity,ratio"
@@ -76,9 +73,10 @@ def _emit(config: RunConfig, text: str) -> None:
 
 
 def _spectrum_rows(config: RunConfig):
+    first_ratio_index = DOMAINS[config.domain].first_ratio_index
     for e in enumerate_spectrum(config.domain, config.count):
         ratio = (format_ratio(e.normalized / e.min_index)
-                 if _ratio_applies(config.domain, e.min_index) else "")
+                 if e.min_index >= first_ratio_index else "")
         yield e, ratio
 
 
@@ -245,10 +243,6 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("COURANT_LAB_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,9 +10,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple
 
-from .alcove_geometry import DomainKind
-
-SCALE_A2 = 16.0 * math.pi ** 2 / 9.0
+from .alcove_geometry import DOMAINS, SCALE_A2, DomainKind  # noqa: F401
 
 
 class Mode(NamedTuple):
@@ -31,22 +29,18 @@ class SpectrumEntry:
 
 def scale(d: DomainKind) -> float:
     """Physical eigenvalue = scale(d) * normalized integer."""
-    return 1.0 if d is DomainKind.RIGHT_ISOSCELES else SCALE_A2
+    return DOMAINS[d].scale
 
 
 def normalized_value(d: DomainKind, m: int, n: int) -> int:
-    if d is DomainKind.RIGHT_ISOSCELES:
-        return m * m + n * n
-    return m * m + m * n + n * n
+    return DOMAINS[d].value(m, n)
 
 
-def _admissible(d: DomainKind, m: int, n: int) -> bool:
-    if d is DomainKind.TORUS:
+def _admissible(spec, m: int, n: int) -> bool:
+    lowest = spec.lowest
+    if lowest is None:
         return True
-    if d is DomainKind.EQUILATERAL:
-        return m >= 1 and n >= 1
-    # hemiequilateral and right-isosceles both take m > n >= 1
-    return m > n >= 1
+    return n >= lowest and (m > n if spec.ordered else m >= lowest)
 
 
 def modes_up_to(d: DomainKind, limit: int, box_margin: int = 0) -> List[Mode]:
@@ -59,21 +53,24 @@ def modes_up_to(d: DomainKind, limit: int, box_margin: int = 0) -> List[Mode]:
     """
     if limit < 0:
         return []
+    spec = DOMAINS[d]
+    form = spec.value
     bound = math.isqrt((4 * limit) // 3 + 1) + 1 + box_margin
-    lo = -bound if d is DomainKind.TORUS else 1
+    lo = -bound if spec.lowest is None else spec.lowest
     out = []
     for m in range(lo, bound + 1):
         for n in range(lo, bound + 1):
-            if _admissible(d, m, n) and normalized_value(d, m, n) <= limit:
+            if _admissible(spec, m, n) and form(m, n) <= limit:
                 out.append(Mode(m, n))
-    out.sort(key=lambda p: (normalized_value(d, *p), p.m, p.n))
+    out.sort(key=lambda p: (form(*p), p.m, p.n))
     return out
 
 
 def _entries_from_modes(d: DomainKind, modes: List[Mode]) -> List[SpectrumEntry]:
+    form = DOMAINS[d].value
     groups = {}
     for p in modes:
-        groups.setdefault(normalized_value(d, *p), []).append(p)
+        groups.setdefault(form(*p), []).append(p)
     entries = []
     index = 1
     for value in sorted(groups):
@@ -107,67 +104,45 @@ def enumerate_spectrum(d: DomainKind, count: int) -> List[SpectrumEntry]:
     return out
 
 
-SQRT3_HALF = math.sqrt(3.0) / 2.0
-
-
 def _weyl_guess(d: DomainKind, count: int) -> int:
-    # N(lambda) ~ A lambda / 4 pi in physical units; convert to normalized.
-    if d is DomainKind.TORUS:
-        guess = count * 4.0 * math.pi / (3.0 * SQRT3_HALF * SCALE_A2)
-        return max(4, int(guess) + 4)
-    if d is DomainKind.EQUILATERAL:
-        guess = count * 4.0 * math.pi / (SQRT3_HALF / 2.0 * SCALE_A2)
-        return max(4, int(guess) + 4)
-    if d is DomainKind.HEMIEQUILATERAL:
-        guess = count * 4.0 * math.pi / (SQRT3_HALF / 4.0 * SCALE_A2)
-        return max(4, int(guess) + 4)
-    guess = count * 8.0 + 8  # area pi^2/2: N ~ pi lambda / 8
-    return int(guess)
+    # N(lambda) ~ area * lambda / 4 pi in physical units; convert to normalized.
+    spec = DOMAINS[d]
+    return max(4, int(count * 4.0 * math.pi / (spec.area * spec.scale)) + 4)
 
 
 def multiplicity(d: DomainKind, normalized: int) -> int:
     """Number of admissible modes attaining the normalized value (0 if none)."""
     if normalized < 0:
         raise ValueError("normalized must be >= 0")
-    return sum(1 for p in modes_up_to(d, normalized)
-               if normalized_value(d, *p) == normalized)
+    form = DOMAINS[d].value
+    return sum(1 for p in modes_up_to(d, normalized) if form(*p) == normalized)
 
 
 def counting_function(d: DomainKind, lam: float) -> int:
     """Strict count of eigenvalues (with multiplicity) below lam (physical)."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
-    unit = scale(d)
+    spec = DOMAINS[d]
+    unit, form = spec.scale, spec.value
     cutoff = lam / unit
     if cutoff <= 0:
         return 0
     # compare in physical units: lam / unit can round above an integer k
     # with k * unit == lam, which would count the eigenvalue lam itself
     limit = int(math.ceil(cutoff))
-    return sum(1 for p in modes_up_to(d, limit)
-               if normalized_value(d, *p) * unit < lam)
-
-
-# Counting lower bound coefficients (a, b, c): N(lambda) >= a*lambda - b*sqrt(lambda) + c.
-_BOUND_COEFFS = {
-    DomainKind.TORUS: (3.0 * math.sqrt(3.0) / (8.0 * math.pi),
-                       9.0 / (2.0 * math.pi), 1.0),
-    DomainKind.EQUILATERAL: (math.sqrt(3.0) / (16.0 * math.pi),
-                             3.0 / (2.0 * math.pi), 1.0),
-    DomainKind.RIGHT_ISOSCELES: (math.pi / 8.0,
-                                 (4.0 + math.sqrt(2.0)) / 4.0, 0.5),
-    DomainKind.HEMIEQUILATERAL: (math.sqrt(3.0) / (32.0 * math.pi),
-                                 (6.0 + math.sqrt(3.0)) / (8.0 * math.pi), 0.5),
-}
+    return sum(1 for p in modes_up_to(d, limit) if form(*p) * unit < lam)
 
 
 def bound_coefficients(d: DomainKind):
-    return _BOUND_COEFFS[d]
+    """(a, b, c) with N(lambda) >= a*lambda - b*sqrt(lambda) + c, where
+    a = area / 4 pi is the Weyl coefficient."""
+    spec = DOMAINS[d]
+    return spec.area / (4.0 * math.pi), spec.bound_b, spec.bound_c
 
 
 def counting_lower_bound(d: DomainKind, lam: float) -> float:
     """Closed-form lower bound for the counting function (physical units)."""
     if lam <= 0:
         raise ValueError("lambda must be > 0")
-    a, b, c = _BOUND_COEFFS[d]
+    a, b, c = bound_coefficients(d)
     return a * lam - b * math.sqrt(lam) + c

@@ -9,7 +9,8 @@ from typing import List, Tuple
 import numpy as np
 from scipy import ndimage, optimize
 
-from .alcove_geometry import AlcovePoint, DomainKind, weyl_coefficients
+from .alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint, DomainKind,
+                             weyl_coefficients)
 from .eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_isosceles,
                                  eval_psi, eval_psi_grid, eval_S)
 from .lattice_spectrum import Mode, enumerate_spectrum
@@ -392,27 +393,28 @@ class NodalReport:
     stable: bool
 
 
+def _grid_points(d: DomainKind, resolution: int):
+    """The mask of samples strictly inside the domain and the coordinate
+    grids over [0, extent]^2, without eigenfunction values."""
+    spec = DOMAINS[d]
+    if spec.extent is None:
+        raise ValueError(f"nodal counting is not defined for {d!r}")
+    x = np.linspace(0.0, spec.extent, resolution)
+    p, q = np.meshgrid(x, x, indexing="ij")
+    return spec.inside(p, q, -EDGE_TOL), (p, q)
+
+
 def _grid_values(h: EigenfunctionHandle, resolution: int):
+    mask, (p, q) = _grid_points(h.domain, resolution)
     m, n = h.mode
-    eps = 1e-12
     if h.domain is DomainKind.RIGHT_ISOSCELES:
-        x = np.linspace(0.0, PI, resolution)
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        mask = (yy > eps) & (xx - yy > eps) & (PI - xx > eps)
-        vals = eval_isosceles(m, n, xx, yy)
-        return vals, mask, (xx, yy)
-    if h.domain in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
-        x = np.linspace(0.0, 2.0 / 3.0, resolution)
-        ss, tt = np.meshgrid(x, x, indexing="ij")
-        mask = (tt - 0.5 * ss > eps) & (ss - 0.5 * tt > eps) & (1.0 - ss - tt > eps)
-        if h.domain is DomainKind.HEMIEQUILATERAL:
-            # eigenfunctions of the half-triangle are C_{m,n} on {s >= t}
-            mask &= ss - tt > eps
-            vals = eval_C(m, n, ss, tt)
-        else:
-            vals = eval_psi_grid(m, n, h.theta, ss, tt)
-        return vals, mask, (ss, tt)
-    raise ValueError(f"nodal counting is not defined for {h.domain!r}")
+        vals = eval_isosceles(m, n, p, q)
+    elif h.domain is DomainKind.HEMIEQUILATERAL:
+        # eigenfunctions of the half-triangle are C_{m,n} on {s >= t}
+        vals = eval_C(m, n, p, q)
+    else:
+        vals = eval_psi_grid(m, n, h.theta, p, q)
+    return vals, mask, (p, q)
 
 
 _FOUR = ndimage.generate_binary_structure(2, 1)
@@ -464,18 +466,16 @@ THETA_SWEEP_SAMPLES = 64
 
 def _sweep_counts(pair: Mode, resolution: int) -> List[Tuple[float, int]]:
     """(theta, nodal count) of the equilateral Psi^theta = cos(theta) C +
-    sin(theta) S at THETA_SWEEP_SAMPLES values of theta in [0, pi/6], then at
-    theta_c and pi/6.
+    sin(theta) S at THETA_SWEEP_SAMPLES evenly spaced values of theta from 0
+    to pi/6 (both included), then at theta_c.
 
     The mask and the C and S grids do not depend on theta and are evaluated
     once per call.  Each theta then costs the mix, the zero band and sign
     grid, and the two component labellings; the mix is written as in
     eval_psi_grid, so every count equals _count_once at that theta."""
     _, theta_c = bifurcation_angle()
-    thetas = list(np.linspace(0.0, PI / 6.0, THETA_SWEEP_SAMPLES))
-    thetas += [theta_c, PI / 6.0]
-    h = EigenfunctionHandle(DomainKind.EQUILATERAL, pair, 0.0)
-    mask, (ss, tt) = _grid_values(h, resolution)[1:]
+    thetas = list(np.linspace(0.0, PI / 6.0, THETA_SWEEP_SAMPLES)) + [theta_c]
+    mask, (ss, tt) = _grid_points(DomainKind.EQUILATERAL, resolution)
     c_grid = eval_C(*pair, ss, tt)
     s_grid = eval_S(*pair, ss, tt)
     counts = []

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .alcove_geometry import DomainKind
+from .alcove_geometry import DOMAINS, DomainKind
 from .lattice_spectrum import (SpectrumEntry, bound_coefficients,
                                enumerate_spectrum, scale)
 
@@ -17,17 +17,10 @@ J01 = 2.40482555769577
 
 def faber_krahn_threshold(d: DomainKind) -> float:
     """Ratio threshold (in the domain's table units, i.e. per normalized
-    eigenvalue unit) that a Courant-sharp eigenvalue must meet."""
-    j2 = J01 * J01
-    if d is DomainKind.TORUS:
-        return math.sqrt(3.0) * j2 / (8.0 * math.pi)
-    if d is DomainKind.EQUILATERAL:
-        return 3.0 * math.sqrt(3.0) * j2 / (4.0 * math.pi)
-    if d is DomainKind.RIGHT_ISOSCELES:
-        return 2.0 * j2 / math.pi
-    if d is DomainKind.HEMIEQUILATERAL:
-        return 3.0 * math.sqrt(3.0) * j2 / (2.0 * math.pi)
-    raise ValueError(f"unknown domain {d!r}")
+    eigenvalue unit) that a Courant-sharp eigenvalue must meet: the
+    Faber-Krahn line lambda_n >= pi j01^2 n / |Omega| over the scale."""
+    spec = DOMAINS[d]
+    return math.pi * J01 * J01 / (spec.area * spec.scale)
 
 
 def courant_upper_bound(d: DomainKind, n: int) -> float:
@@ -38,17 +31,6 @@ def courant_upper_bound(d: DomainKind, n: int) -> float:
     a, b, c = bound_coefficients(d)
     root = (b + math.sqrt(b * b + 4.0 * a * (n - 1 - c))) / (2.0 * a)
     return root * root
-
-
-# Largest index for which the two necessary conditions are declared mutually
-# consistent.  These are the published safe bounds; cutoff_scan() below gives
-# the strict crossing, which is never larger (asserted in tests).
-_PUBLISHED_CUTOFF = {
-    DomainKind.TORUS: 63,
-    DomainKind.EQUILATERAL: 40,
-    DomainKind.RIGHT_ISOSCELES: 26,
-    DomainKind.HEMIEQUILATERAL: 32,
-}
 
 
 def fk_line(d: DomainKind, n: int) -> float:
@@ -66,7 +48,10 @@ def cutoff_scan(d: DomainKind, n_max: int = 1000) -> int:
 
 
 def index_cutoff(d: DomainKind) -> int:
-    return _PUBLISHED_CUTOFF[d]
+    """Largest index for which the two necessary conditions are declared
+    mutually consistent: the published safe bound.  cutoff_scan() gives the
+    strict crossing, which is never larger (asserted in tests)."""
+    return DOMAINS[d].index_cutoff
 
 
 @dataclass(frozen=True)
@@ -88,22 +73,15 @@ class ScreeningSummary:
     candidates: List[int]
 
 
-def _ratio_applies(d: DomainKind, min_index: int) -> bool:
-    # The torus ratio test is only meaningful from index 4 on (the small
-    # nodal domains assumption behind Faber-Krahn on the torus needs n >= 4).
-    if d is DomainKind.TORUS:
-        return min_index >= 4
-    return True
-
-
 def screening_table(d: DomainKind) -> List[ScreeningRow]:
     cutoff = index_cutoff(d)
     threshold = faber_krahn_threshold(d)
+    first_ratio_index = DOMAINS[d].first_ratio_index
     rows = []
     for e in enumerate_spectrum(d, cutoff):
         if e.min_index > cutoff:
             break
-        applies = _ratio_applies(d, e.min_index)
+        applies = e.min_index >= first_ratio_index
         ratio = e.normalized / e.min_index
         rows.append(ScreeningRow(e.normalized, e.min_index, e.max_index,
                                  e.multiplicity, ratio, applies,

@@ -7,21 +7,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .alcove_geometry import DomainKind, to_cartesian
+from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
 from .eigenfunction_eval import EigenfunctionHandle
 from .nodal_analysis import (_grid_values, edge_critical_zeros,
                              median_fixed_points)
 
 PX_PER_UNIT = 512.0
 MARGIN = 24.0
-
-_OUTLINES = {
-    DomainKind.EQUILATERAL: ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)),
-    DomainKind.HEMIEQUILATERAL: ((0.0, 0.0), (1.0, 0.0),
-                                 (0.75, math.sqrt(3.0) / 4.0)),
-    DomainKind.RIGHT_ISOSCELES: ((0.0, 0.0), (math.pi, 0.0), (math.pi, math.pi)),
-}
-
 
 def _lerp(p, q, vp, vq):
     w = vp / (vp - vq)
@@ -63,13 +55,10 @@ def _fmt(v: float) -> str:
 
 def render_nodal_svg(h: EigenfunctionHandle, resolution: int = 256) -> str:
     """Deterministic SVG document for the nodal set of the handle."""
-    values, mask, (gs, gt) = _grid_values(h, resolution)
-    if h.domain is DomainKind.RIGHT_ISOSCELES:
-        xs, ys = gs, gt
-    else:
-        xs = 1.5 * gs
-        ys = math.sqrt(3.0) * (gt - 0.5 * gs)
-    outline = _OUTLINES[h.domain]
+    values, mask, points = _grid_values(h, resolution)
+    spec = DOMAINS[h.domain]
+    xs, ys = to_cartesian(points) if spec.alcove else points
+    outline = spec.outline
     xmax = max(p[0] for p in outline)
     ymax = max(p[1] for p in outline)
     width = xmax * PX_PER_UNIT + 2 * MARGIN

@@ -6,7 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from courant_lab.alcove_geometry import (BASIS, DomainKind, apply_symmetry,
                                          in_domain, to_alcove, to_cartesian,
-                                         weyl_images)
+                                         weyl_coefficients)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -52,6 +52,12 @@ def test_alpha3_is_sum():
 
 
 SIGN_PATTERN = (1, -1, -1, -1, 1, 1)
+
+
+def weyl_images(m, n, s, t):
+    """The six (sign, phase) pairs of the reflection-group orbit of (m, n),
+    with phase = a*s + b*t from the coefficient form."""
+    return [(sign, a * s + b * t) for sign, a, b in weyl_coefficients(m, n)]
 
 
 def test_weyl_images_origin():

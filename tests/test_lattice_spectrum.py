@@ -3,7 +3,8 @@ import math
 import pytest
 
 from courant_lab.alcove_geometry import DomainKind
-from courant_lab.lattice_spectrum import (SCALE_A2, counting_function,
+from courant_lab.lattice_spectrum import (SCALE_A2, _weyl_guess,
+                                          counting_function,
                                           counting_lower_bound,
                                           enumerate_spectrum, modes_up_to,
                                           multiplicity, normalized_value,
@@ -155,3 +156,16 @@ def test_weyl_asymptotics_torus():
     n = counting_function(T, lam)
     area = 1.5 * math.sqrt(3.0)
     assert n * 4 * math.pi / (area * lam) == pytest.approx(1.0, rel=0.05)
+
+
+_AREAS = {T: 3.0 * math.sqrt(3.0) / 2.0, E: math.sqrt(3.0) / 4.0,
+          B: math.pi ** 2 / 2.0, H: math.sqrt(3.0) / 8.0}
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+@pytest.mark.parametrize("count", [1, 10, 85, 1000, 60000])
+def test_weyl_guess_follows_the_area(d, count):
+    # N(lambda) ~ |Omega| lambda / 4 pi: the first normalized cutoff tried
+    # is no larger than the Weyl-law estimate plus a small margin
+    weyl = count * 4.0 * math.pi / (_AREAS[d] * scale(d))
+    assert _weyl_guess(d, count) <= max(4, int(weyl) + 4)

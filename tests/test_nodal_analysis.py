@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import DomainKind
+from courant_lab.alcove_geometry import DomainKind, in_domain
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_psi,
                                             eval_psi_grid, pullback_theta)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (THETA_SWEEP_SAMPLES, _count_once,
-                                        _sweep_counts, bifurcation_angle,
+                                        _grid_points, _sweep_counts,
+                                        bifurcation_angle,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
                                         edge_critical_zeros,
@@ -269,10 +270,19 @@ def test_count_transition_at_theta_c():
 @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
 def test_sweep_counts_match_count_once(pair):
     sweep = _sweep_counts(Mode(*pair), 128)
-    assert len(sweep) == THETA_SWEEP_SAMPLES + 2
+    assert len(sweep) == THETA_SWEEP_SAMPLES + 1
     for theta, mu in sweep:
         h = EigenfunctionHandle(E, Mode(*pair), theta)
         assert mu == sum(_count_once(h, 128))
+
+
+@pytest.mark.parametrize("d", [E, B, H])
+def test_grid_mask_is_the_strict_domain_predicate(d):
+    mask, (p, q) = _grid_points(d, 64)
+    expected = [[in_domain(d, (p[i, j], q[i, j]), strict=True)
+                 for j in range(64)] for i in range(64)]
+    assert mask.tolist() == expected
+    assert 0 < mask.sum() < mask.size
 
 
 def test_hemiequilateral_counts():

@@ -1,11 +1,14 @@
+import math
+
 import pytest
 
 from courant_lab.alcove_geometry import DomainKind
+from courant_lab.lattice_spectrum import bound_coefficients
 from courant_lab.pleijel_screening import (candidate_indices,
                                            courant_upper_bound, cutoff_scan,
                                            faber_krahn_threshold, fk_line,
                                            index_cutoff, screening_summary,
-                                           screening_table)
+                                           screening_table, J01)
 
 T = DomainKind.TORUS
 E = DomainKind.EQUILATERAL
@@ -18,6 +21,29 @@ def test_thresholds():
     assert faber_krahn_threshold(E) == pytest.approx(2.391328148, abs=1e-8)
     assert faber_krahn_threshold(B) == pytest.approx(3.681690532, abs=1e-8)
     assert faber_krahn_threshold(H) == pytest.approx(4.782656293, abs=1e-8)
+
+
+# Closed forms of the Faber-Krahn ratio threshold pi j01^2 / (|Omega| scale)
+# and of the Weyl coefficient |Omega| / 4 pi, as the paper states them.
+J2 = J01 * J01
+_CLOSED_FORMS = {
+    T: (math.sqrt(3.0) * J2 / (8.0 * math.pi),
+        3.0 * math.sqrt(3.0) / (8.0 * math.pi)),
+    E: (3.0 * math.sqrt(3.0) * J2 / (4.0 * math.pi),
+        math.sqrt(3.0) / (16.0 * math.pi)),
+    B: (2.0 * J2 / math.pi, math.pi / 8.0),
+    H: (3.0 * math.sqrt(3.0) * J2 / (2.0 * math.pi),
+        math.sqrt(3.0) / (32.0 * math.pi)),
+}
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_area_derived_constants_equal_closed_forms_exactly(d):
+    # the threshold is printed by `screen --format json`, so the derived
+    # value must carry the same bits as the closed form
+    threshold, weyl = _CLOSED_FORMS[d]
+    assert faber_krahn_threshold(d) == threshold
+    assert bound_coefficients(d)[0] == weyl
 
 
 def test_courant_upper_bound_collapse():
