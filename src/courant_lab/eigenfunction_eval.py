@@ -28,9 +28,10 @@ class EigenfunctionHandle:
 
 
 class EvalResult(NamedTuple):
-    value: float
-    grad_s: float
-    grad_t: float
+    """Value and partials, each a scalar or a numpy array like (s, t)."""
+    value: float | np.ndarray
+    grad_s: float | np.ndarray
+    grad_t: float | np.ndarray
 
 
 def eval_torus_mode(m: int, n: int, s: float, t: float) -> complex:
@@ -59,8 +60,9 @@ def eval_psi_grid(m, n, theta, s, t):
     return math.cos(theta) * eval_C(m, n, s, t) + math.sin(theta) * eval_S(m, n, s, t)
 
 
-def eval_psi(h: EigenfunctionHandle, s: float, t: float) -> EvalResult:
-    """Value and analytic partials of Psi^theta at (s, t)."""
+def eval_psi(h: EigenfunctionHandle, s, t) -> EvalResult:
+    """Value and analytic partials of Psi^theta at (s, t), scalars or numpy
+    arrays; an array gives the same numbers as per-point scalar calls."""
     if h.domain not in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
         raise ValueError("eval_psi applies to the triangle C/S families")
     m, n = h.mode
@@ -68,12 +70,12 @@ def eval_psi(h: EigenfunctionHandle, s: float, t: float) -> EvalResult:
     val = gs = gt = 0.0
     for sign, a, b in weyl_coefficients(m, n):
         phase = TWO_PI * (a * s + b * t)
-        c, sn = math.cos(phase), math.sin(phase)
+        c, sn = np.cos(phase), np.sin(phase)
         # term = ct*cos(phase) + st*sin(phase), d/ds phase = 2 pi a
-        val += sign * (ct * c + st * sn)
+        val = val + sign * (ct * c + st * sn)
         dterm = ct * (-sn) + st * c
-        gs += sign * TWO_PI * a * dterm
-        gt += sign * TWO_PI * b * dterm
+        gs = gs + sign * TWO_PI * a * dterm
+        gt = gt + sign * TWO_PI * b * dterm
     return EvalResult(val, gs, gt)
 
 

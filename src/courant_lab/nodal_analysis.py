@@ -9,8 +9,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy import ndimage, optimize
 
-from .alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint, DomainKind,
-                             weyl_coefficients)
+from .alcove_geometry import DOMAINS, EDGE_TOL, AlcovePoint, DomainKind
 from .eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_isosceles,
                                  eval_psi, eval_psi_grid, eval_S)
 from .lattice_spectrum import Mode, enumerate_spectrum
@@ -244,20 +243,15 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     if not 0.0 < a < 1.0:
         raise ValueError("a must be in (0, 1)")
     m, n = pair
-    ct, st = math.cos(theta), math.sin(theta)
-    coeffs = weyl_coefficients(m, n)
+    h = EigenfunctionHandle(DomainKind.EQUILATERAL, pair, theta)
 
     def f(u):
         return eval_psi_grid(m, n, theta, u, a - u)
 
     def df(u):
         # directional derivative of Psi along the chord direction (1, -1)
-        acc = 0.0
-        for sign, p, q in coeffs:
-            phase = 2.0 * PI * (p * np.asarray(u) + q * (a - np.asarray(u)))
-            acc = acc + sign * 2.0 * PI * (p - q) * (st * np.cos(phase)
-                                                     - ct * np.sin(phase))
-        return acc
+        r = eval_psi(h, u, a - u)
+        return r.grad_s - r.grad_t
 
     # the chord endpoints sit on the boundary edges, where the restriction
     # vanishes trivially; only interior intersections are reported
@@ -308,14 +302,11 @@ def median_critical_zeros(pair, which: str) -> List[CriticalZero]:
     for u in [0, 1].  For C the median lies in the nodal set; for S the only
     critical zero is the vertex O."""
     pair = _check_pair(pair)
-    m, n = pair
     if which == "C":
         h = EigenfunctionHandle(DomainKind.EQUILATERAL, pair, 0.0)
 
         def g(u):
-            if np.isscalar(u):
-                return eval_psi(h, 0.5 * u, 0.5 * u).grad_s
-            return np.array([eval_psi(h, 0.5 * v, 0.5 * v).grad_s for v in u])
+            return eval_psi(h, 0.5 * u, 0.5 * u).grad_s
 
         out = [CriticalZero(AlcovePoint(0.0, 0.0), "OM", 0.0, 6)]
         # g has a zero of order >= 4 at O, so start the scan past the noise
@@ -377,13 +368,6 @@ def bifurcation_angle() -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SignGrid:
-    resolution: int
-    values: np.ndarray   # {+1, -1, 0} inside the mask, 0 outside
-    mask: np.ndarray
-
-
-@dataclass(frozen=True)
 class NodalReport:
     handle: EigenfunctionHandle
     resolution: int
@@ -437,13 +421,14 @@ def _label_counts(signs: np.ndarray) -> Tuple[int, int]:
     return pos, neg
 
 
-def sign_grid(h: EigenfunctionHandle, resolution: int) -> SignGrid:
+def sign_grid(h: EigenfunctionHandle, resolution: int) -> np.ndarray:
+    """The int8 {+1, -1, 0} signs of the handle's grid (see _signs)."""
     vals, mask, _ = _grid_values(h, resolution)
-    return SignGrid(resolution, _signs(vals, mask), mask)
+    return _signs(vals, mask)
 
 
 def _count_once(h: EigenfunctionHandle, resolution: int):
-    return _label_counts(sign_grid(h, resolution).values)
+    return _label_counts(sign_grid(h, resolution))
 
 
 def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:

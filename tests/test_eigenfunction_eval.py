@@ -9,7 +9,7 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle, alpha_mn,
                                             eval_psi_grid, eval_S,
                                             eval_torus_mode, pullback_theta)
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import fc
+from courant_lab.nodal_analysis import bifurcation_angle, fc
 
 E = DomainKind.EQUILATERAL
 RNG = np.random.default_rng(42)
@@ -140,6 +140,35 @@ def test_eval_psi_gradients_match_finite_differences():
                 - eval_psi_grid(2, 3, 0.4, s, t - step)) / (2 * step)
         assert r.grad_s == pytest.approx(fd_s, rel=1e-6, abs=1e-4)
         assert r.grad_t == pytest.approx(fd_t, rel=1e-6, abs=1e-4)
+
+
+ARRAY_HANDLES = [EigenfunctionHandle(E, Mode(*pair), theta)
+                 for pair in [(1, 3), (2, 3)]
+                 for theta in [0.0, bifurcation_angle()[1], math.pi / 6,
+                               math.pi / 2]]
+ARRAY_HANDLES.append(EigenfunctionHandle(DomainKind.HEMIEQUILATERAL,
+                                         Mode(2, 5), 0.0))
+
+
+@pytest.mark.parametrize("h", ARRAY_HANDLES)
+def test_eval_psi_arrays_equal_scalar_calls(h):
+    # a local generator keeps the shared RNG's draws for the other tests
+    s, t = np.random.default_rng(7).uniform(0.02, 0.62, size=(2, 20, 15))
+    r = eval_psi(h, s, t)
+    for field in r:
+        assert field.shape == s.shape
+    for i, j in np.ndindex(s.shape):
+        q = eval_psi(h, float(s[i, j]), float(t[i, j]))
+        assert r.value[i, j] == q.value
+        assert r.grad_s[i, j] == q.grad_s
+        assert r.grad_t[i, j] == q.grad_t
+
+
+@pytest.mark.parametrize("domain", [DomainKind.TORUS,
+                                    DomainKind.RIGHT_ISOSCELES])
+def test_eval_psi_rejects_other_domains(domain):
+    with pytest.raises(ValueError):
+        eval_psi(EigenfunctionHandle(domain, Mode(2, 1), 0.0), 0.2, 0.1)
 
 
 @pytest.mark.parametrize("pair,u", [((1, 3), 0.3), ((2, 3), 0.5)])

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import DomainKind, in_domain
+from courant_lab.alcove_geometry import AlcovePoint, DomainKind, in_domain
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_psi,
                                             eval_psi_grid, pullback_theta)
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import (THETA_SWEEP_SAMPLES, _count_once,
+from courant_lab.nodal_analysis import (THETA_SWEEP_SAMPLES, CriticalZero,
+                                        _count_once,
                                         _grid_points, _sweep_counts,
                                         bifurcation_angle,
                                         count_nodal_domains,
@@ -168,6 +169,16 @@ def test_median_critical_zeros():
     assert interior == pytest.approx([0.5946180472], abs=1e-8)
     zeros = median_critical_zeros((1, 3), "S")
     assert [z.parameter_u for z in zeros] == [0.0]
+
+
+def test_median_critical_zeros_s_is_vertex_o():
+    assert median_critical_zeros((2, 3), "S") == [
+        CriticalZero(AlcovePoint(0.0, 0.0), "OM", 0.0, 3)]
+
+
+def test_median_critical_zeros_validation():
+    with pytest.raises(ValueError):
+        median_critical_zeros((1, 3), "X")
 
 
 # ---------------------------------------------------------------------------
