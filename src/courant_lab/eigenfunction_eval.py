@@ -14,8 +14,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .alcove_geometry import DomainKind, weyl_coefficients
-from .lattice_spectrum import Mode
+from .alcove_geometry import DOMAINS, DomainKind, weyl_coefficients
+from .lattice_spectrum import Mode, _admissible
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,6 +25,21 @@ class EigenfunctionHandle:
     domain: DomainKind
     mode: Mode
     theta: float = 0.0
+
+
+def check_handle(h: EigenfunctionHandle) -> None:
+    """Raise ValueError unless the handle names an eigenfunction: its pair is
+    admissible up to the (m, n) swap, theta is 0 except on the equilateral
+    triangle (the one domain whose C and S mix), and it is not identically
+    zero, as cos(theta) C_{m,m} + sin(theta) S_{m,m} is at theta = k pi."""
+    spec, (m, n) = DOMAINS[h.domain], h.mode
+    if not (_admissible(spec, m, n) or _admissible(spec, n, m)):
+        raise ValueError(f"pair ({m}, {n}) is not admissible on {h.domain.value}")
+    if h.theta != 0.0 and h.domain is not DomainKind.EQUILATERAL:
+        raise ValueError(f"theta must be 0 on {h.domain.value}")
+    if (h.domain is DomainKind.EQUILATERAL and m == n
+            and abs(math.sin(h.theta)) < 1e-12):
+        raise ValueError(f"pair ({m}, {n}) at theta {h.theta} is identically zero")
 
 
 class EvalResult(NamedTuple):
@@ -65,6 +80,8 @@ def eval_psi(h: EigenfunctionHandle, s, t) -> EvalResult:
     arrays; an array gives the same numbers as per-point scalar calls."""
     if h.domain not in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
         raise ValueError("eval_psi applies to the triangle C/S families")
+    if h.domain is DomainKind.HEMIEQUILATERAL and h.theta != 0.0:
+        raise ValueError("theta must be 0 on hemiequilateral: S is not Dirichlet on s = t")
     m, n = h.mode
     ct, st = math.cos(h.theta), math.sin(h.theta)
     val = gs = gt = 0.0

@@ -10,8 +10,9 @@ import numpy as np
 from scipy import ndimage, optimize
 
 from .alcove_geometry import DOMAINS, EDGE_TOL, AlcovePoint, DomainKind
-from .eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_isosceles,
-                                 eval_psi, eval_psi_grid, eval_S)
+from .eigenfunction_eval import (EigenfunctionHandle, check_handle, eval_C,
+                                 eval_isosceles, eval_psi, eval_psi_grid,
+                                 eval_S)
 from .lattice_spectrum import Mode, enumerate_spectrum
 from .pleijel_screening import candidate_indices, index_cutoff
 
@@ -384,33 +385,36 @@ def _grid_points(d: DomainKind, resolution: int):
     if spec.extent is None:
         raise ValueError(f"nodal counting is not defined for {d!r}")
     x = np.linspace(0.0, spec.extent, resolution)
-    p, q = np.meshgrid(x, x, indexing="ij")
+    p, q = np.meshgrid(x, x, indexing="ij", copy=False)
     return spec.inside(p, q, -EDGE_TOL), (p, q)
 
 
 def _grid_values(h: EigenfunctionHandle, resolution: int):
+    """The handle's values inside the mask of _grid_points; 0 (unread) outside."""
     mask, (p, q) = _grid_points(h.domain, resolution)
+    p_in, q_in = p[mask], q[mask]
     m, n = h.mode
     if h.domain is DomainKind.RIGHT_ISOSCELES:
-        vals = eval_isosceles(m, n, p, q)
+        inside = eval_isosceles(m, n, p_in, q_in)
     elif h.domain is DomainKind.HEMIEQUILATERAL:
         # eigenfunctions of the half-triangle are C_{m,n} on {s >= t}
-        vals = eval_C(m, n, p, q)
+        inside = eval_C(m, n, p_in, q_in)
     else:
-        vals = eval_psi_grid(m, n, h.theta, p, q)
+        inside = eval_psi_grid(m, n, h.theta, p_in, q_in)
+    vals = np.zeros(mask.shape)
+    vals[mask] = inside
     return vals, mask, (p, q)
 
 
 _FOUR = ndimage.generate_binary_structure(2, 1)
 
 
-def _signs(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """{+1, -1, 0} per sample: the sign inside the mask, 0 in the zero band
-    and outside the mask."""
-    band = ZERO_BAND_REL * float(np.max(np.abs(values[mask])))
-    signs = np.zeros(values.shape, dtype=np.int8)
-    signs[mask & (values > band)] = 1
-    signs[mask & (values < -band)] = -1
+def _signs(inside: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """{+1, -1, 0} per sample: the sign of the values inside the mask (given
+    in the order of values[mask]), 0 in the zero band and outside the mask."""
+    band = ZERO_BAND_REL * float(np.max(np.abs(inside)))
+    signs = np.zeros(mask.shape, dtype=np.int8)
+    signs[mask] = (inside > band).astype(np.int8) - (inside < -band)
     return signs
 
 
@@ -424,7 +428,7 @@ def _label_counts(signs: np.ndarray) -> Tuple[int, int]:
 def sign_grid(h: EigenfunctionHandle, resolution: int) -> np.ndarray:
     """The int8 {+1, -1, 0} signs of the handle's grid (see _signs)."""
     vals, mask, _ = _grid_values(h, resolution)
-    return _signs(vals, mask)
+    return _signs(vals[mask], mask)
 
 
 def _count_once(h: EigenfunctionHandle, resolution: int):
@@ -436,6 +440,7 @@ def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
     when the resolution is doubled."""
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
+    check_handle(h)
     pos, neg = _count_once(h, resolution)
     pos2, neg2 = _count_once(h, 2 * resolution)
     return NodalReport(h, resolution, pos + neg, pos, neg,
@@ -454,18 +459,19 @@ def _sweep_counts(pair: Mode, resolution: int) -> List[Tuple[float, int]]:
     sin(theta) S at THETA_SWEEP_SAMPLES evenly spaced values of theta from 0
     to pi/6 (both included), then at theta_c.
 
-    The mask and the C and S grids do not depend on theta and are evaluated
-    once per call.  Each theta then costs the mix, the zero band and sign
-    grid, and the two component labellings; the mix is written as in
+    The mask and the C and S values inside it do not depend on theta and are
+    evaluated once per call.  Each theta then costs the mix, the zero band and
+    sign grid, and the two component labellings; the mix is written as in
     eval_psi_grid, so every count equals _count_once at that theta."""
     _, theta_c = bifurcation_angle()
     thetas = list(np.linspace(0.0, PI / 6.0, THETA_SWEEP_SAMPLES)) + [theta_c]
     mask, (ss, tt) = _grid_points(DomainKind.EQUILATERAL, resolution)
-    c_grid = eval_C(*pair, ss, tt)
-    s_grid = eval_S(*pair, ss, tt)
+    s_in, t_in = ss[mask], tt[mask]
+    c_vals = eval_C(*pair, s_in, t_in)
+    s_vals = eval_S(*pair, s_in, t_in)
     counts = []
     for theta in thetas:
-        values = math.cos(theta) * c_grid + math.sin(theta) * s_grid
+        values = math.cos(theta) * c_vals + math.sin(theta) * s_vals
         counts.append((float(theta), sum(_label_counts(_signs(values, mask)))))
     return counts
 
@@ -486,22 +492,16 @@ def courant_sharp_verdict(d: DomainKind, resolution: int = 512):
     for n in candidate_indices(d):
         entry = entries[n]
         if n == 1:
-            verdict.append((1, True))
-            continue
-        if d is DomainKind.EQUILATERAL and entry.multiplicity == 2:
+            mu = 1
+        elif d is DomainKind.EQUILATERAL and entry.multiplicity == 2:
             pair = Mode(*min(entry.representative_modes))
             mu = _max_count_over_thetas(pair, resolution)
         else:
-            if d is DomainKind.EQUILATERAL:
-                # simple equilateral eigenvalues come from pairs m = n, whose
-                # cosine combination vanishes identically: the eigenfunction
-                # is the sine sum
-                pair = entry.representative_modes[0]
-                h = EigenfunctionHandle(d, pair, PI / 2.0)
-            else:
-                pair = Mode(*max(entry.representative_modes))
-                h = EigenfunctionHandle(d, pair, 0.0)
-            pos, neg = _count_once(h, resolution)
-            mu = pos + neg
+            # a simple equilateral eigenvalue comes from a pair m = n, whose
+            # cosine combination vanishes identically: the eigenfunction is
+            # the sine sum
+            theta = PI / 2.0 if d is DomainKind.EQUILATERAL else 0.0
+            pair = Mode(*max(entry.representative_modes))
+            mu = sum(_count_once(EigenfunctionHandle(d, pair, theta), resolution))
         verdict.append((n, mu == n))
     return verdict

@@ -8,45 +8,32 @@ from typing import List, Tuple
 import numpy as np
 
 from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
-from .eigenfunction_eval import EigenfunctionHandle
+from .eigenfunction_eval import EigenfunctionHandle, check_handle
 from .nodal_analysis import (_grid_values, edge_critical_zeros,
                              median_fixed_points)
 
 PX_PER_UNIT = 512.0
 MARGIN = 24.0
 
-def _lerp(p, q, vp, vq):
-    w = vp / (vp - vq)
-    return (p[0] + w * (q[0] - p[0]), p[1] + w * (q[1] - p[1]))
-
 
 def zero_segments(values: np.ndarray, mask: np.ndarray, xs: np.ndarray,
                   ys: np.ndarray) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
     """Marching-squares segments of the zero level set over cells whose four
-    corners all lie inside the mask.  xs/ys give the corner coordinates."""
-    segs = []
-    ni, nj = values.shape
-    for i in range(ni - 1):
-        for j in range(nj - 1):
-            if not (mask[i, j] and mask[i + 1, j] and mask[i, j + 1]
-                    and mask[i + 1, j + 1]):
-                continue
-            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-            vals = [values[c] for c in corners]
-            pts = [(xs[c], ys[c]) for c in corners]
-            crossings = []
-            for k in range(4):
-                a, b = k, (k + 1) % 4
-                va, vb = vals[a], vals[b]
-                if (va > 0) != (vb > 0):
-                    crossings.append(_lerp(pts[a], pts[b], va, vb))
-            if len(crossings) == 2:
-                segs.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                # saddle cell: pair crossings by consecutive edges
-                segs.append((crossings[0], crossings[1]))
-                segs.append((crossings[2], crossings[3]))
-    return segs
+    corners all lie inside the mask.  xs/ys give the corner coordinates.
+    Cells go in row-major order, corners (i,j), (i+1,j), (i+1,j+1), (i,j+1);
+    edge k, from corner k to k+1 mod 4, is crossed where one end is > 0 and
+    the other is not.  A cell has 0, 2 or 4 crossings; they pair up in edge
+    order, so a saddle cell pairs consecutive edges."""
+    i, j = np.nonzero(mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:])
+    ci, cj = np.stack((i, i + 1, i + 1, i), 1), np.stack((j, j, j + 1, j + 1), 1)
+    v, x, y = values[ci, cj], xs[ci, cj], ys[ci, cj]
+    cell, a = np.nonzero((v > 0) != (np.roll(v, -1, axis=1) > 0))
+    b = (a + 1) % 4
+    w = v[cell, a] / (v[cell, a] - v[cell, b])
+    px = x[cell, a] + w * (x[cell, b] - x[cell, a])
+    py = y[cell, a] + w * (y[cell, b] - y[cell, a])
+    pts = list(zip(px.tolist(), py.tolist()))
+    return list(zip(pts[0::2], pts[1::2]))
 
 
 def _fmt(v: float) -> str:
@@ -55,16 +42,16 @@ def _fmt(v: float) -> str:
 
 def render_nodal_svg(h: EigenfunctionHandle, resolution: int = 256) -> str:
     """Deterministic SVG document for the nodal set of the handle."""
+    check_handle(h)
     values, mask, points = _grid_values(h, resolution)
     spec = DOMAINS[h.domain]
     xs, ys = to_cartesian(points) if spec.alcove else points
-    outline = spec.outline
-    xmax = max(p[0] for p in outline)
-    ymax = max(p[1] for p in outline)
+    xmax, ymax = map(max, zip(*spec.outline))
     width = xmax * PX_PER_UNIT + 2 * MARGIN
     height = ymax * PX_PER_UNIT + 2 * MARGIN
 
-    def px(x, y):
+    def px(point):
+        x, y = point
         return (MARGIN + x * PX_PER_UNIT, height - MARGIN - y * PX_PER_UNIT)
 
     parts = [
@@ -73,27 +60,23 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int = 256) -> str:
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    pts = " ".join(f"{_fmt(px(x, y)[0])},{_fmt(px(x, y)[1])}" for x, y in outline)
+    pts = " ".join(",".join(map(_fmt, px(p))) for p in spec.outline)
     parts.append(f'<polygon points="{pts}" fill="none" stroke="black" '
                  'stroke-width="1.5"/>')
 
-    path = []
-    for (x0, y0), (x1, y1) in zero_segments(values, mask, xs, ys):
-        a, b = px(x0, y0), px(x1, y1)
-        path.append(f"M{_fmt(a[0])} {_fmt(a[1])}L{_fmt(b[0])} {_fmt(b[1])}")
-    parts.append(f'<path d="{"".join(path)}" fill="none" stroke="blue" '
+    path = "".join("M{} {}L{} {}".format(*map(_fmt, px(a) + px(b)))
+                   for a, b in zero_segments(values, mask, xs, ys))
+    parts.append(f'<path d="{path}" fill="none" stroke="blue" '
                  'stroke-width="1"/>')
 
     if (h.domain is DomainKind.EQUILATERAL and tuple(h.mode) in ((1, 3), (2, 3))):
         for fp in median_fixed_points(h.mode):
-            x, y = to_cartesian(fp.location)
-            cx, cy = px(x, y)
+            cx, cy = px(to_cartesian(fp.location))
             parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" '
                          'fill="none" stroke="red" stroke-width="1.5"/>')
         if 0.0 < h.theta <= math.pi / 6.0 + 1e-12:
             for cz in edge_critical_zeros(h.mode, h.theta):
-                x, y = to_cartesian(cz.location)
-                cx, cy = px(x, y)
+                cx, cy = px(to_cartesian(cz.location))
                 parts.append(
                     f'<path d="M{_fmt(cx - 5)} {_fmt(cy - 5)}L{_fmt(cx + 5)} '
                     f'{_fmt(cy + 5)}M{_fmt(cx - 5)} {_fmt(cy + 5)}'

@@ -85,6 +85,21 @@ def test_validation_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("nodal", "--domain", "equilateral", "--pair", "0,0"),
+    ("nodal", "--domain", "equilateral", "--pair", "1,1", "--theta", "0"),
+    ("nodal", "--domain", "hemiequilateral", "--pair", "1,1"),
+    ("nodal", "--domain", "hemiequilateral", "--pair", "2,1", "--theta", "0.7"),
+    ("plot", "--domain", "hemiequilateral", "--pair", "2,1", "--theta", "0.7"),
+    ("plot", "--domain", "right-isosceles", "--pair", "2,1", "--theta", "0.7"),
+    ("plot", "--domain", "equilateral", "--pair", "2,2", "--theta", "0")])
+def test_handles_naming_no_eigenfunction_exit_two(capsys, argv):
+    assert main([*argv, "--resolution", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_unknown_domain_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--domain", "pentagon"])

@@ -171,6 +171,13 @@ def test_eval_psi_rejects_other_domains(domain):
         eval_psi(EigenfunctionHandle(domain, Mode(2, 1), 0.0), 0.2, 0.1)
 
 
+def test_eval_psi_rejects_a_hemiequilateral_theta():
+    # S is symmetric, so a mixed handle would not vanish on the edge s = t
+    h = EigenfunctionHandle(DomainKind.HEMIEQUILATERAL, Mode(2, 1), 0.7)
+    with pytest.raises(ValueError):
+        eval_psi(h, 0.2, 0.2)
+
+
 @pytest.mark.parametrize("pair,u", [((1, 3), 0.3), ((2, 3), 0.5)])
 def test_edge_normal_derivative_reduction(pair, u):
     # d/ds of the cosine sum along edge (u, u/2) equals 2 pi FC(u)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import AlcovePoint, DomainKind, in_domain
-from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_psi,
+from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C,
+                                            eval_isosceles, eval_psi,
                                             eval_psi_grid, pullback_theta)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (THETA_SWEEP_SAMPLES, CriticalZero,
-                                        _count_once,
-                                        _grid_points, _sweep_counts,
+                                        _count_once, _grid_points,
+                                        _grid_values, _sweep_counts,
                                         bifurcation_angle,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
@@ -296,6 +297,19 @@ def test_grid_mask_is_the_strict_domain_predicate(d):
     assert 0 < mask.sum() < mask.size
 
 
+@pytest.mark.parametrize("resolution", [64, 256])
+@pytest.mark.parametrize("h,full", [
+    (EigenfunctionHandle(E, Mode(2, 3), 0.35),
+     lambda p, q: eval_psi_grid(2, 3, 0.35, p, q)),
+    (EigenfunctionHandle(H, Mode(5, 2)), lambda p, q: eval_C(5, 2, p, q)),
+    (EigenfunctionHandle(B, Mode(6, 1)),
+     lambda p, q: eval_isosceles(6, 1, p, q))])
+def test_masked_evaluation_keeps_the_values(h, full, resolution):
+    values, mask, (p, q) = _grid_values(h, resolution)
+    assert np.array_equal(values[mask], full(p, q)[mask])
+    assert not values[~mask].any()
+
+
 def test_hemiequilateral_counts():
     assert count(H, (2, 1), res=512).domain_count == 1
     assert count(H, (3, 1), res=512).domain_count == 2
@@ -310,6 +324,29 @@ def test_report_invariants():
     with pytest.raises(ValueError):
         count_nodal_domains(
             EigenfunctionHandle(DomainKind.TORUS, Mode(1, 0)), 256)
+
+
+@pytest.mark.parametrize("domain,pair,theta", [
+    (E, (0, 0), 0.0),            # no eigenfunction: the zero function
+    (E, (1, 1), 0.0),            # C_{1,1} vanishes identically
+    (E, (2, 2), math.pi),        # so does sin(pi) S_{2,2}, up to rounding
+    (E, (0, 3), math.pi / 2),    # not admissible
+    (H, (1, 1), 0.0),            # not admissible: m > n is required
+    (H, (2, 1), 0.7),            # hemiequilateral eigenfunctions do not mix
+    (B, (2, 1), 0.7)])           # nor do right-isosceles ones
+def test_handles_that_name_no_eigenfunction_are_rejected(domain, pair, theta):
+    with pytest.raises(ValueError):
+        count(domain, pair, theta)
+
+
+def test_swapped_pair_names_the_same_eigenfunction():
+    # C_{n,m} = -C_{m,n}: the swap exchanges the two signs
+    r, swapped = count(H, (3, 1)), count(H, (1, 3))
+    assert (swapped.positive_components, swapped.negative_components,
+            swapped.stable) == (r.negative_components, r.positive_components,
+                                r.stable)
+    assert count(E, (3, 1), math.pi / 2).domain_count == count(
+        E, (1, 3), math.pi / 2).domain_count
 
 
 def test_folding_identity_preserves_counts():
