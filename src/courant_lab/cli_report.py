@@ -9,8 +9,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from .alcove_geometry import DOMAINS, DomainKind
 from .lattice_spectrum import Mode, enumerate_spectrum
@@ -21,19 +19,6 @@ from .pleijel_screening import screening_summary, screening_table
 from .eigenfunction_eval import EigenfunctionHandle
 
 CSV_HEADER = "normalized,min_index,max_index,multiplicity,ratio"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    domain: Optional[DomainKind] = None
-    mode: Optional[Mode] = None
-    theta: float = 0.0
-    count: int = 85
-    resolution: int = 512
-    output_path: Optional[str] = None
-    format: str = "csv"
-    stamp: bool = False
 
 
 def format_ratio(x: float) -> str:
@@ -58,106 +43,106 @@ def parse_pair(text: str) -> Mode:
     return Mode(m, n)
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-        if config.stamp:
+        if args.stamp:
             stamp = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                     "command": config.command}
-            with open(config.output_path + ".stamp.json", "w") as fh:
+                     "command": args.command}
+            with open(args.out + ".stamp.json", "w") as fh:
                 json.dump(stamp, fh, indent=2)
                 fh.write("\n")
     else:
         sys.stdout.write(text)
 
 
-def _spectrum_rows(config: RunConfig):
-    first_ratio_index = DOMAINS[config.domain].first_ratio_index
-    for e in enumerate_spectrum(config.domain, config.count):
+def _spectrum_rows(args: argparse.Namespace):
+    first_ratio_index = DOMAINS[args.domain].first_ratio_index
+    for e in enumerate_spectrum(args.domain, args.count):
         ratio = (format_ratio(e.normalized / e.min_index)
                  if e.min_index >= first_ratio_index else "")
         yield e, ratio
 
 
-def run_spectrum(config: RunConfig) -> int:
-    if config.format == "json":
+def run_spectrum(args: argparse.Namespace) -> int:
+    if args.format == "json":
         rows = [{"normalized": e.normalized, "min_index": e.min_index,
                  "max_index": e.max_index, "multiplicity": e.multiplicity,
-                 "ratio": ratio or None} for e, ratio in _spectrum_rows(config)]
-        _emit(config, json.dumps(rows, indent=2) + "\n")
+                 "ratio": ratio or None} for e, ratio in _spectrum_rows(args)]
+        _emit(args, json.dumps(rows, indent=2) + "\n")
     else:
         lines = [CSV_HEADER]
-        for e, ratio in _spectrum_rows(config):
+        for e, ratio in _spectrum_rows(args):
             lines.append(f"{e.normalized},{e.min_index},{e.max_index},"
                          f"{e.multiplicity},{ratio}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def run_screen(config: RunConfig) -> int:
-    if config.format == "json":
-        s = screening_summary(config.domain)
-        out = {"domain": config.domain.value, "index_cutoff": s.index_cutoff,
+def run_screen(args: argparse.Namespace) -> int:
+    if args.format == "json":
+        s = screening_summary(args.domain)
+        out = {"domain": args.domain.value, "index_cutoff": s.index_cutoff,
                "threshold": s.threshold, "candidates": s.candidates}
-        _emit(config, json.dumps(out, indent=2) + "\n")
+        _emit(args, json.dumps(out, indent=2) + "\n")
     else:
         lines = [CSV_HEADER]
-        for r in screening_table(config.domain):
+        for r in screening_table(args.domain):
             ratio = format_ratio(r.ratio) if r.ratio_applies else ""
             lines.append(f"{r.normalized},{r.min_index},{r.max_index},"
                          f"{r.multiplicity},{ratio}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def run_verdict(config: RunConfig) -> int:
-    verdict = courant_sharp_verdict(config.domain)
-    out = {"domain": config.domain.value,
+def run_verdict(args: argparse.Namespace) -> int:
+    verdict = courant_sharp_verdict(args.domain)
+    out = {"domain": args.domain.value,
            "verdict": [[n, sharp] for n, sharp in verdict],
            "sharp": [n for n, sharp in verdict if sharp]}
-    _emit(config, json.dumps(out, indent=2) + "\n")
+    _emit(args, json.dumps(out, indent=2) + "\n")
     return 0
 
 
-def run_nodal(config: RunConfig) -> int:
-    h = EigenfunctionHandle(config.domain, config.mode, config.theta)
-    report = count_nodal_domains(h, config.resolution)
-    out = {"domain": config.domain.value, "m": config.mode.m, "n": config.mode.n,
-           "theta": config.theta, "resolution": report.resolution,
+def run_nodal(args: argparse.Namespace) -> int:
+    h = EigenfunctionHandle(args.domain, args.pair, args.theta)
+    report = count_nodal_domains(h, args.resolution)
+    out = {"domain": args.domain.value, "m": args.pair.m, "n": args.pair.n,
+           "theta": args.theta, "resolution": report.resolution,
            "domain_count": report.domain_count,
            "positive_components": report.positive_components,
            "negative_components": report.negative_components,
            "stable": report.stable}
-    _emit(config, json.dumps(out, indent=2) + "\n")
+    _emit(args, json.dumps(out, indent=2) + "\n")
     return 0 if report.stable else 3
 
 
-def run_critical_zeros(config: RunConfig) -> int:
-    zeros = edge_critical_zeros(config.mode, config.theta)
+def run_critical_zeros(args: argparse.Namespace) -> int:
+    zeros = edge_critical_zeros(args.pair, args.theta)
     out = [{"edge": z.edge_or_median, "u": z.parameter_u, "order": z.order,
             "s": z.location.s, "t": z.location.t} for z in zeros]
-    _emit(config, json.dumps(out, indent=2) + "\n")
+    _emit(args, json.dumps(out, indent=2) + "\n")
     return 0
 
 
-def run_fixed_points(config: RunConfig) -> int:
+def run_fixed_points(args: argparse.Namespace) -> int:
     out = [{"label": f.label, "s": f.location.s, "t": f.location.t}
-           for f in median_fixed_points(config.mode)]
-    _emit(config, json.dumps(out, indent=2) + "\n")
+           for f in median_fixed_points(args.pair)]
+    _emit(args, json.dumps(out, indent=2) + "\n")
     return 0
 
 
-def run_bifurcation(config: RunConfig) -> int:
+def run_bifurcation(args: argparse.Namespace) -> int:
     u_b, theta_c = bifurcation_angle()
-    _emit(config, json.dumps({"u_b": u_b, "theta_c": theta_c}, indent=2) + "\n")
+    _emit(args, json.dumps({"u_b": u_b, "theta_c": theta_c}, indent=2) + "\n")
     return 0
 
 
-def run_plot(config: RunConfig) -> int:
+def run_plot(args: argparse.Namespace) -> int:
     from .svg_export import render_nodal_svg
-    h = EigenfunctionHandle(config.domain, config.mode, config.theta)
-    _emit(config, render_nodal_svg(h, config.resolution))
+    h = EigenfunctionHandle(args.domain, args.pair, args.theta)
+    _emit(args, render_nodal_svg(h, args.resolution))
     return 0
 
 
@@ -213,44 +198,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    config = RunConfig(command=args.command)
-    if getattr(args, "domain", None):
-        config.domain = DomainKind(args.domain)
-    if getattr(args, "pair", None):
-        config.mode = parse_pair(args.pair)
-    if getattr(args, "theta", None) is not None:
-        config.theta = parse_theta(args.theta)
-    if getattr(args, "count", None) is not None:
-        config.count = args.count
-    if getattr(args, "resolution", None) is not None:
-        config.resolution = args.resolution
-        if config.resolution < 64:
-            raise ValueError("resolution must be >= 64")
-    if getattr(args, "format", None):
-        config.format = args.format
-    config.output_path = getattr(args, "out", None)
-    config.stamp = getattr(args, "stamp", False)
-    return config
-
-
-def run(config: RunConfig) -> int:
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[config.command](config)
+        if hasattr(args, "domain"):
+            args.domain = DomainKind(args.domain)
+        if hasattr(args, "pair"):
+            args.pair = parse_pair(args.pair)
+        if hasattr(args, "theta"):
+            args.theta = parse_theta(args.theta)
+        if getattr(args, "resolution", 64) < 64:
+            raise ValueError("resolution must be >= 64")
+        return _COMMANDS[args.command](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -88,13 +88,12 @@ def enumerate_spectrum(d: DomainKind, count: int) -> List[SpectrumEntry]:
         raise ValueError("count must be >= 1")
     if count > 10 ** 6:
         raise ValueError("count too large")
-    # Weyl-law guess for the normalized cutoff, grown until enough modes.
-    limit = _weyl_guess(d, count)
-    while True:
-        modes = modes_up_to(d, limit)
-        if len(modes) >= count:
-            break
-        limit = int(limit * 1.5) + 8
+    # the counting bound puts at least `count` eigenvalues below this limit
+    limit = math.ceil(bound_inverse(d, count) / scale(d))
+    modes = modes_up_to(d, limit)
+    if len(modes) < count:
+        raise AssertionError(f"{len(modes)} modes up to {limit}, fewer than "
+                             f"the counting bound's {count}")
     entries = _entries_from_modes(d, modes)
     out = []
     for e in entries:
@@ -102,12 +101,6 @@ def enumerate_spectrum(d: DomainKind, count: int) -> List[SpectrumEntry]:
         if e.max_index >= count:
             break
     return out
-
-
-def _weyl_guess(d: DomainKind, count: int) -> int:
-    # N(lambda) ~ area * lambda / 4 pi in physical units; convert to normalized.
-    spec = DOMAINS[d]
-    return max(4, int(count * 4.0 * math.pi / (spec.area * spec.scale)) + 4)
 
 
 def multiplicity(d: DomainKind, normalized: int) -> int:
@@ -146,3 +139,11 @@ def counting_lower_bound(d: DomainKind, lam: float) -> float:
         raise ValueError("lambda must be > 0")
     a, b, c = bound_coefficients(d)
     return a * lam - b * math.sqrt(lam) + c
+
+
+def bound_inverse(d: DomainKind, count: float) -> float:
+    """The lambda (physical units) at which counting_lower_bound equals
+    count: the larger root of a x^2 - b x + c - count in x = sqrt(lambda)."""
+    a, b, c = bound_coefficients(d)
+    root = (b + math.sqrt(b * b + 4.0 * a * (count - c))) / (2.0 * a)
+    return root * root

@@ -9,7 +9,8 @@ from typing import List, Tuple
 import numpy as np
 from scipy import ndimage, optimize
 
-from .alcove_geometry import DOMAINS, EDGE_TOL, AlcovePoint, DomainKind
+from .alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint, DomainKind,
+                              weyl_coefficients)
 from .eigenfunction_eval import (EigenfunctionHandle, check_handle, eval_C,
                                  eval_isosceles, eval_psi, eval_psi_grid,
                                  eval_S)
@@ -24,12 +25,13 @@ PI = math.pi
 # classified as zero instead of surviving as a spurious one-pixel component.
 ZERO_BAND_REL = 1e-5
 
-_PAIRS = (Mode(1, 3), Mode(2, 3))
+# the equilateral mode pairs whose edge analysis is implemented
+EDGE_PAIRS = (Mode(1, 3), Mode(2, 3))
 
 
 def _check_pair(pair) -> Mode:
     pair = Mode(*pair)
-    if pair not in _PAIRS:
+    if pair not in EDGE_PAIRS:
         raise ValueError(f"pair {pair} not supported (use (1,3) or (2,3))")
     return pair
 
@@ -42,32 +44,35 @@ def _check_pair(pair) -> Mode:
 # the open edges are exactly the edge critical zeros of Psi^theta.
 # ---------------------------------------------------------------------------
 
+def _edge_terms(pair: Mode):
+    """The pair's edge sums as (k, c_k, s_k), k descending: fc = sum c_k
+    sin(k pi u) and fs = sum s_k cos(k pi u).  On edge OA, where (s, t) =
+    (u, u/2), the Weyl term (sign, a, b) has phase pi (2a + b) u, so fc = -sum
+    sign a sin(pi (2a + b) u) and fs = sum sign a cos(pi (2a + b) u); the six
+    terms are merged by k = |2a + b| (sin is odd, cos even) with exact
+    integer coefficients."""
+    merged = {}
+    for sign, a, b in weyl_coefficients(*pair):
+        k = 2 * a + b
+        c, s = merged.get(abs(k), (0, 0))
+        merged[abs(k)] = (c - sign * a * ((k > 0) - (k < 0)), s + sign * a)
+    return [(k, c, s) for k, (c, s) in sorted(merged.items(), reverse=True)]
+
+
 def fc(pair: Mode, u):
-    if pair == (1, 3):
-        return -np.sin(7 * PI * u) + 3 * np.sin(5 * PI * u) - 4 * np.sin(2 * PI * u)
-    return -2 * np.sin(8 * PI * u) + 3 * np.sin(7 * PI * u) - 5 * np.sin(PI * u)
+    return sum(c * np.sin(k * PI * u) for k, c, _ in _edge_terms(pair))
 
 
 def fs(pair: Mode, u):
-    if pair == (1, 3):
-        return -np.cos(7 * PI * u) - 3 * np.cos(5 * PI * u) + 4 * np.cos(2 * PI * u)
-    return -2 * np.cos(8 * PI * u) - 3 * np.cos(7 * PI * u) + 5 * np.cos(PI * u)
+    return sum(s * np.cos(k * PI * u) for k, _, s in _edge_terms(pair))
 
 
 def fc_prime(pair: Mode, u):
-    if pair == (1, 3):
-        return PI * (-7 * np.cos(7 * PI * u) + 15 * np.cos(5 * PI * u)
-                     - 8 * np.cos(2 * PI * u))
-    return PI * (-16 * np.cos(8 * PI * u) + 21 * np.cos(7 * PI * u)
-                 - 5 * np.cos(PI * u))
+    return PI * sum(k * c * np.cos(k * PI * u) for k, c, _ in _edge_terms(pair))
 
 
 def fs_prime(pair: Mode, u):
-    if pair == (1, 3):
-        return PI * (7 * np.sin(7 * PI * u) + 15 * np.sin(5 * PI * u)
-                     - 8 * np.sin(2 * PI * u))
-    return PI * (16 * np.sin(8 * PI * u) + 21 * np.sin(7 * PI * u)
-                 - 5 * np.sin(PI * u))
+    return PI * sum(-k * s * np.sin(k * PI * u) for k, _, s in _edge_terms(pair))
 
 
 # Reduction polynomials, ascending coefficients.

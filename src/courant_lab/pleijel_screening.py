@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .alcove_geometry import DOMAINS, DomainKind
-from .lattice_spectrum import (SpectrumEntry, bound_coefficients,
-                               enumerate_spectrum, scale)
+from .lattice_spectrum import bound_inverse, enumerate_spectrum, scale
 
 # First positive zero of the Bessel function J0, to full double precision so
 # the printed threshold digits come out right.
@@ -28,9 +27,7 @@ def courant_upper_bound(d: DomainKind, n: int) -> float:
     Courant-sharp, from inverting the counting lower bound at N = n - 1."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    a, b, c = bound_coefficients(d)
-    root = (b + math.sqrt(b * b + 4.0 * a * (n - 1 - c))) / (2.0 * a)
-    return root * root
+    return bound_inverse(d, n - 1)
 
 
 def fk_line(d: DomainKind, n: int) -> float:

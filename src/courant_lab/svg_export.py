@@ -9,7 +9,7 @@ import numpy as np
 
 from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
 from .eigenfunction_eval import EigenfunctionHandle, check_handle
-from .nodal_analysis import (_grid_values, edge_critical_zeros,
+from .nodal_analysis import (EDGE_PAIRS, _grid_values, edge_critical_zeros,
                              median_fixed_points)
 
 PX_PER_UNIT = 512.0
@@ -69,7 +69,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int = 256) -> str:
     parts.append(f'<path d="{path}" fill="none" stroke="blue" '
                  'stroke-width="1"/>')
 
-    if (h.domain is DomainKind.EQUILATERAL and tuple(h.mode) in ((1, 3), (2, 3))):
+    if h.domain is DomainKind.EQUILATERAL and tuple(h.mode) in EDGE_PAIRS:
         for fp in median_fixed_points(h.mode):
             cx, cy = px(to_cartesian(fp.location))
             parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" '

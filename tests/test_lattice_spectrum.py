@@ -3,7 +3,8 @@ import math
 import pytest
 
 from courant_lab.alcove_geometry import DomainKind
-from courant_lab.lattice_spectrum import (SCALE_A2, _weyl_guess,
+from courant_lab import lattice_spectrum
+from courant_lab.lattice_spectrum import (SCALE_A2, bound_inverse,
                                           counting_function,
                                           counting_lower_bound,
                                           enumerate_spectrum, modes_up_to,
@@ -158,14 +159,31 @@ def test_weyl_asymptotics_torus():
     assert n * 4 * math.pi / (area * lam) == pytest.approx(1.0, rel=0.05)
 
 
-_AREAS = {T: 3.0 * math.sqrt(3.0) / 2.0, E: math.sqrt(3.0) / 4.0,
-          B: math.pi ** 2 / 2.0, H: math.sqrt(3.0) / 8.0}
+@pytest.mark.parametrize("d", list(DomainKind))
+@pytest.mark.parametrize("count", [1, 10, 85, 1000, 60000])
+def test_bound_limit_yields_count_modes(d, count):
+    # N(lambda) >= a lambda - b sqrt(lambda) + c, so the normalized limit at
+    # which the bound reaches `count` holds at least `count` modes
+    limit = math.ceil(bound_inverse(d, count) / scale(d))
+    assert len(modes_up_to(d, limit)) >= count
 
 
 @pytest.mark.parametrize("d", list(DomainKind))
-@pytest.mark.parametrize("count", [1, 10, 85, 1000, 60000])
-def test_weyl_guess_follows_the_area(d, count):
-    # N(lambda) ~ |Omega| lambda / 4 pi: the first normalized cutoff tried
-    # is no larger than the Weyl-law estimate plus a small margin
-    weyl = count * 4.0 * math.pi / (_AREAS[d] * scale(d))
-    assert _weyl_guess(d, count) <= max(4, int(weyl) + 4)
+@pytest.mark.parametrize("count", [85, 1000, 20000])
+def test_enumeration_is_one_pass(monkeypatch, d, count):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return modes_up_to(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_spectrum, "modes_up_to", counted)
+    assert enumerate_spectrum(d, count)[-1].max_index >= count
+    assert len(calls) == 1
+
+
+def test_bound_inverse_is_the_counting_bound_root():
+    for d in DomainKind:
+        for count in (2, 85, 1000):
+            lam = bound_inverse(d, count)
+            assert counting_lower_bound(d, lam) == pytest.approx(count, rel=1e-12)

@@ -15,8 +15,9 @@ from courant_lab.nodal_analysis import (THETA_SWEEP_SAMPLES, CriticalZero,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
                                         edge_critical_zeros,
-                                        edge_restriction_roots, fc, find_roots,
-                                        fs, median_critical_zeros,
+                                        edge_restriction_roots, fc, fc_prime,
+                                        find_roots, fs, fs_prime,
+                                        median_critical_zeros,
                                         median_fixed_points,
                                         polynomial_roots_unit_interval,
                                         wronskian, wronskian_factored)
@@ -213,6 +214,53 @@ def test_wronskian_23_zeros():
              if min(abs(r - c) for c in (0.0, 2 / 3, 4 / 3)) > 0.01]
     assert found == pytest.approx(simple, abs=1e-9)
     assert 1 / 3 + u0 == pytest.approx(0.3912873205, abs=1e-8)
+
+
+# The hand-typed edge functions that the Weyl-term sums replaced: the
+# reference the derived fc, fs, fc_prime and fs_prime must equal bit for bit.
+PI = math.pi
+
+
+def _fc_typed(pair, u):
+    if pair == (1, 3):
+        return -np.sin(7 * PI * u) + 3 * np.sin(5 * PI * u) - 4 * np.sin(2 * PI * u)
+    return -2 * np.sin(8 * PI * u) + 3 * np.sin(7 * PI * u) - 5 * np.sin(PI * u)
+
+
+def _fs_typed(pair, u):
+    if pair == (1, 3):
+        return -np.cos(7 * PI * u) - 3 * np.cos(5 * PI * u) + 4 * np.cos(2 * PI * u)
+    return -2 * np.cos(8 * PI * u) - 3 * np.cos(7 * PI * u) + 5 * np.cos(PI * u)
+
+
+def _fc_prime_typed(pair, u):
+    if pair == (1, 3):
+        return PI * (-7 * np.cos(7 * PI * u) + 15 * np.cos(5 * PI * u)
+                     - 8 * np.cos(2 * PI * u))
+    return PI * (-16 * np.cos(8 * PI * u) + 21 * np.cos(7 * PI * u)
+                 - 5 * np.cos(PI * u))
+
+
+def _fs_prime_typed(pair, u):
+    if pair == (1, 3):
+        return PI * (7 * np.sin(7 * PI * u) + 15 * np.sin(5 * PI * u)
+                     - 8 * np.sin(2 * PI * u))
+    return PI * (16 * np.sin(8 * PI * u) + 21 * np.sin(7 * PI * u)
+                 - 5 * np.sin(PI * u))
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
+@pytest.mark.parametrize("derived, typed", [
+    (fc, _fc_typed), (fs, _fs_typed), (fc_prime, _fc_prime_typed),
+    (fs_prime, _fs_prime_typed)])
+def test_edge_functions_equal_the_typed_sums(pair, derived, typed):
+    u = np.linspace(-2.0, 2.0, 20001)
+    assert np.array_equal(derived(Mode(*pair), u), typed(pair, u))
+    assert derived(Mode(*pair), 0.3912873205) == typed(pair, 0.3912873205)
+
+
+def test_bifurcation_angle_digits():
+    assert bifurcation_angle()[1] == 0.3005211736685075
 
 
 def test_bifurcation_angle():
