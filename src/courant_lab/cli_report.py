@@ -15,7 +15,7 @@ from .lattice_spectrum import Mode, enumerate_spectrum
 from .nodal_analysis import (bifurcation_angle, count_nodal_domains,
                              courant_sharp_verdict, edge_critical_zeros,
                              median_fixed_points)
-from .pleijel_screening import screening_summary, screening_table
+from .pleijel_screening import index_cutoff, screening_summary
 from .eigenfunction_eval import EigenfunctionHandle
 
 CSV_HEADER = "normalized,min_index,max_index,multiplicity,ratio"
@@ -30,12 +30,17 @@ def format_ratio(x: float) -> str:
 
 
 def parse_theta(text: str) -> float:
+    """Radians, pi/<k> or theta_c; ValueError unless a finite angle."""
     text = text.strip()
     if text == "theta_c":
         return bifurcation_angle()[1]
-    if text.startswith("pi/"):
-        return math.pi / int(text[3:])
-    return float(text)
+    try:
+        theta = math.pi / int(text[3:]) if text.startswith("pi/") else float(text)
+    except ArithmeticError:  # pi/0, or a k too large for a float
+        theta = math.nan
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite number, got {text!r}")
+    return theta
 
 
 def parse_pair(text: str) -> Mode:
@@ -57,26 +62,30 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _spectrum_rows(args: argparse.Namespace):
-    first_ratio_index = DOMAINS[args.domain].first_ratio_index
-    for e in enumerate_spectrum(args.domain, args.count):
+def _spectrum_rows(d: DomainKind, count: int):
+    first_ratio_index = DOMAINS[d].first_ratio_index
+    for e in enumerate_spectrum(d, count):
         ratio = (format_ratio(e.normalized / e.min_index)
                  if e.min_index >= first_ratio_index else "")
         yield e, ratio
+
+
+def _csv_table(d: DomainKind, count: int) -> str:
+    """The CSV table of the domain's eigenvalues up to index count."""
+    rows = (f"{e.normalized},{e.min_index},{e.max_index},{e.multiplicity},{ratio}"
+            for e, ratio in _spectrum_rows(d, count))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def run_spectrum(args: argparse.Namespace) -> int:
     if args.format == "json":
         rows = [{"normalized": e.normalized, "min_index": e.min_index,
                  "max_index": e.max_index, "multiplicity": e.multiplicity,
-                 "ratio": ratio or None} for e, ratio in _spectrum_rows(args)]
+                 "ratio": ratio or None}
+                for e, ratio in _spectrum_rows(args.domain, args.count)]
         _emit(args, json.dumps(rows, indent=2) + "\n")
     else:
-        lines = [CSV_HEADER]
-        for e, ratio in _spectrum_rows(args):
-            lines.append(f"{e.normalized},{e.min_index},{e.max_index},"
-                         f"{e.multiplicity},{ratio}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _csv_table(args.domain, args.count))
     return 0
 
 
@@ -87,12 +96,8 @@ def run_screen(args: argparse.Namespace) -> int:
                "threshold": s.threshold, "candidates": s.candidates}
         _emit(args, json.dumps(out, indent=2) + "\n")
     else:
-        lines = [CSV_HEADER]
-        for r in screening_table(args.domain):
-            ratio = format_ratio(r.ratio) if r.ratio_applies else ""
-            lines.append(f"{r.normalized},{r.min_index},{r.max_index},"
-                         f"{r.multiplicity},{ratio}")
-        _emit(args, "\n".join(lines) + "\n")
+        # the screening table is the spectrum up to the index cutoff
+        _emit(args, _csv_table(args.domain, index_cutoff(args.domain)))
     return 0
 
 
@@ -146,18 +151,6 @@ def run_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "spectrum": run_spectrum,
-    "screen": run_screen,
-    "verdict": run_verdict,
-    "nodal": run_nodal,
-    "critical-zeros": run_critical_zeros,
-    "fixed-points": run_fixed_points,
-    "bifurcation": run_bifurcation,
-    "plot": run_plot,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="courant-lab",
@@ -166,9 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     domains = [d.value for d in DomainKind]
 
-    def add(name, *, domain=False, pair=False, theta=False, fmt=False,
+    def add(name, run, *, domain=False, pair=False, theta=False, fmt=False,
             count=False, resolution=False):
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         if domain:
             p.add_argument("--domain", required=True, choices=domains)
         if pair:
@@ -187,14 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stamp", action="store_true")
         return p
 
-    add("spectrum", domain=True, fmt=True, count=True)
-    add("screen", domain=True, fmt=True)
-    add("verdict", domain=True)
-    add("nodal", domain=True, pair=True, theta=True, resolution=True)
-    add("critical-zeros", pair=True, theta=True)
-    add("fixed-points", pair=True)
-    add("bifurcation")
-    add("plot", domain=True, pair=True, theta=True, resolution=True)
+    add("spectrum", run_spectrum, domain=True, fmt=True, count=True)
+    add("screen", run_screen, domain=True, fmt=True)
+    add("verdict", run_verdict, domain=True)
+    add("nodal", run_nodal, domain=True, pair=True, theta=True, resolution=True)
+    add("critical-zeros", run_critical_zeros, pair=True, theta=True)
+    add("fixed-points", run_fixed_points, pair=True)
+    add("bifurcation", run_bifurcation)
+    add("plot", run_plot, domain=True, pair=True, theta=True, resolution=True)
     return parser
 
 
@@ -209,7 +203,7 @@ def main(argv=None) -> int:
             args.theta = parse_theta(args.theta)
         if getattr(args, "resolution", 64) < 64:
             raise ValueError("resolution must be >= 64")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

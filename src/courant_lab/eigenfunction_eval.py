@@ -29,10 +29,12 @@ class EigenfunctionHandle:
 
 def check_handle(h: EigenfunctionHandle) -> None:
     """Raise ValueError unless the handle names an eigenfunction: its pair is
-    admissible up to the (m, n) swap, theta is 0 except on the equilateral
-    triangle (the one domain whose C and S mix), and it is not identically
-    zero, as cos(theta) C_{m,m} + sin(theta) S_{m,m} is at theta = k pi."""
+    admissible up to the (m, n) swap, theta is finite and 0 except on the
+    equilateral triangle (where C and S mix), and it is not identically zero,
+    as cos(theta) C_{m,m} + sin(theta) S_{m,m} is at theta = k pi."""
     spec, (m, n) = DOMAINS[h.domain], h.mode
+    if not math.isfinite(h.theta):
+        raise ValueError(f"theta must be finite, got {h.theta}")
     if not (_admissible(spec, m, n) or _admissible(spec, n, m)):
         raise ValueError(f"pair ({m}, {n}) is not admissible on {h.domain.value}")
     if h.theta != 0.0 and h.domain is not DomainKind.EQUILATERAL:

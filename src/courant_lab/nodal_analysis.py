@@ -456,20 +456,11 @@ def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
 # Final verdict.
 # ---------------------------------------------------------------------------
 
-THETA_SWEEP_SAMPLES = 64
-
-
-def _sweep_counts(pair: Mode, resolution: int) -> List[Tuple[float, int]]:
+def _sweep_counts(pair: Mode, resolution: int, thetas) -> List[Tuple[float, int]]:
     """(theta, nodal count) of the equilateral Psi^theta = cos(theta) C +
-    sin(theta) S at THETA_SWEEP_SAMPLES evenly spaced values of theta from 0
-    to pi/6 (both included), then at theta_c.
-
-    The mask and the C and S values inside it do not depend on theta and are
-    evaluated once per call.  Each theta then costs the mix, the zero band and
-    sign grid, and the two component labellings; the mix is written as in
-    eval_psi_grid, so every count equals _count_once at that theta."""
-    _, theta_c = bifurcation_angle()
-    thetas = list(np.linspace(0.0, PI / 6.0, THETA_SWEEP_SAMPLES)) + [theta_c]
+    sin(theta) S at each of thetas, in order.  The mask and C and S inside it
+    are evaluated once; each theta costs the mix, written as in eval_psi_grid
+    so that every count equals _count_once at that theta, and the labelling."""
     mask, (ss, tt) = _grid_points(DomainKind.EQUILATERAL, resolution)
     s_in, t_in = ss[mask], tt[mask]
     c_vals = eval_C(*pair, s_in, t_in)
@@ -481,32 +472,46 @@ def _sweep_counts(pair: Mode, resolution: int) -> List[Tuple[float, int]]:
     return counts
 
 
+def _theta_partition(pair: Mode) -> List[float]:
+    """The breakpoints of [0, pi/6] and each piece's midpoint.  theta + pi
+    and pullback_theta keep the nodal count and, as 2m + n is not divisible
+    by 3, take every theta into [0, pi/6].  There the count changes only at
+    an edge critical zero on the nodal set, a zero of the pair's Wronskian:
+    theta_c for (2,3), none for (1,3), positive on the open edges."""
+    breaks = [0.0, PI / 6.0]
+    if pair == (2, 3):
+        breaks.insert(1, bifurcation_angle()[1])
+    thetas = [0.0]
+    for lo, hi in zip(breaks, breaks[1:]):
+        thetas += [(lo + hi) / 2.0, hi]
+    return thetas
+
+
 def _max_count_over_thetas(pair: Mode, resolution: int) -> int:
-    return max(count for _, count in _sweep_counts(pair, resolution))
+    pair = _check_pair(pair)
+    sweep = _sweep_counts(pair, resolution, _theta_partition(pair))
+    return max(count for _, count in sweep)
 
 
 def courant_sharp_verdict(d: DomainKind, resolution: int = 512):
-    """(index, sharp) for each screening candidate of the domain."""
-    if d is DomainKind.TORUS:
-        # constant first eigenfunction; second has one positive and one
-        # negative region; higher candidates were all screened out
-        return [(1, True), (2, True)]
-
+    """(index, sharp) for each screening candidate of the domain.  By
+    Courant's theorem every n <= 2 is sharp: a lambda_2 eigenfunction is
+    orthogonal to the one-signed first one, so it has exactly two nodal
+    domains.  A higher n is sharp if an eigenfunction of lambda_n has n."""
     entries = {e.min_index: e for e in enumerate_spectrum(d, index_cutoff(d))}
     verdict = []
     for n in candidate_indices(d):
-        entry = entries[n]
-        if n == 1:
-            mu = 1
-        elif d is DomainKind.EQUILATERAL and entry.multiplicity == 2:
-            pair = Mode(*min(entry.representative_modes))
-            mu = _max_count_over_thetas(pair, resolution)
+        modes = entries[n].representative_modes
+        if n <= 2:
+            mu = n  # Courant's theorem
+        elif d is DomainKind.EQUILATERAL and len(modes) == 2:
+            mu = _max_count_over_thetas(Mode(*min(modes)), resolution)
         else:
             # a simple equilateral eigenvalue comes from a pair m = n, whose
             # cosine combination vanishes identically: the eigenfunction is
             # the sine sum
             theta = PI / 2.0 if d is DomainKind.EQUILATERAL else 0.0
-            pair = Mode(*max(entry.representative_modes))
-            mu = sum(_count_once(EigenfunctionHandle(d, pair, theta), resolution))
+            h = EigenfunctionHandle(d, Mode(*max(modes)), theta)
+            mu = sum(_count_once(h, resolution))
         verdict.append((n, mu == n))
     return verdict

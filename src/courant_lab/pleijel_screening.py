@@ -75,9 +75,8 @@ def screening_table(d: DomainKind) -> List[ScreeningRow]:
     threshold = faber_krahn_threshold(d)
     first_ratio_index = DOMAINS[d].first_ratio_index
     rows = []
+    # every entry enumerate_spectrum returns starts at an index <= cutoff
     for e in enumerate_spectrum(d, cutoff):
-        if e.min_index > cutoff:
-            break
         applies = e.min_index >= first_ratio_index
         ratio = e.normalized / e.min_index
         rows.append(ScreeningRow(e.normalized, e.min_index, e.max_index,

@@ -25,6 +25,13 @@ def test_parse_theta():
     assert parse_theta("theta_c") == pytest.approx(0.3005211736, abs=1e-8)
 
 
+@pytest.mark.parametrize("text", ["pi/0", "pi/" + "1" * 400, "nan", "inf",
+                                  "-inf", "1e999"])
+def test_parse_theta_rejects_what_is_not_a_finite_angle(text):
+    with pytest.raises(ValueError):
+        parse_theta(text)
+
+
 def test_parse_pair():
     assert parse_pair("2,3") == (2, 3)
     with pytest.raises(ValueError):
@@ -95,6 +102,18 @@ def test_validation_errors(capsys):
     ("plot", "--domain", "equilateral", "--pair", "2,2", "--theta", "0")])
 def test_handles_naming_no_eigenfunction_exit_two(capsys, argv):
     assert main([*argv, "--resolution", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "pi/0"])
+@pytest.mark.parametrize("argv", [
+    ("nodal", "--domain", "equilateral", "--pair", "2,3"),
+    ("plot", "--domain", "equilateral", "--pair", "2,3"),
+    ("critical-zeros", "--pair", "2,3")])
+def test_theta_that_is_not_a_number_exits_two(capsys, argv, theta):
+    assert main([*argv, "--theta", theta]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -8,9 +8,10 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C,
                                             eval_isosceles, eval_psi,
                                             eval_psi_grid, pullback_theta)
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import (THETA_SWEEP_SAMPLES, CriticalZero,
+from courant_lab.nodal_analysis import (EDGE_PAIRS, CriticalZero,
                                         _count_once, _grid_points,
-                                        _grid_values, _sweep_counts,
+                                        _grid_values, _max_count_over_thetas,
+                                        _sweep_counts, _theta_partition,
                                         bifurcation_angle,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
@@ -318,8 +319,7 @@ def test_counts_13_family_res256():
 def test_count_transition_at_theta_c():
     _, theta_c = bifurcation_angle()
     grid = np.arange(0.01, math.pi / 6, 1e-3)
-    counts = [sum(_count_once(EigenfunctionHandle(E, Mode(2, 3), float(th)),
-                              512)) for th in grid]
+    counts = [mu for _, mu in _sweep_counts(Mode(2, 3), 512, grid)]
     changes = [i for i in range(1, len(counts)) if counts[i] != counts[i - 1]]
     assert len(changes) == 1
     crossing = grid[changes[0]]
@@ -327,13 +327,68 @@ def test_count_transition_at_theta_c():
     assert counts[0] == 3 and counts[-1] == 4
 
 
+def sampled_thetas():
+    """The 65 angles the verdict sampled before the theta partition: 64
+    evenly spaced from 0 to pi/6, then theta_c."""
+    return list(np.linspace(0.0, math.pi / 6, 64)) + [bifurcation_angle()[1]]
+
+
 @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
 def test_sweep_counts_match_count_once(pair):
-    sweep = _sweep_counts(Mode(*pair), 128)
-    assert len(sweep) == THETA_SWEEP_SAMPLES + 1
+    thetas = sampled_thetas()
+    sweep = _sweep_counts(Mode(*pair), 128, thetas)
+    assert [theta for theta, _ in sweep] == thetas
     for theta, mu in sweep:
         h = EigenfunctionHandle(E, Mode(*pair), theta)
         assert mu == sum(_count_once(h, 128))
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+def test_zero_to_pi_over_6_is_a_fundamental_interval(pair):
+    # the maps that keep the nodal count of Psi^theta: the triangle's
+    # symmetries (pullback_theta) and the sign change theta -> theta + pi
+    orbit, todo = [], [0.1234]
+    while todo:
+        theta = todo.pop() % (2 * math.pi)
+        if any(abs(theta - seen) < 1e-9 for seen in orbit):
+            continue
+        orbit.append(theta)
+        todo += [pullback_theta(sym, pair, theta)[0] for sym in (1, 2, "rot+")]
+        todo.append(theta + math.pi)
+    assert len(orbit) == 12
+    assert sum(0.0 <= theta <= math.pi / 6 for theta in orbit) == 1
+
+
+def test_count_13_has_no_breakpoint_inside():
+    grid = np.arange(0.001, math.pi / 6, 1e-3)
+    counts = [mu for _, mu in _sweep_counts(Mode(1, 3), 512, grid)]
+    assert len(counts) == len(grid) and set(counts) == {3}
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+def test_theta_partition_counts(pair):
+    thetas = _theta_partition(pair)
+    breaks = [0.0, math.pi / 6]
+    if pair == (2, 3):
+        breaks.insert(1, bifurcation_angle()[1])
+    assert thetas[0::2] == breaks
+    assert thetas[1::2] == [(lo + hi) / 2 for lo, hi in zip(breaks, breaks[1:])]
+    at_512 = _sweep_counts(pair, 512, thetas)
+    assert at_512 == _sweep_counts(pair, 1024, thetas)
+    sampled = max(mu for _, mu in _sweep_counts(pair, 512, sampled_thetas()))
+    best = _max_count_over_thetas(pair, 512)
+    assert best == max(mu for _, mu in at_512)
+    assert best == sampled
+
+
+@pytest.mark.parametrize("h", [
+    *(EigenfunctionHandle(E, Mode(1, 2), theta)
+      for theta in (0.0, math.pi / 12, math.pi / 6)),
+    EigenfunctionHandle(B, Mode(3, 1))])
+def test_second_eigenfunctions_have_two_domains(h):
+    # what Courant's theorem says of every lambda_2 eigenfunction
+    r = count_nodal_domains(h, 512)
+    assert r.domain_count == 2 and r.stable
 
 
 @pytest.mark.parametrize("d", [E, B, H])
@@ -387,6 +442,12 @@ def test_handles_that_name_no_eigenfunction_are_rejected(domain, pair, theta):
         count(domain, pair, theta)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_is_rejected(theta):
+    with pytest.raises(ValueError, match="finite"):
+        count(E, (2, 3), theta)
+
+
 def test_swapped_pair_names_the_same_eigenfunction():
     # C_{n,m} = -C_{m,n}: the swap exchanges the two signs
     r, swapped = count(H, (3, 1)), count(H, (1, 3))
@@ -416,6 +477,29 @@ def test_folding_identity_preserves_counts():
         folded = (ndimage.label(mask & (vals > band), four)[1]
                   + ndimage.label(mask & (vals < -band), four)[1])
         assert folded == count(B, (m + n, m - n), res=res).domain_count
+
+
+def test_verdict_counts_only_candidates_above_two(monkeypatch):
+    import courant_lab.nodal_analysis as nodal
+
+    calls = []
+    sweep, once = nodal._sweep_counts, nodal._count_once
+
+    def record_sweep(pair, resolution, thetas):
+        calls.append((tuple(pair), len(thetas)))
+        return sweep(pair, resolution, thetas)
+
+    def record_count(h, resolution):
+        calls.append(tuple(h.mode))
+        return once(h, resolution)
+
+    monkeypatch.setattr(nodal, "_sweep_counts", record_sweep)
+    monkeypatch.setattr(nodal, "_count_once", record_count)
+    assert nodal.courant_sharp_verdict(DomainKind.TORUS) == [(1, True), (2, True)]
+    assert calls == []
+    nodal.courant_sharp_verdict(E, 128)
+    # (1,2) at n = 2 is decided by the theorem; (2,2) and (3,3) are simple
+    assert calls == [(2, 2), ((1, 3), 3), ((2, 3), 5), (3, 3)]
 
 
 def test_verdict_fast_domains():
