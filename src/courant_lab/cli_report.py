@@ -44,7 +44,11 @@ def parse_theta(text: str) -> float:
 
 
 def parse_pair(text: str) -> Mode:
-    m, n = (int(v) for v in text.split(","))
+    """Two comma-separated integers m,n; ValueError otherwise."""
+    try:
+        m, n = (int(v) for v in text.split(","))
+    except ValueError:  # not an integer, or not two values
+        raise ValueError(f"pair must be two integers m,n, got {text!r}") from None
     return Mode(m, n)
 
 

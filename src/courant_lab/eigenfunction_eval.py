@@ -99,9 +99,10 @@ def eval_psi(h: EigenfunctionHandle, s, t) -> EvalResult:
 
 
 def eval_isosceles(m: int, n: int, x, y):
-    """sin(mx)sin(ny) - sin(nx)sin(my) on the half-square 0 < y < x < pi."""
-    if not m > n >= 1:
-        raise ValueError("need m > n >= 1")
+    """sin(mx)sin(ny) - sin(nx)sin(my) on the half-square 0 < y < x < pi;
+    swapping m and n negates it exactly."""
+    if m == n or min(m, n) < 1:
+        raise ValueError("need m != n, both >= 1")
     return np.sin(m * x) * np.sin(n * y) - np.sin(n * x) * np.sin(m * y)
 
 

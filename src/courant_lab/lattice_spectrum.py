@@ -3,7 +3,10 @@ closed-form lower bounds for the four domains.
 
 Normalized eigenvalues are exact integers: m^2 + mn + n^2 for the torus,
 equilateral and hemiequilateral (physical scale 16 pi^2 / 9), and m^2 + n^2
-for the right-isosceles triangle with side pi (scale 1).
+for the right-isosceles triangle with side pi (scale 1).  The spectrum is
+enumerated over a lattice box and sorted; the counting function and the
+multiplicity are point queries answered by exact integer row counts in
+O(sqrt(lambda)), without enumerating.
 """
 
 import math
@@ -103,27 +106,49 @@ def enumerate_spectrum(d: DomainKind, count: int) -> List[SpectrumEntry]:
     return out
 
 
+def _count_at_most(spec, limit: int) -> int:
+    """Number of admissible modes with normalized value <= limit, counted row
+    by row: 4 (m^2 + c mn + n^2) = (2m + cn)^2 + (4 - c^2) n^2, so the row n
+    holds the m with |2m + cn| <= r, r = isqrt(4 limit - (4 - c^2) n^2)."""
+    if limit < 0:
+        return 0
+    c, lowest = spec.cross, spec.lowest
+    n_max = math.isqrt(4 * limit // (4 - c * c))
+    total = 0
+    for n in range(-n_max if lowest is None else lowest, n_max + 1):
+        r = math.isqrt(4 * limit - (4 - c * c) * n * n)
+        lo, hi = -((r + c * n) // 2), (r - c * n) // 2
+        if lowest is not None:
+            lo = max(lo, n + 1 if spec.ordered else lowest)
+        total += max(0, hi - lo + 1)
+    return total
+
+
 def multiplicity(d: DomainKind, normalized: int) -> int:
-    """Number of admissible modes attaining the normalized value (0 if none)."""
+    """Number of admissible modes attaining the normalized value (0 if none),
+    the difference of two exact row counts: O(sqrt(normalized)), no
+    enumeration."""
     if normalized < 0:
         raise ValueError("normalized must be >= 0")
-    form = DOMAINS[d].value
-    return sum(1 for p in modes_up_to(d, normalized) if form(*p) == normalized)
+    spec = DOMAINS[d]
+    return _count_at_most(spec, normalized) - _count_at_most(spec, normalized - 1)
 
 
 def counting_function(d: DomainKind, lam: float) -> int:
-    """Strict count of eigenvalues (with multiplicity) below lam (physical)."""
+    """Strict count of eigenvalues (with multiplicity) below lam (physical),
+    by exact row counts up to the largest integer k with k * unit < lam."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
-    spec = DOMAINS[d]
-    unit, form = spec.scale, spec.value
-    cutoff = lam / unit
-    if cutoff <= 0:
+    if lam <= 0:
         return 0
+    spec = DOMAINS[d]
+    unit = spec.scale
     # compare in physical units: lam / unit can round above an integer k
     # with k * unit == lam, which would count the eigenvalue lam itself
-    limit = int(math.ceil(cutoff))
-    return sum(1 for p in modes_up_to(d, limit) if form(*p) * unit < lam)
+    limit = math.ceil(lam / unit)
+    while limit * unit >= lam:
+        limit -= 1
+    return _count_at_most(spec, limit)
 
 
 def bound_coefficients(d: DomainKind):

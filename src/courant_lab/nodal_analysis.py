@@ -32,7 +32,8 @@ EDGE_PAIRS = (Mode(1, 3), Mode(2, 3))
 def _check_pair(pair) -> Mode:
     pair = Mode(*pair)
     if pair not in EDGE_PAIRS:
-        raise ValueError(f"pair {pair} not supported (use (1,3) or (2,3))")
+        raise ValueError(f"pair ({pair.m}, {pair.n}) not supported "
+                         "(use (1,3) or (2,3))")
     return pair
 
 
@@ -388,7 +389,7 @@ def _grid_points(d: DomainKind, resolution: int):
     grids over [0, extent]^2, without eigenfunction values."""
     spec = DOMAINS[d]
     if spec.extent is None:
-        raise ValueError(f"nodal counting is not defined for {d!r}")
+        raise ValueError(f"nodal counting is not defined for {d.value}")
     x = np.linspace(0.0, spec.extent, resolution)
     p, q = np.meshgrid(x, x, indexing="ij", copy=False)
     return spec.inside(p, q, -EDGE_TOL), (p, q)

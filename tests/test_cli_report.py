@@ -119,6 +119,29 @@ def test_theta_that_is_not_a_number_exits_two(capsys, argv, theta):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("nodal", "--domain", "equilateral", "--pair", "1,3,4"),
+     "error: pair must be two integers m,n, got '1,3,4'\n"),
+    (("nodal", "--domain", "equilateral", "--pair", "1"),
+     "error: pair must be two integers m,n, got '1'\n"),
+    (("nodal", "--domain", "torus", "--pair", "1,2"),
+     "error: nodal counting is not defined for torus\n"),
+    (("critical-zeros", "--pair", "1,1"),
+     "error: pair (1, 1) not supported (use (1,3) or (2,3))\n")])
+def test_bad_input_exits_two_with_a_plain_message(capsys, argv, message):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_right_isosceles_swapped_pair_is_counted(capsys):
+    code, out = run_cli(capsys, "nodal", "--domain", "right-isosceles",
+                        "--pair", "1,2", "--resolution", "64")
+    assert code == 0
+    assert json.loads(out)["domain_count"] == 1
+
+
 def test_unknown_domain_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--domain", "pentagon"])

@@ -238,6 +238,14 @@ def test_isosceles_identities():
         eval_isosceles(2, 2, 0.5, 0.2)
 
 
+def test_isosceles_swapped_pair_is_the_exact_negative():
+    x, y = np.random.default_rng(5).uniform(0.0, math.pi, size=(2, 200))
+    assert np.array_equal(eval_isosceles(1, 3, x, y), -eval_isosceles(3, 1, x, y))
+    for m, n in ((0, 2), (2, 0), (-1, 2), (3, 3)):
+        with pytest.raises(ValueError):
+            eval_isosceles(m, n, 0.5, 0.2)
+
+
 def vanishing_order(f, origin, direction, lo=1e-3, hi=1e-2):
     rs = np.geomspace(lo, hi, 8)
     norm = math.hypot(*direction)

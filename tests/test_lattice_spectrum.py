@@ -187,3 +187,51 @@ def test_bound_inverse_is_the_counting_bound_root():
         for count in (2, 85, 1000):
             lam = bound_inverse(d, count)
             assert counting_lower_bound(d, lam) == pytest.approx(count, rel=1e-12)
+
+
+def _reference_multiplicities(d, limit):
+    """Mode counts per normalized value 0..limit, from one enumeration."""
+    form = lattice_spectrum.DOMAINS[d].value
+    counts = [0] * (limit + 1)
+    for p in modes_up_to(d, limit):
+        counts[form(*p)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_row_counts_match_enumeration(d):
+    unit, limit = scale(d), 2000
+    counts = _reference_multiplicities(d, limit)
+    below = 0
+    for k in range(limit + 1):
+        assert multiplicity(d, k) == counts[k]
+        lam = k * unit
+        assert counting_function(d, lam) == below
+        # k * unit is an eigenvalue (if attained) just below its upper
+        # neighbour, which counts it, and just above its lower neighbour
+        assert counting_function(d, math.nextafter(lam, math.inf)) == below + counts[k]
+        if k > 0:
+            assert counting_function(d, math.nextafter(lam, 0.0)) == below
+        below += counts[k]
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_queries_at_every_eigenvalue(d):
+    for e in enumerate_spectrum(d, 5000):
+        assert counting_function(d, scale(d) * e.normalized) == e.min_index - 1
+        assert multiplicity(d, e.normalized) == e.multiplicity
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_queries_do_not_enumerate(monkeypatch, d):
+    def refused(*args, **kwargs):
+        raise AssertionError("a point query enumerated the lattice box")
+
+    monkeypatch.setattr(lattice_spectrum, "modes_up_to", refused)
+    assert counting_function(d, scale(d) * 5000) > 0
+    assert multiplicity(d, 4999) >= 0
+
+
+def test_counting_function_far_up_the_torus_spectrum():
+    last = enumerate_spectrum(T, 100000)[-1]
+    assert counting_function(T, SCALE_A2 * last.normalized) == last.min_index - 1

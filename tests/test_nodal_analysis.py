@@ -458,6 +458,15 @@ def test_swapped_pair_names_the_same_eigenfunction():
         E, (1, 3), math.pi / 2).domain_count
 
 
+@pytest.mark.parametrize("pair", [(1, 2), (2, 5)])
+def test_swapped_right_isosceles_pair_exchanges_the_signs(pair):
+    # sin(nx)sin(my) - sin(mx)sin(ny) is minus the (m, n) function exactly
+    r, swapped = count(B, pair[::-1], res=128), count(B, pair, res=128)
+    assert (swapped.positive_components, swapped.negative_components,
+            swapped.stable) == (r.negative_components, r.positive_components,
+                                r.stable)
+
+
 def test_folding_identity_preserves_counts():
     # counting phi_{m,n}(x+y, x-y) on the half-square grid gives the same
     # result as counting phi_{m+n,m-n}(x, y)
