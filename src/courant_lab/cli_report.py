@@ -60,8 +60,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             stamp = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                      "command": args.command}
             with open(args.out + ".stamp.json", "w") as fh:
-                json.dump(stamp, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(stamp, indent=2) + "\n")
     else:
         sys.stdout.write(text)
 
@@ -207,8 +206,10 @@ def main(argv=None) -> int:
             args.theta = parse_theta(args.theta)
         if getattr(args, "resolution", 64) < 64:
             raise ValueError("resolution must be >= 64")
+        if args.stamp and not args.out:
+            raise ValueError("--stamp needs --out: the sidecar is written next to it")
         return args.run(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: --out unwritable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

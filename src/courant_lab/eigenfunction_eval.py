@@ -44,6 +44,27 @@ def check_handle(h: EigenfunctionHandle) -> None:
         raise ValueError(f"pair ({m}, {n}) at theta {h.theta} is identically zero")
 
 
+def eigenbasis(d: DomainKind, pair, s, t) -> tuple:
+    """The basis of the pair's eigenspace on d at (s, t): C and S on the
+    equilateral triangle, C alone on the hemiequilateral (S is not Dirichlet
+    on s = t), the antisymmetrized sine product on the right-isosceles."""
+    m, n = pair
+    if d is DomainKind.EQUILATERAL:
+        return eval_C(m, n, s, t), eval_S(m, n, s, t)
+    if d is DomainKind.HEMIEQUILATERAL:
+        return (eval_C(m, n, s, t),)
+    if d is DomainKind.RIGHT_ISOSCELES:
+        return (eval_isosceles(m, n, s, t),)
+    raise ValueError(f"no real eigenbasis on {d.value}")
+
+
+def mix(basis: tuple, theta: float):
+    """basis[0] alone, or cos(theta) basis[0] + sin(theta) basis[1]."""
+    if len(basis) == 1:
+        return basis[0]
+    return math.cos(theta) * basis[0] + math.sin(theta) * basis[1]
+
+
 class EvalResult(NamedTuple):
     """Value and partials, each a scalar or a numpy array like (s, t)."""
     value: float | np.ndarray
@@ -74,7 +95,7 @@ def eval_S(m, n, s, t):
 
 def eval_psi_grid(m, n, theta, s, t):
     """cos(theta)*C + sin(theta)*S, vectorized over numpy arrays."""
-    return math.cos(theta) * eval_C(m, n, s, t) + math.sin(theta) * eval_S(m, n, s, t)
+    return mix((eval_C(m, n, s, t), eval_S(m, n, s, t)), theta)
 
 
 def eval_psi(h: EigenfunctionHandle, s, t) -> EvalResult:

@@ -98,12 +98,8 @@ def enumerate_spectrum(d: DomainKind, count: int) -> List[SpectrumEntry]:
         raise AssertionError(f"{len(modes)} modes up to {limit}, fewer than "
                              f"the counting bound's {count}")
     entries = _entries_from_modes(d, modes)
-    out = []
-    for e in entries:
-        out.append(e)
-        if e.max_index >= count:
-            break
-    return out
+    last = next(i for i, e in enumerate(entries) if e.max_index >= count)
+    return entries[:last + 1]
 
 
 def _count_at_most(spec, limit: int) -> int:

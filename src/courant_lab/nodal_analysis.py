@@ -12,10 +12,10 @@ from scipy import ndimage, optimize
 from .alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint, DomainKind,
                               weyl_coefficients)
 from .eigenfunction_eval import (EigenfunctionHandle, check_handle, eval_C,
-                                 eval_isosceles, eval_psi, eval_psi_grid,
-                                 eval_S)
-from .lattice_spectrum import Mode, enumerate_spectrum
-from .pleijel_screening import candidate_indices, index_cutoff
+                                 eigenbasis, eval_psi, eval_psi_grid, eval_S,
+                                 mix)
+from .lattice_spectrum import Mode
+from .pleijel_screening import candidates
 
 PI = math.pi
 
@@ -122,12 +122,14 @@ def gs_prime(pair: Mode, u):
 # Root-finding protocol: sample, bracket, bisect, one Newton polish.
 # ---------------------------------------------------------------------------
 
-def find_roots(f, lo: float, hi: float, df=None, samples: int = 4096,
-               include_tangent: bool = False) -> List[float]:
-    """All roots of f on (lo, hi) via uniform sampling + bracketed bisection,
-    optionally adding tangent (even-order) roots found as roots of df where
-    |f| is at noise level."""
-    xs = np.linspace(lo, hi, samples)
+ROOT_SAMPLES = 4096
+
+
+def find_roots(f, lo: float, hi: float, df=None) -> List[float]:
+    """All roots of f on (lo, hi) via uniform sampling + bracketed bisection;
+    given df, each is Newton-polished and the tangent (even-order) roots are
+    added, found as roots of df where |f| is at noise level."""
+    xs = np.linspace(lo, hi, ROOT_SAMPLES)
     ys = np.asarray(f(xs), dtype=float)
     scale = float(np.max(np.abs(ys))) or 1.0
     roots = []
@@ -140,14 +142,12 @@ def find_roots(f, lo: float, hi: float, df=None, samples: int = 4096,
                 step = f(r) / d
                 if abs(step) < (xs[1] - xs[0]):
                     r -= step
-            roots.append(min(max(r, lo), hi))
-        else:
-            roots.append(r)
+        roots.append(min(max(r, lo), hi))
     # grid points that are exact zeros
     for i in np.nonzero(sign == 0)[0]:
         roots.append(float(xs[i]))
-    if include_tangent and df is not None:
-        for r in find_roots(df, lo, hi, samples=samples):
+    if df is not None:
+        for r in find_roots(df, lo, hi):
             if abs(f(r)) < 1e-9 * scale:
                 roots.append(r)
     roots.sort()
@@ -162,16 +162,12 @@ def polynomial_roots_unit_interval(pair, which: str) -> List[float]:
     """Real roots in [-1, 1] of the pair's reduction polynomial P_C or P_S,
     or of the Wronskian polynomial P_W, each refined to 1e-12."""
     pair = _check_pair(pair)
-    if which == "P_C":
-        coeffs = _P_C[pair]
-    elif which == "P_S":
-        coeffs = _P_S[pair]
-    elif which == "P_W":
-        if pair != (2, 3):
-            raise ValueError("P_W is defined for the (2,3) pair")
-        coeffs = _P_W
-    else:
+    polys = {"P_C": _P_C[pair], "P_S": _P_S[pair], "P_W": _P_W}
+    if which not in polys:
         raise ValueError(f"unknown polynomial {which!r}")
+    if which == "P_W" and pair != (2, 3):
+        raise ValueError("P_W is defined for the (2,3) pair")
+    coeffs = polys[which]
     raw = np.roots(list(reversed(coeffs)))
     # multiple roots surface from np.roots as clusters with O(1e-5) spread and
     # imaginary parts of the same size, so the filters must be loose here
@@ -264,7 +260,7 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     # vanishes trivially; only interior intersections are reported
     lo, hi = a / 3.0, 2.0 * a / 3.0
     margin = (hi - lo) * 1e-6
-    return find_roots(f, lo + margin, hi - margin, df=df, include_tangent=True)
+    return find_roots(f, lo + margin, hi - margin, df=df)
 
 
 _EDGE_PARAM = {
@@ -298,7 +294,7 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     zeros = []
     for edge, sign, lo, hi in plan:
         k, dk = _k_theta(pair, theta, sign)
-        for u in find_roots(k, lo, hi, df=dk, include_tangent=True):
+        for u in find_roots(k, lo, hi, df=dk):
             order = 3 if abs(dk(u)) < 1e-6 else 2
             zeros.append(CriticalZero(_EDGE_PARAM[edge](u), edge, u, order))
     return zeros
@@ -398,17 +394,8 @@ def _grid_points(d: DomainKind, resolution: int):
 def _grid_values(h: EigenfunctionHandle, resolution: int):
     """The handle's values inside the mask of _grid_points; 0 (unread) outside."""
     mask, (p, q) = _grid_points(h.domain, resolution)
-    p_in, q_in = p[mask], q[mask]
-    m, n = h.mode
-    if h.domain is DomainKind.RIGHT_ISOSCELES:
-        inside = eval_isosceles(m, n, p_in, q_in)
-    elif h.domain is DomainKind.HEMIEQUILATERAL:
-        # eigenfunctions of the half-triangle are C_{m,n} on {s >= t}
-        inside = eval_C(m, n, p_in, q_in)
-    else:
-        inside = eval_psi_grid(m, n, h.theta, p_in, q_in)
     vals = np.zeros(mask.shape)
-    vals[mask] = inside
+    vals[mask] = mix(eigenbasis(h.domain, h.mode, p[mask], q[mask]), h.theta)
     return vals, mask, (p, q)
 
 
@@ -457,30 +444,32 @@ def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
 # Final verdict.
 # ---------------------------------------------------------------------------
 
-def _sweep_counts(pair: Mode, resolution: int, thetas) -> List[Tuple[float, int]]:
-    """(theta, nodal count) of the equilateral Psi^theta = cos(theta) C +
-    sin(theta) S at each of thetas, in order.  The mask and C and S inside it
-    are evaluated once; each theta costs the mix, written as in eval_psi_grid
-    so that every count equals _count_once at that theta, and the labelling."""
-    mask, (ss, tt) = _grid_points(DomainKind.EQUILATERAL, resolution)
-    s_in, t_in = ss[mask], tt[mask]
-    c_vals = eval_C(*pair, s_in, t_in)
-    s_vals = eval_S(*pair, s_in, t_in)
-    counts = []
-    for theta in thetas:
-        values = math.cos(theta) * c_vals + math.sin(theta) * s_vals
-        counts.append((float(theta), sum(_label_counts(_signs(values, mask)))))
-    return counts
+def _sweep_counts(d: DomainKind, pair: Mode, resolution: int,
+                  thetas) -> List[Tuple[float, int]]:
+    """(theta, nodal count) of mix(eigenbasis, theta) on d at each of thetas,
+    in order.  The mask and the basis are evaluated once, so a theta costs the
+    mix and the labelling, and its count equals _count_once at that theta."""
+    mask, (p, q) = _grid_points(d, resolution)
+    basis = eigenbasis(d, pair, p[mask], q[mask])
+    return [(float(theta), sum(_label_counts(_signs(mix(basis, theta), mask))))
+            for theta in thetas]
 
 
-def _theta_partition(pair: Mode) -> List[float]:
-    """The breakpoints of [0, pi/6] and each piece's midpoint.  theta + pi
-    and pullback_theta keep the nodal count and, as 2m + n is not divisible
-    by 3, take every theta into [0, pi/6].  There the count changes only at
-    an edge critical zero on the nodal set, a zero of the pair's Wronskian:
-    theta_c for (2,3), none for (1,3), positive on the open edges."""
+def _theta_partition(d: DomainKind, pair: Mode) -> List[float]:
+    """Angles attaining the largest nodal count over the pair's eigenspace.
+    Off the equilateral triangle it is one function, and so it is for m = n,
+    where C_{m,m} vanishes: pi/2 picks S.  Else the breakpoints of [0, pi/6]
+    and each piece's midpoint: theta + pi and pullback_theta keep the nodal
+    count and, as 2m + n is not divisible by 3, take every theta into [0,
+    pi/6].  There the count changes only at an edge critical zero on the
+    nodal set, a zero of the pair's Wronskian: theta_c for (2,3), none for
+    (1,3), positive on the open edges."""
+    if d is not DomainKind.EQUILATERAL:
+        return [0.0]
+    if pair[0] == pair[1]:
+        return [PI / 2.0]
     breaks = [0.0, PI / 6.0]
-    if pair == (2, 3):
+    if _check_pair(pair) == (2, 3):
         breaks.insert(1, bifurcation_angle()[1])
     thetas = [0.0]
     for lo, hi in zip(breaks, breaks[1:]):
@@ -488,31 +477,21 @@ def _theta_partition(pair: Mode) -> List[float]:
     return thetas
 
 
-def _max_count_over_thetas(pair: Mode, resolution: int) -> int:
-    pair = _check_pair(pair)
-    sweep = _sweep_counts(pair, resolution, _theta_partition(pair))
+def _max_count_over_thetas(d: DomainKind, pair: Mode, resolution: int) -> int:
+    sweep = _sweep_counts(d, pair, resolution, _theta_partition(d, pair))
     return max(count for _, count in sweep)
 
 
 def courant_sharp_verdict(d: DomainKind, resolution: int = 512):
-    """(index, sharp) for each screening candidate of the domain.  By
+    """(index, sharp) for each screening candidate of the domain: lambda_n is
+    sharp if some eigenfunction of it has n nodal domains, so its count is
+    the largest over the eigenspace of its cluster's smallest pair.  By
     Courant's theorem every n <= 2 is sharp: a lambda_2 eigenfunction is
     orthogonal to the one-signed first one, so it has exactly two nodal
-    domains.  A higher n is sharp if an eigenfunction of lambda_n has n."""
-    entries = {e.min_index: e for e in enumerate_spectrum(d, index_cutoff(d))}
+    domains."""
     verdict = []
-    for n in candidate_indices(d):
-        modes = entries[n].representative_modes
-        if n <= 2:
-            mu = n  # Courant's theorem
-        elif d is DomainKind.EQUILATERAL and len(modes) == 2:
-            mu = _max_count_over_thetas(Mode(*min(modes)), resolution)
-        else:
-            # a simple equilateral eigenvalue comes from a pair m = n, whose
-            # cosine combination vanishes identically: the eigenfunction is
-            # the sine sum
-            theta = PI / 2.0 if d is DomainKind.EQUILATERAL else 0.0
-            h = EigenfunctionHandle(d, Mode(*max(modes)), theta)
-            mu = sum(_count_once(h, resolution))
+    for row in candidates(d):
+        n = row.min_index
+        mu = n if n <= 2 else _max_count_over_thetas(d, min(row.modes), resolution)
         verdict.append((n, mu == n))
     return verdict

@@ -4,10 +4,10 @@ per domain, and emit the corresponding screening tables."""
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from .alcove_geometry import DOMAINS, DomainKind
-from .lattice_spectrum import bound_inverse, enumerate_spectrum, scale
+from .lattice_spectrum import Mode, bound_inverse, enumerate_spectrum, scale
 
 # First positive zero of the Bessel function J0, to full double precision so
 # the printed threshold digits come out right.
@@ -35,10 +35,13 @@ def fk_line(d: DomainKind, n: int) -> float:
     return faber_krahn_threshold(d) * scale(d) * n
 
 
-def cutoff_scan(d: DomainKind, n_max: int = 1000) -> int:
-    """Largest n with fk_line(n) <= courant_upper_bound(n) (strict scan)."""
+CUTOFF_SCAN_MAX = 1000
+
+
+def cutoff_scan(d: DomainKind) -> int:
+    """Largest n <= CUTOFF_SCAN_MAX with fk_line <= courant_upper_bound."""
     last = 1
-    for n in range(2, n_max + 1):
+    for n in range(2, CUTOFF_SCAN_MAX + 1):
         if fk_line(d, n) <= courant_upper_bound(d, n):
             last = n
     return last
@@ -60,6 +63,7 @@ class ScreeningRow:
     ratio: float
     ratio_applies: bool
     passes: bool
+    modes: Tuple[Mode, ...]
 
 
 @dataclass(frozen=True)
@@ -81,22 +85,20 @@ def screening_table(d: DomainKind) -> List[ScreeningRow]:
         ratio = e.normalized / e.min_index
         rows.append(ScreeningRow(e.normalized, e.min_index, e.max_index,
                                  e.multiplicity, ratio, applies,
-                                 applies and ratio >= threshold))
+                                 applies and ratio >= threshold,
+                                 tuple(e.representative_modes)))
     return rows
 
 
+def candidates(d: DomainKind) -> List[ScreeningRow]:
+    """Rows surviving the necessary conditions, index <= cutoff and the ratio
+    test where it applies, each standing for its min_index n, the one index
+    with lambda_{n-1} < lambda_n.  Indices 1 and 2 always start a row."""
+    return [row for row in screening_table(d) if row.min_index <= 2 or row.passes]
+
+
 def candidate_indices(d: DomainKind) -> List[int]:
-    """Indices surviving the necessary conditions: simple start of a cluster
-    (lambda_{n-1} < lambda_n), index <= cutoff, and the ratio test where it
-    applies.  Indices 1 and 2 are always candidates."""
-    out = set()
-    for row in screening_table(d):
-        # row.min_index is the only index n in the cluster with
-        # lambda_{n-1} < lambda_n, so it is the only possible candidate.
-        if row.min_index <= 2 or row.passes:
-            out.add(row.min_index)
-    out.update({1, 2})
-    return sorted(out)
+    return [row.min_index for row in candidates(d)]
 
 
 def screening_summary(d: DomainKind) -> ScreeningSummary:

@@ -187,6 +187,25 @@ def test_stamp_sidecar(tmp_path):
     assert "written_at" not in p.read_text()
 
 
+def test_stamp_without_out_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--domain", "torus", "--count", "3", "--stamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--out" in captured.err
+    assert list(tmp_path.iterdir()) == []  # no sidecar anywhere
+
+
+def test_out_in_a_missing_directory_is_rejected(tmp_path, capsys):
+    p = tmp_path / "missing" / "table.csv"
+    assert main(["spectrum", "--domain", "torus", "--count", "3",
+                 "--out", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(p) in captured.err
+    assert not p.parent.exists()
+
+
 def test_plot_svg(tmp_path, capsys):
     p = tmp_path / "nodal.svg"
     code = main(["plot", "--domain", "equilateral", "--pair", "1,3",

@@ -5,9 +5,11 @@ import pytest
 
 from courant_lab.alcove_geometry import DomainKind, apply_symmetry
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle, alpha_mn,
-                                            eval_C, eval_isosceles, eval_psi,
+                                            eigenbasis, eval_C,
+                                            eval_isosceles, eval_psi,
                                             eval_psi_grid, eval_S,
-                                            eval_torus_mode, pullback_theta)
+                                            eval_torus_mode, mix,
+                                            pullback_theta)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import bifurcation_angle, fc
 
@@ -17,6 +19,20 @@ RNG = np.random.default_rng(42)
 
 def random_points(k):
     return RNG.uniform(0.02, 0.62, size=(k, 2))
+
+
+def test_eigenbasis_spans_each_triangle_eigenspace():
+    s, t = np.meshgrid(np.linspace(0.02, 0.62, 7), np.linspace(0.03, 0.61, 7))
+    c, sn = eigenbasis(E, (2, 3), s, t)
+    assert np.array_equal(c, eval_C(2, 3, s, t))
+    assert np.array_equal(sn, eval_S(2, 3, s, t))
+    assert np.array_equal(mix((c, sn), 0.35), eval_psi_grid(2, 3, 0.35, s, t))
+    (h,) = eigenbasis(DomainKind.HEMIEQUILATERAL, (4, 2), s, t)
+    assert np.array_equal(mix((h,), 0.0), eval_C(4, 2, s, t))
+    (b,) = eigenbasis(DomainKind.RIGHT_ISOSCELES, (4, 1), s, t)
+    assert np.array_equal(b, eval_isosceles(4, 1, s, t))
+    with pytest.raises(ValueError, match="torus"):
+        eigenbasis(DomainKind.TORUS, (1, 0), s, t)
 
 
 def test_torus_mode_values():

@@ -319,7 +319,7 @@ def test_counts_13_family_res256():
 def test_count_transition_at_theta_c():
     _, theta_c = bifurcation_angle()
     grid = np.arange(0.01, math.pi / 6, 1e-3)
-    counts = [mu for _, mu in _sweep_counts(Mode(2, 3), 512, grid)]
+    counts = [mu for _, mu in _sweep_counts(E, Mode(2, 3), 512, grid)]
     changes = [i for i in range(1, len(counts)) if counts[i] != counts[i - 1]]
     assert len(changes) == 1
     crossing = grid[changes[0]]
@@ -333,13 +333,16 @@ def sampled_thetas():
     return list(np.linspace(0.0, math.pi / 6, 64)) + [bifurcation_angle()[1]]
 
 
-@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
-def test_sweep_counts_match_count_once(pair):
-    thetas = sampled_thetas()
-    sweep = _sweep_counts(Mode(*pair), 128, thetas)
+@pytest.mark.parametrize(
+    "d,pair", [(E, (1, 2)), (E, (1, 3)), (E, (2, 3)), (B, (4, 1)), (H, (4, 2))],
+    ids=[f"pair{i}" for i in range(5)])
+def test_sweep_counts_match_count_once(d, pair):
+    # a one-function eigenbasis has only theta 0
+    thetas = sampled_thetas() if d is E else [0.0]
+    sweep = _sweep_counts(d, Mode(*pair), 128, thetas)
     assert [theta for theta, _ in sweep] == thetas
     for theta, mu in sweep:
-        h = EigenfunctionHandle(E, Mode(*pair), theta)
+        h = EigenfunctionHandle(d, Mode(*pair), theta)
         assert mu == sum(_count_once(h, 128))
 
 
@@ -361,24 +364,39 @@ def test_zero_to_pi_over_6_is_a_fundamental_interval(pair):
 
 def test_count_13_has_no_breakpoint_inside():
     grid = np.arange(0.001, math.pi / 6, 1e-3)
-    counts = [mu for _, mu in _sweep_counts(Mode(1, 3), 512, grid)]
+    counts = [mu for _, mu in _sweep_counts(E, Mode(1, 3), 512, grid)]
     assert len(counts) == len(grid) and set(counts) == {3}
 
 
 @pytest.mark.parametrize("pair", EDGE_PAIRS)
 def test_theta_partition_counts(pair):
-    thetas = _theta_partition(pair)
+    thetas = _theta_partition(E, pair)
     breaks = [0.0, math.pi / 6]
     if pair == (2, 3):
         breaks.insert(1, bifurcation_angle()[1])
     assert thetas[0::2] == breaks
     assert thetas[1::2] == [(lo + hi) / 2 for lo, hi in zip(breaks, breaks[1:])]
-    at_512 = _sweep_counts(pair, 512, thetas)
-    assert at_512 == _sweep_counts(pair, 1024, thetas)
-    sampled = max(mu for _, mu in _sweep_counts(pair, 512, sampled_thetas()))
-    best = _max_count_over_thetas(pair, 512)
+    at_512 = _sweep_counts(E, pair, 512, thetas)
+    assert at_512 == _sweep_counts(E, pair, 1024, thetas)
+    sampled = max(mu for _, mu in _sweep_counts(E, pair, 512, sampled_thetas()))
+    best = _max_count_over_thetas(E, pair, 512)
     assert best == max(mu for _, mu in at_512)
     assert best == sampled
+
+
+@pytest.mark.parametrize("d,pair", [(B, (4, 1)), (H, (4, 2)), (H, (5, 3))])
+def test_theta_partition_of_a_one_function_eigenspace(d, pair):
+    assert _theta_partition(d, Mode(*pair)) == [0.0]
+
+
+def test_theta_partition_of_a_simple_equilateral_eigenvalue():
+    # C_{2,2} vanishes identically: the eigenfunction is S_{2,2}
+    assert _theta_partition(E, Mode(2, 2)) == [math.pi / 2]
+
+
+def test_theta_partition_rejects_an_unsupported_mixed_pair():
+    with pytest.raises(ValueError, match="not supported"):
+        _theta_partition(E, Mode(1, 4))
 
 
 @pytest.mark.parametrize("h", [
@@ -494,9 +512,9 @@ def test_verdict_counts_only_candidates_above_two(monkeypatch):
     calls = []
     sweep, once = nodal._sweep_counts, nodal._count_once
 
-    def record_sweep(pair, resolution, thetas):
+    def record_sweep(d, pair, resolution, thetas):
         calls.append((tuple(pair), len(thetas)))
-        return sweep(pair, resolution, thetas)
+        return sweep(d, pair, resolution, thetas)
 
     def record_count(h, resolution):
         calls.append(tuple(h.mode))
@@ -508,7 +526,28 @@ def test_verdict_counts_only_candidates_above_two(monkeypatch):
     assert calls == []
     nodal.courant_sharp_verdict(E, 128)
     # (1,2) at n = 2 is decided by the theorem; (2,2) and (3,3) are simple
-    assert calls == [(2, 2), ((1, 3), 3), ((2, 3), 5), (3, 3)]
+    assert calls == [((2, 2), 1), ((1, 3), 3), ((2, 3), 5), ((3, 3), 1)]
+
+
+@pytest.mark.parametrize("d", [DomainKind.TORUS, B])
+def test_verdict_enumerates_the_spectrum_once(monkeypatch, d):
+    import sys
+
+    from courant_lab import lattice_spectrum
+
+    calls, original = [], lattice_spectrum.enumerate_spectrum
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    # every module that imported the function holds its own reference
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("courant_lab")
+                and getattr(module, "enumerate_spectrum", None) is original):
+            monkeypatch.setattr(module, "enumerate_spectrum", record)
+    courant_sharp_verdict(d, 64)
+    assert len(calls) == 1
 
 
 def test_verdict_fast_domains():
