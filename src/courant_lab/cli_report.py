@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 unstable nodal count.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -204,10 +205,12 @@ def main(argv=None) -> int:
             args.pair = parse_pair(args.pair)
         if hasattr(args, "theta"):
             args.theta = parse_theta(args.theta)
-        if getattr(args, "resolution", 64) < 64:
-            raise ValueError("resolution must be >= 64")
         if args.stamp and not args.out:
             raise ValueError("--stamp needs --out: the sidecar is written next to it")
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise ValueError(f"--out must name a file in an existing directory, "
+                             f"got {args.out}")
         return args.run(args)
     except (ValueError, KeyError, OSError) as exc:  # OSError: --out unwritable
         print(f"error: {exc}", file=sys.stderr)

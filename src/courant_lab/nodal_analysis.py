@@ -380,31 +380,28 @@ class NodalReport:
     stable: bool
 
 
-def _grid_points(d: DomainKind, resolution: int):
-    """The mask of samples strictly inside the domain and the coordinate
-    grids over [0, extent]^2, without eigenfunction values."""
-    spec = DOMAINS[d]
+def _grid_values(h: EigenfunctionHandle, resolution: int):
+    """The one nodal grid: the unmixed eigenbasis of the handle's domain and
+    mode at the samples strictly inside the domain (in the order of
+    p[mask]), the mask, and the coordinate grids over [0, extent]^2.  It does
+    not read h.theta; each reader mixes the basis at its own angle."""
+    spec = DOMAINS[h.domain]
     if spec.extent is None:
-        raise ValueError(f"nodal counting is not defined for {d.value}")
+        raise ValueError(f"nodal counting is not defined for {h.domain.value}")
+    if resolution < 64:
+        raise ValueError("resolution must be >= 64")
     x = np.linspace(0.0, spec.extent, resolution)
     p, q = np.meshgrid(x, x, indexing="ij", copy=False)
-    return spec.inside(p, q, -EDGE_TOL), (p, q)
-
-
-def _grid_values(h: EigenfunctionHandle, resolution: int):
-    """The handle's values inside the mask of _grid_points; 0 (unread) outside."""
-    mask, (p, q) = _grid_points(h.domain, resolution)
-    vals = np.zeros(mask.shape)
-    vals[mask] = mix(eigenbasis(h.domain, h.mode, p[mask], q[mask]), h.theta)
-    return vals, mask, (p, q)
+    mask = spec.inside(p, q, -EDGE_TOL)
+    return eigenbasis(h.domain, h.mode, p[mask], q[mask]), mask, (p, q)
 
 
 _FOUR = ndimage.generate_binary_structure(2, 1)
 
 
-def _signs(inside: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def sign_grid(inside: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """{+1, -1, 0} per sample: the sign of the values inside the mask (given
-    in the order of values[mask]), 0 in the zero band and outside the mask."""
+    in the order of p[mask]), 0 in the zero band and outside the mask."""
     band = ZERO_BAND_REL * float(np.max(np.abs(inside)))
     signs = np.zeros(mask.shape, dtype=np.int8)
     signs[mask] = (inside > band).astype(np.int8) - (inside < -band)
@@ -418,24 +415,21 @@ def _label_counts(signs: np.ndarray) -> Tuple[int, int]:
     return pos, neg
 
 
-def sign_grid(h: EigenfunctionHandle, resolution: int) -> np.ndarray:
-    """The int8 {+1, -1, 0} signs of the handle's grid (see _signs)."""
-    vals, mask, _ = _grid_values(h, resolution)
-    return _signs(vals[mask], mask)
-
-
-def _count_once(h: EigenfunctionHandle, resolution: int):
-    return _label_counts(sign_grid(h, resolution))
+def _sweep_counts(h: EigenfunctionHandle, resolution: int,
+                  thetas) -> List[Tuple[int, int]]:
+    """(positive, negative) sign components of mix(basis, theta) on the
+    handle's grid at each of thetas, in order.  The grid is built once, so an
+    angle costs the mix and the labelling."""
+    basis, mask, _ = _grid_values(h, resolution)
+    return [_label_counts(sign_grid(mix(basis, theta), mask)) for theta in thetas]
 
 
 def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
     """Count sign components on the grid; stable means the total is unchanged
     when the resolution is doubled."""
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
     check_handle(h)
-    pos, neg = _count_once(h, resolution)
-    pos2, neg2 = _count_once(h, 2 * resolution)
+    (pos, neg), = _sweep_counts(h, resolution, [h.theta])
+    (pos2, neg2), = _sweep_counts(h, 2 * resolution, [h.theta])
     return NodalReport(h, resolution, pos + neg, pos, neg,
                        pos + neg == pos2 + neg2)
 
@@ -443,17 +437,6 @@ def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
 # ---------------------------------------------------------------------------
 # Final verdict.
 # ---------------------------------------------------------------------------
-
-def _sweep_counts(d: DomainKind, pair: Mode, resolution: int,
-                  thetas) -> List[Tuple[float, int]]:
-    """(theta, nodal count) of mix(eigenbasis, theta) on d at each of thetas,
-    in order.  The mask and the basis are evaluated once, so a theta costs the
-    mix and the labelling, and its count equals _count_once at that theta."""
-    mask, (p, q) = _grid_points(d, resolution)
-    basis = eigenbasis(d, pair, p[mask], q[mask])
-    return [(float(theta), sum(_label_counts(_signs(mix(basis, theta), mask))))
-            for theta in thetas]
-
 
 def _theta_partition(d: DomainKind, pair: Mode) -> List[float]:
     """Angles attaining the largest nodal count over the pair's eigenspace.
@@ -478,8 +461,9 @@ def _theta_partition(d: DomainKind, pair: Mode) -> List[float]:
 
 
 def _max_count_over_thetas(d: DomainKind, pair: Mode, resolution: int) -> int:
-    sweep = _sweep_counts(d, pair, resolution, _theta_partition(d, pair))
-    return max(count for _, count in sweep)
+    sweep = _sweep_counts(EigenfunctionHandle(d, pair), resolution,
+                          _theta_partition(d, pair))
+    return max(pos + neg for pos, neg in sweep)
 
 
 def courant_sharp_verdict(d: DomainKind, resolution: int = 512):

@@ -8,7 +8,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
-from .eigenfunction_eval import EigenfunctionHandle, check_handle
+from .eigenfunction_eval import EigenfunctionHandle, check_handle, mix
 from .nodal_analysis import (EDGE_PAIRS, _grid_values, edge_critical_zeros,
                              median_fixed_points)
 
@@ -43,7 +43,9 @@ def _fmt(v: float) -> str:
 def render_nodal_svg(h: EigenfunctionHandle, resolution: int = 256) -> str:
     """Deterministic SVG document for the nodal set of the handle."""
     check_handle(h)
-    values, mask, points = _grid_values(h, resolution)
+    basis, mask, points = _grid_values(h, resolution)
+    values = np.zeros(mask.shape)
+    values[mask] = mix(basis, h.theta)
     spec = DOMAINS[h.domain]
     xs, ys = to_cartesian(points) if spec.alcove else points
     xmax, ymax = map(max, zip(*spec.outline))

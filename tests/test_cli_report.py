@@ -206,6 +206,21 @@ def test_out_in_a_missing_directory_is_rejected(tmp_path, capsys):
     assert not p.parent.exists()
 
 
+def test_out_is_checked_before_the_work(tmp_path, monkeypatch, capsys):
+    from courant_lab import cli_report
+
+    def enumerate_spectrum(*args):
+        raise AssertionError("the spectrum was enumerated")
+
+    monkeypatch.setattr(cli_report, "enumerate_spectrum", enumerate_spectrum)
+    for p in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["spectrum", "--domain", "hemiequilateral", "--count",
+                     "200000", "--out", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(p) in captured.err
+
+
 def test_plot_svg(tmp_path, capsys):
     p = tmp_path / "nodal.svg"
     code = main(["plot", "--domain", "equilateral", "--pair", "1,3",

@@ -6,10 +6,10 @@ import pytest
 from courant_lab.alcove_geometry import AlcovePoint, DomainKind, in_domain
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C,
                                             eval_isosceles, eval_psi,
-                                            eval_psi_grid, pullback_theta)
+                                            eval_psi_grid, mix,
+                                            pullback_theta)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (EDGE_PAIRS, CriticalZero,
-                                        _count_once, _grid_points,
                                         _grid_values, _max_count_over_thetas,
                                         _sweep_counts, _theta_partition,
                                         bifurcation_angle,
@@ -309,6 +309,12 @@ def count(domain, pair, theta=0.0, res=256):
     return count_nodal_domains(h, res)
 
 
+def sweep(domain, pair, res, thetas):
+    """The nodal count at each of thetas, from one _sweep_counts."""
+    h = EigenfunctionHandle(domain, Mode(*pair))
+    return [pos + neg for pos, neg in _sweep_counts(h, res, thetas)]
+
+
 def test_counts_13_family_res256():
     for theta in (math.pi / 24, math.pi / 12, math.pi / 8, math.pi / 6):
         assert count(E, (1, 3), theta).domain_count == 3
@@ -319,7 +325,7 @@ def test_counts_13_family_res256():
 def test_count_transition_at_theta_c():
     _, theta_c = bifurcation_angle()
     grid = np.arange(0.01, math.pi / 6, 1e-3)
-    counts = [mu for _, mu in _sweep_counts(E, Mode(2, 3), 512, grid)]
+    counts = sweep(E, (2, 3), 512, grid)
     changes = [i for i in range(1, len(counts)) if counts[i] != counts[i - 1]]
     assert len(changes) == 1
     crossing = grid[changes[0]]
@@ -339,11 +345,13 @@ def sampled_thetas():
 def test_sweep_counts_match_count_once(d, pair):
     # a one-function eigenbasis has only theta 0
     thetas = sampled_thetas() if d is E else [0.0]
-    sweep = _sweep_counts(d, Mode(*pair), 128, thetas)
-    assert [theta for theta, _ in sweep] == thetas
-    for theta, mu in sweep:
+    counts = _sweep_counts(EigenfunctionHandle(d, Mode(*pair)), 128, thetas)
+    assert len(counts) == len(thetas)
+    for theta, pos_neg in zip(thetas, counts):
         h = EigenfunctionHandle(d, Mode(*pair), theta)
-        assert mu == sum(_count_once(h, 128))
+        assert [pos_neg] == _sweep_counts(h, 128, [theta])
+        r = count_nodal_domains(h, 128)
+        assert pos_neg == (r.positive_components, r.negative_components)
 
 
 @pytest.mark.parametrize("pair", EDGE_PAIRS)
@@ -364,7 +372,7 @@ def test_zero_to_pi_over_6_is_a_fundamental_interval(pair):
 
 def test_count_13_has_no_breakpoint_inside():
     grid = np.arange(0.001, math.pi / 6, 1e-3)
-    counts = [mu for _, mu in _sweep_counts(E, Mode(1, 3), 512, grid)]
+    counts = sweep(E, (1, 3), 512, grid)
     assert len(counts) == len(grid) and set(counts) == {3}
 
 
@@ -376,11 +384,11 @@ def test_theta_partition_counts(pair):
         breaks.insert(1, bifurcation_angle()[1])
     assert thetas[0::2] == breaks
     assert thetas[1::2] == [(lo + hi) / 2 for lo, hi in zip(breaks, breaks[1:])]
-    at_512 = _sweep_counts(E, pair, 512, thetas)
-    assert at_512 == _sweep_counts(E, pair, 1024, thetas)
-    sampled = max(mu for _, mu in _sweep_counts(E, pair, 512, sampled_thetas()))
+    at_512 = sweep(E, pair, 512, thetas)
+    assert at_512 == sweep(E, pair, 1024, thetas)
+    sampled = max(sweep(E, pair, 512, sampled_thetas()))
     best = _max_count_over_thetas(E, pair, 512)
-    assert best == max(mu for _, mu in at_512)
+    assert best == max(at_512)
     assert best == sampled
 
 
@@ -411,7 +419,8 @@ def test_second_eigenfunctions_have_two_domains(h):
 
 @pytest.mark.parametrize("d", [E, B, H])
 def test_grid_mask_is_the_strict_domain_predicate(d):
-    mask, (p, q) = _grid_points(d, 64)
+    pair = {E: (1, 2), B: (3, 1), H: (2, 1)}[d]
+    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64)
     expected = [[in_domain(d, (p[i, j], q[i, j]), strict=True)
                  for j in range(64)] for i in range(64)]
     assert mask.tolist() == expected
@@ -426,9 +435,8 @@ def test_grid_mask_is_the_strict_domain_predicate(d):
     (EigenfunctionHandle(B, Mode(6, 1)),
      lambda p, q: eval_isosceles(6, 1, p, q))])
 def test_masked_evaluation_keeps_the_values(h, full, resolution):
-    values, mask, (p, q) = _grid_values(h, resolution)
-    assert np.array_equal(values[mask], full(p, q)[mask])
-    assert not values[~mask].any()
+    basis, mask, (p, q) = _grid_values(h, resolution)
+    assert np.array_equal(mix(basis, h.theta), full(p, q)[mask])
 
 
 def test_hemiequilateral_counts():
@@ -509,24 +517,40 @@ def test_folding_identity_preserves_counts():
 def test_verdict_counts_only_candidates_above_two(monkeypatch):
     import courant_lab.nodal_analysis as nodal
 
-    calls = []
-    sweep, once = nodal._sweep_counts, nodal._count_once
+    calls, grids = [], []
+    sweep_counts, grid_values = nodal._sweep_counts, nodal._grid_values
 
-    def record_sweep(d, pair, resolution, thetas):
-        calls.append((tuple(pair), len(thetas)))
-        return sweep(d, pair, resolution, thetas)
+    def record_sweep(h, resolution, thetas):
+        calls.append((tuple(h.mode), len(thetas)))
+        return sweep_counts(h, resolution, thetas)
 
-    def record_count(h, resolution):
-        calls.append(tuple(h.mode))
-        return once(h, resolution)
+    def record_grid(h, resolution):
+        grids.append((tuple(h.mode), resolution))
+        return grid_values(h, resolution)
 
     monkeypatch.setattr(nodal, "_sweep_counts", record_sweep)
-    monkeypatch.setattr(nodal, "_count_once", record_count)
+    monkeypatch.setattr(nodal, "_grid_values", record_grid)
     assert nodal.courant_sharp_verdict(DomainKind.TORUS) == [(1, True), (2, True)]
-    assert calls == []
+    assert calls == grids == []
     nodal.courant_sharp_verdict(E, 128)
     # (1,2) at n = 2 is decided by the theorem; (2,2) and (3,3) are simple
     assert calls == [((2, 2), 1), ((1, 3), 3), ((2, 3), 5), ((3, 3), 1)]
+    # one grid evaluation per candidate, whatever its number of angles
+    assert grids == [((2, 2), 128), ((1, 3), 128), ((2, 3), 128), ((3, 3), 128)]
+
+
+def test_count_evaluates_one_grid_at_each_resolution(monkeypatch):
+    import courant_lab.nodal_analysis as nodal
+
+    grids, grid_values = [], nodal._grid_values
+
+    def record_grid(h, resolution):
+        grids.append(resolution)
+        return grid_values(h, resolution)
+
+    monkeypatch.setattr(nodal, "_grid_values", record_grid)
+    count_nodal_domains(EigenfunctionHandle(E, Mode(2, 3), 0.35), 128)
+    assert grids == [128, 256]
 
 
 @pytest.mark.parametrize("d", [DomainKind.TORUS, B])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import DOMAINS, DomainKind, to_cartesian
-from courant_lab.eigenfunction_eval import EigenfunctionHandle
+from courant_lab.eigenfunction_eval import EigenfunctionHandle, mix
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import _grid_values
-from courant_lab.svg_export import zero_segments
+from courant_lab.svg_export import render_nodal_svg, zero_segments
 
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
@@ -55,7 +55,9 @@ def _saddle_cells(values, mask):
 
 
 def _plot_inputs(h, resolution):
-    values, mask, points = _grid_values(h, resolution)
+    basis, mask, points = _grid_values(h, resolution)
+    values = np.zeros(mask.shape)
+    values[mask] = mix(basis, h.theta)
     xs, ys = to_cartesian(points) if DOMAINS[h.domain].alcove else points
     return values, mask, xs, ys
 
@@ -102,3 +104,8 @@ def test_zero_segments_without_crossings_is_empty():
     x = np.linspace(0.0, 1.0, 8)
     xs, ys = np.meshgrid(x, x, indexing="ij")
     assert zero_segments(np.ones((8, 8)), np.ones((8, 8), bool), xs, ys) == []
+
+
+def test_render_rejects_a_resolution_below_the_grid_floor():
+    with pytest.raises(ValueError, match=">= 64"):
+        render_nodal_svg(EigenfunctionHandle(E, Mode(1, 3)), 32)
