@@ -37,10 +37,10 @@ def parse_theta(text: str) -> float:
         return bifurcation_angle()[1]
     try:
         theta = math.pi / int(text[3:]) if text.startswith("pi/") else float(text)
-    except ArithmeticError:  # pi/0, or a k too large for a float
+    except (ValueError, ArithmeticError):  # not a number, pi/0, or a huge k
         theta = math.nan
     if not math.isfinite(theta):
-        raise ValueError(f"theta must be a finite number, got {text!r}")
+        raise ValueError(f"theta must be finite radians, pi/<k> or theta_c, got {text!r}")
     return theta
 
 

@@ -3,10 +3,11 @@ closed-form lower bounds for the four domains.
 
 Normalized eigenvalues are exact integers: m^2 + mn + n^2 for the torus,
 equilateral and hemiequilateral (physical scale 16 pi^2 / 9), and m^2 + n^2
-for the right-isosceles triangle with side pi (scale 1).  The spectrum is
-enumerated over a lattice box and sorted; the counting function and the
-multiplicity are point queries answered by exact integer row counts in
-O(sqrt(lambda)), without enumerating.
+for the right-isosceles triangle with side pi (scale 1).  The admissible
+modes up to a value are read off one description, `_rows`: an exact integer
+m-interval for each row n.  The spectrum lists those rows' modes and sorts
+them; the counting function and the multiplicity are point queries that sum
+the rows' lengths in O(sqrt(lambda)), without enumerating.
 """
 
 import math
@@ -41,32 +42,36 @@ def normalized_value(d: DomainKind, m: int, n: int) -> int:
 
 def _admissible(spec, m: int, n: int) -> bool:
     lowest = spec.lowest
-    if lowest is None:
-        return True
-    return n >= lowest and (m > n if spec.ordered else m >= lowest)
+    return lowest is None or n >= lowest and (m > n if spec.ordered else m >= lowest)
 
 
-def modes_up_to(d: DomainKind, limit: int, box_margin: int = 0) -> List[Mode]:
-    """All admissible modes with normalized value <= limit.
-
-    The box |m|, |n| <= ceil(2 sqrt(limit/3)) covers every solution of
-    m^2 + mn + n^2 <= limit since the form is >= (3/4) max(m^2, n^2); for
-    m^2 + n^2 the box ceil(sqrt(limit)) suffices and is contained in it.
-    box_margin widens the box (used by the enumeration-cutoff oracle).
-    """
+def _rows(spec, limit: int):
+    """(n, lo, hi) for each row n holding admissible modes with normalized
+    value <= limit, which are the m with lo <= m <= hi: since 4 (m^2 + c mn
+    + n^2) = (2m + cn)^2 + (4 - c^2) n^2, the row n holds the m with |2m + cn|
+    <= r, r = isqrt(4 limit - (4 - c^2) n^2)."""
     if limit < 0:
-        return []
+        return
+    c, lowest = spec.cross, spec.lowest
+    n_max = math.isqrt(4 * limit // (4 - c * c))
+    for n in range(-n_max if lowest is None else lowest, n_max + 1):
+        r = math.isqrt(4 * limit - (4 - c * c) * n * n)
+        lo, hi = -((r + c * n) // 2), (r - c * n) // 2
+        if lowest is not None:
+            lo = max(lo, n + 1 if spec.ordered else lowest)
+        if lo <= hi:
+            yield n, lo, hi
+
+
+def modes_up_to(d: DomainKind, limit: int) -> List[Mode]:
+    """All admissible modes with normalized value <= limit, ordered by value,
+    then m, then n.  The rows hold only admissible cells; each still passes
+    `_admissible`, where perfbench's tracer counts the cells scanned."""
     spec = DOMAINS[d]
     form = spec.value
-    bound = math.isqrt((4 * limit) // 3 + 1) + 1 + box_margin
-    lo = -bound if spec.lowest is None else spec.lowest
-    out = []
-    for m in range(lo, bound + 1):
-        for n in range(lo, bound + 1):
-            if _admissible(spec, m, n) and form(m, n) <= limit:
-                out.append(Mode(m, n))
-    out.sort(key=lambda p: (form(*p), p.m, p.n))
-    return out
+    found = sorted((form(m, n), m, n) for n, lo, hi in _rows(spec, limit)
+                   for m in range(lo, hi + 1) if _admissible(spec, m, n))
+    return [Mode(m, n) for _, m, n in found]
 
 
 def _entries_from_modes(d: DomainKind, modes: List[Mode]) -> List[SpectrumEntry]:
@@ -103,21 +108,8 @@ def enumerate_spectrum(d: DomainKind, count: int) -> List[SpectrumEntry]:
 
 
 def _count_at_most(spec, limit: int) -> int:
-    """Number of admissible modes with normalized value <= limit, counted row
-    by row: 4 (m^2 + c mn + n^2) = (2m + cn)^2 + (4 - c^2) n^2, so the row n
-    holds the m with |2m + cn| <= r, r = isqrt(4 limit - (4 - c^2) n^2)."""
-    if limit < 0:
-        return 0
-    c, lowest = spec.cross, spec.lowest
-    n_max = math.isqrt(4 * limit // (4 - c * c))
-    total = 0
-    for n in range(-n_max if lowest is None else lowest, n_max + 1):
-        r = math.isqrt(4 * limit - (4 - c * c) * n * n)
-        lo, hi = -((r + c * n) // 2), (r - c * n) // 2
-        if lowest is not None:
-            lo = max(lo, n + 1 if spec.ordered else lowest)
-        total += max(0, hi - lo + 1)
-    return total
+    """Number of admissible modes with normalized value <= limit."""
+    return sum(hi - lo + 1 for _, lo, hi in _rows(spec, limit))
 
 
 def multiplicity(d: DomainKind, normalized: int) -> int:

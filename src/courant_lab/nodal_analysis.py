@@ -25,6 +25,9 @@ PI = math.pi
 # classified as zero instead of surviving as a spurious one-pixel component.
 ZERO_BAND_REL = 1e-5
 
+# Largest nodal grid side; nodal --resolution 2048 counts on a 4096 grid in 0.4 GB.
+MAX_GRID = 4096
+
 # the equilateral mode pairs whose edge analysis is implemented
 EDGE_PAIRS = (Mode(1, 3), Mode(2, 3))
 
@@ -388,8 +391,9 @@ def _grid_values(h: EigenfunctionHandle, resolution: int):
     spec = DOMAINS[h.domain]
     if spec.extent is None:
         raise ValueError(f"nodal counting is not defined for {h.domain.value}")
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
+    if not 64 <= resolution <= MAX_GRID:
+        raise ValueError(f"resolution must be >= 64 and <= {MAX_GRID}, "
+                         f"got {resolution}")
     x = np.linspace(0.0, spec.extent, resolution)
     p, q = np.meshgrid(x, x, indexing="ij", copy=False)
     mask = spec.inside(p, q, -EDGE_TOL)
@@ -428,6 +432,9 @@ def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
     """Count sign components on the grid; stable means the total is unchanged
     when the resolution is doubled."""
     check_handle(h)
+    # 2r above the cap: refuse before building the r grid, naming r itself
+    if 2 * resolution > MAX_GRID:
+        raise ValueError(f"resolution must be <= {MAX_GRID // 2}, got {resolution}")
     (pos, neg), = _sweep_counts(h, resolution, [h.theta])
     (pos2, neg2), = _sweep_counts(h, 2 * resolution, [h.theta])
     return NodalReport(h, resolution, pos + neg, pos, neg,

@@ -248,9 +248,8 @@ def test_criterion_7_property_suites():
         _bounds_ok()
 
 
-def test_criterion_8_enumeration_oracle():
+def test_criterion_8_enumeration_oracle(box_scan):
     with criterion(8, "lattice-box enumeration oracle (+2 margin)", 10.0):
         for d in DomainKind:
             for limit in (50, 100, 200):
-                assert modes_up_to(d, limit) == modes_up_to(d, limit,
-                                                            box_margin=2)
+                assert modes_up_to(d, limit) == box_scan(d, limit)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,13 @@ def test_parse_theta():
 def test_parse_theta_rejects_what_is_not_a_finite_angle(text):
     with pytest.raises(ValueError):
         parse_theta(text)
+
+
+def test_parse_theta_names_the_accepted_forms_and_the_bad_input():
+    with pytest.raises(ValueError) as exc:
+        parse_theta("pi/3.5")
+    assert str(exc.value) == ("theta must be finite radians, pi/<k> or theta_c, "
+                              "got 'pi/3.5'")
 
 
 def test_parse_pair():
@@ -238,3 +246,24 @@ def test_plot_svg(tmp_path, capsys):
     main(["plot", "--domain", "equilateral", "--pair", "1,3",
           "--theta", "0.2618", "--resolution", "256", "--out", str(p2)])
     assert p.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("nodal", "--domain", "equilateral", "--pair", "2,3"),
+    ("plot", "--domain", "right-isosceles", "--pair", "2,1")])
+def test_resolution_above_the_grid_cap_exits_two_before_allocating(capsys, argv):
+    # plot imports svg_export lazily; import it first, outside the measured peak
+    import courant_lab.svg_export  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--resolution", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2 ** 20  # a single row of a 10^6 grid takes 8 MB
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: resolution must be ")
+    assert captured.err.endswith(", got 1000000\n")

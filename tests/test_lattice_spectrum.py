@@ -146,9 +146,11 @@ def test_lower_bound_below_counting_function(d):
 
 @pytest.mark.parametrize("d", list(DomainKind))
 @pytest.mark.parametrize("limit", [50, 100, 200])
-def test_enumeration_box_oracle(d, limit):
-    # widening the search box must not reveal any additional mode
-    assert modes_up_to(d, limit) == modes_up_to(d, limit, box_margin=2)
+def test_enumeration_box_oracle(box_scan, d, limit):
+    # a brute-force scan of a box with a margin finds the same modes at every
+    # limit up to twice the case's, so the 200 case covers all of -1..400
+    for k in range(-1, 2 * limit + 1):
+        assert modes_up_to(d, k) == box_scan(d, k)
 
 
 def test_weyl_asymptotics_torus():
@@ -189,19 +191,19 @@ def test_bound_inverse_is_the_counting_bound_root():
             assert counting_lower_bound(d, lam) == pytest.approx(count, rel=1e-12)
 
 
-def _reference_multiplicities(d, limit):
-    """Mode counts per normalized value 0..limit, from one enumeration."""
+def _reference_multiplicities(modes, d, limit):
+    """Mode counts per normalized value 0..limit of the given modes."""
     form = lattice_spectrum.DOMAINS[d].value
     counts = [0] * (limit + 1)
-    for p in modes_up_to(d, limit):
+    for p in modes:
         counts[form(*p)] += 1
     return counts
 
 
 @pytest.mark.parametrize("d", list(DomainKind))
-def test_row_counts_match_enumeration(d):
+def test_row_counts_match_enumeration(box_scan, d):
     unit, limit = scale(d), 2000
-    counts = _reference_multiplicities(d, limit)
+    counts = _reference_multiplicities(box_scan(d, limit), d, limit)
     below = 0
     for k in range(limit + 1):
         assert multiplicity(d, k) == counts[k]

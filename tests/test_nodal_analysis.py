@@ -553,6 +553,17 @@ def test_count_evaluates_one_grid_at_each_resolution(monkeypatch):
     assert grids == [128, 256]
 
 
+def test_count_refuses_a_doubled_grid_above_the_cap_before_any_grid(monkeypatch):
+    import courant_lab.nodal_analysis as nodal
+
+    def refused(h, resolution):
+        raise AssertionError(f"a grid at {resolution} was built")
+
+    monkeypatch.setattr(nodal, "_grid_values", refused)
+    with pytest.raises(ValueError, match="<= 2048, got 2049"):
+        count_nodal_domains(EigenfunctionHandle(E, Mode(2, 3)), 2049)
+
+
 @pytest.mark.parametrize("d", [DomainKind.TORUS, B])
 def test_verdict_enumerates_the_spectrum_once(monkeypatch, d):
     import sys

@@ -109,3 +109,8 @@ def test_zero_segments_without_crossings_is_empty():
 def test_render_rejects_a_resolution_below_the_grid_floor():
     with pytest.raises(ValueError, match=">= 64"):
         render_nodal_svg(EigenfunctionHandle(E, Mode(1, 3)), 32)
+
+
+def test_render_rejects_a_resolution_above_the_grid_cap():
+    with pytest.raises(ValueError, match="<= 4096, got 4097"):
+        render_nodal_svg(EigenfunctionHandle(E, Mode(1, 3)), 4097)
