@@ -122,16 +122,19 @@ def gs_prime(pair: Mode, u):
 
 
 # ---------------------------------------------------------------------------
-# Root-finding protocol: sample, bracket, bisect, one Newton polish.
+# The one root-finding protocol: sample, bracket, bisect, one Newton polish.
 # ---------------------------------------------------------------------------
 
 ROOT_SAMPLES = 4096
 
 
 def find_roots(f, lo: float, hi: float, df=None) -> List[float]:
-    """All roots of f on (lo, hi) via uniform sampling + bracketed bisection;
-    given df, each is Newton-polished and the tangent (even-order) roots are
-    added, found as roots of df where |f| is at noise level."""
+    """All roots of f on [lo, hi], as floats: sample uniformly, bisect each
+    sign change and, given df, Newton-polish it and add the tangent
+    (even-order) roots, found as roots of df where |f| is at noise level.  A
+    root on a sample is caught as an exact grid zero: on [-1, 1], where the
+    reduction polynomials are solved, that is how P_W's triple root at the
+    sample x = 1 is found."""
     xs = np.linspace(lo, hi, ROOT_SAMPLES)
     ys = np.asarray(f(xs), dtype=float)
     scale = float(np.max(np.abs(ys))) or 1.0
@@ -145,7 +148,7 @@ def find_roots(f, lo: float, hi: float, df=None) -> List[float]:
                 step = f(r) / d
                 if abs(step) < (xs[1] - xs[0]):
                     r -= step
-        roots.append(min(max(r, lo), hi))
+        roots.append(float(min(max(r, lo), hi)))
     # grid points that are exact zeros
     for i in np.nonzero(sign == 0)[0]:
         roots.append(float(xs[i]))
@@ -163,39 +166,16 @@ def find_roots(f, lo: float, hi: float, df=None) -> List[float]:
 
 def polynomial_roots_unit_interval(pair, which: str) -> List[float]:
     """Real roots in [-1, 1] of the pair's reduction polynomial P_C or P_S,
-    or of the Wronskian polynomial P_W, each refined to 1e-12."""
+    or of the Wronskian polynomial P_W, by find_roots."""
     pair = _check_pair(pair)
     polys = {"P_C": _P_C[pair], "P_S": _P_S[pair], "P_W": _P_W}
     if which not in polys:
         raise ValueError(f"unknown polynomial {which!r}")
     if which == "P_W" and pair != (2, 3):
         raise ValueError("P_W is defined for the (2,3) pair")
-    coeffs = polys[which]
-    raw = np.roots(list(reversed(coeffs)))
-    # multiple roots surface from np.roots as clusters with O(1e-5) spread and
-    # imaginary parts of the same size, so the filters must be loose here
-    real = sorted(float(r.real) for r in raw
-                  if abs(r.imag) < 1e-4 and -1.0 - 1e-6 <= r.real <= 1.0 + 1e-6)
-    clusters: List[List[float]] = []
-    for r in real:
-        if clusters and r - clusters[-1][-1] < 1e-3:
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-    out = []
-    for cl in clusters:
-        x = sum(cl) / len(cl)
-        d = coeffs
-        for _ in range(len(cl) - 1):
-            d = _polyder(d)
-        dd = _polyder(d)
-        for _ in range(60):
-            step = _polyval(d, x) / _polyval(dd, x)
-            x -= step
-            if abs(step) < 1e-15:
-                break
-        out.append(min(1.0, max(-1.0, x)))
-    return out
+    coeffs, dcoeffs = polys[which], _polyder(polys[which])
+    return find_roots(lambda x: _polyval(coeffs, x), -1.0, 1.0,
+                      df=lambda x: _polyval(dcoeffs, x))
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +265,18 @@ def _k_theta(pair: Mode, theta: float, sign: int):
     return k, dk
 
 
+def edge_theta_in_range(theta: float) -> bool:
+    """Whether theta is in (0, pi/6], the angles edge_critical_zeros takes."""
+    return 0.0 < theta <= PI / 6.0 + 1e-12
+
+
 def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
-    """Critical zeros of Psi^theta on the open edges, for theta in (0, pi/6]."""
+    """Critical zeros of Psi^theta on the open edges, for theta in (0, pi/6].
+    A zero of K is a double root, and Psi^theta's zero there has order 3,
+    when K keeps its sign one find_roots sample step on either side of it;
+    else K crosses and the order is 2."""
     pair = _check_pair(pair)
-    if not 0.0 < theta <= PI / 6.0 + 1e-12:
+    if not edge_theta_in_range(theta):
         raise ValueError("theta must be in (0, pi/6]")
     eps = 1e-9
     plan = (("OA", +1, eps, 2.0 / 3.0 - eps),
@@ -297,8 +285,9 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     zeros = []
     for edge, sign, lo, hi in plan:
         k, dk = _k_theta(pair, theta, sign)
+        step = (hi - lo) / (ROOT_SAMPLES - 1)
         for u in find_roots(k, lo, hi, df=dk):
-            order = 3 if abs(dk(u)) < 1e-6 else 2
+            order = 3 if k(u - step) * k(u + step) > 0 else 2
             zeros.append(CriticalZero(_EDGE_PARAM[edge](u), edge, u, order))
     return zeros
 
@@ -349,20 +338,15 @@ def wronskian_factored(pair, u):
 
 
 def bifurcation_angle() -> Tuple[float, float]:
-    """(u_b, theta_c): u_b is the root of the (2,3) Wronskian polynomial in
-    (1/3, 1/2); theta_c the unique mixing angle in (0, pi/6) for which the
-    edge system acquires a double zero at u_b."""
+    """(u_b, theta_c): u_b is the zero of the (2,3) Wronskian 16 pi
+    P_W(cos 3 pi u) in (1/3, 1/2); theta_c the unique mixing angle in
+    (0, pi/6) for which the edge system acquires a double zero at u_b.  P_W
+    has the roots x0 in (-1, 0) and 1 on [-1, 1].  On (1/3, 1/2), 3 pi u - pi
+    runs over (0, pi/2) and cos 3 pi u = -cos(3 pi u - pi), so cos 3 pi u_b =
+    x0 gives u_b = 1/3 + acos(-x0) / (3 pi)."""
     pair = Mode(2, 3)
-
-    def f(u):
-        return _polyval(_P_W, math.cos(3.0 * PI * u))
-
-    def df(u):
-        return -3.0 * PI * math.sin(3.0 * PI * u) * _polyval(_polyder(_P_W),
-                                                             math.cos(3.0 * PI * u))
-
-    u_b = optimize.brentq(f, 1.0 / 3.0 + 1e-9, 0.5, xtol=1e-15)
-    u_b -= f(u_b) / df(u_b)
+    x0, _ = polynomial_roots_unit_interval(pair, "P_W")
+    u_b = 1.0 / 3.0 + math.acos(-x0) / (3.0 * PI)
     theta_c = math.atan2(-fc(pair, u_b), fs(pair, u_b))
     if not 0.0 < theta_c < PI / 6.0:
         raise AssertionError("bifurcation angle outside (0, pi/6)")

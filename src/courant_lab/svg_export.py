@@ -2,7 +2,6 @@
 the zero level set, the domain outline, fixed points as circles and critical
 zeros as crosses, all in the Euclidean frame at 512 px per unit."""
 
-import math
 from typing import List, Tuple
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
 from .eigenfunction_eval import EigenfunctionHandle, check_handle, mix
 from .nodal_analysis import (EDGE_PAIRS, _grid_values, edge_critical_zeros,
-                             median_fixed_points)
+                             edge_theta_in_range, median_fixed_points)
 
 PX_PER_UNIT = 512.0
 MARGIN = 24.0
@@ -76,7 +75,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int = 256) -> str:
             cx, cy = px(to_cartesian(fp.location))
             parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" '
                          'fill="none" stroke="red" stroke-width="1.5"/>')
-        if 0.0 < h.theta <= math.pi / 6.0 + 1e-12:
+        if edge_theta_in_range(h.theta):
             for cz in edge_critical_zeros(h.mode, h.theta):
                 cx, cy = px(to_cartesian(cz.location))
                 parts.append(

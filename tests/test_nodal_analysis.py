@@ -277,9 +277,28 @@ def test_bifurcation_angle():
           - math.cos(theta_c) * fc((2, 3), u_b - eps)
           - math.sin(theta_c) * fs((2, 3), u_b - eps)) / (2 * eps)
     assert abs(kp) < 1e-6
-    zeros = edge_critical_zeros((2, 3), theta_c)
-    orders = [z.order for z in zeros if z.edge_or_median == "OA"]
-    assert 3 in orders
+    # exactly one double zero, the one on OA at u_b
+    double = [z for z in edge_critical_zeros((2, 3), theta_c) if z.order == 3]
+    assert [z.edge_or_median for z in double] == ["OA"]
+    assert double[0].parameter_u == pytest.approx(u_b, abs=1e-9)
+
+
+def test_edge_zero_orders_near_vertex():
+    # near vertex O a simple root of K sits where dk is O(u^2), so only the
+    # sign of K on either side tells it from a double root
+    for theta in (1e-12, 1e-300):
+        for pair in ((1, 3), (2, 3)):
+            zeros = edge_critical_zeros(pair, theta)
+            near_o = [z.parameter_u for z in zeros if z.edge_or_median == "OA"]
+            assert min(near_o) < 1e-4
+            assert [z.order for z in zeros] == [2] * len(zeros)
+
+
+def test_roots_are_python_floats():
+    roots = (find_roots(np.sin, 1.0, 7.0, df=np.cos)
+             + polynomial_roots_unit_interval((2, 3), "P_W")
+             + [z.parameter_u for z in edge_critical_zeros((2, 3), 0.1)])
+    assert {type(r) for r in roots} == {float}
 
 
 def test_boundary_zero_sets_symmetric_under_pullback():
