@@ -20,6 +20,8 @@ from .pleijel_screening import index_cutoff, screening_summary
 from .eigenfunction_eval import EigenfunctionHandle
 
 CSV_HEADER = "normalized,min_index,max_index,multiplicity,ratio"
+JSON_ROW = ('  {\n    "normalized": %d,\n    "min_index": %d,\n    "max_index": %d,\n'
+            '    "multiplicity": %d,\n    "ratio": %s\n  }')
 
 
 def format_ratio(x: float) -> str:
@@ -83,11 +85,11 @@ def _csv_table(d: DomainKind, count: int) -> str:
 
 def run_spectrum(args: argparse.Namespace) -> int:
     if args.format == "json":
-        rows = [{"normalized": e.normalized, "min_index": e.min_index,
-                 "max_index": e.max_index, "multiplicity": e.multiplicity,
-                 "ratio": ratio or None}
+        # the bytes json.dumps(rows, indent=2) writes, one template per row
+        rows = [JSON_ROW % (e.normalized, e.min_index, e.max_index, e.multiplicity,
+                            f'"{ratio}"' if ratio else "null")
                 for e, ratio in _spectrum_rows(args.domain, args.count)]
-        _emit(args, json.dumps(rows, indent=2) + "\n")
+        _emit(args, "[\n" + ",\n".join(rows) + "\n]\n")
     else:
         _emit(args, _csv_table(args.domain, args.count))
     return 0

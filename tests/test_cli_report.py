@@ -4,7 +4,9 @@ import tracemalloc
 
 import pytest
 
+from courant_lab.alcove_geometry import DOMAINS, DomainKind
 from courant_lab.cli_report import format_ratio, main, parse_pair, parse_theta
+from courant_lab.lattice_spectrum import MAX_COUNT, enumerate_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +175,31 @@ def test_bifurcation_output(capsys):
     data = json.loads(out)
     assert data["u_b"] == pytest.approx(0.3912873205, abs=1e-8)
     assert data["theta_c"] == pytest.approx(0.3005211736, abs=1e-8)
+
+
+@pytest.mark.parametrize("domain", [d.value for d in DomainKind])
+@pytest.mark.parametrize("count", [1, 2, 85, 5000])
+def test_spectrum_json_is_the_stdlib_encoding(capsys, domain, count):
+    # the row template writes the bytes the indenting stdlib encoder would
+    d = DomainKind(domain)
+    rows = [{"normalized": e.normalized, "min_index": e.min_index,
+             "max_index": e.max_index, "multiplicity": e.multiplicity,
+             "ratio": (format_ratio(e.normalized / e.min_index)
+                       if e.min_index >= DOMAINS[d].first_ratio_index else None)}
+            for e in enumerate_spectrum(d, count)]
+    code, out = run_cli(capsys, "spectrum", "--domain", domain, "--count",
+                        str(count), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, MAX_COUNT + 1])
+def test_spectrum_count_out_of_range_exits_two(capsys, count):
+    assert main(["spectrum", "--domain", "torus", "--count", str(count)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: count must be >= 1 and <= 1000000, "
+                            f"got {count}\n")
 
 
 def test_output_deterministic(tmp_path, capsys):

@@ -68,6 +68,24 @@ def test_enumerate_rejects_bad_count():
         enumerate_spectrum(T, 10 ** 6 + 1)
 
 
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_entries_group_the_box_oracle(box_scan, d):
+    # group the brute-force modes with a plain dict, which shares nothing
+    # with the numpy grouping, up to the last value the spectrum lists
+    entries = enumerate_spectrum(d, 5000)
+    form = lattice_spectrum.DOMAINS[d].value
+    groups = {}
+    for p in box_scan(d, entries[-1].normalized):
+        groups.setdefault(form(*p), []).append(p)
+    expected, index = [], 1
+    for value in sorted(groups):
+        mult = len(groups[value])
+        expected.append((value, mult, index, index + mult - 1, groups[value]))
+        index += mult
+    assert [(e.normalized, e.multiplicity, e.min_index, e.max_index,
+             e.representative_modes) for e in entries] == expected
+
+
 def test_multiplicity_examples():
     assert multiplicity(T, 1) == 6
     assert multiplicity(T, 2) == 0
