@@ -1,7 +1,8 @@
 """Lattice bases, coordinate systems, reflection-group action, and the
 DomainSpec table that holds every per-domain fact (area, spectrum form,
-screening constants, point-in-domain predicate, grid extent, outline) for the
-equilateral torus and the alcove triangles.
+screening constants, the triangle's vertices) for the equilateral torus and
+the three triangles.  The point-in-domain predicate, the nodal grid's extent
+and the SVG outline all derive from the vertices.
 
 Coordinates: a point may be given in Euclidean coordinates (x, y) or in
 alcove coordinates (s, t), meaning s*alpha1 + t*alpha2 in the coroot basis.
@@ -10,7 +11,7 @@ alcove coordinates (s, t), meaning s*alpha1 + t*alpha2 in the coroot basis.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 SQRT3 = math.sqrt(3.0)
 
@@ -52,8 +53,9 @@ class DomainKind(Enum):
     HEMIEQUILATERAL = "hemiequilateral"
 
 
-# Half-plane tolerance for the closed point-in-triangle test; the strict
-# variant uses the negated tolerance so grid points exactly on an edge are out.
+# Half-plane tolerance for the closed point-in-triangle test, applied to each
+# edge's cross product (so scaled by the edge's length); the strict variant
+# uses the negated tolerance so grid points exactly on an edge are out.
 EDGE_TOL = 1e-12
 
 
@@ -83,25 +85,6 @@ def weyl_coefficients(m: int, n: int):
     )
 
 
-# Domain predicates: (p, q, tol) -> membership of the point (p, q) in the
-# closed domain widened by tol, for scalars or numpy arrays alike.
-
-def _in_alcove(s, t, tol):
-    # Alcove with vertices O=(0,0), A=(2/3,1/3), B=(1/3,2/3): half-planes
-    # t >= s/2 (edge OA), s >= t/2 (edge OB), s + t <= 1 (edge AB).
-    return (t - 0.5 * s >= -tol) & (s - 0.5 * t >= -tol) & (1.0 - s - t >= -tol)
-
-
-def _in_half_alcove(s, t, tol):
-    # the half of the alcove on the side s >= t of the median OC
-    return _in_alcove(s, t, tol) & (s - t >= -tol)
-
-
-def _in_half_square(x, y, tol):
-    # Euclidean 0 <= y <= x <= pi
-    return (y >= -tol) & (x - y >= -tol) & (math.pi - x >= -tol)
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """Every per-domain fact in one place.
@@ -114,9 +97,11 @@ class DomainSpec:
     first_ratio_index on (on the torus from 4: the small nodal domains
     assumption behind Faber-Krahn there needs n >= 4), and index_cutoff is
     the published screening cutoff.
-    inside is the domain predicate; nodal grids sample [0, extent]^2 in alcove
-    coordinates (s, t), or Euclidean (x, y) when alcove is False; outline
-    holds the Euclidean vertices drawn in SVG plots.
+    vertices holds the triangle's corners, counterclockwise, in alcove
+    coordinates (s, t), or Euclidean (x, y) when alcove is False; it is None
+    on the torus, which has no boundary.  Nodal grids sample [0, e]^2 in those
+    coordinates, e the largest vertex coordinate, and SVG plots draw the
+    vertices' Euclidean images.
     """
     area: float
     scale: float
@@ -127,14 +112,23 @@ class DomainSpec:
     bound_c: float
     index_cutoff: int
     first_ratio_index: int
-    inside: Callable
     alcove: bool
-    extent: Optional[float]
-    outline: Optional[Tuple[Tuple[float, float], ...]]
+    vertices: Optional[Tuple[Tuple[float, float], ...]]
 
     def value(self, m: int, n: int) -> int:
         """Normalized (integer) eigenvalue of the pair (m, n)."""
         return m * m + self.cross * m * n + n * n
+
+    def inside(self, p, q, tol):
+        """Membership of (p, q) in the closed domain widened by tol, for
+        scalars or broadcasting arrays: for each edge a -> b, the cross
+        product (b - a) x ((p, q) - a) is at least -tol.  The terms in p are
+        added first, so for a column p and a row q one sum is 2-D."""
+        result, v = True, self.vertices or ()
+        for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
+            result = result & ((ay - by) * p + (ax * by - ay * bx)
+                               + (bx - ax) * q >= -tol)
+        return result
 
 
 # Physical eigenvalue per normalized unit on the A2 lattice domains.
@@ -144,23 +138,22 @@ DOMAINS = {
     DomainKind.TORUS: DomainSpec(
         area=3.0 * SQRT3 / 2.0, scale=SCALE_A2, cross=1, lowest=None,
         ordered=False, bound_b=9.0 / (2.0 * math.pi), bound_c=1.0,
-        index_cutoff=63, first_ratio_index=4,
-        inside=lambda p, q, tol: True, alcove=True, extent=None, outline=None),
+        index_cutoff=63, first_ratio_index=4, alcove=True, vertices=None),
     DomainKind.EQUILATERAL: DomainSpec(
         area=SQRT3 / 4.0, scale=SCALE_A2, cross=1, lowest=1, ordered=False,
         bound_b=3.0 / (2.0 * math.pi), bound_c=1.0, index_cutoff=40,
-        first_ratio_index=1, inside=_in_alcove, alcove=True, extent=2.0 / 3.0,
-        outline=((0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2.0))),
+        first_ratio_index=1, alcove=True,
+        vertices=((0.0, 0.0), (2.0 / 3.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0))),
     DomainKind.RIGHT_ISOSCELES: DomainSpec(
         area=math.pi ** 2 / 2.0, scale=1.0, cross=0, lowest=1, ordered=True,
         bound_b=(4.0 + math.sqrt(2.0)) / 4.0, bound_c=0.5, index_cutoff=26,
-        first_ratio_index=1, inside=_in_half_square, alcove=False,
-        extent=math.pi, outline=((0.0, 0.0), (math.pi, 0.0), (math.pi, math.pi))),
+        first_ratio_index=1, alcove=False,
+        vertices=((0.0, 0.0), (math.pi, 0.0), (math.pi, math.pi))),
     DomainKind.HEMIEQUILATERAL: DomainSpec(
         area=SQRT3 / 8.0, scale=SCALE_A2, cross=1, lowest=1, ordered=True,
         bound_b=(6.0 + SQRT3) / (8.0 * math.pi), bound_c=0.5, index_cutoff=32,
-        first_ratio_index=1, inside=_in_half_alcove, alcove=True,
-        extent=2.0 / 3.0, outline=((0.0, 0.0), (1.0, 0.0), (0.75, SQRT3 / 4.0))),
+        first_ratio_index=1, alcove=True,
+        vertices=((0.0, 0.0), (2.0 / 3.0, 1.0 / 3.0), (0.5, 0.5))),
 }
 
 

@@ -25,11 +25,9 @@ JSON_ROW = ('  {\n    "normalized": %d,\n    "min_index": %d,\n    "max_index": 
 
 
 def format_ratio(x: float) -> str:
-    """Fixed-point representation with 10 significant digits."""
-    if x == 0.0:
-        return "0.000000000"
-    decimals = max(0, 9 - int(math.floor(math.log10(abs(x)))))
-    return f"{x:.{decimals}f}"
+    """10 significant digits, trailing zeros kept: fixed-point for every
+    spectrum ratio (0.27 to 7.0), as the '#g' format is from 1e-4 to 1e10."""
+    return f"{x:#.10g}"
 
 
 def parse_theta(text: str) -> float:

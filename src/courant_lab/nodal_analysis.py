@@ -370,17 +370,19 @@ class NodalReport:
 def _grid_values(h: EigenfunctionHandle, resolution: int):
     """The one nodal grid: the unmixed eigenbasis of the handle's domain and
     mode at the samples strictly inside the domain (in the order of
-    p[mask]), the mask, and the coordinate grids over [0, extent]^2.  It does
-    not read h.theta; each reader mixes the basis at its own angle."""
+    p[mask]), the mask, and the coordinate grids over [0, e]^2, e the largest
+    vertex coordinate of the triangle.  The mask is the domain predicate on
+    the broadcast axes (column p, row q).  It does not read h.theta; each
+    reader mixes the basis at its own angle."""
     spec = DOMAINS[h.domain]
-    if spec.extent is None:
+    if spec.vertices is None:
         raise ValueError(f"nodal counting is not defined for {h.domain.value}")
     if not 64 <= resolution <= MAX_GRID:
         raise ValueError(f"resolution must be >= 64 and <= {MAX_GRID}, "
                          f"got {resolution}")
-    x = np.linspace(0.0, spec.extent, resolution)
+    x = np.linspace(0.0, max(map(max, spec.vertices)), resolution)
+    mask = spec.inside(x[:, None], x[None, :], -EDGE_TOL)
     p, q = np.meshgrid(x, x, indexing="ij", copy=False)
-    mask = spec.inside(p, q, -EDGE_TOL)
     return eigenbasis(h.domain, h.mode, p[mask], q[mask]), mask, (p, q)
 
 

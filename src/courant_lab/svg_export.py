@@ -47,7 +47,8 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int = 256) -> str:
     values[mask] = mix(basis, h.theta)
     spec = DOMAINS[h.domain]
     xs, ys = to_cartesian(points) if spec.alcove else points
-    xmax, ymax = map(max, zip(*spec.outline))
+    outline = [to_cartesian(v) if spec.alcove else v for v in spec.vertices]
+    xmax, ymax = map(max, zip(*outline))
     width = xmax * PX_PER_UNIT + 2 * MARGIN
     height = ymax * PX_PER_UNIT + 2 * MARGIN
 
@@ -61,7 +62,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int = 256) -> str:
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    pts = " ".join(",".join(map(_fmt, px(p))) for p in spec.outline)
+    pts = " ".join(",".join(map(_fmt, px(p))) for p in outline)
     parts.append(f'<polygon points="{pts}" fill="none" stroke="black" '
                  'stroke-width="1.5"/>')
 

@@ -1,12 +1,16 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from courant_lab.alcove_geometry import (BASIS, DomainKind, apply_symmetry,
-                                         in_domain, to_alcove, to_cartesian,
-                                         weyl_coefficients)
+from courant_lab.alcove_geometry import (BASIS, DOMAINS, EDGE_TOL, DomainKind,
+                                         apply_symmetry, in_domain, to_alcove,
+                                         to_cartesian, weyl_coefficients)
+from courant_lab.eigenfunction_eval import EigenfunctionHandle
+from courant_lab.lattice_spectrum import Mode
+from courant_lab.nodal_analysis import _grid_values
 
 SQRT3 = math.sqrt(3.0)
 
@@ -105,6 +109,70 @@ def test_in_domain_examples():
 def test_in_domain_strict_excludes_boundary():
     assert in_domain(DomainKind.EQUILATERAL, (0.2, 0.1))
     assert not in_domain(DomainKind.EQUILATERAL, (0.2, 0.1), strict=True)
+
+
+def _equilateral(s, t, tol):
+    return (t - 0.5 * s >= -tol) & (s - 0.5 * t >= -tol) & (1.0 - s - t >= -tol)
+
+
+# The three triangles written out by hand, independently of their vertices:
+# the closed-domain predicate widened by tol, the grid extent and the
+# Euclidean outline.
+REFERENCE = {
+    DomainKind.EQUILATERAL: (
+        _equilateral, 2.0 / 3.0, ((0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2.0))),
+    DomainKind.HEMIEQUILATERAL: (
+        lambda s, t, tol: _equilateral(s, t, tol) & (s - t >= -tol), 2.0 / 3.0,
+        ((0.0, 0.0), (1.0, 0.0), (0.75, SQRT3 / 4.0))),
+    DomainKind.RIGHT_ISOSCELES: (
+        lambda x, y, tol: (y >= -tol) & (x - y >= -tol) & (math.pi - x >= -tol),
+        math.pi, ((0.0, 0.0), (math.pi, 0.0), (math.pi, math.pi))),
+}
+
+
+@pytest.mark.parametrize("resolution", [64, 511, 512, 1023, 1024, 2048, 4096])
+@pytest.mark.parametrize("d", list(REFERENCE))
+def test_inside_on_the_axes_is_the_reference_predicate(d, resolution):
+    predicate, extent, _ = REFERENCE[d]
+    x = np.linspace(0.0, extent, resolution)
+    p, q = np.meshgrid(x, x, indexing="ij", copy=False)
+    for tol in (EDGE_TOL, -EDGE_TOL):
+        mask = DOMAINS[d].inside(x[:, None], x[None, :], tol)
+        assert np.array_equal(mask, predicate(p, q, tol))
+
+
+@pytest.mark.parametrize("d", list(REFERENCE))
+def test_vertices_and_edge_midpoints_are_on_the_boundary(d):
+    v = DOMAINS[d].vertices
+    midpoints = [((ax + bx) / 2, (ay + by) / 2)
+                 for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1])]
+    for point in (*v, *midpoints):
+        assert in_domain(d, point) and not in_domain(d, point, strict=True)
+
+
+@pytest.mark.parametrize("d", list(REFERENCE))
+def test_outline_and_extent_derive_from_the_vertices(d):
+    _, extent, outline = REFERENCE[d]
+    spec = DOMAINS[d]
+    derived = tuple(tuple(to_cartesian(v)) if spec.alcove else v
+                    for v in spec.vertices)
+    assert derived == outline
+    pair = {DomainKind.EQUILATERAL: (1, 2), DomainKind.HEMIEQUILATERAL: (2, 1),
+            DomainKind.RIGHT_ISOSCELES: (3, 1)}[d]
+    _, _, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64)
+    assert p[-1, 0] == q[0, -1] == extent
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_area_is_the_area_of_the_vertices(d):
+    if d is DomainKind.TORUS:
+        a, b = BASIS.alpha1_check, BASIS.alpha2_check
+        assert DOMAINS[d].area == abs(a.x * b.y - a.y * b.x)
+        return
+    outline = REFERENCE[d][2]
+    shoelace = sum(ax * by - ay * bx for (ax, ay), (bx, by)
+                   in zip(outline, outline[1:] + outline[:1])) / 2.0
+    assert DOMAINS[d].area == shoelace
 
 
 def test_apply_symmetry_examples():
