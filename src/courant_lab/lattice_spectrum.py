@@ -43,10 +43,6 @@ def scale(d: DomainKind) -> float:
     return DOMAINS[d].scale
 
 
-def normalized_value(d: DomainKind, m: int, n: int) -> int:
-    return DOMAINS[d].value(m, n)
-
-
 def _admissible(spec, m: int, n: int) -> bool:
     lowest = spec.lowest
     return lowest is None or n >= lowest and (m > n if spec.ordered else m >= lowest)

@@ -1,7 +1,13 @@
-"""Fixed points on medians, barrier-line restrictions, critical zeros by
-root-finding, Wronskian simplicity checks, the mixing-angle bifurcation, and
-nodal-domain counting by sign-grid flood fill."""
+"""Fixed points on medians, chord restrictions, critical zeros, the edge
+algebra of the mixed equilateral pairs and its bifurcations, and nodal-domain
+counting by sign-grid flood fill.
 
+On an edge, in x = cos pi u, fc = sigma (T_3 - 1)(x - 1) sin(pi u) P_C(x) and
+fs = sigma (T_3 - 1) P_S(x), where T_3 - 1 = 4 (x - 1)(x + 1/2)^2 vanishes only
+at the vertices; gc and gs drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi
+u), and each root x0 != 1 of P_W is a breakpoint of the theta partition."""
+
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -41,11 +47,7 @@ def _check_pair(pair) -> Mode:
 
 
 # ---------------------------------------------------------------------------
-# Edge-derivative functions FC/FS and their reduced forms GC/GS.
-# On each boundary edge both partials of C (resp. S) are proportional to
-# FC (resp. FS) of the edge parameter; GC/GS drop the factors that vanish
-# only at the vertices, so zeros of K = cos(theta) GC +/- sin(theta) GS on
-# the open edges are exactly the edge critical zeros of Psi^theta.
+# The edge algebra: edge sums, reduction and Wronskian polynomials.
 # ---------------------------------------------------------------------------
 
 def _edge_terms(pair: Mode):
@@ -71,23 +73,6 @@ def fs(pair: Mode, u):
     return sum(s * np.cos(k * PI * u) for k, _, s in _edge_terms(pair))
 
 
-def fc_prime(pair: Mode, u):
-    return PI * sum(k * c * np.cos(k * PI * u) for k, c, _ in _edge_terms(pair))
-
-
-def fs_prime(pair: Mode, u):
-    return PI * sum(-k * s * np.sin(k * PI * u) for k, _, s in _edge_terms(pair))
-
-
-# Reduction polynomials, ascending coefficients.
-_P_C = {Mode(1, 3): (-1.0, 4.0, 4.0),                 # 4x^2 + 4x - 1
-        Mode(2, 3): (1.0, -4.0, 2.0, 8.0)}            # 8x^3 + 2x^2 - 4x + 1
-_P_S = {Mode(1, 3): (-1.0, 1.0, -1.0, 0.0, 4.0),      # 4x^4 - x^2 + x - 1
-        Mode(2, 3): (-0.25, 4.0, -4.0, -10.0, 6.0, 8.0)}
-# -6x^5 + 25x^3 - 15x^2 - 15x + 11; the (2,3) Wronskian is 16 pi P_W(cos 3 pi u)
-_P_W = (11.0, -15.0, -15.0, 25.0, 0.0, -6.0)
-
-
 def _polyval(coeffs, x):
     acc = 0.0
     for c in reversed(coeffs):
@@ -99,26 +84,71 @@ def _polyder(coeffs):
     return tuple(k * c for k, c in enumerate(coeffs))[1:]
 
 
+@functools.lru_cache(maxsize=None)
+def edge_polynomials(pair) -> Tuple[tuple, tuple, tuple]:
+    """(P_C, P_S, P_W) of the pair, ascending, derived from _edge_terms in
+    exact integer-valued float arithmetic.  FS = sum s_k T_k and FC = sum c_k
+    T_k' / k, as cos k pi u = T_k(x) and T_k'(x) sin pi u = k sin k pi u.
+    Dividing FC by (T_3 - 1)(x - 1) and FS by T_3 - 1 leaves sigma P_C and
+    sigma P_S, sigma the content of the C quotient with the sign of its leading
+    coefficient (-4 for (1,3), -8 for (2,3)).  As sin^2 pi u = 1 - x^2 and
+    dx/du = -pi sin pi u, W(fc, fs) / pi = (1 - x^2)(FS FC' - FC FS') - x FC FS
+    = 16 P_W(T_3), whose coefficients are peeled off as constant terms (T_3(0)
+    = 0) between divisions by T_3.  A remainder raises AssertionError."""
+    pair = _check_pair(pair)
+    P = np.polynomial.polynomial
+    terms = _edge_terms(pair)
+    t = [np.array([1.0]), np.array([0.0, 1.0])]     # T_k+1 = 2x T_k - T_k-1
+    while len(t) <= terms[0][0]:
+        t.append(P.polysub(P.polymulx(2.0 * t[-1]), t[-2]))
+    fc_x, fs_x = np.zeros(len(t) - 1), np.zeros(len(t))
+    for k, c, s in terms:
+        fc_x[:k] += c * P.polyder(t[k]) / k
+        fs_x[:k + 1] += s * t[k]
+
+    def divide(num, den):
+        quotient, remainder = P.polydiv(num, den)
+        if np.any(remainder):
+            raise AssertionError(f"{tuple(pair)}: {num} / {den} leaves {remainder}")
+        return quotient
+
+    vertex = P.polysub(t[3], [1.0])
+    q_c = divide(fc_x, P.polymul(vertex, [-1.0, 1.0]))
+    q_s = divide(fs_x, vertex)
+    sigma = math.copysign(math.gcd(*map(int, q_c)), q_c[-1])
+    wronskian = P.polysub(
+        P.polymul([1.0, 0.0, -1.0], P.polysub(P.polymul(fs_x, P.polyder(fc_x)),
+                                              P.polymul(fc_x, P.polyder(fs_x)))),
+        P.polymulx(P.polymul(fc_x, fs_x)))
+    p_w = []
+    while np.any(wronskian):
+        p_w.append(wronskian[0] / 16.0)
+        wronskian = divide(P.polysub(wronskian, [wronskian[0]]), t[3])
+    return tuple(tuple(float(a) + 0.0 for a in coefs)
+                 for coefs in (q_c / sigma, q_s / sigma, p_w))
+
+
 def gc(pair: Mode, u):
     c = np.cos(PI * u)
-    return np.sin(PI * u) * (c - 1.0) * _polyval(_P_C[pair], c)
+    return np.sin(PI * u) * (c - 1.0) * _polyval(edge_polynomials(pair)[0], c)
 
 
 def gs(pair: Mode, u):
-    return _polyval(_P_S[pair], np.cos(PI * u))
+    return _polyval(edge_polynomials(pair)[1], np.cos(PI * u))
 
 
 def gc_prime(pair: Mode, u):
     c = np.cos(PI * u)
     s = np.sin(PI * u)
-    g = (c - 1.0) * _polyval(_P_C[pair], c)
-    dg = _polyval(_P_C[pair], c) + (c - 1.0) * _polyval(_polyder(_P_C[pair]), c)
+    p_c = edge_polynomials(pair)[0]
+    g = (c - 1.0) * _polyval(p_c, c)
+    dg = _polyval(p_c, c) + (c - 1.0) * _polyval(_polyder(p_c), c)
     return PI * (c * g - s * s * dg)
 
 
 def gs_prime(pair: Mode, u):
     c = np.cos(PI * u)
-    return -PI * np.sin(PI * u) * _polyval(_polyder(_P_S[pair]), c)
+    return -PI * np.sin(PI * u) * _polyval(_polyder(edge_polynomials(pair)[1]), c)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +196,10 @@ def find_roots(f, lo: float, hi: float, df=None) -> List[float]:
 
 def polynomial_roots_unit_interval(pair, which: str) -> List[float]:
     """Real roots in [-1, 1] of the pair's reduction polynomial P_C or P_S,
-    or of the Wronskian polynomial P_W, by find_roots."""
-    pair = _check_pair(pair)
-    polys = {"P_C": _P_C[pair], "P_S": _P_S[pair], "P_W": _P_W}
+    or of its Wronskian polynomial P_W, by find_roots."""
+    polys = dict(zip(("P_C", "P_S", "P_W"), edge_polynomials(_check_pair(pair))))
     if which not in polys:
         raise ValueError(f"unknown polynomial {which!r}")
-    if which == "P_W" and pair != (2, 3):
-        raise ValueError("P_W is defined for the (2,3) pair")
     coeffs, dcoeffs = polys[which], _polyder(polys[which])
     return find_roots(lambda x: _polyval(coeffs, x), -1.0, 1.0,
                       df=lambda x: _polyval(dcoeffs, x))
@@ -316,40 +343,30 @@ def median_critical_zeros(pair, which: str) -> List[CriticalZero]:
 
 
 # ---------------------------------------------------------------------------
-# Wronskians and the bifurcation angle.
+# Bifurcations: the double edge zeros, from the roots of P_W.
 # ---------------------------------------------------------------------------
 
-def wronskian(pair, u):
-    """Direct Wronskian of the pair's edge functions: GC GS' - GS GC' for
-    (1,3) and FC FS' - FS FC' for (2,3)."""
+def bifurcations(pair) -> List[Tuple[float, float]]:
+    """(u_b, theta) for each root x0 != 1 (the vertex) of the pair's P_W on
+    [-1, 1]: the edge system has a double zero at u_b = 1/3 + acos(-x0) / (3
+    pi) on edge OA, in [1/3, 2/3] where cos 3 pi u_b = x0, for the mixing angle
+    theta in (0, pi/6) at which cos(theta) fc + sin(theta) fs vanishes."""
     pair = _check_pair(pair)
-    if pair == (1, 3):
-        return gc(pair, u) * gs_prime(pair, u) - gs(pair, u) * gc_prime(pair, u)
-    return fc(pair, u) * fs_prime(pair, u) - fs(pair, u) * fc_prime(pair, u)
-
-
-def wronskian_factored(pair, u):
-    """Closed-form factorization of the Wronskian."""
-    pair = _check_pair(pair)
-    if pair == (1, 3):
-        c = np.cos(PI * u)
-        return PI * (1.0 - c) * (2.0 * c + 1.0) ** 2 * (12.0 * c ** 3 - 9.0 * c + 4.0)
-    return 16.0 * PI * _polyval(_P_W, np.cos(3.0 * PI * u))
+    out = []
+    for x0 in polynomial_roots_unit_interval(pair, "P_W"):
+        if x0 == 1.0:
+            continue
+        u_b = 1.0 / 3.0 + math.acos(-x0) / (3.0 * PI)
+        theta = math.atan2(-fc(pair, u_b), fs(pair, u_b))
+        if not 0.0 < theta < PI / 6.0:
+            raise AssertionError("bifurcation angle outside (0, pi/6)")
+        out.append((u_b, theta))
+    return out
 
 
 def bifurcation_angle() -> Tuple[float, float]:
-    """(u_b, theta_c): u_b is the zero of the (2,3) Wronskian 16 pi
-    P_W(cos 3 pi u) in (1/3, 1/2); theta_c the unique mixing angle in
-    (0, pi/6) for which the edge system acquires a double zero at u_b.  P_W
-    has the roots x0 in (-1, 0) and 1 on [-1, 1].  On (1/3, 1/2), 3 pi u - pi
-    runs over (0, pi/2) and cos 3 pi u = -cos(3 pi u - pi), so cos 3 pi u_b =
-    x0 gives u_b = 1/3 + acos(-x0) / (3 pi)."""
-    pair = Mode(2, 3)
-    x0, _ = polynomial_roots_unit_interval(pair, "P_W")
-    u_b = 1.0 / 3.0 + math.acos(-x0) / (3.0 * PI)
-    theta_c = math.atan2(-fc(pair, u_b), fs(pair, u_b))
-    if not 0.0 < theta_c < PI / 6.0:
-        raise AssertionError("bifurcation angle outside (0, pi/6)")
+    """(u_b, theta_c), the one bifurcation of the (2,3) pair."""
+    (u_b, theta_c), = bifurcations(Mode(2, 3))
     return u_b, theta_c
 
 
@@ -438,15 +455,12 @@ def _theta_partition(d: DomainKind, pair: Mode) -> List[float]:
     and each piece's midpoint: theta + pi and pullback_theta keep the nodal
     count and, as 2m + n is not divisible by 3, take every theta into [0,
     pi/6].  There the count changes only at an edge critical zero on the
-    nodal set, a zero of the pair's Wronskian: theta_c for (2,3), none for
-    (1,3), positive on the open edges."""
+    nodal set, a zero of the pair's Wronskian: the angles of bifurcations."""
     if d is not DomainKind.EQUILATERAL:
         return [0.0]
     if pair[0] == pair[1]:
         return [PI / 2.0]
-    breaks = [0.0, PI / 6.0]
-    if _check_pair(pair) == (2, 3):
-        breaks.insert(1, bifurcation_angle()[1])
+    breaks = [0.0, *sorted(theta for _, theta in bifurcations(pair)), PI / 6.0]
     thetas = [0.0]
     for lo, hi in zip(breaks, breaks[1:]):
         thetas += [(lo + hi) / 2.0, hi]

@@ -14,12 +14,12 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle,
                                             eval_isosceles, eval_psi_grid,
                                             pullback_theta)
 from courant_lab.lattice_spectrum import Mode, modes_up_to
-from courant_lab.nodal_analysis import (bifurcation_angle,
+from courant_lab.nodal_analysis import (EDGE_PAIRS, bifurcation_angle,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
                                         median_critical_zeros,
-                                        polynomial_roots_unit_interval,
-                                        wronskian, wronskian_factored)
+                                        polynomial_roots_unit_interval)
+from test_nodal_analysis import wronskian_is_16_pi_p_w
 
 T = DomainKind.TORUS
 E = DomainKind.EQUILATERAL
@@ -219,11 +219,8 @@ def _pullbacks_ok():
 
 
 def _wronskian_ok():
-    u = np.linspace(-1 / 6, 1.5, 1000)
-    for pair in ((1, 3), (2, 3)):
-        direct = wronskian(pair, u)
-        closed = wronskian_factored(pair, u)
-        assert np.max(np.abs(direct - closed)) < 1e-10 * np.max(np.abs(closed))
+    for pair in EDGE_PAIRS:
+        wronskian_is_16_pi_p_w(pair)
 
 
 def _bounds_ok():

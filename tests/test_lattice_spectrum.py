@@ -2,14 +2,13 @@ import math
 
 import pytest
 
-from courant_lab.alcove_geometry import DomainKind
+from courant_lab.alcove_geometry import DOMAINS, DomainKind
 from courant_lab import lattice_spectrum
 from courant_lab.lattice_spectrum import (SCALE_A2, bound_inverse,
                                           counting_function,
                                           counting_lower_bound,
                                           enumerate_spectrum, modes_up_to,
-                                          multiplicity, normalized_value,
-                                          scale)
+                                          multiplicity, scale)
 
 T = DomainKind.TORUS
 E = DomainKind.EQUILATERAL
@@ -97,17 +96,17 @@ def test_torus_multiplicity_symmetry():
     for lam in range(201):
         mult = multiplicity(T, lam)
         solutions = [(m, n) for (m, n) in modes_up_to(T, lam)
-                     if normalized_value(T, m, n) == lam]
+                     if DOMAINS[T].value(m, n) == lam]
         assert len(solutions) == mult
         for m, n in solutions:
             for img in ((n, m), (-m, -n), (m + n, -n)):
-                assert normalized_value(T, *img) == lam
+                assert DOMAINS[T].value(*img) == lam
 
 
 def test_equilateral_multiplicity_pairs():
     for value, _, _, mult in EQUILATERAL_TABLE:
         pairs = [(m, n) for (m, n) in modes_up_to(E, value)
-                 if normalized_value(E, m, n) == value]
+                 if DOMAINS[E].value(m, n) == value]
         assert len(pairs) == mult
         unordered = {tuple(sorted(p)) for p in pairs}
         assert sum(1 if m == n else 2 for m, n in unordered) == mult

@@ -11,17 +11,17 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C,
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (EDGE_PAIRS, CriticalZero,
                                         _grid_values, _max_count_over_thetas,
-                                        _sweep_counts, _theta_partition,
-                                        bifurcation_angle,
-                                        count_nodal_domains,
+                                        _polyval, _sweep_counts,
+                                        _theta_partition, bifurcation_angle,
+                                        bifurcations, count_nodal_domains,
                                         courant_sharp_verdict,
                                         edge_critical_zeros,
-                                        edge_restriction_roots, fc, fc_prime,
-                                        find_roots, fs, fs_prime,
-                                        median_critical_zeros,
+                                        edge_polynomials,
+                                        edge_restriction_roots, fc,
+                                        find_roots, fs, gc, gc_prime, gs,
+                                        gs_prime, median_critical_zeros,
                                         median_fixed_points,
-                                        polynomial_roots_unit_interval,
-                                        wronskian, wronskian_factored)
+                                        polynomial_roots_unit_interval)
 
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
@@ -93,8 +93,8 @@ def test_polynomial_roots():
     assert roots == pytest.approx([-0.9311441818], abs=1e-9)
     roots = polynomial_roots_unit_interval((2, 3), "P_W")
     assert roots == pytest.approx([-(9 - math.sqrt(15)) / 6, 1.0], abs=1e-9)
-    with pytest.raises(ValueError):
-        polynomial_roots_unit_interval((1, 3), "P_W")
+    # P_W of (1,3) has only the vertex root x = 1: no bifurcation
+    assert polynomial_roots_unit_interval((1, 3), "P_W") == [1.0]
     with pytest.raises(ValueError):
         polynomial_roots_unit_interval((1, 3), "P_X")
 
@@ -185,43 +185,24 @@ def test_median_critical_zeros_validation():
 
 
 # ---------------------------------------------------------------------------
-# Wronskian and bifurcation
+# The edge algebra, the Wronskian and bifurcation
 # ---------------------------------------------------------------------------
 
-def test_wronskian_13_nonnegative():
-    u = np.linspace(-1 / 6, 1.5, 1000)
-    assert np.min(wronskian((1, 3), u)) > -1e-9
+PI = math.pi
 
-
-@pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
-def test_wronskian_direct_vs_factored(pair):
-    u = np.linspace(-1 / 6, 1.5, 1000)
-    direct = wronskian(pair, u)
-    closed = wronskian_factored(pair, u)
-    scale = np.max(np.abs(closed))
-    assert np.max(np.abs(direct - closed)) < 1e-10 * scale
-
-
-def test_wronskian_23_zeros():
-    u0 = math.acos((9 - math.sqrt(15)) / 6) / (3 * math.pi)
-    # 0, 2/3, 4/3 are even-order contacts (no sign change): check directly
-    for v in (0.0, 2 / 3, 4 / 3):
-        assert abs(wronskian((2, 3), v)) < 1e-8
-    simple = sorted([1 / 3 - u0, 1 / 3 + u0, 1 - u0, 1 + u0])
-    found = find_roots(lambda u: wronskian_factored((2, 3), u),
-                       -1 / 6 + 1e-9, 1.5)
-    # discard noise-level brackets right at the even-order contacts
-    found = [r for r in found
-             if min(abs(r - c) for c in (0.0, 2 / 3, 4 / 3)) > 0.01]
-    assert found == pytest.approx(simple, abs=1e-9)
-    assert 1 / 3 + u0 == pytest.approx(0.3912873205, abs=1e-8)
+# The hand-typed reduction and Wronskian polynomials, ascending, that
+# edge_polynomials derives: the reference it must equal exactly.
+_P_C = {(1, 3): (-1.0, 4.0, 4.0),                 # 4x^2 + 4x - 1
+        (2, 3): (1.0, -4.0, 2.0, 8.0)}            # 8x^3 + 2x^2 - 4x + 1
+_P_S = {(1, 3): (-1.0, 1.0, -1.0, 0.0, 4.0),      # 4x^4 - x^2 + x - 1
+        (2, 3): (-0.25, 4.0, -4.0, -10.0, 6.0, 8.0)}
+_P_W = {(1, 3): (4.0, -9.0, 3.0, 5.0, -3.0),      # (1 - T)^3 (3T + 4)
+        (2, 3): (11.0, -15.0, -15.0, 25.0, 0.0, -6.0)}  # (1 - T)^3 (6T^2 + 18T + 11)
 
 
 # The hand-typed edge functions that the Weyl-term sums replaced: the
-# reference the derived fc, fs, fc_prime and fs_prime must equal bit for bit.
-PI = math.pi
-
-
+# reference the derived fc and fs must equal bit for bit, and the sums whose
+# Wronskian must be 16 pi P_W(cos 3 pi u).
 def _fc_typed(pair, u):
     if pair == (1, 3):
         return -np.sin(7 * PI * u) + 3 * np.sin(5 * PI * u) - 4 * np.sin(2 * PI * u)
@@ -250,10 +231,91 @@ def _fs_prime_typed(pair, u):
                  - 5 * np.sin(PI * u))
 
 
+def _wronskian_13_closed(u):
+    """The typed closed form of W(gc, gs) for (1,3), in c = cos pi u."""
+    c = np.cos(PI * u)
+    return PI * (1.0 - c) * (2.0 * c + 1.0) ** 2 * (12.0 * c ** 3 - 9.0 * c + 4.0)
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+def test_edge_polynomials_equal_the_typed_ones(pair):
+    derived = edge_polynomials(pair)
+    assert derived == (_P_C[pair], _P_S[pair], _P_W[pair])
+    coefficients = [c for poly in derived for c in poly]
+    assert {type(c) for c in coefficients} == {float}
+    assert all(math.copysign(1.0, c) == 1.0 for c in coefficients if c == 0)
+
+
+@pytest.mark.parametrize("pair, factor", [((1, 3), [4, 3]),
+                                          ((2, 3), [11, 18, 6])])
+def test_wronskian_polynomial_factorization(pair, factor):
+    # P_W = (1 - T)^3 times the factor, by integer multiplication
+    cube = np.convolve(np.convolve([1, -1], [1, -1]), [1, -1])
+    assert np.convolve(cube, factor).tolist() == list(edge_polynomials(pair)[2])
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+@pytest.mark.parametrize("field", [1, 2])
+def test_a_wrong_edge_term_leaves_a_remainder(monkeypatch, pair, field):
+    import courant_lab.nodal_analysis as nodal
+
+    (first, *rest) = nodal._edge_terms(Mode(*pair))
+    wrong = tuple(v + (i == field) for i, v in enumerate(first))
+    monkeypatch.setattr(nodal, "_edge_terms", lambda _: [wrong, *rest])
+    with pytest.raises(AssertionError, match="leaves"):
+        nodal.edge_polynomials.__wrapped__(Mode(*pair))
+
+
+def test_wronskian_13_nonnegative():
+    # P_W = (1 - T)^3 (3T + 4), and 3T + 4 >= 1 on [-1, 1]
+    x = np.linspace(-1.0, 1.0, 1000)
+    assert np.min(_polyval(edge_polynomials((1, 3))[2], x)) >= 0.0
+
+
+def wronskian_is_16_pi_p_w(pair):
+    """W(fc, fs), from the typed edge sums, is 16 pi P_W(cos 3 pi u)."""
+    u = np.linspace(-1 / 6, 1.5, 1000)
+    direct = (_fc_typed(pair, u) * _fs_prime_typed(pair, u)
+              - _fs_typed(pair, u) * _fc_prime_typed(pair, u))
+    closed = 16.0 * PI * _polyval(edge_polynomials(pair)[2], np.cos(3 * PI * u))
+    scale = np.max(np.abs(closed))
+    assert np.max(np.abs(direct - closed)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+def test_wronskian_is_16_pi_p_w(pair):
+    wronskian_is_16_pi_p_w(pair)
+
+
+def test_reduced_wronskian_13_closed_form():
+    u = np.linspace(-1 / 6, 1.5, 1000)
+    pair = Mode(1, 3)
+    direct = gc(pair, u) * gs_prime(pair, u) - gs(pair, u) * gc_prime(pair, u)
+    closed = _wronskian_13_closed(u)
+    assert np.max(np.abs(direct - closed)) < 1e-10 * np.max(np.abs(closed))
+
+
+def test_wronskian_23_zeros():
+    pair = (2, 3)
+    u0 = math.acos((9 - math.sqrt(15)) / 6) / (3 * math.pi)
+    # 0, 2/3, 4/3 are even-order contacts (no sign change): check directly
+    for v in (0.0, 2 / 3, 4 / 3):
+        w = (_fc_typed(pair, v) * _fs_prime_typed(pair, v)
+             - _fs_typed(pair, v) * _fc_prime_typed(pair, v))
+        assert abs(w) < 1e-8
+    simple = sorted([1 / 3 - u0, 1 / 3 + u0, 1 - u0, 1 + u0])
+    p_w = edge_polynomials(pair)[2]
+    found = find_roots(lambda u: 16.0 * PI * _polyval(p_w, np.cos(3.0 * PI * u)),
+                       -1 / 6 + 1e-9, 1.5)
+    # discard noise-level brackets right at the even-order contacts
+    found = [r for r in found
+             if min(abs(r - c) for c in (0.0, 2 / 3, 4 / 3)) > 0.01]
+    assert found == pytest.approx(simple, abs=1e-9)
+    assert 1 / 3 + u0 == pytest.approx(0.3912873205, abs=1e-8)
+
+
 @pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
-@pytest.mark.parametrize("derived, typed", [
-    (fc, _fc_typed), (fs, _fs_typed), (fc_prime, _fc_prime_typed),
-    (fs_prime, _fs_prime_typed)])
+@pytest.mark.parametrize("derived, typed", [(fc, _fc_typed), (fs, _fs_typed)])
 def test_edge_functions_equal_the_typed_sums(pair, derived, typed):
     u = np.linspace(-2.0, 2.0, 20001)
     assert np.array_equal(derived(Mode(*pair), u), typed(pair, u))
@@ -373,20 +435,48 @@ def test_sweep_counts_match_count_once(d, pair):
         assert pos_neg == (r.positive_components, r.negative_components)
 
 
-@pytest.mark.parametrize("pair", EDGE_PAIRS)
-def test_zero_to_pi_over_6_is_a_fundamental_interval(pair):
-    # the maps that keep the nodal count of Psi^theta: the triangle's
-    # symmetries (pullback_theta) and the sign change theta -> theta + pi
-    orbit, todo = [], [0.1234]
+def _orbit(pair, theta):
+    """The orbit of theta in [0, 2 pi) under the maps that keep the nodal
+    count of Psi^theta: the triangle's symmetries (pullback_theta) and the
+    sign change theta -> theta + pi."""
+    orbit, todo = [], [theta]
     while todo:
         theta = todo.pop() % (2 * math.pi)
         if any(abs(theta - seen) < 1e-9 for seen in orbit):
             continue
         orbit.append(theta)
-        todo += [pullback_theta(sym, pair, theta)[0] for sym in (1, 2, "rot+")]
+        todo += [pullback_theta(sym, pair, theta)[0]
+                 for sym in (1, 2, 3, "rot+", "rot-")]
         todo.append(theta + math.pi)
+    return orbit
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+def test_zero_to_pi_over_6_is_a_fundamental_interval(pair):
+    orbit = _orbit(pair, 0.1234)
     assert len(orbit) == 12
     assert sum(0.0 <= theta <= math.pi / 6 for theta in orbit) == 1
+
+
+def test_every_double_edge_zero_reduces_to_the_partition_breakpoint():
+    # each edge point where cos 3 pi u is P_W's root x0 != 1 has a double zero
+    # of K = cos(theta) gc + sign sin(theta) gs at one angle; the symmetry
+    # group takes every such angle to theta_c, the breakpoint in [0, pi/6]
+    pair = Mode(2, 3)
+    (x0,) = [x for x in polynomial_roots_unit_interval(pair, "P_W") if x < 1.0]
+    orbit = _orbit(pair, bifurcation_angle()[1])
+    a = math.acos(x0)
+    angles = []
+    for u in (a / (3 * PI), (2 * PI - a) / (3 * PI), (2 * PI + a) / (3 * PI),
+              (4 * PI - a) / (3 * PI)):
+        assert 0.0 < u < 4 / 3
+        # OA with sign +1 and OB with -1 below 2/3, BA with -1 beyond
+        for sign in ((+1, -1) if u < 2 / 3 else (-1,)):
+            theta = math.atan2(-gc(pair, u), sign * gs(pair, u))
+            angles.append(theta)
+            assert min(abs((theta - o + PI) % (2 * PI) - PI) for o in orbit) < 1e-12
+    assert len(angles) == 6
+    assert bifurcations((1, 3)) == []
 
 
 def test_count_13_has_no_breakpoint_inside():
