@@ -20,14 +20,16 @@ from .pleijel_screening import index_cutoff, screening_summary
 from .eigenfunction_eval import EigenfunctionHandle
 
 CSV_HEADER = "normalized,min_index,max_index,multiplicity,ratio"
+CSV_ROW = "%d,%d,%d,%d,%s"
 JSON_ROW = ('  {\n    "normalized": %d,\n    "min_index": %d,\n    "max_index": %d,\n'
             '    "multiplicity": %d,\n    "ratio": %s\n  }')
+RATIO_FORMAT = "%#.10g"
 
 
 def format_ratio(x: float) -> str:
     """10 significant digits, trailing zeros kept: fixed-point for every
     spectrum ratio (0.27 to 7.0), as the '#g' format is from 1e-4 to 1e10."""
-    return f"{x:#.10g}"
+    return RATIO_FORMAT % x
 
 
 def parse_theta(text: str) -> float:
@@ -66,27 +68,29 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _spectrum_rows(d: DomainKind, count: int):
-    first_ratio_index = DOMAINS[d].first_ratio_index
-    for e in enumerate_spectrum(d, count):
-        ratio = (format_ratio(e.normalized / e.min_index)
-                 if e.min_index >= first_ratio_index else "")
-        yield e, ratio
+def _spectrum_rows(d: DomainKind, count: int, row: str, ratio: str, blank: str):
+    """The template `row` filled from each row of the spectrum's int64 columns,
+    the ratio normalized / min_index written by the template `ratio`, or
+    `blank` before the first_ratio_index (a prefix: min_index increases)."""
+    s = enumerate_spectrum(d, count)
+    skip = int((s.min_index < DOMAINS[d].first_ratio_index).sum())
+    ratios = (s.normalized / s.min_index)[skip:].tolist()
+    rows = zip(s.normalized.tolist(), s.min_index.tolist(), s.max_index.tolist(),
+               s.multiplicity.tolist(), [blank] * skip + [ratio % x for x in ratios])
+    return list(map(row.__mod__, rows))
 
 
 def _csv_table(d: DomainKind, count: int) -> str:
     """The CSV table of the domain's eigenvalues up to index count."""
-    rows = (f"{e.normalized},{e.min_index},{e.max_index},{e.multiplicity},{ratio}"
-            for e, ratio in _spectrum_rows(d, count))
+    rows = _spectrum_rows(d, count, CSV_ROW, RATIO_FORMAT, "")
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def run_spectrum(args: argparse.Namespace) -> int:
     if args.format == "json":
         # the bytes json.dumps(rows, indent=2) writes, one template per row
-        rows = [JSON_ROW % (e.normalized, e.min_index, e.max_index, e.multiplicity,
-                            f'"{ratio}"' if ratio else "null")
-                for e, ratio in _spectrum_rows(args.domain, args.count)]
+        rows = _spectrum_rows(args.domain, args.count, JSON_ROW,
+                              f'"{RATIO_FORMAT}"', "null")
         _emit(args, "[\n" + ",\n".join(rows) + "\n]\n")
     else:
         _emit(args, _csv_table(args.domain, args.count))

@@ -6,14 +6,15 @@ equilateral and hemiequilateral (physical scale 16 pi^2 / 9), and m^2 + n^2
 for the right-isosceles triangle with side pi (scale 1).  The admissible
 modes up to a value are read off one description, `_rows`: an exact integer
 m-interval for each row n.  The spectrum builds those rows' cells as integer
-arrays, sorts them with one lexsort and groups equal values with np.unique;
+arrays, sorts them with one lexsort and groups equal values with np.unique
+into int64 columns, whose rows become SpectrumEntry objects only when read;
 the counting function and the multiplicity are point queries that sum the
 rows' lengths in O(sqrt(lambda)), without enumerating.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import List, NamedTuple
 
 import numpy as np
@@ -66,14 +67,13 @@ def _rows(spec, limit: int):
             yield n, lo, hi
 
 
-def modes_up_to(d: DomainKind, limit: int) -> List[Mode]:
-    """All admissible modes with normalized value <= limit, ordered by value,
-    then m, then n.  The cells of `_rows` are built and sorted as int64
-    arrays: row n holds hi - lo + 1 cells, so n is each row's index repeated
-    that often and m counts up from the row's lo.  Each cell still passes
-    the scalar rule `_admissible` one by one, as a check that the rows hold
-    only admissible modes (it raises AssertionError otherwise) and as the
-    place where perfbench's tracer counts the cells scanned."""
+def modes_up_to(d: DomainKind, limit: int) -> np.ndarray:
+    """All admissible modes with normalized value <= limit: a (k, 2) int64
+    array of (m, n), ordered by value, then m, then n.  Row n of `_rows` holds
+    hi - lo + 1 cells, so n is the row's index repeated that often and m
+    counts up from the row's lo.  Each cell still passes the scalar rule
+    `_admissible`, as a check that the rows hold only admissible modes (it
+    raises AssertionError otherwise) and as where perfbench counts box cells."""
     spec = DOMAINS[d]
     rows = np.array(list(_rows(spec, limit)), dtype=np.int64).reshape(-1, 3)
     row_n, lo, hi = rows.T
@@ -81,33 +81,43 @@ def modes_up_to(d: DomainKind, limit: int) -> List[Mode]:
     n = np.repeat(row_n, length)
     start = np.cumsum(length) - length  # each row's first cell
     m = np.arange(n.size, dtype=np.int64) - np.repeat(start - lo, length)
-    order = np.lexsort((n, m, spec.value(m, n)))
-    # one int object per coordinate value, shared by every mode that has it,
-    # not two fresh ones per cell from tolist(): 50 to 60 MB less at the peak
-    # of a 10^6 spectrum; every m lies in its row's [lo, hi], so |m|, |n| <= bound
-    bound = int(np.abs(rows).max(initial=0))
-    ints = np.arange(-bound, bound + 1).astype(object)
-    m, n = ints[m[order] + bound].tolist(), ints[n[order] + bound].tolist()
-    if not all(map(_admissible, repeat(spec), m, n)):
+    modes = np.column_stack((m, n))[np.lexsort((n, m, spec.value(m, n)))]
+    if not all(map(_admissible, repeat(spec), *modes.T.tolist())):
         raise AssertionError(f"_rows holds a mode that is not admissible on {d.value}")
-    return list(map(Mode._make, zip(m, n)))
+    return modes
 
 
-def _entries_from_modes(d: DomainKind, modes: List[Mode]) -> List[SpectrumEntry]:
-    """Group modes ordered by value into entries: np.unique over their values
-    gives each entry's first position and multiplicity, and its modes are
-    that slice of the list."""
-    pairs = np.fromiter(chain.from_iterable(modes), np.int64, 2 * len(modes))
-    values, first, mult = np.unique(DOMAINS[d].value(pairs[0::2], pairs[1::2]),
-                                    return_index=True, return_counts=True)
-    del pairs
-    return [SpectrumEntry(value, k, i + 1, i + k, modes[i:i + k])
-            for value, i, k in zip(values.tolist(), first.tolist(), mult.tolist())]
+def _entries_from_modes(d: DomainKind, modes: np.ndarray):
+    """Group modes ordered by value: np.unique over their values gives each
+    distinct value, its first position in `modes` and its multiplicity."""
+    return np.unique(DOMAINS[d].value(*modes.T), return_index=True, return_counts=True)
 
 
-def enumerate_spectrum(d: DomainKind, count: int) -> List[SpectrumEntry]:
-    """Distinct-eigenvalue entries covering the first `count` eigenvalues
-    (counted with multiplicity), 1 <= count <= MAX_COUNT."""
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """int64 columns, one row per distinct value, and the sorted modes (row i's
+    are modes[min_index[i] - 1:max_index[i]]); reading a row builds its entry."""
+    normalized: np.ndarray
+    min_index: np.ndarray
+    max_index: np.ndarray
+    multiplicity: np.ndarray
+    modes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.normalized)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # IndexError past either end, which ends iteration
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        lo, hi = int(self.min_index[i]), int(self.max_index[i])
+        return SpectrumEntry(int(self.normalized[i]), int(self.multiplicity[i]), lo, hi,
+                             list(map(Mode._make, self.modes[lo - 1:hi].tolist())))
+
+
+def enumerate_spectrum(d: DomainKind, count: int) -> Spectrum:
+    """The distinct-eigenvalue rows covering the first `count` eigenvalues, with
+    multiplicity, up to the first whose max_index reaches count <= MAX_COUNT."""
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be >= 1 and <= {MAX_COUNT}, got {count}")
     # the counting bound puts at least `count` eigenvalues below this limit
@@ -116,9 +126,10 @@ def enumerate_spectrum(d: DomainKind, count: int) -> List[SpectrumEntry]:
     if len(modes) < count:
         raise AssertionError(f"{len(modes)} modes up to {limit}, fewer than "
                              f"the counting bound's {count}")
-    entries = _entries_from_modes(d, modes)
-    last = next(i for i, e in enumerate(entries) if e.max_index >= count)
-    return entries[:last + 1]
+    values, first, mult = _entries_from_modes(d, modes)
+    max_index = first + mult
+    rows = slice(int(np.searchsorted(max_index, count)) + 1)
+    return Spectrum(values[rows], first[rows] + 1, max_index[rows], mult[rows], modes)
 
 
 def _count_at_most(spec, limit: int) -> int:

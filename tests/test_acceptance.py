@@ -249,4 +249,5 @@ def test_criterion_8_enumeration_oracle(box_scan):
     with criterion(8, "lattice-box enumeration oracle (+2 margin)", 10.0):
         for d in DomainKind:
             for limit in (50, 100, 200):
-                assert modes_up_to(d, limit) == box_scan(d, limit)
+                modes = list(map(Mode._make, modes_up_to(d, limit).tolist()))
+                assert modes == box_scan(d, limit)

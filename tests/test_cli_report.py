@@ -193,6 +193,58 @@ def test_spectrum_json_is_the_stdlib_encoding(capsys, domain, count):
     assert out == json.dumps(rows, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("domain", [d.value for d in DomainKind])
+@pytest.mark.parametrize("count", [1, 85, 3000])
+def test_spectrum_csv_is_the_box_oracle_table(capsys, box_scan, domain, count):
+    # the table from brute-force modes, grouped with a plain dict and indexed
+    # by running sums, shares no code with enumerate_spectrum
+    d = DomainKind(domain)
+    form, limit = DOMAINS[d].value, 1
+    while len(modes := box_scan(d, limit)) < count:
+        limit *= 2
+    groups = {}
+    for p in modes:
+        groups[form(*p)] = groups.get(form(*p), 0) + 1
+    lines, index = ["normalized,min_index,max_index,multiplicity,ratio"], 1
+    for value in sorted(groups):
+        mult = groups[value]
+        ratio = (format_ratio(value / index)
+                 if index >= DOMAINS[d].first_ratio_index else "")
+        lines.append(f"{value},{index},{index + mult - 1},{mult},{ratio}")
+        index += mult
+        if index > count:
+            break
+    code, out = run_cli(capsys, "spectrum", "--domain", domain, "--count", str(count))
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
+
+
+class _Refused:
+    """Stands in for a per-row class: any use of it fails the test."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"the CLI built a {self.name}")
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"the CLI used {self.name}.{attr}")
+
+
+@pytest.mark.parametrize("domain", [d.value for d in DomainKind])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_builds_no_per_row_objects(capsys, monkeypatch, domain, fmt):
+    from courant_lab import lattice_spectrum
+
+    argv = ("spectrum", "--domain", domain, "--count", "20000", "--format", fmt)
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(lattice_spectrum, "SpectrumEntry", _Refused("SpectrumEntry"))
+    monkeypatch.setattr(lattice_spectrum, "Mode", _Refused("Mode"))
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
 @pytest.mark.parametrize("count", [0, MAX_COUNT + 1])
 def test_spectrum_count_out_of_range_exits_two(capsys, count):
     assert main(["spectrum", "--domain", "torus", "--count", str(count)]) == 2

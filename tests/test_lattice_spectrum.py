@@ -4,7 +4,7 @@ import pytest
 
 from courant_lab.alcove_geometry import DOMAINS, DomainKind
 from courant_lab import lattice_spectrum
-from courant_lab.lattice_spectrum import (SCALE_A2, bound_inverse,
+from courant_lab.lattice_spectrum import (SCALE_A2, Mode, bound_inverse,
                                           counting_function,
                                           counting_lower_bound,
                                           enumerate_spectrum, modes_up_to,
@@ -167,7 +167,7 @@ def test_enumeration_box_oracle(box_scan, d, limit):
     # a brute-force scan of a box with a margin finds the same modes at every
     # limit up to twice the case's, so the 200 case covers all of -1..400
     for k in range(-1, 2 * limit + 1):
-        assert modes_up_to(d, k) == box_scan(d, k)
+        assert list(map(Mode._make, modes_up_to(d, k).tolist())) == box_scan(d, k)
 
 
 def test_weyl_asymptotics_torus():
