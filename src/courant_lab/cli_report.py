@@ -11,12 +11,12 @@ import os
 import sys
 import time
 
-from .alcove_geometry import DOMAINS, DomainKind
+from .alcove_geometry import DomainKind
 from .lattice_spectrum import Mode, enumerate_spectrum
 from .nodal_analysis import (bifurcation_angle, count_nodal_domains,
                              courant_sharp_verdict, edge_critical_zeros,
                              median_fixed_points)
-from .pleijel_screening import index_cutoff, screening_summary
+from .pleijel_screening import index_cutoff, ratio_rule, screening_summary
 from .eigenfunction_eval import EigenfunctionHandle
 
 CSV_HEADER = "normalized,min_index,max_index,multiplicity,ratio"
@@ -70,13 +70,13 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _spectrum_rows(d: DomainKind, count: int, row: str, ratio: str, blank: str):
     """The template `row` filled from each row of the spectrum's int64 columns,
-    the ratio normalized / min_index written by the template `ratio`, or
-    `blank` before the first_ratio_index (a prefix: min_index increases)."""
+    the ratio written by the template `ratio`, or `blank` where it does not
+    apply (see ratio_rule)."""
     s = enumerate_spectrum(d, count)
-    skip = int((s.min_index < DOMAINS[d].first_ratio_index).sum())
-    ratios = (s.normalized / s.min_index)[skip:].tolist()
+    skip, ratios = ratio_rule(d, s)
     rows = zip(s.normalized.tolist(), s.min_index.tolist(), s.max_index.tolist(),
-               s.multiplicity.tolist(), [blank] * skip + [ratio % x for x in ratios])
+               s.multiplicity.tolist(),
+               [blank] * skip + [ratio % x for x in ratios[skip:].tolist()])
     return list(map(row.__mod__, rows))
 
 

@@ -7,19 +7,19 @@ for the right-isosceles triangle with side pi (scale 1).  The admissible
 modes up to a value are read off one description, `_rows`: an exact integer
 m-interval for each row n.  The spectrum builds those rows' cells as integer
 arrays, sorts them with one lexsort and groups equal values with np.unique
-into int64 columns, whose rows become SpectrumEntry objects only when read;
-the counting function and the multiplicity are point queries that sum the
+into int64 columns, which are the spectrum's only representation; the
+counting function and the multiplicity are point queries that sum the
 rows' lengths in O(sqrt(lambda)), without enumerating.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .alcove_geometry import DOMAINS, SCALE_A2, DomainKind  # noqa: F401
+from .alcove_geometry import DOMAINS, DomainKind
 
 # enumerate_spectrum's largest count: the CLI's --count ceiling
 MAX_COUNT = 10 ** 6
@@ -28,20 +28,6 @@ MAX_COUNT = 10 ** 6
 class Mode(NamedTuple):
     m: int
     n: int
-
-
-@dataclass(frozen=True, slots=True)
-class SpectrumEntry:
-    normalized: int
-    multiplicity: int
-    min_index: int
-    max_index: int
-    representative_modes: List[Mode] = field(default_factory=list)
-
-
-def scale(d: DomainKind) -> float:
-    """Physical eigenvalue = scale(d) * normalized integer."""
-    return DOMAINS[d].scale
 
 
 def _admissible(spec, m: int, n: int) -> bool:
@@ -95,24 +81,13 @@ def _entries_from_modes(d: DomainKind, modes: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """int64 columns, one row per distinct value, and the sorted modes (row i's
-    are modes[min_index[i] - 1:max_index[i]]); reading a row builds its entry."""
+    """int64 columns, one row per distinct value, and the sorted modes: row
+    i's are modes[min_index[i] - 1:max_index[i]]."""
     normalized: np.ndarray
     min_index: np.ndarray
     max_index: np.ndarray
     multiplicity: np.ndarray
     modes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.normalized)
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]  # IndexError past either end, which ends iteration
-        if isinstance(i, range):
-            return [self[j] for j in i]
-        lo, hi = int(self.min_index[i]), int(self.max_index[i])
-        return SpectrumEntry(int(self.normalized[i]), int(self.multiplicity[i]), lo, hi,
-                             list(map(Mode._make, self.modes[lo - 1:hi].tolist())))
 
 
 def enumerate_spectrum(d: DomainKind, count: int) -> Spectrum:
@@ -121,7 +96,7 @@ def enumerate_spectrum(d: DomainKind, count: int) -> Spectrum:
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be >= 1 and <= {MAX_COUNT}, got {count}")
     # the counting bound puts at least `count` eigenvalues below this limit
-    limit = math.ceil(bound_inverse(d, count) / scale(d))
+    limit = math.ceil(bound_inverse(d, count) / DOMAINS[d].scale)
     modes = modes_up_to(d, limit)
     if len(modes) < count:
         raise AssertionError(f"{len(modes)} modes up to {limit}, fewer than "

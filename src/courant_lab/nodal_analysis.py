@@ -257,6 +257,7 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
         raise ValueError("a must be in (0, 1)")
     m, n = pair
     h = EigenfunctionHandle(DomainKind.EQUILATERAL, pair, theta)
+    check_handle(h)
 
     def f(u):
         return eval_psi_grid(m, n, theta, u, a - u)
@@ -476,13 +477,17 @@ def _max_count_over_thetas(d: DomainKind, pair: Mode, resolution: int) -> int:
 def courant_sharp_verdict(d: DomainKind, resolution: int = 512):
     """(index, sharp) for each screening candidate of the domain: lambda_n is
     sharp if some eigenfunction of it has n nodal domains, so its count is
-    the largest over the eigenspace of its cluster's smallest pair.  By
-    Courant's theorem every n <= 2 is sharp: a lambda_2 eigenfunction is
+    the largest over the eigenspace of its cluster's smallest pair, which
+    must be the cluster's only pair up to swap (AssertionError otherwise).
+    By Courant's theorem every n <= 2 is sharp: a lambda_2 eigenfunction is
     orthogonal to the one-signed first one, so it has exactly two nodal
     domains."""
     verdict = []
     for row in candidates(d):
         n = row.min_index
+        if n > 2 and len({tuple(sorted(p)) for p in row.modes}) > 1:
+            raise AssertionError(f"lambda_{n} on {d.value} holds more than one pair "
+                                 f"class: {list(row.modes)}")
         mu = n if n <= 2 else _max_count_over_thetas(d, min(row.modes), resolution)
         verdict.append((n, mu == n))
     return verdict

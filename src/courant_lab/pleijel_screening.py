@@ -6,11 +6,14 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .alcove_geometry import DOMAINS, DomainKind
-from .lattice_spectrum import Mode, bound_inverse, enumerate_spectrum, scale
+import numpy as np
 
-# First positive zero of the Bessel function J0, to full double precision so
-# the printed threshold digits come out right.
+from .alcove_geometry import DOMAINS, DomainKind
+from .lattice_spectrum import Mode, Spectrum, bound_inverse, enumerate_spectrum
+
+# First positive zero of the Bessel function J0 to 15 significant digits
+# (j01 = 2.4048255576957728): the printed thresholds and the `screen` JSON
+# carry the digits this value gives, so it is kept as it is.
 J01 = 2.40482555769577
 
 
@@ -32,7 +35,7 @@ def courant_upper_bound(d: DomainKind, n: int) -> float:
 
 def fk_line(d: DomainKind, n: int) -> float:
     """Faber-Krahn growth line in physical units: lambda_n >= fk_line(d, n)."""
-    return faber_krahn_threshold(d) * scale(d) * n
+    return faber_krahn_threshold(d) * DOMAINS[d].scale * n
 
 
 CUTOFF_SCAN_MAX = 1000
@@ -74,20 +77,26 @@ class ScreeningSummary:
     candidates: List[int]
 
 
+def ratio_rule(d: DomainKind, s: Spectrum) -> Tuple[int, np.ndarray]:
+    """The ratio test's inputs for the spectrum's rows: the number of leading
+    rows it does not apply to, those whose min_index is below the domain's
+    first_ratio_index (a prefix: min_index increases), and the column of
+    ratios normalized / min_index."""
+    skip = int((s.min_index < DOMAINS[d].first_ratio_index).sum())
+    return skip, s.normalized / s.min_index
+
+
 def screening_table(d: DomainKind) -> List[ScreeningRow]:
-    cutoff = index_cutoff(d)
     threshold = faber_krahn_threshold(d)
-    first_ratio_index = DOMAINS[d].first_ratio_index
-    rows = []
-    # every entry enumerate_spectrum returns starts at an index <= cutoff
-    for e in enumerate_spectrum(d, cutoff):
-        applies = e.min_index >= first_ratio_index
-        ratio = e.normalized / e.min_index
-        rows.append(ScreeningRow(e.normalized, e.min_index, e.max_index,
-                                 e.multiplicity, ratio, applies,
-                                 applies and ratio >= threshold,
-                                 tuple(e.representative_modes)))
-    return rows
+    # every row enumerate_spectrum returns starts at an index <= the cutoff
+    s = enumerate_spectrum(d, index_cutoff(d))
+    skip, ratios = ratio_rule(d, s)
+    columns = zip(s.normalized.tolist(), s.min_index.tolist(), s.max_index.tolist(),
+                  s.multiplicity.tolist(), ratios.tolist())
+    return [ScreeningRow(value, lo, hi, mult, ratio, i >= skip,
+                         i >= skip and ratio >= threshold,
+                         tuple(map(Mode._make, s.modes[lo - 1:hi].tolist())))
+            for i, (value, lo, hi, mult, ratio) in enumerate(columns)]
 
 
 def candidates(d: DomainKind) -> List[ScreeningRow]:

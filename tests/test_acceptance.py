@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from courant_lab.alcove_geometry import DomainKind, apply_symmetry
+from courant_lab.alcove_geometry import DOMAINS, DomainKind, apply_symmetry
 from courant_lab.cli_report import main
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle,
                                             eval_isosceles, eval_psi_grid,
@@ -226,12 +226,12 @@ def _wronskian_ok():
 def _bounds_ok():
     from courant_lab.lattice_spectrum import (counting_function,
                                               counting_lower_bound,
-                                              enumerate_spectrum, scale)
+                                              enumerate_spectrum)
     for d in DomainKind:
-        for e in enumerate_spectrum(d, 500):
-            if e.normalized == 0:
+        for value in enumerate_spectrum(d, 500).normalized.tolist():
+            if value == 0:
                 continue
-            lam = scale(d) * e.normalized
+            lam = DOMAINS[d].scale * value
             assert counting_lower_bound(d, lam) <= counting_function(d, lam) + 1e-9
 
 

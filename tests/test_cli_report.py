@@ -182,11 +182,13 @@ def test_bifurcation_output(capsys):
 def test_spectrum_json_is_the_stdlib_encoding(capsys, domain, count):
     # the row template writes the bytes the indenting stdlib encoder would
     d = DomainKind(domain)
-    rows = [{"normalized": e.normalized, "min_index": e.min_index,
-             "max_index": e.max_index, "multiplicity": e.multiplicity,
-             "ratio": (format_ratio(e.normalized / e.min_index)
-                       if e.min_index >= DOMAINS[d].first_ratio_index else None)}
-            for e in enumerate_spectrum(d, count)]
+    s = enumerate_spectrum(d, count)
+    rows = [{"normalized": value, "min_index": lo, "max_index": hi,
+             "multiplicity": mult,
+             "ratio": (format_ratio(value / lo)
+                       if lo >= DOMAINS[d].first_ratio_index else None)}
+            for value, lo, hi, mult in zip(s.normalized.tolist(), s.min_index.tolist(),
+                                           s.max_index.tolist(), s.multiplicity.tolist())]
     code, out = run_cli(capsys, "spectrum", "--domain", domain, "--count",
                         str(count), "--format", "json")
     assert code == 0
@@ -235,12 +237,14 @@ class _Refused:
 @pytest.mark.parametrize("domain", [d.value for d in DomainKind])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_spectrum_builds_no_per_row_objects(capsys, monkeypatch, domain, fmt):
-    from courant_lab import lattice_spectrum
+    from courant_lab import lattice_spectrum, pleijel_screening
 
     argv = ("spectrum", "--domain", domain, "--count", "20000", "--format", fmt)
     expected = run_cli(capsys, *argv)
-    monkeypatch.setattr(lattice_spectrum, "SpectrumEntry", _Refused("SpectrumEntry"))
     monkeypatch.setattr(lattice_spectrum, "Mode", _Refused("Mode"))
+    # nor does it build screening rows, which hold modes
+    monkeypatch.setattr(pleijel_screening, "ScreeningRow", _Refused("ScreeningRow"))
+    monkeypatch.setattr(pleijel_screening, "Mode", _Refused("Mode"))
     assert run_cli(capsys, *argv) == expected
     assert expected[0] == 0
 

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from courant_lab.alcove_geometry import DOMAINS, DomainKind
+from courant_lab.alcove_geometry import DOMAINS, SCALE_A2, DomainKind
 from courant_lab import lattice_spectrum
-from courant_lab.lattice_spectrum import (SCALE_A2, Mode, bound_inverse,
+from courant_lab.lattice_spectrum import (Mode, bound_inverse,
                                           counting_function,
                                           counting_lower_bound,
                                           enumerate_spectrum, modes_up_to,
-                                          multiplicity, scale)
+                                          multiplicity)
 
 T = DomainKind.TORUS
 E = DomainKind.EQUILATERAL
@@ -31,33 +31,39 @@ EQUILATERAL_TABLE = [
 ]
 
 
+def _rows(s):
+    """(normalized, min_index, max_index, multiplicity) of each spectrum row."""
+    return list(zip(s.normalized.tolist(), s.min_index.tolist(),
+                    s.max_index.tolist(), s.multiplicity.tolist()))
+
+
+def _row_modes(s):
+    """Each spectrum row's modes, the slice modes[min_index - 1:max_index]."""
+    return [list(map(Mode._make, s.modes[lo - 1:hi].tolist()))
+            for lo, hi in zip(s.min_index.tolist(), s.max_index.tolist())]
+
+
 def test_torus_table():
-    rows = [(e.normalized, e.min_index, e.max_index, e.multiplicity)
-            for e in enumerate_spectrum(T, 85)]
-    assert rows == TORUS_TABLE
+    assert _rows(enumerate_spectrum(T, 85)) == TORUS_TABLE
 
 
 def test_equilateral_table():
-    rows = [(e.normalized, e.min_index, e.max_index, e.multiplicity)
-            for e in enumerate_spectrum(E, 41)]
-    assert rows == EQUILATERAL_TABLE
+    assert _rows(enumerate_spectrum(E, 41)) == EQUILATERAL_TABLE
 
 
 def test_single_eigenvalue():
-    (e,) = enumerate_spectrum(T, 1)
-    assert (e.normalized, e.min_index, e.max_index, e.multiplicity) == (0, 1, 1, 1)
+    (row,) = _rows(enumerate_spectrum(T, 1))
+    assert row == (0, 1, 1, 1)
 
 
 def test_isosceles_first_two():
-    entries = enumerate_spectrum(B, 2)
-    assert [e.normalized for e in entries] == [5, 10]
-    assert entries[0].representative_modes == [(2, 1)]
-    assert entries[1].representative_modes == [(3, 1)]
+    s = enumerate_spectrum(B, 2)
+    assert s.normalized.tolist() == [5, 10]
+    assert _row_modes(s) == [[(2, 1)], [(3, 1)]]
 
 
 def test_hemiequilateral_first_values():
-    entries = enumerate_spectrum(H, 3)
-    assert [e.normalized for e in entries] == [7, 13, 19]
+    assert enumerate_spectrum(H, 3).normalized.tolist() == [7, 13, 19]
 
 
 def test_enumerate_rejects_bad_count():
@@ -71,18 +77,18 @@ def test_enumerate_rejects_bad_count():
 def test_entries_group_the_box_oracle(box_scan, d):
     # group the brute-force modes with a plain dict, which shares nothing
     # with the numpy grouping, up to the last value the spectrum lists
-    entries = enumerate_spectrum(d, 5000)
+    s = enumerate_spectrum(d, 5000)
     form = lattice_spectrum.DOMAINS[d].value
     groups = {}
-    for p in box_scan(d, entries[-1].normalized):
+    for p in box_scan(d, s.normalized.tolist()[-1]):
         groups.setdefault(form(*p), []).append(p)
     expected, index = [], 1
     for value in sorted(groups):
         mult = len(groups[value])
         expected.append((value, mult, index, index + mult - 1, groups[value]))
         index += mult
-    assert [(e.normalized, e.multiplicity, e.min_index, e.max_index,
-             e.representative_modes) for e in entries] == expected
+    assert [(value, mult, lo, hi, modes) for (value, lo, hi, mult), modes
+            in zip(_rows(s), _row_modes(s))] == expected
 
 
 def test_multiplicity_examples():
@@ -115,10 +121,10 @@ def test_equilateral_multiplicity_pairs():
 def test_index_bookkeeping():
     for d in DomainKind:
         total = 0
-        for e in enumerate_spectrum(d, 120):
-            assert e.max_index - e.min_index + 1 == e.multiplicity
-            assert e.min_index == total + 1
-            total = e.max_index
+        for _, lo, hi, mult in _rows(enumerate_spectrum(d, 120)):
+            assert hi - lo + 1 == mult
+            assert lo == total + 1
+            total = hi
 
 
 def test_counting_function_examples():
@@ -136,8 +142,8 @@ def test_counting_function_strict_at_eigenvalue():
 
 @pytest.mark.parametrize("d", list(DomainKind))
 def test_counting_function_at_eigenvalues(d):
-    for e in enumerate_spectrum(d, 300):
-        assert counting_function(d, scale(d) * e.normalized) == e.min_index - 1
+    for value, lo, _, _ in _rows(enumerate_spectrum(d, 300)):
+        assert counting_function(d, DOMAINS[d].scale * value) == lo - 1
 
 
 def test_counting_lower_bound_examples():
@@ -152,12 +158,11 @@ def test_counting_lower_bound_examples():
 
 @pytest.mark.parametrize("d", list(DomainKind))
 def test_lower_bound_below_counting_function(d):
-    entries = enumerate_spectrum(d, 500)
-    values = sorted({e.normalized for e in entries})
+    values = sorted(set(enumerate_spectrum(d, 500).normalized.tolist()))
     for v in values:
         if v == 0:
             continue
-        lam = scale(d) * v
+        lam = DOMAINS[d].scale * v
         assert counting_lower_bound(d, lam) <= counting_function(d, lam) + 1e-9
 
 
@@ -171,8 +176,7 @@ def test_enumeration_box_oracle(box_scan, d, limit):
 
 
 def test_weyl_asymptotics_torus():
-    entries = enumerate_spectrum(T, 5000)
-    lam = scale(T) * entries[-1].normalized
+    lam = SCALE_A2 * enumerate_spectrum(T, 5000).normalized.tolist()[-1]
     n = counting_function(T, lam)
     area = 1.5 * math.sqrt(3.0)
     assert n * 4 * math.pi / (area * lam) == pytest.approx(1.0, rel=0.05)
@@ -183,7 +187,7 @@ def test_weyl_asymptotics_torus():
 def test_bound_limit_yields_count_modes(d, count):
     # N(lambda) >= a lambda - b sqrt(lambda) + c, so the normalized limit at
     # which the bound reaches `count` holds at least `count` modes
-    limit = math.ceil(bound_inverse(d, count) / scale(d))
+    limit = math.ceil(bound_inverse(d, count) / DOMAINS[d].scale)
     assert len(modes_up_to(d, limit)) >= count
 
 
@@ -197,7 +201,7 @@ def test_enumeration_is_one_pass(monkeypatch, d, count):
         return modes_up_to(*args, **kwargs)
 
     monkeypatch.setattr(lattice_spectrum, "modes_up_to", counted)
-    assert enumerate_spectrum(d, count)[-1].max_index >= count
+    assert enumerate_spectrum(d, count).max_index.tolist()[-1] >= count
     assert len(calls) == 1
 
 
@@ -219,7 +223,7 @@ def _reference_multiplicities(modes, d, limit):
 
 @pytest.mark.parametrize("d", list(DomainKind))
 def test_row_counts_match_enumeration(box_scan, d):
-    unit, limit = scale(d), 2000
+    unit, limit = DOMAINS[d].scale, 2000
     counts = _reference_multiplicities(box_scan(d, limit), d, limit)
     below = 0
     for k in range(limit + 1):
@@ -236,9 +240,9 @@ def test_row_counts_match_enumeration(box_scan, d):
 
 @pytest.mark.parametrize("d", list(DomainKind))
 def test_queries_at_every_eigenvalue(d):
-    for e in enumerate_spectrum(d, 5000):
-        assert counting_function(d, scale(d) * e.normalized) == e.min_index - 1
-        assert multiplicity(d, e.normalized) == e.multiplicity
+    for value, lo, _, mult in _rows(enumerate_spectrum(d, 5000)):
+        assert counting_function(d, DOMAINS[d].scale * value) == lo - 1
+        assert multiplicity(d, value) == mult
 
 
 @pytest.mark.parametrize("d", list(DomainKind))
@@ -247,10 +251,10 @@ def test_queries_do_not_enumerate(monkeypatch, d):
         raise AssertionError("a point query enumerated the lattice box")
 
     monkeypatch.setattr(lattice_spectrum, "modes_up_to", refused)
-    assert counting_function(d, scale(d) * 5000) > 0
+    assert counting_function(d, DOMAINS[d].scale * 5000) > 0
     assert multiplicity(d, 4999) >= 0
 
 
 def test_counting_function_far_up_the_torus_spectrum():
-    last = enumerate_spectrum(T, 100000)[-1]
-    assert counting_function(T, SCALE_A2 * last.normalized) == last.min_index - 1
+    value, lo, _, _ = _rows(enumerate_spectrum(T, 100000))[-1]
+    assert counting_function(T, SCALE_A2 * value) == lo - 1

@@ -77,6 +77,13 @@ def test_chord_roots_validation():
         edge_restriction_roots((1, 3), 1.5, 0.0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_chord_roots_reject_a_non_finite_theta(theta):
+    # nan used to report no roots, and +-inf a bare math domain error
+    with pytest.raises(ValueError, match="theta must be finite"):
+        edge_restriction_roots((2, 3), 0.5, theta)
+
+
 # ---------------------------------------------------------------------------
 # polynomial roots
 # ---------------------------------------------------------------------------
@@ -646,6 +653,23 @@ def test_verdict_counts_only_candidates_above_two(monkeypatch):
     assert calls == [((2, 2), 1), ((1, 3), 3), ((2, 3), 5), ((3, 3), 1)]
     # one grid evaluation per candidate, whatever its number of angles
     assert grids == [((2, 2), 128), ((1, 3), 128), ((2, 3), 128), ((3, 3), 128)]
+
+
+def test_verdict_refuses_a_candidate_with_two_pair_classes(monkeypatch):
+    import courant_lab.nodal_analysis as nodal
+    from courant_lab.pleijel_screening import screening_table
+
+    def refused(*args):
+        raise AssertionError("a candidate was counted")
+
+    # right-isosceles lambda_19 = 65 = 7^2 + 4^2 = 8^2 + 1^2 is no candidate,
+    # but were it one, counting min(row.modes) alone would miss (8, 1)
+    (row,) = [r for r in screening_table(B) if r.min_index == 19]
+    assert row.modes == ((7, 4), (8, 1))
+    monkeypatch.setattr(nodal, "_sweep_counts", refused)
+    monkeypatch.setattr(nodal, "candidates", lambda d: [row])
+    with pytest.raises(AssertionError, match="more than one pair class"):
+        nodal.courant_sharp_verdict(B)
 
 
 def test_count_evaluates_one_grid_at_each_resolution(monkeypatch):

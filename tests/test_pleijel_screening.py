@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from courant_lab.alcove_geometry import DomainKind
+from courant_lab.alcove_geometry import DOMAINS, DomainKind
 from courant_lab.lattice_spectrum import bound_coefficients
-from courant_lab.pleijel_screening import (candidate_indices,
+from courant_lab.pleijel_screening import (ScreeningRow, candidate_indices,
                                            courant_upper_bound, cutoff_scan,
                                            faber_krahn_threshold, fk_line,
                                            index_cutoff, screening_summary,
@@ -21,6 +21,12 @@ def test_thresholds():
     assert faber_krahn_threshold(E) == pytest.approx(2.391328148, abs=1e-8)
     assert faber_krahn_threshold(B) == pytest.approx(3.681690532, abs=1e-8)
     assert faber_krahn_threshold(H) == pytest.approx(4.782656293, abs=1e-8)
+
+
+def test_j01_is_the_bessel_zero_to_15_digits():
+    from scipy.special import jn_zeros
+
+    assert abs(J01 - jn_zeros(0, 1)[0]) < 1e-14
 
 
 # Closed forms of the Faber-Krahn ratio threshold pi j01^2 / (|Omega| scale)
@@ -79,6 +85,35 @@ def test_screening_rows():
     assert equi[13].passes
     assert equi[21].ratio == pytest.approx(21 / 9, abs=1e-12)
     assert not equi[21].passes
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_screening_table_is_the_box_oracle_table(box_scan, d):
+    # every row rebuilt with plain ints from brute-force modes grouped in a
+    # dict, up to the row holding the index cutoff
+    cutoff, threshold = index_cutoff(d), faber_krahn_threshold(d)
+    form, limit = DOMAINS[d].value, 1
+    while len(modes := box_scan(d, limit)) < cutoff:
+        limit *= 2
+    groups = {}
+    for p in modes:
+        groups.setdefault(form(*p), []).append(p)
+    expected, index = [], 1
+    for value in sorted(groups):
+        mult, ratio = len(groups[value]), value / index
+        applies = index >= DOMAINS[d].first_ratio_index
+        expected.append(ScreeningRow(value, index, index + mult - 1, mult, ratio,
+                                     applies, applies and ratio >= threshold,
+                                     tuple(groups[value])))
+        index += mult
+        if index > cutoff:
+            break
+    rows = screening_table(d)
+    assert rows == expected
+    assert ([[type(v) for v in vars(r).values()] for r in rows]
+            == [[type(v) for v in vars(r).values()] for r in expected])
+    assert ([[type(p) for p in r.modes] for r in rows]
+            == [[type(p) for p in r.modes] for r in expected])
 
 
 def test_candidate_sets():
