@@ -23,13 +23,8 @@ CSV_HEADER = "normalized,min_index,max_index,multiplicity,ratio"
 CSV_ROW = "%d,%d,%d,%d,%s"
 JSON_ROW = ('  {\n    "normalized": %d,\n    "min_index": %d,\n    "max_index": %d,\n'
             '    "multiplicity": %d,\n    "ratio": %s\n  }')
+# 10 significant digits, trailing zeros kept; fixed-point for ratios 0.27 to 7.0
 RATIO_FORMAT = "%#.10g"
-
-
-def format_ratio(x: float) -> str:
-    """10 significant digits, trailing zeros kept: fixed-point for every
-    spectrum ratio (0.27 to 7.0), as the '#g' format is from 1e-4 to 1e10."""
-    return RATIO_FORMAT % x
 
 
 def parse_theta(text: str) -> float:

@@ -2,10 +2,11 @@
 algebra of the mixed equilateral pairs and its bifurcations, and nodal-domain
 counting by sign-grid flood fill.
 
-On an edge, in x = cos pi u, fc = sigma (T_3 - 1)(x - 1) sin(pi u) P_C(x) and
-fs = sigma (T_3 - 1) P_S(x), where T_3 - 1 = 4 (x - 1)(x + 1/2)^2 vanishes only
-at the vertices; gc and gs drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi
-u), and each root x0 != 1 of P_W is a breakpoint of the theta partition."""
+On an edge, in x = cos pi u, the edge sums are fc = sigma (T_3 - 1)(x - 1) sin(pi
+u) P_C(x) and fs = sigma (T_3 - 1) P_S(x), where T_3 - 1 = 4 (x - 1)(x + 1/2)^2
+vanishes only at the vertices.  The edge functions gc and gs, the only ones
+evaluated, drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi u), and each
+root x0 != 1 of P_W is a breakpoint of the theta partition."""
 
 import functools
 import math
@@ -63,14 +64,6 @@ def _edge_terms(pair: Mode):
         c, s = merged.get(abs(k), (0, 0))
         merged[abs(k)] = (c - sign * a * ((k > 0) - (k < 0)), s + sign * a)
     return [(k, c, s) for k, (c, s) in sorted(merged.items(), reverse=True)]
-
-
-def fc(pair: Mode, u):
-    return sum(c * np.sin(k * PI * u) for k, c, _ in _edge_terms(pair))
-
-
-def fs(pair: Mode, u):
-    return sum(s * np.cos(k * PI * u) for k, _, s in _edge_terms(pair))
 
 
 def _polyval(coeffs, x):
@@ -135,20 +128,6 @@ def gc(pair: Mode, u):
 
 def gs(pair: Mode, u):
     return _polyval(edge_polynomials(pair)[1], np.cos(PI * u))
-
-
-def gc_prime(pair: Mode, u):
-    c = np.cos(PI * u)
-    s = np.sin(PI * u)
-    p_c = edge_polynomials(pair)[0]
-    g = (c - 1.0) * _polyval(p_c, c)
-    dg = _polyval(p_c, c) + (c - 1.0) * _polyval(_polyder(p_c), c)
-    return PI * (c * g - s * s * dg)
-
-
-def gs_prime(pair: Mode, u):
-    c = np.cos(PI * u)
-    return -PI * np.sin(PI * u) * _polyval(_polyder(edge_polynomials(pair)[1]), c)
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +253,32 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     return find_roots(f, lo + margin, hi - margin, df=df)
 
 
-_EDGE_PARAM = {
-    "OA": lambda u: AlcovePoint(u, u / 2.0),
-    "OB": lambda u: AlcovePoint(u / 2.0, u),
-    "BA": lambda u: AlcovePoint(u / 2.0, 1.0 - u / 2.0),
-}
+# The open edges: name, the sign of gs in K, the scanned range of the edge
+# parameter u (1e-9 inside the vertices) and the edge point at u.
+_EDGES = (
+    ("OA", +1, (1e-9, 2.0 / 3.0 - 1e-9), lambda u: AlcovePoint(u, u / 2.0)),
+    ("OB", -1, (1e-9, 2.0 / 3.0 - 1e-9), lambda u: AlcovePoint(u / 2.0, u)),
+    ("BA", -1, (2.0 / 3.0 + 1e-9, 4.0 / 3.0 - 1e-9),
+     lambda u: AlcovePoint(u / 2.0, 1.0 - u / 2.0)),
+)
 
 
 def _k_theta(pair: Mode, theta: float, sign: int):
-    ct, st = math.cos(theta), math.sin(theta)
+    """K = cos(theta) gc + sign sin(theta) gs and dK/du, the one derivative
+    of the edge functions: in c = cos pi u, s = sin pi u, gc = s g with g =
+    (c - 1) P_C(c), and dc/du = -pi s, so gc' = pi (c g - s^2 dg/dc)."""
+    p_c, p_s = edge_polynomials(pair)[:2]
+    dp_c, dp_s = _polyder(p_c), _polyder(p_s)
+    ct, st = math.cos(theta), sign * math.sin(theta)
 
     def k(u):
-        return ct * gc(pair, u) + sign * st * gs(pair, u)
+        return ct * gc(pair, u) + st * gs(pair, u)
 
     def dk(u):
-        return ct * gc_prime(pair, u) + sign * st * gs_prime(pair, u)
+        c, s = np.cos(PI * u), np.sin(PI * u)
+        g = (c - 1.0) * _polyval(p_c, c)
+        dg = _polyval(p_c, c) + (c - 1.0) * _polyval(dp_c, c)
+        return ct * (PI * (c * g - s * s * dg)) + st * (-PI * s * _polyval(dp_s, c))
 
     return k, dk
 
@@ -306,17 +296,13 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     pair = _check_pair(pair)
     if not edge_theta_in_range(theta):
         raise ValueError("theta must be in (0, pi/6]")
-    eps = 1e-9
-    plan = (("OA", +1, eps, 2.0 / 3.0 - eps),
-            ("OB", -1, eps, 2.0 / 3.0 - eps),
-            ("BA", -1, 2.0 / 3.0 + eps, 4.0 / 3.0 - eps))
     zeros = []
-    for edge, sign, lo, hi in plan:
+    for edge, sign, (lo, hi), point in _EDGES:
         k, dk = _k_theta(pair, theta, sign)
         step = (hi - lo) / (ROOT_SAMPLES - 1)
         for u in find_roots(k, lo, hi, df=dk):
             order = 3 if k(u - step) * k(u + step) > 0 else 2
-            zeros.append(CriticalZero(_EDGE_PARAM[edge](u), edge, u, order))
+            zeros.append(CriticalZero(point(u), edge, u, order))
     return zeros
 
 
@@ -351,14 +337,14 @@ def bifurcations(pair) -> List[Tuple[float, float]]:
     """(u_b, theta) for each root x0 != 1 (the vertex) of the pair's P_W on
     [-1, 1]: the edge system has a double zero at u_b = 1/3 + acos(-x0) / (3
     pi) on edge OA, in [1/3, 2/3] where cos 3 pi u_b = x0, for the mixing angle
-    theta in (0, pi/6) at which cos(theta) fc + sin(theta) fs vanishes."""
+    theta in (0, pi/6) at which cos(theta) gc + sin(theta) gs vanishes."""
     pair = _check_pair(pair)
     out = []
     for x0 in polynomial_roots_unit_interval(pair, "P_W"):
         if x0 == 1.0:
             continue
         u_b = 1.0 / 3.0 + math.acos(-x0) / (3.0 * PI)
-        theta = math.atan2(-fc(pair, u_b), fs(pair, u_b))
+        theta = math.atan2(-gc(pair, u_b), gs(pair, u_b))
         if not 0.0 < theta < PI / 6.0:
             raise AssertionError("bifurcation angle outside (0, pi/6)")
         out.append((u_b, theta))

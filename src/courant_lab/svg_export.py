@@ -39,7 +39,7 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_nodal_svg(h: EigenfunctionHandle, resolution: int = 256) -> str:
+def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     """Deterministic SVG document for the nodal set of the handle."""
     check_handle(h)
     basis, mask, points = _grid_values(h, resolution)

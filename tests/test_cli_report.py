@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import pytest
 
 from courant_lab.alcove_geometry import DOMAINS, DomainKind
-from courant_lab.cli_report import format_ratio, main, parse_pair, parse_theta
+from courant_lab.cli_report import RATIO_FORMAT, main, parse_pair, parse_theta
 from courant_lab.lattice_spectrum import MAX_COUNT, enumerate_spectrum
 
 
@@ -14,11 +15,11 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def test_format_ratio():
-    assert format_ratio(0.375) == "0.3750000000"
-    assert format_ratio(3.5) == "3.500000000"
-    assert format_ratio(2.6) == "2.600000000"
-    assert format_ratio(13 / 6) == "2.166666667"
+def test_ratio_format():
+    assert RATIO_FORMAT % 0.375 == "0.3750000000"
+    assert RATIO_FORMAT % 3.5 == "3.500000000"
+    assert RATIO_FORMAT % 2.6 == "2.600000000"
+    assert RATIO_FORMAT % (13 / 6) == "2.166666667"
 
 
 def test_parse_theta():
@@ -169,6 +170,16 @@ def test_critical_zeros_and_fixed_points(capsys):
     assert len(json.loads(out)) == 4
 
 
+@pytest.mark.parametrize("pair, theta, digest", [
+    ("2,3", "theta_c", "8e025633458fbe77"), ("1,3", "theta_c", "f9794d23513029e4"),
+    ("2,3", "pi/6", "8f38a523c9a66297"), ("1,3", "pi/12", "b823957e98eb3cc7")])
+def test_critical_zeros_bytes(capsys, pair, theta, digest):
+    # the exact output, zeros and orders to the last digit, pinned by digest
+    code, out = run_cli(capsys, "critical-zeros", "--pair", pair, "--theta", theta)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_bifurcation_output(capsys):
     code, out = run_cli(capsys, "bifurcation")
     assert code == 0
@@ -185,7 +196,7 @@ def test_spectrum_json_is_the_stdlib_encoding(capsys, domain, count):
     s = enumerate_spectrum(d, count)
     rows = [{"normalized": value, "min_index": lo, "max_index": hi,
              "multiplicity": mult,
-             "ratio": (format_ratio(value / lo)
+             "ratio": (RATIO_FORMAT % (value / lo)
                        if lo >= DOMAINS[d].first_ratio_index else None)}
             for value, lo, hi, mult in zip(s.normalized.tolist(), s.min_index.tolist(),
                                            s.max_index.tolist(), s.multiplicity.tolist())]
@@ -210,7 +221,7 @@ def test_spectrum_csv_is_the_box_oracle_table(capsys, box_scan, domain, count):
     lines, index = ["normalized,min_index,max_index,multiplicity,ratio"], 1
     for value in sorted(groups):
         mult = groups[value]
-        ratio = (format_ratio(value / index)
+        ratio = (RATIO_FORMAT % (value / index)
                  if index >= DOMAINS[d].first_ratio_index else "")
         lines.append(f"{value},{index},{index + mult - 1},{mult},{ratio}")
         index += mult

@@ -11,7 +11,8 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle, alpha_mn,
                                             eval_torus_mode, mix,
                                             pullback_theta)
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import bifurcation_angle, fc
+from courant_lab.nodal_analysis import bifurcation_angle
+from test_nodal_analysis import _fc_typed
 
 E = DomainKind.EQUILATERAL
 RNG = np.random.default_rng(42)
@@ -198,7 +199,7 @@ def test_eval_psi_rejects_a_hemiequilateral_theta():
 def test_edge_normal_derivative_reduction(pair, u):
     # d/ds of the cosine sum along edge (u, u/2) equals 2 pi FC(u)
     r = eval_psi(EigenfunctionHandle(E, Mode(*pair), 0.0), u, u / 2)
-    assert r.grad_s == pytest.approx(2 * math.pi * fc(pair, u), rel=1e-12)
+    assert r.grad_s == pytest.approx(2 * math.pi * _fc_typed(pair, u), rel=1e-12)
 
 
 def test_psi_basis_cases():

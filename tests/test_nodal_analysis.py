@@ -9,17 +9,18 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C,
                                             eval_psi_grid, mix,
                                             pullback_theta)
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import (EDGE_PAIRS, CriticalZero,
-                                        _grid_values, _max_count_over_thetas,
+from courant_lab.nodal_analysis import (_EDGES, EDGE_PAIRS, ROOT_SAMPLES,
+                                        CriticalZero, _grid_values, _k_theta,
+                                        _max_count_over_thetas, _polyder,
                                         _polyval, _sweep_counts,
-                                        _theta_partition, bifurcation_angle,
-                                        bifurcations, count_nodal_domains,
+                                        _theta_partition,
+                                        bifurcation_angle, bifurcations,
+                                        count_nodal_domains,
                                         courant_sharp_verdict,
                                         edge_critical_zeros,
                                         edge_polynomials,
-                                        edge_restriction_roots, fc,
-                                        find_roots, fs, gc, gc_prime, gs,
-                                        gs_prime, median_critical_zeros,
+                                        edge_restriction_roots, find_roots,
+                                        gc, gs, median_critical_zeros,
                                         median_fixed_points,
                                         polynomial_roots_unit_interval)
 
@@ -207,9 +208,12 @@ _P_W = {(1, 3): (4.0, -9.0, 3.0, 5.0, -3.0),      # (1 - T)^3 (3T + 4)
         (2, 3): (11.0, -15.0, -15.0, 25.0, 0.0, -6.0)}  # (1 - T)^3 (6T^2 + 18T + 11)
 
 
-# The hand-typed edge functions that the Weyl-term sums replaced: the
-# reference the derived fc and fs must equal bit for bit, and the sums whose
-# Wronskian must be 16 pi P_W(cos 3 pi u).
+# sigma of edge_polynomials: the content of the C quotient, with its sign
+_SIGMA = {(1, 3): -4.0, (2, 3): -8.0}
+
+
+# The hand-typed edge sums fc and fs: sigma (cos 3 pi u - 1) times gc and gs,
+# and the sums whose Wronskian must be 16 pi P_W(cos 3 pi u).
 def _fc_typed(pair, u):
     if pair == (1, 3):
         return -np.sin(7 * PI * u) + 3 * np.sin(5 * PI * u) - 4 * np.sin(2 * PI * u)
@@ -236,6 +240,23 @@ def _fs_prime_typed(pair, u):
                      - 8 * np.sin(2 * PI * u))
     return PI * (16 * np.sin(8 * PI * u) + 21 * np.sin(7 * PI * u)
                  - 5 * np.sin(PI * u))
+
+
+# The derivatives of gc and gs, written out from the typed P_C and P_S in the
+# operation order of _k_theta's dK, which must equal their combination bit for
+# bit: gc = s (c - 1) P_C(c) and gs = P_S(c), c = cos pi u and s = sin pi u.
+def _gc_prime_typed(pair, u):
+    c = np.cos(PI * u)
+    s = np.sin(PI * u)
+    p_c = _P_C[pair]
+    g = (c - 1.0) * _polyval(p_c, c)
+    dg = _polyval(p_c, c) + (c - 1.0) * _polyval(_polyder(p_c), c)
+    return PI * (c * g - s * s * dg)
+
+
+def _gs_prime_typed(pair, u):
+    c = np.cos(PI * u)
+    return -PI * np.sin(PI * u) * _polyval(_polyder(_P_S[pair]), c)
 
 
 def _wronskian_13_closed(u):
@@ -297,7 +318,8 @@ def test_wronskian_is_16_pi_p_w(pair):
 def test_reduced_wronskian_13_closed_form():
     u = np.linspace(-1 / 6, 1.5, 1000)
     pair = Mode(1, 3)
-    direct = gc(pair, u) * gs_prime(pair, u) - gs(pair, u) * gc_prime(pair, u)
+    direct = (gc(pair, u) * _gs_prime_typed(pair, u)
+              - gs(pair, u) * _gc_prime_typed(pair, u))
     closed = _wronskian_13_closed(u)
     assert np.max(np.abs(direct - closed)) < 1e-10 * np.max(np.abs(closed))
 
@@ -322,11 +344,27 @@ def test_wronskian_23_zeros():
 
 
 @pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
-@pytest.mark.parametrize("derived, typed", [(fc, _fc_typed), (fs, _fs_typed)])
-def test_edge_functions_equal_the_typed_sums(pair, derived, typed):
+@pytest.mark.parametrize("reduced, typed", [(gc, _fc_typed), (gs, _fs_typed)])
+def test_edge_functions_times_the_vertex_factor(pair, reduced, typed):
     u = np.linspace(-2.0, 2.0, 20001)
-    assert np.array_equal(derived(Mode(*pair), u), typed(pair, u))
-    assert derived(Mode(*pair), 0.3912873205) == typed(pair, 0.3912873205)
+    full = _SIGMA[pair] * (np.cos(3 * PI * u) - 1.0) * reduced(Mode(*pair), u)
+    expected = typed(pair, u)
+    assert np.max(np.abs(full - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("theta", [1e-12, 0.1, bifurcation_angle()[1], PI / 6])
+def test_k_theta_is_the_edge_function_combination(pair, sign, theta):
+    # bit for bit on each edge's scanned samples: K is cos(theta) gc + sign
+    # sin(theta) gs, and dK the same combination of the typed derivatives
+    k, dk = _k_theta(pair, theta, sign)
+    ct, st = math.cos(theta), math.sin(theta)
+    for _, _, (lo, hi), _ in _EDGES:
+        u = np.linspace(lo, hi, ROOT_SAMPLES)
+        assert np.array_equal(k(u), ct * gc(pair, u) + sign * st * gs(pair, u))
+        assert np.array_equal(dk(u), ct * _gc_prime_typed(pair, u)
+                              + sign * st * _gs_prime_typed(pair, u))
 
 
 def test_bifurcation_angle_digits():
@@ -338,13 +376,13 @@ def test_bifurcation_angle():
     assert u_b == pytest.approx(0.3912873205, abs=1e-8)
     assert theta_c == pytest.approx(0.3005211736, abs=1e-8)
     # K_+ has a double zero at u_b for theta_c
-    k = math.cos(theta_c) * fc((2, 3), u_b) + math.sin(theta_c) * fs((2, 3), u_b)
-    assert abs(k) < 1e-12
+    def k(u):
+        return (math.cos(theta_c) * _fc_typed((2, 3), u)
+                + math.sin(theta_c) * _fs_typed((2, 3), u))
+
+    assert abs(k(u_b)) < 1e-12
     eps = 1e-6
-    kp = (math.cos(theta_c) * fc((2, 3), u_b + eps)
-          + math.sin(theta_c) * fs((2, 3), u_b + eps)
-          - math.cos(theta_c) * fc((2, 3), u_b - eps)
-          - math.sin(theta_c) * fs((2, 3), u_b - eps)) / (2 * eps)
+    kp = (k(u_b + eps) - k(u_b - eps)) / (2 * eps)
     assert abs(kp) < 1e-6
     # exactly one double zero, the one on OA at u_b
     double = [z for z in edge_critical_zeros((2, 3), theta_c) if z.order == 3]
@@ -375,8 +413,6 @@ def test_boundary_zero_sets_symmetric_under_pullback():
     # 1-D zero set on an edge is that of the normal-derivative function K.
     # sigma2 maps edge [OA] to itself reversing the parameter: zeros of
     # K for theta at u must reappear for the pulled-back angle at 2/3 - u.
-    from courant_lab.nodal_analysis import _k_theta
-
     for pair in ((1, 3), (2, 3)):
         theta = 0.2
         new, _ = pullback_theta(2, Mode(*pair), theta)
