@@ -2,6 +2,9 @@
 counts, critical zeros, the bifurcation angle, verdicts and SVG plots.
 
 Exit codes: 0 success, 2 validation error, 3 unstable nodal count.
+
+The nodal commands import nodal_analysis, and with it scipy, where they use
+it, so `spectrum` and `screen` start without scipy.
 """
 
 import argparse
@@ -13,9 +16,6 @@ import time
 
 from .alcove_geometry import DomainKind
 from .lattice_spectrum import Mode, enumerate_spectrum
-from .nodal_analysis import (bifurcation_angle, count_nodal_domains,
-                             courant_sharp_verdict, edge_critical_zeros,
-                             median_fixed_points)
 from .pleijel_screening import index_cutoff, ratio_rule, screening_summary
 from .eigenfunction_eval import EigenfunctionHandle
 
@@ -31,6 +31,7 @@ def parse_theta(text: str) -> float:
     """Radians, pi/<k> or theta_c; ValueError unless a finite angle."""
     text = text.strip()
     if text == "theta_c":
+        from .nodal_analysis import bifurcation_angle
         return bifurcation_angle()[1]
     try:
         theta = math.pi / int(text[3:]) if text.startswith("pi/") else float(text)
@@ -105,6 +106,7 @@ def run_screen(args: argparse.Namespace) -> int:
 
 
 def run_verdict(args: argparse.Namespace) -> int:
+    from .nodal_analysis import courant_sharp_verdict
     verdict = courant_sharp_verdict(args.domain)
     out = {"domain": args.domain.value,
            "verdict": [[n, sharp] for n, sharp in verdict],
@@ -114,6 +116,7 @@ def run_verdict(args: argparse.Namespace) -> int:
 
 
 def run_nodal(args: argparse.Namespace) -> int:
+    from .nodal_analysis import count_nodal_domains
     h = EigenfunctionHandle(args.domain, args.pair, args.theta)
     report = count_nodal_domains(h, args.resolution)
     out = {"domain": args.domain.value, "m": args.pair.m, "n": args.pair.n,
@@ -127,6 +130,7 @@ def run_nodal(args: argparse.Namespace) -> int:
 
 
 def run_critical_zeros(args: argparse.Namespace) -> int:
+    from .nodal_analysis import edge_critical_zeros
     zeros = edge_critical_zeros(args.pair, args.theta)
     out = [{"edge": z.edge_or_median, "u": z.parameter_u, "order": z.order,
             "s": z.location.s, "t": z.location.t} for z in zeros]
@@ -135,6 +139,7 @@ def run_critical_zeros(args: argparse.Namespace) -> int:
 
 
 def run_fixed_points(args: argparse.Namespace) -> int:
+    from .nodal_analysis import median_fixed_points
     out = [{"label": f.label, "s": f.location.s, "t": f.location.t}
            for f in median_fixed_points(args.pair)]
     _emit(args, json.dumps(out, indent=2) + "\n")
@@ -142,6 +147,7 @@ def run_fixed_points(args: argparse.Namespace) -> int:
 
 
 def run_bifurcation(args: argparse.Namespace) -> int:
+    from .nodal_analysis import bifurcation_angle
     u_b, theta_c = bifurcation_angle()
     _emit(args, json.dumps({"u_b": u_b, "theta_c": theta_c}, indent=2) + "\n")
     return 0

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -346,7 +350,8 @@ def test_plot_svg(tmp_path, capsys):
     ("nodal", "--domain", "equilateral", "--pair", "2,3"),
     ("plot", "--domain", "right-isosceles", "--pair", "2,1")])
 def test_resolution_above_the_grid_cap_exits_two_before_allocating(capsys, argv):
-    # plot imports svg_export lazily; import it first, outside the measured peak
+    # nodal and plot import nodal_analysis and svg_export lazily; import them
+    # first, outside the measured peak (svg_export imports nodal_analysis)
     import courant_lab.svg_export  # noqa: F401
 
     tracemalloc.start()
@@ -361,3 +366,40 @@ def test_resolution_above_the_grid_cap_exits_two_before_allocating(capsys, argv)
     assert captured.out == ""
     assert captured.err.startswith("error: resolution must be ")
     assert captured.err.endswith(", got 1000000\n")
+
+
+TABLE_ARGVS = [["spectrum", "--domain", "hemiequilateral", "--count", "300"],
+               ["spectrum", "--domain", "hemiequilateral", "--count", "300",
+                "--format", "json"],
+               ["screen", "--domain", "hemiequilateral"],
+               ["screen", "--domain", "hemiequilateral", "--format", "json"]]
+
+FRESH_PROCESS = """
+import contextlib, io, json, sys
+from courant_lab.cli_report import main
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return [code, buf.getvalue()]
+
+tables = [run(argv) for argv in json.loads(sys.argv[1])]
+loaded = [m for m in ("scipy", "courant_lab.nodal_analysis") if m in sys.modules]
+print(json.dumps({"tables": tables, "loaded": loaded,
+                  "bifurcation": run(["bifurcation"])}))
+"""
+
+
+def test_spectrum_and_screen_run_without_scipy(capsys):
+    # a fresh interpreter: this one has imported nodal_analysis already
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS,
+                           json.dumps(TABLE_ARGVS)],
+                          capture_output=True, text=True, env=env, check=True)
+    fresh = json.loads(proc.stdout)
+    assert fresh["loaded"] == []
+    assert fresh["tables"] == [list(run_cli(capsys, *argv)) for argv in TABLE_ARGVS]
+    # the nodal commands still find nodal_analysis, imported on first use
+    code, out = fresh["bifurcation"]
+    assert code == 0 and '"theta_c": 0.3005211736685075' in out
