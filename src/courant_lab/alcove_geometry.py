@@ -1,8 +1,8 @@
-"""Lattice bases, coordinate systems, reflection-group action, and the
-DomainSpec table that holds every per-domain fact (area, spectrum form,
-screening constants, the triangle's vertices) for the equilateral torus and
-the three triangles.  The point-in-domain predicate, the nodal grid's extent
-and the SVG outline all derive from the vertices.
+"""The alcove-to-Euclidean map, the reflection-group images of a lattice
+pair, and the DomainSpec table that holds every per-domain fact (area,
+spectrum form, screening constants, the triangle's vertices) for the
+equilateral torus and the three triangles.  The point-in-domain predicate,
+the nodal grid's extent and the SVG outline all derive from the vertices.
 
 Coordinates: a point may be given in Euclidean coordinates (x, y) or in
 alcove coordinates (s, t), meaning s*alpha1 + t*alpha2 in the coroot basis.
@@ -26,26 +26,6 @@ class AlcovePoint(NamedTuple):
     t: float
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
-    alpha1_check: CartesianPoint
-    alpha2_check: CartesianPoint
-    alpha3_check: CartesianPoint
-    omega1: CartesianPoint
-    omega2: CartesianPoint
-
-
-# All constants are derived from a single sqrt(3) so the duality and sum
-# identities hold to a couple of ulp.
-BASIS = LatticeBasis(
-    alpha1_check=CartesianPoint(1.5, -SQRT3 / 2.0),
-    alpha2_check=CartesianPoint(0.0, SQRT3),
-    alpha3_check=CartesianPoint(1.5, SQRT3 / 2.0),
-    omega1=CartesianPoint(2.0 / 3.0, 0.0),
-    omega2=CartesianPoint(1.0 / 3.0, 1.0 / SQRT3),
-)
-
-
 class DomainKind(Enum):
     TORUS = "torus"
     EQUILATERAL = "equilateral"
@@ -63,13 +43,6 @@ def to_cartesian(p) -> CartesianPoint:
     """Map alcove coordinates (s, t) to Euclidean (x, y) = s*a1 + t*a2."""
     s, t = p
     return CartesianPoint(1.5 * s, SQRT3 * (t - 0.5 * s))
-
-
-def to_alcove(q) -> AlcovePoint:
-    """Inverse of to_cartesian."""
-    x, y = q
-    s = 2.0 * x / 3.0
-    return AlcovePoint(s, y / SQRT3 + 0.5 * s)
 
 
 # The six reflection-group images of a dual-lattice pair (m, n), as
@@ -155,32 +128,3 @@ DOMAINS = {
         first_ratio_index=1, alcove=True,
         vertices=((0.0, 0.0), (2.0 / 3.0, 1.0 / 3.0), (0.5, 0.5))),
 }
-
-
-def in_domain(d: DomainKind, p, strict: bool = False) -> bool:
-    """Closed-domain membership; strict=True excludes the boundary.
-
-    Right-isosceles points are Euclidean (x, y) in [0, pi]^2; the other
-    domains use alcove coordinates. The torus has no boundary.
-    """
-    tol = -EDGE_TOL if strict else EDGE_TOL
-    return bool(DOMAINS[d].inside(*p, tol))
-
-
-_SYMMETRIES = {
-    1: lambda s, t: (t, s),
-    2: lambda s, t: (-s + 2.0 / 3.0, t - s + 1.0 / 3.0),
-    3: lambda s, t: (s - t + 1.0 / 3.0, -t + 2.0 / 3.0),
-    "rot+": lambda s, t: (-t + 2.0 / 3.0, s - t + 1.0 / 3.0),
-    "rot-": lambda s, t: (t - s + 1.0 / 3.0, -s + 2.0 / 3.0),
-}
-
-
-def apply_symmetry(k, p) -> AlcovePoint:
-    """Apply a mirror (k in {1,2,3}) or rotation ('rot+', 'rot-') to (s, t)."""
-    try:
-        sym = _SYMMETRIES[k]
-    except KeyError:
-        raise ValueError(f"unknown symmetry {k!r}") from None
-    s, t = p
-    return AlcovePoint(*sym(s, t))

@@ -1,16 +1,15 @@
-"""Closed-form eigenfunction evaluation: torus exponentials, the six-term
-C/S sums and their mixtures Psi^theta on the equilateral triangle (also used
-for the hemiequilateral), the antisymmetrized sine products on the
-right-isosceles triangle, and the symmetry action on the mixing angle.
+"""Closed-form eigenfunction evaluation: the six-term C/S sums and their
+mixtures Psi^theta on the equilateral triangle (also used for the
+hemiequilateral), and the antisymmetrized sine products on the
+right-isosceles triangle.
 
 Evaluators accept scalars or numpy arrays in (s, t); gradients are analytic
 (term-by-term differentiation), never internal finite differences.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,11 +71,6 @@ class EvalResult(NamedTuple):
     grad_t: float | np.ndarray
 
 
-def eval_torus_mode(m: int, n: int, s: float, t: float) -> complex:
-    """Unit-modulus exponential e^{2 i pi (m s + n t)}."""
-    return cmath.exp(2j * math.pi * (m * s + n * t))
-
-
 def eval_C(m, n, s, t):
     """Six-term cosine sum; identically zero when m == n."""
     acc = 0.0
@@ -125,30 +119,3 @@ def eval_isosceles(m: int, n: int, x, y):
     if m == n or min(m, n) < 1:
         raise ValueError("need m != n, both >= 1")
     return np.sin(m * x) * np.sin(n * y) - np.sin(n * x) * np.sin(m * y)
-
-
-def alpha_mn(m: int, n: int) -> float:
-    return TWO_PI * (2 * m + n) / 3.0
-
-
-def pullback_theta(sym, pair: Mode, theta: float) -> Tuple[float, int]:
-    """Mixing angle theta' with Psi^theta o sym = sign * Psi^theta'.
-
-    sym is a mirror 1/2/3 or a rotation 'rot+'/'rot-'; theta' is reduced to
-    [0, 2 pi) and the sign is always +1 in that representation.
-    """
-    m, n = pair
-    a = alpha_mn(m, n)
-    if sym == 1:
-        new = math.pi - theta
-    elif sym == 2:
-        new = math.pi + a - theta
-    elif sym == 3:
-        new = math.pi - a - theta
-    elif sym == "rot+":
-        new = theta - a
-    elif sym == "rot-":
-        new = theta + a
-    else:
-        raise ValueError(f"unknown symmetry {sym!r}")
-    return new % TWO_PI, 1

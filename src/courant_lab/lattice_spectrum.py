@@ -1,5 +1,5 @@
-"""Eigenvalue enumeration, multiplicities, counting functions and their
-closed-form lower bounds for the four domains.
+"""Eigenvalue enumeration, multiplicities, counting functions and the
+inverse of their closed-form lower bounds for the four domains.
 
 Normalized eigenvalues are exact integers: m^2 + mn + n^2 for the torus,
 equilateral and hemiequilateral (physical scale 16 pi^2 / 9), and m^2 + n^2
@@ -146,17 +146,10 @@ def bound_coefficients(d: DomainKind):
     return spec.area / (4.0 * math.pi), spec.bound_b, spec.bound_c
 
 
-def counting_lower_bound(d: DomainKind, lam: float) -> float:
-    """Closed-form lower bound for the counting function (physical units)."""
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    a, b, c = bound_coefficients(d)
-    return a * lam - b * math.sqrt(lam) + c
-
-
 def bound_inverse(d: DomainKind, count: float) -> float:
-    """The lambda (physical units) at which counting_lower_bound equals
-    count: the larger root of a x^2 - b x + c - count in x = sqrt(lambda)."""
+    """The lambda (physical units) at which the lower bound of
+    bound_coefficients equals count: the larger root of a x^2 - b x + c -
+    count in x = sqrt(lambda)."""
     a, b, c = bound_coefficients(d)
     root = (b + math.sqrt(b * b + 4.0 * a * (count - c))) / (2.0 * a)
     return root * root

@@ -32,8 +32,9 @@ PI = math.pi
 # classified as zero instead of surviving as a spurious one-pixel component.
 ZERO_BAND_REL = 1e-5
 
-# Largest nodal grid side; nodal --resolution 2048 counts on a 4096 grid in 0.4 GB.
-MAX_GRID = 4096
+# Smallest and largest nodal grid side; nodal --resolution 2048 counts on a
+# 4096 grid in 0.4 GB.
+MIN_GRID, MAX_GRID = 64, 4096
 
 # the equilateral mode pairs whose edge analysis is implemented
 EDGE_PAIRS = (Mode(1, 3), Mode(2, 3))
@@ -381,8 +382,8 @@ def _grid_values(h: EigenfunctionHandle, resolution: int):
     spec = DOMAINS[h.domain]
     if spec.vertices is None:
         raise ValueError(f"nodal counting is not defined for {h.domain.value}")
-    if not 64 <= resolution <= MAX_GRID:
-        raise ValueError(f"resolution must be >= 64 and <= {MAX_GRID}, "
+    if not MIN_GRID <= resolution <= MAX_GRID:
+        raise ValueError(f"resolution must be >= {MIN_GRID} and <= {MAX_GRID}, "
                          f"got {resolution}")
     x = np.linspace(0.0, max(map(max, spec.vertices)), resolution)
     mask = spec.inside(x[:, None], x[None, :], -EDGE_TOL)
@@ -422,9 +423,10 @@ def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
     """Count sign components on the grid; stable means the total is unchanged
     when the resolution is doubled."""
     check_handle(h)
-    # 2r above the cap: refuse before building the r grid, naming r itself
-    if 2 * resolution > MAX_GRID:
-        raise ValueError(f"resolution must be <= {MAX_GRID // 2}, got {resolution}")
+    # 2r above the cap: refuse before building the r grid, naming r's range
+    if not MIN_GRID <= resolution <= MAX_GRID // 2:
+        raise ValueError(f"resolution must be >= {MIN_GRID} and <= "
+                         f"{MAX_GRID // 2}, got {resolution}")
     (pos, neg), = _sweep_counts(h, resolution, [h.theta])
     (pos2, neg2), = _sweep_counts(h, 2 * resolution, [h.theta])
     return NodalReport(h, resolution, pos + neg, pos, neg,
@@ -439,10 +441,11 @@ def _theta_partition(d: DomainKind, pair: Mode) -> List[float]:
     """Angles attaining the largest nodal count over the pair's eigenspace.
     Off the equilateral triangle it is one function, and so it is for m = n,
     where C_{m,m} vanishes: pi/2 picks S.  Else the breakpoints of [0, pi/6]
-    and each piece's midpoint: theta + pi and pullback_theta keep the nodal
-    count and, as 2m + n is not divisible by 3, take every theta into [0,
-    pi/6].  There the count changes only at an edge critical zero on the
-    nodal set, a zero of the pair's Wronskian: the angles of bifurcations."""
+    and each piece's midpoint: theta + pi and the triangle's symmetries keep
+    the nodal count and, as 2m + n is not divisible by 3, take every theta
+    into [0, pi/6] (test_zero_to_pi_over_6_is_a_fundamental_interval).
+    There the count changes only at an edge critical zero on the nodal set,
+    a zero of the pair's Wronskian: the angles of bifurcations."""
     if d is not DomainKind.EQUILATERAL:
         return [0.0]
     if pair[0] == pair[1]:

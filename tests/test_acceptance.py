@@ -8,17 +8,17 @@ import time
 
 import numpy as np
 
-from courant_lab.alcove_geometry import DOMAINS, DomainKind, apply_symmetry
+from courant_lab.alcove_geometry import DOMAINS, DomainKind
 from courant_lab.cli_report import main
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle,
-                                            eval_isosceles, eval_psi_grid,
-                                            pullback_theta)
+                                            eval_isosceles, eval_psi_grid)
 from courant_lab.lattice_spectrum import Mode, modes_up_to
 from courant_lab.nodal_analysis import (EDGE_PAIRS, bifurcation_angle,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
                                         median_critical_zeros,
                                         polynomial_roots_unit_interval)
+from oracles import apply_symmetry, pullback_theta
 from test_nodal_analysis import wronskian_is_16_pi_p_w
 
 T = DomainKind.TORUS
@@ -225,8 +225,8 @@ def _wronskian_ok():
 
 def _bounds_ok():
     from courant_lab.lattice_spectrum import (counting_function,
-                                              counting_lower_bound,
                                               enumerate_spectrum)
+    from oracles import counting_lower_bound
     for d in DomainKind:
         for value in enumerate_spectrum(d, 500).normalized.tolist():
             if value == 0:

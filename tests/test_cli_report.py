@@ -107,6 +107,17 @@ def test_validation_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, resolution, cap", [
+    ("nodal", 10, 2048), ("nodal", 4096, 2048), ("plot", 63, 4096)])
+def test_resolution_errors_name_the_commands_own_range(capsys, command,
+                                                       resolution, cap):
+    # nodal also counts on the doubled grid, so its cap is half of plot's
+    assert main([command, "--domain", "equilateral", "--pair", "2,3",
+                 "--resolution", str(resolution)]) == 2
+    assert capsys.readouterr().err == (f"error: resolution must be >= 64 and "
+                                       f"<= {cap}, got {resolution}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("nodal", "--domain", "equilateral", "--pair", "0,0"),
     ("nodal", "--domain", "equilateral", "--pair", "1,1", "--theta", "0"),

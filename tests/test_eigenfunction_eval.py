@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import DomainKind, apply_symmetry
-from courant_lab.eigenfunction_eval import (EigenfunctionHandle, alpha_mn,
-                                            eigenbasis, eval_C,
-                                            eval_isosceles, eval_psi,
-                                            eval_psi_grid, eval_S,
-                                            eval_torus_mode, mix,
-                                            pullback_theta)
+from courant_lab.alcove_geometry import DomainKind
+from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eigenbasis,
+                                            eval_C, eval_isosceles, eval_psi,
+                                            eval_psi_grid, eval_S, mix)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import bifurcation_angle
+from oracles import (alpha_mn, apply_symmetry, eval_torus_mode,
+                     pullback_theta)
 from test_nodal_analysis import _fc_typed
 
 E = DomainKind.EQUILATERAL

@@ -6,9 +6,9 @@ from courant_lab.alcove_geometry import DOMAINS, SCALE_A2, DomainKind
 from courant_lab import lattice_spectrum
 from courant_lab.lattice_spectrum import (Mode, bound_inverse,
                                           counting_function,
-                                          counting_lower_bound,
                                           enumerate_spectrum, modes_up_to,
                                           multiplicity)
+from oracles import counting_lower_bound
 
 T = DomainKind.TORUS
 E = DomainKind.EQUILATERAL
@@ -138,6 +138,16 @@ def test_counting_function_strict_at_eigenvalue():
     # itself must still not be counted
     assert counting_function(T, SCALE_A2 * 117) == 421
     assert counting_function(E, SCALE_A2 * 243) == 130
+
+
+@pytest.mark.parametrize("query, value, message", [
+    (counting_function, math.nan, "lambda must be finite"),
+    (counting_function, math.inf, "lambda must be finite"),
+    (counting_function, -math.inf, "lambda must be finite"),
+    (multiplicity, -1, "normalized must be >= 0")])
+def test_queries_reject_values_outside_their_domain(query, value, message):
+    with pytest.raises(ValueError, match=message):
+        query(T, value)
 
 
 @pytest.mark.parametrize("d", list(DomainKind))

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import AlcovePoint, DomainKind, in_domain
+from courant_lab.alcove_geometry import AlcovePoint, DomainKind
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C,
                                             eval_isosceles, eval_psi,
-                                            eval_psi_grid, mix,
-                                            pullback_theta)
+                                            eval_psi_grid, mix)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (_EDGES, EDGE_PAIRS, ROOT_SAMPLES,
                                         CriticalZero, _grid_values, _k_theta,
@@ -23,6 +22,7 @@ from courant_lab.nodal_analysis import (_EDGES, EDGE_PAIRS, ROOT_SAMPLES,
                                         gc, gs, median_critical_zeros,
                                         median_fixed_points,
                                         polynomial_roots_unit_interval)
+from oracles import in_domain, pullback_theta
 
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES

@@ -1,0 +1,134 @@
+"""Mutation check: each row of MUTANTS is one edit to src/courant_lab that a
+test module must catch.
+
+For each row it copies src/, tests/ and pyproject.toml to a temporary
+directory, checks that the old text occurs exactly once in the file, applies
+the edit and runs the named test module with `pytest -x`.  A mutant is caught
+when pytest reports a failed test.  The script exits 1 if a mutant survives,
+if an old text does not occur exactly once, or if pytest ends any other way
+(an error in collection, say).  Mutants run one at a time.  When a refactor
+moves an old text, update its row; a row is a check like any test, so none is
+dropped or weakened to get a pass.
+
+    python tools/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (file in src/courant_lab, exact old text, new text, test module)
+MUTANTS = (
+    # the verdict counts indices 1 and 2 without a grid, and no higher one
+    ("nodal_analysis.py", "mu = n if n <= 2 else", "mu = n if n <= 1 else",
+     "test_nodal_analysis.py"),
+    # the theta partition loses its breakpoints, theta_c among them
+    ("nodal_analysis.py",
+     "breaks = [0.0, *sorted(theta for _, theta in bifurcations(pair)), PI / 6.0]",
+     "breaks = [0.0, PI / 6.0]", "test_nodal_analysis.py"),
+    # m = n mixes in C_{m,m}, which vanishes, in place of S
+    ("nodal_analysis.py", "return [PI / 2.0]", "return [0.0]",
+     "test_nodal_analysis.py"),
+    ("nodal_analysis.py", "xtol=1e-13", "xtol=1e-12", "test_cli_report.py"),
+    # dK with PI regrouped: the same value to rounding, other bits
+    ("nodal_analysis.py", "ct * (PI * (c * g - s * s * dg))",
+     "ct * (PI * c * g - PI * s * s * dg)", "test_nodal_analysis.py"),
+    # a 1 fill outside the mask
+    ("nodal_analysis.py", "signs = np.zeros(mask.shape, dtype=np.int8)",
+     "signs = np.ones(mask.shape, dtype=np.int8)", "test_nodal_analysis.py"),
+    # nodal's cap without the doubled grid
+    ("nodal_analysis.py", "resolution <= MAX_GRID // 2:", "resolution <= MAX_GRID:",
+     "test_nodal_analysis.py"),
+    ("lattice_spectrum.py", "n + 1 if spec.ordered", "n if spec.ordered",
+     "test_lattice_spectrum.py"),
+    # each row's m-interval one short
+    ("lattice_spectrum.py", "r = math.isqrt(4 * limit - (4 - c * c) * n * n)",
+     "r = math.isqrt(4 * limit - (4 - c * c) * n * n) - 1",
+     "test_lattice_spectrum.py"),
+    ("lattice_spectrum.py", 'if not math.isfinite(lam):\n        raise ValueError',
+     'if False:\n        raise ValueError', "test_lattice_spectrum.py"),
+    ("lattice_spectrum.py", "if normalized < 0:", "if False:",
+     "test_lattice_spectrum.py"),
+    ("eigenfunction_eval.py", "if not math.isfinite(h.theta):", "if False:",
+     "test_nodal_analysis.py"),
+    # S off by 0.1%
+    ("eigenfunction_eval.py", "acc = acc + sign * np.sin(",
+     "acc = acc + 1.001 * sign * np.sin(", "test_eigenfunction_eval.py"),
+    # a vertex typo and an area typo, on the hemiequilateral triangle
+    ("alcove_geometry.py", "(2.0 / 3.0, 1.0 / 3.0), (0.5, 0.5))",
+     "(2.0 / 3.0, 1.0 / 3.0), (0.5, 0.49))", "test_alcove_geometry.py"),
+    ("alcove_geometry.py", "area=SQRT3 / 8.0", "area=SQRT3 / 8.1",
+     "test_alcove_geometry.py"),
+    ("cli_report.py", 'RATIO_FORMAT = "%#.10g"', 'RATIO_FORMAT = "%#.11g"',
+     "test_cli_report.py"),
+    ("cli_report.py", "if not math.isfinite(theta):", "if False:",
+     "test_cli_report.py"),
+    # spectrum and screen would import scipy
+    ("cli_report.py", "from .eigenfunction_eval import EigenfunctionHandle\n",
+     "from .eigenfunction_eval import EigenfunctionHandle\n"
+     "from .nodal_analysis import bifurcation_angle  # noqa: F401\n",
+     "test_cli_report.py"),
+    # marching squares: the crossing test, the corner order, the segment ends
+    ("svg_export.py", "(v > 0) != (np.roll(v, -1, axis=1) > 0)",
+     "(v >= 0) != (np.roll(v, -1, axis=1) >= 0)", "test_svg_export.py"),
+    ("svg_export.py", "np.stack((i, i + 1, i + 1, i), 1)",
+     "np.stack((i, i + 1, i, i + 1), 1)", "test_svg_export.py"),
+    ("svg_export.py", "zip(pts[0::2], pts[1::2])", "zip(pts[1::2], pts[0::2])",
+     "test_svg_export.py"),
+)
+
+
+def run(file: str, old: str, new: str, module: str) -> str:
+    """'caught' or 'survived' for one mutant, or what went wrong."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        junk = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, tmp / tree, ignore=junk)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        path = tmp / "src" / "courant_lab" / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            return f"old text occurs {text.count(old)} times: {old!r}"
+        path.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"))
+        # the copy, not an installed courant_lab, is what the tests import
+        where = subprocess.run([sys.executable, "-c", "import courant_lab; "
+                                "print(courant_lab.__file__)"], cwd=tmp, env=env,
+                               capture_output=True, text=True).stdout.strip()
+        if Path(where) != path.with_name("__init__.py"):
+            return f"courant_lab imports from {where!r}, not from the copy"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             f"tests/{module}"], cwd=tmp, env=env, capture_output=True, text=True)
+    if proc.returncode == 1:
+        failed = [line.split(" - ")[0] for line in proc.stdout.splitlines()
+                  if line.startswith("FAILED ")]
+        return f"caught by {failed[0][len('FAILED '):]}" if failed else "caught"
+    if proc.returncode == 0:
+        return "survived"
+    return f"pytest exit {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    failures = 0
+    for file, old, new, module in MUTANTS:
+        t = time.perf_counter()
+        outcome = run(file, old, new, module)
+        failures += not outcome.startswith("caught")
+        print(f"{file}: {old!r} -> {new!r}\n    {outcome} "
+              f"({time.perf_counter() - t:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants caught "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
