@@ -95,10 +95,7 @@ def run_spectrum(args: argparse.Namespace) -> int:
 
 def run_screen(args: argparse.Namespace) -> int:
     if args.format == "json":
-        s = screening_summary(args.domain)
-        out = {"domain": args.domain.value, "index_cutoff": s.index_cutoff,
-               "threshold": s.threshold, "candidates": s.candidates}
-        _emit(args, json.dumps(out, indent=2) + "\n")
+        _emit(args, json.dumps(screening_summary(args.domain), indent=2) + "\n")
     else:
         # the screening table is the spectrum up to the index cutoff
         _emit(args, _csv_table(args.domain, index_cutoff(args.domain)))

@@ -364,7 +364,6 @@ def bifurcation_angle() -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class NodalReport:
-    handle: EigenfunctionHandle
     resolution: int
     domain_count: int
     positive_components: int
@@ -391,9 +390,6 @@ def _grid_values(h: EigenfunctionHandle, resolution: int):
     return eigenbasis(h.domain, h.mode, p[mask], q[mask]), mask, (p, q)
 
 
-_FOUR = ndimage.generate_binary_structure(2, 1)
-
-
 def sign_grid(inside: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """{+1, -1, 0} per sample: the sign of the values inside the mask (given
     in the order of p[mask]), 0 in the zero band and outside the mask."""
@@ -404,9 +400,10 @@ def sign_grid(inside: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _label_counts(signs: np.ndarray) -> Tuple[int, int]:
-    """Numbers of positive and negative 4-connected sign components."""
-    pos = ndimage.label(signs == 1, _FOUR)[1]
-    neg = ndimage.label(signs == -1, _FOUR)[1]
+    """Numbers of positive and negative 4-connected sign components: in 2-D,
+    ndimage.label's default structure is the 4-connected cross."""
+    pos = ndimage.label(signs == 1)[1]
+    neg = ndimage.label(signs == -1)[1]
     return pos, neg
 
 
@@ -429,7 +426,7 @@ def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
                          f"{MAX_GRID // 2}, got {resolution}")
     (pos, neg), = _sweep_counts(h, resolution, [h.theta])
     (pos2, neg2), = _sweep_counts(h, 2 * resolution, [h.theta])
-    return NodalReport(h, resolution, pos + neg, pos, neg,
+    return NodalReport(resolution, pos + neg, pos, neg,
                        pos + neg == pos2 + neg2)
 
 
@@ -472,11 +469,10 @@ def courant_sharp_verdict(d: DomainKind, resolution: int = 512):
     orthogonal to the one-signed first one, so it has exactly two nodal
     domains."""
     verdict = []
-    for row in candidates(d):
-        n = row.min_index
-        if n > 2 and len({tuple(sorted(p)) for p in row.modes}) > 1:
+    for n, modes in candidates(d):
+        if n > 2 and len({tuple(sorted(p)) for p in modes}) > 1:
             raise AssertionError(f"lambda_{n} on {d.value} holds more than one pair "
-                                 f"class: {list(row.modes)}")
-        mu = n if n <= 2 else _max_count_over_thetas(d, min(row.modes), resolution)
+                                 f"class: {list(modes)}")
+        mu = n if n <= 2 else _max_count_over_thetas(d, min(modes), resolution)
         verdict.append((n, mu == n))
     return verdict

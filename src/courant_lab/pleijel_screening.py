@@ -3,7 +3,6 @@ Faber-Krahn inequality to reduce Courant-sharpness to a finite candidate list
 per domain, and emit the corresponding screening tables."""
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -57,26 +56,6 @@ def index_cutoff(d: DomainKind) -> int:
     return DOMAINS[d].index_cutoff
 
 
-@dataclass(frozen=True)
-class ScreeningRow:
-    normalized: int
-    min_index: int
-    max_index: int
-    multiplicity: int
-    ratio: float
-    ratio_applies: bool
-    passes: bool
-    modes: Tuple[Mode, ...]
-
-
-@dataclass(frozen=True)
-class ScreeningSummary:
-    domain: DomainKind
-    index_cutoff: int
-    threshold: float
-    candidates: List[int]
-
-
 def ratio_rule(d: DomainKind, s: Spectrum) -> Tuple[int, np.ndarray]:
     """The ratio test's inputs for the spectrum's rows: the number of leading
     rows it does not apply to, those whose min_index is below the domain's
@@ -86,30 +65,33 @@ def ratio_rule(d: DomainKind, s: Spectrum) -> Tuple[int, np.ndarray]:
     return skip, s.normalized / s.min_index
 
 
-def screening_table(d: DomainKind) -> List[ScreeningRow]:
-    threshold = faber_krahn_threshold(d)
+def screening_table(d: DomainKind) -> Tuple[Spectrum, np.ndarray]:
+    """The spectrum up to the index cutoff and its bool column `passes`: False
+    on the prefix ratio_rule skips, elsewhere ratio >= faber_krahn_threshold."""
     # every row enumerate_spectrum returns starts at an index <= the cutoff
     s = enumerate_spectrum(d, index_cutoff(d))
     skip, ratios = ratio_rule(d, s)
-    columns = zip(s.normalized.tolist(), s.min_index.tolist(), s.max_index.tolist(),
-                  s.multiplicity.tolist(), ratios.tolist())
-    return [ScreeningRow(value, lo, hi, mult, ratio, i >= skip,
-                         i >= skip and ratio >= threshold,
-                         tuple(map(Mode._make, s.modes[lo - 1:hi].tolist())))
-            for i, (value, lo, hi, mult, ratio) in enumerate(columns)]
+    passes = ratios >= faber_krahn_threshold(d)
+    passes[:skip] = False
+    return s, passes
 
 
-def candidates(d: DomainKind) -> List[ScreeningRow]:
-    """Rows surviving the necessary conditions, index <= cutoff and the ratio
-    test where it applies, each standing for its min_index n, the one index
-    with lambda_{n-1} < lambda_n.  Indices 1 and 2 always start a row."""
-    return [row for row in screening_table(d) if row.min_index <= 2 or row.passes]
+def candidates(d: DomainKind) -> List[Tuple[int, Tuple[Mode, ...]]]:
+    """(n, modes) for each row surviving the necessary conditions, index <=
+    cutoff and the ratio test where it applies: n is the row's min_index, the
+    one index with lambda_{n-1} < lambda_n, and modes its cluster's pairs.
+    Indices 1 and 2 always start a row."""
+    s, passes = screening_table(d)
+    keep = (s.min_index <= 2) | passes
+    return [(lo, tuple(map(Mode._make, s.modes[lo - 1:hi].tolist())))
+            for lo, hi in zip(s.min_index[keep].tolist(), s.max_index[keep].tolist())]
 
 
 def candidate_indices(d: DomainKind) -> List[int]:
-    return [row.min_index for row in candidates(d)]
+    return [n for n, _ in candidates(d)]
 
 
-def screening_summary(d: DomainKind) -> ScreeningSummary:
-    return ScreeningSummary(d, index_cutoff(d), faber_krahn_threshold(d),
-                            candidate_indices(d))
+def screening_summary(d: DomainKind) -> dict:
+    """The `screen --format json` document."""
+    return {"domain": d.value, "index_cutoff": index_cutoff(d),
+            "threshold": faber_krahn_threshold(d), "candidates": candidate_indices(d)}

