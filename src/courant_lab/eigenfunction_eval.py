@@ -21,26 +21,26 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class EigenfunctionHandle:
+    """An eigenfunction, checked when built (ValueError otherwise): its pair
+    is admissible up to the (m, n) swap, theta is finite and 0 except on the
+    equilateral triangle (where C and S mix), and it is not identically zero,
+    as cos(theta) C_{m,m} + sin(theta) S_{m,m} is at theta = k pi."""
     domain: DomainKind
     mode: Mode
     theta: float = 0.0
 
-
-def check_handle(h: EigenfunctionHandle) -> None:
-    """Raise ValueError unless the handle names an eigenfunction: its pair is
-    admissible up to the (m, n) swap, theta is finite and 0 except on the
-    equilateral triangle (where C and S mix), and it is not identically zero,
-    as cos(theta) C_{m,m} + sin(theta) S_{m,m} is at theta = k pi."""
-    spec, (m, n) = DOMAINS[h.domain], h.mode
-    if not math.isfinite(h.theta):
-        raise ValueError(f"theta must be finite, got {h.theta}")
-    if not (_admissible(spec, m, n) or _admissible(spec, n, m)):
-        raise ValueError(f"pair ({m}, {n}) is not admissible on {h.domain.value}")
-    if h.theta != 0.0 and h.domain is not DomainKind.EQUILATERAL:
-        raise ValueError(f"theta must be 0 on {h.domain.value}")
-    if (h.domain is DomainKind.EQUILATERAL and m == n
-            and abs(math.sin(h.theta)) < 1e-12):
-        raise ValueError(f"pair ({m}, {n}) at theta {h.theta} is identically zero")
+    def __post_init__(self):
+        spec, (m, n) = DOMAINS[self.domain], self.mode
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+        if not (_admissible(spec, m, n) or _admissible(spec, n, m)):
+            raise ValueError(f"pair ({m}, {n}) is not admissible on {self.domain.value}")
+        # on the hemiequilateral S is not Dirichlet on s = t
+        if self.theta != 0.0 and self.domain is not DomainKind.EQUILATERAL:
+            raise ValueError(f"theta must be 0 on {self.domain.value}")
+        if (self.domain is DomainKind.EQUILATERAL and m == n
+                and abs(math.sin(self.theta)) < 1e-12):
+            raise ValueError(f"pair ({m}, {n}) at theta {self.theta} is identically zero")
 
 
 def eigenbasis(d: DomainKind, pair, s, t) -> tuple:
@@ -97,8 +97,6 @@ def eval_psi(h: EigenfunctionHandle, s, t) -> EvalResult:
     arrays; an array gives the same numbers as per-point scalar calls."""
     if h.domain not in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
         raise ValueError("eval_psi applies to the triangle C/S families")
-    if h.domain is DomainKind.HEMIEQUILATERAL and h.theta != 0.0:
-        raise ValueError("theta must be 0 on hemiequilateral: S is not Dirichlet on s = t")
     m, n = h.mode
     ct, st = math.cos(h.theta), math.sin(h.theta)
     val = gs = gt = 0.0

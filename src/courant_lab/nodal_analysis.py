@@ -18,9 +18,8 @@ from scipy import ndimage, optimize
 
 from .alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint, DomainKind,
                               weyl_coefficients)
-from .eigenfunction_eval import (EigenfunctionHandle, check_handle, eval_C,
-                                 eigenbasis, eval_psi, eval_psi_grid, eval_S,
-                                 mix)
+from .eigenfunction_eval import (EigenfunctionHandle, eval_C, eigenbasis,
+                                 eval_psi, eval_psi_grid, eval_S, mix)
 from .lattice_spectrum import Mode
 from .pleijel_screening import candidates
 
@@ -237,7 +236,6 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
         raise ValueError("a must be in (0, 1)")
     m, n = pair
     h = EigenfunctionHandle(DomainKind.EQUILATERAL, pair, theta)
-    check_handle(h)
 
     def f(u):
         return eval_psi_grid(m, n, theta, u, a - u)
@@ -419,7 +417,6 @@ def _sweep_counts(h: EigenfunctionHandle, resolution: int,
 def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
     """Count sign components on the grid; stable means the total is unchanged
     when the resolution is doubled."""
-    check_handle(h)
     # 2r above the cap: refuse before building the r grid, naming r's range
     if not MIN_GRID <= resolution <= MAX_GRID // 2:
         raise ValueError(f"resolution must be >= {MIN_GRID} and <= "
@@ -455,8 +452,9 @@ def _theta_partition(d: DomainKind, pair: Mode) -> List[float]:
 
 
 def _max_count_over_thetas(d: DomainKind, pair: Mode, resolution: int) -> int:
-    sweep = _sweep_counts(EigenfunctionHandle(d, pair), resolution,
-                          _theta_partition(d, pair))
+    thetas = _theta_partition(d, pair)
+    sweep = _sweep_counts(EigenfunctionHandle(d, pair, thetas[0]), resolution,
+                          thetas)
     return max(pos + neg for pos, neg in sweep)
 
 

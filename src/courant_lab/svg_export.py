@@ -7,7 +7,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
-from .eigenfunction_eval import EigenfunctionHandle, check_handle, mix
+from .eigenfunction_eval import EigenfunctionHandle, mix
 from .nodal_analysis import (EDGE_PAIRS, _grid_values, edge_critical_zeros,
                              edge_theta_in_range, median_fixed_points)
 
@@ -41,7 +41,6 @@ def _fmt(v: float) -> str:
 
 def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     """Deterministic SVG document for the nodal set of the handle."""
-    check_handle(h)
     basis, mask, points = _grid_values(h, resolution)
     values = np.zeros(mask.shape)
     values[mask] = mix(basis, h.theta)

@@ -107,6 +107,23 @@ def test_nodal_unstable_exit_three(capsys):
     assert code == 3
 
 
+def test_nodal_exits_three_when_the_doubled_grid_changes_the_count(
+        capsys, monkeypatch):
+    import courant_lab.nodal_analysis as nodal
+    sweep_counts = nodal._sweep_counts
+
+    def one_more_at_2r(h, resolution, thetas):
+        counts = sweep_counts(h, resolution, thetas)
+        return counts if resolution == 64 else [(p + 1, n) for p, n in counts]
+
+    monkeypatch.setattr(nodal, "_sweep_counts", one_more_at_2r)
+    code, out = run_cli(capsys, "nodal", "--domain", "equilateral",
+                        "--pair", "2,3", "--theta", "0.35",
+                        "--resolution", "64")
+    assert code == 3
+    assert '"stable": false' in out
+
+
 def test_validation_errors(capsys):
     assert main(["nodal", "--domain", "equilateral", "--pair", "2,3",
                  "--resolution", "8"]) == 2

@@ -14,6 +14,7 @@ from oracles import (alpha_mn, apply_symmetry, eval_torus_mode,
 from test_nodal_analysis import _fc_typed
 
 E = DomainKind.EQUILATERAL
+H, B = DomainKind.HEMIEQUILATERAL, DomainKind.RIGHT_ISOSCELES
 RNG = np.random.default_rng(42)
 
 
@@ -189,9 +190,27 @@ def test_eval_psi_rejects_other_domains(domain):
 
 def test_eval_psi_rejects_a_hemiequilateral_theta():
     # S is symmetric, so a mixed handle would not vanish on the edge s = t
-    h = EigenfunctionHandle(DomainKind.HEMIEQUILATERAL, Mode(2, 1), 0.7)
     with pytest.raises(ValueError):
+        h = EigenfunctionHandle(DomainKind.HEMIEQUILATERAL, Mode(2, 1), 0.7)
         eval_psi(h, 0.2, 0.2)
+
+
+@pytest.mark.parametrize("domain,pair,theta,message", [
+    (E, (0, 0), 0.0, "pair (0, 0) is not admissible on equilateral"),
+    (E, (1, 1), 0.0, "pair (1, 1) at theta 0.0 is identically zero"),
+    (E, (2, 2), math.pi, f"pair (2, 2) at theta {math.pi} is identically zero"),
+    (E, (0, 3), math.pi / 2, "pair (0, 3) is not admissible on equilateral"),
+    (H, (1, 1), 0.0, "pair (1, 1) is not admissible on hemiequilateral"),
+    (H, (2, 1), 0.7, "theta must be 0 on hemiequilateral"),
+    (B, (2, 1), 0.7, "theta must be 0 on right-isosceles"),
+    (E, (2, 3), math.nan, "theta must be finite, got nan"),
+    (E, (2, 3), math.inf, "theta must be finite, got inf"),
+    (E, (2, 3), -math.inf, "theta must be finite, got -inf")])
+def test_a_handle_that_names_no_eigenfunction_cannot_be_built(domain, pair,
+                                                              theta, message):
+    with pytest.raises(ValueError) as raised:
+        EigenfunctionHandle(domain, Mode(*pair), theta)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("pair,u", [((1, 3), 0.3), ((2, 3), 0.5)])

@@ -39,6 +39,9 @@ MUTANTS = (
     # dK with PI regrouped: the same value to rounding, other bits
     ("nodal_analysis.py", "ct * (PI * (c * g - s * s * dg))",
      "ct * (PI * c * g - PI * s * s * dg)", "test_nodal_analysis.py"),
+    # the verdict's handle at theta 0, which is C_{m,m} = 0 for m = n
+    ("nodal_analysis.py", "EigenfunctionHandle(d, pair, thetas[0])",
+     "EigenfunctionHandle(d, pair)", "test_nodal_analysis.py"),
     # a 1 fill outside the mask
     ("nodal_analysis.py", "signs = np.zeros(mask.shape, dtype=np.int8)",
      "signs = np.ones(mask.shape, dtype=np.int8)", "test_nodal_analysis.py"),
@@ -61,7 +64,7 @@ MUTANTS = (
      'if False:\n        raise ValueError', "test_lattice_spectrum.py"),
     ("lattice_spectrum.py", "if normalized < 0:", "if False:",
      "test_lattice_spectrum.py"),
-    ("eigenfunction_eval.py", "if not math.isfinite(h.theta):", "if False:",
+    ("eigenfunction_eval.py", "if not math.isfinite(self.theta):", "if False:",
      "test_nodal_analysis.py"),
     # S off by 0.1%
     ("eigenfunction_eval.py", "acc = acc + sign * np.sin(",
