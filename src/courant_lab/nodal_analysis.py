@@ -11,6 +11,7 @@ root x0 != 1 of P_W is a breakpoint of the theta partition."""
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
@@ -202,25 +203,25 @@ class CriticalZero:
     order: int
 
 
-_FIXED_POINTS = {
-    Mode(1, 3): (
-        ("F_C", (1 / 3, 1 / 3)), ("F_O", (1 / 4, 1 / 4)),
-        ("F_A", (5 / 12, 1 / 3)), ("F_B", (1 / 3, 5 / 12)),
-    ),
-    Mode(2, 3): (
-        ("F_C", (1 / 3, 1 / 3)), ("F_{1,O}", (1 / 5, 1 / 5)),
-        ("F_{2,O}", (2 / 5, 2 / 5)), ("F_{1,A}", (7 / 15, 1 / 3)),
-        ("F_{2,A}", (4 / 15, 1 / 3)), ("F_{1,B}", (1 / 3, 7 / 15)),
-        ("F_{2,B}", (1 / 3, 4 / 15)),
-    ),
-}
-
-
 def median_fixed_points(pair) -> List[FixedPoint]:
-    """Common zeros of the C/S pair located on the medians."""
-    pair = _check_pair(pair)
+    """Common zeros of the C/S pair located on the medians.  C vanishes on the
+    median s = t, where S(v, v) = -8 sin(pi m v) sin(pi n v) sin(pi (m + n) v),
+    so the fixed points there are v = j/k < 1/2 for k in (m, n, m + n); v = 1/3 is
+    the centroid F_C.  The rotation (s, t) -> (2/3 - t, 1/3 + s - t) about the
+    centroid carries the others to the medians from A and from B.  Exact in
+    fractions, rounded once."""
+    m, n = pair = _check_pair(pair)
+    F = Fraction
+    zeros = {F(j, k) for k in (m, n, m + n) for j in range(1, k) if 2 * j < k}
+    points = [("F_C", (F(1, 3), F(1, 3)))]
+    median = [(v, v) for v in sorted(zeros - {F(1, 3)})]  # the median from O
+    for vertex in "OAB":
+        points += [(f"F_{vertex}" if len(median) == 1 else f"F_{{{i},{vertex}}}", p)
+                   for i, p in enumerate(median, 1)]
+        median = [(F(2, 3) - t, F(1, 3) + s - t) for s, t in median]
     out = []
-    for label, (s, t) in _FIXED_POINTS[pair]:
+    for label, (s, t) in points:
+        s, t = float(s), float(t)
         resid = abs(eval_C(*pair, s, t)) + abs(eval_S(*pair, s, t))
         if resid > 1e-12:
             raise AssertionError(f"fixed point {label} residual {resid:g}")

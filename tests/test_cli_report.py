@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from courant_lab.alcove_geometry import DOMAINS, DomainKind
+from courant_lab import cli_report
 from courant_lab.cli_report import RATIO_FORMAT, main, parse_pair, parse_theta
 from courant_lab.lattice_spectrum import MAX_COUNT, enumerate_spectrum
 from courant_lab.pleijel_screening import screening_summary
@@ -107,8 +109,9 @@ def test_nodal_unstable_exit_three(capsys):
     assert code == 3
 
 
-def test_nodal_exits_three_when_the_doubled_grid_changes_the_count(
-        capsys, monkeypatch):
+@pytest.fixture
+def one_more_at_2r(monkeypatch):
+    """Nodal counts one more positive component on the doubled grid of 64."""
     import courant_lab.nodal_analysis as nodal
     sweep_counts = nodal._sweep_counts
 
@@ -117,6 +120,10 @@ def test_nodal_exits_three_when_the_doubled_grid_changes_the_count(
         return counts if resolution == 64 else [(p + 1, n) for p, n in counts]
 
     monkeypatch.setattr(nodal, "_sweep_counts", one_more_at_2r)
+
+
+def test_nodal_exits_three_when_the_doubled_grid_changes_the_count(
+        capsys, one_more_at_2r):
     code, out = run_cli(capsys, "nodal", "--domain", "equilateral",
                         "--pair", "2,3", "--theta", "0.35",
                         "--resolution", "64")
@@ -315,6 +322,79 @@ def test_output_deterministic(tmp_path, capsys):
                      "--out", str(p)]) == 0
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
+
+
+OUT_ARGVS = [
+    ("spectrum", "--domain", "torus", "--count", "40"),
+    ("spectrum", "--domain", "equilateral", "--count", "40", "--format", "json"),
+    ("screen", "--domain", "right-isosceles"),
+    ("screen", "--domain", "hemiequilateral", "--format", "json"),
+    ("verdict", "--domain", "torus"),
+    ("nodal", "--domain", "equilateral", "--pair", "2,3", "--theta", "0.35",
+     "--resolution", "64"),
+    ("critical-zeros", "--pair", "1,3", "--theta", "pi/12"),
+    ("fixed-points", "--pair", "2,3"),
+    ("bifurcation",),
+    ("plot", "--domain", "hemiequilateral", "--pair", "4,2", "--resolution", "64")]
+
+
+def _out_matches_stdout(capsys, path, argv):
+    """--out writes the bytes the command prints, with the same exit code."""
+    code, printed = run_cli(capsys, *argv)
+    assert main([*argv, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode()
+    return code
+
+
+def test_out_covers_every_command():
+    assert sorted({argv[0] for argv in OUT_ARGVS}) == sorted(cli_report.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", OUT_ARGVS, ids=lambda argv: " ".join(argv))
+def test_out_writes_what_stdout_shows(tmp_path, capsys, argv):
+    assert _out_matches_stdout(capsys, tmp_path / "out", argv) == 0
+
+
+def test_out_of_an_unstable_nodal_count_exits_three(tmp_path, capsys,
+                                                    one_more_at_2r):
+    argv = ("nodal", "--domain", "equilateral", "--pair", "2,3", "--theta", "0.35",
+            "--resolution", "64")
+    assert _out_matches_stdout(capsys, tmp_path / "out", argv) == 3
+    assert '"stable": false' in (tmp_path / "out").read_text()
+
+
+DOMAIN = (["--domain"], None, True, [d.value for d in DomainKind], None)
+PAIR = (["--pair"], None, True, None, None)
+THETA = (["--theta"], "0", False, None, None)
+RESOLUTION = (["--resolution"], 512, False, None, int)
+OUT_STAMP = [(["--out"], None, False, None, None),
+             (["--stamp"], False, False, None, None)]
+PARSER_OPTIONS = {
+    "spectrum": [DOMAIN, (["--format"], "csv", False, ["csv", "json"], None),
+                 (["--count"], 85, False, None, int)],
+    "screen": [DOMAIN, (["--format"], "csv", False, ["csv", "json"], None)],
+    "verdict": [DOMAIN],
+    "nodal": [DOMAIN, PAIR, THETA, RESOLUTION],
+    "critical-zeros": [PAIR, THETA],
+    "fixed-points": [PAIR],
+    "bifurcation": [],
+    "plot": [DOMAIN, PAIR, THETA, RESOLUTION]}
+
+
+def test_parser_options():
+    # (option strings, default, required, choices, type) of each command's
+    # options, in order, and the runner it sets
+    parser = cli_report.build_parser()
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.required and sub.dest == "command"
+    assert list(sub.choices) == list(PARSER_OPTIONS)
+    for name, command in sub.choices.items():
+        options = [(a.option_strings, a.default, a.required, a.choices, a.type)
+                   for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        assert options == PARSER_OPTIONS[name] + OUT_STAMP, name
+        runner = command.get_default("run")
+        assert runner is getattr(cli_report, "run_" + name.replace("-", "_"))
 
 
 def test_stamp_sidecar(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import AlcovePoint, DomainKind
-from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C,
+from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_S,
                                             eval_isosceles, eval_psi,
                                             eval_psi_grid, mix)
 from courant_lab.lattice_spectrum import Mode
@@ -47,6 +47,33 @@ def test_fixed_points_23():
     assert pts["F_{1,O}"] == pytest.approx((0.2, 0.2))
     assert pts["F_{2,O}"] == pytest.approx((0.4, 0.4))
     assert len(pts) == 7
+
+
+# the table median_fixed_points derives, typed in: labels, order and floats
+FIXED_POINT_TABLE = {
+    (1, 3): [("F_C", (1 / 3, 1 / 3)), ("F_O", (1 / 4, 1 / 4)),
+             ("F_A", (5 / 12, 1 / 3)), ("F_B", (1 / 3, 5 / 12))],
+    (2, 3): [("F_C", (1 / 3, 1 / 3)), ("F_{1,O}", (1 / 5, 1 / 5)),
+             ("F_{2,O}", (2 / 5, 2 / 5)), ("F_{1,A}", (7 / 15, 1 / 3)),
+             ("F_{2,A}", (4 / 15, 1 / 3)), ("F_{1,B}", (1 / 3, 7 / 15)),
+             ("F_{2,B}", (1 / 3, 4 / 15))]}
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+def test_derived_fixed_points_are_the_typed_table(pair):
+    got = [(f.label, (f.location.s, f.location.t)) for f in median_fixed_points(pair)]
+    assert got == FIXED_POINT_TABLE[tuple(pair)]
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+def test_on_the_median_c_vanishes_and_s_is_a_product_of_sines(pair):
+    # the facts median_fixed_points derives its points from
+    m, n = pair
+    for v in np.linspace(0.01, 0.49, 25):
+        assert abs(eval_C(m, n, v, v)) < 1e-13
+        product = -8 * math.sin(math.pi * m * v) * math.sin(math.pi * n * v) \
+            * math.sin(math.pi * (m + n) * v)
+        assert eval_S(m, n, v, v) == pytest.approx(product, abs=1e-13)
 
 
 def test_fixed_points_reject_other_pairs():

@@ -32,6 +32,8 @@ MUTANTS = (
     ("nodal_analysis.py",
      "breaks = [0.0, *sorted(theta for _, theta in bifurcations(pair)), PI / 6.0]",
      "breaks = [0.0, PI / 6.0]", "test_nodal_analysis.py"),
+    # the fixed points rotated about another centre than the centroid
+    ("nodal_analysis.py", "F(2, 3) - t", "F(1, 3) - t", "test_nodal_analysis.py"),
     # m = n mixes in C_{m,m}, which vanishes, in place of S
     ("nodal_analysis.py", "return [PI / 2.0]", "return [0.0]",
      "test_nodal_analysis.py"),
@@ -77,6 +79,12 @@ MUTANTS = (
     ("cli_report.py", 'RATIO_FORMAT = "%#.10g"', 'RATIO_FORMAT = "%#.11g"',
      "test_cli_report.py"),
     ("cli_report.py", "if not math.isfinite(theta):", "if False:",
+     "test_cli_report.py"),
+    # every JSON document without a "stable" key would exit 3
+    ("cli_report.py", 'out.get("stable") is False', 'out.get("stable") is None',
+     "test_cli_report.py"),
+    # the CSV tables lose their last newline
+    ("cli_report.py", 'RATIO_FORMAT, "", "\\n", "\\n")', 'RATIO_FORMAT, "", "\\n", "")',
      "test_cli_report.py"),
     # spectrum and screen would import scipy
     ("cli_report.py", "from .eigenfunction_eval import EigenfunctionHandle\n",
