@@ -2,7 +2,8 @@
 pair, and the DomainSpec table that holds every per-domain fact (area,
 spectrum form, screening constants, the triangle's vertices) for the
 equilateral torus and the three triangles.  The point-in-domain predicate,
-the nodal grid's extent and the SVG outline all derive from the vertices.
+a grid row's interval of inside columns, the nodal grid's extent and the SVG
+outline all derive from the vertices.
 
 Coordinates: a point may be given in Euclidean coordinates (x, y) or in
 alcove coordinates (s, t), meaning s*alpha1 + t*alpha2 in the coroot basis.
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple
+
+import numpy as np
 
 SQRT3 = math.sqrt(3.0)
 
@@ -96,12 +99,36 @@ class DomainSpec:
         """Membership of (p, q) in the closed domain widened by tol, for
         scalars or broadcasting arrays: for each edge a -> b, the cross
         product (b - a) x ((p, q) - a) is at least -tol.  The terms in p are
-        added first, so for a column p and a row q one sum is 2-D."""
+        added first, so an edge's sum is fl(u(p) + v(q)) with v(q) = fl((bx -
+        ax) q): monotone in q, which makes each row's inside columns of a
+        grid one interval (row_ends)."""
         result, v = True, self.vertices or ()
         for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
             result = result & ((ay - by) * p + (ax * by - ay * bx)
                                + (bx - ax) * q >= -tol)
         return result
+
+    def row_ends(self, x, tol):
+        """(lo, hi): row i of the grid on the increasing axis x (column p =
+        x[i], row q = x[j]) has inside(x[i], x[j], tol) exactly for lo[i] <=
+        j < hi[i].  Each end is first read off the edges' lines q(p) through
+        the vertices, in O(len(x)); rounding and |tol|, far below a column,
+        put the predicate's end within one column of it, so each end is
+        settled by inside itself at the three columns around it."""
+        r, v = len(x), self.vertices
+        lo, hi = np.zeros(r), np.full(r, float(r))
+        for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
+            if bx != ax:    # the edge bounds q below when bx > ax, else above
+                j = (ay + (by - ay) / (bx - ax) * (x - ax)) * ((r - 1) / x[-1])
+                if bx > ax:
+                    lo = np.maximum(lo, np.ceil(j))
+                else:
+                    hi = np.minimum(hi, np.floor(j) + 1)
+        lo, hi = (np.clip(end, 0, r).astype(np.intp) for end in (lo, hi))
+        cols = np.clip(np.stack((lo - 1, lo, lo + 1, hi - 2, hi - 1, hi), 1), 0, r - 1)
+        inside = self.inside(x[:, None], x[cols], tol)
+        lo, hi = np.where(inside, cols, r).min(1), np.where(inside, cols + 1, 0).max(1)
+        return lo, np.maximum(lo, hi)
 
 
 # Physical eigenvalue per normalized unit on the A2 lattice domains.

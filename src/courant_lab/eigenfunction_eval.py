@@ -43,18 +43,25 @@ class EigenfunctionHandle:
             raise ValueError(f"pair ({m}, {n}) at theta {self.theta} is identically zero")
 
 
-def eigenbasis(d: DomainKind, pair, s, t) -> tuple:
+def eigenbasis(d: DomainKind, pair, s, t, spread=None, thetas=None) -> tuple:
     """The basis of the pair's eigenspace on d at (s, t): C and S on the
     equilateral triangle, C alone on the hemiequilateral (S is not Dirichlet
-    on s = t), the antisymmetrized sine product on the right-isosceles."""
+    on s = t), the antisymmetrized sine product on the right-isosceles.
+    Given spread, s and t are a grid's axes and spread(u, v) takes values u
+    on s and v on t to the samples read.  Given thetas, the angles the basis
+    is mixed at, S is left out when every one is 0: there mix gives C, the
+    same bits as 1.0 C + 0.0 S, as the sum C is never -0.0."""
     m, n = pair
-    if d is DomainKind.EQUILATERAL:
-        return eval_C(m, n, s, t), eval_S(m, n, s, t)
-    if d is DomainKind.HEMIEQUILATERAL:
-        return (eval_C(m, n, s, t),)
     if d is DomainKind.RIGHT_ISOSCELES:
-        return (eval_isosceles(m, n, s, t),)
-    raise ValueError(f"no real eigenbasis on {d.value}")
+        return (eval_isosceles(m, n, s, t, spread),)
+    if d not in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
+        raise ValueError(f"no real eigenbasis on {d.value}")
+    if spread is not None:
+        s, t = spread(s, t)
+    c = eval_C(m, n, s, t)
+    if d is DomainKind.HEMIEQUILATERAL or (thetas is not None and not any(thetas)):
+        return (c,)
+    return c, eval_S(m, n, s, t)
 
 
 def mix(basis: tuple, theta: float):
@@ -111,9 +118,18 @@ def eval_psi(h: EigenfunctionHandle, s, t) -> EvalResult:
     return EvalResult(val, gs, gt)
 
 
-def eval_isosceles(m: int, n: int, x, y):
+def eval_isosceles(m: int, n: int, x, y, spread=None):
     """sin(mx)sin(ny) - sin(nx)sin(my) on the half-square 0 < y < x < pi;
-    swapping m and n negates it exactly."""
+    swapping m and n negates it exactly.  Given spread, x and y are a grid's
+    axes: each sine is taken once per axis value and spread(u, v) takes the
+    factors u on x and v on y to the samples, where they are multiplied.
+    fl(sin(k x_i)) does not depend on where x_i sits, so every value keeps
+    the bits it has at the sample's own coordinates."""
     if m == n or min(m, n) < 1:
         raise ValueError("need m != n, both >= 1")
-    return np.sin(m * x) * np.sin(n * y) - np.sin(n * x) * np.sin(m * y)
+
+    def product(j, k):
+        u, v = np.sin(j * x), np.sin(k * y)
+        return np.multiply(*spread(u, v)) if spread is not None else u * v
+
+    return product(m, n) - product(n, m)

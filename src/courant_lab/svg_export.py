@@ -41,7 +41,7 @@ def _fmt(v: float) -> str:
 
 def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     """Deterministic SVG document for the nodal set of the handle."""
-    basis, mask, points = _grid_values(h, resolution)
+    basis, mask, points = _grid_values(h, resolution, [h.theta])
     values = np.zeros(mask.shape)
     values[mask] = mix(basis, h.theta)
     spec = DOMAINS[h.domain]

@@ -141,6 +141,18 @@ def test_inside_on_the_axes_is_the_reference_predicate(d, resolution):
         assert np.array_equal(mask, predicate(p, q, tol))
 
 
+@pytest.mark.parametrize("resolution", [64, 255, 256, 511, 512, 640, 1023, 1024,
+                                        2048, 4096])
+@pytest.mark.parametrize("d", list(REFERENCE))
+def test_row_ends_are_the_rows_of_the_predicate(d, resolution):
+    x = np.linspace(0.0, REFERENCE[d][1], resolution)
+    j = np.arange(resolution)
+    for tol in (EDGE_TOL, -EDGE_TOL):
+        lo, hi = DOMAINS[d].row_ends(x, tol)
+        rows = (j >= lo[:, None]) & (j < hi[:, None])
+        assert np.array_equal(rows, DOMAINS[d].inside(x[:, None], x[None, :], tol))
+
+
 @pytest.mark.parametrize("d", list(REFERENCE))
 def test_vertices_and_edge_midpoints_are_on_the_boundary(d):
     v = DOMAINS[d].vertices

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import AlcovePoint, DomainKind
+from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint,
+                                         DomainKind)
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_S,
                                             eval_isosceles, eval_psi,
                                             eval_psi_grid, mix)
@@ -606,7 +607,27 @@ def test_grid_mask_is_the_strict_domain_predicate(d):
     assert 0 < mask.sum() < mask.size
 
 
-@pytest.mark.parametrize("resolution", [64, 256])
+@pytest.mark.parametrize("resolution", [255, 256, 511, 512, 640, 1023, 1024,
+                                        2048, 4096])
+@pytest.mark.parametrize("d", [E, B, H])
+def test_grid_mask_is_the_domain_predicate_at_the_resolutions_used(d, resolution):
+    pair = {E: (1, 2), B: (3, 1), H: (2, 1)}[d]
+    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), resolution,
+                                   [0.0])
+    x = p[:, 0]
+    assert np.array_equal(x, q[0])
+    assert np.array_equal(mask, DOMAINS[d].inside(x[:, None], x[None, :], -EDGE_TOL))
+
+
+def test_inside_sample_counts_at_256():
+    # the grid points the CI's traced plots evaluate, per triangle
+    counts = {d: int(_grid_values(EigenfunctionHandle(d, Mode(*pair)), 256,
+                                  [0.0])[1].sum())
+              for d, pair in ((E, (1, 2)), (H, (2, 1)), (B, (3, 1)))}
+    assert counts == {E: 24257, H: 12033, B: 32131}
+
+
+@pytest.mark.parametrize("resolution", [64, 256, 511, 1024])
 @pytest.mark.parametrize("h,full", [
     (EigenfunctionHandle(E, Mode(2, 3), 0.35),
      lambda p, q: eval_psi_grid(2, 3, 0.35, p, q)),
@@ -616,6 +637,37 @@ def test_grid_mask_is_the_strict_domain_predicate(d):
 def test_masked_evaluation_keeps_the_values(h, full, resolution):
     basis, mask, (p, q) = _grid_values(h, resolution)
     assert np.array_equal(mix(basis, h.theta), full(p, q)[mask])
+
+
+@pytest.mark.parametrize("resolution", [64, 511])
+@pytest.mark.parametrize("pair", [(2, 3), (1, 2)])
+def test_single_angle_at_zero_evaluates_c_only(monkeypatch, pair, resolution):
+    import courant_lab.eigenfunction_eval as ev
+    import courant_lab.svg_export as svg
+
+    h = EigenfunctionHandle(E, Mode(*pair))
+    full, mask, _ = _grid_values(h, resolution)
+    basis, mask0, _ = _grid_values(h, resolution, [0.0])
+    assert len(full) == 2 and len(basis) == 1 and np.array_equal(mask, mask0)
+    assert np.array_equal(mix(basis, 0.0), mix(full, 0.0))
+    assert np.array_equal(np.signbit(mix(basis, 0.0)), np.signbit(mix(full, 0.0)))
+    # a count and a plot at theta 0 never evaluate S; the sweep and pi/2 do
+    expected = count_nodal_domains(h, resolution), svg.render_nodal_svg(h, resolution)
+    sweep = _sweep_counts(h, resolution, [0.0, 0.1])
+
+    def refused(*args):
+        raise AssertionError("S was evaluated")
+
+    monkeypatch.setattr(ev, "eval_S", refused)
+    assert (count_nodal_domains(h, resolution),
+            svg.render_nodal_svg(h, resolution)) == expected
+    with pytest.raises(AssertionError, match="S was evaluated"):
+        _sweep_counts(h, resolution, [0.0, 0.1])
+    with pytest.raises(AssertionError, match="S was evaluated"):
+        _grid_values(EigenfunctionHandle(E, Mode(2, 2), math.pi / 2), resolution,
+                     [math.pi / 2])
+    assert sweep[0] == (expected[0].positive_components,
+                        expected[0].negative_components)
 
 
 def test_hemiequilateral_counts():
@@ -703,9 +755,9 @@ def test_verdict_counts_only_candidates_above_two(monkeypatch):
         calls.append((tuple(h.mode), len(thetas)))
         return sweep_counts(h, resolution, thetas)
 
-    def record_grid(h, resolution):
+    def record_grid(h, resolution, thetas):
         grids.append((tuple(h.mode), resolution))
-        return grid_values(h, resolution)
+        return grid_values(h, resolution, thetas)
 
     monkeypatch.setattr(nodal, "_sweep_counts", record_sweep)
     monkeypatch.setattr(nodal, "_grid_values", record_grid)
@@ -741,9 +793,9 @@ def test_count_evaluates_one_grid_at_each_resolution(monkeypatch):
 
     grids, grid_values = [], nodal._grid_values
 
-    def record_grid(h, resolution):
+    def record_grid(h, resolution, thetas):
         grids.append(resolution)
-        return grid_values(h, resolution)
+        return grid_values(h, resolution, thetas)
 
     monkeypatch.setattr(nodal, "_grid_values", record_grid)
     count_nodal_domains(EigenfunctionHandle(E, Mode(2, 3), 0.35), 128)

@@ -6,9 +6,9 @@ directory, checks that the old text occurs exactly once in the file, applies
 the edit and runs the named test module with `pytest -x`.  A mutant is caught
 when pytest reports a failed test.  The script exits 1 if a mutant survives,
 if an old text does not occur exactly once, or if pytest ends any other way
-(an error in collection, say).  Mutants run one at a time.  When a refactor
-moves an old text, update its row; a row is a check like any test, so none is
-dropped or weakened to get a pass.
+(an error in collection, say).  Mutants run two at a time, each in its own
+copy.  When a refactor moves an old text, update its row; a row is a check
+like any test, so none is dropped or weakened to get a pass.
 
     python tools/mutants.py
 """
@@ -19,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +69,12 @@ MUTANTS = (
      "test_lattice_spectrum.py"),
     ("eigenfunction_eval.py", "if not math.isfinite(self.theta):", "if False:",
      "test_nodal_analysis.py"),
+    # a grid's sine factors spread to the wrong axis: the values at (q, p)
+    ("eigenfunction_eval.py", "np.multiply(*spread(u, v))",
+     "np.multiply(*spread(v, u))", "test_eigenfunction_eval.py"),
+    # S left out whenever the angles are known, not only when all are 0
+    ("eigenfunction_eval.py", "(thetas is not None and not any(thetas))",
+     "(thetas is not None)", "test_eigenfunction_eval.py"),
     # S off by 0.1%
     ("eigenfunction_eval.py", "acc = acc + sign * np.sin(",
      "acc = acc + 1.001 * sign * np.sin(", "test_eigenfunction_eval.py"),
@@ -76,6 +83,10 @@ MUTANTS = (
      "(2.0 / 3.0, 1.0 / 3.0), (0.5, 0.49))", "test_alcove_geometry.py"),
     ("alcove_geometry.py", "area=SQRT3 / 8.0", "area=SQRT3 / 8.1",
      "test_alcove_geometry.py"),
+    # the row ends left at their closed-form guesses, not settled by inside
+    ("alcove_geometry.py",
+     "        lo, hi = np.where(inside, cols, r).min(1), np.where(inside, cols + 1, 0).max(1)\n",
+     "", "test_alcove_geometry.py"),
     ("cli_report.py", 'RATIO_FORMAT = "%#.10g"', 'RATIO_FORMAT = "%#.11g"',
      "test_cli_report.py"),
     ("cli_report.py", "if not math.isfinite(theta):", "if False:",
@@ -133,15 +144,20 @@ def run(file: str, old: str, new: str, module: str) -> str:
     return f"pytest exit {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
 
 
+def timed(row):
+    t = time.perf_counter()
+    return run(*row), time.perf_counter() - t
+
+
 def main() -> int:
     start = time.perf_counter()
     failures = 0
-    for file, old, new, module in MUTANTS:
-        t = time.perf_counter()
-        outcome = run(file, old, new, module)
-        failures += not outcome.startswith("caught")
-        print(f"{file}: {old!r} -> {new!r}\n    {outcome} "
-              f"({time.perf_counter() - t:.1f} s)", flush=True)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for (file, old, new, _), (outcome, seconds) in zip(MUTANTS,
+                                                          pool.map(timed, MUTANTS)):
+            failures += not outcome.startswith("caught")
+            print(f"{file}: {old!r} -> {new!r}\n    {outcome} ({seconds:.1f} s)",
+                  flush=True)
     print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants caught "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
