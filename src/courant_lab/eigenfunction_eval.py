@@ -43,23 +43,23 @@ class EigenfunctionHandle:
             raise ValueError(f"pair ({m}, {n}) at theta {self.theta} is identically zero")
 
 
-def eigenbasis(d: DomainKind, pair, s, t, spread=None, thetas=None) -> tuple:
-    """The basis of the pair's eigenspace on d at (s, t): C and S on the
-    equilateral triangle, C alone on the hemiequilateral (S is not Dirichlet
-    on s = t), the antisymmetrized sine product on the right-isosceles.
-    Given spread, s and t are a grid's axes and spread(u, v) takes values u
-    on s and v on t to the samples read.  Given thetas, the angles the basis
-    is mixed at, S is left out when every one is 0: there mix gives C, the
-    same bits as 1.0 C + 0.0 S, as the sum C is never -0.0."""
+def eigenbasis(d: DomainKind, pair, s, t, spread, thetas) -> tuple:
+    """The basis of the pair's eigenspace on d at the samples of a grid: C
+    and S on the equilateral triangle, C alone on the hemiequilateral (S is
+    not Dirichlet on s = t), the antisymmetrized sine product on the
+    right-isosceles.  s and t are the grid's axes and spread(u, v) takes
+    values u on s and v on t to the samples read.  thetas are the angles the
+    basis is mixed at; S is left out when every one is 0 (nodal's and plot's
+    default angle): there mix gives C, the same bits as 1.0 C + 0.0 S, as
+    the sum C is never -0.0."""
     m, n = pair
     if d is DomainKind.RIGHT_ISOSCELES:
         return (eval_isosceles(m, n, s, t, spread),)
     if d not in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
         raise ValueError(f"no real eigenbasis on {d.value}")
-    if spread is not None:
-        s, t = spread(s, t)
+    s, t = spread(s, t)
     c = eval_C(m, n, s, t)
-    if d is DomainKind.HEMIEQUILATERAL or (thetas is not None and not any(thetas)):
+    if d is DomainKind.HEMIEQUILATERAL or not any(thetas):
         return (c,)
     return c, eval_S(m, n, s, t)
 

@@ -370,7 +370,7 @@ class NodalReport:
     stable: bool
 
 
-def _grid_values(h: EigenfunctionHandle, resolution: int, thetas=None):
+def _grid_values(h: EigenfunctionHandle, resolution: int, thetas):
     """The one nodal grid: the unmixed eigenbasis of the handle's domain and
     mode at the samples strictly inside the domain (in the order of
     p[mask]), the mask, and the coordinate grids over [0, e]^2, e the largest
@@ -378,8 +378,8 @@ def _grid_values(h: EigenfunctionHandle, resolution: int, thetas=None):
     the broadcast axes (column p, row q), built from each row's interval of
     inside columns (DomainSpec.row_ends), and the basis is evaluated at those
     samples only.  It does not read h.theta; each reader mixes the basis at
-    its own angles, thetas (any angle when None), and S is left out when
-    they are all 0 (eigenbasis)."""
+    its own angles, thetas, and S is left out when they are all 0
+    (eigenbasis)."""
     spec = DOMAINS[h.domain]
     if spec.vertices is None:
         raise ValueError(f"nodal counting is not defined for {h.domain.value}")

@@ -171,7 +171,7 @@ def test_outline_and_extent_derive_from_the_vertices(d):
     assert derived == outline
     pair = {DomainKind.EQUILATERAL: (1, 2), DomainKind.HEMIEQUILATERAL: (2, 1),
             DomainKind.RIGHT_ISOSCELES: (3, 1)}[d]
-    _, _, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64)
+    _, _, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64, [0.0])
     assert p[-1, 0] == q[0, -1] == extent
 
 

@@ -600,7 +600,7 @@ def test_second_eigenfunctions_have_two_domains(h):
 @pytest.mark.parametrize("d", [E, B, H])
 def test_grid_mask_is_the_strict_domain_predicate(d):
     pair = {E: (1, 2), B: (3, 1), H: (2, 1)}[d]
-    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64)
+    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64, [0.0])
     expected = [[in_domain(d, (p[i, j], q[i, j]), strict=True)
                  for j in range(64)] for i in range(64)]
     assert mask.tolist() == expected
@@ -635,7 +635,7 @@ def test_inside_sample_counts_at_256():
     (EigenfunctionHandle(B, Mode(6, 1)),
      lambda p, q: eval_isosceles(6, 1, p, q))])
 def test_masked_evaluation_keeps_the_values(h, full, resolution):
-    basis, mask, (p, q) = _grid_values(h, resolution)
+    basis, mask, (p, q) = _grid_values(h, resolution, [h.theta])
     assert np.array_equal(mix(basis, h.theta), full(p, q)[mask])
 
 
@@ -646,7 +646,7 @@ def test_single_angle_at_zero_evaluates_c_only(monkeypatch, pair, resolution):
     import courant_lab.svg_export as svg
 
     h = EigenfunctionHandle(E, Mode(*pair))
-    full, mask, _ = _grid_values(h, resolution)
+    full, mask, _ = _grid_values(h, resolution, [0.0, 0.1])
     basis, mask0, _ = _grid_values(h, resolution, [0.0])
     assert len(full) == 2 and len(basis) == 1 and np.array_equal(mask, mask0)
     assert np.array_equal(mix(basis, 0.0), mix(full, 0.0))

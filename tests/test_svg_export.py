@@ -55,7 +55,7 @@ def _saddle_cells(values, mask):
 
 
 def _plot_inputs(h, resolution):
-    basis, mask, points = _grid_values(h, resolution)
+    basis, mask, points = _grid_values(h, resolution, [h.theta])
     values = np.zeros(mask.shape)
     values[mask] = mix(basis, h.theta)
     xs, ys = to_cartesian(points) if DOMAINS[h.domain].alcove else points
