@@ -7,8 +7,9 @@ with --stamp's sidecar.  `main` also picks the exit code.
 
 Exit codes: 0 success, 2 validation error, 3 unstable nodal count.
 
-The nodal commands import nodal_analysis, and with it scipy, where they use
-it, so `spectrum` and `screen` start without scipy.
+The nodal commands import nodal_analysis, and with it scipy.ndimage (for
+ndimage.label, scipy's only use), where they use it, so `spectrum` and
+`screen` start without scipy.
 """
 
 import argparse

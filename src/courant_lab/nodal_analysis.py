@@ -10,12 +10,13 @@ root x0 != 1 of P_W is a breakpoint of the theta partition."""
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
-from scipy import ndimage, optimize
+from scipy import ndimage
 
 from .alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint, DomainKind,
                               weyl_coefficients)
@@ -33,7 +34,8 @@ PI = math.pi
 ZERO_BAND_REL = 1e-5
 
 # Smallest and largest nodal grid side; nodal --resolution 2048 counts on a
-# 4096 grid in under 0.4 GB (peak RSS 384 MB for a mixed equilateral pair).
+# 4096 grid, and plot --resolution 4096 draws one, in under 0.4 GB (peak RSS
+# 361 and 362 MB for the mixed equilateral pair (2,3)).
 MIN_GRID, MAX_GRID = 64, 4096
 
 # the equilateral mode pairs whose edge analysis is implemented
@@ -132,26 +134,74 @@ def gs(pair: Mode, u):
 
 
 # ---------------------------------------------------------------------------
-# The one root-finding protocol: sample, bracket, bisect, one Newton polish.
+# The one root-finding protocol: sample, bracket, Brent, one Newton polish.
 # ---------------------------------------------------------------------------
 
 ROOT_SAMPLES = 4096
+# Brent's relative tolerance and iteration cap, scipy brentq's defaults
+BRENT_RTOL, BRENT_MAXITER = 4 * sys.float_info.epsilon, 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), step for step scipy's
+    brentq: the same iterates, so the same bits.  xcur is the best estimate
+    and xblk the other end of the bracket; a secant or inverse quadratic step
+    is taken when it stays well inside the bracket, else a bisection."""
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre > 0) == (fcur > 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre > 0) != (fcur > 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} "
+                       f"iterations, value is {xcur!r}")
 
 
 def find_roots(f, lo: float, hi: float, df=None) -> List[float]:
-    """All roots of f on [lo, hi], as floats: sample uniformly, bisect each
-    sign change and, given df, Newton-polish it and add the tangent
-    (even-order) roots, found as roots of df where |f| is at noise level.  A
-    root on a sample is caught as an exact grid zero: on [-1, 1], where the
-    reduction polynomials are solved, that is how P_W's triple root at the
-    sample x = 1 is found."""
+    """All roots of f on [lo, hi], as floats: sample uniformly, solve each
+    sign change by Brent's method (_brentq) and, given df, Newton-polish it
+    and add the tangent (even-order) roots, found as roots of df where |f| is
+    at noise level.  A root on a sample is caught as an exact grid zero: on
+    [-1, 1], where the reduction polynomials are solved, that is how P_W's
+    triple root at the sample x = 1 is found."""
     xs = np.linspace(lo, hi, ROOT_SAMPLES)
     ys = np.asarray(f(xs), dtype=float)
     scale = float(np.max(np.abs(ys))) or 1.0
     roots = []
     sign = np.sign(ys)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        r = optimize.brentq(f, xs[i], xs[i + 1], xtol=1e-13)
+        r = _brentq(f, xs[i], xs[i + 1], xtol=1e-13)
         if df is not None:
             d = df(r)
             if d != 0.0:

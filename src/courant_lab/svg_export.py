@@ -15,17 +15,25 @@ PX_PER_UNIT = 512.0
 MARGIN = 24.0
 
 
-def zero_segments(values: np.ndarray, mask: np.ndarray, xs: np.ndarray,
-                  ys: np.ndarray) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
+def zero_segments(values: np.ndarray, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                  frame=None) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
     """Marching-squares segments of the zero level set over cells whose four
-    corners all lie inside the mask.  xs/ys give the corner coordinates.
+    corners all lie inside the mask.  xs/ys give the corner coordinates, and
+    frame, if given, maps them to the plot's, at the gathered corners only.
     Cells go in row-major order, corners (i,j), (i+1,j), (i+1,j+1), (i,j+1);
     edge k, from corner k to k+1 mod 4, is crossed where one end is > 0 and
-    the other is not.  A cell has 0, 2 or 4 crossings; they pair up in edge
-    order, so a saddle cell pairs consecutive edges."""
-    i, j = np.nonzero(mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:])
+    the other is not, so a cell is gathered only when its corners are not all
+    on one side of that test.  A cell has 0, 2 or 4 crossings; they pair up
+    in edge order, so a saddle cell pairs consecutive edges."""
+    pos = values > 0
+    first = pos[:-1, :-1]
+    i, j = np.nonzero(mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:]
+                      & ((first != pos[1:, :-1]) | (first != pos[1:, 1:])
+                         | (first != pos[:-1, 1:])))
     ci, cj = np.stack((i, i + 1, i + 1, i), 1), np.stack((j, j, j + 1, j + 1), 1)
     v, x, y = values[ci, cj], xs[ci, cj], ys[ci, cj]
+    if frame is not None:
+        x, y = frame((x, y))
     cell, a = np.nonzero((v > 0) != (np.roll(v, -1, axis=1) > 0))
     b = (a + 1) % 4
     w = v[cell, a] / (v[cell, a] - v[cell, b])
@@ -45,8 +53,8 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     values = np.zeros(mask.shape)
     values[mask] = mix(basis, h.theta)
     spec = DOMAINS[h.domain]
-    xs, ys = to_cartesian(points) if spec.alcove else points
-    outline = [to_cartesian(v) if spec.alcove else v for v in spec.vertices]
+    frame = to_cartesian if spec.alcove else None
+    outline = [frame(v) if frame else v for v in spec.vertices]
     xmax, ymax = map(max, zip(*outline))
     width = xmax * PX_PER_UNIT + 2 * MARGIN
     height = ymax * PX_PER_UNIT + 2 * MARGIN
@@ -66,7 +74,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
                  'stroke-width="1.5"/>')
 
     path = "".join("M{} {}L{} {}".format(*map(_fmt, px(a) + px(b)))
-                   for a, b in zero_segments(values, mask, xs, ys))
+                   for a, b in zero_segments(values, mask, *points, frame))
     parts.append(f'<path d="{path}" fill="none" stroke="blue" '
                  'stroke-width="1"/>')
 

@@ -488,7 +488,9 @@ TABLE_ARGVS = [["spectrum", "--domain", "hemiequilateral", "--count", "300"],
                ["screen", "--domain", "hemiequilateral"],
                ["screen", "--domain", "hemiequilateral", "--format", "json"]]
 
-FRESH_PROCESS = """
+# the head of a script for a fresh interpreter: run(argv) is main's exit
+# code and stdout
+FRESH_RUN = """
 import contextlib, io, json, sys
 from courant_lab.cli_report import main
 
@@ -497,7 +499,9 @@ def run(argv):
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     return [code, buf.getvalue()]
+"""
 
+FRESH_PROCESS = FRESH_RUN + """
 tables = [run(argv) for argv in json.loads(sys.argv[1])]
 loaded = [m for m in ("scipy", "courant_lab.nodal_analysis") if m in sys.modules]
 print(json.dumps({"tables": tables, "loaded": loaded,
@@ -517,3 +521,23 @@ def test_spectrum_and_screen_run_without_scipy(capsys):
     # the nodal commands still find nodal_analysis, imported on first use
     code, out = fresh["bifurcation"]
     assert code == 0 and '"theta_c": 0.3005211736685075' in out
+
+
+ROOT_ARGVS = [["bifurcation"],
+              ["critical-zeros", "--pair", "2,3", "--theta", "theta_c"],
+              ["fixed-points", "--pair", "1,3"]]
+
+FRESH_ROOTS = FRESH_RUN + """
+outputs = [run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"outputs": outputs, "optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_root_commands_run_without_scipy_optimize(capsys):
+    # find_roots takes its Brent steps from nodal_analysis itself
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", FRESH_ROOTS, json.dumps(ROOT_ARGVS)],
+                          capture_output=True, text=True, env=env, check=True)
+    fresh = json.loads(proc.stdout)
+    assert fresh["optimize"] is False
+    assert fresh["outputs"] == [list(run_cli(capsys, *argv)) for argv in ROOT_ARGVS]

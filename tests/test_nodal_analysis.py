@@ -10,7 +10,8 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_S,
                                             eval_psi_grid, mix)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (_EDGES, EDGE_PAIRS, ROOT_SAMPLES,
-                                        CriticalZero, _grid_values, _k_theta,
+                                        CriticalZero, _brentq, _grid_values,
+                                        _k_theta,
                                         _max_count_over_thetas, _polyder,
                                         _polyval, _sweep_counts,
                                         _theta_partition,
@@ -434,6 +435,87 @@ def test_roots_are_python_floats():
              + polynomial_roots_unit_interval((2, 3), "P_W")
              + [z.parameter_u for z in edge_critical_zeros((2, 3), 0.1)])
     assert {type(r) for r in roots} == {float}
+
+
+def _calls(f):
+    """f, and the list of the points it is called at, in order."""
+    xs = []
+
+    def traced(x):
+        xs.append(x)
+        return f(x)
+    return traced, xs
+
+
+# (f, a, b): brackets built for each branch of Brent's step, counted on a
+# copy that tallies them: a line takes one secant step, atan 23 and a signed
+# square root 27 (some near the cap 3|sbis| on an accepted step), Brent's
+# cubic secant and inverse quadratic steps, the flat cubic 3 refused
+# interpolations among them, and a sign function only bisections; e^x - 2
+# gets its bracket reversed
+BRENT_BRACKETS = [
+    (lambda x: 3.0 * x - 1.0, 0.0, 1.0),
+    (lambda x: math.atan(1e6 * (x - 0.3)), 0.0, 1.0),
+    (lambda x: math.copysign(math.sqrt(abs(x - 0.3)), x - 0.3), 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: (x - 0.3) ** 3 + 1e-3 * (x - 0.3), 0.0, 1.0),
+    (lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0),
+    (lambda x: math.exp(x) - 2.0, 2.0, 0.0),
+    # an endpoint that is an exact zero, either end
+    (lambda x: x - 1.0, 0.0, 1.0),
+    (lambda x: x - 1.0, 1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("f, a, b", BRENT_BRACKETS)
+def test_brent_step_is_scipys_bit_for_bit(f, a, b):
+    from scipy.optimize import brentq
+
+    port, port_xs = _calls(f)
+    ref, ref_xs = _calls(f)
+    root = _brentq(port, a, b, xtol=1e-13)
+    assert type(root) is float
+    assert root.hex() == brentq(ref, a, b, xtol=1e-13).hex()
+    assert port_xs == ref_xs
+
+
+def test_brent_step_raises_as_scipy_does():
+    from scipy.optimize import brentq
+
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(math.cos, 0.0, 1.0, xtol=1e-13)
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(math.cos, 0.0, 1.0, xtol=1e-13)
+    # a triple root: interpolation creeps, and 100 iterations do not reach
+    # xtol on either side
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0, xtol=1e-13)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0, xtol=1e-13)
+
+
+def test_find_roots_brackets_give_scipys_roots(monkeypatch):
+    # all 85 brackets find_roots solves on the way to the edge zeros, the
+    # P_W roots and a chord's roots, solved by both
+    from scipy.optimize import brentq
+
+    import courant_lab.nodal_analysis as nodal
+
+    brackets = []
+
+    def both(f, a, b, xtol):
+        root = _brentq(f, a, b, xtol=xtol)
+        brackets.append((root, brentq(f, a, b, xtol=xtol)))
+        return root
+
+    monkeypatch.setattr(nodal, "_brentq", both)
+    for pair in EDGE_PAIRS:
+        for theta in (1e-12, math.pi / 12, bifurcation_angle()[1], math.pi / 6):
+            edge_critical_zeros(pair, theta)
+        bifurcations(pair)
+        edge_restriction_roots(pair, 0.7, 0.4)
+    assert len(brackets) == 85
+    assert all(root.hex() == ref.hex() for root, ref in brackets)
 
 
 def test_boundary_zero_sets_symmetric_under_pullback():

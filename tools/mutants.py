@@ -39,6 +39,15 @@ MUTANTS = (
     ("nodal_analysis.py", "return [PI / 2.0]", "return [0.0]",
      "test_nodal_analysis.py"),
     ("nodal_analysis.py", "xtol=1e-13", "xtol=1e-12", "test_cli_report.py"),
+    # Brent's step: a tighter cap on accepted interpolation, and the inverse
+    # quadratic step pointing the wrong way
+    ("nodal_analysis.py", "3 * abs(sbis) - delta", "2 * abs(sbis) - delta",
+     "test_nodal_analysis.py"),
+    ("nodal_analysis.py", "stry = -fcur * (fblk * dblk", "stry = fcur * (fblk * dblk",
+     "test_nodal_analysis.py"),
+    # the root commands would load scipy.optimize again
+    ("nodal_analysis.py", "from scipy import ndimage\n",
+     "from scipy import ndimage, optimize\n", "test_cli_report.py"),
     # dK with PI regrouped: the same value to rounding, other bits
     ("nodal_analysis.py", "ct * (PI * (c * g - s * s * dg))",
      "ct * (PI * c * g - PI * s * s * dg)", "test_nodal_analysis.py"),
@@ -109,6 +118,8 @@ MUTANTS = (
      "np.stack((i, i + 1, i, i + 1), 1)", "test_svg_export.py"),
     ("svg_export.py", "zip(pts[0::2], pts[1::2])", "zip(pts[1::2], pts[0::2])",
      "test_svg_export.py"),
+    # a cell whose only changed corner is the diagonal one left ungathered
+    ("svg_export.py", " | (first != pos[1:, 1:])", "", "test_svg_export.py"),
 )
 
 
