@@ -13,6 +13,7 @@ ndimage.label, scipy's only use), where they use it, so `spectrum` and
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -175,8 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built once per process: parse_args leaves it
+    as it was, and building one takes about 1 ms."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for name, parse in (("domain", DomainKind), ("pair", parse_pair),
                             ("theta", parse_theta)):

@@ -4,9 +4,12 @@ hemiequilateral), and the antisymmetrized sine products on the
 right-isosceles triangle.
 
 Evaluators accept scalars or numpy arrays in (s, t); gradients are analytic
-(term-by-term differentiation), never internal finite differences.
+(term-by-term differentiation), never internal finite differences.  On a grid
+the C/S sums also come from per-axis cos/sin tables (weyl_tables,
+GridBasis.separable), with a bound on their distance from the sums.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,6 +20,12 @@ from .alcove_geometry import DOMAINS, DomainKind, weyl_coefficients
 from .lattice_spectrum import Mode, _admissible
 
 TWO_PI = 2.0 * math.pi
+# float64's unit roundoff, and the absolute error allowed for numpy's float64
+# cos and sin: 2 ulp of 1 (they are within 1 ulp; the tests check it)
+UNIT = 2.0 ** -53
+TRIG_ERR = 4.0 * UNIT
+# the floats in one block of rows of a table product
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,12 @@ class EigenfunctionHandle:
             raise ValueError(f"pair ({m}, {n}) at theta {self.theta} is identically zero")
 
 
+def basis_size(d: DomainKind, thetas) -> int:
+    """The number of functions eigenbasis gives on d for the angles thetas:
+    C and S on the equilateral triangle unless every angle is 0, else one."""
+    return 2 if d is DomainKind.EQUILATERAL and any(thetas) else 1
+
+
 def eigenbasis(d: DomainKind, pair, s, t, spread, thetas) -> tuple:
     """The basis of the pair's eigenspace on d at the samples of a grid: C
     and S on the equilateral triangle, C alone on the hemiequilateral (S is
@@ -59,7 +74,7 @@ def eigenbasis(d: DomainKind, pair, s, t, spread, thetas) -> tuple:
         raise ValueError(f"no real eigenbasis on {d.value}")
     s, t = spread(s, t)
     c = eval_C(m, n, s, t)
-    if d is DomainKind.HEMIEQUILATERAL or not any(thetas):
+    if basis_size(d, thetas) == 1:
         return (c,)
     return c, eval_S(m, n, s, t)
 
@@ -69,6 +84,138 @@ def mix(basis: tuple, theta: float):
     if len(basis) == 1:
         return basis[0]
     return math.cos(theta) * basis[0] + math.sin(theta) * basis[1]
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative error of k roundings (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 3)."""
+    return k * UNIT / (1.0 - k * UNIT)
+
+
+def weyl_tables(m: int, n: int):
+    """(ks, M_C, M_S) with C(s, t) = A(s) M_C A(t)^T and S(s, t) = A(s) M_S
+    A(t)^T, where A(x) is the row (cos 2 pi k x for k in ks, then sin 2 pi k
+    x).  By angle addition each Weyl term (sign, a, b) is cos 2 pi (a s + b t)
+    = cos(2 pi a s) cos(2 pi b t) - sin(2 pi a s) sin(2 pi b t) and sin 2 pi (a
+    s + b t) = sin(2 pi a s) cos(2 pi b t) + cos(2 pi a s) sin(2 pi b t), and
+    cos 2 pi a x, sin 2 pi a x are the |a| columns times 1 and sign(a)."""
+    ks = (m, n, m + n)
+    mc, ms = np.zeros((6, 6)), np.zeros((6, 6))
+    for sign, a, b in weyl_coefficients(m, n):
+        i, j = ks.index(abs(a)), ks.index(abs(b))
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        mc[i, j] += sign
+        mc[3 + i, 3 + j] -= sign * sa * sb
+        ms[3 + i, j] += sign * sa
+        ms[i, 3 + j] += sign * sb
+    return ks, mc, ms
+
+
+class GridBasis:
+    """eigenbasis on a grid over the increasing axis x, at the samples (x[i],
+    x[j]) with lo[i] <= j < hi[i] in row order: a sequence of its len
+    functions (basis_size for thetas), evaluated whole when first read.  It
+    also gives the basis mixed at an angle from per-axis tables (separable),
+    and exactly at chosen samples (exact_at)."""
+
+    def __init__(self, d: DomainKind, pair, x, lo, hi, thetas):
+        self.domain, self.pair, self.x, self.lo, self.hi = d, pair, x, lo, hi
+        self.thetas, self.size = thetas, basis_size(d, thetas)
+        self.starts = np.cumsum(hi - lo) - (hi - lo)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        return self.exact[i]
+
+    @functools.cached_property
+    def exact(self) -> tuple:
+        """eigenbasis at every inside sample, the axes spread row by row."""
+        rows = [slice(a, b) for a, b in zip(self.lo.tolist(), self.hi.tolist())]
+
+        def spread(u, v):
+            # values on the axes at the inside samples: u by row, v by column
+            return np.repeat(u, self.hi - self.lo), np.concatenate([v[c] for c in rows])
+
+        return eigenbasis(self.domain, self.pair, self.x, self.x, spread, self.thetas)
+
+    def exact_at(self, theta: float, idx):
+        """mix(self, theta) at the inside samples idx (positions in row
+        order), evaluated there alone: every operation is elementwise, so each
+        value has the bits it has on the whole grid.  A one-function basis (at
+        theta 0) is C, the bits of 1.0 C + 0.0 S (eigenbasis)."""
+        i = np.searchsorted(self.starts, idx, side="right") - 1
+        j = self.lo[i] + (idx - self.starts[i])
+        return mix(eigenbasis(self.domain, self.pair, self.x[i], self.x[j],
+                              lambda u, v: (u, v), [theta]), theta)
+
+    def separable(self, theta: float):
+        """(values, delta): the basis mixed at theta at the inside samples,
+        as A(x_i) W A(x_j)^T from the per-axis tables, with W = c M_C + s M_S,
+        (c, s) = (cos theta, sin theta) or (1, 0) in a one-function basis and
+        at theta 0.  It is formed block by block of rows, over the block's
+        inside columns, so no r^2 float array is made.  delta >= |value -
+        mix(self, theta)| at every sample, in any order of summation (u the
+        unit roundoff, gamma_k = k u / (1 - k u), P the largest phase in the
+        tables and |W| = |c| |M_C| + |s| |M_S|):
+        - the tables: a phase has at most three roundings, so each entry of A
+          is within alpha = gamma_3 P + TRIG_ERR of the true one; fl(W) is
+          within gamma_2 |W| of c M_C + s M_S, and the two products of inner
+          length 6 or less add gamma_13 (1 + gamma_2) |A| |W| |A|^T, so the
+          value is within sum |W| (2 alpha + alpha^2 + gamma_16 (1 + alpha)^2)
+          of the true c C + s S;
+        - mix's sums: on the right-isosceles triangle they are the product of
+          the same sines in one order, so the same bound holds.  On the other
+          two, a Weyl term's phase fl(2 pi fl(fl(a s) + fl(b t))) has four
+          roundings and 2 pi one, so it is within gamma_4 2 pi (|a s| + |b t|)
+          <= gamma_4 2 P =: phi of the true one (|a|, |b| <= m + n), and its
+          cos or sin within phi + TRIG_ERR; six terms of size <= 1 summed in
+          order add gamma_5 6.  So C and S are each within eta = 6 (phi +
+          TRIG_ERR + gamma_5) of the true sums, and fl(fl(c C) + fl(s S)) is
+          within (|c| + |s|) (eta + gamma_2 (6 + eta)) of c C + s S.
+        delta is twice the sum of the two bounds; the factor covers the
+        rounding of the comparisons the certificate makes with it, below u
+        (6 (|c| + |s|) + 2 delta) each."""
+        a, mc, ms, phase = self.tables
+        mixed = self.size == 2 and theta != 0.0
+        c, s = (math.cos(theta), math.sin(theta)) if mixed else (1.0, 0.0)
+        g = (c * mc + s * ms) @ a.T
+        counts, r = self.hi - self.lo, len(self.x)
+        values = np.empty(int(counts.sum()))
+        step = max(1, BLOCK // r)
+        for i in range(0, r, step):
+            lo, hi, at = self.lo[i:i + step], self.hi[i:i + step], self.starts[i]
+            full = lo < hi
+            if not full.any():
+                continue
+            c0, c1 = lo[full].min(), hi[full].max()
+            cols = np.arange(c0, c1)
+            inside = (cols >= lo[:, None]) & (cols < hi[:, None])
+            values[at:at + counts[i:i + step].sum()] = (a[i:i + step] @ g[:, c0:c1])[inside]
+        alpha = _gamma(3) * phase + TRIG_ERR
+        table = float(np.sum(abs(c) * np.abs(mc) + abs(s) * np.abs(ms))) * (
+            2.0 * alpha + alpha * alpha + _gamma(16) * (1.0 + alpha) ** 2)
+        if self.domain is DomainKind.RIGHT_ISOSCELES:
+            sums = table
+        else:
+            eta = 6.0 * (_gamma(4) * 2.0 * phase + TRIG_ERR + _gamma(5))
+            sums = (abs(c) + abs(s)) * (eta + _gamma(2) * (6.0 + eta))
+        return values, 2.0 * (sums + table)
+
+    @functools.cached_property
+    def tables(self):
+        """(A, M_C, M_S, the largest phase in A), A's rows A(x) on the axis:
+        weyl_tables on the equilateral and hemiequilateral triangles, and on
+        the right-isosceles (sin m x, sin n x) with M_C = [[0, 1], [-1, 0]]
+        and M_S = 0, the sine product of eval_isosceles."""
+        if self.domain is DomainKind.RIGHT_ISOSCELES:
+            phase = np.multiply.outer(self.x, self.pair)
+            turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
+            return np.sin(phase), turn, np.zeros((2, 2)), float(phase.max())
+        ks, mc, ms = weyl_tables(*self.pair)
+        phase = np.multiply.outer(self.x, [TWO_PI * k for k in ks])
+        return np.hstack((np.cos(phase), np.sin(phase))), mc, ms, float(phase.max())
 
 
 class EvalResult(NamedTuple):

@@ -20,8 +20,8 @@ from scipy import ndimage
 
 from .alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint, DomainKind,
                               weyl_coefficients)
-from .eigenfunction_eval import (EigenfunctionHandle, eval_C, eigenbasis,
-                                 eval_psi, eval_psi_grid, eval_S, mix)
+from .eigenfunction_eval import (EigenfunctionHandle, GridBasis, eval_C,
+                                 eval_psi, eval_psi_grid, eval_S)
 from .lattice_spectrum import Mode
 from .pleijel_screening import candidates
 
@@ -35,7 +35,7 @@ ZERO_BAND_REL = 1e-5
 
 # Smallest and largest nodal grid side; nodal --resolution 2048 counts on a
 # 4096 grid, and plot --resolution 4096 draws one, in under 0.4 GB (peak RSS
-# 361 and 362 MB for the mixed equilateral pair (2,3)).
+# 177 and 361 MB for the mixed equilateral pair (2,3)).
 MIN_GRID, MAX_GRID = 64, 4096
 
 # the equilateral mode pairs whose edge analysis is implemented
@@ -423,13 +423,13 @@ class NodalReport:
 def _grid_values(h: EigenfunctionHandle, resolution: int, thetas):
     """The one nodal grid: the unmixed eigenbasis of the handle's domain and
     mode at the samples strictly inside the domain (in the order of
-    p[mask]), the mask, and the coordinate grids over [0, e]^2, e the largest
-    vertex coordinate of the triangle.  The mask is the domain predicate on
-    the broadcast axes (column p, row q), built from each row's interval of
-    inside columns (DomainSpec.row_ends), and the basis is evaluated at those
-    samples only.  It does not read h.theta; each reader mixes the basis at
-    its own angles, thetas, and S is left out when they are all 0
-    (eigenbasis)."""
+    p[mask]), unevaluated (GridBasis), the mask, and the coordinate grids
+    over [0, e]^2, e the largest vertex coordinate of the triangle.  The mask
+    is the domain predicate on the broadcast axes (column p, row q), built
+    from each row's interval of inside columns (DomainSpec.row_ends), and the
+    basis reads those samples only.  It does not read h.theta; each reader
+    mixes the basis at its own angles, thetas, and S is left out when they
+    are all 0 (eigenbasis)."""
     spec = DOMAINS[h.domain]
     if spec.vertices is None:
         raise ValueError(f"nodal counting is not defined for {h.domain.value}")
@@ -438,27 +438,47 @@ def _grid_values(h: EigenfunctionHandle, resolution: int, thetas):
                          f"got {resolution}")
     x = np.linspace(0.0, max(map(max, spec.vertices)), resolution)
     lo, hi = spec.row_ends(x, -EDGE_TOL)
-    rows = [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
     mask = np.zeros((resolution, resolution), dtype=bool)
-    for row, cols in zip(mask, rows):
-        row[cols] = True
-
-    def spread(u, v):
-        # values on the axes at the inside samples: u by row, v by column
-        return np.repeat(u, hi - lo), np.concatenate([v[cols] for cols in rows])
-
-    basis = eigenbasis(h.domain, h.mode, x, x, spread, thetas)
+    for row, a, b in zip(mask, lo.tolist(), hi.tolist()):
+        row[a:b] = True
     p, q = np.meshgrid(x, x, indexing="ij", copy=False)
-    return basis, mask, (p, q)
+    return GridBasis(h.domain, h.mode, x, lo, hi, thetas), mask, (p, q)
+
+
+def _zero_band(inside: np.ndarray) -> float:
+    """The zero band's half-width: ZERO_BAND_REL times the largest |value|."""
+    return ZERO_BAND_REL * float(np.max(np.abs(inside)))
 
 
 def sign_grid(inside: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """{+1, -1, 0} per sample: the sign of the values inside the mask (given
     in the order of p[mask]), 0 in the zero band and outside the mask."""
-    band = ZERO_BAND_REL * float(np.max(np.abs(inside)))
+    band = _zero_band(inside)
     signs = np.zeros(mask.shape, dtype=np.int8)
     signs[mask] = (inside > band).astype(np.int8) - (inside < -band)
     return signs
+
+
+def _certified_values(basis: GridBasis, theta: float) -> np.ndarray:
+    """Values on which sign_grid gives what it gives on mix(basis, theta):
+    the table values (GridBasis.separable), within delta of the mixed sums,
+    with the sums themselves (exact_at) where delta could decide.  With
+    v the table value and V the sum at a sample:
+    - at every sample with |v| >= max |v| - 2 delta: the sample where |V| is
+      largest has |v| >= max |V| - delta >= max |v| - 2 delta, and every
+      other sample has |v| < max |V| - delta, so the largest |value| is max
+      |V| and the band is the band of the sums;
+    - at every sample with ||v| - band| <= delta: elsewhere |v| > band +
+      delta, so |V| > band with the sign of v, or |v| < band - delta, so |V|
+      < band."""
+    values, delta = basis.separable(theta)
+    size = np.abs(values)
+    top = np.flatnonzero(size >= size.max() - 2.0 * delta)
+    values[top] = basis.exact_at(theta, top)
+    size -= _zero_band(values[top])
+    edge = np.flatnonzero(np.abs(size, out=size) <= delta)
+    values[edge] = basis.exact_at(theta, edge)
+    return values
 
 
 def _label_counts(signs: np.ndarray) -> Tuple[int, int]:
@@ -473,9 +493,11 @@ def _sweep_counts(h: EigenfunctionHandle, resolution: int,
                   thetas) -> List[Tuple[int, int]]:
     """(positive, negative) sign components of mix(basis, theta) on the
     handle's grid at each of thetas, in order.  The grid is built once, so an
-    angle costs the mix and the labelling."""
+    angle costs one table product, a few exact samples and the labelling
+    (_certified_values)."""
     basis, mask, _ = _grid_values(h, resolution, thetas)
-    return [_label_counts(sign_grid(mix(basis, theta), mask)) for theta in thetas]
+    return [_label_counts(sign_grid(_certified_values(basis, theta), mask))
+            for theta in thetas]
 
 
 def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:

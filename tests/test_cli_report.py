@@ -397,6 +397,36 @@ def test_parser_options():
         assert runner is getattr(cli_report, "run_" + name.replace("-", "_"))
 
 
+def test_main_parses_with_one_parser_as_a_fresh_one_would(monkeypatch, capsys):
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "reach.py"
+    spec = importlib.util.spec_from_file_location("reach", path)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    argvs = [*reach.cli_argvs(), ["nodal", "--domain", "torus", "--pair", "1,0"],
+             ["spectrum", "--domain", "square"]]
+
+    def run_all():
+        runs = []
+        for argv in argvs:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse's refusal
+                code = exc.code
+            runs.append((code, *capsys.readouterr()))
+        return runs
+
+    built, build = [], cli_report.build_parser
+    monkeypatch.setattr(cli_report, "build_parser", lambda: built.append(1) or build())
+    cli_report._parser.cache_clear()
+    first, second = run_all(), run_all()
+    assert len(built) == 1
+    monkeypatch.setattr(cli_report, "_parser", build)
+    assert first == second == run_all()
+    assert {code for code, _, _ in first} == {0, 2}
+
+
 def test_stamp_sidecar(tmp_path):
     p = tmp_path / "table.csv"
     assert main(["spectrum", "--domain", "torus", "--count", "10",

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import DomainKind
-from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eigenbasis,
-                                            eval_C, eval_isosceles, eval_psi,
-                                            eval_psi_grid, eval_S, mix)
+from courant_lab.eigenfunction_eval import (TRIG_ERR, EigenfunctionHandle,
+                                            eigenbasis, eval_C, eval_isosceles,
+                                            eval_psi, eval_psi_grid, eval_S, mix)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import bifurcation_angle
 from oracles import (alpha_mn, apply_symmetry, eval_torus_mode,
@@ -343,3 +343,17 @@ def test_vertex_vanishing_orders():
         lambda s, t: eval_psi_grid(2, 3, 2 * math.pi / 3, s, t),
         (2 / 3, 1 / 3), (-1.0, -0.2), lo=3e-3, hi=3e-2)
     assert order == pytest.approx(6.0, abs=0.2)
+
+
+def test_numpy_trig_is_within_the_error_the_table_bound_allows():
+    # GridBasis.separable's delta takes numpy's float64 cos and sin to be
+    # within TRIG_ERR of the true values (its phases stay below 80 on the
+    # modes the tests and the benchmark count); they are within 1 ulp of 1
+    import mpmath
+
+    x = np.random.default_rng(7).uniform(-400.0, 400.0, 2000)
+    with mpmath.workprec(120):
+        for f, true in ((np.cos, mpmath.cos), (np.sin, mpmath.sin)):
+            err = max(abs(float(true(mpmath.mpf(float(v))) - float(w)))
+                      for v, w in zip(x, f(x)))
+            assert err <= TRIG_ERR / 2, f.__name__

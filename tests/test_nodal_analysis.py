@@ -745,11 +745,95 @@ def test_single_angle_at_zero_evaluates_c_only(monkeypatch, pair, resolution):
             svg.render_nodal_svg(h, resolution)) == expected
     with pytest.raises(AssertionError, match="S was evaluated"):
         _sweep_counts(h, resolution, [0.0, 0.1])
+    # a grid's basis is evaluated where it is read: by mix, or by the sweep
+    simple = EigenfunctionHandle(E, Mode(2, 2), math.pi / 2)
     with pytest.raises(AssertionError, match="S was evaluated"):
-        _grid_values(EigenfunctionHandle(E, Mode(2, 2), math.pi / 2), resolution,
-                     [math.pi / 2])
+        mix(_grid_values(simple, resolution, [math.pi / 2])[0], math.pi / 2)
+    with pytest.raises(AssertionError, match="S was evaluated"):
+        _sweep_counts(simple, resolution, [math.pi / 2])
     assert sweep[0] == (expected[0].positive_components,
                         expected[0].negative_components)
+
+
+class _TableStub:
+    """A basis whose table values are given: exact_at reads the sums and
+    records the samples read."""
+
+    def __init__(self, exact, table, delta):
+        self.exact, self.table, self.delta, self.read = exact, table, delta, []
+
+    def separable(self, theta):
+        return self.table.copy(), self.delta
+
+    def exact_at(self, theta, idx):
+        self.read += idx.tolist()
+        return self.exact[idx]
+
+
+def test_certificate_reads_the_sums_at_the_top_and_the_band_edge():
+    import courant_lab.nodal_analysis as nodal
+
+    delta = 1e-9
+    # the largest sum at 0, the largest table value at 1; the sum at 2 is
+    # just above the band 1e-5, its table value just below; 3 and 4 are far
+    # from both
+    exact = np.array([1.0, 1.0 - 0.5 * delta, 1e-5 + 0.1 * delta, -0.5, 2e-6])
+    table = exact + np.array([-0.9, 0.9, -0.6, 0.9, -0.9]) * delta
+    stub = _TableStub(exact, table, delta)
+    mask = np.ones((1, 5), dtype=bool)
+    values = nodal._certified_values(stub, 0.3)
+    assert sorted(set(stub.read)) == [0, 1, 2]
+    assert np.max(np.abs(values)) == 1.0
+    assert nodal.sign_grid(values, mask).tolist() == [[1, 1, 1, -1, 0]]
+    assert nodal.sign_grid(table, mask).tolist() == [[1, 1, 0, -1, 0]]
+
+
+# the benchmark gallery's modes and angles on each triangle
+FAMILY_THETAS = [j * math.pi / 48 for j in range(1, 9)]
+GALLERY = {
+    E: [((1, 3), FAMILY_THETAS), ((2, 3), FAMILY_THETAS),
+        *[(pair, [math.pi / 10, math.pi / 7, math.pi / 4])
+          for pair in ((1, 2), (1, 4), (2, 5), (3, 4), (1, 5), (3, 5), (4, 5))]],
+    H: [(pair, [0.0]) for pair in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
+                                   (5, 1), (5, 2), (5, 3))],
+    B: [(pair, [0.0]) for pair in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1),
+                                   (5, 2), (5, 4), (6, 1))],
+}
+
+
+def _check_certified_signs(d, pair, thetas, resolution):
+    """The certified sign grid is the sign grid of the sums at each angle, its
+    largest |value| is theirs, and the table is well within delta of them."""
+    import courant_lab.nodal_analysis as nodal
+
+    basis, mask, _ = _grid_values(EigenfunctionHandle(d, Mode(*pair), thetas[0]),
+                                  resolution, thetas)
+    for theta in thetas:
+        exact = mix(basis, theta)
+        table, delta = basis.separable(theta)
+        assert np.max(np.abs(table - exact)) <= delta / 10, (pair, theta)
+        values = nodal._certified_values(basis, theta)
+        assert np.max(np.abs(values)) == np.max(np.abs(exact)), (pair, theta)
+        assert np.array_equal(nodal.sign_grid(values, mask),
+                              nodal.sign_grid(exact, mask)), (pair, theta)
+
+
+@pytest.mark.parametrize("resolution", [512, 1023, 1024])
+@pytest.mark.parametrize("d", [E, H, B])
+def test_certified_signs_on_every_verdict_candidate(d, resolution):
+    from courant_lab.pleijel_screening import candidates
+
+    for n, modes in candidates(d):
+        if n > 2:
+            pair = min(modes)
+            _check_certified_signs(d, pair, _theta_partition(d, pair), resolution)
+
+
+@pytest.mark.parametrize("resolution", [512, 1024])
+@pytest.mark.parametrize("d", [E, H, B])
+def test_certified_signs_on_the_gallery_modes(d, resolution):
+    for pair, thetas in GALLERY[d]:
+        _check_certified_signs(d, pair, thetas, resolution)
 
 
 def test_hemiequilateral_counts():
@@ -922,3 +1006,4 @@ def test_verdict_fast_domains():
     assert [n for n, s in verdict.items() if s] == [1, 2]
     verdict = dict(courant_sharp_verdict(H))
     assert [n for n, s in verdict.items() if s] == [1, 2]
+

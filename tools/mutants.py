@@ -1,7 +1,7 @@
 """Mutation check: each row of MUTANTS is one edit to src/courant_lab that a
 test module must catch.
 
-For each row it copies src/, tests/ and pyproject.toml to a temporary
+For each row it copies src/, tests/, tools/ and pyproject.toml to a temporary
 directory, checks that the old text occurs exactly once in the file, applies
 the edit and runs the named test module with `pytest -x`.  A mutant is caught
 when pytest reports a failed test.  The script exits 1 if a mutant survives,
@@ -54,6 +54,12 @@ MUTANTS = (
     # the verdict's handle at theta 0, which is C_{m,m} = 0 for m = n
     ("nodal_analysis.py", "EigenfunctionHandle(d, pair, thetas[0])",
      "EigenfunctionHandle(d, pair)", "test_nodal_analysis.py"),
+    # the certificate without the exact reads at the largest table values,
+    # which fix the band, or at the band's edges
+    ("nodal_analysis.py", "    values[top] = basis.exact_at(theta, top)\n", "",
+     "test_nodal_analysis.py"),
+    ("nodal_analysis.py", "    values[edge] = basis.exact_at(theta, edge)\n", "",
+     "test_nodal_analysis.py"),
     # a 1 fill outside the mask
     ("nodal_analysis.py", "signs = np.zeros(mask.shape, dtype=np.int8)",
      "signs = np.ones(mask.shape, dtype=np.int8)", "test_nodal_analysis.py"),
@@ -82,8 +88,11 @@ MUTANTS = (
     ("eigenfunction_eval.py", "np.multiply(*spread(u, v))",
      "np.multiply(*spread(v, u))", "test_eigenfunction_eval.py"),
     # S left out at every angle, not only when all are 0
-    ("eigenfunction_eval.py", "or not any(thetas):", "or True:",
-     "test_eigenfunction_eval.py"),
+    ("eigenfunction_eval.py", "EQUILATERAL and any(thetas) else 1",
+     "EQUILATERAL and False else 1", "test_eigenfunction_eval.py"),
+    # the table values taken as the sums: no margin for the exact reads
+    ("eigenfunction_eval.py", "return values, 2.0 * (sums + table)",
+     "return values, 0.0 * (sums + table)", "test_nodal_analysis.py"),
     # S off by 0.1%
     ("eigenfunction_eval.py", "acc = acc + sign * np.sin(",
      "acc = acc + 1.001 * sign * np.sin(", "test_eigenfunction_eval.py"),
@@ -106,6 +115,9 @@ MUTANTS = (
     # the CSV tables lose their last newline
     ("cli_report.py", 'RATIO_FORMAT, "", "\\n", "\\n")', 'RATIO_FORMAT, "", "\\n", "")',
      "test_cli_report.py"),
+    # main building a parser on every call
+    ("cli_report.py", "args = _parser().parse_args(argv)",
+     "args = build_parser().parse_args(argv)", "test_cli_report.py"),
     # spectrum and screen would import scipy
     ("cli_report.py", "from .eigenfunction_eval import EigenfunctionHandle\n",
      "from .eigenfunction_eval import EigenfunctionHandle\n"
@@ -128,7 +140,7 @@ def run(file: str, old: str, new: str, module: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         junk = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-        for tree in ("src", "tests"):
+        for tree in ("src", "tests", "tools"):
             shutil.copytree(ROOT / tree, tmp / tree, ignore=junk)
         shutil.copy(ROOT / "pyproject.toml", tmp)
         path = tmp / "src" / "courant_lab" / file
