@@ -3,10 +3,11 @@ mixtures Psi^theta on the equilateral triangle (also used for the
 hemiequilateral), and the antisymmetrized sine products on the
 right-isosceles triangle.
 
-Evaluators accept scalars or numpy arrays in (s, t); gradients are analytic
-(term-by-term differentiation), never internal finite differences.  On a grid
-the C/S sums also come from per-axis cos/sin tables (weyl_tables,
-GridBasis.separable), with a bound on their distance from the sums.
+Evaluators accept scalars or numpy arrays in (s, t), elementwise; gradients
+are analytic (term-by-term differentiation), never internal finite
+differences.  A grid is read from per-axis cos/sin tables (weyl_tables,
+GridBasis.separable), within a bound delta of the sums, and the sums
+themselves are read only at chosen samples (GridBasis.exact_at).
 """
 
 import functools
@@ -58,21 +59,18 @@ def basis_size(d: DomainKind, thetas) -> int:
     return 2 if d is DomainKind.EQUILATERAL and any(thetas) else 1
 
 
-def eigenbasis(d: DomainKind, pair, s, t, spread, thetas) -> tuple:
-    """The basis of the pair's eigenspace on d at the samples of a grid: C
-    and S on the equilateral triangle, C alone on the hemiequilateral (S is
-    not Dirichlet on s = t), the antisymmetrized sine product on the
-    right-isosceles.  s and t are the grid's axes and spread(u, v) takes
-    values u on s and v on t to the samples read.  thetas are the angles the
-    basis is mixed at; S is left out when every one is 0 (nodal's and plot's
-    default angle): there mix gives C, the same bits as 1.0 C + 0.0 S, as
-    the sum C is never -0.0."""
+def eigenbasis(d: DomainKind, pair, s, t, thetas) -> tuple:
+    """The basis of the pair's eigenspace on d at the samples (s, t): C and S
+    on the equilateral triangle, C alone on the hemiequilateral (S is not
+    Dirichlet on s = t), the antisymmetrized sine product on the
+    right-isosceles.  thetas are the angles the basis is mixed at; S is left
+    out when every one is 0 (nodal's and plot's default angle): there mix
+    gives C, the same bits as 1.0 C + 0.0 S, as the sum C is never -0.0."""
     m, n = pair
     if d is DomainKind.RIGHT_ISOSCELES:
-        return (eval_isosceles(m, n, s, t, spread),)
+        return (eval_isosceles(m, n, s, t),)
     if d not in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
         raise ValueError(f"no real eigenbasis on {d.value}")
-    s, t = spread(s, t)
     c = eval_C(m, n, s, t)
     if basis_size(d, thetas) == 1:
         return (c,)
@@ -113,42 +111,26 @@ def weyl_tables(m: int, n: int):
 
 class GridBasis:
     """eigenbasis on a grid over the increasing axis x, at the samples (x[i],
-    x[j]) with lo[i] <= j < hi[i] in row order: a sequence of its len
-    functions (basis_size for thetas), evaluated whole when first read.  It
-    also gives the basis mixed at an angle from per-axis tables (separable),
-    and exactly at chosen samples (exact_at)."""
+    x[j]) with lo[i] <= j < hi[i] in row order, for the angles thetas: size
+    functions (basis_size).  It is never evaluated whole: separable gives it
+    mixed at an angle from per-axis tables, within delta of the sums, and
+    exact_at gives the sums at chosen samples."""
 
     def __init__(self, d: DomainKind, pair, x, lo, hi, thetas):
         self.domain, self.pair, self.x, self.lo, self.hi = d, pair, x, lo, hi
-        self.thetas, self.size = thetas, basis_size(d, thetas)
+        self.size = basis_size(d, thetas)
         self.starts = np.cumsum(hi - lo) - (hi - lo)
 
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i):
-        return self.exact[i]
-
-    @functools.cached_property
-    def exact(self) -> tuple:
-        """eigenbasis at every inside sample, the axes spread row by row."""
-        rows = [slice(a, b) for a, b in zip(self.lo.tolist(), self.hi.tolist())]
-
-        def spread(u, v):
-            # values on the axes at the inside samples: u by row, v by column
-            return np.repeat(u, self.hi - self.lo), np.concatenate([v[c] for c in rows])
-
-        return eigenbasis(self.domain, self.pair, self.x, self.x, spread, self.thetas)
-
     def exact_at(self, theta: float, idx):
-        """mix(self, theta) at the inside samples idx (positions in row
-        order), evaluated there alone: every operation is elementwise, so each
-        value has the bits it has on the whole grid.  A one-function basis (at
-        theta 0) is C, the bits of 1.0 C + 0.0 S (eigenbasis)."""
+        """The sums mixed at theta at the inside samples idx (positions in
+        row order, an array of any shape), evaluated there alone: every
+        operation is elementwise, so each value has the bits it has in the
+        whole grid's pointwise evaluation.  A one-function basis (at theta 0)
+        is C, the bits of 1.0 C + 0.0 S (eigenbasis)."""
         i = np.searchsorted(self.starts, idx, side="right") - 1
         j = self.lo[i] + (idx - self.starts[i])
-        return mix(eigenbasis(self.domain, self.pair, self.x[i], self.x[j],
-                              lambda u, v: (u, v), [theta]), theta)
+        return mix(eigenbasis(self.domain, self.pair, self.x[i], self.x[j], [theta]),
+                   theta)
 
     def separable(self, theta: float):
         """(values, delta): the basis mixed at theta at the inside samples,
@@ -156,9 +138,9 @@ class GridBasis:
         (c, s) = (cos theta, sin theta) or (1, 0) in a one-function basis and
         at theta 0.  It is formed block by block of rows, over the block's
         inside columns, so no r^2 float array is made.  delta >= |value -
-        mix(self, theta)| at every sample, in any order of summation (u the
-        unit roundoff, gamma_k = k u / (1 - k u), P the largest phase in the
-        tables and |W| = |c| |M_C| + |s| |M_S|):
+        exact_at(theta, sample)| at every sample, in any order of summation
+        (u the unit roundoff, gamma_k = k u / (1 - k u), P the largest phase
+        in the tables and |W| = |c| |M_C| + |s| |M_S|):
         - the tables: a phase has at most three roundings, so each entry of A
           is within alpha = gamma_3 P + TRIG_ERR of the true one; fl(W) is
           within gamma_2 |W| of c M_C + s M_S, and the two products of inner
@@ -265,18 +247,9 @@ def eval_psi(h: EigenfunctionHandle, s, t) -> EvalResult:
     return EvalResult(val, gs, gt)
 
 
-def eval_isosceles(m: int, n: int, x, y, spread=None):
+def eval_isosceles(m: int, n: int, x, y):
     """sin(mx)sin(ny) - sin(nx)sin(my) on the half-square 0 < y < x < pi;
-    swapping m and n negates it exactly.  Given spread, x and y are a grid's
-    axes: each sine is taken once per axis value and spread(u, v) takes the
-    factors u on x and v on y to the samples, where they are multiplied.
-    fl(sin(k x_i)) does not depend on where x_i sits, so every value keeps
-    the bits it has at the sample's own coordinates."""
+    swapping m and n negates it exactly."""
     if m == n or min(m, n) < 1:
         raise ValueError("need m != n, both >= 1")
-
-    def product(j, k):
-        u, v = np.sin(j * x), np.sin(k * y)
-        return np.multiply(*spread(u, v)) if spread is not None else u * v
-
-    return product(m, n) - product(n, m)
+    return np.sin(m * x) * np.sin(n * y) - np.sin(n * x) * np.sin(m * y)

@@ -34,8 +34,9 @@ PI = math.pi
 ZERO_BAND_REL = 1e-5
 
 # Smallest and largest nodal grid side; nodal --resolution 2048 counts on a
-# 4096 grid, and plot --resolution 4096 draws one, in under 0.4 GB (peak RSS
-# 177 and 361 MB for the mixed equilateral pair (2,3)).
+# 4096 grid, and plot --resolution 4096 draws one, in under 0.3 GB (peak RSS
+# 177 and 264 MB for the mixed equilateral pair (2,3); a plot's is 264 MB on
+# each triangle).
 MIN_GRID, MAX_GRID = 64, 4096
 
 # the equilateral mode pairs whose edge analysis is implemented
@@ -421,15 +422,15 @@ class NodalReport:
 
 
 def _grid_values(h: EigenfunctionHandle, resolution: int, thetas):
-    """The one nodal grid: the unmixed eigenbasis of the handle's domain and
-    mode at the samples strictly inside the domain (in the order of
-    p[mask]), unevaluated (GridBasis), the mask, and the coordinate grids
-    over [0, e]^2, e the largest vertex coordinate of the triangle.  The mask
-    is the domain predicate on the broadcast axes (column p, row q), built
-    from each row's interval of inside columns (DomainSpec.row_ends), and the
-    basis reads those samples only.  It does not read h.theta; each reader
-    mixes the basis at its own angles, thetas, and S is left out when they
-    are all 0 (eigenbasis)."""
+    """The one nodal grid: the eigenbasis of the handle's domain and mode at
+    the samples strictly inside the domain (in the order of p[mask]), read
+    through its tables and at chosen samples (GridBasis), the mask, and the
+    coordinate grids over [0, e]^2, e the largest vertex coordinate of the
+    triangle.  The mask is the domain predicate on the broadcast axes
+    (column p, row q), built from each row's interval of inside columns
+    (DomainSpec.row_ends), and the basis reads those samples only.  It does
+    not read h.theta; each reader mixes the basis at its own angles, thetas,
+    and S is left out when they are all 0 (eigenbasis)."""
     spec = DOMAINS[h.domain]
     if spec.vertices is None:
         raise ValueError(f"nodal counting is not defined for {h.domain.value}")
@@ -460,9 +461,9 @@ def sign_grid(inside: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _certified_values(basis: GridBasis, theta: float) -> np.ndarray:
-    """Values on which sign_grid gives what it gives on mix(basis, theta):
-    the table values (GridBasis.separable), within delta of the mixed sums,
-    with the sums themselves (exact_at) where delta could decide.  With
+    """Values on which sign_grid gives what it gives on the sums mixed at
+    theta: the table values (GridBasis.separable), within delta of the mixed
+    sums, with the sums themselves (exact_at) where delta could decide.  With
     v the table value and V the sum at a sample:
     - at every sample with |v| >= max |v| - 2 delta: the sample where |V| is
       largest has |v| >= max |V| - delta >= max |v| - 2 delta, and every
@@ -491,10 +492,10 @@ def _label_counts(signs: np.ndarray) -> Tuple[int, int]:
 
 def _sweep_counts(h: EigenfunctionHandle, resolution: int,
                   thetas) -> List[Tuple[int, int]]:
-    """(positive, negative) sign components of mix(basis, theta) on the
-    handle's grid at each of thetas, in order.  The grid is built once, so an
-    angle costs one table product, a few exact samples and the labelling
-    (_certified_values)."""
+    """(positive, negative) sign components of the basis mixed at theta on
+    the handle's grid at each of thetas, in order.  The grid is built once,
+    so an angle costs one table product, a few exact samples and the
+    labelling (_certified_values)."""
     basis, mask, _ = _grid_values(h, resolution, thetas)
     return [_label_counts(sign_grid(_certified_values(basis, theta), mask))
             for theta in thetas]

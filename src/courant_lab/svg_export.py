@@ -1,13 +1,16 @@
 """Nodal-set plots as plain SVG 1.1 line art: marching-squares segments of
 the zero level set, the domain outline, fixed points as circles and critical
-zeros as crosses, all in the Euclidean frame at 512 px per unit."""
+zeros as crosses, all in the Euclidean frame at 512 px per unit.  The grid's
+values come from the per-axis tables the nodal counts read
+(GridBasis.separable), with the sums read back wherever marching squares
+could tell the two apart."""
 
 from typing import List, Tuple
 
 import numpy as np
 
 from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
-from .eigenfunction_eval import EigenfunctionHandle, mix
+from .eigenfunction_eval import EigenfunctionHandle
 from .nodal_analysis import (EDGE_PAIRS, _grid_values, edge_critical_zeros,
                              edge_theta_in_range, median_fixed_points)
 
@@ -16,10 +19,13 @@ MARGIN = 24.0
 
 
 def zero_segments(values: np.ndarray, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                  frame=None) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
+                  frame=None, read=None) -> List[Tuple[Tuple[float, float],
+                                                       Tuple[float, float]]]:
     """Marching-squares segments of the zero level set over cells whose four
     corners all lie inside the mask.  xs/ys give the corner coordinates, and
-    frame, if given, maps them to the plot's, at the gathered corners only.
+    frame, if given, maps them to the plot's, at the gathered corners only;
+    read(i, j), if given, gives the values interpolated on at the gathered
+    corners (i, j) in place of values[i, j], with the same signs.
     Cells go in row-major order, corners (i,j), (i+1,j), (i+1,j+1), (i,j+1);
     edge k, from corner k to k+1 mod 4, is crossed where one end is > 0 and
     the other is not, so a cell is gathered only when its corners are not all
@@ -31,7 +37,8 @@ def zero_segments(values: np.ndarray, mask: np.ndarray, xs: np.ndarray, ys: np.n
                       & ((first != pos[1:, :-1]) | (first != pos[1:, 1:])
                          | (first != pos[:-1, 1:])))
     ci, cj = np.stack((i, i + 1, i + 1, i), 1), np.stack((j, j, j + 1, j + 1), 1)
-    v, x, y = values[ci, cj], xs[ci, cj], ys[ci, cj]
+    v = values[ci, cj] if read is None else read(ci, cj)
+    x, y = xs[ci, cj], ys[ci, cj]
     if frame is not None:
         x, y = frame((x, y))
     cell, a = np.nonzero((v > 0) != (np.roll(v, -1, axis=1) > 0))
@@ -48,10 +55,21 @@ def _fmt(v: float) -> str:
 
 
 def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
-    """Deterministic SVG document for the nodal set of the handle."""
+    """Deterministic SVG document for the nodal set of the handle, with the
+    segments of the sums: the table values are within delta of them, so
+    where |value| > delta they have the sums' strict sign, and the sums are
+    read back at every other sample (so every v > 0 test, and every gathered
+    cell, is theirs) and at the corners of the gathered cells."""
     basis, mask, points = _grid_values(h, resolution, [h.theta])
+
+    def sums(i, j):
+        # the sums at the inside samples (i, j), by their positions in row order
+        return basis.exact_at(h.theta, basis.starts[i] + j - basis.lo[i])
+
     values = np.zeros(mask.shape)
-    values[mask] = mix(basis, h.theta)
+    values[mask], delta = basis.separable(h.theta)
+    near = np.nonzero(mask & (values <= delta) & (values >= -delta))
+    values[near] = sums(*near)
     spec = DOMAINS[h.domain]
     frame = to_cartesian if spec.alcove else None
     outline = [frame(v) if frame else v for v in spec.vertices]
@@ -74,7 +92,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
                  'stroke-width="1.5"/>')
 
     path = "".join("M{} {}L{} {}".format(*map(_fmt, px(a) + px(b)))
-                   for a, b in zero_segments(values, mask, *points, frame))
+                   for a, b in zero_segments(values, mask, *points, frame, sums))
     parts.append(f'<path d="{path}" fill="none" stroke="blue" '
                  'stroke-width="1"/>')
 

@@ -22,23 +22,18 @@ def random_points(k):
     return RNG.uniform(0.02, 0.62, size=(k, 2))
 
 
-def pointwise(u, v):
-    # the spread that reads each (u, v) pair as one sample
-    return u, v
-
-
 def test_eigenbasis_spans_each_triangle_eigenspace():
     s, t = np.meshgrid(np.linspace(0.02, 0.62, 7), np.linspace(0.03, 0.61, 7))
-    c, sn = eigenbasis(E, (2, 3), s, t, pointwise, [0.35])
+    c, sn = eigenbasis(E, (2, 3), s, t, [0.35])
     assert np.array_equal(c, eval_C(2, 3, s, t))
     assert np.array_equal(sn, eval_S(2, 3, s, t))
     assert np.array_equal(mix((c, sn), 0.35), eval_psi_grid(2, 3, 0.35, s, t))
-    (h,) = eigenbasis(DomainKind.HEMIEQUILATERAL, (4, 2), s, t, pointwise, [0.0])
+    (h,) = eigenbasis(DomainKind.HEMIEQUILATERAL, (4, 2), s, t, [0.0])
     assert np.array_equal(mix((h,), 0.0), eval_C(4, 2, s, t))
-    (b,) = eigenbasis(DomainKind.RIGHT_ISOSCELES, (4, 1), s, t, pointwise, [0.0])
+    (b,) = eigenbasis(DomainKind.RIGHT_ISOSCELES, (4, 1), s, t, [0.0])
     assert np.array_equal(b, eval_isosceles(4, 1, s, t))
     with pytest.raises(ValueError, match="torus"):
-        eigenbasis(DomainKind.TORUS, (1, 0), s, t, pointwise, [0.0])
+        eigenbasis(DomainKind.TORUS, (1, 0), s, t, [0.0])
 
 
 def test_torus_mode_values():
@@ -286,39 +281,18 @@ def test_isosceles_swapped_pair_is_the_exact_negative():
             eval_isosceles(m, n, 0.5, 0.2)
 
 
-def test_isosceles_on_axes_keeps_the_pointwise_bits():
-    # the sines taken once per axis value and spread to ragged rows of a grid
-    x = np.linspace(0.0, math.pi, 301)
-    rows = [slice(0, 0), slice(3, 297), slice(0, 301), slice(150, 151)]
-    counts = [r.stop - r.start for r in rows]
-
-    def spread(u, v):
-        return np.repeat(u[:len(rows)], counts), np.concatenate([v[r] for r in rows])
-
-    p, q = spread(x, x)
-    for m, n in ((3, 1), (1, 3), (6, 1), (2, 7)):
-        value = eval_isosceles(m, n, x, x, spread)
-        assert np.array_equal(value, eval_isosceles(m, n, p, q))
-        assert np.array_equal(np.signbit(value), np.signbit(eval_isosceles(m, n, p, q)))
-    (b,) = eigenbasis(B, (4, 1), x, x, spread, [0.0])
-    assert np.array_equal(b, eval_isosceles(4, 1, p, q))
-    c, sn = eigenbasis(E, (2, 3), x / 3, x / 5, spread, [0.35])
-    assert np.array_equal(c, eval_C(2, 3, *spread(x / 3, x / 5)))
-    assert np.array_equal(sn, eval_S(2, 3, *spread(x / 3, x / 5)))
-
-
 def test_eigenbasis_leaves_out_s_only_when_every_angle_is_zero():
     s, t = random_points(50).T
-    c, sn = eigenbasis(E, (2, 3), s, t, pointwise, [0.35])
+    c, sn = eigenbasis(E, (2, 3), s, t, [0.35])
     for thetas in ([0.0], [0.0, 0.0], [-0.0]):
-        (only,) = eigenbasis(E, (2, 3), s, t, pointwise, thetas)
+        (only,) = eigenbasis(E, (2, 3), s, t, thetas)
         assert np.array_equal(only, c)
         assert np.array_equal(mix((only,), 0.0), mix((c, sn), 0.0))
         assert np.array_equal(np.signbit(mix((only,), 0.0)),
                               np.signbit(mix((c, sn), 0.0)))
     for thetas in ([math.pi / 12], [0.0, 0.1], [math.pi / 2]):
-        assert len(eigenbasis(E, (2, 3), s, t, pointwise, thetas)) == 2
-    assert len(eigenbasis(H, (4, 2), s, t, pointwise, [0.0])) == 1
+        assert len(eigenbasis(E, (2, 3), s, t, thetas)) == 2
+    assert len(eigenbasis(H, (4, 2), s, t, [0.0])) == 1
 
 
 def vanishing_order(f, origin, direction, lo=1e-3, hi=1e-2):

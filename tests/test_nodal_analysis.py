@@ -709,6 +709,18 @@ def test_inside_sample_counts_at_256():
     assert counts == {E: 24257, H: 12033, B: 32131}
 
 
+def pointwise(h, s, t):
+    """The handle's eigenfunction at the samples (s, t), each evaluated
+    alone by the elementwise evaluators: the whole-grid oracle for a grid's
+    table values and read-backs."""
+    m, n = h.mode
+    if h.domain is B:
+        return eval_isosceles(m, n, s, t)
+    if h.domain is H:
+        return eval_C(m, n, s, t)
+    return eval_psi_grid(m, n, h.theta, s, t)
+
+
 @pytest.mark.parametrize("resolution", [64, 256, 511, 1024])
 @pytest.mark.parametrize("h,full", [
     (EigenfunctionHandle(E, Mode(2, 3), 0.35),
@@ -718,7 +730,8 @@ def test_inside_sample_counts_at_256():
      lambda p, q: eval_isosceles(6, 1, p, q))])
 def test_masked_evaluation_keeps_the_values(h, full, resolution):
     basis, mask, (p, q) = _grid_values(h, resolution, [h.theta])
-    assert np.array_equal(mix(basis, h.theta), full(p, q)[mask])
+    every = np.arange(mask.sum())
+    assert np.array_equal(basis.exact_at(h.theta, every), full(p, q)[mask])
 
 
 @pytest.mark.parametrize("resolution", [64, 511])
@@ -728,11 +741,13 @@ def test_single_angle_at_zero_evaluates_c_only(monkeypatch, pair, resolution):
     import courant_lab.svg_export as svg
 
     h = EigenfunctionHandle(E, Mode(*pair))
-    full, mask, _ = _grid_values(h, resolution, [0.0, 0.1])
+    full, mask, (p, q) = _grid_values(h, resolution, [0.0, 0.1])
     basis, mask0, _ = _grid_values(h, resolution, [0.0])
-    assert len(full) == 2 and len(basis) == 1 and np.array_equal(mask, mask0)
-    assert np.array_equal(mix(basis, 0.0), mix(full, 0.0))
-    assert np.array_equal(np.signbit(mix(basis, 0.0)), np.signbit(mix(full, 0.0)))
+    assert full.size == 2 and basis.size == 1 and np.array_equal(mask, mask0)
+    # C alone has the bits of cos(0) C + sin(0) S
+    c, both = basis.exact_at(0.0, np.arange(mask.sum())), pointwise(h, p[mask], q[mask])
+    assert np.array_equal(c, both)
+    assert np.array_equal(np.signbit(c), np.signbit(both))
     # a count and a plot at theta 0 never evaluate S; the sweep and pi/2 do
     expected = count_nodal_domains(h, resolution), svg.render_nodal_svg(h, resolution)
     sweep = _sweep_counts(h, resolution, [0.0, 0.1])
@@ -745,10 +760,10 @@ def test_single_angle_at_zero_evaluates_c_only(monkeypatch, pair, resolution):
             svg.render_nodal_svg(h, resolution)) == expected
     with pytest.raises(AssertionError, match="S was evaluated"):
         _sweep_counts(h, resolution, [0.0, 0.1])
-    # a grid's basis is evaluated where it is read: by mix, or by the sweep
+    # a grid's basis is evaluated where it is read: by a plot, or by the sweep
     simple = EigenfunctionHandle(E, Mode(2, 2), math.pi / 2)
     with pytest.raises(AssertionError, match="S was evaluated"):
-        mix(_grid_values(simple, resolution, [math.pi / 2])[0], math.pi / 2)
+        svg.render_nodal_svg(simple, resolution)
     with pytest.raises(AssertionError, match="S was evaluated"):
         _sweep_counts(simple, resolution, [math.pi / 2])
     assert sweep[0] == (expected[0].positive_components,
@@ -806,10 +821,13 @@ def _check_certified_signs(d, pair, thetas, resolution):
     largest |value| is theirs, and the table is well within delta of them."""
     import courant_lab.nodal_analysis as nodal
 
-    basis, mask, _ = _grid_values(EigenfunctionHandle(d, Mode(*pair), thetas[0]),
-                                  resolution, thetas)
+    h = EigenfunctionHandle(d, Mode(*pair), thetas[0])
+    basis, mask, (p, q) = _grid_values(h, resolution, thetas)
+    # the sums at every inside sample (pointwise), C and S taken once
+    s, t = p[mask], q[mask]
+    sums = (eval_C(*pair, s, t), eval_S(*pair, s, t)) if d is E else (pointwise(h, s, t),)
     for theta in thetas:
-        exact = mix(basis, theta)
+        exact = mix(sums, theta)
         table, delta = basis.separable(theta)
         assert np.max(np.abs(table - exact)) <= delta / 10, (pair, theta)
         values = nodal._certified_values(basis, theta)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import DOMAINS, DomainKind, to_cartesian
-from courant_lab.eigenfunction_eval import EigenfunctionHandle, mix
+from courant_lab.eigenfunction_eval import EigenfunctionHandle
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import _grid_values
 from courant_lab.svg_export import render_nodal_svg, zero_segments
+from test_nodal_analysis import pointwise
 
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
@@ -55,10 +56,11 @@ def _saddle_cells(values, mask):
 
 
 def _plot_inputs(h, resolution):
-    basis, mask, points = _grid_values(h, resolution, [h.theta])
+    # the sums evaluated pointwise on the whole grid: a plot's reference inputs
+    _, mask, (p, q) = _grid_values(h, resolution, [h.theta])
     values = np.zeros(mask.shape)
-    values[mask] = mix(basis, h.theta)
-    xs, ys = to_cartesian(points) if DOMAINS[h.domain].alcove else points
+    values[mask] = pointwise(h, p[mask], q[mask])
+    xs, ys = to_cartesian((p, q)) if DOMAINS[h.domain].alcove else (p, q)
     return values, mask, xs, ys
 
 
@@ -73,6 +75,40 @@ def test_zero_segments_match_the_loop_on_domain_grids(h, resolution):
     segs = zero_segments(*args)
     assert len(segs) > 0
     assert segs == loop_zero_segments(*args)
+
+
+def test_table_signs_differ_from_the_sums_only_within_delta():
+    # C_{1,3} vanishes on s = t, where the table values take either sign: the
+    # plot's read-back of the samples with |value| <= delta is needed
+    h = EigenfunctionHandle(E, Mode(1, 3))
+    basis, mask, (p, q) = _grid_values(h, 512, [0.0])
+    table, delta = basis.separable(0.0)
+    s, t = p[mask], q[mask]
+    differ = (table > 0) != (pointwise(h, s, t) > 0)
+    assert differ.any() and np.array_equal(s[differ], t[differ])
+    assert np.all(np.abs(table[differ]) <= delta)
+
+
+@pytest.mark.parametrize("h,resolution", [
+    (EigenfunctionHandle(E, Mode(1, 3)), 512),
+    (EigenfunctionHandle(E, Mode(1, 3), math.pi / 12), 256),
+    (EigenfunctionHandle(E, Mode(2, 3), 0.2), 255),
+    (EigenfunctionHandle(H, Mode(4, 2)), 512),
+    (EigenfunctionHandle(B, Mode(6, 1)), 512)])
+def test_plot_segments_are_those_of_the_sums(monkeypatch, h, resolution):
+    # the segments a plot draws from the tables and its read-backs are, float
+    # for float, those of the sums on the whole grid
+    import courant_lab.svg_export as svg
+
+    drawn = []
+
+    def spy(*args):
+        drawn.append(zero_segments(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(svg, "zero_segments", spy)
+    render_nodal_svg(h, resolution)
+    assert drawn == [zero_segments(*_plot_inputs(h, resolution))]
 
 
 def test_zero_segments_match_the_loop_on_saddles_and_exact_zeros():

@@ -84,9 +84,6 @@ MUTANTS = (
      "test_lattice_spectrum.py"),
     ("eigenfunction_eval.py", "if not math.isfinite(self.theta):", "if False:",
      "test_nodal_analysis.py"),
-    # a grid's sine factors spread to the wrong axis: the values at (q, p)
-    ("eigenfunction_eval.py", "np.multiply(*spread(u, v))",
-     "np.multiply(*spread(v, u))", "test_eigenfunction_eval.py"),
     # S left out at every angle, not only when all are 0
     ("eigenfunction_eval.py", "EQUILATERAL and any(thetas) else 1",
      "EQUILATERAL and False else 1", "test_eigenfunction_eval.py"),
@@ -132,6 +129,13 @@ MUTANTS = (
      "test_svg_export.py"),
     # a cell whose only changed corner is the diagonal one left ungathered
     ("svg_export.py", " | (first != pos[1:, 1:])", "", "test_svg_export.py"),
+    # a plot without the sums read back where the table's sign may be wrong,
+    # without them at the corners it interpolates on, or with the corners
+    # read at (j, i)
+    ("svg_export.py", "    values[near] = sums(*near)\n", "", "test_svg_export.py"),
+    ("svg_export.py", "*points, frame, sums))", "*points, frame))",
+     "test_svg_export.py"),
+    ("svg_export.py", "else read(ci, cj)", "else read(cj, ci)", "test_svg_export.py"),
 )
 
 
