@@ -53,26 +53,19 @@ class EigenfunctionHandle:
             raise ValueError(f"pair ({m}, {n}) at theta {self.theta} is identically zero")
 
 
-def basis_size(d: DomainKind, thetas) -> int:
-    """The number of functions eigenbasis gives on d for the angles thetas:
-    C and S on the equilateral triangle unless every angle is 0, else one."""
-    return 2 if d is DomainKind.EQUILATERAL and any(thetas) else 1
-
-
-def eigenbasis(d: DomainKind, pair, s, t, thetas) -> tuple:
+def eigenbasis(d: DomainKind, pair, s, t) -> tuple:
     """The basis of the pair's eigenspace on d at the samples (s, t): C and S
     on the equilateral triangle, C alone on the hemiequilateral (S is not
     Dirichlet on s = t), the antisymmetrized sine product on the
-    right-isosceles.  thetas are the angles the basis is mixed at; S is left
-    out when every one is 0 (nodal's and plot's default angle): there mix
-    gives C, the same bits as 1.0 C + 0.0 S, as the sum C is never -0.0."""
+    right-isosceles.  mix gives C's bits at theta 0: 1.0 C + 0.0 S is C, as
+    the sum C is never -0.0."""
     m, n = pair
     if d is DomainKind.RIGHT_ISOSCELES:
         return (eval_isosceles(m, n, s, t),)
     if d not in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
         raise ValueError(f"no real eigenbasis on {d.value}")
     c = eval_C(m, n, s, t)
-    if basis_size(d, thetas) == 1:
+    if d is DomainKind.HEMIEQUILATERAL:
         return (c,)
     return c, eval_S(m, n, s, t)
 
@@ -111,36 +104,36 @@ def weyl_tables(m: int, n: int):
 
 class GridBasis:
     """eigenbasis on a grid over the increasing axis x, at the samples (x[i],
-    x[j]) with lo[i] <= j < hi[i] in row order, for the angles thetas: size
-    functions (basis_size).  It is never evaluated whole: separable gives it
-    mixed at an angle from per-axis tables, within delta of the sums, and
-    exact_at gives the sums at chosen samples."""
+    x[j]) with lo[i] <= j < hi[i] in row order: mask[i, j] says which.  It is
+    never evaluated whole: separable gives it mixed at an angle from per-axis
+    tables, within delta of the sums, and exact_at gives the sums at chosen
+    samples."""
 
-    def __init__(self, d: DomainKind, pair, x, lo, hi, thetas):
+    def __init__(self, d: DomainKind, pair, x, lo, hi):
         self.domain, self.pair, self.x, self.lo, self.hi = d, pair, x, lo, hi
-        self.size = basis_size(d, thetas)
         self.starts = np.cumsum(hi - lo) - (hi - lo)
+        self.mask = np.zeros((len(x), len(x)), dtype=bool)
+        for row, a, b in zip(self.mask, lo.tolist(), hi.tolist()):
+            row[a:b] = True
 
     def exact_at(self, theta: float, idx):
         """The sums mixed at theta at the inside samples idx (positions in
         row order, an array of any shape), evaluated there alone: every
         operation is elementwise, so each value has the bits it has in the
-        whole grid's pointwise evaluation.  A one-function basis (at theta 0)
-        is C, the bits of 1.0 C + 0.0 S (eigenbasis)."""
+        whole grid's pointwise evaluation."""
         i = np.searchsorted(self.starts, idx, side="right") - 1
         j = self.lo[i] + (idx - self.starts[i])
-        return mix(eigenbasis(self.domain, self.pair, self.x[i], self.x[j], [theta]),
-                   theta)
+        return mix(eigenbasis(self.domain, self.pair, self.x[i], self.x[j]), theta)
 
     def separable(self, theta: float):
         """(values, delta): the basis mixed at theta at the inside samples,
-        as A(x_i) W A(x_j)^T from the per-axis tables, with W = c M_C + s M_S,
-        (c, s) = (cos theta, sin theta) or (1, 0) in a one-function basis and
-        at theta 0.  It is formed block by block of rows, over the block's
-        inside columns, so no r^2 float array is made.  delta >= |value -
-        exact_at(theta, sample)| at every sample, in any order of summation
-        (u the unit roundoff, gamma_k = k u / (1 - k u), P the largest phase
-        in the tables and |W| = |c| |M_C| + |s| |M_S|):
+        as A(x_i) W A(x_j)^T from the per-axis tables, with W = c M_C + s M_S
+        and (c, s) = (cos theta, sin theta).  It is formed block by block of
+        rows, over the block's inside columns (mask), so no r^2 float array
+        is made.  delta >= |value - exact_at(theta, sample)| at every
+        sample, in any order of summation (u the unit roundoff, gamma_k = k u
+        / (1 - k u), P the largest phase in the tables and |W| = |c| |M_C| +
+        |s| |M_S|):
         - the tables: a phase has at most three roundings, so each entry of A
           is within alpha = gamma_3 P + TRIG_ERR of the true one; fl(W) is
           within gamma_2 |W| of c M_C + s M_S, and the two products of inner
@@ -160,8 +153,7 @@ class GridBasis:
         rounding of the comparisons the certificate makes with it, below u
         (6 (|c| + |s|) + 2 delta) each."""
         a, mc, ms, phase = self.tables
-        mixed = self.size == 2 and theta != 0.0
-        c, s = (math.cos(theta), math.sin(theta)) if mixed else (1.0, 0.0)
+        c, s = math.cos(theta), math.sin(theta)
         g = (c * mc + s * ms) @ a.T
         counts, r = self.hi - self.lo, len(self.x)
         values = np.empty(int(counts.sum()))
@@ -172,9 +164,8 @@ class GridBasis:
             if not full.any():
                 continue
             c0, c1 = lo[full].min(), hi[full].max()
-            cols = np.arange(c0, c1)
-            inside = (cols >= lo[:, None]) & (cols < hi[:, None])
-            values[at:at + counts[i:i + step].sum()] = (a[i:i + step] @ g[:, c0:c1])[inside]
+            values[at:at + counts[i:i + step].sum()] = (
+                a[i:i + step] @ g[:, c0:c1])[self.mask[i:i + step, c0:c1]]
         alpha = _gamma(3) * phase + TRIG_ERR
         table = float(np.sum(abs(c) * np.abs(mc) + abs(s) * np.abs(ms))) * (
             2.0 * alpha + alpha * alpha + _gamma(16) * (1.0 + alpha) ** 2)

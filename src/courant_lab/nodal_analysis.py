@@ -34,9 +34,9 @@ PI = math.pi
 ZERO_BAND_REL = 1e-5
 
 # Smallest and largest nodal grid side; nodal --resolution 2048 counts on a
-# 4096 grid, and plot --resolution 4096 draws one, in under 0.3 GB (peak RSS
-# 177 and 264 MB for the mixed equilateral pair (2,3); a plot's is 264 MB on
-# each triangle).
+# 4096 grid, and plot --resolution 4096 draws one, in about 0.2 GB (peak RSS
+# 177 and 175 MB for the mixed equilateral pair (2,3); a plot's is 137 MB
+# for hemiequilateral (4,2) and 208 MB for right-isosceles (6,1)).
 MIN_GRID, MAX_GRID = 64, 4096
 
 # the equilateral mode pairs whose edge analysis is implemented
@@ -421,16 +421,15 @@ class NodalReport:
     stable: bool
 
 
-def _grid_values(h: EigenfunctionHandle, resolution: int, thetas):
+def _grid_values(h: EigenfunctionHandle, resolution: int):
     """The one nodal grid: the eigenbasis of the handle's domain and mode at
     the samples strictly inside the domain (in the order of p[mask]), read
-    through its tables and at chosen samples (GridBasis), the mask, and the
+    through its tables and at chosen samples (GridBasis), its mask, and the
     coordinate grids over [0, e]^2, e the largest vertex coordinate of the
     triangle.  The mask is the domain predicate on the broadcast axes
     (column p, row q), built from each row's interval of inside columns
     (DomainSpec.row_ends), and the basis reads those samples only.  It does
-    not read h.theta; each reader mixes the basis at its own angles, thetas,
-    and S is left out when they are all 0 (eigenbasis)."""
+    not read h.theta; each reader mixes the basis at its own angles."""
     spec = DOMAINS[h.domain]
     if spec.vertices is None:
         raise ValueError(f"nodal counting is not defined for {h.domain.value}")
@@ -438,33 +437,31 @@ def _grid_values(h: EigenfunctionHandle, resolution: int, thetas):
         raise ValueError(f"resolution must be >= {MIN_GRID} and <= {MAX_GRID}, "
                          f"got {resolution}")
     x = np.linspace(0.0, max(map(max, spec.vertices)), resolution)
-    lo, hi = spec.row_ends(x, -EDGE_TOL)
-    mask = np.zeros((resolution, resolution), dtype=bool)
-    for row, a, b in zip(mask, lo.tolist(), hi.tolist()):
-        row[a:b] = True
+    basis = GridBasis(h.domain, h.mode, x, *spec.row_ends(x, -EDGE_TOL))
     p, q = np.meshgrid(x, x, indexing="ij", copy=False)
-    return GridBasis(h.domain, h.mode, x, lo, hi, thetas), mask, (p, q)
+    return basis, basis.mask, (p, q)
 
 
-def _zero_band(inside: np.ndarray) -> float:
-    """The zero band's half-width: ZERO_BAND_REL times the largest |value|."""
-    return ZERO_BAND_REL * float(np.max(np.abs(inside)))
+def _zero_band(inside: np.ndarray, rel: float) -> float:
+    """The zero band's half-width: rel times the largest |value|."""
+    return rel * float(np.max(np.abs(inside)))
 
 
 def sign_grid(inside: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """{+1, -1, 0} per sample: the sign of the values inside the mask (given
     in the order of p[mask]), 0 in the zero band and outside the mask."""
-    band = _zero_band(inside)
+    band = _zero_band(inside, ZERO_BAND_REL)
     signs = np.zeros(mask.shape, dtype=np.int8)
     signs[mask] = (inside > band).astype(np.int8) - (inside < -band)
     return signs
 
 
-def _certified_values(basis: GridBasis, theta: float) -> np.ndarray:
-    """Values on which sign_grid gives what it gives on the sums mixed at
-    theta: the table values (GridBasis.separable), within delta of the mixed
-    sums, with the sums themselves (exact_at) where delta could decide.  With
-    v the table value and V the sum at a sample:
+def _certified_values(basis: GridBasis, theta: float, rel: float) -> np.ndarray:
+    """Values whose signs outside the band rel * max |value| (sign_grid's at
+    ZERO_BAND_REL, a plot's strict signs at 0) are those of the sums mixed
+    at theta: the table values (GridBasis.separable), within delta of the
+    mixed sums, with the sums themselves (exact_at) where delta could
+    decide.  With v the table value and V the sum at a sample:
     - at every sample with |v| >= max |v| - 2 delta: the sample where |V| is
       largest has |v| >= max |V| - delta >= max |v| - 2 delta, and every
       other sample has |v| < max |V| - delta, so the largest |value| is max
@@ -476,7 +473,7 @@ def _certified_values(basis: GridBasis, theta: float) -> np.ndarray:
     size = np.abs(values)
     top = np.flatnonzero(size >= size.max() - 2.0 * delta)
     values[top] = basis.exact_at(theta, top)
-    size -= _zero_band(values[top])
+    size -= _zero_band(values[top], rel)
     edge = np.flatnonzero(np.abs(size, out=size) <= delta)
     values[edge] = basis.exact_at(theta, edge)
     return values
@@ -496,8 +493,9 @@ def _sweep_counts(h: EigenfunctionHandle, resolution: int,
     the handle's grid at each of thetas, in order.  The grid is built once,
     so an angle costs one table product, a few exact samples and the
     labelling (_certified_values)."""
-    basis, mask, _ = _grid_values(h, resolution, thetas)
-    return [_label_counts(sign_grid(_certified_values(basis, theta), mask))
+    basis, mask, _ = _grid_values(h, resolution)
+    return [_label_counts(sign_grid(_certified_values(basis, theta, ZERO_BAND_REL),
+                                    mask))
             for theta in thetas]
 
 

@@ -1,9 +1,9 @@
 """Nodal-set plots as plain SVG 1.1 line art: marching-squares segments of
 the zero level set, the domain outline, fixed points as circles and critical
 zeros as crosses, all in the Euclidean frame at 512 px per unit.  The grid's
-values come from the per-axis tables the nodal counts read
-(GridBasis.separable), with the sums read back wherever marching squares
-could tell the two apart."""
+signs are the certified values the nodal counts read (_certified_values),
+and marching squares interpolates on the sums read at the crossing cells'
+corners."""
 
 from typing import List, Tuple
 
@@ -11,33 +11,33 @@ import numpy as np
 
 from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
 from .eigenfunction_eval import EigenfunctionHandle
-from .nodal_analysis import (EDGE_PAIRS, _grid_values, edge_critical_zeros,
-                             edge_theta_in_range, median_fixed_points)
+from .nodal_analysis import (EDGE_PAIRS, _certified_values, _grid_values,
+                             edge_critical_zeros, edge_theta_in_range,
+                             median_fixed_points)
 
 PX_PER_UNIT = 512.0
 MARGIN = 24.0
 
 
-def zero_segments(values: np.ndarray, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                  frame=None, read=None) -> List[Tuple[Tuple[float, float],
-                                                       Tuple[float, float]]]:
+def zero_segments(pos: np.ndarray, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                  read, frame=None) -> List[Tuple[Tuple[float, float],
+                                                  Tuple[float, float]]]:
     """Marching-squares segments of the zero level set over cells whose four
-    corners all lie inside the mask.  xs/ys give the corner coordinates, and
-    frame, if given, maps them to the plot's, at the gathered corners only;
-    read(i, j), if given, gives the values interpolated on at the gathered
-    corners (i, j) in place of values[i, j], with the same signs.
+    corners all lie inside the mask, from pos, the grid of value > 0.  xs/ys
+    give the corner coordinates, and frame, if given, maps them to the
+    plot's, at the gathered corners only; read(i, j) gives the values at the
+    gathered corners (i, j), with pos's signs, and only those are read.
     Cells go in row-major order, corners (i,j), (i+1,j), (i+1,j+1), (i,j+1);
     edge k, from corner k to k+1 mod 4, is crossed where one end is > 0 and
     the other is not, so a cell is gathered only when its corners are not all
     on one side of that test.  A cell has 0, 2 or 4 crossings; they pair up
     in edge order, so a saddle cell pairs consecutive edges."""
-    pos = values > 0
     first = pos[:-1, :-1]
     i, j = np.nonzero(mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:]
                       & ((first != pos[1:, :-1]) | (first != pos[1:, 1:])
                          | (first != pos[:-1, 1:])))
     ci, cj = np.stack((i, i + 1, i + 1, i), 1), np.stack((j, j, j + 1, j + 1), 1)
-    v = values[ci, cj] if read is None else read(ci, cj)
+    v = read(ci, cj)
     x, y = xs[ci, cj], ys[ci, cj]
     if frame is not None:
         x, y = frame((x, y))
@@ -56,20 +56,18 @@ def _fmt(v: float) -> str:
 
 def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     """Deterministic SVG document for the nodal set of the handle, with the
-    segments of the sums: the table values are within delta of them, so
-    where |value| > delta they have the sums' strict sign, and the sums are
-    read back at every other sample (so every v > 0 test, and every gathered
-    cell, is theirs) and at the corners of the gathered cells."""
-    basis, mask, points = _grid_values(h, resolution, [h.theta])
+    segments of the sums: the signs are the certified values' strict signs
+    (_certified_values at band 0, which reads the sums back wherever the
+    table's sign could differ), and the values interpolated on are the sums
+    at the corners of the gathered cells."""
+    basis, mask, points = _grid_values(h, resolution)
+    pos = np.zeros(mask.shape, dtype=bool)
+    pos[mask] = _certified_values(basis, h.theta, 0.0) > 0
 
     def sums(i, j):
         # the sums at the inside samples (i, j), by their positions in row order
         return basis.exact_at(h.theta, basis.starts[i] + j - basis.lo[i])
 
-    values = np.zeros(mask.shape)
-    values[mask], delta = basis.separable(h.theta)
-    near = np.nonzero(mask & (values <= delta) & (values >= -delta))
-    values[near] = sums(*near)
     spec = DOMAINS[h.domain]
     frame = to_cartesian if spec.alcove else None
     outline = [frame(v) if frame else v for v in spec.vertices]
@@ -92,7 +90,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
                  'stroke-width="1.5"/>')
 
     path = "".join("M{} {}L{} {}".format(*map(_fmt, px(a) + px(b)))
-                   for a, b in zero_segments(values, mask, *points, frame, sums))
+                   for a, b in zero_segments(pos, mask, *points, sums, frame))
     parts.append(f'<path d="{path}" fill="none" stroke="blue" '
                  'stroke-width="1"/>')
 

@@ -24,16 +24,16 @@ def random_points(k):
 
 def test_eigenbasis_spans_each_triangle_eigenspace():
     s, t = np.meshgrid(np.linspace(0.02, 0.62, 7), np.linspace(0.03, 0.61, 7))
-    c, sn = eigenbasis(E, (2, 3), s, t, [0.35])
+    c, sn = eigenbasis(E, (2, 3), s, t)
     assert np.array_equal(c, eval_C(2, 3, s, t))
     assert np.array_equal(sn, eval_S(2, 3, s, t))
     assert np.array_equal(mix((c, sn), 0.35), eval_psi_grid(2, 3, 0.35, s, t))
-    (h,) = eigenbasis(DomainKind.HEMIEQUILATERAL, (4, 2), s, t, [0.0])
+    (h,) = eigenbasis(DomainKind.HEMIEQUILATERAL, (4, 2), s, t)
     assert np.array_equal(mix((h,), 0.0), eval_C(4, 2, s, t))
-    (b,) = eigenbasis(DomainKind.RIGHT_ISOSCELES, (4, 1), s, t, [0.0])
+    (b,) = eigenbasis(DomainKind.RIGHT_ISOSCELES, (4, 1), s, t)
     assert np.array_equal(b, eval_isosceles(4, 1, s, t))
     with pytest.raises(ValueError, match="torus"):
-        eigenbasis(DomainKind.TORUS, (1, 0), s, t, [0.0])
+        eigenbasis(DomainKind.TORUS, (1, 0), s, t)
 
 
 def test_torus_mode_values():
@@ -281,18 +281,19 @@ def test_isosceles_swapped_pair_is_the_exact_negative():
             eval_isosceles(m, n, 0.5, 0.2)
 
 
-def test_eigenbasis_leaves_out_s_only_when_every_angle_is_zero():
-    s, t = random_points(50).T
-    c, sn = eigenbasis(E, (2, 3), s, t, [0.35])
-    for thetas in ([0.0], [0.0, 0.0], [-0.0]):
-        (only,) = eigenbasis(E, (2, 3), s, t, thetas)
-        assert np.array_equal(only, c)
-        assert np.array_equal(mix((only,), 0.0), mix((c, sn), 0.0))
-        assert np.array_equal(np.signbit(mix((only,), 0.0)),
-                              np.signbit(mix((c, sn), 0.0)))
-    for thetas in ([math.pi / 12], [0.0, 0.1], [math.pi / 2]):
-        assert len(eigenbasis(E, (2, 3), s, t, thetas)) == 2
-    assert len(eigenbasis(H, (4, 2), s, t, [0.0])) == 1
+@pytest.mark.parametrize("pair", [(1, 3), (2, 3), (2, 5)])
+def test_mix_at_zero_is_c_bit_for_bit_on_the_nodal_median(pair):
+    # C vanishes on s = t, where it is often an exact 0 and S < 0 there:
+    # 1.0 C + 0.0 S is still C, sign bit included, as C is never -0.0
+    s = np.linspace(0.0, 1.0, 100001)
+    c, sn = eigenbasis(E, pair, s, s)
+    zeros = (c == 0.0) & (sn < 0.0)
+    assert zeros.sum() > 1000
+    assert not np.signbit(c[c == 0.0]).any()
+    for theta in (0.0, -0.0):
+        mixed = mix((c, sn), theta)
+        assert np.array_equal(mixed, c)
+        assert np.array_equal(np.signbit(mixed), np.signbit(c))
 
 
 def vanishing_order(f, origin, direction, lo=1e-3, hi=1e-2):

@@ -682,7 +682,7 @@ def test_second_eigenfunctions_have_two_domains(h):
 @pytest.mark.parametrize("d", [E, B, H])
 def test_grid_mask_is_the_strict_domain_predicate(d):
     pair = {E: (1, 2), B: (3, 1), H: (2, 1)}[d]
-    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64, [0.0])
+    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64)
     expected = [[in_domain(d, (p[i, j], q[i, j]), strict=True)
                  for j in range(64)] for i in range(64)]
     assert mask.tolist() == expected
@@ -694,8 +694,7 @@ def test_grid_mask_is_the_strict_domain_predicate(d):
 @pytest.mark.parametrize("d", [E, B, H])
 def test_grid_mask_is_the_domain_predicate_at_the_resolutions_used(d, resolution):
     pair = {E: (1, 2), B: (3, 1), H: (2, 1)}[d]
-    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), resolution,
-                                   [0.0])
+    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), resolution)
     x = p[:, 0]
     assert np.array_equal(x, q[0])
     assert np.array_equal(mask, DOMAINS[d].inside(x[:, None], x[None, :], -EDGE_TOL))
@@ -703,8 +702,7 @@ def test_grid_mask_is_the_domain_predicate_at_the_resolutions_used(d, resolution
 
 def test_inside_sample_counts_at_256():
     # the grid points the CI's traced plots evaluate, per triangle
-    counts = {d: int(_grid_values(EigenfunctionHandle(d, Mode(*pair)), 256,
-                                  [0.0])[1].sum())
+    counts = {d: int(_grid_values(EigenfunctionHandle(d, Mode(*pair)), 256)[1].sum())
               for d, pair in ((E, (1, 2)), (H, (2, 1)), (B, (3, 1)))}
     assert counts == {E: 24257, H: 12033, B: 32131}
 
@@ -729,45 +727,60 @@ def pointwise(h, s, t):
     (EigenfunctionHandle(B, Mode(6, 1)),
      lambda p, q: eval_isosceles(6, 1, p, q))])
 def test_masked_evaluation_keeps_the_values(h, full, resolution):
-    basis, mask, (p, q) = _grid_values(h, resolution, [h.theta])
+    basis, mask, (p, q) = _grid_values(h, resolution)
     every = np.arange(mask.sum())
     assert np.array_equal(basis.exact_at(h.theta, every), full(p, q)[mask])
 
 
 @pytest.mark.parametrize("resolution", [64, 511])
 @pytest.mark.parametrize("pair", [(2, 3), (1, 2)])
-def test_single_angle_at_zero_evaluates_c_only(monkeypatch, pair, resolution):
-    import courant_lab.eigenfunction_eval as ev
-    import courant_lab.svg_export as svg
-
+def test_single_angle_at_zero_evaluates_c_only(pair, resolution):
     h = EigenfunctionHandle(E, Mode(*pair))
-    full, mask, (p, q) = _grid_values(h, resolution, [0.0, 0.1])
-    basis, mask0, _ = _grid_values(h, resolution, [0.0])
-    assert full.size == 2 and basis.size == 1 and np.array_equal(mask, mask0)
-    # C alone has the bits of cos(0) C + sin(0) S
-    c, both = basis.exact_at(0.0, np.arange(mask.sum())), pointwise(h, p[mask], q[mask])
-    assert np.array_equal(c, both)
-    assert np.array_equal(np.signbit(c), np.signbit(both))
-    # a count and a plot at theta 0 never evaluate S; the sweep and pi/2 do
-    expected = count_nodal_domains(h, resolution), svg.render_nodal_svg(h, resolution)
+    basis, mask, (p, q) = _grid_values(h, resolution)
+    # the sums mixed at theta 0 have the bits of C alone
+    mixed = basis.exact_at(0.0, np.arange(mask.sum()))
+    c = eval_C(*pair, p[mask], q[mask])
+    assert np.array_equal(mixed, c)
+    assert np.array_equal(np.signbit(mixed), np.signbit(c))
+    expected = count_nodal_domains(h, resolution)
     sweep = _sweep_counts(h, resolution, [0.0, 0.1])
+    assert sweep[0] == (expected.positive_components, expected.negative_components)
 
-    def refused(*args):
-        raise AssertionError("S was evaluated")
 
-    monkeypatch.setattr(ev, "eval_S", refused)
-    assert (count_nodal_domains(h, resolution),
-            svg.render_nodal_svg(h, resolution)) == expected
-    with pytest.raises(AssertionError, match="S was evaluated"):
-        _sweep_counts(h, resolution, [0.0, 0.1])
-    # a grid's basis is evaluated where it is read: by a plot, or by the sweep
-    simple = EigenfunctionHandle(E, Mode(2, 2), math.pi / 2)
-    with pytest.raises(AssertionError, match="S was evaluated"):
-        svg.render_nodal_svg(simple, resolution)
-    with pytest.raises(AssertionError, match="S was evaluated"):
-        _sweep_counts(simple, resolution, [math.pi / 2])
-    assert sweep[0] == (expected[0].positive_components,
-                        expected[0].negative_components)
+def test_verdict_counts_only_candidates_above_two(monkeypatch):
+    import courant_lab.nodal_analysis as nodal
+
+    calls, grids = [], []
+    sweep_counts, grid_values = nodal._sweep_counts, nodal._grid_values
+
+    def record_sweep(h, resolution, thetas):
+        calls.append((tuple(h.mode), len(thetas)))
+        return sweep_counts(h, resolution, thetas)
+
+    def record_grid(h, resolution):
+        grids.append((tuple(h.mode), resolution))
+        return grid_values(h, resolution)
+
+    monkeypatch.setattr(nodal, "_sweep_counts", record_sweep)
+    monkeypatch.setattr(nodal, "_grid_values", record_grid)
+    assert nodal.courant_sharp_verdict(DomainKind.TORUS) == [(1, True), (2, True)]
+    assert calls == grids == []
+    nodal.courant_sharp_verdict(E, 128)
+    # (1,2) at n = 2 is decided by the theorem; (2,2) and (3,3) are simple
+    assert calls == [((2, 2), 1), ((1, 3), 3), ((2, 3), 5), ((3, 3), 1)]
+    # one grid evaluation per candidate, whatever its number of angles
+    assert grids == [((2, 2), 128), ((1, 3), 128), ((2, 3), 128), ((3, 3), 128)]
+
+
+def test_count_refuses_a_doubled_grid_above_the_cap_before_any_grid(monkeypatch):
+    import courant_lab.nodal_analysis as nodal
+
+    def refused(h, resolution):
+        raise AssertionError(f"a grid at {resolution} was built")
+
+    monkeypatch.setattr(nodal, "_grid_values", refused)
+    with pytest.raises(ValueError, match="<= 2048, got 2049"):
+        count_nodal_domains(EigenfunctionHandle(E, Mode(2, 3)), 2049)
 
 
 class _TableStub:
@@ -796,7 +809,7 @@ def test_certificate_reads_the_sums_at_the_top_and_the_band_edge():
     table = exact + np.array([-0.9, 0.9, -0.6, 0.9, -0.9]) * delta
     stub = _TableStub(exact, table, delta)
     mask = np.ones((1, 5), dtype=bool)
-    values = nodal._certified_values(stub, 0.3)
+    values = nodal._certified_values(stub, 0.3, nodal.ZERO_BAND_REL)
     assert sorted(set(stub.read)) == [0, 1, 2]
     assert np.max(np.abs(values)) == 1.0
     assert nodal.sign_grid(values, mask).tolist() == [[1, 1, 1, -1, 0]]
@@ -822,7 +835,7 @@ def _check_certified_signs(d, pair, thetas, resolution):
     import courant_lab.nodal_analysis as nodal
 
     h = EigenfunctionHandle(d, Mode(*pair), thetas[0])
-    basis, mask, (p, q) = _grid_values(h, resolution, thetas)
+    basis, mask, (p, q) = _grid_values(h, resolution)
     # the sums at every inside sample (pointwise), C and S taken once
     s, t = p[mask], q[mask]
     sums = (eval_C(*pair, s, t), eval_S(*pair, s, t)) if d is E else (pointwise(h, s, t),)
@@ -830,7 +843,7 @@ def _check_certified_signs(d, pair, thetas, resolution):
         exact = mix(sums, theta)
         table, delta = basis.separable(theta)
         assert np.max(np.abs(table - exact)) <= delta / 10, (pair, theta)
-        values = nodal._certified_values(basis, theta)
+        values = nodal._certified_values(basis, theta, nodal.ZERO_BAND_REL)
         assert np.max(np.abs(values)) == np.max(np.abs(exact)), (pair, theta)
         assert np.array_equal(nodal.sign_grid(values, mask),
                               nodal.sign_grid(exact, mask)), (pair, theta)
@@ -929,31 +942,6 @@ def test_folding_identity_preserves_counts():
         assert folded == count(B, (m + n, m - n), res=res).domain_count
 
 
-def test_verdict_counts_only_candidates_above_two(monkeypatch):
-    import courant_lab.nodal_analysis as nodal
-
-    calls, grids = [], []
-    sweep_counts, grid_values = nodal._sweep_counts, nodal._grid_values
-
-    def record_sweep(h, resolution, thetas):
-        calls.append((tuple(h.mode), len(thetas)))
-        return sweep_counts(h, resolution, thetas)
-
-    def record_grid(h, resolution, thetas):
-        grids.append((tuple(h.mode), resolution))
-        return grid_values(h, resolution, thetas)
-
-    monkeypatch.setattr(nodal, "_sweep_counts", record_sweep)
-    monkeypatch.setattr(nodal, "_grid_values", record_grid)
-    assert nodal.courant_sharp_verdict(DomainKind.TORUS) == [(1, True), (2, True)]
-    assert calls == grids == []
-    nodal.courant_sharp_verdict(E, 128)
-    # (1,2) at n = 2 is decided by the theorem; (2,2) and (3,3) are simple
-    assert calls == [((2, 2), 1), ((1, 3), 3), ((2, 3), 5), ((3, 3), 1)]
-    # one grid evaluation per candidate, whatever its number of angles
-    assert grids == [((2, 2), 128), ((1, 3), 128), ((2, 3), 128), ((3, 3), 128)]
-
-
 def test_verdict_refuses_a_candidate_with_two_pair_classes(monkeypatch):
     import courant_lab.nodal_analysis as nodal
     from courant_lab.pleijel_screening import screening_table
@@ -977,24 +965,13 @@ def test_count_evaluates_one_grid_at_each_resolution(monkeypatch):
 
     grids, grid_values = [], nodal._grid_values
 
-    def record_grid(h, resolution, thetas):
+    def record_grid(h, resolution):
         grids.append(resolution)
-        return grid_values(h, resolution, thetas)
+        return grid_values(h, resolution)
 
     monkeypatch.setattr(nodal, "_grid_values", record_grid)
     count_nodal_domains(EigenfunctionHandle(E, Mode(2, 3), 0.35), 128)
     assert grids == [128, 256]
-
-
-def test_count_refuses_a_doubled_grid_above_the_cap_before_any_grid(monkeypatch):
-    import courant_lab.nodal_analysis as nodal
-
-    def refused(h, resolution):
-        raise AssertionError(f"a grid at {resolution} was built")
-
-    monkeypatch.setattr(nodal, "_grid_values", refused)
-    with pytest.raises(ValueError, match="<= 2048, got 2049"):
-        count_nodal_domains(EigenfunctionHandle(E, Mode(2, 3)), 2049)
 
 
 @pytest.mark.parametrize("d", [DomainKind.TORUS, B])

@@ -47,6 +47,11 @@ def loop_zero_segments(values, mask, xs, ys):
     return segs
 
 
+def segments(values, mask, xs, ys):
+    """zero_segments on the grid values, read at the gathered corners."""
+    return zero_segments(values > 0, mask, xs, ys, lambda i, j: values[i, j])
+
+
 def _saddle_cells(values, mask):
     v = np.stack((values[:-1, :-1], values[1:, :-1], values[1:, 1:],
                   values[:-1, 1:])) > 0
@@ -57,7 +62,7 @@ def _saddle_cells(values, mask):
 
 def _plot_inputs(h, resolution):
     # the sums evaluated pointwise on the whole grid: a plot's reference inputs
-    _, mask, (p, q) = _grid_values(h, resolution, [h.theta])
+    _, mask, (p, q) = _grid_values(h, resolution)
     values = np.zeros(mask.shape)
     values[mask] = pointwise(h, p[mask], q[mask])
     xs, ys = to_cartesian((p, q)) if DOMAINS[h.domain].alcove else (p, q)
@@ -72,7 +77,7 @@ def _plot_inputs(h, resolution):
     EigenfunctionHandle(B, Mode(6, 1), 0.0)])
 def test_zero_segments_match_the_loop_on_domain_grids(h, resolution):
     args = _plot_inputs(h, resolution)
-    segs = zero_segments(*args)
+    segs = segments(*args)
     assert len(segs) > 0
     assert segs == loop_zero_segments(*args)
 
@@ -81,7 +86,7 @@ def test_table_signs_differ_from_the_sums_only_within_delta():
     # C_{1,3} vanishes on s = t, where the table values take either sign: the
     # plot's read-back of the samples with |value| <= delta is needed
     h = EigenfunctionHandle(E, Mode(1, 3))
-    basis, mask, (p, q) = _grid_values(h, 512, [0.0])
+    basis, mask, (p, q) = _grid_values(h, 512)
     table, delta = basis.separable(0.0)
     s, t = p[mask], q[mask]
     differ = (table > 0) != (pointwise(h, s, t) > 0)
@@ -108,7 +113,7 @@ def test_plot_segments_are_those_of_the_sums(monkeypatch, h, resolution):
 
     monkeypatch.setattr(svg, "zero_segments", spy)
     render_nodal_svg(h, resolution)
-    assert drawn == [zero_segments(*_plot_inputs(h, resolution))]
+    assert drawn == [segments(*_plot_inputs(h, resolution))]
 
 
 def test_zero_segments_match_the_loop_on_saddles_and_exact_zeros():
@@ -120,18 +125,18 @@ def test_zero_segments_match_the_loop_on_saddles_and_exact_zeros():
     values = np.sin(9.3 * math.pi * xs) * np.sin(7.7 * math.pi * ys)
     mask = (xs + ys < 1.6) & (ys > 0.05)
     assert _saddle_cells(values, mask) > 0
-    assert zero_segments(values, mask, xs, ys) == loop_zero_segments(
+    assert segments(values, mask, xs, ys) == loop_zero_segments(
         values, mask, xs, ys)
     quarters = np.round(4.0 * values) / 4.0
     assert np.sum(mask & (quarters == 0.0)) > 0
-    assert zero_segments(quarters, mask, xs, ys) == loop_zero_segments(
+    assert segments(quarters, mask, xs, ys) == loop_zero_segments(
         quarters, mask, xs, ys)
     # both at once: three saddle cells, one of them with an exact zero corner
     small = np.array([[1.0, -2.0, 0.5], [-0.5, 3.0, -1.0], [0.0, 0.0, 2.0]])
     xs, ys = np.meshgrid(np.arange(3.0), np.arange(3.0), indexing="ij")
     full = np.ones((3, 3), bool)
     assert _saddle_cells(small, full) == 3
-    segs = zero_segments(small, full, xs, ys)
+    segs = segments(small, full, xs, ys)
     assert len(segs) == 7
     assert segs == loop_zero_segments(small, full, xs, ys)
 
@@ -139,7 +144,7 @@ def test_zero_segments_match_the_loop_on_saddles_and_exact_zeros():
 def test_zero_segments_without_crossings_is_empty():
     x = np.linspace(0.0, 1.0, 8)
     xs, ys = np.meshgrid(x, x, indexing="ij")
-    assert zero_segments(np.ones((8, 8)), np.ones((8, 8), bool), xs, ys) == []
+    assert segments(np.ones((8, 8)), np.ones((8, 8), bool), xs, ys) == []
 
 
 def test_render_rejects_a_resolution_below_the_grid_floor():

@@ -84,9 +84,12 @@ MUTANTS = (
      "test_lattice_spectrum.py"),
     ("eigenfunction_eval.py", "if not math.isfinite(self.theta):", "if False:",
      "test_nodal_analysis.py"),
-    # S left out at every angle, not only when all are 0
-    ("eigenfunction_eval.py", "EQUILATERAL and any(thetas) else 1",
-     "EQUILATERAL and False else 1", "test_eigenfunction_eval.py"),
+    # S left out of the equilateral basis
+    ("eigenfunction_eval.py", "    return c, eval_S(m, n, s, t)\n", "    return (c,)\n",
+     "test_eigenfunction_eval.py"),
+    # the table product read at the block's columns one to the right of the mask
+    ("eigenfunction_eval.py", "self.mask[i:i + step, c0:c1]",
+     "self.mask[i:i + step, c0 + 1:c1 + 1]", "test_svg_export.py"),
     # the table values taken as the sums: no margin for the exact reads
     ("eigenfunction_eval.py", "return values, 2.0 * (sums + table)",
      "return values, 0.0 * (sums + table)", "test_nodal_analysis.py"),
@@ -129,13 +132,11 @@ MUTANTS = (
      "test_svg_export.py"),
     # a cell whose only changed corner is the diagonal one left ungathered
     ("svg_export.py", " | (first != pos[1:, 1:])", "", "test_svg_export.py"),
-    # a plot without the sums read back where the table's sign may be wrong,
-    # without them at the corners it interpolates on, or with the corners
-    # read at (j, i)
-    ("svg_export.py", "    values[near] = sums(*near)\n", "", "test_svg_export.py"),
-    ("svg_export.py", "*points, frame, sums))", "*points, frame))",
-     "test_svg_export.py"),
-    ("svg_export.py", "else read(ci, cj)", "else read(cj, ci)", "test_svg_export.py"),
+    # a plot whose signs read the sums back at the count's band edge, not
+    # where the table's sign may be wrong, or with the corners read at (j, i)
+    ("svg_export.py", "_certified_values(basis, h.theta, 0.0)",
+     "_certified_values(basis, h.theta, 1e-5)", "test_svg_export.py"),
+    ("svg_export.py", "v = read(ci, cj)", "v = read(cj, ci)", "test_svg_export.py"),
 )
 
 
