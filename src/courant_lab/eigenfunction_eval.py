@@ -221,21 +221,24 @@ def eval_psi_grid(m, n, theta, s, t):
 
 def eval_psi(h: EigenfunctionHandle, s, t) -> EvalResult:
     """Value and analytic partials of Psi^theta at (s, t), scalars or numpy
-    arrays; an array gives the same numbers as per-point scalar calls."""
+    arrays; an array gives the same numbers as per-point scalar calls.  The
+    value is the mixed sums, mix((C, S), theta), with C and S summed in
+    eval_C's and eval_S's order: eval_psi_grid's bits."""
     if h.domain not in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
         raise ValueError("eval_psi applies to the triangle C/S families")
     m, n = h.mode
     ct, st = math.cos(h.theta), math.sin(h.theta)
-    val = gs = gt = 0.0
+    cs = ss = gs = gt = 0.0
     for sign, a, b in weyl_coefficients(m, n):
         phase = TWO_PI * (a * s + b * t)
         c, sn = np.cos(phase), np.sin(phase)
-        # term = ct*cos(phase) + st*sin(phase), d/ds phase = 2 pi a
-        val = val + sign * (ct * c + st * sn)
+        cs = cs + sign * c
+        ss = ss + sign * sn
+        # d/ds of ct*cos(phase) + st*sin(phase), d/ds phase = 2 pi a
         dterm = ct * (-sn) + st * c
         gs = gs + sign * TWO_PI * a * dterm
         gt = gt + sign * TWO_PI * b * dterm
-    return EvalResult(val, gs, gt)
+    return EvalResult(mix((cs, ss), h.theta), gs, gt)
 
 
 def eval_isosceles(m: int, n: int, x, y):

@@ -6,7 +6,14 @@ On an edge, in x = cos pi u, the edge sums are fc = sigma (T_3 - 1)(x - 1) sin(p
 u) P_C(x) and fs = sigma (T_3 - 1) P_S(x), where T_3 - 1 = 4 (x - 1)(x + 1/2)^2
 vanishes only at the vertices.  The edge functions gc and gs, the only ones
 evaluated, drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi u), and each
-root x0 != 1 of P_W is a breakpoint of the theta partition."""
+root x0 != 1 of P_W is a breakpoint of the theta partition.
+
+Each root scan evaluates its samples once.  An edge scan combines at its
+angle the theta-independent tables of gc, gs and dK's two parts, built once
+per pair and range (_edge_tables); a chord scan takes the restriction's
+samples and its derivative's from one eval_psi call.  find_roots reuses the
+derivative's samples in its tangential pass.  Every sample, so every root,
+has the bits of sampling each function in place."""
 
 import functools
 import math
@@ -126,8 +133,12 @@ def edge_polynomials(pair) -> Tuple[tuple, tuple, tuple]:
 
 
 def gc(pair: Mode, u):
-    c = np.cos(PI * u)
-    return np.sin(PI * u) * (c - 1.0) * _polyval(edge_polynomials(pair)[0], c)
+    return _gc(edge_polynomials(pair)[0], np.cos(PI * u), np.sin(PI * u))
+
+
+def _gc(p_c, c, s):
+    """gc at c = cos pi u and s = sin pi u."""
+    return s * (c - 1.0) * _polyval(p_c, c)
 
 
 def gs(pair: Mode, u):
@@ -136,6 +147,7 @@ def gs(pair: Mode, u):
 
 # ---------------------------------------------------------------------------
 # The one root-finding protocol: sample, bracket, Brent, one Newton polish.
+# The samples are taken once per scan, by find_roots or by its caller.
 # ---------------------------------------------------------------------------
 
 ROOT_SAMPLES = 4096
@@ -189,15 +201,20 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
                        f"iterations, value is {xcur!r}")
 
 
-def find_roots(f, lo: float, hi: float, df=None) -> List[float]:
+def find_roots(f, lo: float, hi: float, df=None, samples=None) -> List[float]:
     """All roots of f on [lo, hi], as floats: sample uniformly, solve each
     sign change by Brent's method (_brentq) and, given df, Newton-polish it
     and add the tangent (even-order) roots, found as roots of df where |f| is
     at noise level.  A root on a sample is caught as an exact grid zero: on
     [-1, 1], where the reduction polynomials are solved, that is how P_W's
-    triple root at the sample x = 1 is found."""
-    xs = np.linspace(lo, hi, ROOT_SAMPLES)
-    ys = np.asarray(f(xs), dtype=float)
+    triple root at the sample x = 1 is found.  The caller may supply the
+    samples as (xs, f(xs), df(xs) or None), xs = linspace(lo, hi,
+    ROOT_SAMPLES); given df's, the tangential pass reuses them and xs."""
+    if samples is None:
+        xs = np.linspace(lo, hi, ROOT_SAMPLES)
+        samples = xs, f(xs), None
+    xs, ys, dys = samples
+    ys = np.asarray(ys, dtype=float)
     scale = float(np.max(np.abs(ys))) or 1.0
     roots = []
     sign = np.sign(ys)
@@ -214,7 +231,8 @@ def find_roots(f, lo: float, hi: float, df=None) -> List[float]:
     for i in np.nonzero(sign == 0)[0]:
         roots.append(float(xs[i]))
     if df is not None:
-        for r in find_roots(df, lo, hi):
+        tangent = None if dys is None else (xs, dys, None)
+        for r in find_roots(df, lo, hi, samples=tangent):
             if abs(f(r)) < 1e-9 * scale:
                 roots.append(r)
     roots.sort()
@@ -301,7 +319,11 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     # vanishes trivially; only interior intersections are reported
     lo, hi = a / 3.0, 2.0 * a / 3.0
     margin = (hi - lo) * 1e-6
-    return find_roots(f, lo + margin, hi - margin, df=df)
+    # f's and df's samples from one evaluation: its value is f's bits
+    xs = np.linspace(lo + margin, hi - margin, ROOT_SAMPLES)
+    r = eval_psi(h, xs, a - xs)
+    return find_roots(f, lo + margin, hi - margin, df=df,
+                      samples=(xs, r.value, r.grad_s - r.grad_t))
 
 
 # The open edges: name, the sign of gs in K, the scanned range of the edge
@@ -314,24 +336,53 @@ _EDGES = (
 )
 
 
-def _k_theta(pair: Mode, theta: float, sign: int):
-    """K = cos(theta) gc + sign sin(theta) gs and dK/du, the one derivative
-    of the edge functions: in c = cos pi u, s = sin pi u, gc = s g with g =
-    (c - 1) P_C(c), and dc/du = -pi s, so gc' = pi (c g - s^2 dg/dc)."""
+@functools.lru_cache(maxsize=None)
+def _dk_parts(pair: Mode):
+    """The one derivative of the edge functions: (gc', gs') as a function of
+    c = cos pi u and s = sin pi u, so dK/du = cos(theta) gc' + sign
+    sin(theta) gs'.  gc = s g with g = (c - 1) P_C(c), and dc/du = -pi s, so
+    gc' = pi (c g - s^2 dg/dc) and gs' = -pi s P_S'(c)."""
     p_c, p_s = edge_polynomials(pair)[:2]
     dp_c, dp_s = _polyder(p_c), _polyder(p_s)
+
+    def parts(c, s):
+        g = (c - 1.0) * _polyval(p_c, c)
+        dg = _polyval(p_c, c) + (c - 1.0) * _polyval(dp_c, c)
+        return PI * (c * g - s * s * dg), -PI * s * _polyval(dp_s, c)
+
+    return parts
+
+
+def _k_theta(pair: Mode, theta: float, sign: int):
+    """K = cos(theta) gc + sign sin(theta) gs and dK/du (_dk_parts)."""
+    parts = _dk_parts(pair)
     ct, st = math.cos(theta), sign * math.sin(theta)
 
     def k(u):
         return ct * gc(pair, u) + st * gs(pair, u)
 
     def dk(u):
-        c, s = np.cos(PI * u), np.sin(PI * u)
-        g = (c - 1.0) * _polyval(p_c, c)
-        dg = _polyval(p_c, c) + (c - 1.0) * _polyval(dp_c, c)
-        return ct * (PI * (c * g - s * s * dg)) + st * (-PI * s * _polyval(dp_s, c))
+        dgc, dgs = parts(np.cos(PI * u), np.sin(PI * u))
+        return ct * dgc + st * dgs
 
     return k, dk
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_tables(pair: Mode, lo: float, hi: float):
+    """The theta-independent samples of an edge scan, read-only: xs =
+    linspace(lo, hi, ROOT_SAMPLES) and, at xs, gc, gs, gc' and gs', with cos
+    pi u and sin pi u taken once.  K's and dK's samples at theta are ct gc +
+    st gs and ct gc' + st gs', the operations _k_theta's k and dk apply to
+    an array, so each sample has their bits.  OA and OB scan one range: two
+    ranges per pair."""
+    xs = np.linspace(lo, hi, ROOT_SAMPLES)
+    c, s = np.cos(PI * xs), np.sin(PI * xs)
+    p_c, p_s = edge_polynomials(pair)[:2]
+    tables = (xs, _gc(p_c, c, s), _polyval(p_s, c), *_dk_parts(pair)(c, s))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def edge_theta_in_range(theta: float) -> bool:
@@ -348,10 +399,14 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     if not edge_theta_in_range(theta):
         raise ValueError("theta must be in (0, pi/6]")
     zeros = []
+    ct = math.cos(theta)
     for edge, sign, (lo, hi), point in _EDGES:
         k, dk = _k_theta(pair, theta, sign)
+        xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
+        st = sign * math.sin(theta)
+        samples = xs, ct * gc_xs + st * gs_xs, ct * dgc_xs + st * dgs_xs
         step = (hi - lo) / (ROOT_SAMPLES - 1)
-        for u in find_roots(k, lo, hi, df=dk):
+        for u in find_roots(k, lo, hi, df=dk, samples=samples):
             order = 3 if k(u - step) * k(u + step) > 0 else 2
             zeros.append(CriticalZero(point(u), edge, u, order))
     return zeros

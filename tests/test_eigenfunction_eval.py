@@ -22,6 +22,25 @@ def random_points(k):
     return RNG.uniform(0.02, 0.62, size=(k, 2))
 
 
+ARRAY_HANDLES = [EigenfunctionHandle(E, Mode(*pair), theta)
+                 for pair in [(1, 3), (2, 3)]
+                 for theta in [0.0, bifurcation_angle()[1], math.pi / 6,
+                               math.pi / 2]]
+ARRAY_HANDLES.append(EigenfunctionHandle(DomainKind.HEMIEQUILATERAL,
+                                         Mode(2, 5), 0.0))
+
+
+@pytest.mark.parametrize("h", ARRAY_HANDLES)
+def test_eval_psi_value_is_the_mixed_sums_bit_for_bit(h):
+    # the value is eval_psi_grid's, for arrays and for scalars
+    s, t = np.random.default_rng(11).uniform(0.02, 0.62, size=(2, 20, 15))
+    m, n = h.mode
+    assert np.array_equal(eval_psi(h, s, t).value, eval_psi_grid(m, n, h.theta, s, t))
+    for i, j in np.ndindex(s.shape):
+        v, w = float(s[i, j]), float(t[i, j])
+        assert eval_psi(h, v, w).value == eval_psi_grid(m, n, h.theta, v, w)
+
+
 def test_eigenbasis_spans_each_triangle_eigenspace():
     s, t = np.meshgrid(np.linspace(0.02, 0.62, 7), np.linspace(0.03, 0.61, 7))
     c, sn = eigenbasis(E, (2, 3), s, t)
@@ -157,14 +176,6 @@ def test_eval_psi_gradients_match_finite_differences():
                 - eval_psi_grid(2, 3, 0.4, s, t - step)) / (2 * step)
         assert r.grad_s == pytest.approx(fd_s, rel=1e-6, abs=1e-4)
         assert r.grad_t == pytest.approx(fd_t, rel=1e-6, abs=1e-4)
-
-
-ARRAY_HANDLES = [EigenfunctionHandle(E, Mode(*pair), theta)
-                 for pair in [(1, 3), (2, 3)]
-                 for theta in [0.0, bifurcation_angle()[1], math.pi / 6,
-                               math.pi / 2]]
-ARRAY_HANDLES.append(EigenfunctionHandle(DomainKind.HEMIEQUILATERAL,
-                                         Mode(2, 5), 0.0))
 
 
 @pytest.mark.parametrize("h", ARRAY_HANDLES)

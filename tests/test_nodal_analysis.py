@@ -10,8 +10,8 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_S,
                                             eval_psi_grid, mix)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (_EDGES, EDGE_PAIRS, ROOT_SAMPLES,
-                                        CriticalZero, _brentq, _grid_values,
-                                        _k_theta,
+                                        CriticalZero, _brentq, _edge_tables,
+                                        _grid_values, _k_theta,
                                         _max_count_over_thetas, _polyder,
                                         _polyval, _sweep_counts,
                                         _theta_partition,
@@ -105,6 +105,79 @@ def test_chord_roots_c23():
 def test_chord_roots_validation():
     with pytest.raises(ValueError):
         edge_restriction_roots((1, 3), 1.5, 0.0)
+
+
+def _record_scans(monkeypatch):
+    """Every find_roots call from now on, the tangential ones included, as
+    (f, lo, hi, df, samples) in call order."""
+    import courant_lab.nodal_analysis as nodal
+
+    calls, original = [], nodal.find_roots
+
+    def record(f, lo, hi, df=None, samples=None):
+        calls.append((f, lo, hi, df, samples))
+        return original(f, lo, hi, df=df, samples=samples)
+
+    monkeypatch.setattr(nodal, "find_roots", record)
+    return calls
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+@pytest.mark.parametrize("theta", [1e-300, 0.1, bifurcation_angle()[1], math.pi / 6])
+def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
+    # the samples edge_critical_zeros hands to find_roots, and the tangential
+    # pass's, are _k_theta's k and dk at the edge's samples, for its sign
+    calls = _record_scans(monkeypatch)
+    edge_critical_zeros(pair, theta)
+    scans = [call for call in calls if call[3] is not None]
+    assert len(scans) == len(_EDGES)
+    for (_, sign, (lo, hi), _), (_, a, b, df, (xs, ys, dys)) in zip(_EDGES, scans):
+        k, dk = _k_theta(pair, theta, sign)
+        assert (a, b) == (lo, hi)
+        assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
+        assert np.array_equal(ys, k(xs)) and np.array_equal(dys, dk(xs))
+        (_, _, _, _, tangent), = [call for call in calls if call[0] is df]
+        assert tangent[0] is xs and tangent[1] is dys and tangent[2] is None
+    # each range's tables combine with either sign into k's and dk's bits
+    ct, st = math.cos(theta), math.sin(theta)
+    for _, _, (lo, hi), _ in _EDGES:
+        xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
+        assert np.array_equal(gc_xs, gc(pair, xs)) and np.array_equal(gs_xs, gs(pair, xs))
+        assert np.array_equal(dgc_xs, _gc_prime_typed(tuple(pair), xs))
+        assert np.array_equal(dgs_xs, _gs_prime_typed(tuple(pair), xs))
+        for sign in (+1, -1):
+            k, dk = _k_theta(pair, theta, sign)
+            assert np.array_equal(ct * gc_xs + sign * st * gs_xs, k(xs))
+            assert np.array_equal(ct * dgc_xs + sign * st * dgs_xs, dk(xs))
+
+
+@pytest.mark.parametrize("pair, a, theta", [((1, 3), 2 / 3, 0.0), ((2, 3), 2 / 5, math.pi / 2),
+                                            ((2, 3), 0.7, 0.4), ((1, 3), 0.31, 2.9)])
+def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, theta):
+    # one eval_psi call gives f's samples, eval_psi_grid's bits, and df's
+    calls = _record_scans(monkeypatch)
+    edge_restriction_roots(pair, a, theta)
+    (_, lo, hi, df, (xs, ys, dys)), (g, _, _, _, tangent) = calls
+    assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
+    assert np.array_equal(ys, eval_psi_grid(*pair, theta, xs, a - xs))
+    r = eval_psi(EigenfunctionHandle(E, Mode(*pair), theta), xs, a - xs)
+    assert np.array_equal(dys, r.grad_s - r.grad_t)
+    assert g is df and tangent[0] is xs and tangent[1] is dys and tangent[2] is None
+
+
+def test_edge_tables_are_built_once_per_pair_and_range():
+    import courant_lab.nodal_analysis as nodal
+
+    nodal._edge_tables.cache_clear()
+    for theta in np.linspace(math.pi / 6 / 200, math.pi / 6, 200):
+        for pair in EDGE_PAIRS:
+            edge_critical_zeros(pair, float(theta))
+    # OA and OB scan one range, BA another
+    assert nodal._edge_tables.cache_info().currsize == 4
+    for pair in EDGE_PAIRS:
+        for _, _, (lo, hi), _ in _EDGES:
+            assert not any(table.flags.writeable for table in _edge_tables(pair, lo, hi))
+    assert nodal._edge_tables.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])

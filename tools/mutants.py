@@ -48,9 +48,15 @@ MUTANTS = (
     # the root commands would load scipy.optimize again
     ("nodal_analysis.py", "from scipy import ndimage\n",
      "from scipy import ndimage, optimize\n", "test_cli_report.py"),
-    # dK with PI regrouped: the same value to rounding, other bits
-    ("nodal_analysis.py", "ct * (PI * (c * g - s * s * dg))",
-     "ct * (PI * c * g - PI * s * s * dg)", "test_nodal_analysis.py"),
+    # dK's gc' part with PI regrouped: the same value to rounding, other bits
+    ("nodal_analysis.py", "PI * (c * g - s * s * dg)",
+     "PI * c * g - PI * s * s * dg", "test_nodal_analysis.py"),
+    # the edge tables combined with +sin(theta) on OB and BA: the sign dropped
+    ("nodal_analysis.py", "        st = sign * math.sin(theta)\n",
+     "        st = math.sin(theta)\n", "test_nodal_analysis.py"),
+    # the tangential pass handed f's samples in place of df's
+    ("nodal_analysis.py", "(xs, dys, None)", "(xs, ys, None)",
+     "test_nodal_analysis.py"),
     # the verdict's handle at theta 0, which is C_{m,m} = 0 for m = n
     ("nodal_analysis.py", "EigenfunctionHandle(d, pair, thetas[0])",
      "EigenfunctionHandle(d, pair)", "test_nodal_analysis.py"),
@@ -93,6 +99,12 @@ MUTANTS = (
     # the table values taken as the sums: no margin for the exact reads
     ("eigenfunction_eval.py", "return values, 2.0 * (sums + table)",
      "return values, 0.0 * (sums + table)", "test_nodal_analysis.py"),
+    # eval_psi's value back to the per-term sum of sign (ct c + st sn)
+    ("eigenfunction_eval.py", "return EvalResult(mix((cs, ss), h.theta), gs, gt)",
+     "return EvalResult(sum(sign * (ct * np.cos(TWO_PI * (a * s + b * t))"
+     " + st * np.sin(TWO_PI * (a * s + b * t)))"
+     " for sign, a, b in weyl_coefficients(m, n)), gs, gt)",
+     "test_eigenfunction_eval.py"),
     # S off by 0.1%
     ("eigenfunction_eval.py", "acc = acc + sign * np.sin(",
      "acc = acc + 1.001 * sign * np.sin(", "test_eigenfunction_eval.py"),
