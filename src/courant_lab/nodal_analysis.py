@@ -11,9 +11,16 @@ root x0 != 1 of P_W is a breakpoint of the theta partition.
 Each root scan evaluates its samples once.  An edge scan combines at its
 angle the theta-independent tables of gc, gs and dK's two parts, built once
 per pair and range (_edge_tables); a chord scan takes the restriction's
-samples and its derivative's from one eval_psi call.  find_roots reuses the
-derivative's samples in its tangential pass.  Every sample, so every root,
-has the bits of sampling each function in place."""
+samples and its derivative's from one eval_psi call.  Every sample, so every
+root, has the bits of sampling each function in place.
+
+find_roots solves a sign change of the derivative, a candidate tangent root,
+only where Taylor's theorem cannot prove |f| too large for the root to be
+kept (_tangent_floor).  Each caller bounds its function's terms and |f''|
+in closed form: the chord by its Weyl frequencies, an edge by Bernstein's
+inequality on gc and gs, a reduction polynomial by its coefficients.  A
+skipped solve is one whose root would have been thrown away, so every
+output is the one of solving them all."""
 
 import functools
 import math
@@ -145,14 +152,28 @@ def gs(pair: Mode, u):
     return _polyval(edge_polynomials(pair)[1], np.cos(PI * u))
 
 
+def _cos_sin(u):
+    """cos pi u and sin pi u, numpy's, as Python floats for a scalar u: the
+    same bits, and the arithmetic on them is cheaper than on numpy scalars."""
+    c, s = np.cos(PI * u), np.sin(PI * u)
+    return (float(c), float(s)) if isinstance(u, float) else (c, s)
+
+
 # ---------------------------------------------------------------------------
 # The one root-finding protocol: sample, bracket, Brent, one Newton polish.
 # The samples are taken once per scan, by find_roots or by its caller.
 # ---------------------------------------------------------------------------
 
 ROOT_SAMPLES = 4096
-# Brent's relative tolerance and iteration cap, scipy brentq's defaults
+# Brent's absolute tolerance; its relative tolerance and iteration cap are
+# scipy brentq's defaults
+BRENT_XTOL = 1e-13
 BRENT_RTOL, BRENT_MAXITER = 4 * sys.float_info.epsilon, 100
+# roots closer than MERGE_TOL are reported once
+MERGE_TOL = 1e-9
+# a bound on the rounding of a value of f, relative to the size M0 of its
+# terms that the caller states, ten times the callers' (find_roots)
+ROUNDING = 1e-12
 
 
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:
@@ -201,25 +222,41 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
                        f"iterations, value is {xcur!r}")
 
 
-def find_roots(f, lo: float, hi: float, df=None, samples=None) -> List[float]:
+def find_roots(f, lo: float, hi: float, df=None, bounds=None,
+               samples=None) -> List[float]:
     """All roots of f on [lo, hi], as floats: sample uniformly, solve each
     sign change by Brent's method (_brentq) and, given df, Newton-polish it
-    and add the tangent (even-order) roots, found as roots of df where |f| is
-    at noise level.  A root on a sample is caught as an exact grid zero: on
-    [-1, 1], where the reduction polynomials are solved, that is how P_W's
-    triple root at the sample x = 1 is found.  The caller may supply the
-    samples as (xs, f(xs), df(xs) or None), xs = linspace(lo, hi,
-    ROOT_SAMPLES); given df's, the tangential pass reuses them and xs."""
+    and add the tangent (even-order) roots, the roots of df where |f| <
+    1e-9 max |f(xs)|.  A root on a sample is caught as an exact grid zero:
+    on [-1, 1], where the reduction polynomials are solved, that is how P_W's
+    triple root at the sample x = 1 is found.  Roots within MERGE_TOL of the
+    last one kept are dropped, the roots of df before |f| is tested.  The
+    caller may supply the samples as (xs, f(xs), df(xs) or None), xs =
+    linspace(lo, hi, ROOT_SAMPLES).
+
+    With df come bounds = (M0, M2): M2 >= max |f''| on [lo, hi], and M0 the
+    sum of the absolute values of the terms f is summed from.  The callers'
+    values of f, and d times those of f' (d < 1e-3, _tangent_floor), round
+    by less than 1e-13 M0, a tenth of ROUNDING M0: a Weyl term's phase has a
+    few roundings relative to a phase of at most 2 pi (m + n), numpy's cos
+    and sin are within 1 ulp, a polynomial of degree n <= 5 evaluated by
+    Horner's rule at |x| <= 1 rounds by at most 2n u M0 (u the unit
+    roundoff), and one in a rounded cosine is off by at most n^2 M0 times
+    the cosine's error (Markov's inequality); a test checks it against
+    mpmath.  A sign change of df's samples is solved only where
+    _tangent_floor cannot prove its root's |f| above the threshold;
+    elsewhere the root would have been thrown away, so the output is that
+    of solving every one."""
     if samples is None:
         xs = np.linspace(lo, hi, ROOT_SAMPLES)
-        samples = xs, f(xs), None
+        samples = xs, f(xs), None if df is None else df(xs)
     xs, ys, dys = samples
     ys = np.asarray(ys, dtype=float)
-    scale = float(np.max(np.abs(ys))) or 1.0
+    threshold = 1e-9 * (float(np.max(np.abs(ys))) or 1.0)
     roots = []
     sign = np.sign(ys)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        r = _brentq(f, xs[i], xs[i + 1], xtol=1e-13)
+        r = _brentq(f, xs[i], xs[i + 1], xtol=BRENT_XTOL)
         if df is not None:
             d = df(r)
             if d != 0.0:
@@ -231,14 +268,51 @@ def find_roots(f, lo: float, hi: float, df=None, samples=None) -> List[float]:
     for i in np.nonzero(sign == 0)[0]:
         roots.append(float(xs[i]))
     if df is not None:
-        tangent = None if dys is None else (xs, dys, None)
-        for r in find_roots(df, lo, hi, samples=tangent):
-            if abs(f(r)) < 1e-9 * scale:
-                roots.append(r)
-    roots.sort()
+        dys = np.asarray(dys, dtype=float)
+        brackets, floor = _tangent_floor(xs, ys, dys, bounds)
+        tangent = [float(min(max(_brentq(df, xs[i], xs[i + 1], xtol=BRENT_XTOL), lo), hi))
+                   for i in brackets[floor <= threshold]]
+        tangent += [float(xs[i]) for i in np.nonzero(dys == 0)[0]]
+        roots += [r for r in _merged(tangent) if abs(f(r)) < threshold]
+    return _merged(roots)
+
+
+def _tangent_floor(xs, ys, dys, bounds):
+    """(i, floor): the sign changes i of df's samples dys and, for each, a
+    lower bound on the computed |f| at every point within MERGE_TOL of the
+    bracket [xs[i], xs[i + 1]], all brackets in one pass.  find_roots skips
+    the solve where floor exceeds its threshold, and the output is unchanged:
+    - Taylor's theorem with remainder: such a point x lies within d = h/2 +
+      MERGE_TOL of an end e of the bracket (h its width), so |f(x)| >= |f(e)|
+      - d |f'(e)| - d^2 M2 / 2, and the lesser of the two ends' bounds holds
+      at every x;
+    - the margin 2 ROUNDING M0 = 2e-12 M0 covers the rounding of the
+      samples of f and of d f', and of f(x) when it is computed, 1e-13 M0 each
+      (bounds = (M0, M2), find_roots), and the floor's own few operations,
+      so at a skipped bracket's root r of df the computed |f(r)| exceeds the
+      threshold and r would have been thrown away;
+    - the merge: a root of df within MERGE_TOL after r would have been
+      dropped with it.  That root is within MERGE_TOL of the bracket, so its
+      |f| is above the threshold too and it is thrown away either way.  With
+      h > 2 MERGE_TOL a root of df is within MERGE_TOL of at most one other,
+      so no other merge changes; on narrower brackets floor is -inf and
+      every bracket is solved.
+    An exact zero of df's samples is no sign change; find_roots tests it."""
+    size, curvature = bounds
+    sign = np.sign(dys)
+    i = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    d = (xs[i + 1] - xs[i]) / 2.0 + MERGE_TOL
+    floor = (np.minimum(np.abs(ys[i]) - d * np.abs(dys[i]),
+                        np.abs(ys[i + 1]) - d * np.abs(dys[i + 1]))
+             - d * d * curvature / 2.0 - 2.0 * ROUNDING * size)
+    return i, np.where(d > 2.0 * MERGE_TOL, floor, -np.inf)
+
+
+def _merged(roots) -> List[float]:
+    """roots in order, less each one within MERGE_TOL of the last one kept."""
     out = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-9:
+    for r in sorted(roots):
+        if not out or abs(r - out[-1]) > MERGE_TOL:
             out.append(r)
     return out
 
@@ -250,8 +324,10 @@ def polynomial_roots_unit_interval(pair, which: str) -> List[float]:
     if which not in polys:
         raise ValueError(f"unknown polynomial {which!r}")
     coeffs, dcoeffs = polys[which], _polyder(polys[which])
+    # on [-1, 1] a polynomial is at most the sum of its |coefficients|
+    bounds = sum(map(abs, coeffs)), sum(map(abs, _polyder(dcoeffs)))
     return find_roots(lambda x: _polyval(coeffs, x), -1.0, 1.0,
-                      df=lambda x: _polyval(dcoeffs, x))
+                      df=lambda x: _polyval(dcoeffs, x), bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +398,13 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     # f's and df's samples from one evaluation: its value is f's bits
     xs = np.linspace(lo + margin, hi - margin, ROOT_SAMPLES)
     r = eval_psi(h, xs, a - xs)
-    return find_roots(f, lo + margin, hi - margin, df=df,
+    # each Weyl term is sign (cos(theta) cos + sin(theta) sin) of a phase
+    # whose derivative in u is 2 pi (a - b)
+    weight = abs(math.cos(theta)) + abs(math.sin(theta))
+    terms = weyl_coefficients(m, n)
+    bounds = (weight * len(terms),
+              weight * sum((2.0 * PI * (ta - tb)) ** 2 for _, ta, tb in terms))
+    return find_roots(f, lo + margin, hi - margin, df=df, bounds=bounds,
                       samples=(xs, r.value, r.grad_s - r.grad_t))
 
 
@@ -346,26 +428,45 @@ def _dk_parts(pair: Mode):
     dp_c, dp_s = _polyder(p_c), _polyder(p_s)
 
     def parts(c, s):
-        g = (c - 1.0) * _polyval(p_c, c)
-        dg = _polyval(p_c, c) + (c - 1.0) * _polyval(dp_c, c)
+        pc = _polyval(p_c, c)
+        g = (c - 1.0) * pc
+        dg = pc + (c - 1.0) * _polyval(dp_c, c)
         return PI * (c * g - s * s * dg), -PI * s * _polyval(dp_s, c)
 
     return parts
 
 
 def _k_theta(pair: Mode, theta: float, sign: int):
-    """K = cos(theta) gc + sign sin(theta) gs and dK/du (_dk_parts)."""
+    """K = cos(theta) gc + sign sin(theta) gs and dK/du (_dk_parts), each
+    taking cos pi u and sin pi u once."""
+    p_c, p_s = edge_polynomials(pair)[:2]
     parts = _dk_parts(pair)
     ct, st = math.cos(theta), sign * math.sin(theta)
 
     def k(u):
-        return ct * gc(pair, u) + st * gs(pair, u)
+        c, s = _cos_sin(u)
+        return ct * _gc(p_c, c, s) + st * _polyval(p_s, c)
 
     def dk(u):
-        dgc, dgs = parts(np.cos(PI * u), np.sin(PI * u))
+        dgc, dgs = parts(*_cos_sin(u))
         return ct * dgc + st * dgs
 
     return k, dk
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_bounds(pair: Mode):
+    """((A_C, A_S), (B_C, B_S)): |gc| <= A_C and |gs| <= A_S, the sums of
+    their terms' sizes, and |gc''| <= B_C and |gs''| <= B_S, so K's bounds
+    at theta (find_roots) are |cos theta| A_C + |sin theta| A_S and the same
+    in B.  As |c| <= 1, A_C = 2 sum |P_C| and A_S = sum |P_S|.  In pi u, gc
+    is a trigonometric polynomial of degree deg P_C + 2 and gs one of degree
+    deg P_S, and Bernstein's inequality bounds the second derivative of one
+    of degree N by N^2 times its largest value, so B = (pi N)^2 A."""
+    p_c, p_s = edge_polynomials(pair)[:2]
+    sizes = 2.0 * sum(map(abs, p_c)), sum(map(abs, p_s))
+    degrees = len(p_c) + 1, len(p_s) - 1
+    return sizes, tuple((PI * n) ** 2 * a for n, a in zip(degrees, sizes))
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,13 +501,17 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
         raise ValueError("theta must be in (0, pi/6]")
     zeros = []
     ct = math.cos(theta)
+    (size_c, size_s), (curv_c, curv_s) = _edge_bounds(pair)
+    # cos(theta) and sin(theta) are positive on (0, pi/6]
+    bounds = (ct * size_c + math.sin(theta) * size_s,
+              ct * curv_c + math.sin(theta) * curv_s)
     for edge, sign, (lo, hi), point in _EDGES:
         k, dk = _k_theta(pair, theta, sign)
         xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
         st = sign * math.sin(theta)
         samples = xs, ct * gc_xs + st * gs_xs, ct * dgc_xs + st * dgs_xs
         step = (hi - lo) / (ROOT_SAMPLES - 1)
-        for u in find_roots(k, lo, hi, df=dk, samples=samples):
+        for u in find_roots(k, lo, hi, df=dk, bounds=bounds, samples=samples):
             order = 3 if k(u - step) * k(u + step) > 0 else 2
             zeros.append(CriticalZero(point(u), edge, u, order))
     return zeros

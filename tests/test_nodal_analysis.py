@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint,
-                                         DomainKind)
+                                         DomainKind, weyl_coefficients)
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_S,
                                             eval_isosceles, eval_psi,
                                             eval_psi_grid, mix)
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import (_EDGES, EDGE_PAIRS, ROOT_SAMPLES,
+from courant_lab.nodal_analysis import (_EDGES, BRENT_XTOL, EDGE_PAIRS,
+                                        MERGE_TOL, ROOT_SAMPLES,
                                         CriticalZero, _brentq, _edge_tables,
                                         _grid_values, _k_theta,
                                         _max_count_over_thetas, _polyder,
                                         _polyval, _sweep_counts,
-                                        _theta_partition,
+                                        _tangent_floor, _theta_partition,
                                         bifurcation_angle, bifurcations,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
@@ -108,36 +109,118 @@ def test_chord_roots_validation():
 
 
 def _record_scans(monkeypatch):
-    """Every find_roots call from now on, the tangential ones included, as
-    (f, lo, hi, df, samples) in call order."""
+    """Every find_roots call from now on, as (f, lo, hi, df, bounds,
+    samples), and every read of its tangential pass, as _tangent_floor's
+    (xs, ys, dys, bounds), each in call order."""
     import courant_lab.nodal_analysis as nodal
 
-    calls, original = [], nodal.find_roots
+    calls, reads = [], []
+    original, floor = nodal.find_roots, nodal._tangent_floor
 
-    def record(f, lo, hi, df=None, samples=None):
-        calls.append((f, lo, hi, df, samples))
-        return original(f, lo, hi, df=df, samples=samples)
+    def record(f, lo, hi, df=None, bounds=None, samples=None):
+        calls.append((f, lo, hi, df, bounds, samples))
+        return original(f, lo, hi, df=df, bounds=bounds, samples=samples)
+
+    def read(xs, ys, dys, bounds):
+        reads.append((xs, ys, dys, bounds))
+        return floor(xs, ys, dys, bounds)
 
     monkeypatch.setattr(nodal, "find_roots", record)
-    return calls
+    monkeypatch.setattr(nodal, "_tangent_floor", read)
+    return calls, reads
+
+
+def test_a_tangent_root_just_under_the_threshold_is_solved(monkeypatch):
+    # S_{2,3} touches zero at u = 0.2 on the chord s + t = 2/5.  Shifted by
+    # 0.9 times the threshold toward its sign there, the chord keeps a
+    # tangent root at 0.2 with |f| just under the threshold, and the floor
+    # must let find_roots solve it
+    calls, _ = _record_scans(monkeypatch)
+    assert edge_restriction_roots((2, 3), 2 / 5, math.pi / 2) == pytest.approx([0.2], abs=1e-10)
+    (f, lo, hi, df, bounds, (xs, ys, dys)), = calls
+    shift = math.copysign(0.9e-9 * np.max(np.abs(ys)), f(0.2 + 1e-3))
+    shifted = ys + shift
+    threshold = 1e-9 * np.max(np.abs(shifted))
+    roots = find_roots(lambda u: f(u) + shift, lo, hi, df=df,
+                       bounds=(bounds[0] + abs(shift), bounds[1]),
+                       samples=(xs, shifted, dys))
+    tangent = [r for r in roots if abs(r - 0.2) < 1e-10]
+    assert len(tangent) == 1 and 0.5 * threshold < abs(f(tangent[0]) + shift) < threshold
+
+
+def test_a_tangent_root_between_flat_samples_is_solved():
+    # f = 1 - depth / (1 + ((x - x0) / w)^2) dips to 5e-10, half the
+    # threshold, between two samples where |f| is near 1 and |f'| h is near
+    # 0.02; only the floor's d^2 M2 / 2 term, with |f''| <= 2 depth / w^2,
+    # keeps the solve
+    xs = np.linspace(0.0, 1.0, ROOT_SAMPLES)
+    x0, w, depth = (xs[2000] + xs[2001]) / 2, xs[1] / 20, 1.0 - 5e-10
+
+    def f(x):
+        return 1.0 - depth / (1.0 + ((x - x0) / w) ** 2)
+
+    def df(x):
+        return 2.0 * depth * (x - x0) / w ** 2 / (1.0 + ((x - x0) / w) ** 2) ** 2
+
+    roots = find_roots(f, 0.0, 1.0, df=df, bounds=(1.0 + depth, 2.0 * depth / w ** 2))
+    assert roots == [pytest.approx(x0, abs=1e-12)]
+
+
+def test_skipped_tangential_solves_could_not_give_a_root(monkeypatch):
+    # on every scan with a derivative, each bracket of df's samples that the
+    # floor lets find_roots skip, solved as the tangential pass solved every
+    # bracket before, gives a root of df where |f| is at or above the
+    # threshold, so it would have been thrown away; the floor is below |f|
+    # on dense samples of the bracket widened by MERGE_TOL; and the caller's
+    # M2 is above |f''|, by central differences of df, on dense samples of
+    # the range (to their rounding: M2 = 8 = P_C'' is exact for (1,3)).  The
+    # scans are the root digest's, then the CI's fixed sweeps: (2,3)'s edges
+    # at 100 angles and 100 chords
+    from test_root_digest import root_reprs
+
+    calls, reads = _record_scans(monkeypatch)
+    root_reprs()
+    for j in range(1, 101):
+        edge_critical_zeros((2, 3), math.pi / 6 * j / 100)
+    for j in range(100):
+        edge_restriction_roots((1, 3) if j % 2 else (2, 3), 0.05 + 0.9 * j / 99,
+                               math.pi * j / 99)
+    scans = [call for call in calls if call[3] is not None]
+    assert len(scans) == len(reads)
+    skipped = solved = 0
+    for (f, lo, hi, df, bounds, _), (xs, ys, dys, _) in zip(scans, reads):
+        threshold = 1e-9 * (float(np.max(np.abs(ys))) or 1.0)
+        brackets, floor = _tangent_floor(xs, ys, dys, bounds)
+        skip = floor > threshold
+        for i in brackets[skip]:
+            assert abs(f(_brentq(df, xs[i], xs[i + 1], xtol=BRENT_XTOL))) >= threshold
+        dense = np.clip(np.linspace(xs[brackets[skip]] - MERGE_TOL,
+                                    xs[brackets[skip] + 1] + MERGE_TOL, 17, axis=-1),
+                        lo, hi)
+        assert np.all(floor[skip, None] <= np.abs(f(dense)))
+        u, eta = np.linspace(lo, hi, ROOT_SAMPLES // 4)[1:-1], (hi - lo) * 1e-6
+        assert np.max(np.abs(df(u + eta) - df(u - eta))) / (2 * eta) <= bounds[1] * (1 + 1e-6)
+        skipped, solved = skipped + np.count_nonzero(skip), solved + np.count_nonzero(~skip)
+    assert (skipped, solved) == (3697, 2)
 
 
 @pytest.mark.parametrize("pair", EDGE_PAIRS)
 @pytest.mark.parametrize("theta", [1e-300, 0.1, bifurcation_angle()[1], math.pi / 6])
 def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
-    # the samples edge_critical_zeros hands to find_roots, and the tangential
-    # pass's, are _k_theta's k and dk at the edge's samples, for its sign
-    calls = _record_scans(monkeypatch)
+    # the samples edge_critical_zeros hands to find_roots are _k_theta's k
+    # and dk at the edge's samples, for its sign, and the tangential pass
+    # reads those very arrays
+    calls, reads = _record_scans(monkeypatch)
     edge_critical_zeros(pair, theta)
-    scans = [call for call in calls if call[3] is not None]
-    assert len(scans) == len(_EDGES)
-    for (_, sign, (lo, hi), _), (_, a, b, df, (xs, ys, dys)) in zip(_EDGES, scans):
+    assert len(calls) == len(reads) == len(_EDGES)
+    for (_, sign, (lo, hi), _), (_, a, b, df, bounds, (xs, ys, dys)), tangent in zip(
+            _EDGES, calls, reads):
         k, dk = _k_theta(pair, theta, sign)
         assert (a, b) == (lo, hi)
         assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
         assert np.array_equal(ys, k(xs)) and np.array_equal(dys, dk(xs))
-        (_, _, _, _, tangent), = [call for call in calls if call[0] is df]
-        assert tangent[0] is xs and tangent[1] is dys and tangent[2] is None
+        assert tangent[0] is xs and tangent[1] is ys and tangent[2] is dys
+        assert tangent[3] == bounds
     # each range's tables combine with either sign into k's and dk's bits
     ct, st = math.cos(theta), math.sin(theta)
     for _, _, (lo, hi), _ in _EDGES:
@@ -154,15 +237,18 @@ def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
 @pytest.mark.parametrize("pair, a, theta", [((1, 3), 2 / 3, 0.0), ((2, 3), 2 / 5, math.pi / 2),
                                             ((2, 3), 0.7, 0.4), ((1, 3), 0.31, 2.9)])
 def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, theta):
-    # one eval_psi call gives f's samples, eval_psi_grid's bits, and df's
-    calls = _record_scans(monkeypatch)
+    # one eval_psi call gives f's samples, eval_psi_grid's bits, and df's,
+    # and the tangential pass reads those very arrays
+    calls, reads = _record_scans(monkeypatch)
     edge_restriction_roots(pair, a, theta)
-    (_, lo, hi, df, (xs, ys, dys)), (g, _, _, _, tangent) = calls
+    (_, lo, hi, df, bounds, (xs, ys, dys)), = calls
     assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
     assert np.array_equal(ys, eval_psi_grid(*pair, theta, xs, a - xs))
     r = eval_psi(EigenfunctionHandle(E, Mode(*pair), theta), xs, a - xs)
     assert np.array_equal(dys, r.grad_s - r.grad_t)
-    assert g is df and tangent[0] is xs and tangent[1] is dys and tangent[2] is None
+    (tangent,) = reads
+    assert tangent[0] is xs and tangent[1] is ys and tangent[2] is dys
+    assert tangent[3] == bounds
 
 
 def test_edge_tables_are_built_once_per_pair_and_range():
@@ -469,6 +555,21 @@ def test_k_theta_is_the_edge_function_combination(pair, sign, theta):
                               + sign * st * _gs_prime_typed(pair, u))
 
 
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("theta", [1e-300, 0.1, bifurcation_angle()[1], PI / 6])
+def test_k_theta_scalar_reads_are_the_array_reads(pair, sign, theta):
+    # k and dk at a Python float are Python floats with the bits of the same
+    # sample read in an array, at every sample of each edge's range
+    k, dk = _k_theta(pair, theta, sign)
+    for _, _, (lo, hi), _ in _EDGES:
+        u = np.linspace(lo, hi, ROOT_SAMPLES)
+        for read in (k, dk):
+            values = [read(x) for x in u.tolist()]
+            assert {type(v) for v in values} == {float}
+            assert np.array(values).tobytes() == read(u).tobytes()
+
+
 def test_bifurcation_angle_digits():
     assert bifurcation_angle()[1] == 0.3005211736685075
 
@@ -504,7 +605,7 @@ def test_edge_zero_orders_near_vertex():
 
 
 def test_roots_are_python_floats():
-    roots = (find_roots(np.sin, 1.0, 7.0, df=np.cos)
+    roots = (find_roots(np.sin, 1.0, 7.0, df=np.cos, bounds=(1.0, 1.0))
              + polynomial_roots_unit_interval((2, 3), "P_W")
              + [z.parameter_u for z in edge_critical_zeros((2, 3), 0.1)])
     assert {type(r) for r in roots} == {float}
@@ -568,7 +669,7 @@ def test_brent_step_raises_as_scipy_does():
 
 
 def test_find_roots_brackets_give_scipys_roots(monkeypatch):
-    # all 85 brackets find_roots solves on the way to the edge zeros, the
+    # all 44 brackets find_roots solves on the way to the edge zeros, the
     # P_W roots and a chord's roots, solved by both
     from scipy.optimize import brentq
 
@@ -587,8 +688,45 @@ def test_find_roots_brackets_give_scipys_roots(monkeypatch):
             edge_critical_zeros(pair, theta)
         bifurcations(pair)
         edge_restriction_roots(pair, 0.7, 0.4)
-    assert len(brackets) == 85
+    assert len(brackets) == 44
     assert all(root.hex() == ref.hex() for root, ref in brackets)
+
+
+def test_root_scans_round_within_a_tenth_of_the_margin(monkeypatch):
+    # the premise of the floor's margin (_tangent_floor): each sample of f,
+    # and d = h/2 + MERGE_TOL times each sample of f', is within 1e-13 M0 of
+    # the true value, a tenth of ROUNDING M0, against 40-digit mpmath (f'
+    # by mpmath's differentiation) on chords, edges and the reduction
+    # polynomials
+    import mpmath as mp
+
+    _, reads = _record_scans(monkeypatch)
+    truths = []
+    for pair, a, theta in [((1, 3), 0.05, 2.9), ((2, 3), 0.5, 0.4), ((2, 3), 0.95, PI / 2)]:
+        edge_restriction_roots(pair, a, theta)
+        # cos(theta) cos(phase) + sin(theta) sin(phase) = cos(phase - theta)
+        truths.append(lambda u, a=a, theta=theta, terms=weyl_coefficients(*pair): sum(
+            sign * mp.cos(2 * mp.pi * (ta * u + tb * (a - u)) - theta)
+            for sign, ta, tb in terms))
+    for pair in EDGE_PAIRS:
+        p_c, p_s = (list(reversed(p)) for p in edge_polynomials(pair)[:2])
+        for theta in (1e-300, 0.1, PI / 6):
+            edge_critical_zeros(pair, theta)
+            truths += [lambda u, sign=sign, theta=theta, p_c=p_c, p_s=p_s: (
+                mp.cos(theta) * mp.sinpi(u) * (mp.cospi(u) - 1) * mp.polyval(p_c, mp.cospi(u))
+                + sign * mp.sin(theta) * mp.polyval(p_s, mp.cospi(u)))
+                for _, sign, _, _ in _EDGES]
+        for which, coeffs in zip(("P_C", "P_S", "P_W"), edge_polynomials(pair)):
+            polynomial_roots_unit_interval(pair, which)
+            truths.append(lambda x, coeffs=list(reversed(coeffs)): mp.polyval(coeffs, x))
+    assert len(truths) == len(reads)
+    with mp.workdps(40):
+        for truth, (xs, ys, dys, (size, _)) in zip(truths, reads):
+            d = (xs[1] - xs[0]) / 2 + MERGE_TOL
+            for i in range(0, ROOT_SAMPLES, 113):
+                x = mp.mpf(float(xs[i]))
+                assert abs(ys[i] - truth(x)) <= 1e-13 * size
+                assert d * abs(dys[i] - mp.diff(truth, x)) <= 1e-13 * size
 
 
 def test_boundary_zero_sets_symmetric_under_pullback():

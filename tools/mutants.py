@@ -38,7 +38,8 @@ MUTANTS = (
     # m = n mixes in C_{m,m}, which vanishes, in place of S
     ("nodal_analysis.py", "return [PI / 2.0]", "return [0.0]",
      "test_nodal_analysis.py"),
-    ("nodal_analysis.py", "xtol=1e-13", "xtol=1e-12", "test_cli_report.py"),
+    ("nodal_analysis.py", "BRENT_XTOL = 1e-13", "BRENT_XTOL = 1e-12",
+     "test_cli_report.py"),
     # Brent's step: a tighter cap on accepted interpolation, and the inverse
     # quadratic step pointing the wrong way
     ("nodal_analysis.py", "3 * abs(sbis) - delta", "2 * abs(sbis) - delta",
@@ -55,8 +56,17 @@ MUTANTS = (
     ("nodal_analysis.py", "        st = sign * math.sin(theta)\n",
      "        st = math.sin(theta)\n", "test_nodal_analysis.py"),
     # the tangential pass handed f's samples in place of df's
-    ("nodal_analysis.py", "(xs, dys, None)", "(xs, ys, None)",
+    ("nodal_analysis.py", "= _tangent_floor(xs, ys, dys, bounds)",
+     "= _tangent_floor(xs, ys, ys, bounds)", "test_nodal_analysis.py"),
+    # the tangential floor: the chord's M2 dropped, the d^2 M2 / 2 term
+    # dropped, and the comparison flipped, solving only what can be skipped
+    ("nodal_analysis.py",
+     "weight * sum((2.0 * PI * (ta - tb)) ** 2 for _, ta, tb in terms))", "0.0)",
      "test_nodal_analysis.py"),
+    ("nodal_analysis.py", "             - d * d * curvature / 2.0 - 2.0 * ROUNDING * size)",
+     "             - 2.0 * ROUNDING * size)", "test_nodal_analysis.py"),
+    ("nodal_analysis.py", "for i in brackets[floor <= threshold]]",
+     "for i in brackets[floor > threshold]]", "test_nodal_analysis.py"),
     # the verdict's handle at theta 0, which is C_{m,m} = 0 for m = n
     ("nodal_analysis.py", "EigenfunctionHandle(d, pair, thetas[0])",
      "EigenfunctionHandle(d, pair)", "test_nodal_analysis.py"),
