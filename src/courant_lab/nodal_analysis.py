@@ -9,10 +9,10 @@ evaluated, drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi u), and each
 root x0 != 1 of P_W is a breakpoint of the theta partition.
 
 Each root scan evaluates its samples once.  An edge scan combines at its
-angle the theta-independent tables of gc, gs and dK's two parts, built once
-per pair and range (_edge_tables); a chord scan takes the restriction's
-samples and its derivative's from one eval_psi call.  Every sample, so every
-root, has the bits of sampling each function in place.
+angle the theta-independent tables of gc, gs, gc' and gs' (_edge_functions),
+built once per pair and range (_edge_tables); a chord scan takes the
+restriction's samples and its derivative's from one eval_psi call.  Every
+sample, so every root, has the bits of sampling each function in place.
 
 find_roots solves a sign change of the derivative, a candidate tangent root,
 only where Taylor's theorem cannot prove |f| too large for the root to be
@@ -139,17 +139,44 @@ def edge_polynomials(pair) -> Tuple[tuple, tuple, tuple]:
                  for coefs in (q_c / sigma, q_s / sigma, p_w))
 
 
+@functools.lru_cache(maxsize=None)
+def _edge_functions(pair: Mode):
+    """(values, slopes, bounds), the pair's edge functions written once.
+    values(c, s) = (gc, gs) and slopes(c, s) = (gc', gs'), the derivatives
+    in u, at c = cos pi u and s = sin pi u, scalars or arrays: gc = s g with
+    g = (c - 1) P_C(c) and gs = P_S(c), and as dc/du = -pi s, gc' = pi (c g -
+    s^2 dg/dc) and gs' = -pi s P_S'(c).  bounds = ((A_C, A_S), (B_C, B_S)):
+    |gc| <= A_C and |gs| <= A_S, the sums of their terms' sizes, and |gc''|
+    <= B_C and |gs''| <= B_S, so K's bounds at theta (find_roots) are |cos
+    theta| A_C + |sin theta| A_S and the same in B.  As |c| <= 1, A_C = 2 sum
+    |P_C| and A_S = sum |P_S|.  In pi u, gc is a trigonometric polynomial of
+    degree deg P_C + 2 and gs one of degree deg P_S, and Bernstein's
+    inequality bounds the second derivative of one of degree N by N^2 times
+    its largest value, so B = (pi N)^2 A."""
+    p_c, p_s = edge_polynomials(pair)[:2]
+    dp_c, dp_s = _polyder(p_c), _polyder(p_s)
+
+    def values(c, s):
+        return s * (c - 1.0) * _polyval(p_c, c), _polyval(p_s, c)
+
+    def slopes(c, s):
+        pc = _polyval(p_c, c)
+        g = (c - 1.0) * pc
+        dg = pc + (c - 1.0) * _polyval(dp_c, c)
+        return PI * (c * g - s * s * dg), -PI * s * _polyval(dp_s, c)
+
+    sizes = 2.0 * sum(map(abs, p_c)), sum(map(abs, p_s))
+    degrees = len(p_c) + 1, len(p_s) - 1
+    return values, slopes, (sizes, tuple((PI * n) ** 2 * a
+                                         for n, a in zip(degrees, sizes)))
+
+
 def gc(pair: Mode, u):
-    return _gc(edge_polynomials(pair)[0], np.cos(PI * u), np.sin(PI * u))
-
-
-def _gc(p_c, c, s):
-    """gc at c = cos pi u and s = sin pi u."""
-    return s * (c - 1.0) * _polyval(p_c, c)
+    return _edge_functions(pair)[0](*_cos_sin(u))[0]
 
 
 def gs(pair: Mode, u):
-    return _polyval(edge_polynomials(pair)[1], np.cos(PI * u))
+    return _edge_functions(pair)[0](*_cos_sin(u))[1]
 
 
 def _cos_sin(u):
@@ -418,55 +445,22 @@ _EDGES = (
 )
 
 
-@functools.lru_cache(maxsize=None)
-def _dk_parts(pair: Mode):
-    """The one derivative of the edge functions: (gc', gs') as a function of
-    c = cos pi u and s = sin pi u, so dK/du = cos(theta) gc' + sign
-    sin(theta) gs'.  gc = s g with g = (c - 1) P_C(c), and dc/du = -pi s, so
-    gc' = pi (c g - s^2 dg/dc) and gs' = -pi s P_S'(c)."""
-    p_c, p_s = edge_polynomials(pair)[:2]
-    dp_c, dp_s = _polyder(p_c), _polyder(p_s)
-
-    def parts(c, s):
-        pc = _polyval(p_c, c)
-        g = (c - 1.0) * pc
-        dg = pc + (c - 1.0) * _polyval(dp_c, c)
-        return PI * (c * g - s * s * dg), -PI * s * _polyval(dp_s, c)
-
-    return parts
-
-
 def _k_theta(pair: Mode, theta: float, sign: int):
-    """K = cos(theta) gc + sign sin(theta) gs and dK/du (_dk_parts), each
-    taking cos pi u and sin pi u once."""
-    p_c, p_s = edge_polynomials(pair)[:2]
-    parts = _dk_parts(pair)
+    """K = cos(theta) gc + sign sin(theta) gs and dK/du = cos(theta) gc' +
+    sign sin(theta) gs' (_edge_functions), each taking cos pi u and sin pi u
+    once."""
+    values, slopes, _ = _edge_functions(pair)
     ct, st = math.cos(theta), sign * math.sin(theta)
 
     def k(u):
-        c, s = _cos_sin(u)
-        return ct * _gc(p_c, c, s) + st * _polyval(p_s, c)
+        gc_u, gs_u = values(*_cos_sin(u))
+        return ct * gc_u + st * gs_u
 
     def dk(u):
-        dgc, dgs = parts(*_cos_sin(u))
+        dgc, dgs = slopes(*_cos_sin(u))
         return ct * dgc + st * dgs
 
     return k, dk
-
-
-@functools.lru_cache(maxsize=None)
-def _edge_bounds(pair: Mode):
-    """((A_C, A_S), (B_C, B_S)): |gc| <= A_C and |gs| <= A_S, the sums of
-    their terms' sizes, and |gc''| <= B_C and |gs''| <= B_S, so K's bounds
-    at theta (find_roots) are |cos theta| A_C + |sin theta| A_S and the same
-    in B.  As |c| <= 1, A_C = 2 sum |P_C| and A_S = sum |P_S|.  In pi u, gc
-    is a trigonometric polynomial of degree deg P_C + 2 and gs one of degree
-    deg P_S, and Bernstein's inequality bounds the second derivative of one
-    of degree N by N^2 times its largest value, so B = (pi N)^2 A."""
-    p_c, p_s = edge_polynomials(pair)[:2]
-    sizes = 2.0 * sum(map(abs, p_c)), sum(map(abs, p_s))
-    degrees = len(p_c) + 1, len(p_s) - 1
-    return sizes, tuple((PI * n) ** 2 * a for n, a in zip(degrees, sizes))
 
 
 @functools.lru_cache(maxsize=None)
@@ -479,8 +473,8 @@ def _edge_tables(pair: Mode, lo: float, hi: float):
     ranges per pair."""
     xs = np.linspace(lo, hi, ROOT_SAMPLES)
     c, s = np.cos(PI * xs), np.sin(PI * xs)
-    p_c, p_s = edge_polynomials(pair)[:2]
-    tables = (xs, _gc(p_c, c, s), _polyval(p_s, c), *_dk_parts(pair)(c, s))
+    values, slopes, _ = _edge_functions(pair)
+    tables = (xs, *values(c, s), *slopes(c, s))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -501,7 +495,7 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
         raise ValueError("theta must be in (0, pi/6]")
     zeros = []
     ct = math.cos(theta)
-    (size_c, size_s), (curv_c, curv_s) = _edge_bounds(pair)
+    (size_c, size_s), (curv_c, curv_s) = _edge_functions(pair)[2]
     # cos(theta) and sin(theta) are positive on (0, pi/6]
     bounds = (ct * size_c + math.sin(theta) * size_s,
               ct * curv_c + math.sin(theta) * curv_s)
@@ -602,26 +596,23 @@ def _grid_values(h: EigenfunctionHandle, resolution: int):
     return basis, basis.mask, (p, q)
 
 
-def _zero_band(inside: np.ndarray, rel: float) -> float:
-    """The zero band's half-width: rel times the largest |value|."""
-    return rel * float(np.max(np.abs(inside)))
-
-
-def sign_grid(inside: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def sign_grid(inside: np.ndarray, band: float, mask: np.ndarray) -> np.ndarray:
     """{+1, -1, 0} per sample: the sign of the values inside the mask (given
-    in the order of p[mask]), 0 in the zero band and outside the mask."""
-    band = _zero_band(inside, ZERO_BAND_REL)
+    in the order of p[mask]), 0 in the zero band [-band, band] and outside
+    the mask."""
     signs = np.zeros(mask.shape, dtype=np.int8)
     signs[mask] = (inside > band).astype(np.int8) - (inside < -band)
     return signs
 
 
-def _certified_values(basis: GridBasis, theta: float, rel: float) -> np.ndarray:
-    """Values whose signs outside the band rel * max |value| (sign_grid's at
-    ZERO_BAND_REL, a plot's strict signs at 0) are those of the sums mixed
-    at theta: the table values (GridBasis.separable), within delta of the
-    mixed sums, with the sums themselves (exact_at) where delta could
-    decide.  With v the table value and V the sum at a sample:
+def _certified_values(basis: GridBasis, theta: float,
+                      rel: float) -> Tuple[np.ndarray, float]:
+    """(values, band): values whose signs outside the band rel * max |value|
+    (a count's at ZERO_BAND_REL, a plot's strict signs at 0) are those of
+    the sums mixed at theta, and that band, read off the samples that fix
+    it: the table values (GridBasis.separable), within delta of the mixed
+    sums, with the sums themselves (exact_at) where delta could decide.
+    With v the table value and V the sum at a sample:
     - at every sample with |v| >= max |v| - 2 delta: the sample where |V| is
       largest has |v| >= max |V| - delta >= max |v| - 2 delta, and every
       other sample has |v| < max |V| - delta, so the largest |value| is max
@@ -633,30 +624,26 @@ def _certified_values(basis: GridBasis, theta: float, rel: float) -> np.ndarray:
     size = np.abs(values)
     top = np.flatnonzero(size >= size.max() - 2.0 * delta)
     values[top] = basis.exact_at(theta, top)
-    size -= _zero_band(values[top], rel)
+    band = rel * float(np.max(np.abs(values[top])))
+    size -= band
     edge = np.flatnonzero(np.abs(size, out=size) <= delta)
     values[edge] = basis.exact_at(theta, edge)
-    return values
-
-
-def _label_counts(signs: np.ndarray) -> Tuple[int, int]:
-    """Numbers of positive and negative 4-connected sign components: in 2-D,
-    ndimage.label's default structure is the 4-connected cross."""
-    pos = ndimage.label(signs == 1)[1]
-    neg = ndimage.label(signs == -1)[1]
-    return pos, neg
+    return values, band
 
 
 def _sweep_counts(h: EigenfunctionHandle, resolution: int,
                   thetas) -> List[Tuple[int, int]]:
-    """(positive, negative) sign components of the basis mixed at theta on
-    the handle's grid at each of thetas, in order.  The grid is built once,
-    so an angle costs one table product, a few exact samples and the
-    labelling (_certified_values)."""
+    """(positive, negative) 4-connected sign components (ndimage.label's
+    default structure in 2-D) of the basis mixed at theta on the handle's
+    grid at each of thetas, in order.  The grid is built once, so an angle
+    costs one table product, a few exact samples and the labelling
+    (_certified_values)."""
     basis, mask, _ = _grid_values(h, resolution)
-    return [_label_counts(sign_grid(_certified_values(basis, theta, ZERO_BAND_REL),
-                                    mask))
-            for theta in thetas]
+    counts = []
+    for theta in thetas:
+        signs = sign_grid(*_certified_values(basis, theta, ZERO_BAND_REL), mask)
+        counts.append((ndimage.label(signs == 1)[1], ndimage.label(signs == -1)[1]))
+    return counts
 
 
 def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:

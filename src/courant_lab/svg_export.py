@@ -62,7 +62,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     at the corners of the gathered cells."""
     basis, mask, points = _grid_values(h, resolution)
     pos = np.zeros(mask.shape, dtype=bool)
-    pos[mask] = _certified_values(basis, h.theta, 0.0) > 0
+    pos[mask] = _certified_values(basis, h.theta, 0.0)[0] > 0
 
     def sums(i, j):
         # the sums at the inside samples (i, j), by their positions in row order

@@ -226,6 +226,8 @@ def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
     for _, _, (lo, hi), _ in _EDGES:
         xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
         assert np.array_equal(gc_xs, gc(pair, xs)) and np.array_equal(gs_xs, gs(pair, xs))
+        assert np.array_equal(gc_xs, _gc_typed(tuple(pair), xs))
+        assert np.array_equal(gs_xs, _gs_typed(tuple(pair), xs))
         assert np.array_equal(dgc_xs, _gc_prime_typed(tuple(pair), xs))
         assert np.array_equal(dgs_xs, _gs_prime_typed(tuple(pair), xs))
         for sign in (+1, -1):
@@ -430,9 +432,17 @@ def _fs_prime_typed(pair, u):
                  - 5 * np.sin(PI * u))
 
 
-# The derivatives of gc and gs, written out from the typed P_C and P_S in the
-# operation order of _k_theta's dK, which must equal their combination bit for
-# bit: gc = s (c - 1) P_C(c) and gs = P_S(c), c = cos pi u and s = sin pi u.
+# gc and gs and their derivatives, written out from the typed P_C and P_S in
+# the operation order of _edge_functions, which must give their bits: gc = s
+# (c - 1) P_C(c) and gs = P_S(c), c = cos pi u and s = sin pi u.
+def _gc_typed(pair, u):
+    return np.sin(PI * u) * (np.cos(PI * u) - 1.0) * _polyval(_P_C[pair], np.cos(PI * u))
+
+
+def _gs_typed(pair, u):
+    return _polyval(_P_S[pair], np.cos(PI * u))
+
+
 def _gc_prime_typed(pair, u):
     c = np.cos(PI * u)
     s = np.sin(PI * u)
@@ -1020,11 +1030,13 @@ def test_certificate_reads_the_sums_at_the_top_and_the_band_edge():
     table = exact + np.array([-0.9, 0.9, -0.6, 0.9, -0.9]) * delta
     stub = _TableStub(exact, table, delta)
     mask = np.ones((1, 5), dtype=bool)
-    values = nodal._certified_values(stub, 0.3, nodal.ZERO_BAND_REL)
+    values, band = nodal._certified_values(stub, 0.3, nodal.ZERO_BAND_REL)
     assert sorted(set(stub.read)) == [0, 1, 2]
-    assert np.max(np.abs(values)) == 1.0
-    assert nodal.sign_grid(values, mask).tolist() == [[1, 1, 1, -1, 0]]
-    assert nodal.sign_grid(table, mask).tolist() == [[1, 1, 0, -1, 0]]
+    assert np.max(np.abs(values)) == 1.0 and band == nodal.ZERO_BAND_REL
+    assert nodal.sign_grid(values, band, mask).tolist() == [[1, 1, 1, -1, 0]]
+    # the table alone, banded at its own largest |value|, misreads sample 2
+    table_band = nodal.ZERO_BAND_REL * np.max(np.abs(table))
+    assert nodal.sign_grid(table, table_band, mask).tolist() == [[1, 1, 0, -1, 0]]
 
 
 # the benchmark gallery's modes and angles on each triangle
@@ -1042,7 +1054,8 @@ GALLERY = {
 
 def _check_certified_signs(d, pair, thetas, resolution):
     """The certified sign grid is the sign grid of the sums at each angle, its
-    largest |value| is theirs, and the table is well within delta of them."""
+    largest |value| is theirs, its band is ZERO_BAND_REL times that value,
+    and the table is well within delta of them."""
     import courant_lab.nodal_analysis as nodal
 
     h = EigenfunctionHandle(d, Mode(*pair), thetas[0])
@@ -1054,10 +1067,11 @@ def _check_certified_signs(d, pair, thetas, resolution):
         exact = mix(sums, theta)
         table, delta = basis.separable(theta)
         assert np.max(np.abs(table - exact)) <= delta / 10, (pair, theta)
-        values = nodal._certified_values(basis, theta, nodal.ZERO_BAND_REL)
+        values, band = nodal._certified_values(basis, theta, nodal.ZERO_BAND_REL)
         assert np.max(np.abs(values)) == np.max(np.abs(exact)), (pair, theta)
-        assert np.array_equal(nodal.sign_grid(values, mask),
-                              nodal.sign_grid(exact, mask)), (pair, theta)
+        assert band == nodal.ZERO_BAND_REL * np.max(np.abs(exact)), (pair, theta)
+        assert np.array_equal(nodal.sign_grid(values, band, mask),
+                              nodal.sign_grid(exact, band, mask)), (pair, theta)
 
 
 @pytest.mark.parametrize("resolution", [512, 1023, 1024])
