@@ -13,6 +13,7 @@ ndimage.label, scipy's only use), where they use it, so `spectrum` and
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -116,12 +117,9 @@ def run_nodal(args: argparse.Namespace):
     from .nodal_analysis import count_nodal_domains
     h = EigenfunctionHandle(args.domain, args.pair, args.theta)
     report = count_nodal_domains(h, args.resolution)
+    # NodalReport's field order is the document's key order
     return {"domain": args.domain.value, "m": args.pair.m, "n": args.pair.n,
-            "theta": args.theta, "resolution": report.resolution,
-            "domain_count": report.domain_count,
-            "positive_components": report.positive_components,
-            "negative_components": report.negative_components,
-            "stable": report.stable}
+            "theta": args.theta, **dataclasses.asdict(report)}
 
 
 def run_critical_zeros(args: argparse.Namespace):

@@ -8,11 +8,11 @@ vanishes only at the vertices.  The edge functions gc and gs, the only ones
 evaluated, drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi u), and each
 root x0 != 1 of P_W is a breakpoint of the theta partition.
 
-Each root scan evaluates its samples once.  An edge scan combines at its
-angle the theta-independent tables of gc, gs, gc' and gs' (_edge_functions),
-built once per pair and range (_edge_tables); a chord scan takes the
-restriction's samples and its derivative's from one eval_psi call.  Every
-sample, so every root, has the bits of sampling each function in place.
+Each root scan samples once and hands find_roots the samples: an edge scan
+mixes at its angle the theta-independent tables of gc, gs, gc' and gs'
+(_edge_functions), built once per pair and range (_edge_tables), a chord
+scan reads one eval_psi call, and the others evaluate on the sample array.
+Every sample, so every root, has the bits of the function at that point.
 
 find_roots solves a sign change of the derivative, a candidate tangent root,
 only where Taylor's theorem cannot prove |f| too large for the root to be
@@ -52,6 +52,8 @@ ZERO_BAND_REL = 1e-5
 # 177 and 175 MB for the mixed equilateral pair (2,3); a plot's is 137 MB
 # for hemiequilateral (4,2) and 208 MB for right-isosceles (6,1)).
 MIN_GRID, MAX_GRID = 64, 4096
+# the grid side a verdict counts at
+VERDICT_RESOLUTION = 512
 
 # the equilateral mode pairs whose edge analysis is implemented
 EDGE_PAIRS = (Mode(1, 3), Mode(2, 3))
@@ -188,7 +190,7 @@ def _cos_sin(u):
 
 # ---------------------------------------------------------------------------
 # The one root-finding protocol: sample, bracket, Brent, one Newton polish.
-# The samples are taken once per scan, by find_roots or by its caller.
+# Each caller takes its scan's samples once and hands them to find_roots.
 # ---------------------------------------------------------------------------
 
 ROOT_SAMPLES = 4096
@@ -249,17 +251,15 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
                        f"iterations, value is {xcur!r}")
 
 
-def find_roots(f, lo: float, hi: float, df=None, bounds=None,
-               samples=None) -> List[float]:
-    """All roots of f on [lo, hi], as floats: sample uniformly, solve each
-    sign change by Brent's method (_brentq) and, given df, Newton-polish it
-    and add the tangent (even-order) roots, the roots of df where |f| <
-    1e-9 max |f(xs)|.  A root on a sample is caught as an exact grid zero:
-    on [-1, 1], where the reduction polynomials are solved, that is how P_W's
-    triple root at the sample x = 1 is found.  Roots within MERGE_TOL of the
-    last one kept are dropped, the roots of df before |f| is tested.  The
-    caller may supply the samples as (xs, f(xs), df(xs) or None), xs =
-    linspace(lo, hi, ROOT_SAMPLES).
+def find_roots(f, samples, df=None, bounds=None) -> List[float]:
+    """All roots of f on [lo, hi], as floats, from its samples = (xs, f(xs),
+    df(xs) or None), xs = linspace(lo, hi, ROOT_SAMPLES): solve each sign
+    change by Brent's method (_brentq) and, given df, Newton-polish it and
+    add the tangent (even-order) roots, the roots of df where |f| < 1e-9 max
+    |f(xs)|.  A root on a sample is caught as an exact grid zero: on [-1,
+    1], where the reduction polynomials are solved, that is how P_W's triple
+    root at the sample x = 1 is found.  Roots within MERGE_TOL of the last
+    one kept are dropped, the roots of df before |f| is tested.
 
     With df come bounds = (M0, M2): M2 >= max |f''| on [lo, hi], and M0 the
     sum of the absolute values of the terms f is summed from.  The callers'
@@ -274,10 +274,8 @@ def find_roots(f, lo: float, hi: float, df=None, bounds=None,
     _tangent_floor cannot prove its root's |f| above the threshold;
     elsewhere the root would have been thrown away, so the output is that
     of solving every one."""
-    if samples is None:
-        xs = np.linspace(lo, hi, ROOT_SAMPLES)
-        samples = xs, f(xs), None if df is None else df(xs)
     xs, ys, dys = samples
+    lo, hi = float(xs[0]), float(xs[-1])
     ys = np.asarray(ys, dtype=float)
     threshold = 1e-9 * (float(np.max(np.abs(ys))) or 1.0)
     roots = []
@@ -351,10 +349,11 @@ def polynomial_roots_unit_interval(pair, which: str) -> List[float]:
     if which not in polys:
         raise ValueError(f"unknown polynomial {which!r}")
     coeffs, dcoeffs = polys[which], _polyder(polys[which])
+    f, df = functools.partial(_polyval, coeffs), functools.partial(_polyval, dcoeffs)
     # on [-1, 1] a polynomial is at most the sum of its |coefficients|
     bounds = sum(map(abs, coeffs)), sum(map(abs, _polyder(dcoeffs)))
-    return find_roots(lambda x: _polyval(coeffs, x), -1.0, 1.0,
-                      df=lambda x: _polyval(dcoeffs, x), bounds=bounds)
+    xs = np.linspace(-1.0, 1.0, ROOT_SAMPLES)
+    return find_roots(f, (xs, f(xs), df(xs)), df=df, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +430,7 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     terms = weyl_coefficients(m, n)
     bounds = (weight * len(terms),
               weight * sum((2.0 * PI * (ta - tb)) ** 2 for _, ta, tb in terms))
-    return find_roots(f, lo + margin, hi - margin, df=df, bounds=bounds,
-                      samples=(xs, r.value, r.grad_s - r.grad_t))
+    return find_roots(f, (xs, r.value, r.grad_s - r.grad_t), df=df, bounds=bounds)
 
 
 # The open edges: name, the sign of gs in K, the scanned range of the edge
@@ -446,31 +444,31 @@ _EDGES = (
 
 
 def _k_theta(pair: Mode, theta: float, sign: int):
-    """K = cos(theta) gc + sign sin(theta) gs and dK/du = cos(theta) gc' +
-    sign sin(theta) gs' (_edge_functions), each taking cos pi u and sin pi u
-    once."""
+    """(k, dk, mix): mix(a, b) = cos(theta) a + sign sin(theta) b, the one
+    theta-combination of an edge, and K = mix(gc, gs) and dK/du = mix(gc',
+    gs') (_edge_functions), each taking cos pi u and sin pi u once."""
     values, slopes, _ = _edge_functions(pair)
     ct, st = math.cos(theta), sign * math.sin(theta)
 
+    def mix(a, b):
+        return ct * a + st * b
+
     def k(u):
-        gc_u, gs_u = values(*_cos_sin(u))
-        return ct * gc_u + st * gs_u
+        return mix(*values(*_cos_sin(u)))
 
     def dk(u):
-        dgc, dgs = slopes(*_cos_sin(u))
-        return ct * dgc + st * dgs
+        return mix(*slopes(*_cos_sin(u)))
 
-    return k, dk
+    return k, dk, mix
 
 
 @functools.lru_cache(maxsize=None)
 def _edge_tables(pair: Mode, lo: float, hi: float):
     """The theta-independent samples of an edge scan, read-only: xs =
     linspace(lo, hi, ROOT_SAMPLES) and, at xs, gc, gs, gc' and gs', with cos
-    pi u and sin pi u taken once.  K's and dK's samples at theta are ct gc +
-    st gs and ct gc' + st gs', the operations _k_theta's k and dk apply to
-    an array, so each sample has their bits.  OA and OB scan one range: two
-    ranges per pair."""
+    pi u and sin pi u taken once.  K's and dK's samples at theta are
+    _k_theta's mix of gc and gs and of gc' and gs', as its k and dk are, so
+    each sample has their bits.  OA and OB scan one range: two per pair."""
     xs = np.linspace(lo, hi, ROOT_SAMPLES)
     c, s = np.cos(PI * xs), np.sin(PI * xs)
     values, slopes, _ = _edge_functions(pair)
@@ -494,18 +492,16 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     if not edge_theta_in_range(theta):
         raise ValueError("theta must be in (0, pi/6]")
     zeros = []
-    ct = math.cos(theta)
-    (size_c, size_s), (curv_c, curv_s) = _edge_functions(pair)[2]
-    # cos(theta) and sin(theta) are positive on (0, pi/6]
-    bounds = (ct * size_c + math.sin(theta) * size_s,
-              ct * curv_c + math.sin(theta) * curv_s)
+    # cos(theta) and sin(theta) are positive on (0, pi/6], so K's bounds are
+    # the edge functions' bounds mixed with sign +1
+    plus = _k_theta(pair, theta, +1)[2]
+    bounds = tuple(plus(*b) for b in _edge_functions(pair)[2])
     for edge, sign, (lo, hi), point in _EDGES:
-        k, dk = _k_theta(pair, theta, sign)
+        k, dk, mix = _k_theta(pair, theta, sign)
         xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
-        st = sign * math.sin(theta)
-        samples = xs, ct * gc_xs + st * gs_xs, ct * dgc_xs + st * dgs_xs
+        samples = xs, mix(gc_xs, gs_xs), mix(dgc_xs, dgs_xs)
         step = (hi - lo) / (ROOT_SAMPLES - 1)
-        for u in find_roots(k, lo, hi, df=dk, bounds=bounds, samples=samples):
+        for u in find_roots(k, samples, df=dk, bounds=bounds):
             order = 3 if k(u - step) * k(u + step) > 0 else 2
             zeros.append(CriticalZero(point(u), edge, u, order))
     return zeros
@@ -525,7 +521,8 @@ def median_critical_zeros(pair, which: str) -> List[CriticalZero]:
         out = [CriticalZero(AlcovePoint(0.0, 0.0), "OM", 0.0, 6)]
         # g has a zero of order >= 4 at O, so start the scan past the noise
         # floor; the interior zeros are well away from the vertex
-        for u in find_roots(g, 0.05, 1.0 - 1e-6):
+        xs = np.linspace(0.05, 1.0 - 1e-6, ROOT_SAMPLES)
+        for u in find_roots(g, (xs, g(xs), None)):
             out.append(CriticalZero(AlcovePoint(u / 2.0, u / 2.0), "OM", u, 2))
         out.append(CriticalZero(AlcovePoint(0.5, 0.5), "OM", 1.0, 2))
         return out
@@ -575,31 +572,29 @@ class NodalReport:
     stable: bool
 
 
-def _grid_values(h: EigenfunctionHandle, resolution: int):
-    """The one nodal grid: the eigenbasis of the handle's domain and mode at
-    the samples strictly inside the domain (in the order of p[mask]), read
-    through its tables and at chosen samples (GridBasis), its mask, and the
-    coordinate grids over [0, e]^2, e the largest vertex coordinate of the
-    triangle.  The mask is the domain predicate on the broadcast axes
-    (column p, row q), built from each row's interval of inside columns
-    (DomainSpec.row_ends), and the basis reads those samples only.  It does
-    not read h.theta; each reader mixes the basis at its own angles."""
+def _grid_values(h: EigenfunctionHandle, resolution: int) -> GridBasis:
+    """The one nodal grid: the eigenbasis of the handle's domain and mode on
+    the axis x, resolution samples over [0, e], e the largest vertex
+    coordinate of the triangle, at the samples (x[i], x[j]) strictly inside
+    the domain (basis.mask), read through its tables and at chosen samples
+    (GridBasis).  The mask is the domain predicate on the broadcast axes,
+    built from each row's interval of inside columns (DomainSpec.row_ends),
+    and the basis reads those samples only.  It does not read h.theta; each
+    reader mixes the basis at its own angles."""
     spec = DOMAINS[h.domain]
     if spec.vertices is None:
-        raise ValueError(f"nodal counting is not defined for {h.domain.value}")
+        raise ValueError(f"nodal grids are not defined for {h.domain.value}")
     if not MIN_GRID <= resolution <= MAX_GRID:
         raise ValueError(f"resolution must be >= {MIN_GRID} and <= {MAX_GRID}, "
                          f"got {resolution}")
     x = np.linspace(0.0, max(map(max, spec.vertices)), resolution)
-    basis = GridBasis(h.domain, h.mode, x, *spec.row_ends(x, -EDGE_TOL))
-    p, q = np.meshgrid(x, x, indexing="ij", copy=False)
-    return basis, basis.mask, (p, q)
+    return GridBasis(h.domain, h.mode, x, *spec.row_ends(x, -EDGE_TOL))
 
 
 def sign_grid(inside: np.ndarray, band: float, mask: np.ndarray) -> np.ndarray:
     """{+1, -1, 0} per sample: the sign of the values inside the mask (given
-    in the order of p[mask]), 0 in the zero band [-band, band] and outside
-    the mask."""
+    in its row order), 0 in the zero band [-band, band] and outside the
+    mask."""
     signs = np.zeros(mask.shape, dtype=np.int8)
     signs[mask] = (inside > band).astype(np.int8) - (inside < -band)
     return signs
@@ -638,10 +633,10 @@ def _sweep_counts(h: EigenfunctionHandle, resolution: int,
     grid at each of thetas, in order.  The grid is built once, so an angle
     costs one table product, a few exact samples and the labelling
     (_certified_values)."""
-    basis, mask, _ = _grid_values(h, resolution)
+    basis = _grid_values(h, resolution)
     counts = []
     for theta in thetas:
-        signs = sign_grid(*_certified_values(basis, theta, ZERO_BAND_REL), mask)
+        signs = sign_grid(*_certified_values(basis, theta, ZERO_BAND_REL), basis.mask)
         counts.append((ndimage.label(signs == 1)[1], ndimage.label(signs == -1)[1]))
     return counts
 
@@ -690,7 +685,7 @@ def _max_count_over_thetas(d: DomainKind, pair: Mode, resolution: int) -> int:
     return max(pos + neg for pos, neg in sweep)
 
 
-def courant_sharp_verdict(d: DomainKind, resolution: int = 512):
+def courant_sharp_verdict(d: DomainKind):
     """(index, sharp) for each screening candidate of the domain: lambda_n is
     sharp if some eigenfunction of it has n nodal domains, so its count is
     the largest over the eigenspace of its cluster's smallest pair, which
@@ -703,6 +698,6 @@ def courant_sharp_verdict(d: DomainKind, resolution: int = 512):
         if n > 2 and len({tuple(sorted(p)) for p in modes}) > 1:
             raise AssertionError(f"lambda_{n} on {d.value} holds more than one pair "
                                  f"class: {list(modes)}")
-        mu = n if n <= 2 else _max_count_over_thetas(d, min(modes), resolution)
+        mu = n if n <= 2 else _max_count_over_thetas(d, min(modes), VERDICT_RESOLUTION)
         verdict.append((n, mu == n))
     return verdict

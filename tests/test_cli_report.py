@@ -183,9 +183,11 @@ def test_theta_that_is_not_a_number_exits_two(capsys, argv, theta):
     (("nodal", "--domain", "equilateral", "--pair", "1"),
      "error: pair must be two integers m,n, got '1'\n"),
     (("nodal", "--domain", "torus", "--pair", "1,2"),
-     "error: nodal counting is not defined for torus\n"),
+     "error: nodal grids are not defined for torus\n"),
     (("critical-zeros", "--pair", "1,1"),
-     "error: pair (1, 1) not supported (use (1,3) or (2,3))\n")])
+     "error: pair (1, 1) not supported (use (1,3) or (2,3))\n"),
+    (("plot", "--domain", "torus", "--pair", "1,2"),
+     "error: nodal grids are not defined for torus\n")])
 def test_bad_input_exits_two_with_a_plain_message(capsys, argv, message):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()

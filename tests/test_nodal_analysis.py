@@ -108,18 +108,25 @@ def test_chord_roots_validation():
         edge_restriction_roots((1, 3), 1.5, 0.0)
 
 
+def sampled(f, lo, hi, df=None):
+    """f's samples, and df's or None, at linspace(lo, hi, ROOT_SAMPLES), as
+    find_roots takes them."""
+    xs = np.linspace(lo, hi, ROOT_SAMPLES)
+    return xs, f(xs), None if df is None else df(xs)
+
+
 def _record_scans(monkeypatch):
-    """Every find_roots call from now on, as (f, lo, hi, df, bounds,
-    samples), and every read of its tangential pass, as _tangent_floor's
-    (xs, ys, dys, bounds), each in call order."""
+    """Every find_roots call from now on, as (f, samples, df, bounds), and
+    every read of its tangential pass, as _tangent_floor's (xs, ys, dys,
+    bounds), each in call order."""
     import courant_lab.nodal_analysis as nodal
 
     calls, reads = [], []
     original, floor = nodal.find_roots, nodal._tangent_floor
 
-    def record(f, lo, hi, df=None, bounds=None, samples=None):
-        calls.append((f, lo, hi, df, bounds, samples))
-        return original(f, lo, hi, df=df, bounds=bounds, samples=samples)
+    def record(f, samples, df=None, bounds=None):
+        calls.append((f, samples, df, bounds))
+        return original(f, samples, df=df, bounds=bounds)
 
     def read(xs, ys, dys, bounds):
         reads.append((xs, ys, dys, bounds))
@@ -130,6 +137,25 @@ def _record_scans(monkeypatch):
     return calls, reads
 
 
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+def test_polynomial_and_median_scans_sample_f_and_df_bit_for_bit(monkeypatch, pair):
+    # the scans that evaluate their own functions on the sample array, P_C,
+    # P_S and P_W on [-1, 1] and the median's g from 0.05, hand find_roots
+    # f(xs), and df(xs) where there is one, at xs = linspace(lo, hi,
+    # ROOT_SAMPLES)
+    calls, _ = _record_scans(monkeypatch)
+    for which in ("P_C", "P_S", "P_W"):
+        polynomial_roots_unit_interval(pair, which)
+    median_critical_zeros(pair, "C")
+    ranges = [(-1.0, 1.0)] * 3 + [(0.05, 1.0 - 1e-6)]
+    assert len(calls) == len(ranges)
+    assert [df is None for _, _, df, _ in calls] == [False, False, False, True]
+    for (f, (xs, ys, dys), df, _), (lo, hi) in zip(calls, ranges):
+        assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
+        assert np.array_equal(ys, f(xs))
+        assert dys is None if df is None else np.array_equal(dys, df(xs))
+
+
 def test_a_tangent_root_just_under_the_threshold_is_solved(monkeypatch):
     # S_{2,3} touches zero at u = 0.2 on the chord s + t = 2/5.  Shifted by
     # 0.9 times the threshold toward its sign there, the chord keeps a
@@ -137,13 +163,12 @@ def test_a_tangent_root_just_under_the_threshold_is_solved(monkeypatch):
     # must let find_roots solve it
     calls, _ = _record_scans(monkeypatch)
     assert edge_restriction_roots((2, 3), 2 / 5, math.pi / 2) == pytest.approx([0.2], abs=1e-10)
-    (f, lo, hi, df, bounds, (xs, ys, dys)), = calls
+    (f, (xs, ys, dys), df, bounds), = calls
     shift = math.copysign(0.9e-9 * np.max(np.abs(ys)), f(0.2 + 1e-3))
     shifted = ys + shift
     threshold = 1e-9 * np.max(np.abs(shifted))
-    roots = find_roots(lambda u: f(u) + shift, lo, hi, df=df,
-                       bounds=(bounds[0] + abs(shift), bounds[1]),
-                       samples=(xs, shifted, dys))
+    roots = find_roots(lambda u: f(u) + shift, (xs, shifted, dys), df=df,
+                       bounds=(bounds[0] + abs(shift), bounds[1]))
     tangent = [r for r in roots if abs(r - 0.2) < 1e-10]
     assert len(tangent) == 1 and 0.5 * threshold < abs(f(tangent[0]) + shift) < threshold
 
@@ -162,7 +187,8 @@ def test_a_tangent_root_between_flat_samples_is_solved():
     def df(x):
         return 2.0 * depth * (x - x0) / w ** 2 / (1.0 + ((x - x0) / w) ** 2) ** 2
 
-    roots = find_roots(f, 0.0, 1.0, df=df, bounds=(1.0 + depth, 2.0 * depth / w ** 2))
+    roots = find_roots(f, sampled(f, 0.0, 1.0, df), df=df,
+                       bounds=(1.0 + depth, 2.0 * depth / w ** 2))
     assert roots == [pytest.approx(x0, abs=1e-12)]
 
 
@@ -185,10 +211,11 @@ def test_skipped_tangential_solves_could_not_give_a_root(monkeypatch):
     for j in range(100):
         edge_restriction_roots((1, 3) if j % 2 else (2, 3), 0.05 + 0.9 * j / 99,
                                math.pi * j / 99)
-    scans = [call for call in calls if call[3] is not None]
+    scans = [call for call in calls if call[2] is not None]
     assert len(scans) == len(reads)
     skipped = solved = 0
-    for (f, lo, hi, df, bounds, _), (xs, ys, dys, _) in zip(scans, reads):
+    for (f, _, df, bounds), (xs, ys, dys, _) in zip(scans, reads):
+        lo, hi = xs[0], xs[-1]
         threshold = 1e-9 * (float(np.max(np.abs(ys))) or 1.0)
         brackets, floor = _tangent_floor(xs, ys, dys, bounds)
         skip = floor > threshold
@@ -213,10 +240,10 @@ def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
     calls, reads = _record_scans(monkeypatch)
     edge_critical_zeros(pair, theta)
     assert len(calls) == len(reads) == len(_EDGES)
-    for (_, sign, (lo, hi), _), (_, a, b, df, bounds, (xs, ys, dys)), tangent in zip(
+    for (_, sign, (lo, hi), _), (_, (xs, ys, dys), df, bounds), tangent in zip(
             _EDGES, calls, reads):
-        k, dk = _k_theta(pair, theta, sign)
-        assert (a, b) == (lo, hi)
+        k, dk, _ = _k_theta(pair, theta, sign)
+        assert (xs[0], xs[-1]) == (lo, hi)
         assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
         assert np.array_equal(ys, k(xs)) and np.array_equal(dys, dk(xs))
         assert tangent[0] is xs and tangent[1] is ys and tangent[2] is dys
@@ -231,7 +258,7 @@ def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
         assert np.array_equal(dgc_xs, _gc_prime_typed(tuple(pair), xs))
         assert np.array_equal(dgs_xs, _gs_prime_typed(tuple(pair), xs))
         for sign in (+1, -1):
-            k, dk = _k_theta(pair, theta, sign)
+            k, dk, _ = _k_theta(pair, theta, sign)
             assert np.array_equal(ct * gc_xs + sign * st * gs_xs, k(xs))
             assert np.array_equal(ct * dgc_xs + sign * st * dgs_xs, dk(xs))
 
@@ -243,8 +270,8 @@ def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, th
     # and the tangential pass reads those very arrays
     calls, reads = _record_scans(monkeypatch)
     edge_restriction_roots(pair, a, theta)
-    (_, lo, hi, df, bounds, (xs, ys, dys)), = calls
-    assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
+    (_, (xs, ys, dys), df, bounds), = calls
+    assert np.array_equal(xs, np.linspace(xs[0], xs[-1], ROOT_SAMPLES))
     assert np.array_equal(ys, eval_psi_grid(*pair, theta, xs, a - xs))
     r = eval_psi(EigenfunctionHandle(E, Mode(*pair), theta), xs, a - xs)
     assert np.array_equal(dys, r.grad_s - r.grad_t)
@@ -532,8 +559,10 @@ def test_wronskian_23_zeros():
         assert abs(w) < 1e-8
     simple = sorted([1 / 3 - u0, 1 / 3 + u0, 1 - u0, 1 + u0])
     p_w = edge_polynomials(pair)[2]
-    found = find_roots(lambda u: 16.0 * PI * _polyval(p_w, np.cos(3.0 * PI * u)),
-                       -1 / 6 + 1e-9, 1.5)
+    def w(u):
+        return 16.0 * PI * _polyval(p_w, np.cos(3.0 * PI * u))
+
+    found = find_roots(w, sampled(w, -1 / 6 + 1e-9, 1.5))
     # discard noise-level brackets right at the even-order contacts
     found = [r for r in found
              if min(abs(r - c) for c in (0.0, 2 / 3, 4 / 3)) > 0.01]
@@ -556,7 +585,7 @@ def test_edge_functions_times_the_vertex_factor(pair, reduced, typed):
 def test_k_theta_is_the_edge_function_combination(pair, sign, theta):
     # bit for bit on each edge's scanned samples: K is cos(theta) gc + sign
     # sin(theta) gs, and dK the same combination of the typed derivatives
-    k, dk = _k_theta(pair, theta, sign)
+    k, dk, _ = _k_theta(pair, theta, sign)
     ct, st = math.cos(theta), math.sin(theta)
     for _, _, (lo, hi), _ in _EDGES:
         u = np.linspace(lo, hi, ROOT_SAMPLES)
@@ -571,7 +600,7 @@ def test_k_theta_is_the_edge_function_combination(pair, sign, theta):
 def test_k_theta_scalar_reads_are_the_array_reads(pair, sign, theta):
     # k and dk at a Python float are Python floats with the bits of the same
     # sample read in an array, at every sample of each edge's range
-    k, dk = _k_theta(pair, theta, sign)
+    k, dk, _ = _k_theta(pair, theta, sign)
     for _, _, (lo, hi), _ in _EDGES:
         u = np.linspace(lo, hi, ROOT_SAMPLES)
         for read in (k, dk):
@@ -615,7 +644,8 @@ def test_edge_zero_orders_near_vertex():
 
 
 def test_roots_are_python_floats():
-    roots = (find_roots(np.sin, 1.0, 7.0, df=np.cos, bounds=(1.0, 1.0))
+    roots = (find_roots(np.sin, sampled(np.sin, 1.0, 7.0, np.cos), df=np.cos,
+                        bounds=(1.0, 1.0))
              + polynomial_roots_unit_interval((2, 3), "P_W")
              + [z.parameter_u for z in edge_critical_zeros((2, 3), 0.1)])
     assert {type(r) for r in roots} == {float}
@@ -747,10 +777,10 @@ def test_boundary_zero_sets_symmetric_under_pullback():
     for pair in ((1, 3), (2, 3)):
         theta = 0.2
         new, _ = pullback_theta(2, Mode(*pair), theta)
-        k_orig, _d = _k_theta(Mode(*pair), theta, +1)
-        k_pull, _d = _k_theta(Mode(*pair), new, +1)
-        za = find_roots(k_orig, 1e-6, 2 / 3 - 1e-6)
-        zb = find_roots(k_pull, 1e-6, 2 / 3 - 1e-6)
+        k_orig = _k_theta(Mode(*pair), theta, +1)[0]
+        k_pull = _k_theta(Mode(*pair), new, +1)[0]
+        za = find_roots(k_orig, sampled(k_orig, 1e-6, 2 / 3 - 1e-6))
+        zb = find_roots(k_pull, sampled(k_pull, 1e-6, 2 / 3 - 1e-6))
         assert sorted(2 / 3 - u for u in za) == pytest.approx(sorted(zb),
                                                               abs=1e-9)
 
@@ -900,10 +930,17 @@ def test_second_eigenfunctions_have_two_domains(h):
     assert r.domain_count == 2 and r.stable
 
 
+def grid(h, resolution):
+    """_grid_values' basis, its mask and the coordinate grids (x[i], x[j])
+    of its samples, the references' inputs."""
+    basis = _grid_values(h, resolution)
+    return basis, basis.mask, np.meshgrid(basis.x, basis.x, indexing="ij")
+
+
 @pytest.mark.parametrize("d", [E, B, H])
 def test_grid_mask_is_the_strict_domain_predicate(d):
     pair = {E: (1, 2), B: (3, 1), H: (2, 1)}[d]
-    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64)
+    _, mask, (p, q) = grid(EigenfunctionHandle(d, Mode(*pair)), 64)
     expected = [[in_domain(d, (p[i, j], q[i, j]), strict=True)
                  for j in range(64)] for i in range(64)]
     assert mask.tolist() == expected
@@ -915,7 +952,7 @@ def test_grid_mask_is_the_strict_domain_predicate(d):
 @pytest.mark.parametrize("d", [E, B, H])
 def test_grid_mask_is_the_domain_predicate_at_the_resolutions_used(d, resolution):
     pair = {E: (1, 2), B: (3, 1), H: (2, 1)}[d]
-    _, mask, (p, q) = _grid_values(EigenfunctionHandle(d, Mode(*pair)), resolution)
+    _, mask, (p, q) = grid(EigenfunctionHandle(d, Mode(*pair)), resolution)
     x = p[:, 0]
     assert np.array_equal(x, q[0])
     assert np.array_equal(mask, DOMAINS[d].inside(x[:, None], x[None, :], -EDGE_TOL))
@@ -923,7 +960,7 @@ def test_grid_mask_is_the_domain_predicate_at_the_resolutions_used(d, resolution
 
 def test_inside_sample_counts_at_256():
     # the grid points the CI's traced plots evaluate, per triangle
-    counts = {d: int(_grid_values(EigenfunctionHandle(d, Mode(*pair)), 256)[1].sum())
+    counts = {d: int(_grid_values(EigenfunctionHandle(d, Mode(*pair)), 256).mask.sum())
               for d, pair in ((E, (1, 2)), (H, (2, 1)), (B, (3, 1)))}
     assert counts == {E: 24257, H: 12033, B: 32131}
 
@@ -948,7 +985,7 @@ def pointwise(h, s, t):
     (EigenfunctionHandle(B, Mode(6, 1)),
      lambda p, q: eval_isosceles(6, 1, p, q))])
 def test_masked_evaluation_keeps_the_values(h, full, resolution):
-    basis, mask, (p, q) = _grid_values(h, resolution)
+    basis, mask, (p, q) = grid(h, resolution)
     every = np.arange(mask.sum())
     assert np.array_equal(basis.exact_at(h.theta, every), full(p, q)[mask])
 
@@ -957,7 +994,7 @@ def test_masked_evaluation_keeps_the_values(h, full, resolution):
 @pytest.mark.parametrize("pair", [(2, 3), (1, 2)])
 def test_single_angle_at_zero_evaluates_c_only(pair, resolution):
     h = EigenfunctionHandle(E, Mode(*pair))
-    basis, mask, (p, q) = _grid_values(h, resolution)
+    basis, mask, (p, q) = grid(h, resolution)
     # the sums mixed at theta 0 have the bits of C alone
     mixed = basis.exact_at(0.0, np.arange(mask.sum()))
     c = eval_C(*pair, p[mask], q[mask])
@@ -986,7 +1023,8 @@ def test_verdict_counts_only_candidates_above_two(monkeypatch):
     monkeypatch.setattr(nodal, "_grid_values", record_grid)
     assert nodal.courant_sharp_verdict(DomainKind.TORUS) == [(1, True), (2, True)]
     assert calls == grids == []
-    nodal.courant_sharp_verdict(E, 128)
+    monkeypatch.setattr(nodal, "VERDICT_RESOLUTION", 128)
+    nodal.courant_sharp_verdict(E)
     # (1,2) at n = 2 is decided by the theorem; (2,2) and (3,3) are simple
     assert calls == [((2, 2), 1), ((1, 3), 3), ((2, 3), 5), ((3, 3), 1)]
     # one grid evaluation per candidate, whatever its number of angles
@@ -1059,7 +1097,7 @@ def _check_certified_signs(d, pair, thetas, resolution):
     import courant_lab.nodal_analysis as nodal
 
     h = EigenfunctionHandle(d, Mode(*pair), thetas[0])
-    basis, mask, (p, q) = _grid_values(h, resolution)
+    basis, mask, (p, q) = grid(h, resolution)
     # the sums at every inside sample (pointwise), C and S taken once
     s, t = p[mask], q[mask]
     sums = (eval_C(*pair, s, t), eval_S(*pair, s, t)) if d is E else (pointwise(h, s, t),)
@@ -1216,7 +1254,10 @@ def test_verdict_enumerates_the_spectrum_once(monkeypatch, d):
         if (name.startswith("courant_lab")
                 and getattr(module, "enumerate_spectrum", None) is original):
             monkeypatch.setattr(module, "enumerate_spectrum", record)
-    courant_sharp_verdict(d, 64)
+    import courant_lab.nodal_analysis as nodal
+
+    monkeypatch.setattr(nodal, "VERDICT_RESOLUTION", 64)
+    courant_sharp_verdict(d)
     assert len(calls) == 1
 
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import DOMAINS, DomainKind, to_cartesian
+from courant_lab.alcove_geometry import (DOMAINS, CartesianPoint, DomainKind,
+                                         to_cartesian)
 from courant_lab.eigenfunction_eval import EigenfunctionHandle
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import _grid_values
 from courant_lab.svg_export import render_nodal_svg, zero_segments
-from test_nodal_analysis import pointwise
+from test_nodal_analysis import grid, pointwise
 
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
@@ -47,9 +47,15 @@ def loop_zero_segments(values, mask, xs, ys):
     return segs
 
 
-def segments(values, mask, xs, ys):
-    """zero_segments on the grid values, read at the gathered corners."""
-    return zero_segments(values > 0, mask, xs, ys, lambda i, j: values[i, j])
+def segments(values, mask, x, frame=CartesianPoint._make):
+    """zero_segments on the grid values over the axis x, read at the
+    gathered corners."""
+    return zero_segments(values > 0, mask, x, lambda i, j: values[i, j], frame)
+
+
+def corners(x, frame=CartesianPoint._make):
+    """The loop's corner coordinates: the grids (x[i], x[j]) in the frame."""
+    return frame(np.meshgrid(x, x, indexing="ij"))
 
 
 def _saddle_cells(values, mask):
@@ -61,12 +67,13 @@ def _saddle_cells(values, mask):
 
 
 def _plot_inputs(h, resolution):
-    # the sums evaluated pointwise on the whole grid: a plot's reference inputs
-    _, mask, (p, q) = _grid_values(h, resolution)
+    # the sums evaluated pointwise on the whole grid: a plot's reference
+    # inputs, with its axis and frame
+    basis, mask, (p, q) = grid(h, resolution)
     values = np.zeros(mask.shape)
     values[mask] = pointwise(h, p[mask], q[mask])
-    xs, ys = to_cartesian((p, q)) if DOMAINS[h.domain].alcove else (p, q)
-    return values, mask, xs, ys
+    frame = to_cartesian if DOMAINS[h.domain].alcove else CartesianPoint._make
+    return values, mask, basis.x, frame
 
 
 @pytest.mark.parametrize("resolution", [64, 128])
@@ -76,17 +83,17 @@ def _plot_inputs(h, resolution):
     EigenfunctionHandle(H, Mode(5, 2), 0.0),
     EigenfunctionHandle(B, Mode(6, 1), 0.0)])
 def test_zero_segments_match_the_loop_on_domain_grids(h, resolution):
-    args = _plot_inputs(h, resolution)
-    segs = segments(*args)
+    values, mask, x, frame = _plot_inputs(h, resolution)
+    segs = segments(values, mask, x, frame)
     assert len(segs) > 0
-    assert segs == loop_zero_segments(*args)
+    assert segs == loop_zero_segments(values, mask, *corners(x, frame))
 
 
 def test_table_signs_differ_from_the_sums_only_within_delta():
     # C_{1,3} vanishes on s = t, where the table values take either sign: the
     # plot's read-back of the samples with |value| <= delta is needed
     h = EigenfunctionHandle(E, Mode(1, 3))
-    basis, mask, (p, q) = _grid_values(h, 512)
+    basis, mask, (p, q) = grid(h, 512)
     table, delta = basis.separable(0.0)
     s, t = p[mask], q[mask]
     differ = (table > 0) != (pointwise(h, s, t) > 0)
@@ -125,26 +132,26 @@ def test_zero_segments_match_the_loop_on_saddles_and_exact_zeros():
     values = np.sin(9.3 * math.pi * xs) * np.sin(7.7 * math.pi * ys)
     mask = (xs + ys < 1.6) & (ys > 0.05)
     assert _saddle_cells(values, mask) > 0
-    assert segments(values, mask, xs, ys) == loop_zero_segments(
+    assert segments(values, mask, x) == loop_zero_segments(
         values, mask, xs, ys)
     quarters = np.round(4.0 * values) / 4.0
     assert np.sum(mask & (quarters == 0.0)) > 0
-    assert segments(quarters, mask, xs, ys) == loop_zero_segments(
+    assert segments(quarters, mask, x) == loop_zero_segments(
         quarters, mask, xs, ys)
     # both at once: three saddle cells, one of them with an exact zero corner
     small = np.array([[1.0, -2.0, 0.5], [-0.5, 3.0, -1.0], [0.0, 0.0, 2.0]])
-    xs, ys = np.meshgrid(np.arange(3.0), np.arange(3.0), indexing="ij")
+    x = np.arange(3.0)
+    xs, ys = corners(x)
     full = np.ones((3, 3), bool)
     assert _saddle_cells(small, full) == 3
-    segs = segments(small, full, xs, ys)
+    segs = segments(small, full, x)
     assert len(segs) == 7
     assert segs == loop_zero_segments(small, full, xs, ys)
 
 
 def test_zero_segments_without_crossings_is_empty():
     x = np.linspace(0.0, 1.0, 8)
-    xs, ys = np.meshgrid(x, x, indexing="ij")
-    assert segments(np.ones((8, 8)), np.ones((8, 8), bool), xs, ys) == []
+    assert segments(np.ones((8, 8)), np.ones((8, 8), bool), x) == []
 
 
 def test_render_rejects_a_resolution_below_the_grid_floor():

@@ -60,10 +60,12 @@ MUTANTS = (
     ("nodal_analysis.py", "PI * (c * g - s * s * dg)",
      "PI * c * g - PI * s * s * dg",
      "test_nodal_analysis.py::test_edge_scans_sample_k_and_dk_bit_for_bit"),
-    # the edge tables combined with +sin(theta) on OB and BA: the sign dropped
-    ("nodal_analysis.py", "        st = sign * math.sin(theta)\n",
-     "        st = math.sin(theta)\n",
-     "test_nodal_analysis.py::test_skipped_tangential_solves_could_not_give_a_root"),
+    # K's theta-mix with +sin(theta) on OB and BA: the sign dropped
+    ("nodal_analysis.py", "sign * math.sin(theta)", "math.sin(theta)",
+     "test_nodal_analysis.py::test_k_theta_is_the_edge_function_combination"),
+    # the polynomial scan handed f's samples as df's
+    ("nodal_analysis.py", "(xs, f(xs), df(xs))", "(xs, f(xs), f(xs))",
+     "test_nodal_analysis.py::test_polynomial_and_median_scans_sample_f_and_df_bit_for_bit"),
     # the tangential pass handed f's samples in place of df's
     ("nodal_analysis.py", "= _tangent_floor(xs, ys, dys, bounds)",
      "= _tangent_floor(xs, ys, ys, bounds)",
