@@ -8,16 +8,20 @@ are analytic (term-by-term differentiation), never internal finite
 differences.  A grid is read from per-axis cos/sin tables (weyl_tables,
 GridBasis.separable), within a bound delta of the sums, and the sums
 themselves are read only at chosen samples (GridBasis.exact_at).
+
+A triangle's nodal grid (_grid_values) is read beside the bound it relies
+on: _certified_values reads the sums back wherever delta could decide a sign
+or the zero band, and sign_grid bands the values, for counts and plots alike.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .alcove_geometry import DOMAINS, DomainKind, weyl_coefficients
+from .alcove_geometry import DOMAINS, EDGE_TOL, DomainKind, weyl_coefficients
 from .lattice_spectrum import Mode, _admissible
 
 TWO_PI = 2.0 * math.pi
@@ -27,6 +31,11 @@ UNIT = 2.0 ** -53
 TRIG_ERR = 4.0 * UNIT
 # the floats in one block of rows of a table product
 BLOCK = 1 << 16
+# Smallest and largest nodal grid side; nodal --resolution 2048 counts on a
+# 4096 grid, and plot --resolution 4096 draws one, in about 0.2 GB (peak RSS
+# 177 and 175 MB for the mixed equilateral pair (2,3); a plot's is 137 MB
+# for hemiequilateral (4,2) and 208 MB for right-isosceles (6,1)).
+MIN_GRID, MAX_GRID = 64, 4096
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,60 @@ class GridBasis:
         ks, mc, ms = weyl_tables(*self.pair)
         phase = np.multiply.outer(self.x, [TWO_PI * k for k in ks])
         return np.hstack((np.cos(phase), np.sin(phase))), mc, ms, float(phase.max())
+
+
+def _grid_values(h: EigenfunctionHandle, resolution: int) -> GridBasis:
+    """The one nodal grid: the eigenbasis of the handle's domain and mode on
+    the axis x, resolution samples over [0, e], e the largest vertex
+    coordinate of the triangle, at the samples (x[i], x[j]) strictly inside
+    the domain (basis.mask), read through its tables and at chosen samples
+    (GridBasis).  The mask is the domain predicate on the broadcast axes,
+    built from each row's interval of inside columns (DomainSpec.row_ends),
+    and the basis reads those samples only.  It does not read h.theta; each
+    reader mixes the basis at its own angles."""
+    spec = DOMAINS[h.domain]
+    if spec.vertices is None:
+        raise ValueError(f"nodal grids are not defined for {h.domain.value}")
+    if not MIN_GRID <= resolution <= MAX_GRID:
+        raise ValueError(f"resolution must be >= {MIN_GRID} and <= {MAX_GRID}, "
+                         f"got {resolution}")
+    x = np.linspace(0.0, max(map(max, spec.vertices)), resolution)
+    return GridBasis(h.domain, h.mode, x, *spec.row_ends(x, -EDGE_TOL))
+
+
+def sign_grid(inside: np.ndarray, band: float, mask: np.ndarray) -> np.ndarray:
+    """{+1, -1, 0} per sample: the sign of the values inside the mask (given
+    in its row order), 0 in the zero band [-band, band] and outside the
+    mask."""
+    signs = np.zeros(mask.shape, dtype=np.int8)
+    signs[mask] = (inside > band).astype(np.int8) - (inside < -band)
+    return signs
+
+
+def _certified_values(basis: GridBasis, theta: float,
+                      rel: float) -> Tuple[np.ndarray, float]:
+    """(values, band): values whose signs outside the band rel * max |value|
+    (a count's at ZERO_BAND_REL, a plot's strict signs at 0) are those of
+    the sums mixed at theta, and that band, read off the samples that fix
+    it: the table values (GridBasis.separable), within delta of the mixed
+    sums, with the sums themselves (exact_at) where delta could decide.
+    With v the table value and V the sum at a sample:
+    - at every sample with |v| >= max |v| - 2 delta: the sample where |V| is
+      largest has |v| >= max |V| - delta >= max |v| - 2 delta, and every
+      other sample has |v| < max |V| - delta, so the largest |value| is max
+      |V| and the band is the band of the sums;
+    - at every sample with ||v| - band| <= delta: elsewhere |v| > band +
+      delta, so |V| > band with the sign of v, or |v| < band - delta, so |V|
+      < band."""
+    values, delta = basis.separable(theta)
+    size = np.abs(values)
+    top = np.flatnonzero(size >= size.max() - 2.0 * delta)
+    values[top] = basis.exact_at(theta, top)
+    band = rel * float(np.max(np.abs(values[top])))
+    size -= band
+    edge = np.flatnonzero(np.abs(size, out=size) <= delta)
+    values[edge] = basis.exact_at(theta, edge)
+    return values, band
 
 
 class EvalResult(NamedTuple):

@@ -1,6 +1,7 @@
 """Fixed points on medians, chord restrictions, critical zeros, the edge
 algebra of the mixed equilateral pairs and its bifurcations, and nodal-domain
-counting by sign-grid flood fill.
+counts: the 4-connected ndimage.label components of the certified sign grid
+(eigenfunction_eval).
 
 On an edge, in x = cos pi u, the edge sums are fc = sigma (T_3 - 1)(x - 1) sin(pi
 u) P_C(x) and fs = sigma (T_3 - 1) P_S(x), where T_3 - 1 = 4 (x - 1)(x + 1/2)^2
@@ -32,10 +33,10 @@ from typing import List, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint, DomainKind,
-                              weyl_coefficients)
-from .eigenfunction_eval import (EigenfunctionHandle, GridBasis, eval_C,
-                                 eval_psi, eval_psi_grid, eval_S)
+from .alcove_geometry import AlcovePoint, DomainKind, weyl_coefficients
+from .eigenfunction_eval import (MAX_GRID, MIN_GRID, EigenfunctionHandle,
+                                 _certified_values, _grid_values, eval_C,
+                                 eval_psi, eval_psi_grid, eval_S, sign_grid)
 from .lattice_spectrum import Mode
 from .pleijel_screening import candidates
 
@@ -47,11 +48,6 @@ PI = math.pi
 # classified as zero instead of surviving as a spurious one-pixel component.
 ZERO_BAND_REL = 1e-5
 
-# Smallest and largest nodal grid side; nodal --resolution 2048 counts on a
-# 4096 grid, and plot --resolution 4096 draws one, in about 0.2 GB (peak RSS
-# 177 and 175 MB for the mixed equilateral pair (2,3); a plot's is 137 MB
-# for hemiequilateral (4,2) and 208 MB for right-isosceles (6,1)).
-MIN_GRID, MAX_GRID = 64, 4096
 # the grid side a verdict counts at
 VERDICT_RESOLUTION = 512
 
@@ -171,14 +167,6 @@ def _edge_functions(pair: Mode):
     degrees = len(p_c) + 1, len(p_s) - 1
     return values, slopes, (sizes, tuple((PI * n) ** 2 * a
                                          for n, a in zip(degrees, sizes)))
-
-
-def gc(pair: Mode, u):
-    return _edge_functions(pair)[0](*_cos_sin(u))[0]
-
-
-def gs(pair: Mode, u):
-    return _edge_functions(pair)[0](*_cos_sin(u))[1]
 
 
 def _cos_sin(u):
@@ -546,7 +534,8 @@ def bifurcations(pair) -> List[Tuple[float, float]]:
         if x0 == 1.0:
             continue
         u_b = 1.0 / 3.0 + math.acos(-x0) / (3.0 * PI)
-        theta = math.atan2(-gc(pair, u_b), gs(pair, u_b))
+        g_c, g_s = _edge_functions(pair)[0](*_cos_sin(u_b))
+        theta = math.atan2(-g_c, g_s)
         if not 0.0 < theta < PI / 6.0:
             raise AssertionError("bifurcation angle outside (0, pi/6)")
         out.append((u_b, theta))
@@ -570,60 +559,6 @@ class NodalReport:
     positive_components: int
     negative_components: int
     stable: bool
-
-
-def _grid_values(h: EigenfunctionHandle, resolution: int) -> GridBasis:
-    """The one nodal grid: the eigenbasis of the handle's domain and mode on
-    the axis x, resolution samples over [0, e], e the largest vertex
-    coordinate of the triangle, at the samples (x[i], x[j]) strictly inside
-    the domain (basis.mask), read through its tables and at chosen samples
-    (GridBasis).  The mask is the domain predicate on the broadcast axes,
-    built from each row's interval of inside columns (DomainSpec.row_ends),
-    and the basis reads those samples only.  It does not read h.theta; each
-    reader mixes the basis at its own angles."""
-    spec = DOMAINS[h.domain]
-    if spec.vertices is None:
-        raise ValueError(f"nodal grids are not defined for {h.domain.value}")
-    if not MIN_GRID <= resolution <= MAX_GRID:
-        raise ValueError(f"resolution must be >= {MIN_GRID} and <= {MAX_GRID}, "
-                         f"got {resolution}")
-    x = np.linspace(0.0, max(map(max, spec.vertices)), resolution)
-    return GridBasis(h.domain, h.mode, x, *spec.row_ends(x, -EDGE_TOL))
-
-
-def sign_grid(inside: np.ndarray, band: float, mask: np.ndarray) -> np.ndarray:
-    """{+1, -1, 0} per sample: the sign of the values inside the mask (given
-    in its row order), 0 in the zero band [-band, band] and outside the
-    mask."""
-    signs = np.zeros(mask.shape, dtype=np.int8)
-    signs[mask] = (inside > band).astype(np.int8) - (inside < -band)
-    return signs
-
-
-def _certified_values(basis: GridBasis, theta: float,
-                      rel: float) -> Tuple[np.ndarray, float]:
-    """(values, band): values whose signs outside the band rel * max |value|
-    (a count's at ZERO_BAND_REL, a plot's strict signs at 0) are those of
-    the sums mixed at theta, and that band, read off the samples that fix
-    it: the table values (GridBasis.separable), within delta of the mixed
-    sums, with the sums themselves (exact_at) where delta could decide.
-    With v the table value and V the sum at a sample:
-    - at every sample with |v| >= max |v| - 2 delta: the sample where |V| is
-      largest has |v| >= max |V| - delta >= max |v| - 2 delta, and every
-      other sample has |v| < max |V| - delta, so the largest |value| is max
-      |V| and the band is the band of the sums;
-    - at every sample with ||v| - band| <= delta: elsewhere |v| > band +
-      delta, so |V| > band with the sign of v, or |v| < band - delta, so |V|
-      < band."""
-    values, delta = basis.separable(theta)
-    size = np.abs(values)
-    top = np.flatnonzero(size >= size.max() - 2.0 * delta)
-    values[top] = basis.exact_at(theta, top)
-    band = rel * float(np.max(np.abs(values[top])))
-    size -= band
-    edge = np.flatnonzero(np.abs(size, out=size) <= delta)
-    values[edge] = basis.exact_at(theta, edge)
-    return values, band
 
 
 def _sweep_counts(h: EigenfunctionHandle, resolution: int,

@@ -2,18 +2,18 @@
 the zero level set, the domain outline, fixed points as circles and critical
 zeros as crosses, all in the Euclidean frame at 512 px per unit.  The grid's
 signs are the sign grid of the certified values the nodal counts read
-(_certified_values, sign_grid), and marching squares interpolates on the
-sums read at the crossing cells' corners."""
+(eigenfunction_eval's _certified_values and sign_grid), and marching squares
+interpolates on the sums read at the crossing cells' corners."""
 
 from typing import List, Tuple
 
 import numpy as np
 
 from .alcove_geometry import DOMAINS, CartesianPoint, DomainKind, to_cartesian
-from .eigenfunction_eval import EigenfunctionHandle
-from .nodal_analysis import (EDGE_PAIRS, _certified_values, _grid_values,
-                             edge_critical_zeros, edge_theta_in_range,
-                             median_fixed_points, sign_grid)
+from .eigenfunction_eval import (EigenfunctionHandle, _certified_values,
+                                 _grid_values, sign_grid)
+from .nodal_analysis import (EDGE_PAIRS, edge_critical_zeros, edge_theta_in_range,
+                             median_fixed_points)
 
 PX_PER_UNIT = 512.0
 MARGIN = 24.0

@@ -7,9 +7,8 @@ from hypothesis import assume, given, strategies as st
 
 from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, DomainKind,
                                          to_cartesian, weyl_coefficients)
-from courant_lab.eigenfunction_eval import EigenfunctionHandle
+from courant_lab.eigenfunction_eval import EigenfunctionHandle, _grid_values
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import _grid_values
 from oracles import BASIS, apply_symmetry, in_domain, to_alcove
 
 SQRT3 = math.sqrt(3.0)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import DomainKind
-from courant_lab.eigenfunction_eval import (TRIG_ERR, EigenfunctionHandle,
-                                            eigenbasis, eval_C, eval_isosceles,
-                                            eval_psi, eval_psi_grid, eval_S, mix)
+from courant_lab.eigenfunction_eval import (BLOCK, TRIG_ERR, EigenfunctionHandle,
+                                            _grid_values, eigenbasis, eval_C,
+                                            eval_isosceles, eval_psi,
+                                            eval_psi_grid, eval_S, mix)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import bifurcation_angle
 from oracles import (alpha_mn, apply_symmetry, eval_torus_mode,
@@ -53,6 +54,30 @@ def test_eigenbasis_spans_each_triangle_eigenspace():
     assert np.array_equal(b, eval_isosceles(4, 1, s, t))
     with pytest.raises(ValueError, match="torus"):
         eigenbasis(DomainKind.TORUS, (1, 0), s, t)
+
+
+@pytest.mark.parametrize("h", [EigenfunctionHandle(E, Mode(2, 3), 0.35),
+                               EigenfunctionHandle(H, Mode(4, 2)),
+                               EigenfunctionHandle(B, Mode(6, 1))])
+def test_separable_skips_a_last_block_of_rows_with_no_inside_sample(h):
+    # at 571 the last block of BLOCK // 571 rows is the vertex row alone,
+    # which holds no inside sample
+    basis = _grid_values(h, 571)
+    assert 571 % (BLOCK // 571) == 1 and not basis.lo[-1] < basis.hi[-1]
+    values, delta = basis.separable(h.theta)
+    exact = basis.exact_at(h.theta, np.arange(basis.mask.sum()))
+    assert values.shape == exact.shape
+    assert np.max(np.abs(values - exact)) <= delta
+
+
+def test_plots_and_counts_read_one_certified_grid():
+    # one certificate for both, and one object for each name to hook
+    import courant_lab.eigenfunction_eval as ev
+    import courant_lab.nodal_analysis as nodal
+    import courant_lab.svg_export as svg
+
+    for name in ("_grid_values", "_certified_values", "sign_grid"):
+        assert getattr(svg, name) is getattr(nodal, name) is getattr(ev, name)
 
 
 def test_torus_mode_values():

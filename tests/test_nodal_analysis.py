@@ -5,16 +5,18 @@ import pytest
 
 from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint,
                                          DomainKind, weyl_coefficients)
-from courant_lab.eigenfunction_eval import (EigenfunctionHandle, eval_C, eval_S,
-                                            eval_isosceles, eval_psi,
-                                            eval_psi_grid, mix)
+from courant_lab.eigenfunction_eval import (EigenfunctionHandle,
+                                            _certified_values, _grid_values,
+                                            eval_C, eval_S, eval_isosceles,
+                                            eval_psi, eval_psi_grid, mix,
+                                            sign_grid)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (_EDGES, BRENT_XTOL, EDGE_PAIRS,
                                         MERGE_TOL, ROOT_SAMPLES,
-                                        CriticalZero, _brentq, _edge_tables,
-                                        _grid_values, _k_theta,
-                                        _max_count_over_thetas, _polyder,
-                                        _polyval, _sweep_counts,
+                                        CriticalZero, _brentq, _cos_sin,
+                                        _edge_functions, _edge_tables,
+                                        _k_theta, _max_count_over_thetas,
+                                        _polyder, _polyval, _sweep_counts,
                                         _tangent_floor, _theta_partition,
                                         bifurcation_angle, bifurcations,
                                         count_nodal_domains,
@@ -22,7 +24,7 @@ from courant_lab.nodal_analysis import (_EDGES, BRENT_XTOL, EDGE_PAIRS,
                                         edge_critical_zeros,
                                         edge_polynomials,
                                         edge_restriction_roots, find_roots,
-                                        gc, gs, median_critical_zeros,
+                                        median_critical_zeros,
                                         median_fixed_points,
                                         polynomial_roots_unit_interval)
 from oracles import in_domain, pullback_theta
@@ -252,7 +254,8 @@ def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
     ct, st = math.cos(theta), math.sin(theta)
     for _, _, (lo, hi), _ in _EDGES:
         xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
-        assert np.array_equal(gc_xs, gc(pair, xs)) and np.array_equal(gs_xs, gs(pair, xs))
+        gc_u, gs_u = _edge_values(pair, xs)
+        assert np.array_equal(gc_xs, gc_u) and np.array_equal(gs_xs, gs_u)
         assert np.array_equal(gc_xs, _gc_typed(tuple(pair), xs))
         assert np.array_equal(gs_xs, _gs_typed(tuple(pair), xs))
         assert np.array_equal(dgc_xs, _gc_prime_typed(tuple(pair), xs))
@@ -459,6 +462,12 @@ def _fs_prime_typed(pair, u):
                  - 5 * np.sin(PI * u))
 
 
+def _edge_values(pair, u):
+    """The library's (gc, gs) at u: _edge_functions' values at cos pi u
+    and sin pi u, as bifurcations reads them."""
+    return _edge_functions(Mode(*pair))[0](*_cos_sin(u))
+
+
 # gc and gs and their derivatives, written out from the typed P_C and P_S in
 # the operation order of _edge_functions, which must give their bits: gc = s
 # (c - 1) P_C(c) and gs = P_S(c), c = cos pi u and s = sin pi u.
@@ -543,8 +552,8 @@ def test_wronskian_is_16_pi_p_w(pair):
 def test_reduced_wronskian_13_closed_form():
     u = np.linspace(-1 / 6, 1.5, 1000)
     pair = Mode(1, 3)
-    direct = (gc(pair, u) * _gs_prime_typed(pair, u)
-              - gs(pair, u) * _gc_prime_typed(pair, u))
+    gc_u, gs_u = _edge_values(pair, u)
+    direct = gc_u * _gs_prime_typed(pair, u) - gs_u * _gc_prime_typed(pair, u)
     closed = _wronskian_13_closed(u)
     assert np.max(np.abs(direct - closed)) < 1e-10 * np.max(np.abs(closed))
 
@@ -571,10 +580,11 @@ def test_wronskian_23_zeros():
 
 
 @pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
-@pytest.mark.parametrize("reduced, typed", [(gc, _fc_typed), (gs, _fs_typed)])
-def test_edge_functions_times_the_vertex_factor(pair, reduced, typed):
+@pytest.mark.parametrize("name, typed", [("gc", _fc_typed), ("gs", _fs_typed)])
+def test_edge_functions_times_the_vertex_factor(pair, name, typed):
     u = np.linspace(-2.0, 2.0, 20001)
-    full = _SIGMA[pair] * (np.cos(3 * PI * u) - 1.0) * reduced(Mode(*pair), u)
+    reduced = dict(zip(("gc", "gs"), _edge_values(pair, u)))[name]
+    full = _SIGMA[pair] * (np.cos(3 * PI * u) - 1.0) * reduced
     expected = typed(pair, u)
     assert np.max(np.abs(full - expected)) < 1e-12 * np.max(np.abs(expected))
 
@@ -589,7 +599,8 @@ def test_k_theta_is_the_edge_function_combination(pair, sign, theta):
     ct, st = math.cos(theta), math.sin(theta)
     for _, _, (lo, hi), _ in _EDGES:
         u = np.linspace(lo, hi, ROOT_SAMPLES)
-        assert np.array_equal(k(u), ct * gc(pair, u) + sign * st * gs(pair, u))
+        gc_u, gs_u = _edge_values(pair, u)
+        assert np.array_equal(k(u), ct * gc_u + sign * st * gs_u)
         assert np.array_equal(dk(u), ct * _gc_prime_typed(pair, u)
                               + sign * st * _gs_prime_typed(pair, u))
 
@@ -876,7 +887,8 @@ def test_every_double_edge_zero_reduces_to_the_partition_breakpoint():
         assert 0.0 < u < 4 / 3
         # OA with sign +1 and OB with -1 below 2/3, BA with -1 beyond
         for sign in ((+1, -1) if u < 2 / 3 else (-1,)):
-            theta = math.atan2(-gc(pair, u), sign * gs(pair, u))
+            gc_u, gs_u = _edge_values(pair, u)
+            theta = math.atan2(-gc_u, sign * gs_u)
             angles.append(theta)
             assert min(abs((theta - o + PI) % (2 * PI) - PI) for o in orbit) < 1e-12
     assert len(angles) == 6
@@ -1068,13 +1080,13 @@ def test_certificate_reads_the_sums_at_the_top_and_the_band_edge():
     table = exact + np.array([-0.9, 0.9, -0.6, 0.9, -0.9]) * delta
     stub = _TableStub(exact, table, delta)
     mask = np.ones((1, 5), dtype=bool)
-    values, band = nodal._certified_values(stub, 0.3, nodal.ZERO_BAND_REL)
+    values, band = _certified_values(stub, 0.3, nodal.ZERO_BAND_REL)
     assert sorted(set(stub.read)) == [0, 1, 2]
     assert np.max(np.abs(values)) == 1.0 and band == nodal.ZERO_BAND_REL
-    assert nodal.sign_grid(values, band, mask).tolist() == [[1, 1, 1, -1, 0]]
+    assert sign_grid(values, band, mask).tolist() == [[1, 1, 1, -1, 0]]
     # the table alone, banded at its own largest |value|, misreads sample 2
     table_band = nodal.ZERO_BAND_REL * np.max(np.abs(table))
-    assert nodal.sign_grid(table, table_band, mask).tolist() == [[1, 1, 0, -1, 0]]
+    assert sign_grid(table, table_band, mask).tolist() == [[1, 1, 0, -1, 0]]
 
 
 # the benchmark gallery's modes and angles on each triangle
@@ -1105,11 +1117,11 @@ def _check_certified_signs(d, pair, thetas, resolution):
         exact = mix(sums, theta)
         table, delta = basis.separable(theta)
         assert np.max(np.abs(table - exact)) <= delta / 10, (pair, theta)
-        values, band = nodal._certified_values(basis, theta, nodal.ZERO_BAND_REL)
+        values, band = _certified_values(basis, theta, nodal.ZERO_BAND_REL)
         assert np.max(np.abs(values)) == np.max(np.abs(exact)), (pair, theta)
         assert band == nodal.ZERO_BAND_REL * np.max(np.abs(exact)), (pair, theta)
-        assert np.array_equal(nodal.sign_grid(values, band, mask),
-                              nodal.sign_grid(exact, band, mask)), (pair, theta)
+        assert np.array_equal(sign_grid(values, band, mask),
+                              sign_grid(exact, band, mask)), (pair, theta)
 
 
 @pytest.mark.parametrize("resolution", [512, 1023, 1024])

@@ -87,14 +87,14 @@ MUTANTS = (
      "test_nodal_analysis.py::test_verdict_counts_only_candidates_above_two"),
     # the certificate without the exact reads at the largest table values,
     # which fix the band, or at the band's edges, and with its band halved
-    ("nodal_analysis.py", "    values[top] = basis.exact_at(theta, top)\n", "",
+    ("eigenfunction_eval.py", "    values[top] = basis.exact_at(theta, top)\n", "",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
-    ("nodal_analysis.py", "    values[edge] = basis.exact_at(theta, edge)\n", "",
+    ("eigenfunction_eval.py", "    values[edge] = basis.exact_at(theta, edge)\n", "",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
-    ("nodal_analysis.py", "band = rel * float(", "band = 0.5 * rel * float(",
+    ("eigenfunction_eval.py", "band = rel * float(", "band = 0.5 * rel * float(",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
     # a 1 fill outside the mask
-    ("nodal_analysis.py", "signs = np.zeros(mask.shape, dtype=np.int8)",
+    ("eigenfunction_eval.py", "signs = np.zeros(mask.shape, dtype=np.int8)",
      "signs = np.ones(mask.shape, dtype=np.int8)",
      "test_nodal_analysis.py::test_counts_13_family_res256"),
     # nodal's cap without the doubled grid
@@ -126,6 +126,10 @@ MUTANTS = (
     ("eigenfunction_eval.py", "self.mask[i:i + step, c0:c1]",
      "self.mask[i:i + step, c0 + 1:c1 + 1]",
      "test_svg_export.py::test_table_signs_differ_from_the_sums_only_within_delta"),
+    # a last block of rows with no inside sample reduced like a full one
+    ("eigenfunction_eval.py", "            if not full.any():\n                continue\n", "",
+     "test_eigenfunction_eval.py::"
+     "test_separable_skips_a_last_block_of_rows_with_no_inside_sample"),
     # the table values taken as the sums: no margin for the exact reads
     ("eigenfunction_eval.py", "return values, 2.0 * (sums + table)",
      "return values, 0.0 * (sums + table)",
