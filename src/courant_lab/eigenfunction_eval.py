@@ -12,6 +12,9 @@ themselves are read only at chosen samples (GridBasis.exact_at).
 A triangle's nodal grid (_grid_values) is read beside the bound it relies
 on: _certified_values reads the sums back wherever delta could decide a sign
 or the zero band, and sign_grid bands the values, for counts and plots alike.
+A chord s + t = a is read the same way: a table of its three frequencies
+(_chord_table), with eval_psi read back where its bound could decide
+(_certified_chord).
 """
 
 import functools
@@ -252,6 +255,99 @@ def _certified_values(basis: GridBasis, theta: float,
     edge = np.flatnonzero(np.abs(size, out=size) <= delta)
     values[edge] = basis.exact_at(theta, edge)
     return values, band
+
+
+def _chord_table(h: EigenfunctionHandle, a: float, u):
+    """(values, slopes, delta, delta_slope): Psi^theta on the chord s + t = a
+    at the samples u in (0, a), and its derivative in u, from a table of
+    three frequencies.  There a Weyl term (sign, a_j, b_j) has phase beta_j
+    + omega_j u, beta_j = 2 pi b_j a and omega_j = 2 pi (a_j - b_j), so with
+    (c, s) = (cos theta, sin theta), floats as in eval_psi, it is p_j cos
+    omega_j u + q_j sin omega_j u, p_j = sign (c cos beta_j + s sin beta_j)
+    and q_j = sign (s cos beta_j - c sin beta_j).  Merged by k = |a_j - b_j|
+    (sin is odd), f = sum P_k cos 2 pi k u + Q_k sin 2 pi k u and f' = sum 2
+    pi k (Q_k cos - P_k sin): one product of scalar rows with six cos and
+    sin arrays.  delta >= |value - eval_psi's value| and delta_slope >=
+    |slope - eval_psi's grad_s - grad_t| at every sample, in any order of
+    summation, as each is within a bound of the truth, the restriction mixed
+    with the same c and s (u the unit roundoff, gamma_k = k u / (1 - k u), N
+    = 6 terms, w = |c| + |s|, M the largest |a_j| or |b_j|, U the largest
+    sample and L = 2 pi w sum (|a_j| + |b_j|) >= 2 pi w sum |a_j - b_j|):
+    - the table: beta_j = fl(fl(2 pi) b_j) a has three roundings, so its cos
+      and sin (math's) are within e_b = gamma_3 2 pi M a + TRIG_ERR, p_j and
+      q_j within w rho, rho = e_b + gamma_2 (1 + e_b), and P_k and Q_k, sums
+      of n_k of them, within n_k w nu, nu = rho + gamma_5 (1 + rho).  cos and
+      sin of fl(fl(2 pi) k) u are within e = gamma_3 2 pi k U + TRIG_ERR, k
+      the largest, and a sum of six products adds gamma_6, so the value is
+      within 2 N w (nu (1 + e) + e + gamma_6 (1 + nu) (1 + e)).  The slope's
+      coefficients fl(fl(2 pi) k Q_k) add gamma_3, so it is within 2 L ((nu
+      + gamma_3 (1 + nu)) (1 + e) + e + gamma_6 (1 + nu) (1 + gamma_3) (1 +
+      e));
+    - eval_psi at (u, fl(a - u)): a phase fl(2 pi) (a_j u + b_j t) has five
+      roundings and t one, and |a_j| u + |b_j| t <= M a, so its cos and sin
+      are within eta = gamma_6 2 pi M a + TRIG_ERR; C and S add gamma_5 and
+      the mix gamma_2, so the value is within N w (eta + gamma_7 (1 + eta)).
+      Each dterm is within w rho_1, rho_1 = eta + gamma_2 (1 + eta), the
+      terms 2 pi a_j dterm add gamma_3, their sums gamma_5 and grad_s -
+      grad_t one rounding, so it is within L (rho_1 + gamma_9 (1 + rho_1)).
+    Each delta is twice the sum of its two bounds; the factor covers the
+    rounding of the comparisons made with it, as in GridBasis.separable.
+    On a chord of (1,3) or (2,3) (a < 1, U < 2/3) the table's own bounds are
+    below 5e-14 N w and 3e-12 N w: its samples round within the 1e-13 N w
+    that find_roots grants them."""
+    m, n = h.mode
+    c, s = math.cos(h.theta), math.sin(h.theta)
+    terms = weyl_coefficients(m, n)
+    ks = sorted({abs(ta - tb) for _, ta, tb in terms})
+    p, q = [0.0] * len(ks), [0.0] * len(ks)
+    for sign, ta, tb in terms:
+        beta = TWO_PI * tb * a
+        cb, sb = math.cos(beta), math.sin(beta)
+        i = ks.index(abs(ta - tb))
+        p[i] += sign * (c * cb + s * sb)
+        q[i] += sign * ((ta > tb) - (ta < tb)) * (s * cb - c * sb)
+    omega = [TWO_PI * k for k in ks]
+    rows = np.array([[*p, *q], [*(o * qk for o, qk in zip(omega, q)),
+                                *(-o * pk for o, pk in zip(omega, p))]])
+    phase = np.multiply.outer(omega, u)
+    values, slopes = rows @ np.vstack((np.cos(phase), np.sin(phase)))
+    w, largest = abs(c) + abs(s), max(max(abs(ta), abs(tb)) for _, ta, tb in terms)
+    size = len(terms) * w
+    slope_size = TWO_PI * w * sum(abs(ta) + abs(tb) for _, ta, tb in terms)
+    e_b = _gamma(3) * TWO_PI * largest * a + TRIG_ERR
+    rho = e_b + _gamma(2) * (1.0 + e_b)
+    nu = rho + _gamma(5) * (1.0 + rho)
+    e = _gamma(3) * TWO_PI * ks[-1] * float(np.max(u)) + TRIG_ERR
+    table = 2.0 * size * (nu * (1.0 + e) + e + _gamma(6) * (1.0 + nu) * (1.0 + e))
+    table_slope = 2.0 * slope_size * (
+        (nu + _gamma(3) * (1.0 + nu)) * (1.0 + e) + e
+        + _gamma(6) * (1.0 + nu) * (1.0 + _gamma(3)) * (1.0 + e))
+    eta = _gamma(6) * TWO_PI * largest * a + TRIG_ERR
+    rho_1 = eta + _gamma(2) * (1.0 + eta)
+    sums = size * (eta + _gamma(7) * (1.0 + eta))
+    sums_slope = slope_size * (rho_1 + _gamma(9) * (1.0 + rho_1))
+    return values, slopes, 2.0 * (table + sums), 2.0 * (table_slope + sums_slope)
+
+
+def _certified_chord(h: EigenfunctionHandle, a: float, u):
+    """(values, slopes): Psi^theta on the chord s + t = a at the samples u,
+    and its derivative in u, from _chord_table, with eval_psi's value and
+    grad_s - grad_t read back wherever delta or delta_slope could decide:
+    - at every sample with |v| >= max |v| - 2 delta, so max |value| is
+      eval_psi's (the argument of _certified_values);
+    - at every sample with |v| <= delta: elsewhere eval_psi's value is
+      nonzero with the sign of v, so every sign and every exact zero is
+      eval_psi's;
+    - at every sample with |v'| <= delta_slope, so are the slopes'.
+    Every other sample is within delta (delta_slope) of eval_psi's."""
+    values, slopes, delta, delta_slope = _chord_table(h, a, u)
+    size = np.abs(values)
+    read = np.flatnonzero((size >= size.max() - 2.0 * delta)
+                          | (size <= delta)
+                          | (np.abs(slopes) <= delta_slope))
+    r = eval_psi(h, u[read], a - u[read])
+    values[read], slopes[read] = r.value, r.grad_s - r.grad_t
+    return values, slopes
 
 
 class EvalResult(NamedTuple):

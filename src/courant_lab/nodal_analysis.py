@@ -12,8 +12,14 @@ root x0 != 1 of P_W is a breakpoint of the theta partition.
 Each root scan samples once and hands find_roots the samples: an edge scan
 mixes at its angle the theta-independent tables of gc, gs, gc' and gs'
 (_edge_functions), built once per pair and range (_edge_tables), a chord
-scan reads one eval_psi call, and the others evaluate on the sample array.
-Every sample, so every root, has the bits of the function at that point.
+scan reads a certified three-frequency table of the restriction and its
+slope (_certified_chord), and the others evaluate on the sample array.
+find_roots takes its threshold, its brackets and its grid zeros from the
+samples' largest |value|, signs and exact zeros, and solves on f and df
+themselves.  Every sample of an edge, polynomial or median scan has the
+bits of the function at that point; a chord's samples are within a derived
+bound of eval_psi's, and their signs, exact zeros and largest |value| are
+eval_psi's.  So every root has the bits of the function.
 
 find_roots solves a sign change of the derivative, a candidate tangent root,
 only where Taylor's theorem cannot prove |f| too large for the root to be
@@ -35,8 +41,9 @@ from scipy import ndimage
 
 from .alcove_geometry import AlcovePoint, DomainKind, weyl_coefficients
 from .eigenfunction_eval import (MAX_GRID, MIN_GRID, EigenfunctionHandle,
-                                 _certified_values, _grid_values, eval_C,
-                                 eval_psi, eval_psi_grid, eval_S, sign_grid)
+                                 _certified_chord, _certified_values,
+                                 _grid_values, eval_C, eval_psi, eval_psi_grid,
+                                 eval_S, sign_grid)
 from .lattice_spectrum import Mode
 from .pleijel_screening import candidates
 
@@ -254,14 +261,14 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     values of f, and d times those of f' (d < 1e-3, _tangent_floor), round
     by less than 1e-13 M0, a tenth of ROUNDING M0: a Weyl term's phase has a
     few roundings relative to a phase of at most 2 pi (m + n), numpy's cos
-    and sin are within 1 ulp, a polynomial of degree n <= 5 evaluated by
-    Horner's rule at |x| <= 1 rounds by at most 2n u M0 (u the unit
-    roundoff), and one in a rounded cosine is off by at most n^2 M0 times
-    the cosine's error (Markov's inequality); a test checks it against
-    mpmath.  A sign change of df's samples is solved only where
-    _tangent_floor cannot prove its root's |f| above the threshold;
-    elsewhere the root would have been thrown away, so the output is that
-    of solving every one."""
+    and sin are within 1 ulp, a chord's three-frequency table is within 5e-14
+    M0 (_chord_table), a polynomial of degree n <= 5 evaluated by Horner's
+    rule at |x| <= 1 rounds by at most 2n u M0 (u the unit roundoff), and
+    one in a rounded cosine is off by at most n^2 M0 times the cosine's
+    error (Markov's inequality); tests check it against mpmath.  A sign
+    change of df's samples is solved only where _tangent_floor cannot prove
+    its root's |f| above the threshold; elsewhere the root would have been
+    thrown away, so the output is that of solving every one."""
     xs, ys, dys = samples
     lo, hi = float(xs[0]), float(xs[-1])
     ys = np.asarray(ys, dtype=float)
@@ -409,16 +416,19 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     # vanishes trivially; only interior intersections are reported
     lo, hi = a / 3.0, 2.0 * a / 3.0
     margin = (hi - lo) * 1e-6
-    # f's and df's samples from one evaluation: its value is f's bits
     xs = np.linspace(lo + margin, hi - margin, ROOT_SAMPLES)
-    r = eval_psi(h, xs, a - xs)
+    ys, dys = _certified_chord(h, a, xs)
     # each Weyl term is sign (cos(theta) cos + sin(theta) sin) of a phase
     # whose derivative in u is 2 pi (a - b)
     weight = abs(math.cos(theta)) + abs(math.sin(theta))
     terms = weyl_coefficients(m, n)
     bounds = (weight * len(terms),
               weight * sum((2.0 * PI * (ta - tb)) ** 2 for _, ta, tb in terms))
-    return find_roots(f, (xs, r.value, r.grad_s - r.grad_t), df=df, bounds=bounds)
+    # the sums round by up to 1e-13 M0 (find_roots): on a chord this small
+    # no sample's sign is known to be the restriction's
+    if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:
+        raise ValueError(f"the chord s + t = {a!r} is within rounding of zero")
+    return find_roots(f, (xs, ys, dys), df=df, bounds=bounds)
 
 
 # The open edges: name, the sign of gs in K, the scanned range of the edge

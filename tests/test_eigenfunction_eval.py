@@ -359,12 +359,17 @@ def test_vertex_vanishing_orders():
 def test_numpy_trig_is_within_the_error_the_table_bound_allows():
     # GridBasis.separable's delta takes numpy's float64 cos and sin to be
     # within TRIG_ERR of the true values (its phases stay below 80 on the
-    # modes the tests and the benchmark count); they are within 1 ulp of 1
+    # modes the tests and the benchmark count), and _chord_table's takes
+    # math's, on its scalar phases, to be; they are within 1 ulp of 1
     import mpmath
+
+    def scalar(f):
+        return lambda x: [f(v) for v in x.tolist()]
 
     x = np.random.default_rng(7).uniform(-400.0, 400.0, 2000)
     with mpmath.workprec(120):
-        for f, true in ((np.cos, mpmath.cos), (np.sin, mpmath.sin)):
+        for f, true in ((np.cos, mpmath.cos), (np.sin, mpmath.sin),
+                        (scalar(math.cos), mpmath.cos), (scalar(math.sin), mpmath.sin)):
             err = max(abs(float(true(mpmath.mpf(float(v))) - float(w)))
                       for v, w in zip(x, f(x)))
             assert err <= TRIG_ERR / 2, f.__name__

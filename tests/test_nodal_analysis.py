@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,13 +7,15 @@ import pytest
 from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint,
                                          DomainKind, weyl_coefficients)
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle,
-                                            _certified_values, _grid_values,
+                                            _certified_chord,
+                                            _certified_values, _chord_table,
+                                            _grid_values,
                                             eval_C, eval_S, eval_isosceles,
                                             eval_psi, eval_psi_grid, mix,
                                             sign_grid)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (_EDGES, BRENT_XTOL, EDGE_PAIRS,
-                                        MERGE_TOL, ROOT_SAMPLES,
+                                        MERGE_TOL, ROOT_SAMPLES, ROUNDING,
                                         CriticalZero, _brentq, _cos_sin,
                                         _edge_functions, _edge_tables,
                                         _k_theta, _max_count_over_thetas,
@@ -266,21 +269,127 @@ def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
             assert np.array_equal(ct * dgc_xs + sign * st * dgs_xs, dk(xs))
 
 
+def _chord_xs(a):
+    """edge_restriction_roots' samples on the chord s + t = a."""
+    lo, hi = a / 3.0, 2.0 * a / 3.0
+    return np.linspace(lo + (hi - lo) * 1e-6, hi - (hi - lo) * 1e-6, ROOT_SAMPLES)
+
+
+def _assert_certified_chord(pair, a, theta, xs, ys, dys):
+    """The certificate's statement (_certified_chord) for a chord's samples:
+    within delta and delta_slope of eval_psi's, equal to them at the top and
+    band samples, and with their signs, exact zeros and largest |value|, so
+    find_roots' threshold, brackets and grid zeros, to the last bit."""
+    h = EigenfunctionHandle(E, Mode(*pair), theta)
+    r = eval_psi(h, xs, a - xs)
+    exact, exact_slopes = r.value, r.grad_s - r.grad_t
+    values, slopes, delta, delta_slope = _chord_table(h, a, xs)
+    assert np.all(np.abs(ys - exact) <= delta)
+    assert np.all(np.abs(dys - exact_slopes) <= delta_slope)
+    size = np.abs(values)
+    read = (size >= size.max() - 2.0 * delta) | (size <= delta)
+    assert np.array_equal(ys[read], exact[read])
+    for got, want in ((ys, exact), (dys, exact_slopes)):
+        assert np.array_equal(np.sign(got), np.sign(want))
+        assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.max(np.abs(ys)) == np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize("pair, a, theta", [((1, 3), 2 / 3, 0.0), ((2, 3), 2 / 5, math.pi / 2),
                                             ((2, 3), 0.7, 0.4), ((1, 3), 0.31, 2.9)])
 def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, theta):
-    # one eval_psi call gives f's samples, eval_psi_grid's bits, and df's,
-    # and the tangential pass reads those very arrays
+    # the certified three-frequency table gives f's and df's samples, with
+    # eval_psi's signs, exact zeros and largest |f|, and the tangential pass
+    # reads those very arrays
     calls, reads = _record_scans(monkeypatch)
     edge_restriction_roots(pair, a, theta)
     (_, (xs, ys, dys), df, bounds), = calls
     assert np.array_equal(xs, np.linspace(xs[0], xs[-1], ROOT_SAMPLES))
-    assert np.array_equal(ys, eval_psi_grid(*pair, theta, xs, a - xs))
-    r = eval_psi(EigenfunctionHandle(E, Mode(*pair), theta), xs, a - xs)
-    assert np.array_equal(dys, r.grad_s - r.grad_t)
+    _assert_certified_chord(pair, a, theta, xs, ys, dys)
     (tangent,) = reads
     assert tangent[0] is xs and tangent[1] is ys and tangent[2] is dys
     assert tangent[3] == bounds
+
+
+def test_digest_chords_are_certified(monkeypatch):
+    # the root digest's 200 chords, drawn as test_root_digest.root_reprs
+    # draws them after its 300 angles
+    rng = random.Random(7)
+    for _ in range(300):
+        rng.random()
+    chords = [(EDGE_PAIRS[i % 2], rng.uniform(0.05, 0.95), rng.uniform(0.0, math.pi))
+              for i in range(200)]
+    calls, _ = _record_scans(monkeypatch)
+    for chord in chords:
+        edge_restriction_roots(*chord)
+    assert len(calls) == len(chords)
+    for chord, (_, (xs, ys, dys), _, _) in zip(chords, calls):
+        _assert_certified_chord(*chord, xs, ys, dys)
+
+
+@pytest.mark.parametrize("pair, a, theta, which", [
+    ((1, 3), 0.3, 0.0, 0), ((2, 3), 0.7, 0.0, 0), ((2, 3), 0.9, 0.0, 0),
+    ((1, 3), 0.64, math.pi / 2, 1), ((2, 3), 0.61, math.pi / 2, 1)])
+def test_chord_read_back_keeps_the_exact_zeros_of_the_sums(pair, a, theta, which):
+    # on the median s = t, at u = a/2, eval_psi's C is exactly 0, and so is
+    # the slope of S on these chords, where the table is off by up to 2e-13
+    # and |S| is not the largest: only the read-back of the band |v| <=
+    # delta, or |v'| <= delta_slope, keeps the zero
+    h = EigenfunctionHandle(E, Mode(*pair), theta)
+    u = np.append(np.linspace(a / 3, 2 * a / 3, 257)[1:-1], a / 2)
+    r = eval_psi(h, u, a - u)
+    exact = (r.value, r.grad_s - r.grad_t)[which]
+    values, _, delta, _ = table = _chord_table(h, a, u)
+    assert exact[-1] == 0.0 and table[which][-1] != 0.0
+    assert abs(values[-1]) < np.max(np.abs(values)) - 2.0 * delta
+    got = _certified_chord(h, a, u)[which]
+    assert got[-1] == 0.0 and np.array_equal(np.sign(got), np.sign(exact))
+
+
+def test_chord_bounds_cover_the_table_and_the_sums():
+    # delta >= |table - truth| + |eval_psi - truth| and delta_slope the same
+    # for the slopes, against 40-digit mpmath, the truth mixed with the same
+    # floats cos(theta) and sin(theta), on chords from a = 1e-4 to 1 - 1e-10
+    # and at angles in [-7, 7]; the table alone is within the 1e-13 M0 that
+    # find_roots grants a sample
+    import mpmath as mp
+
+    with mp.workdps(40):
+        for pair in EDGE_PAIRS:
+            terms = weyl_coefficients(*pair)
+            for a in (1e-4, 0.05, 1 / 3, 0.7, 0.95, 1.0 - 1e-10):
+                xs = _chord_xs(a)[list(range(0, ROOT_SAMPLES, 273)) + [-1]]
+                for theta in (-7.0, -2.9, 0.0, 0.3, PI / 2, 7.0):
+                    h = EigenfunctionHandle(E, Mode(*pair), theta)
+                    c, s = mp.mpf(math.cos(theta)), mp.mpf(math.sin(theta))
+                    size = len(terms) * (abs(math.cos(theta)) + abs(math.sin(theta)))
+                    values, slopes, delta, delta_slope = _chord_table(h, a, xs)
+                    r = eval_psi(h, xs, a - xs)
+                    for i, u in enumerate(xs):
+                        u = mp.mpf(float(u))
+                        phases = [(sign, 2 * mp.pi * (ta * u + tb * (mp.mpf(a) - u)),
+                                   2 * mp.pi * (ta - tb)) for sign, ta, tb in terms]
+                        f = sum(sign * (c * mp.cos(p) + s * mp.sin(p)) for sign, p, _ in phases)
+                        df = sum(sign * k * (s * mp.cos(p) - c * mp.sin(p))
+                                 for sign, p, k in phases)
+                        assert abs(values[i] - f) + abs(r.value[i] - f) <= delta
+                        assert (abs(slopes[i] - df) + abs(r.grad_s[i] - r.grad_t[i] - df)
+                                <= delta_slope)
+                        assert abs(values[i] - f) <= 1e-13 * size
+
+
+@pytest.mark.parametrize("pair, theta", [((2, 3), 0.3), ((1, 3), 1.0)])
+@pytest.mark.parametrize("a", [1e-6, 1.0 - 2.0 ** -53])
+def test_chords_within_rounding_of_zero_are_refused(pair, a, theta):
+    # max |f(xs)| is below ROUNDING M0 there (8e-17 M0 and 2e-15 M0 for
+    # (2,3)), where the sums' rounding decides every sign: they used to
+    # report 143 and 711 noise roots for (2,3), 55 and 795 for (1,3)
+    h = EigenfunctionHandle(E, Mode(*pair), theta)
+    xs = _chord_xs(a)
+    size = 6 * (abs(math.cos(theta)) + abs(math.sin(theta)))
+    assert np.max(np.abs(eval_psi(h, xs, a - xs).value)) <= ROUNDING * size
+    with pytest.raises(ValueError, match="within rounding of zero"):
+        edge_restriction_roots(pair, a, theta)
 
 
 def test_edge_tables_are_built_once_per_pair_and_range():

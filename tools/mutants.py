@@ -81,6 +81,24 @@ MUTANTS = (
     ("nodal_analysis.py", "for i in brackets[floor <= threshold]]",
      "for i in brackets[floor > threshold]]",
      "test_nodal_analysis.py::test_chord_roots_s23_tangent"),
+    # the chord certificate without the exact reads at the largest table
+    # values, which fix find_roots' threshold, at the band |v| <= delta, which
+    # fixes the signs and exact zeros, or at |v'| <= delta_slope, and with its
+    # bound delta taken as 0
+    ("eigenfunction_eval.py",
+     "(size >= size.max() - 2.0 * delta)\n                          | (size <= delta)",
+     "(size <= delta)",
+     "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
+    ("eigenfunction_eval.py", "                          | (size <= delta)\n", "",
+     "test_nodal_analysis.py::test_chord_read_back_keeps_the_exact_zeros_of_the_sums"),
+    ("eigenfunction_eval.py", "\n                          | (np.abs(slopes) <= delta_slope))",
+     ")", "test_nodal_analysis.py::test_chord_read_back_keeps_the_exact_zeros_of_the_sums"),
+    ("eigenfunction_eval.py", "return values, slopes, 2.0 * (table + sums),",
+     "return values, slopes, 0.0 * (table + sums),",
+     "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
+    # a chord within rounding of zero scanned for noise roots
+    ("nodal_analysis.py", "if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:", "if False:",
+     "test_nodal_analysis.py::test_chords_within_rounding_of_zero_are_refused"),
     # the verdict's handle at theta 0, which is C_{m,m} = 0 for m = n
     ("nodal_analysis.py", "EigenfunctionHandle(d, pair, thetas[0])",
      "EigenfunctionHandle(d, pair)",
