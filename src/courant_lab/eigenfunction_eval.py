@@ -5,16 +5,13 @@ right-isosceles triangle.
 
 Evaluators accept scalars or numpy arrays in (s, t), elementwise; gradients
 are analytic (term-by-term differentiation), never internal finite
-differences.  A grid is read from per-axis cos/sin tables (weyl_tables,
-GridBasis.separable), within a bound delta of the sums, and the sums
-themselves are read only at chosen samples (GridBasis.exact_at).
-
-A triangle's nodal grid (_grid_values) is read beside the bound it relies
-on: _certified_values reads the sums back wherever delta could decide a sign
-or the zero band, and sign_grid bands the values, for counts and plots alike.
-A chord s + t = a is read the same way: a table of its three frequencies
-(_chord_table), with eval_psi read back where its bound could decide
-(_certified_chord).
+differences.  A triangle's nodal grid (_grid_values, GridBasis.separable)
+and a chord s + t = a (_chord_table) are read from cos/sin tables within a
+derived bound delta of the sums, whose own rounding is _sums_error.  One
+rule (_decisive) names the samples where delta could decide the largest
+|value| or a side of the band, and one call reads the sums there
+(GridBasis.exact_at, eval_psi), for counts, plots and root scans alike
+(_certified_values, _certified_chord).
 """
 
 import functools
@@ -95,6 +92,19 @@ def _gamma(k: int) -> float:
     return k * UNIT / (1.0 - k * UNIT)
 
 
+def _sums_error(w: float, k: int, x: float) -> float:
+    """A bound on the rounding of eval_psi's value, or of mix((eval_C,
+    eval_S), theta), at a point where each Weyl phase 2 pi (a s + b t) has
+    |a s| + |b t| <= k x, against the truth mixed with the same c = cos theta
+    and s = sin theta, w = |c| + |s|: the phase has six roundings (fl(2 pi),
+    a s, b t, their sum, the product, and t = fl(a - u) on a chord), so its
+    cos and sin are within eta = gamma_6 2 pi k x + TRIG_ERR of the truth's,
+    and C and S add gamma_5 and the mix gamma_2, so the value is within 6 w
+    (eta + gamma_7 (1 + eta)).  Below it a sample's sign is not known."""
+    eta = _gamma(6) * TWO_PI * k * x + TRIG_ERR
+    return 6.0 * w * (eta + _gamma(7) * (1.0 + eta))
+
+
 def weyl_tables(m: int, n: int):
     """(ks, M_C, M_S) with C(s, t) = A(s) M_C A(t)^T and S(s, t) = A(s) M_S
     A(t)^T, where A(x) is the row (cos 2 pi k x for k in ks, then sin 2 pi k
@@ -152,15 +162,9 @@ class GridBasis:
           length 6 or less add gamma_13 (1 + gamma_2) |A| |W| |A|^T, so the
           value is within sum |W| (2 alpha + alpha^2 + gamma_16 (1 + alpha)^2)
           of the true c C + s S;
-        - mix's sums: on the right-isosceles triangle they are the product of
-          the same sines in one order, so the same bound holds.  On the other
-          two, a Weyl term's phase fl(2 pi fl(fl(a s) + fl(b t))) has four
-          roundings and 2 pi one, so it is within gamma_4 2 pi (|a s| + |b t|)
-          <= gamma_4 2 P =: phi of the true one (|a|, |b| <= m + n), and its
-          cos or sin within phi + TRIG_ERR; six terms of size <= 1 summed in
-          order add gamma_5 6.  So C and S are each within eta = 6 (phi +
-          TRIG_ERR + gamma_5) of the true sums, and fl(fl(c C) + fl(s S)) is
-          within (|c| + |s|) (eta + gamma_2 (6 + eta)) of c C + s S.
+        - the sums: on the right-isosceles triangle they are the product of
+          the same sines in one order, so the same bound holds; on the other
+          two _sums_error(|c| + |s|, 2 (m + n), x[-1]), as |a|, |b| <= m + n.
         delta is twice the sum of the two bounds; the factor covers the
         rounding of the comparisons the certificate makes with it, below u
         (6 (|c| + |s|) + 2 delta) each."""
@@ -184,8 +188,7 @@ class GridBasis:
         if self.domain is DomainKind.RIGHT_ISOSCELES:
             sums = table
         else:
-            eta = 6.0 * (_gamma(4) * 2.0 * phase + TRIG_ERR + _gamma(5))
-            sums = (abs(c) + abs(s)) * (eta + _gamma(2) * (6.0 + eta))
+            sums = _sums_error(abs(c) + abs(s), 2 * sum(self.pair), float(self.x[-1]))
         return values, 2.0 * (sums + table)
 
     @functools.cached_property
@@ -231,30 +234,39 @@ def sign_grid(inside: np.ndarray, band: float, mask: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _decisive(values, delta: float, rel: float) -> np.ndarray:
+    """The samples, as a mask, where a table within delta of the sums could
+    decide the largest |value| or a sample's side of the band rel max |value|
+    (0 for a chord's signs and exact zeros).  With v the table value and V the
+    sum at a sample:
+    - |v| >= max |v| - 2 delta: the sample where |V| is largest has |v| >=
+      max |V| - delta >= max |v| - 2 delta, and every other sample has |v| <
+      max |V| - delta, so max |V| is among the sums read here;
+    - ||v| - b| <= (1 + rel) delta, b = rel max |v|: the sums' band B = rel max
+      |V| is within rel delta of b, so elsewhere |v| > b + (1 + rel) delta,
+      and |V| > B with the sign of v, or |v| < b - (1 + rel) delta, and |V| <
+      B."""
+    size = np.abs(values)
+    top = size.max()
+    high = np.flatnonzero(size >= top - 2.0 * delta)
+    size -= rel * top
+    read = np.abs(size, out=size) <= (1.0 + rel) * delta
+    read[high] = True
+    return read
+
+
 def _certified_values(basis: GridBasis, theta: float,
                       rel: float) -> Tuple[np.ndarray, float]:
     """(values, band): values whose signs outside the band rel * max |value|
     (a count's at ZERO_BAND_REL, a plot's strict signs at 0) are those of
-    the sums mixed at theta, and that band, read off the samples that fix
-    it: the table values (GridBasis.separable), within delta of the mixed
-    sums, with the sums themselves (exact_at) where delta could decide.
-    With v the table value and V the sum at a sample:
-    - at every sample with |v| >= max |v| - 2 delta: the sample where |V| is
-      largest has |v| >= max |V| - delta >= max |v| - 2 delta, and every
-      other sample has |v| < max |V| - delta, so the largest |value| is max
-      |V| and the band is the band of the sums;
-    - at every sample with ||v| - band| <= delta: elsewhere |v| > band +
-      delta, so |V| > band with the sign of v, or |v| < band - delta, so |V|
-      < band."""
+    the sums mixed at theta, and that band: the table values
+    (GridBasis.separable), within delta of the sums, with the sums themselves
+    (exact_at) read in one call wherever delta could decide (_decisive), so
+    the band is rel times the largest |sum| read."""
     values, delta = basis.separable(theta)
-    size = np.abs(values)
-    top = np.flatnonzero(size >= size.max() - 2.0 * delta)
-    values[top] = basis.exact_at(theta, top)
-    band = rel * float(np.max(np.abs(values[top])))
-    size -= band
-    edge = np.flatnonzero(np.abs(size, out=size) <= delta)
-    values[edge] = basis.exact_at(theta, edge)
-    return values, band
+    read = np.flatnonzero(_decisive(values, delta, rel))
+    values[read] = basis.exact_at(theta, read)
+    return values, rel * float(np.max(np.abs(values[read])))
 
 
 def _chord_table(h: EigenfunctionHandle, a: float, u):
@@ -283,13 +295,11 @@ def _chord_table(h: EigenfunctionHandle, a: float, u):
       coefficients fl(fl(2 pi) k Q_k) add gamma_3, so it is within 2 L ((nu
       + gamma_3 (1 + nu)) (1 + e) + e + gamma_6 (1 + nu) (1 + gamma_3) (1 +
       e));
-    - eval_psi at (u, fl(a - u)): a phase fl(2 pi) (a_j u + b_j t) has five
-      roundings and t one, and |a_j| u + |b_j| t <= M a, so its cos and sin
-      are within eta = gamma_6 2 pi M a + TRIG_ERR; C and S add gamma_5 and
-      the mix gamma_2, so the value is within N w (eta + gamma_7 (1 + eta)).
-      Each dterm is within w rho_1, rho_1 = eta + gamma_2 (1 + eta), the
-      terms 2 pi a_j dterm add gamma_3, their sums gamma_5 and grad_s -
-      grad_t one rounding, so it is within L (rho_1 + gamma_9 (1 + rho_1)).
+    - eval_psi at (u, fl(a - u)): |a_j| u + |b_j| t <= M a, so its value is
+      within _sums_error(w, M, a).  Its slope mixes each term's cos and sin
+      as the value does, times 2 pi a_j or 2 pi b_j (gamma_3), summed
+      (gamma_5) and subtracted (one rounding), so it is within L (eta +
+      gamma_11 (1 + eta)) <= L _sums_error(w, M, a) / (3 w), eta as there.
     Each delta is twice the sum of its two bounds; the factor covers the
     rounding of the comparisons made with it, as in GridBasis.separable.
     On a chord of (1,3) or (2,3) (a < 1, U < 2/3) the table's own bounds are
@@ -322,32 +332,29 @@ def _chord_table(h: EigenfunctionHandle, a: float, u):
     table_slope = 2.0 * slope_size * (
         (nu + _gamma(3) * (1.0 + nu)) * (1.0 + e) + e
         + _gamma(6) * (1.0 + nu) * (1.0 + _gamma(3)) * (1.0 + e))
-    eta = _gamma(6) * TWO_PI * largest * a + TRIG_ERR
-    rho_1 = eta + _gamma(2) * (1.0 + eta)
-    sums = size * (eta + _gamma(7) * (1.0 + eta))
-    sums_slope = slope_size * (rho_1 + _gamma(9) * (1.0 + rho_1))
+    sums = _sums_error(w, largest, a)
+    sums_slope = slope_size / (3.0 * w) * sums
     return values, slopes, 2.0 * (table + sums), 2.0 * (table_slope + sums_slope)
 
 
 def _certified_chord(h: EigenfunctionHandle, a: float, u):
-    """(values, slopes): Psi^theta on the chord s + t = a at the samples u,
-    and its derivative in u, from _chord_table, with eval_psi's value and
-    grad_s - grad_t read back wherever delta or delta_slope could decide:
-    - at every sample with |v| >= max |v| - 2 delta, so max |value| is
-      eval_psi's (the argument of _certified_values);
-    - at every sample with |v| <= delta: elsewhere eval_psi's value is
-      nonzero with the sign of v, so every sign and every exact zero is
-      eval_psi's;
-    - at every sample with |v'| <= delta_slope, so are the slopes'.
-    Every other sample is within delta (delta_slope) of eval_psi's."""
+    """(values, slopes, (M0, M2)): Psi^theta on the chord s + t = a at the
+    samples u and its derivative in u, from _chord_table, with eval_psi's
+    value and grad_s - grad_t read back in one call where delta could decide
+    (_decisive at band 0: the largest |value|, every sign and every exact
+    zero) and where |v'| <= delta_slope (the slopes' signs and zeros); and
+    find_roots' bounds: M0 = 6 w, the size of the six terms, and M2 = w sum
+    (2 pi (a_j - b_j))^2 >= max |f''|, as each term is sign (cos(theta) cos +
+    sin(theta) sin) of a phase whose derivative in u is 2 pi (a_j - b_j)."""
     values, slopes, delta, delta_slope = _chord_table(h, a, u)
-    size = np.abs(values)
-    read = np.flatnonzero((size >= size.max() - 2.0 * delta)
-                          | (size <= delta)
+    read = np.flatnonzero(_decisive(values, delta, 0.0)
                           | (np.abs(slopes) <= delta_slope))
     r = eval_psi(h, u[read], a - u[read])
     values[read], slopes[read] = r.value, r.grad_s - r.grad_t
-    return values, slopes
+    w = abs(math.cos(h.theta)) + abs(math.sin(h.theta))
+    terms = weyl_coefficients(*h.mode)
+    return values, slopes, (w * len(terms),
+                            w * sum((TWO_PI * (ta - tb)) ** 2 for _, ta, tb in terms))
 
 
 class EvalResult(NamedTuple):

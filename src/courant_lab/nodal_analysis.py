@@ -12,14 +12,11 @@ root x0 != 1 of P_W is a breakpoint of the theta partition.
 Each root scan samples once and hands find_roots the samples: an edge scan
 mixes at its angle the theta-independent tables of gc, gs, gc' and gs'
 (_edge_functions), built once per pair and range (_edge_tables), a chord
-scan reads a certified three-frequency table of the restriction and its
-slope (_certified_chord), and the others evaluate on the sample array.
-find_roots takes its threshold, its brackets and its grid zeros from the
-samples' largest |value|, signs and exact zeros, and solves on f and df
-themselves.  Every sample of an edge, polynomial or median scan has the
-bits of the function at that point; a chord's samples are within a derived
-bound of eval_psi's, and their signs, exact zeros and largest |value| are
-eval_psi's.  So every root has the bits of the function.
+scan reads the certified table of the restriction and its slope, with
+eval_psi read back by the grid's rule in one call (_certified_chord), and
+the others evaluate on the sample array.  find_roots reads only the
+samples' largest |value|, signs and exact zeros, which are the function's,
+and solves on f and df themselves, so every root has the function's bits.
 
 find_roots solves a sign change of the derivative, a candidate tangent root,
 only where Taylor's theorem cannot prove |f| too large for the root to be
@@ -266,9 +263,8 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     rule at |x| <= 1 rounds by at most 2n u M0 (u the unit roundoff), and
     one in a rounded cosine is off by at most n^2 M0 times the cosine's
     error (Markov's inequality); tests check it against mpmath.  A sign
-    change of df's samples is solved only where _tangent_floor cannot prove
-    its root's |f| above the threshold; elsewhere the root would have been
-    thrown away, so the output is that of solving every one."""
+    change of df's samples is solved only where _tangent_floor cannot rule
+    out a kept root."""
     xs, ys, dys = samples
     lo, hi = float(xs[0]), float(xs[-1])
     ys = np.asarray(ys, dtype=float)
@@ -417,13 +413,7 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     lo, hi = a / 3.0, 2.0 * a / 3.0
     margin = (hi - lo) * 1e-6
     xs = np.linspace(lo + margin, hi - margin, ROOT_SAMPLES)
-    ys, dys = _certified_chord(h, a, xs)
-    # each Weyl term is sign (cos(theta) cos + sin(theta) sin) of a phase
-    # whose derivative in u is 2 pi (a - b)
-    weight = abs(math.cos(theta)) + abs(math.sin(theta))
-    terms = weyl_coefficients(m, n)
-    bounds = (weight * len(terms),
-              weight * sum((2.0 * PI * (ta - tb)) ** 2 for _, ta, tb in terms))
+    ys, dys, bounds = _certified_chord(h, a, xs)
     # the sums round by up to 1e-13 M0 (find_roots): on a chord this small
     # no sample's sign is known to be the restriction's
     if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:

@@ -53,10 +53,8 @@ def _fmt(v: float) -> str:
 
 def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     """Deterministic SVG document for the nodal set of the handle, with the
-    segments of the sums: the signs are the certified values' strict signs
-    (sign_grid of _certified_values at band 0, which reads the sums back
-    where the table's sign could differ), tested > 0 in place, in one r^2
-    grid, and the values interpolated on are the gathered corners' sums."""
+    segments of the sums: the certified values' strict signs (band 0),
+    tested > 0 in place in one r^2 grid, and the gathered corners' sums."""
     basis = _grid_values(h, resolution)
     signs = sign_grid(*_certified_values(basis, h.theta, 0.0), basis.mask)
     pos = np.greater(signs, 0, out=signs.view(bool))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import DomainKind
+from courant_lab.alcove_geometry import DomainKind, weyl_coefficients
 from courant_lab.eigenfunction_eval import (BLOCK, TRIG_ERR, EigenfunctionHandle,
-                                            _grid_values, eigenbasis, eval_C,
+                                            _gamma, _grid_values, _sums_error,
+                                            eigenbasis, eval_C,
                                             eval_isosceles, eval_psi,
                                             eval_psi_grid, eval_S, mix)
 from courant_lab.lattice_spectrum import Mode
@@ -68,6 +69,43 @@ def test_separable_skips_a_last_block_of_rows_with_no_inside_sample(h):
     exact = basis.exact_at(h.theta, np.arange(basis.mask.sum()))
     assert values.shape == exact.shape
     assert np.max(np.abs(values - exact)) <= delta
+
+
+@pytest.mark.parametrize("resolution", [512, 4096])
+def test_grid_bounds_cover_the_table_and_the_sums(resolution):
+    # delta >= |table - truth| + |exact_at - truth| against 40-digit mpmath,
+    # the truth mixed with the same floats cos(theta) and sin(theta), at the
+    # inside samples with the largest Weyl phases and a few drawn ones
+    import mpmath as mp
+
+    rng = np.random.default_rng(5)
+    for h, thetas in ((EigenfunctionHandle(E, Mode(2, 3)), (-7.0, 0.3, math.pi / 2, 7.0)),
+                      (EigenfunctionHandle(H, Mode(4, 2)), (0.0,))):
+        basis = _grid_values(h, resolution)
+        terms = weyl_coefficients(*h.mode)
+        # each row's first and last inside samples, and their largest phase
+        rows = np.flatnonzero(basis.lo < basis.hi)
+        i = np.concatenate((rows, rows))
+        j = np.concatenate((basis.lo[rows], basis.hi[rows] - 1))
+        s, t = basis.x[i], basis.x[j]
+        phase = np.max([np.abs(a * s + b * t) for _, a, b in terms], axis=0)
+        ends = basis.starts[i] + j - basis.lo[i]
+        idx = np.concatenate((ends[np.argsort(phase)[-4:]],
+                              rng.integers(0, basis.mask.sum(), 4)))
+        i = np.searchsorted(basis.starts, idx, side="right") - 1
+        s, t = basis.x[i], basis.x[basis.lo[i] + idx - basis.starts[i]]
+        for theta in thetas:
+            values, delta = basis.separable(theta)
+            exact = basis.exact_at(theta, idx)
+            c, sn = math.cos(theta), math.sin(theta)
+            with mp.workdps(40):
+                for k in range(len(idx)):
+                    p = [(sign, 2 * mp.pi * (a * mp.mpf(float(s[k])) + b * mp.mpf(float(t[k]))))
+                         for sign, a, b in terms]
+                    truth = sum(sign * mp.cos(q) for sign, q in p)
+                    if h.domain is E:
+                        truth = c * truth + sn * sum(sign * mp.sin(q) for sign, q in p)
+                    assert abs(values[idx[k]] - truth) + abs(exact[k] - truth) <= delta
 
 
 def test_plots_and_counts_read_one_certified_grid():
@@ -373,3 +411,11 @@ def test_numpy_trig_is_within_the_error_the_table_bound_allows():
             err = max(abs(float(true(mpmath.mpf(float(v))) - float(w)))
                       for v, w in zip(x, f(x)))
             assert err <= TRIG_ERR / 2, f.__name__
+
+
+def test_sums_error_grants_each_cos_and_sin_the_trig_error():
+    # the floor of the sums' rounding: where no phase rounds, each of the six
+    # Weyl terms' cos and sin may still be TRIG_ERR off, and C, S and the mix
+    # round seven times over terms of size at most 1
+    for w in (1.0, math.sqrt(2.0)):
+        assert _sums_error(w, 0, 0.0) >= 6.0 * w * (TRIG_ERR + _gamma(7))

@@ -1165,23 +1165,24 @@ def test_count_refuses_a_doubled_grid_above_the_cap_before_any_grid(monkeypatch)
 
 class _TableStub:
     """A basis whose table values are given: exact_at reads the sums and
-    records the samples read."""
+    records the samples read and the calls."""
 
     def __init__(self, exact, table, delta):
-        self.exact, self.table, self.delta, self.read = exact, table, delta, []
+        self.exact, self.table, self.delta, self.read, self.calls = exact, table, delta, [], 0
 
     def separable(self, theta):
         return self.table.copy(), self.delta
 
     def exact_at(self, theta, idx):
         self.read += idx.tolist()
+        self.calls += 1
         return self.exact[idx]
 
 
 def test_certificate_reads_the_sums_at_the_top_and_the_band_edge():
     import courant_lab.nodal_analysis as nodal
 
-    delta = 1e-9
+    rel, delta = nodal.ZERO_BAND_REL, 1e-9
     # the largest sum at 0, the largest table value at 1; the sum at 2 is
     # just above the band 1e-5, its table value just below; 3 and 4 are far
     # from both
@@ -1189,13 +1190,27 @@ def test_certificate_reads_the_sums_at_the_top_and_the_band_edge():
     table = exact + np.array([-0.9, 0.9, -0.6, 0.9, -0.9]) * delta
     stub = _TableStub(exact, table, delta)
     mask = np.ones((1, 5), dtype=bool)
-    values, band = _certified_values(stub, 0.3, nodal.ZERO_BAND_REL)
-    assert sorted(set(stub.read)) == [0, 1, 2]
-    assert np.max(np.abs(values)) == 1.0 and band == nodal.ZERO_BAND_REL
+    values, band = _certified_values(stub, 0.3, rel)
+    assert sorted(set(stub.read)) == [0, 1, 2] and stub.calls == 1
+    assert np.max(np.abs(values)) == 1.0 and band == rel
     assert sign_grid(values, band, mask).tolist() == [[1, 1, 1, -1, 0]]
     # the table alone, banded at its own largest |value|, misreads sample 2
-    table_band = nodal.ZERO_BAND_REL * np.max(np.abs(table))
+    table_band = rel * np.max(np.abs(table))
     assert sign_grid(table, table_band, mask).tolist() == [[1, 1, 0, -1, 0]]
+    # the table's largest |value| nearly delta below the sums', so its band
+    # is 0.99 rel delta below theirs: the sum at 1 lies between the two
+    # bands, and its table value (1 + rel / 2) delta above the table's band
+    # is read only by the window's (1 + rel) factor
+    top = 1.0 - 0.99 * delta
+    table_band = rel * top
+    exact = np.array([1.0, table_band + 0.7 * rel * delta, -0.5])
+    table = np.array([top, table_band + (1.0 + 0.5 * rel) * delta, -0.5 + 0.5 * delta])
+    assert np.max(np.abs(table - exact)) <= delta and table[1] - table_band > delta
+    stub = _TableStub(exact, table, delta)
+    values, band = _certified_values(stub, 0.3, rel)
+    assert stub.read == [0, 1] and stub.calls == 1 and band == rel
+    assert sign_grid(values, band, mask[:, :3]).tolist() == [[1, 0, -1]]
+    assert sign_grid(table, band, mask[:, :3]).tolist() == [[1, 1, -1]]
 
 
 # the benchmark gallery's modes and angles on each triangle

@@ -72,8 +72,8 @@ MUTANTS = (
      "test_nodal_analysis.py::test_chord_roots_s23_tangent"),
     # the tangential floor: the chord's M2 dropped, the d^2 M2 / 2 term
     # dropped, and the comparison flipped, solving only what can be skipped
-    ("nodal_analysis.py",
-     "weight * sum((2.0 * PI * (ta - tb)) ** 2 for _, ta, tb in terms))", "0.0)",
+    ("eigenfunction_eval.py",
+     "w * sum((TWO_PI * (ta - tb)) ** 2 for _, ta, tb in terms))", "0.0)",
      "test_nodal_analysis.py::test_skipped_tangential_solves_could_not_give_a_root"),
     ("nodal_analysis.py", "             - d * d * curvature / 2.0 - 2.0 * ROUNDING * size)",
      "             - 2.0 * ROUNDING * size)",
@@ -84,12 +84,12 @@ MUTANTS = (
     # the chord certificate without the exact reads at the largest table
     # values, which fix find_roots' threshold, at the band |v| <= delta, which
     # fixes the signs and exact zeros, or at |v'| <= delta_slope, and with its
-    # bound delta taken as 0
-    ("eigenfunction_eval.py",
-     "(size >= size.max() - 2.0 * delta)\n                          | (size <= delta)",
-     "(size <= delta)",
+    # bound delta taken as 0; the first two drop a clause of the read-back
+    # rule the grid shares (_decisive)
+    ("eigenfunction_eval.py", "    read[high] = True\n", "",
      "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
-    ("eigenfunction_eval.py", "                          | (size <= delta)\n", "",
+    ("eigenfunction_eval.py", "read = np.abs(size, out=size) <= (1.0 + rel) * delta",
+     "read = np.zeros_like(size, dtype=bool)",
      "test_nodal_analysis.py::test_chord_read_back_keeps_the_exact_zeros_of_the_sums"),
     ("eigenfunction_eval.py", "\n                          | (np.abs(slopes) <= delta_slope))",
      ")", "test_nodal_analysis.py::test_chord_read_back_keeps_the_exact_zeros_of_the_sums"),
@@ -103,13 +103,18 @@ MUTANTS = (
     ("nodal_analysis.py", "EigenfunctionHandle(d, pair, thetas[0])",
      "EigenfunctionHandle(d, pair)",
      "test_nodal_analysis.py::test_verdict_counts_only_candidates_above_two"),
-    # the certificate without the exact reads at the largest table values,
-    # which fix the band, or at the band's edges, and with its band halved
-    ("eigenfunction_eval.py", "    values[top] = basis.exact_at(theta, top)\n", "",
+    # the grid certificate without the exact reads at the largest table
+    # values, which fix the band, or at the band's edges (the two mutants of
+    # the shared rule above), with its band halved, and with the band window
+    # missing the rel delta gap between the table's band and the sums'
+    ("eigenfunction_eval.py", "    read[high] = True\n", "",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
-    ("eigenfunction_eval.py", "    values[edge] = basis.exact_at(theta, edge)\n", "",
+    ("eigenfunction_eval.py", "read = np.abs(size, out=size) <= (1.0 + rel) * delta",
+     "read = np.zeros_like(size, dtype=bool)",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
-    ("eigenfunction_eval.py", "band = rel * float(", "band = 0.5 * rel * float(",
+    ("eigenfunction_eval.py", "return values, rel * float(", "return values, 0.5 * rel * float(",
+     "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
+    ("eigenfunction_eval.py", "<= (1.0 + rel) * delta", "<= delta",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
     # a 1 fill outside the mask
     ("eigenfunction_eval.py", "signs = np.zeros(mask.shape, dtype=np.int8)",
@@ -148,7 +153,11 @@ MUTANTS = (
     ("eigenfunction_eval.py", "            if not full.any():\n                continue\n", "",
      "test_eigenfunction_eval.py::"
      "test_separable_skips_a_last_block_of_rows_with_no_inside_sample"),
-    # the table values taken as the sums: no margin for the exact reads
+    # the sums' rounding without numpy's trig error, and the table values
+    # taken as the sums: no margin for the exact reads
+    ("eigenfunction_eval.py", "eta = _gamma(6) * TWO_PI * k * x + TRIG_ERR",
+     "eta = _gamma(6) * TWO_PI * k * x",
+     "test_eigenfunction_eval.py::test_sums_error_grants_each_cos_and_sin_the_trig_error"),
     ("eigenfunction_eval.py", "return values, 2.0 * (sums + table)",
      "return values, 0.0 * (sums + table)",
      "test_nodal_analysis.py::test_certified_signs_on_every_verdict_candidate"),
