@@ -6,12 +6,13 @@ right-isosceles triangle.
 Evaluators accept scalars or numpy arrays in (s, t), elementwise; gradients
 are analytic (term-by-term differentiation), never internal finite
 differences.  A triangle's nodal grid (_grid_values, GridBasis.separable)
-and a chord s + t = a (_chord_table) are read from cos/sin tables within a
-derived bound delta of the sums, whose own rounding is _sums_error.  One
-rule (_decisive) names the samples where delta could decide the largest
-|value| or a side of the band, and one call reads the sums there
-(GridBasis.exact_at, eval_psi), for counts, plots and root scans alike
-(_certified_values, _certified_chord).
+and a chord s + t = a (_chord_table) are one table form: the separable
+product A_r W A_c^T of weyl_tables, in (s, t) on the grid and in (a, u) on
+the chord, within delta of the sums: one table bound (_table_error) and the
+sums' own rounding (_sums_error).  One rule (_decisive) names the samples
+where delta could decide the largest |value| or a side of the band, and one
+call reads the sums there (GridBasis.exact_at, eval_psi), for counts, plots
+and root scans alike (_certified_values, _certified_chord).
 """
 
 import functools
@@ -105,23 +106,52 @@ def _sums_error(w: float, k: int, x: float) -> float:
     return 6.0 * w * (eta + _gamma(7) * (1.0 + eta))
 
 
-def weyl_tables(m: int, n: int):
-    """(ks, M_C, M_S) with C(s, t) = A(s) M_C A(t)^T and S(s, t) = A(s) M_S
-    A(t)^T, where A(x) is the row (cos 2 pi k x for k in ks, then sin 2 pi k
-    x).  By angle addition each Weyl term (sign, a, b) is cos 2 pi (a s + b t)
-    = cos(2 pi a s) cos(2 pi b t) - sin(2 pi a s) sin(2 pi b t) and sin 2 pi (a
-    s + b t) = sin(2 pi a s) cos(2 pi b t) + cos(2 pi a s) sin(2 pi b t), and
-    cos 2 pi a x, sin 2 pi a x are the |a| columns times 1 and sign(a)."""
-    ks = (m, n, m + n)
-    mc, ms = np.zeros((6, 6)), np.zeros((6, 6))
-    for sign, a, b in weyl_coefficients(m, n):
-        i, j = ks.index(abs(a)), ks.index(abs(b))
-        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+def _table_error(size: np.ndarray, phase: float, roundings: int = 16) -> float:
+    """A bound on the rounding of a separable product A_r W A_c^T (the grid's
+    and the chord's), in any order of summation: A_r and A_c hold cos and sin
+    of phases fl(fl(2 pi) k) x of at most `phase`, W = c M_C + s M_S and size
+    = |fl(W)|, which is |c| |M_C| + |s| |M_S| to one rounding, as M_C and M_S
+    share no entry (u the unit roundoff, gamma_k = k u / (1 - k u)).  A phase
+    has three roundings, so each entry of A_r and A_c is within alpha =
+    gamma_3 phase + TRIG_ERR of the true one; fl(W) is within gamma_2 |W| of
+    W, and the two products of inner length 6 or less add gamma_13 (1 +
+    gamma_2) |A_r| |W| |A_c|^T, so the value is within sum |W| (2 alpha +
+    alpha^2 + gamma_16 (1 + alpha)^2).  A middle matrix with more roundings
+    than W's two passes 14 plus their count as roundings."""
+    alpha = _gamma(3) * phase + TRIG_ERR
+    return float(np.sum(size)) * (
+        2.0 * alpha + alpha * alpha + _gamma(roundings) * (1.0 + alpha) ** 2)
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_tables(m: int, n: int, chord: bool = False):
+    """(rows, cols, M_C, M_S, curvature), read-only and cached: C = A_r(x)
+    M_C A_c(y)^T and S = A_r(x) M_S A_c(y)^T, A_r(x) the row (cos 2 pi k x
+    for k in rows, then sin 2 pi k x) and A_c(y) the same in cols.  A Weyl
+    term (sign, a, b) has frequencies (p, q) = (a, b) in (x, y) = (s, t) on
+    the grid, and (b, a - b) in (a, u) on the chord s + t = a at s = u, as 2
+    pi (a u + b (a - u)) = 2 pi (b a + (a - b) u).  By angle addition its cos
+    and sin are sums of products of those of 2 pi p x and 2 pi q y, and cos
+    2 pi p x, sin 2 pi p x are the |p| columns times 1 and sign(p), so M_C
+    has entries only in the cos-cos and sin-sin blocks and M_S only in the
+    other two.  The rows are (m, n, m + n) either way, the chord's columns
+    (2, 5, 7) for (1,3) and (1, 7, 8) for (2,3).  With w = |c| + |s|, w
+    curvature = w sum (2 pi q)^2 bounds |d^2/dy^2| of c C + s S."""
+    terms = [(sign, b, a - b) if chord else (sign, a, b)
+             for sign, a, b in weyl_coefficients(m, n)]
+    rows = (m, n, m + n)
+    cols = tuple(sorted({abs(q) for _, _, q in terms})) if chord else rows
+    r, k = len(rows), len(cols)
+    mc, ms = np.zeros((2 * r, 2 * k)), np.zeros((2 * r, 2 * k))
+    for sign, p, q in terms:
+        i, j = rows.index(abs(p)), cols.index(abs(q))
+        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
         mc[i, j] += sign
-        mc[3 + i, 3 + j] -= sign * sa * sb
-        ms[3 + i, j] += sign * sa
-        ms[i, 3 + j] += sign * sb
-    return ks, mc, ms
+        mc[r + i, k + j] -= sign * sp * sq
+        ms[r + i, j] += sign * sp
+        ms[i, k + j] += sign * sq
+    mc.flags.writeable = ms.flags.writeable = False
+    return rows, cols, mc, ms, sum((TWO_PI * q) ** 2 for _, _, q in terms)
 
 
 class GridBasis:
@@ -153,24 +183,18 @@ class GridBasis:
         and (c, s) = (cos theta, sin theta).  It is formed block by block of
         rows, over the block's inside columns (mask), so no r^2 float array
         is made.  delta >= |value - exact_at(theta, sample)| at every
-        sample, in any order of summation (u the unit roundoff, gamma_k = k u
-        / (1 - k u), P the largest phase in the tables and |W| = |c| |M_C| +
-        |s| |M_S|):
-        - the tables: a phase has at most three roundings, so each entry of A
-          is within alpha = gamma_3 P + TRIG_ERR of the true one; fl(W) is
-          within gamma_2 |W| of c M_C + s M_S, and the two products of inner
-          length 6 or less add gamma_13 (1 + gamma_2) |A| |W| |A|^T, so the
-          value is within sum |W| (2 alpha + alpha^2 + gamma_16 (1 + alpha)^2)
-          of the true c C + s S;
+        sample, as each is within a bound of the true c C + s S:
+        - the tables: _table_error(|W|, the largest phase in A);
         - the sums: on the right-isosceles triangle they are the product of
           the same sines in one order, so the same bound holds; on the other
           two _sums_error(|c| + |s|, 2 (m + n), x[-1]), as |a|, |b| <= m + n.
         delta is twice the sum of the two bounds; the factor covers the
         rounding of the comparisons the certificate makes with it, below u
-        (6 (|c| + |s|) + 2 delta) each."""
+        (6 (|c| + |s|) + 2 delta) each, u the unit roundoff."""
         a, mc, ms, phase = self.tables
         c, s = math.cos(theta), math.sin(theta)
-        g = (c * mc + s * ms) @ a.T
+        mixed = c * mc + s * ms
+        g = mixed @ a.T
         counts, r = self.hi - self.lo, len(self.x)
         values = np.empty(int(counts.sum()))
         step = max(1, BLOCK // r)
@@ -182,9 +206,7 @@ class GridBasis:
             c0, c1 = lo[full].min(), hi[full].max()
             values[at:at + counts[i:i + step].sum()] = (
                 a[i:i + step] @ g[:, c0:c1])[self.mask[i:i + step, c0:c1]]
-        alpha = _gamma(3) * phase + TRIG_ERR
-        table = float(np.sum(abs(c) * np.abs(mc) + abs(s) * np.abs(ms))) * (
-            2.0 * alpha + alpha * alpha + _gamma(16) * (1.0 + alpha) ** 2)
+        table = _table_error(np.abs(mixed), phase)
         if self.domain is DomainKind.RIGHT_ISOSCELES:
             sums = table
         else:
@@ -201,7 +223,7 @@ class GridBasis:
             phase = np.multiply.outer(self.x, self.pair)
             turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
             return np.sin(phase), turn, np.zeros((2, 2)), float(phase.max())
-        ks, mc, ms = weyl_tables(*self.pair)
+        ks, _, mc, ms, _ = weyl_tables(*self.pair)
         phase = np.multiply.outer(self.x, [TWO_PI * k for k in ks])
         return np.hstack((np.cos(phase), np.sin(phase))), mc, ms, float(phase.max())
 
@@ -271,90 +293,59 @@ def _certified_values(basis: GridBasis, theta: float,
 
 def _chord_table(h: EigenfunctionHandle, a: float, u):
     """(values, slopes, delta, delta_slope): Psi^theta on the chord s + t = a
-    at the samples u in (0, a), and its derivative in u, from a table of
-    three frequencies.  There a Weyl term (sign, a_j, b_j) has phase beta_j
-    + omega_j u, beta_j = 2 pi b_j a and omega_j = 2 pi (a_j - b_j), so with
-    (c, s) = (cos theta, sin theta), floats as in eval_psi, it is p_j cos
-    omega_j u + q_j sin omega_j u, p_j = sign (c cos beta_j + s sin beta_j)
-    and q_j = sign (s cos beta_j - c sin beta_j).  Merged by k = |a_j - b_j|
-    (sin is odd), f = sum P_k cos 2 pi k u + Q_k sin 2 pi k u and f' = sum 2
-    pi k (Q_k cos - P_k sin): one product of scalar rows with six cos and
-    sin arrays.  delta >= |value - eval_psi's value| and delta_slope >=
-    |slope - eval_psi's grad_s - grad_t| at every sample, in any order of
-    summation, as each is within a bound of the truth, the restriction mixed
-    with the same c and s (u the unit roundoff, gamma_k = k u / (1 - k u), N
-    = 6 terms, w = |c| + |s|, M the largest |a_j| or |b_j|, U the largest
-    sample and L = 2 pi w sum (|a_j| + |b_j|) >= 2 pi w sum |a_j - b_j|):
-    - the table: beta_j = fl(fl(2 pi) b_j) a has three roundings, so its cos
-      and sin (math's) are within e_b = gamma_3 2 pi M a + TRIG_ERR, p_j and
-      q_j within w rho, rho = e_b + gamma_2 (1 + e_b), and P_k and Q_k, sums
-      of n_k of them, within n_k w nu, nu = rho + gamma_5 (1 + rho).  cos and
-      sin of fl(fl(2 pi) k) u are within e = gamma_3 2 pi k U + TRIG_ERR, k
-      the largest, and a sum of six products adds gamma_6, so the value is
-      within 2 N w (nu (1 + e) + e + gamma_6 (1 + nu) (1 + e)).  The slope's
-      coefficients fl(fl(2 pi) k Q_k) add gamma_3, so it is within 2 L ((nu
-      + gamma_3 (1 + nu)) (1 + e) + e + gamma_6 (1 + nu) (1 + gamma_3) (1 +
-      e));
-    - eval_psi at (u, fl(a - u)): |a_j| u + |b_j| t <= M a, so its value is
-      within _sums_error(w, M, a).  Its slope mixes each term's cos and sin
-      as the value does, times 2 pi a_j or 2 pi b_j (gamma_3), summed
-      (gamma_5) and subtracted (one rounding), so it is within L (eta +
-      gamma_11 (1 + eta)) <= L _sums_error(w, M, a) / (3 w), eta as there.
-    Each delta is twice the sum of its two bounds; the factor covers the
-    rounding of the comparisons made with it, as in GridBasis.separable.
-    On a chord of (1,3) or (2,3) (a < 1, U < 2/3) the table's own bounds are
-    below 5e-14 N w and 3e-12 N w: its samples round within the 1e-13 N w
-    that find_roots grants them."""
+    at the samples u in (0, a), and its derivative in u, as the grid's
+    separable product in (a, u) (weyl_tables, chord=True): with g = A_r(a) W,
+    W = c M_C + s M_S and (c, s) = (cos theta, sin theta), the values are
+    A_c(u) g and the slopes A_c(u) D g, D taking the cos and sin coefficients
+    (p_k, q_k) to (2 pi k q_k, -2 pi k p_k).  delta and delta_slope bound
+    |value - eval_psi's value| and |slope - eval_psi's grad_s - grad_t| at
+    every sample, each twice the sum of two bounds on the truth, the
+    restriction mixed with the same c and s, as in GridBasis.separable:
+    - the table: _table_error over |W|, and for the slopes over |W| |D|,
+      each cos and sin column of |W| times its 2 pi k, as fl(fl(2 pi) k) and
+      its product with g add three roundings;
+    - eval_psi at (u, fl(a - u)): |a_j| u + |b_j| t <= (m + n) a, so its value
+      is within _sums_error(w, m + n, a), w = |c| + |s|.  Its slope mixes each
+      term's cos and sin as the value does, times 2 pi a_j or 2 pi b_j
+      (gamma_3), summed (gamma_5) and subtracted (one rounding), so it is
+      within L (eta + gamma_11 (1 + eta)) <= L _sums_error(w, m + n, a) / (3
+      w), eta as there and L = 2 pi w sum (|a_j| + |b_j|) = 16 pi w (m + n)."""
     m, n = h.mode
+    rows, cols, mc, ms, _ = weyl_tables(m, n, chord=True)
     c, s = math.cos(h.theta), math.sin(h.theta)
-    terms = weyl_coefficients(m, n)
-    ks = sorted({abs(ta - tb) for _, ta, tb in terms})
-    p, q = [0.0] * len(ks), [0.0] * len(ks)
-    for sign, ta, tb in terms:
-        beta = TWO_PI * tb * a
-        cb, sb = math.cos(beta), math.sin(beta)
-        i = ks.index(abs(ta - tb))
-        p[i] += sign * (c * cb + s * sb)
-        q[i] += sign * ((ta > tb) - (ta < tb)) * (s * cb - c * sb)
-    omega = [TWO_PI * k for k in ks]
-    rows = np.array([[*p, *q], [*(o * qk for o, qk in zip(omega, q)),
-                                *(-o * pk for o, pk in zip(omega, p))]])
-    phase = np.multiply.outer(omega, u)
-    values, slopes = rows @ np.vstack((np.cos(phase), np.sin(phase)))
-    w, largest = abs(c) + abs(s), max(max(abs(ta), abs(tb)) for _, ta, tb in terms)
-    size = len(terms) * w
-    slope_size = TWO_PI * w * sum(abs(ta) + abs(tb) for _, ta, tb in terms)
-    e_b = _gamma(3) * TWO_PI * largest * a + TRIG_ERR
-    rho = e_b + _gamma(2) * (1.0 + e_b)
-    nu = rho + _gamma(5) * (1.0 + rho)
-    e = _gamma(3) * TWO_PI * ks[-1] * float(np.max(u)) + TRIG_ERR
-    table = 2.0 * size * (nu * (1.0 + e) + e + _gamma(6) * (1.0 + nu) * (1.0 + e))
-    table_slope = 2.0 * slope_size * (
-        (nu + _gamma(3) * (1.0 + nu)) * (1.0 + e) + e
-        + _gamma(6) * (1.0 + nu) * (1.0 + _gamma(3)) * (1.0 + e))
-    sums = _sums_error(w, largest, a)
-    sums_slope = slope_size / (3.0 * w) * sums
+    row = [TWO_PI * k * a for k in rows]
+    mixed = c * mc + s * ms
+    g = np.array([*map(math.cos, row), *map(math.sin, row)]) @ mixed
+    omega, half = np.array([TWO_PI * k for k in cols] * 2), len(cols)
+    phase = np.multiply.outer(omega[:half], u)
+    values, slopes = (np.array([g, omega * np.concatenate((g[half:], -g[:half]))])
+                      @ np.vstack((np.cos(phase), np.sin(phase))))
+    largest = max(row[-1], float(omega[-1]) * float(np.max(u)))
+    table = _table_error(np.abs(mixed), largest)
+    table_slope = _table_error(np.abs(mixed) * omega, largest, 19)
+    sums = _sums_error(abs(c) + abs(s), m + n, a)
+    sums_slope = TWO_PI * 8 * (m + n) / 3.0 * sums
     return values, slopes, 2.0 * (table + sums), 2.0 * (table_slope + sums_slope)
 
 
 def _certified_chord(h: EigenfunctionHandle, a: float, u):
-    """(values, slopes, (M0, M2)): Psi^theta on the chord s + t = a at the
-    samples u and its derivative in u, from _chord_table, with eval_psi's
+    """(values, slopes, (M0, M2), floor): Psi^theta on the chord s + t = a at
+    the samples u and its derivative in u, from _chord_table, with eval_psi's
     value and grad_s - grad_t read back in one call where delta could decide
     (_decisive at band 0: the largest |value|, every sign and every exact
-    zero) and where |v'| <= delta_slope (the slopes' signs and zeros); and
-    find_roots' bounds: M0 = 6 w, the size of the six terms, and M2 = w sum
-    (2 pi (a_j - b_j))^2 >= max |f''|, as each term is sign (cos(theta) cos +
-    sin(theta) sin) of a phase whose derivative in u is 2 pi (a_j - b_j)."""
+    zero) and where |v'| <= delta_slope (the slopes' signs and zeros);
+    find_roots' bounds: M0 = 6 w, the size of the six terms, and M2 = w
+    curvature = w sum (2 pi (a_j - b_j))^2 >= max |f''| (weyl_tables), w =
+    |cos theta| + |sin theta|; and floor = _sums_error(w, m + n, a), the
+    sums' own rounding, below which a sample's sign is not known."""
     values, slopes, delta, delta_slope = _chord_table(h, a, u)
     read = np.flatnonzero(_decisive(values, delta, 0.0)
                           | (np.abs(slopes) <= delta_slope))
     r = eval_psi(h, u[read], a - u[read])
     values[read], slopes[read] = r.value, r.grad_s - r.grad_t
     w = abs(math.cos(h.theta)) + abs(math.sin(h.theta))
-    terms = weyl_coefficients(*h.mode)
-    return values, slopes, (w * len(terms),
-                            w * sum((TWO_PI * (ta - tb)) ** 2 for _, ta, tb in terms))
+    curvature = weyl_tables(*h.mode, chord=True)[4]
+    return values, slopes, (6.0 * w, w * curvature), _sums_error(w, sum(h.mode), a)
 
 
 class EvalResult(NamedTuple):

@@ -12,11 +12,12 @@ root x0 != 1 of P_W is a breakpoint of the theta partition.
 Each root scan samples once and hands find_roots the samples: an edge scan
 mixes at its angle the theta-independent tables of gc, gs, gc' and gs'
 (_edge_functions), built once per pair and range (_edge_tables), a chord
-scan reads the certified table of the restriction and its slope, with
-eval_psi read back by the grid's rule in one call (_certified_chord), and
-the others evaluate on the sample array.  find_roots reads only the
-samples' largest |value|, signs and exact zeros, which are the function's,
-and solves on f and df themselves, so every root has the function's bits.
+scan reads the restriction and its slope from the grid's certified table
+form in (a, u), with eval_psi read back by the grid's rule in one call
+(_certified_chord), and the others evaluate on the sample array.  find_roots
+reads only the samples' largest |value|, signs and exact zeros, which are
+the function's, and solves on f and df themselves, so every root has the
+function's bits.
 
 find_roots solves a sign change of the derivative, a candidate tangent root,
 only where Taylor's theorem cannot prove |f| too large for the root to be
@@ -245,26 +246,27 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
 
 def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     """All roots of f on [lo, hi], as floats, from its samples = (xs, f(xs),
-    df(xs) or None), xs = linspace(lo, hi, ROOT_SAMPLES): solve each sign
-    change by Brent's method (_brentq) and, given df, Newton-polish it and
-    add the tangent (even-order) roots, the roots of df where |f| < 1e-9 max
-    |f(xs)|.  A root on a sample is caught as an exact grid zero: on [-1,
-    1], where the reduction polynomials are solved, that is how P_W's triple
-    root at the sample x = 1 is found.  Roots within MERGE_TOL of the last
-    one kept are dropped, the roots of df before |f| is tested.
+    df(xs) or None), xs = linspace(lo, hi, ROOT_SAMPLES) or, on a chord, a
+    run of it (edge_restriction_roots): solve each sign change by Brent's
+    method (_brentq) and, given df, Newton-polish it and add the tangent
+    (even-order) roots, the roots of df where |f| < 1e-9 max |f(xs)|.  A
+    root on a sample is caught as an exact grid zero: on [-1, 1], where the
+    reduction polynomials are solved, that is how P_W's triple root at the
+    sample x = 1 is found.  Roots within MERGE_TOL of the last one kept are
+    dropped, the roots of df before |f| is tested.
 
     With df come bounds = (M0, M2): M2 >= max |f''| on [lo, hi], and M0 the
     sum of the absolute values of the terms f is summed from.  The callers'
     values of f, and d times those of f' (d < 1e-3, _tangent_floor), round
     by less than 1e-13 M0, a tenth of ROUNDING M0: a Weyl term's phase has a
     few roundings relative to a phase of at most 2 pi (m + n), numpy's cos
-    and sin are within 1 ulp, a chord's three-frequency table is within 5e-14
-    M0 (_chord_table), a polynomial of degree n <= 5 evaluated by Horner's
-    rule at |x| <= 1 rounds by at most 2n u M0 (u the unit roundoff), and
-    one in a rounded cosine is off by at most n^2 M0 times the cosine's
-    error (Markov's inequality); tests check it against mpmath.  A sign
-    change of df's samples is solved only where _tangent_floor cannot rule
-    out a kept root."""
+    and sin are within 1 ulp, a chord's table is within a bound of at most
+    5e-14 M0 (_chord_table), a polynomial of degree n <= 5 evaluated by
+    Horner's rule at |x| <= 1 rounds by at most 2n u M0 (u the unit
+    roundoff), and one in a rounded cosine is off by at most n^2 M0 times
+    the cosine's error (Markov's inequality); tests check it against mpmath.
+    A sign change of df's samples is solved only where _tangent_floor cannot
+    rule out a kept root."""
     xs, ys, dys = samples
     lo, hi = float(xs[0]), float(xs[-1])
     ys = np.asarray(ys, dtype=float)
@@ -413,12 +415,16 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     lo, hi = a / 3.0, 2.0 * a / 3.0
     margin = (hi - lo) * 1e-6
     xs = np.linspace(lo + margin, hi - margin, ROOT_SAMPLES)
-    ys, dys, bounds = _certified_chord(h, a, xs)
+    ys, dys, bounds, floor = _certified_chord(h, a, xs)
     # the sums round by up to 1e-13 M0 (find_roots): on a chord this small
     # no sample's sign is known to be the restriction's
     if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:
         raise ValueError(f"the chord s + t = {a!r} is within rounding of zero")
-    return find_roots(f, (xs, ys, dys), df=df, bounds=bounds)
+    # nor is it below the sums' own rounding, as near an end of a chord by a
+    # vertex: the scan runs from the first sample above that floor to the last
+    known = np.abs(ys) > floor
+    scan = slice(known.argmax(), len(ys) - known[::-1].argmax())
+    return find_roots(f, (xs[scan], ys[scan], dys[scan]), df=df, bounds=bounds)
 
 
 # The open edges: name, the sign of gs in K, the scanned range of the edge

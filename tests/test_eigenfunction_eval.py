@@ -71,11 +71,20 @@ def test_separable_skips_a_last_block_of_rows_with_no_inside_sample(h):
     assert np.max(np.abs(values - exact)) <= delta
 
 
+# GridBasis.separable's delta on the grids below, typed in: the chord's table
+# bound is the grid's (_table_error), so a change to it for one shows here;
+# each grid's largest phase is at the vertex e, whatever the resolution
+GRID_DELTAS = {(E, -7.0): 1.0557322100009117e-12, (E, 0.3): 9.359842208488066e-13,
+               (E, math.pi / 2): 7.48274541761121e-13, (E, 7.0): 1.0557322100009117e-12,
+               (H, 0.0): 8.822086920846534e-13}
+
+
 @pytest.mark.parametrize("resolution", [512, 4096])
 def test_grid_bounds_cover_the_table_and_the_sums(resolution):
     # delta >= |table - truth| + |exact_at - truth| against 40-digit mpmath,
     # the truth mixed with the same floats cos(theta) and sin(theta), at the
-    # inside samples with the largest Weyl phases and a few drawn ones
+    # inside samples with the largest Weyl phases and a few drawn ones; and
+    # delta keeps its bits (GRID_DELTAS)
     import mpmath as mp
 
     rng = np.random.default_rng(5)
@@ -96,6 +105,7 @@ def test_grid_bounds_cover_the_table_and_the_sums(resolution):
         s, t = basis.x[i], basis.x[basis.lo[i] + idx - basis.starts[i]]
         for theta in thetas:
             values, delta = basis.separable(theta)
+            assert delta == GRID_DELTAS[h.domain, theta]
             exact = basis.exact_at(theta, idx)
             c, sn = math.cos(theta), math.sin(theta)
             with mp.workdps(40):
@@ -395,10 +405,11 @@ def test_vertex_vanishing_orders():
 
 
 def test_numpy_trig_is_within_the_error_the_table_bound_allows():
-    # GridBasis.separable's delta takes numpy's float64 cos and sin to be
-    # within TRIG_ERR of the true values (its phases stay below 80 on the
-    # modes the tests and the benchmark count), and _chord_table's takes
-    # math's, on its scalar phases, to be; they are within 1 ulp of 1
+    # the table bound (_table_error) and the sums' (_sums_error) take numpy's
+    # float64 cos and sin to be within TRIG_ERR of the true values (the
+    # phases stay below 80 on the modes the tests and the benchmark count),
+    # and math's, which the chord's row A_r(a) takes (_chord_table), to be;
+    # they are within 1 ulp of 1
     import mpmath
 
     def scalar(f):

@@ -9,7 +9,7 @@ from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint,
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle,
                                             _certified_chord,
                                             _certified_values, _chord_table,
-                                            _grid_values,
+                                            _grid_values, _sums_error,
                                             eval_C, eval_S, eval_isosceles,
                                             eval_psi, eval_psi_grid, mix,
                                             sign_grid)
@@ -111,6 +111,36 @@ def test_chord_roots_c23():
 def test_chord_roots_validation():
     with pytest.raises(ValueError):
         edge_restriction_roots((1, 3), 1.5, 0.0)
+
+
+@pytest.mark.parametrize("a, count", [(1.0 - 1e-9, 3), (4e-5, 0)])
+def test_chord_ends_below_the_sums_rounding_give_no_noise_roots(a, count):
+    # (2,3) at theta 0.3: max |f| clears ROUNDING M0, but by the chord's ends
+    # the samples are below the sums' own rounding, where they gave 5 roots
+    # for 3 and 1 for none; the roots are the sign changes of 40-digit
+    # mpmath at the scan's samples, where |f| is small, and of eval_psi
+    # where |f| > 1e-10 M0, a thousand times the sums' rounding
+    import mpmath as mp
+
+    theta, xs = 0.3, _chord_xs(a)
+    h = EigenfunctionHandle(E, Mode(2, 3), theta)
+    truth = eval_psi(h, xs, a - xs).value
+    size = 6 * (abs(math.cos(theta)) + abs(math.sin(theta)))
+    small = np.flatnonzero(np.abs(truth) <= 1e-10 * size)
+    with mp.workdps(40):
+        c, s = mp.mpf(math.cos(theta)), mp.mpf(math.sin(theta))
+        terms = [(sign, 2 * mp.pi * tb * mp.mpf(a), 2 * mp.pi * (ta - tb))
+                 for sign, ta, tb in weyl_coefficients(2, 3)]
+        for i in small:
+            f = mp.mpf(0)
+            for sign, beta, omega in terms:
+                cos, sin = mp.cos_sin(beta + omega * float(xs[i]))
+                f += sign * (c * cos + s * sin)
+            truth[i] = math.copysign(1.0, f) if f else 0.0
+    changes = np.flatnonzero(truth[:-1] * truth[1:] < 0)
+    roots = edge_restriction_roots((2, 3), a, theta)
+    assert len(roots) == len(changes) == count
+    assert all(xs[i] <= r <= xs[i + 1] for r, i in zip(roots, changes))
 
 
 def sampled(f, lo, hi, df=None):
@@ -350,8 +380,9 @@ def test_chord_bounds_cover_the_table_and_the_sums():
     # delta >= |table - truth| + |eval_psi - truth| and delta_slope the same
     # for the slopes, against 40-digit mpmath, the truth mixed with the same
     # floats cos(theta) and sin(theta), on chords from a = 1e-4 to 1 - 1e-10
-    # and at angles in [-7, 7]; the table alone is within the 1e-13 M0 that
-    # find_roots grants a sample
+    # and at angles in [-7, 7]; the table alone, and its bound (delta / 2
+    # less the sums' rounding), are within the 1e-13 M0 that find_roots grants
+    # a sample
     import mpmath as mp
 
     with mp.workdps(40):
@@ -362,8 +393,10 @@ def test_chord_bounds_cover_the_table_and_the_sums():
                 for theta in (-7.0, -2.9, 0.0, 0.3, PI / 2, 7.0):
                     h = EigenfunctionHandle(E, Mode(*pair), theta)
                     c, s = mp.mpf(math.cos(theta)), mp.mpf(math.sin(theta))
-                    size = len(terms) * (abs(math.cos(theta)) + abs(math.sin(theta)))
+                    w = abs(math.cos(theta)) + abs(math.sin(theta))
+                    size = len(terms) * w
                     values, slopes, delta, delta_slope = _chord_table(h, a, xs)
+                    assert delta / 2 - _sums_error(w, sum(pair), a) <= 1e-13 * size
                     r = eval_psi(h, xs, a - xs)
                     for i, u in enumerate(xs):
                         u = mp.mpf(float(u))

@@ -72,8 +72,7 @@ MUTANTS = (
      "test_nodal_analysis.py::test_chord_roots_s23_tangent"),
     # the tangential floor: the chord's M2 dropped, the d^2 M2 / 2 term
     # dropped, and the comparison flipped, solving only what can be skipped
-    ("eigenfunction_eval.py",
-     "w * sum((TWO_PI * (ta - tb)) ** 2 for _, ta, tb in terms))", "0.0)",
+    ("eigenfunction_eval.py", "(6.0 * w, w * curvature)", "(6.0 * w, 0.0)",
      "test_nodal_analysis.py::test_skipped_tangential_solves_could_not_give_a_root"),
     ("nodal_analysis.py", "             - d * d * curvature / 2.0 - 2.0 * ROUNDING * size)",
      "             - 2.0 * ROUNDING * size)",
@@ -96,9 +95,13 @@ MUTANTS = (
     ("eigenfunction_eval.py", "return values, slopes, 2.0 * (table + sums),",
      "return values, slopes, 0.0 * (table + sums),",
      "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
-    # a chord within rounding of zero scanned for noise roots
+    # a chord within rounding of zero scanned for noise roots, and a chord's
+    # ends below the sums' rounding scanned too
     ("nodal_analysis.py", "if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:", "if False:",
      "test_nodal_analysis.py::test_chords_within_rounding_of_zero_are_refused"),
+    ("nodal_analysis.py", "scan = slice(known.argmax(), len(ys) - known[::-1].argmax())",
+     "scan = slice(None)",
+     "test_nodal_analysis.py::test_chord_ends_below_the_sums_rounding_give_no_noise_roots"),
     # the verdict's handle at theta 0, which is C_{m,m} = 0 for m = n
     ("nodal_analysis.py", "EigenfunctionHandle(d, pair, thetas[0])",
      "EigenfunctionHandle(d, pair)",
@@ -153,11 +156,14 @@ MUTANTS = (
     ("eigenfunction_eval.py", "            if not full.any():\n                continue\n", "",
      "test_eigenfunction_eval.py::"
      "test_separable_skips_a_last_block_of_rows_with_no_inside_sample"),
-    # the sums' rounding without numpy's trig error, and the table values
-    # taken as the sums: no margin for the exact reads
+    # the sums' rounding without numpy's trig error, the table bound (the
+    # grid's and the chord's) without the products' roundings, and the table
+    # values taken as the sums: no margin for the exact reads
     ("eigenfunction_eval.py", "eta = _gamma(6) * TWO_PI * k * x + TRIG_ERR",
      "eta = _gamma(6) * TWO_PI * k * x",
      "test_eigenfunction_eval.py::test_sums_error_grants_each_cos_and_sin_the_trig_error"),
+    ("eigenfunction_eval.py", " + _gamma(roundings) * (1.0 + alpha) ** 2)", ")",
+     "test_eigenfunction_eval.py::test_grid_bounds_cover_the_table_and_the_sums"),
     ("eigenfunction_eval.py", "return values, 2.0 * (sums + table)",
      "return values, 0.0 * (sums + table)",
      "test_nodal_analysis.py::test_certified_signs_on_every_verdict_candidate"),
