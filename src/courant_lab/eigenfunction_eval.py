@@ -12,7 +12,10 @@ the chord, within delta of the sums: one table bound (_table_error) and the
 sums' own rounding (_sums_error).  One rule (_decisive) names the samples
 where delta could decide the largest |value| or a side of the band, and one
 call reads the sums there (GridBasis.exact_at, eval_psi), for counts, plots
-and root scans alike (_certified_values, _certified_chord).
+and root scans alike (_certified_values, _certified_chord).  A grid's
+geometry (the axis, the rows' inside intervals and the mask) depends on the
+domain and the resolution alone and is built once for all the grids that
+share them (_grid_geometry).
 """
 
 import functools
@@ -33,9 +36,9 @@ TRIG_ERR = 4.0 * UNIT
 # the floats in one block of rows of a table product
 BLOCK = 1 << 16
 # Smallest and largest nodal grid side; nodal --resolution 2048 counts on a
-# 4096 grid, and plot --resolution 4096 draws one, in about 0.2 GB (peak RSS
-# 177 and 175 MB for the mixed equilateral pair (2,3); a plot's is 137 MB
-# for hemiequilateral (4,2) and 208 MB for right-isosceles (6,1)).
+# 4096 grid, and plot --resolution 4096 draws one, in under 0.2 GB (peak RSS
+# 158 and 149 MB for the mixed equilateral pair (2,3); a plot's is 137 MB
+# for hemiequilateral (4,2) and 169 MB for right-isosceles (6,1)).
 MIN_GRID, MAX_GRID = 64, 4096
 
 
@@ -154,19 +157,46 @@ def weyl_tables(m: int, n: int, chord: bool = False):
     return rows, cols, mc, ms, sum((TWO_PI * q) ** 2 for _, _, q in terms)
 
 
+# the one grid geometry kept, {(domain, resolution): (x, lo, hi, starts, mask)}
+_GEOMETRY = {}
+
+
+def _grid_geometry(d: DomainKind, resolution: int):
+    """(x, lo, hi, starts, mask), read-only: the axis x, resolution samples
+    over [0, e], e the largest vertex coordinate of the triangle, each row's
+    interval lo[i] <= j < hi[i] of inside columns (DomainSpec.row_ends), the
+    row's first position in row order, and the mask of the inside samples,
+    built from those intervals.  They depend on the domain and the resolution
+    alone, not on the mode or an angle, so the one entry kept serves every
+    grid of its (domain, resolution), as a verdict's candidates are.  A new
+    key drops that entry before it is built, so no two are held at once."""
+    key = (d, resolution)
+    if key not in _GEOMETRY:
+        _GEOMETRY.clear()
+        spec = DOMAINS[d]
+        x = np.linspace(0.0, max(map(max, spec.vertices)), resolution)
+        lo, hi = spec.row_ends(x, -EDGE_TOL)
+        mask = np.zeros((resolution, resolution), dtype=bool)
+        for row, a, b in zip(mask, lo.tolist(), hi.tolist()):
+            row[a:b] = True
+        geometry = x, lo, hi, np.cumsum(hi - lo) - (hi - lo), mask
+        for array in geometry:
+            array.flags.writeable = False
+        _GEOMETRY[key] = geometry
+    return _GEOMETRY[key]
+
+
 class GridBasis:
     """eigenbasis on a grid over the increasing axis x, at the samples (x[i],
-    x[j]) with lo[i] <= j < hi[i] in row order: mask[i, j] says which.  It is
-    never evaluated whole: separable gives it mixed at an angle from per-axis
-    tables, within delta of the sums, and exact_at gives the sums at chosen
-    samples."""
+    x[j]) with lo[i] <= j < hi[i] in row order: mask[i, j] says which.  The
+    geometry (x, lo, hi, starts, mask) is _grid_geometry's, shared with every
+    basis of the same domain and resolution.  It is never evaluated whole:
+    separable gives it mixed at an angle from per-axis tables, within delta
+    of the sums, and exact_at gives the sums at chosen samples."""
 
-    def __init__(self, d: DomainKind, pair, x, lo, hi):
-        self.domain, self.pair, self.x, self.lo, self.hi = d, pair, x, lo, hi
-        self.starts = np.cumsum(hi - lo) - (hi - lo)
-        self.mask = np.zeros((len(x), len(x)), dtype=bool)
-        for row, a, b in zip(self.mask, lo.tolist(), hi.tolist()):
-            row[a:b] = True
+    def __init__(self, d: DomainKind, pair, resolution: int):
+        self.domain, self.pair = d, pair
+        self.x, self.lo, self.hi, self.starts, self.mask = _grid_geometry(d, resolution)
 
     def exact_at(self, theta: float, idx):
         """The sums mixed at theta at the inside samples idx (positions in
@@ -229,22 +259,20 @@ class GridBasis:
 
 
 def _grid_values(h: EigenfunctionHandle, resolution: int) -> GridBasis:
-    """The one nodal grid: the eigenbasis of the handle's domain and mode on
-    the axis x, resolution samples over [0, e], e the largest vertex
-    coordinate of the triangle, at the samples (x[i], x[j]) strictly inside
-    the domain (basis.mask), read through its tables and at chosen samples
-    (GridBasis).  The mask is the domain predicate on the broadcast axes,
-    built from each row's interval of inside columns (DomainSpec.row_ends),
-    and the basis reads those samples only.  It does not read h.theta; each
-    reader mixes the basis at its own angles."""
-    spec = DOMAINS[h.domain]
-    if spec.vertices is None:
+    """The one nodal grid: the eigenbasis of the handle's domain and mode at
+    the samples (x[i], x[j]) strictly inside the domain (basis.mask), read
+    through its tables and at chosen samples (GridBasis).  The mask is the
+    domain predicate on the broadcast axes, and the basis reads those samples
+    only.  The geometry comes from the one-slot cache (_grid_geometry), so
+    the grids of one (domain, resolution), a verdict's 4 to 7 candidates,
+    build it once.  It does not read h.theta; each reader mixes the basis at
+    its own angles."""
+    if DOMAINS[h.domain].vertices is None:
         raise ValueError(f"nodal grids are not defined for {h.domain.value}")
     if not MIN_GRID <= resolution <= MAX_GRID:
         raise ValueError(f"resolution must be >= {MIN_GRID} and <= {MAX_GRID}, "
                          f"got {resolution}")
-    x = np.linspace(0.0, max(map(max, spec.vertices)), resolution)
-    return GridBasis(h.domain, h.mode, x, *spec.row_ends(x, -EDGE_TOL))
+    return GridBasis(h.domain, h.mode, resolution)
 
 
 def sign_grid(inside: np.ndarray, band: float, mask: np.ndarray) -> np.ndarray:
@@ -267,14 +295,19 @@ def _decisive(values, delta: float, rel: float) -> np.ndarray:
     - ||v| - b| <= (1 + rel) delta, b = rel max |v|: the sums' band B = rel max
       |V| is within rel delta of b, so elsewhere |v| > b + (1 + rel) delta,
       and |V| > B with the sign of v, or |v| < b - (1 + rel) delta, and |V| <
-      B."""
-    size = np.abs(values)
-    top = size.max()
-    high = np.flatnonzero(size >= top - 2.0 * delta)
-    size -= rel * top
-    read = np.abs(size, out=size) <= (1.0 + rel) * delta
-    read[high] = True
-    return read
+      B.
+    |v| is taken block by block of BLOCK floats, as a whole copy of |values|
+    would double a grid's largest array."""
+    top = max(values.max(), -values.min())
+    out = np.empty(values.shape, dtype=bool)
+    for at in range(0, len(values), BLOCK):
+        size = np.abs(values[at:at + BLOCK])
+        high = size >= top - 2.0 * delta
+        size -= rel * top
+        read = np.abs(size, out=size) <= (1.0 + rel) * delta
+        read[high] = True
+        out[at:at + BLOCK] = read
+    return out
 
 
 def _certified_values(basis: GridBasis, theta: float,

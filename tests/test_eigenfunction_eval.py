@@ -1,9 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import DomainKind, weyl_coefficients
+from courant_lab import eigenfunction_eval
+from courant_lab.alcove_geometry import (DOMAINS, DomainKind, DomainSpec,
+                                         weyl_coefficients)
 from courant_lab.eigenfunction_eval import (BLOCK, TRIG_ERR, EigenfunctionHandle,
                                             _gamma, _grid_values, _sums_error,
                                             eigenbasis, eval_C,
@@ -57,6 +60,81 @@ def test_eigenbasis_spans_each_triangle_eigenspace():
         eigenbasis(DomainKind.TORUS, (1, 0), s, t)
 
 
+# ---------------------------------------------------------------------------
+# the one-slot grid geometry
+# ---------------------------------------------------------------------------
+
+def _count_builds(monkeypatch):
+    """The (domain, resolution) of each geometry built, from an empty cache:
+    a build settles each row's ends (DomainSpec.row_ends) once."""
+    builds, row_ends = [], DomainSpec.row_ends
+
+    def record(spec, x, tol):
+        builds.append((spec, len(x)))
+        return row_ends(spec, x, tol)
+
+    monkeypatch.setattr(DomainSpec, "row_ends", record)
+    monkeypatch.setattr(eigenfunction_eval, "_GEOMETRY", {})
+    return builds
+
+
+@pytest.mark.parametrize("d, candidates", [(E, 4), (H, 7), (B, 7)])
+def test_a_verdict_builds_its_grid_geometry_once(monkeypatch, d, candidates):
+    from courant_lab import nodal_analysis
+
+    builds = _count_builds(monkeypatch)
+    grids, grid_values = [], nodal_analysis._grid_values
+    monkeypatch.setattr(nodal_analysis, "_grid_values",
+                        lambda h, r: grids.append(h.mode) or grid_values(h, r))
+    monkeypatch.setattr(nodal_analysis, "VERDICT_RESOLUTION", 128)
+    nodal_analysis.courant_sharp_verdict(d)
+    assert len(grids) == candidates and builds == [(DOMAINS[d], 128)]
+
+
+@pytest.mark.parametrize("d", [E, H, B])
+@pytest.mark.parametrize("resolution", [64, 571, 1024])
+def test_cached_geometry_is_read_only_and_a_fresh_build_bit_for_bit(
+        monkeypatch, d, resolution):
+    builds = _count_builds(monkeypatch)
+    first = _grid_values(EigenfunctionHandle(d, Mode(3, 1)), resolution)
+    second = _grid_values(EigenfunctionHandle(d, Mode(4, 3)), resolution)
+    assert builds == [(DOMAINS[d], resolution)]
+    eigenfunction_eval._GEOMETRY.clear()
+    fresh = eigenfunction_eval._grid_geometry(d, resolution)
+    assert len(builds) == 2
+    for name, array in zip(("x", "lo", "hi", "starts", "mask"), fresh):
+        cached = getattr(first, name)
+        assert getattr(second, name) is cached and cached is not array
+        assert cached.dtype == array.dtype and np.array_equal(cached, array)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = cached[-1]
+    assert first.mask.shape == (resolution, resolution)
+
+
+def test_a_new_geometry_drops_the_old_one_before_it_is_built(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    old = weakref.ref(eigenfunction_eval._grid_geometry(E, 128)[4])
+    held = []
+    row_ends = DomainSpec.row_ends
+
+    def record(spec, x, tol):
+        held.append(old() is not None)
+        return row_ends(spec, x, tol)
+
+    monkeypatch.setattr(DomainSpec, "row_ends", record)
+    for d, resolution in [(E, 256), (H, 256), (H, 256), (E, 128)]:
+        mask = eigenfunction_eval._grid_geometry(d, resolution)[4]
+        assert mask.shape == (resolution, resolution)
+        assert list(eigenfunction_eval._GEOMETRY) == [(d, resolution)]
+        old = weakref.ref(mask)
+        del mask
+    # the repeated key is a hit, and each new key dropped the only other
+    # reference to the last geometry before building its own
+    assert builds == [(DOMAINS[d], r) for d, r in [(E, 128), (E, 256), (H, 256), (E, 128)]]
+    assert held == [False, False, False]
+
+
 @pytest.mark.parametrize("h", [EigenfunctionHandle(E, Mode(2, 3), 0.35),
                                EigenfunctionHandle(H, Mode(4, 2)),
                                EigenfunctionHandle(B, Mode(6, 1))])
@@ -69,6 +147,29 @@ def test_separable_skips_a_last_block_of_rows_with_no_inside_sample(h):
     exact = basis.exact_at(h.theta, np.arange(basis.mask.sum()))
     assert values.shape == exact.shape
     assert np.max(np.abs(values - exact)) <= delta
+
+
+def _decisive_whole(values, delta, rel):
+    """_decisive's rule on the whole array at once, with |values| copied."""
+    size = np.abs(values)
+    top = size.max()
+    read = np.abs(size - rel * top) <= (1.0 + rel) * delta
+    read[size >= top - 2.0 * delta] = True
+    return read
+
+
+@pytest.mark.parametrize("rel", [0.0, 1e-5])
+def test_decisive_block_by_block_is_the_whole_array_rule(rel):
+    # three blocks and a part, with the largest |value| and band edges in
+    # each, a negative largest value, and delta wide enough to read many
+    rng = np.random.default_rng(11)
+    values = rng.uniform(-1.0, 1.0, 3 * BLOCK + 1234)
+    values[[5, BLOCK + 7, 2 * BLOCK + 9]] = [0.999, -1.25, 1.2499]
+    values[3 * BLOCK + 17] = rel * 1.25
+    for delta in (1e-9, 1e-3, 0.3):
+        read = eigenfunction_eval._decisive(values, delta, rel)
+        assert read.dtype == bool and np.array_equal(read, _decisive_whole(values, delta, rel))
+        assert read[BLOCK + 7] and read[3 * BLOCK + 17]
 
 
 # GridBasis.separable's delta on the grids below, typed in: the chord's table

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint,
                                          DomainKind, weyl_coefficients)
@@ -35,6 +36,126 @@ from oracles import in_domain, pullback_theta
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
 H = DomainKind.HEMIEQUILATERAL
+
+
+# ---------------------------------------------------------------------------
+# labelling each sign over its bounding box
+# ---------------------------------------------------------------------------
+
+def _whole_square_counts(signs):
+    """(positive, negative) components labelled over the whole grid."""
+    return ndimage.label(signs == 1)[1], ndimage.label(signs == -1)[1]
+
+
+def _record_sign_grids(monkeypatch):
+    """The sign grids nodal_analysis makes, in order, as they are made."""
+    import courant_lab.nodal_analysis as nodal
+
+    grids, made = [], nodal.sign_grid
+
+    def record(*args):
+        grids.append(made(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(nodal, "sign_grid", record)
+    return grids
+
+
+@pytest.mark.parametrize("resolution", [256, 512, 1024])
+@pytest.mark.parametrize("d", [E, H, B])
+def test_cropped_counts_are_the_whole_square_counts_on_every_verdict_candidate(
+        monkeypatch, d, resolution):
+    from courant_lab.pleijel_screening import candidates
+
+    grids = _record_sign_grids(monkeypatch)
+    for n, modes in candidates(d):
+        if n > 2:
+            pair = min(modes)
+            thetas = _theta_partition(d, pair)
+            grids.clear()
+            counts = _sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
+                                   resolution, thetas)
+            assert len(grids) == len(thetas)
+            assert counts == [_whole_square_counts(s) for s in grids], (pair, resolution)
+
+
+def _edge_grids():
+    """Sign grids whose samples of a sign touch the first or last row or
+    column, some only there, in a few separate runs."""
+    grids = []
+    for shape in [(1, 1), (1, 7), (7, 1), (6, 9)]:
+        r, c = shape
+        for rows, cols in [([0], range(c)), ([r - 1], range(c)), (range(r), [0]),
+                           (range(r), [c - 1])]:
+            for step in (1, 2):
+                signs = np.zeros(shape, dtype=np.int8)
+                for i in list(rows)[::step]:
+                    for j in list(cols)[::step]:
+                        signs[i, j] = 1
+                grids += [signs, -signs]
+        corners = np.zeros(shape, dtype=np.int8)
+        corners[0, 0] = corners[-1, -1] = 1
+        corners[0, -1] = corners[-1, 0] = -1
+        grids.append(corners)
+    return grids
+
+
+def _random_grids():
+    """Seeded random sign grids of several shapes and densities, whose
+    components often touch the edges of the grid."""
+    rng = np.random.default_rng(20260)
+    grids = []
+    for _ in range(60):
+        shape = tuple(rng.integers(1, 40, 2))
+        p = rng.uniform(0.05, 0.6, 2)
+        draw = rng.random(shape)
+        grids.append((draw < p[0]).astype(np.int8) - (draw > 1.0 - p[1]))
+    return grids
+
+
+@pytest.mark.parametrize("signs", _edge_grids() + _random_grids())
+def test_a_sign_labelled_over_its_box_has_the_whole_grid_components(signs):
+    import courant_lab.nodal_analysis as nodal
+
+    assert ((nodal._components(signs, 1), nodal._components(signs, -1))
+            == _whole_square_counts(signs))
+
+
+class _LabelCalls:
+    """nodal_analysis.ndimage with the shape of each label input recorded."""
+
+    def __init__(self, module):
+        self.module, self.shapes = module, []
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+    def label(self, on):
+        self.shapes.append(on.shape)
+        return self.module.label(on)
+
+
+def test_each_grid_labels_each_sign_once_present_or_not(monkeypatch):
+    import courant_lab.nodal_analysis as nodal
+
+    calls = _LabelCalls(nodal.ndimage)
+    monkeypatch.setattr(nodal, "ndimage", calls)
+    grids = _record_sign_grids(monkeypatch)
+    # hemiequilateral (2,1), a first eigenfunction, is negative: no positive
+    # sample on either grid, and the positive sign is labelled over (0, 0)
+    report = count_nodal_domains(EigenfunctionHandle(H, Mode(2, 1)), 128)
+    assert (report.positive_components, report.negative_components) == (0, 1)
+    assert len(grids) == 2 and len(calls.shapes) == 4
+    assert calls.shapes[0] == calls.shapes[2] == (0, 0)
+    # each negative box lies in its grid and is smaller than it
+    for shape, signs in zip(calls.shapes[1::2], grids):
+        assert 0 < shape[0] * shape[1] < signs.size
+    calls.shapes.clear()
+    grids.clear()
+    monkeypatch.setattr(nodal, "VERDICT_RESOLUTION", 128)
+    nodal.courant_sharp_verdict(E)
+    assert len(grids) == 10 and len(calls.shapes) == 2 * len(grids)
+
 
 
 # ---------------------------------------------------------------------------

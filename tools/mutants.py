@@ -85,7 +85,7 @@ MUTANTS = (
     # fixes the signs and exact zeros, or at |v'| <= delta_slope, and with its
     # bound delta taken as 0; the first two drop a clause of the read-back
     # rule the grid shares (_decisive)
-    ("eigenfunction_eval.py", "    read[high] = True\n", "",
+    ("eigenfunction_eval.py", "        read[high] = True\n", "",
      "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
     ("eigenfunction_eval.py", "read = np.abs(size, out=size) <= (1.0 + rel) * delta",
      "read = np.zeros_like(size, dtype=bool)",
@@ -110,7 +110,7 @@ MUTANTS = (
     # values, which fix the band, or at the band's edges (the two mutants of
     # the shared rule above), with its band halved, and with the band window
     # missing the rel delta gap between the table's band and the sums'
-    ("eigenfunction_eval.py", "    read[high] = True\n", "",
+    ("eigenfunction_eval.py", "        read[high] = True\n", "",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
     ("eigenfunction_eval.py", "read = np.abs(size, out=size) <= (1.0 + rel) * delta",
      "read = np.zeros_like(size, dtype=bool)",
@@ -119,6 +119,23 @@ MUTANTS = (
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
     ("eigenfunction_eval.py", "<= (1.0 + rel) * delta", "<= delta",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
+    # the certificate's largest |value| taken as the largest value, which
+    # misses a negative top
+    ("eigenfunction_eval.py", "top = max(values.max(), -values.min())", "top = values.max()",
+     "test_eigenfunction_eval.py::test_decisive_block_by_block_is_the_whole_array_rule"),
+    # a sign's bounding box without its last row or its last column, and an
+    # absent sign's label skipped
+    ("nodal_analysis.py", "slice(rows[0], rows[-1] + 1)", "slice(rows[0], rows[-1])",
+     "test_nodal_analysis.py::test_a_sign_labelled_over_its_box_has_the_whole_grid_components"),
+    ("nodal_analysis.py", "slice(cols[0], cols[-1] + 1)", "slice(cols[0], cols[-1])",
+     "test_nodal_analysis.py::test_a_sign_labelled_over_its_box_has_the_whole_grid_components"),
+    ("nodal_analysis.py", "return ndimage.label(signs[box] == sign)[1]",
+     "return ndimage.label(signs[box] == sign)[1] if signs[box].size else 0",
+     "test_nodal_analysis.py::test_each_grid_labels_each_sign_once_present_or_not"),
+    # the grid geometry cached by domain alone: another resolution's geometry
+    # is handed back
+    ("eigenfunction_eval.py", "key = (d, resolution)", "key = d",
+     "test_eigenfunction_eval.py::test_a_new_geometry_drops_the_old_one_before_it_is_built"),
     # a 1 fill outside the mask
     ("eigenfunction_eval.py", "signs = np.zeros(mask.shape, dtype=np.int8)",
      "signs = np.ones(mask.shape, dtype=np.int8)",
