@@ -11,11 +11,11 @@ product A_r W A_c^T of weyl_tables, in (s, t) on the grid and in (a, u) on
 the chord, within delta of the sums: one table bound (_table_error) and the
 sums' own rounding (_sums_error).  One rule (_decisive) names the samples
 where delta could decide the largest |value| or a side of the band, and one
-call reads the sums there (GridBasis.exact_at, eval_psi), for counts, plots
-and root scans alike (_certified_values, _certified_chord).  A grid's
-geometry (the axis, the rows' inside intervals and the mask) depends on the
-domain and the resolution alone and is built once for all the grids that
-share them (_grid_geometry).
+call reads the sums there, by row and column on a grid (GridBasis.exact_at)
+and by (s, t) on a chord (eval_psi), for counts, plots and root scans alike
+(_certified_values, _certified_chord).  A grid's geometry (the axis, the
+rows' inside intervals and the mask) depends on the domain and the
+resolution alone and is built once for all that share it (_grid_geometry).
 """
 
 import functools
@@ -190,21 +190,31 @@ class GridBasis:
     """eigenbasis on a grid over the increasing axis x, at the samples (x[i],
     x[j]) with lo[i] <= j < hi[i] in row order: mask[i, j] says which.  The
     geometry (x, lo, hi, starts, mask) is _grid_geometry's, shared with every
-    basis of the same domain and resolution.  It is never evaluated whole:
-    separable gives it mixed at an angle from per-axis tables, within delta
-    of the sums, and exact_at gives the sums at chosen samples."""
+    basis of the same domain and resolution.  The tables, built with the basis
+    as every reader mixes it, are (A, M_C, M_S, the largest phase in A), A's
+    rows A(x) on the axis: weyl_tables, or eval_isosceles's (sin m x, sin n x)
+    with M_C = [[0, 1], [-1, 0]] and M_S = 0.  It is never evaluated whole:
+    separable mixes it at an angle from the tables, within delta of the sums,
+    and exact_at gives the sums at chosen samples (i, j)."""
 
     def __init__(self, d: DomainKind, pair, resolution: int):
         self.domain, self.pair = d, pair
         self.x, self.lo, self.hi, self.starts, self.mask = _grid_geometry(d, resolution)
+        if d is DomainKind.RIGHT_ISOSCELES:
+            phase = np.multiply.outer(self.x, pair)
+            turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
+            self.tables = np.sin(phase), turn, np.zeros((2, 2)), float(phase.max())
+        else:
+            ks, _, mc, ms, _ = weyl_tables(*pair)
+            phase = np.multiply.outer(self.x, [TWO_PI * k for k in ks])
+            self.tables = (np.hstack((np.cos(phase), np.sin(phase))), mc, ms,
+                           float(phase.max()))
 
-    def exact_at(self, theta: float, idx):
-        """The sums mixed at theta at the inside samples idx (positions in
-        row order, an array of any shape), evaluated there alone: every
-        operation is elementwise, so each value has the bits it has in the
-        whole grid's pointwise evaluation."""
-        i = np.searchsorted(self.starts, idx, side="right") - 1
-        j = self.lo[i] + (idx - self.starts[i])
+    def exact_at(self, theta: float, i, j):
+        """The sums mixed at theta at the samples (x[i], x[j]), i and j row
+        and column index arrays of any one shape, evaluated there alone:
+        every operation is elementwise, so each value has the bits it has in
+        the whole grid's pointwise evaluation."""
         return mix(eigenbasis(self.domain, self.pair, self.x[i], self.x[j]), theta)
 
     def separable(self, theta: float):
@@ -242,20 +252,6 @@ class GridBasis:
         else:
             sums = _sums_error(abs(c) + abs(s), 2 * sum(self.pair), float(self.x[-1]))
         return values, 2.0 * (sums + table)
-
-    @functools.cached_property
-    def tables(self):
-        """(A, M_C, M_S, the largest phase in A), A's rows A(x) on the axis:
-        weyl_tables on the equilateral and hemiequilateral triangles, and on
-        the right-isosceles (sin m x, sin n x) with M_C = [[0, 1], [-1, 0]]
-        and M_S = 0, the sine product of eval_isosceles."""
-        if self.domain is DomainKind.RIGHT_ISOSCELES:
-            phase = np.multiply.outer(self.x, self.pair)
-            turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
-            return np.sin(phase), turn, np.zeros((2, 2)), float(phase.max())
-        ks, _, mc, ms, _ = weyl_tables(*self.pair)
-        phase = np.multiply.outer(self.x, [TWO_PI * k for k in ks])
-        return np.hstack((np.cos(phase), np.sin(phase))), mc, ms, float(phase.max())
 
 
 def _grid_values(h: EigenfunctionHandle, resolution: int) -> GridBasis:
@@ -317,10 +313,12 @@ def _certified_values(basis: GridBasis, theta: float,
     the sums mixed at theta, and that band: the table values
     (GridBasis.separable), within delta of the sums, with the sums themselves
     (exact_at) read in one call wherever delta could decide (_decisive), so
-    the band is rel times the largest |sum| read."""
+    the band is rel times the largest |sum| read.  _decisive's positions
+    in row order become the samples' rows and columns (i, j) here."""
     values, delta = basis.separable(theta)
     read = np.flatnonzero(_decisive(values, delta, rel))
-    values[read] = basis.exact_at(theta, read)
+    i = np.searchsorted(basis.starts, read, side="right") - 1
+    values[read] = basis.exact_at(theta, i, basis.lo[i] + (read - basis.starts[i]))
     return values, rel * float(np.max(np.abs(values[read])))
 
 

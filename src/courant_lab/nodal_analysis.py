@@ -493,8 +493,8 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     zeros = []
     # cos(theta) and sin(theta) are positive on (0, pi/6], so K's bounds are
     # the edge functions' bounds mixed with sign +1
-    plus = _k_theta(pair, theta, +1)[2]
-    bounds = tuple(plus(*b) for b in _edge_functions(pair)[2])
+    ct, st = math.cos(theta), math.sin(theta)
+    bounds = tuple(ct * a + st * b for a, b in _edge_functions(pair)[2])
     for edge, sign, (lo, hi), point in _EDGES:
         k, dk, mix = _k_theta(pair, theta, sign)
         xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
@@ -572,21 +572,18 @@ class NodalReport:
     stable: bool
 
 
-def _bounding_box(on: np.ndarray) -> Tuple[slice, slice]:
-    """The rows and columns spanned by the True samples of on, empty if none."""
-    rows, cols = (np.flatnonzero(on.any(axis)) for axis in (1, 0))
-    if not rows.size:
-        return slice(0), slice(0)
-    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-
-
 def _components(signs: np.ndarray, sign: int) -> int:
     """The number of 4-connected components of the samples of signs equal to
     sign, by one ndimage.label call over their bounding box: the same number
     as over the whole grid, as a 4-path between two such samples runs through
-    samples of that sign alone and so never leaves their box.  An absent sign
-    is labelled over the empty (0, 0) box, which has no component."""
-    box = _bounding_box(signs == sign)
+    samples of that sign alone and so never leaves their box.  The box's
+    compare is made afresh, a contiguous crop: labelling a strided view of
+    the whole grid's compare was no faster.  An absent sign is labelled
+    over the empty (0, 0) box, which has no component."""
+    on = signs == sign
+    rows, cols = (np.flatnonzero(on.any(axis)) for axis in (1, 0))
+    box = ((slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+           if rows.size else (slice(0), slice(0)))
     return ndimage.label(signs[box] == sign)[1]
 
 

@@ -5,6 +5,7 @@ signs are the sign grid of the certified values the nodal counts read
 (eigenfunction_eval's _certified_values and sign_grid), and marching squares
 interpolates on the sums read at the crossing cells' corners."""
 
+import functools
 from typing import List, Tuple
 
 import numpy as np
@@ -58,11 +59,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     basis = _grid_values(h, resolution)
     signs = sign_grid(*_certified_values(basis, h.theta, 0.0), basis.mask)
     pos = np.greater(signs, 0, out=signs.view(bool))
-
-    def sums(i, j):
-        # the sums at the inside samples (i, j), by their positions in row order
-        return basis.exact_at(h.theta, basis.starts[i] + j - basis.lo[i])
-
+    read = functools.partial(basis.exact_at, h.theta)
     spec = DOMAINS[h.domain]
     frame = to_cartesian if spec.alcove else CartesianPoint._make
     outline = [frame(v) for v in spec.vertices]
@@ -85,7 +82,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
                  'stroke-width="1.5"/>')
 
     path = "".join("M{} {}L{} {}".format(*map(_fmt, px(a) + px(b)))
-                   for a, b in zero_segments(pos, basis.mask, basis.x, sums, frame))
+                   for a, b in zero_segments(pos, basis.mask, basis.x, read, frame))
     parts.append(f'<path d="{path}" fill="none" stroke="blue" '
                  'stroke-width="1"/>')
 

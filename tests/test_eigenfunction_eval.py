@@ -144,7 +144,7 @@ def test_separable_skips_a_last_block_of_rows_with_no_inside_sample(h):
     basis = _grid_values(h, 571)
     assert 571 % (BLOCK // 571) == 1 and not basis.lo[-1] < basis.hi[-1]
     values, delta = basis.separable(h.theta)
-    exact = basis.exact_at(h.theta, np.arange(basis.mask.sum()))
+    exact = basis.exact_at(h.theta, *np.nonzero(basis.mask))
     assert values.shape == exact.shape
     assert np.max(np.abs(values - exact)) <= delta
 
@@ -203,11 +203,12 @@ def test_grid_bounds_cover_the_table_and_the_sums(resolution):
         idx = np.concatenate((ends[np.argsort(phase)[-4:]],
                               rng.integers(0, basis.mask.sum(), 4)))
         i = np.searchsorted(basis.starts, idx, side="right") - 1
-        s, t = basis.x[i], basis.x[basis.lo[i] + idx - basis.starts[i]]
+        j = basis.lo[i] + idx - basis.starts[i]
+        s, t = basis.x[i], basis.x[j]
         for theta in thetas:
             values, delta = basis.separable(theta)
             assert delta == GRID_DELTAS[h.domain, theta]
-            exact = basis.exact_at(theta, idx)
+            exact = basis.exact_at(theta, i, j)
             c, sn = math.cos(theta), math.sin(theta)
             with mp.workdps(40):
                 for k in range(len(idx)):

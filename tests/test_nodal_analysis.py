@@ -1261,8 +1261,12 @@ def pointwise(h, s, t):
      lambda p, q: eval_isosceles(6, 1, p, q))])
 def test_masked_evaluation_keeps_the_values(h, full, resolution):
     basis, mask, (p, q) = grid(h, resolution)
-    every = np.arange(mask.sum())
-    assert np.array_equal(basis.exact_at(h.theta, every), full(p, q)[mask])
+    assert np.array_equal(basis.exact_at(h.theta, *np.nonzero(mask)), full(p, q)[mask])
+    # a plot's (k, 4) corners of the cells whose four corners are inside
+    i, j = np.nonzero(mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:])
+    ci, cj = np.stack((i, i + 1, i + 1, i), 1), np.stack((j, j, j + 1, j + 1), 1)
+    assert ci.shape == (len(i), 4) and len(i) > 0
+    assert np.array_equal(basis.exact_at(h.theta, ci, cj), full(p, q)[ci, cj])
 
 
 @pytest.mark.parametrize("resolution", [64, 511])
@@ -1271,7 +1275,7 @@ def test_single_angle_at_zero_evaluates_c_only(pair, resolution):
     h = EigenfunctionHandle(E, Mode(*pair))
     basis, mask, (p, q) = grid(h, resolution)
     # the sums mixed at theta 0 have the bits of C alone
-    mixed = basis.exact_at(0.0, np.arange(mask.sum()))
+    mixed = basis.exact_at(0.0, *np.nonzero(mask))
     c = eval_C(*pair, p[mask], q[mask])
     assert np.array_equal(mixed, c)
     assert np.array_equal(np.signbit(mixed), np.signbit(c))
@@ -1318,19 +1322,21 @@ def test_count_refuses_a_doubled_grid_above_the_cap_before_any_grid(monkeypatch)
 
 
 class _TableStub:
-    """A basis whose table values are given: exact_at reads the sums and
-    records the samples read and the calls."""
+    """A basis whose table values are given, on a one-column grid whose
+    starts and lo map each position to its own row: exact_at reads the sums
+    and records the rows read and the calls."""
 
     def __init__(self, exact, table, delta):
         self.exact, self.table, self.delta, self.read, self.calls = exact, table, delta, [], 0
+        self.starts, self.lo = np.arange(len(table)), np.zeros(len(table), dtype=int)
 
     def separable(self, theta):
         return self.table.copy(), self.delta
 
-    def exact_at(self, theta, idx):
-        self.read += idx.tolist()
+    def exact_at(self, theta, i, j):
+        self.read += i.tolist()
         self.calls += 1
-        return self.exact[idx]
+        return self.exact[i]
 
 
 def test_certificate_reads_the_sums_at_the_top_and_the_band_edge():

@@ -165,6 +165,12 @@ MUTANTS = (
     # S left out of the equilateral basis
     ("eigenfunction_eval.py", "    return c, eval_S(m, n, s, t)\n", "    return (c,)\n",
      "test_eigenfunction_eval.py::test_eigenbasis_spans_each_triangle_eigenspace"),
+    # a grid sample's sums read at (x[j], x[i]), and the certificate's row of
+    # a row's first position taken as the row before
+    ("eigenfunction_eval.py", "self.x[i], self.x[j]", "self.x[j], self.x[i]",
+     "test_nodal_analysis.py::test_masked_evaluation_keeps_the_values"),
+    ("eigenfunction_eval.py", 'side="right"', 'side="left"',
+     "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
     # the table product read at the block's columns one to the right of the mask
     ("eigenfunction_eval.py", "self.mask[i:i + step, c0:c1]",
      "self.mask[i:i + step, c0 + 1:c1 + 1]",
