@@ -1,9 +1,12 @@
 """Command-line front end: spectrum/screening tables as CSV or JSON, nodal
 counts, critical zeros, the bifurcation angle, verdicts and SVG plots.
 
-A command's runner returns its output and `main` writes it: text (a table or
-an SVG) as it is, any other document as indented JSON, to stdout or to --out
-with --stamp's sidecar.  `main` also picks the exit code.
+A command's runner returns its output and `main` writes it, to stdout or to
+--out with --stamp's sidecar: an SVG as it is, a table piece by piece (its
+head, blocks of TABLE_BLOCK rows, its tail: the whole table is never held as
+text), any other document as indented JSON.  A table is enumerated and
+checked before its runner returns, so a refused table writes nothing, and no
+--out file is made.  `main` also picks the exit code.
 
 Exit codes: 0 success, 2 validation error, 3 unstable nodal count.
 
@@ -20,6 +23,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 
 from .alcove_geometry import DomainKind
 from .lattice_spectrum import Mode, enumerate_spectrum
@@ -38,6 +42,9 @@ TABLE_FORMATS = {
              '    "max_index": %d,\n    "multiplicity": %d,\n    "ratio": %s\n  }',
              f'"{RATIO_FORMAT}"', "null", ",\n", "\n]\n"),
 }
+# Rows per block of a table: `main` writes each block before the next is
+# formatted, so a 10^6-row table is never held as text at once
+TABLE_BLOCK = 2 ** 14
 # Each option's argparse keywords; every command also takes --out and --stamp.
 OPTIONS = {
     "domain": dict(required=True, choices=[d.value for d in DomainKind]),
@@ -75,23 +82,29 @@ def parse_pair(text: str) -> Mode:
     return Mode(m, n)
 
 
-def _spectrum_rows(d: DomainKind, count: int, row: str, ratio: str, blank: str):
-    """The template `row` filled from each row of the spectrum's int64 columns,
+def _table(d: DomainKind, count: int, fmt: str) -> Iterator[str]:
+    """The table of the domain's eigenvalues up to index count in format fmt,
+    as text pieces to write in order: the head, the rows TABLE_BLOCK at a
+    time, then the tail.  The spectrum is enumerated and checked before this
+    returns, so a refused count raises here, before any piece is written.
+    Each row is the template `row` filled from the spectrum's int64 columns,
     the ratio written by the template `ratio`, or `blank` where it does not
     apply (see ratio_rule)."""
+    head, row, ratio, blank, sep, tail = TABLE_FORMATS[fmt]
     s = enumerate_spectrum(d, count)
     skip, ratios = ratio_rule(d, s)
-    rows = zip(s.normalized.tolist(), s.min_index.tolist(), s.max_index.tolist(),
-               s.multiplicity.tolist(),
-               [blank] * skip + [ratio % x for x in ratios[skip:].tolist()])
-    return list(map(row.__mod__, rows))
+    columns = (s.normalized, s.min_index, s.max_index, s.multiplicity)
 
-
-def _table(d: DomainKind, count: int, fmt: str) -> str:
-    """The table of the domain's eigenvalues up to index count in format fmt.
-    The columns are freed when the rows are built, and the rows when joined."""
-    head, row, ratio, blank, sep, tail = TABLE_FORMATS[fmt]
-    return "".join((head, sep.join(_spectrum_rows(d, count, row, ratio, blank)), tail))
+    def pieces():
+        yield head
+        for start in range(0, len(ratios), TABLE_BLOCK):
+            stop = start + TABLE_BLOCK
+            cells = [c[start:stop].tolist() for c in columns]
+            cells.append([blank] * (min(skip, stop) - start)
+                         + [ratio % x for x in ratios[max(skip, start):stop].tolist()])
+            yield (sep if start else "") + sep.join(map(row.__mod__, zip(*cells)))
+        yield tail
+    return pieces()
 
 
 def run_spectrum(args: argparse.Namespace):
@@ -195,17 +208,18 @@ def main(argv=None) -> int:
             raise ValueError(f"--out must name a file in an existing directory, "
                              f"got {args.out}")
         out = args.run(args)
-        text = out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"
+        pieces = (out if isinstance(out, Iterator)
+                  else [out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"])
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             if args.stamp:
                 stamp = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                          "command": args.command}
                 with open(args.out + ".stamp.json", "w") as fh:
                     fh.write(json.dumps(stamp, indent=2) + "\n")
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         # a nodal count that changes on the doubled grid
         return 3 if isinstance(out, dict) and out.get("stable") is False else 0
     except (ValueError, KeyError, OSError) as exc:  # OSError: --out unwritable

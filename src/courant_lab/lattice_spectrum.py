@@ -14,7 +14,6 @@ rows' lengths in O(sqrt(lambda)), without enumerating.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -57,20 +56,20 @@ def modes_up_to(d: DomainKind, limit: int) -> np.ndarray:
     """All admissible modes with normalized value <= limit: a (k, 2) int64
     array of (m, n), ordered by value, then m, then n.  Row n of `_rows` holds
     hi - lo + 1 cells, so n is the row's index repeated that often and m
-    counts up from the row's lo.  Each cell still passes the scalar rule
-    `_admissible`, as a check that the rows hold only admissible modes (it
-    raises AssertionError otherwise) and as where perfbench counts box cells."""
+    counts up from the row's lo.  The rows are checked against the scalar
+    rule `_admissible` (AssertionError otherwise) at their first cells only:
+    for fixed n the rule is false up to some m and true from there on, so a
+    row holds only admissible modes exactly when its first cell is one."""
     spec = DOMAINS[d]
-    rows = np.array(list(_rows(spec, limit)), dtype=np.int64).reshape(-1, 3)
-    row_n, lo, hi = rows.T
+    rows = list(_rows(spec, limit))
+    if not all(_admissible(spec, lo, n) for n, lo, _ in rows):
+        raise AssertionError(f"_rows holds a mode that is not admissible on {d.value}")
+    row_n, lo, hi = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     length = hi - lo + 1
     n = np.repeat(row_n, length)
     start = np.cumsum(length) - length  # each row's first cell
     m = np.arange(n.size, dtype=np.int64) - np.repeat(start - lo, length)
-    modes = np.column_stack((m, n))[np.lexsort((n, m, spec.value(m, n)))]
-    if not all(map(_admissible, repeat(spec), *modes.T.tolist())):
-        raise AssertionError(f"_rows holds a mode that is not admissible on {d.value}")
-    return modes
+    return np.column_stack((m, n))[np.lexsort((n, m, spec.value(m, n)))]
 
 
 def _entries_from_modes(d: DomainKind, modes: np.ndarray):

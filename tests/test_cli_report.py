@@ -67,6 +67,32 @@ def test_spectrum_torus_csv(capsys):
     assert lines[11] == "21,74,85,12,0.2837837838"
 
 
+@pytest.mark.parametrize("count", [0, MAX_COUNT + 1])
+@pytest.mark.parametrize("stamp", [[], ["--stamp"]])
+def test_a_refused_table_creates_no_file(tmp_path, capsys, count, stamp):
+    p = tmp_path / "table.csv"
+    assert main(["spectrum", "--domain", "torus", "--count", str(count),
+                 "--out", str(p), *stamp]) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("domain", [d.value for d in DomainKind])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_table_written_in_blocks_is_the_one_block_text(capsys, monkeypatch,
+                                                         domain, fmt):
+    # the torus's two blank-ratio rows (ratio_rule) cross a block edge in
+    # blocks of 1, end at one in blocks of 2 and end inside one in blocks of 7
+    for count in (1, 2, 85, 300):
+        argv = ("spectrum", "--domain", domain, "--count", str(count), "--format", fmt)
+        monkeypatch.setattr(cli_report, "TABLE_BLOCK", MAX_COUNT)
+        whole = run_cli(capsys, *argv)
+        assert whole[0] == 0
+        for block in (1, 2, 7):
+            monkeypatch.setattr(cli_report, "TABLE_BLOCK", block)
+            assert run_cli(capsys, *argv) == whole, (count, block)
+
+
 def test_screen_json_candidates(capsys):
     code, out = run_cli(capsys, "screen", "--domain", "equilateral",
                         "--format", "json")

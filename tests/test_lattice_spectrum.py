@@ -43,6 +43,24 @@ def _row_modes(s):
             for lo, hi in zip(s.min_index.tolist(), s.max_index.tolist())]
 
 
+@pytest.mark.parametrize("d", [E, H])
+def test_modes_up_to_refuses_a_row_whose_first_cell_is_not_admissible(monkeypatch, d):
+    # the first row widened by one cell to the left: (0, 1) on the
+    # equilateral triangle, (1, 1) on the hemiequilateral one, and every
+    # other cell of every row admissible
+    rows = lattice_spectrum._rows
+
+    def widened(spec, limit):
+        (n, lo, hi), *rest = rows(spec, limit)
+        assert lattice_spectrum._admissible(spec, lo, n)
+        assert not lattice_spectrum._admissible(spec, lo - 1, n)
+        return [(n, lo - 1, hi), *rest]
+
+    monkeypatch.setattr(lattice_spectrum, "_rows", widened)
+    with pytest.raises(AssertionError, match="not admissible"):
+        modes_up_to(d, 50)
+
+
 def test_torus_table():
     assert _rows(enumerate_spectrum(T, 85)) == TORUS_TABLE
 

@@ -149,6 +149,10 @@ MUTANTS = (
     # indices 1 and 2 kept only by the ratio test
     ("pleijel_screening.py", "keep = (s.min_index <= 2) | passes", "keep = passes",
      "test_pleijel_screening.py::test_screening_table_is_the_box_oracle_table"),
+    # modes_up_to without its admissibility check of each row's first cell
+    ("lattice_spectrum.py", "if not all(_admissible(spec, lo, n) for n, lo, _ in rows):",
+     "if False:",
+     "test_lattice_spectrum.py::test_modes_up_to_refuses_a_row_whose_first_cell_is_not_admissible"),
     ("lattice_spectrum.py", "n + 1 if spec.ordered", "n if spec.ordered",
      "test_lattice_spectrum.py::test_isosceles_first_two"),
     # each row's m-interval one short
@@ -220,6 +224,9 @@ MUTANTS = (
     # the CSV tables lose their last newline
     ("cli_report.py", 'RATIO_FORMAT, "", "\\n", "\\n")', 'RATIO_FORMAT, "", "\\n", "")',
      "test_cli_report.py::test_spectrum_csv_is_the_box_oracle_table"),
+    # a table's blocks written with no separator between them
+    ("cli_report.py", 'yield (sep if start else "") + sep.join', "yield sep.join",
+     "test_cli_report.py::test_a_table_written_in_blocks_is_the_one_block_text"),
     # main building a parser on every call
     ("cli_report.py", "args = _parser().parse_args(argv)",
      "args = build_parser().parse_args(argv)",
