@@ -1,9 +1,9 @@
 """The alcove-to-Euclidean map, the reflection-group images of a lattice
-pair, and the DomainSpec table that holds every per-domain fact (area,
-spectrum form, screening constants, the triangle's vertices) for the
-equilateral torus and the three triangles.  The point-in-domain predicate,
-a grid row's interval of inside columns, the nodal grid's extent and the SVG
-outline all derive from the vertices.
+pair, and the DomainSpec table that holds every per-domain fact (spectrum
+form, screening constants, the triangle's vertices, their Euclidean frame)
+for the equilateral torus and the three triangles.  The area, the
+point-in-domain predicate, a grid row's interval of inside columns, the
+nodal grid's extent and the SVG outline all derive from the vertices.
 
 Coordinates: a point may be given in Euclidean coordinates (x, y) or in
 alcove coordinates (s, t), meaning s*alpha1 + t*alpha2 in the coroot basis.
@@ -12,7 +12,7 @@ alcove coordinates (s, t), meaning s*alpha1 + t*alpha2 in the coroot basis.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -73,13 +73,12 @@ class DomainSpec:
     first_ratio_index on (on the torus from 4: the small nodal domains
     assumption behind Faber-Krahn there needs n >= 4), and index_cutoff is
     the published screening cutoff.
-    vertices holds the triangle's corners, counterclockwise, in alcove
-    coordinates (s, t), or Euclidean (x, y) when alcove is False; it is None
-    on the torus, which has no boundary.  Nodal grids sample [0, e]^2 in those
+    vertices holds the triangle's corners, counterclockwise, in the
+    coordinates that frame maps to Euclidean (x, y); it is None on the
+    torus, which has no boundary.  Nodal grids sample [0, e]^2 in those
     coordinates, e the largest vertex coordinate, and SVG plots draw the
-    vertices' Euclidean images.
+    vertices' images under frame.
     """
-    area: float
     scale: float
     cross: int
     lowest: Optional[int]
@@ -88,8 +87,15 @@ class DomainSpec:
     bound_c: float
     index_cutoff: int
     first_ratio_index: int
-    alcove: bool
+    frame: Callable[[Tuple[float, float]], CartesianPoint]
     vertices: Optional[Tuple[Tuple[float, float], ...]]
+
+    @property
+    def area(self) -> float:
+        """|Omega|: the shoelace area of the vertices' images under frame, on
+        the torus of the unit cell that the coroots span."""
+        v = [*map(self.frame, self.vertices or ((0, 0), (1, 0), (1, 1), (0, 1)))]
+        return sum(a.x * b.y - a.y * b.x for a, b in zip(v, v[1:] + v[:1])) / 2.0
 
     def value(self, m: int, n: int) -> int:
         """Normalized (integer) eigenvalue of the pair (m, n)."""
@@ -136,22 +142,22 @@ SCALE_A2 = 16.0 * math.pi ** 2 / 9.0
 
 DOMAINS = {
     DomainKind.TORUS: DomainSpec(
-        area=3.0 * SQRT3 / 2.0, scale=SCALE_A2, cross=1, lowest=None,
-        ordered=False, bound_b=9.0 / (2.0 * math.pi), bound_c=1.0,
-        index_cutoff=63, first_ratio_index=4, alcove=True, vertices=None),
+        scale=SCALE_A2, cross=1, lowest=None, ordered=False,
+        bound_b=9.0 / (2.0 * math.pi), bound_c=1.0, index_cutoff=63,
+        first_ratio_index=4, frame=to_cartesian, vertices=None),
     DomainKind.EQUILATERAL: DomainSpec(
-        area=SQRT3 / 4.0, scale=SCALE_A2, cross=1, lowest=1, ordered=False,
+        scale=SCALE_A2, cross=1, lowest=1, ordered=False,
         bound_b=3.0 / (2.0 * math.pi), bound_c=1.0, index_cutoff=40,
-        first_ratio_index=1, alcove=True,
+        first_ratio_index=1, frame=to_cartesian,
         vertices=((0.0, 0.0), (2.0 / 3.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0))),
     DomainKind.RIGHT_ISOSCELES: DomainSpec(
-        area=math.pi ** 2 / 2.0, scale=1.0, cross=0, lowest=1, ordered=True,
+        scale=1.0, cross=0, lowest=1, ordered=True,
         bound_b=(4.0 + math.sqrt(2.0)) / 4.0, bound_c=0.5, index_cutoff=26,
-        first_ratio_index=1, alcove=False,
+        first_ratio_index=1, frame=CartesianPoint._make,
         vertices=((0.0, 0.0), (math.pi, 0.0), (math.pi, math.pi))),
     DomainKind.HEMIEQUILATERAL: DomainSpec(
-        area=SQRT3 / 8.0, scale=SCALE_A2, cross=1, lowest=1, ordered=True,
+        scale=SCALE_A2, cross=1, lowest=1, ordered=True,
         bound_b=(6.0 + SQRT3) / (8.0 * math.pi), bound_c=0.5, index_cutoff=32,
-        first_ratio_index=1, alcove=True,
+        first_ratio_index=1, frame=to_cartesian,
         vertices=((0.0, 0.0), (2.0 / 3.0, 1.0 / 3.0), (0.5, 0.5))),
 }

@@ -8,7 +8,8 @@ text), any other document as indented JSON.  A table is enumerated and
 checked before its runner returns, so a refused table writes nothing, and no
 --out file is made.  `main` also picks the exit code.
 
-Exit codes: 0 success, 2 validation error, 3 unstable nodal count.
+Exit codes: 0 success, 1 stdout closed by its reader (as by `| head`),
+2 validation error, 3 unstable nodal count.
 
 The nodal commands import nodal_analysis, and with it scipy.ndimage (for
 ndimage.label, scipy's only use), where they use it, so `spectrum` and
@@ -220,8 +221,14 @@ def main(argv=None) -> int:
                     fh.write(json.dumps(stamp, indent=2) + "\n")
         else:
             sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # so a closed pipe raises here, not at exit
         # a nodal count that changes on the doubled grid
         return 3 if isinstance(out, dict) and out.get("stable") is False else 0
+    except BrokenPipeError:
+        # the interpreter flushes stdout at exit: let that write go nowhere
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError) as exc:  # OSError: --out unwritable
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,8 +37,8 @@ TRIG_ERR = 4.0 * UNIT
 BLOCK = 1 << 16
 # Smallest and largest nodal grid side; nodal --resolution 2048 counts on a
 # 4096 grid, and plot --resolution 4096 draws one, in under 0.2 GB (peak RSS
-# 158 and 149 MB for the mixed equilateral pair (2,3); a plot's is 137 MB
-# for hemiequilateral (4,2) and 169 MB for right-isosceles (6,1)).
+# 171 and 149 MB for equilateral (2,3) at theta 0.2; a plot's is 137 MB for
+# hemiequilateral (4,2), 168-169 MB for right-isosceles (6,1); 2-vCPU Xeon).
 MIN_GRID, MAX_GRID = 64, 4096
 
 
@@ -240,10 +240,7 @@ class GridBasis:
         step = max(1, BLOCK // r)
         for i in range(0, r, step):
             lo, hi, at = self.lo[i:i + step], self.hi[i:i + step], self.starts[i]
-            full = lo < hi
-            if not full.any():
-                continue
-            c0, c1 = lo[full].min(), hi[full].max()
+            c0, c1 = lo.min(), hi.max(initial=0, where=lo < hi)
             values[at:at + counts[i:i + step].sum()] = (
                 a[i:i + step] @ g[:, c0:c1])[self.mask[i:i + step, c0:c1]]
         table = _table_error(np.abs(mixed), phase)

@@ -10,7 +10,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .alcove_geometry import DOMAINS, CartesianPoint, DomainKind, to_cartesian
+from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
 from .eigenfunction_eval import (EigenfunctionHandle, _certified_values,
                                  _grid_values, sign_grid)
 from .nodal_analysis import (EDGE_PAIRS, edge_critical_zeros, edge_theta_in_range,
@@ -61,8 +61,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     pos = np.greater(signs, 0, out=signs.view(bool))
     read = functools.partial(basis.exact_at, h.theta)
     spec = DOMAINS[h.domain]
-    frame = to_cartesian if spec.alcove else CartesianPoint._make
-    outline = [frame(v) for v in spec.vertices]
+    outline = [spec.frame(v) for v in spec.vertices]
     xmax, ymax = map(max, zip(*outline))
     width = xmax * PX_PER_UNIT + 2 * MARGIN
     height = ymax * PX_PER_UNIT + 2 * MARGIN
@@ -82,7 +81,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
                  'stroke-width="1.5"/>')
 
     path = "".join("M{} {}L{} {}".format(*map(_fmt, px(a) + px(b)))
-                   for a, b in zero_segments(pos, basis.mask, basis.x, read, frame))
+                   for a, b in zero_segments(pos, basis.mask, basis.x, read, spec.frame))
     parts.append(f'<path d="{path}" fill="none" stroke="blue" '
                  'stroke-width="1"/>')
 

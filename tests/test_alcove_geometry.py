@@ -165,8 +165,7 @@ def test_vertices_and_edge_midpoints_are_on_the_boundary(d):
 def test_outline_and_extent_derive_from_the_vertices(d):
     _, extent, outline = REFERENCE[d]
     spec = DOMAINS[d]
-    derived = tuple(tuple(to_cartesian(v)) if spec.alcove else v
-                    for v in spec.vertices)
+    derived = tuple(tuple(spec.frame(v)) for v in spec.vertices)
     assert derived == outline
     pair = {DomainKind.EQUILATERAL: (1, 2), DomainKind.HEMIEQUILATERAL: (2, 1),
             DomainKind.RIGHT_ISOSCELES: (3, 1)}[d]

@@ -22,6 +22,21 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def test_a_closed_stdout_exits_one_with_nothing_on_stderr():
+    # the JSON table (about 170 kB) outgrows the pipe's buffer, so the
+    # writer is still writing when the reader closes after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "courant_lab.cli_report", "spectrum", "--domain",
+         "torus", "--count", "20000", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"error:" not in err and b"Traceback" not in err
+
+
 def test_ratio_format():
     assert RATIO_FORMAT % 0.375 == "0.3750000000"
     assert RATIO_FORMAT % 3.5 == "3.500000000"

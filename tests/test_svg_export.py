@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import (DOMAINS, CartesianPoint, DomainKind,
-                                         to_cartesian)
+from courant_lab.alcove_geometry import DOMAINS, CartesianPoint, DomainKind
 from courant_lab.eigenfunction_eval import EigenfunctionHandle
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.svg_export import render_nodal_svg, zero_segments
@@ -72,8 +71,7 @@ def _plot_inputs(h, resolution):
     basis, mask, (p, q) = grid(h, resolution)
     values = np.zeros(mask.shape)
     values[mask] = pointwise(h, p[mask], q[mask])
-    frame = to_cartesian if DOMAINS[h.domain].alcove else CartesianPoint._make
-    return values, mask, basis.x, frame
+    return values, mask, basis.x, DOMAINS[h.domain].frame
 
 
 @pytest.mark.parametrize("resolution", [64, 128])

@@ -179,8 +179,8 @@ MUTANTS = (
     ("eigenfunction_eval.py", "self.mask[i:i + step, c0:c1]",
      "self.mask[i:i + step, c0 + 1:c1 + 1]",
      "test_svg_export.py::test_table_signs_differ_from_the_sums_only_within_delta"),
-    # a last block of rows with no inside sample reduced like a full one
-    ("eigenfunction_eval.py", "            if not full.any():\n                continue\n", "",
+    # a block's column window read with no start for a block of empty rows
+    ("eigenfunction_eval.py", "hi.max(initial=0, where=lo < hi)", "hi.max(where=lo < hi)",
      "test_eigenfunction_eval.py::"
      "test_separable_skips_a_last_block_of_rows_with_no_inside_sample"),
     # the sums' rounding without numpy's trig error, the table bound (the
@@ -204,12 +204,16 @@ MUTANTS = (
     ("eigenfunction_eval.py", "acc = acc + sign * np.sin(",
      "acc = acc + 1.001 * sign * np.sin(",
      "test_eigenfunction_eval.py::test_eval_psi_value_is_the_mixed_sums_bit_for_bit"),
-    # a vertex typo and an area typo, on the hemiequilateral triangle
+    # a vertex typo on the hemiequilateral triangle, a corner typo in the
+    # torus's unit cell, and the right-isosceles vertices taken as alcove
+    # coordinates
     ("alcove_geometry.py", "(2.0 / 3.0, 1.0 / 3.0), (0.5, 0.5))",
      "(2.0 / 3.0, 1.0 / 3.0), (0.5, 0.49))",
      "test_alcove_geometry.py::test_inside_on_the_axes_is_the_reference_predicate"),
-    ("alcove_geometry.py", "area=SQRT3 / 8.0", "area=SQRT3 / 8.1",
+    ("alcove_geometry.py", "(1, 1), (0, 1))", "(1, 1), (0, 2))",
      "test_alcove_geometry.py::test_area_is_the_area_of_the_vertices"),
+    ("alcove_geometry.py", "frame=CartesianPoint._make", "frame=to_cartesian",
+     "test_alcove_geometry.py::test_outline_and_extent_derive_from_the_vertices"),
     # the row ends left at their closed-form guesses, not settled by inside
     ("alcove_geometry.py",
      "        lo, hi = np.where(inside, cols, r).min(1), np.where(inside, cols + 1, 0).max(1)\n",
@@ -227,6 +231,13 @@ MUTANTS = (
     # a table's blocks written with no separator between them
     ("cli_report.py", 'yield (sep if start else "") + sep.join', "yield sep.join",
      "test_cli_report.py::test_a_table_written_in_blocks_is_the_one_block_text"),
+    # a closed stdout reported as a validation error
+    ("cli_report.py", "    except BrokenPipeError:\n"
+     "        # the interpreter flushes stdout at exit: let that write go nowhere\n"
+     "        with open(os.devnull, \"w\") as null:\n"
+     "            os.dup2(null.fileno(), sys.stdout.fileno())\n"
+     "        return 1\n", "",
+     "test_cli_report.py::test_a_closed_stdout_exits_one_with_nothing_on_stderr"),
     # main building a parser on every call
     ("cli_report.py", "args = _parser().parse_args(argv)",
      "args = build_parser().parse_args(argv)",
