@@ -66,25 +66,10 @@ class EigenfunctionHandle:
             raise ValueError(f"pair ({m}, {n}) at theta {self.theta} is identically zero")
 
 
-def eigenbasis(d: DomainKind, pair, s, t) -> tuple:
-    """The basis of the pair's eigenspace on d at the samples (s, t): C and S
-    on the equilateral triangle, C alone on the hemiequilateral (S is not
-    Dirichlet on s = t), the antisymmetrized sine product on the
-    right-isosceles.  mix gives C's bits at theta 0: 1.0 C + 0.0 S is C, as
-    the sum C is never -0.0."""
-    m, n = pair
-    if d is DomainKind.RIGHT_ISOSCELES:
-        return (eval_isosceles(m, n, s, t),)
-    if d not in (DomainKind.EQUILATERAL, DomainKind.HEMIEQUILATERAL):
-        raise ValueError(f"no real eigenbasis on {d.value}")
-    c = eval_C(m, n, s, t)
-    if d is DomainKind.HEMIEQUILATERAL:
-        return (c,)
-    return c, eval_S(m, n, s, t)
-
-
 def mix(basis: tuple, theta: float):
-    """basis[0] alone, or cos(theta) basis[0] + sin(theta) basis[1]."""
+    """basis[0] alone, or cos(theta) basis[0] + sin(theta) basis[1].  At
+    theta 0, mix((C, S), 0) has C's bits: 1.0 C + 0.0 S is C, as the sum C is
+    never -0.0."""
     if len(basis) == 1:
         return basis[0]
     return math.cos(theta) * basis[0] + math.sin(theta) * basis[1]
@@ -187,24 +172,30 @@ def _grid_geometry(d: DomainKind, resolution: int):
 
 
 class GridBasis:
-    """eigenbasis on a grid over the increasing axis x, at the samples (x[i],
-    x[j]) with lo[i] <= j < hi[i] in row order: mask[i, j] says which.  The
-    geometry (x, lo, hi, starts, mask) is _grid_geometry's, shared with every
-    basis of the same domain and resolution.  The tables, built with the basis
-    as every reader mixes it, are (A, M_C, M_S, the largest phase in A), A's
-    rows A(x) on the axis: weyl_tables, or eval_isosceles's (sin m x, sin n x)
-    with M_C = [[0, 1], [-1, 0]] and M_S = 0.  It is never evaluated whole:
-    separable mixes it at an angle from the tables, within delta of the sums,
-    and exact_at gives the sums at chosen samples (i, j)."""
+    """The pair's eigenbasis on d on a grid over the increasing axis x, at
+    the samples (x[i], x[j]) with lo[i] <= j < hi[i] in row order: mask[i, j]
+    says which.  The geometry (x, lo, hi, starts, mask) is _grid_geometry's,
+    shared with every basis of the same domain and resolution.  The basis is
+    chosen once, with its tables: functions, the evaluators mix combines, are
+    (eval_C, eval_S) on the equilateral triangle, (eval_C,) on the
+    hemiequilateral (S is not Dirichlet on s = t), (eval_isosceles,) on the
+    right-isosceles; the tables are (A, M_C, M_S, the largest phase in A), A's
+    rows A(x) on the axis: weyl_tables, or (sin m x, sin n x) with M_C = [[0,
+    1], [-1, 0]] and M_S = 0.  It is never evaluated whole: separable mixes
+    it at an angle from the tables, within delta of the sums, and exact_at
+    gives the sums at chosen samples (i, j)."""
 
     def __init__(self, d: DomainKind, pair, resolution: int):
         self.domain, self.pair = d, pair
         self.x, self.lo, self.hi, self.starts, self.mask = _grid_geometry(d, resolution)
         if d is DomainKind.RIGHT_ISOSCELES:
+            self.functions = (eval_isosceles,)
             phase = np.multiply.outer(self.x, pair)
             turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
             self.tables = np.sin(phase), turn, np.zeros((2, 2)), float(phase.max())
         else:
+            self.functions = ((eval_C, eval_S) if d is DomainKind.EQUILATERAL
+                              else (eval_C,))
             ks, _, mc, ms, _ = weyl_tables(*pair)
             phase = np.multiply.outer(self.x, [TWO_PI * k for k in ks])
             self.tables = (np.hstack((np.cos(phase), np.sin(phase))), mc, ms,
@@ -215,7 +206,8 @@ class GridBasis:
         and column index arrays of any one shape, evaluated there alone:
         every operation is elementwise, so each value has the bits it has in
         the whole grid's pointwise evaluation."""
-        return mix(eigenbasis(self.domain, self.pair, self.x[i], self.x[j]), theta)
+        (m, n), s, t = self.pair, self.x[i], self.x[j]
+        return mix(tuple(f(m, n, s, t) for f in self.functions), theta)
 
     def separable(self, theta: float):
         """(values, delta): the basis mixed at theta at the inside samples,
@@ -252,14 +244,13 @@ class GridBasis:
 
 
 def _grid_values(h: EigenfunctionHandle, resolution: int) -> GridBasis:
-    """The one nodal grid: the eigenbasis of the handle's domain and mode at
-    the samples (x[i], x[j]) strictly inside the domain (basis.mask), read
-    through its tables and at chosen samples (GridBasis).  The mask is the
-    domain predicate on the broadcast axes, and the basis reads those samples
-    only.  The geometry comes from the one-slot cache (_grid_geometry), so
-    the grids of one (domain, resolution), a verdict's 4 to 7 candidates,
-    build it once.  It does not read h.theta; each reader mixes the basis at
-    its own angles."""
+    """The one nodal grid: the basis of the handle's domain and mode at the
+    samples (x[i], x[j]) strictly inside the domain (basis.mask, built from
+    the rows' inside intervals, DomainSpec.row_ends), read through its tables
+    and at chosen samples (GridBasis).  The geometry comes from the one-slot
+    cache (_grid_geometry), so the grids of one (domain, resolution), a
+    verdict's 4 to 7 candidates, build it once.  It does not read h.theta;
+    each reader mixes the basis at its own angles."""
     if DOMAINS[h.domain].vertices is None:
         raise ValueError(f"nodal grids are not defined for {h.domain.value}")
     if not MIN_GRID <= resolution <= MAX_GRID:

@@ -576,15 +576,14 @@ def _components(signs: np.ndarray, sign: int) -> int:
     """The number of 4-connected components of the samples of signs equal to
     sign, by one ndimage.label call over their bounding box: the same number
     as over the whole grid, as a 4-path between two such samples runs through
-    samples of that sign alone and so never leaves their box.  The box's
-    compare is made afresh, a contiguous crop: labelling a strided view of
-    the whole grid's compare was no faster.  An absent sign is labelled
-    over the empty (0, 0) box, which has no component."""
+    samples of that sign alone and so never leaves their box.  The box is
+    read from the compare that found it, and an absent sign is labelled over
+    the empty (0, 0) box, which has no component."""
     on = signs == sign
     rows, cols = (np.flatnonzero(on.any(axis)) for axis in (1, 0))
     box = ((slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
            if rows.size else (slice(0), slice(0)))
-    return ndimage.label(signs[box] == sign)[1]
+    return ndimage.label(on[box])[1]
 
 
 def _sweep_counts(h: EigenfunctionHandle, resolution: int,

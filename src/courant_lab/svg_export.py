@@ -10,7 +10,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .alcove_geometry import DOMAINS, DomainKind, to_cartesian
+from .alcove_geometry import DOMAINS, DomainKind
 from .eigenfunction_eval import (EigenfunctionHandle, _certified_values,
                                  _grid_values, sign_grid)
 from .nodal_analysis import (EDGE_PAIRS, edge_critical_zeros, edge_theta_in_range,
@@ -87,12 +87,12 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
 
     if h.domain is DomainKind.EQUILATERAL and tuple(h.mode) in EDGE_PAIRS:
         for fp in median_fixed_points(h.mode):
-            cx, cy = px(to_cartesian(fp.location))
+            cx, cy = px(spec.frame(fp.location))
             parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" '
                          'fill="none" stroke="red" stroke-width="1.5"/>')
         if edge_theta_in_range(h.theta):
             for cz in edge_critical_zeros(h.mode, h.theta):
-                cx, cy = px(to_cartesian(cz.location))
+                cx, cy = px(spec.frame(cz.location))
                 parts.append(
                     f'<path d="M{_fmt(cx - 5)} {_fmt(cy - 5)}L{_fmt(cx + 5)} '
                     f'{_fmt(cy + 5)}M{_fmt(cx - 5)} {_fmt(cy + 5)}'

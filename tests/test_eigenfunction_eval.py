@@ -9,8 +9,7 @@ from courant_lab.alcove_geometry import (DOMAINS, DomainKind, DomainSpec,
                                          weyl_coefficients)
 from courant_lab.eigenfunction_eval import (BLOCK, TRIG_ERR, EigenfunctionHandle,
                                             _gamma, _grid_values, _sums_error,
-                                            eigenbasis, eval_C,
-                                            eval_isosceles, eval_psi,
+                                            eval_C, eval_isosceles, eval_psi,
                                             eval_psi_grid, eval_S, mix)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import bifurcation_angle
@@ -47,17 +46,26 @@ def test_eval_psi_value_is_the_mixed_sums_bit_for_bit(h):
 
 
 def test_eigenbasis_spans_each_triangle_eigenspace():
-    s, t = np.meshgrid(np.linspace(0.02, 0.62, 7), np.linspace(0.03, 0.61, 7))
-    c, sn = eigenbasis(E, (2, 3), s, t)
-    assert np.array_equal(c, eval_C(2, 3, s, t))
-    assert np.array_equal(sn, eval_S(2, 3, s, t))
-    assert np.array_equal(mix((c, sn), 0.35), eval_psi_grid(2, 3, 0.35, s, t))
-    (h,) = eigenbasis(DomainKind.HEMIEQUILATERAL, (4, 2), s, t)
-    assert np.array_equal(mix((h,), 0.0), eval_C(4, 2, s, t))
-    (b,) = eigenbasis(DomainKind.RIGHT_ISOSCELES, (4, 1), s, t)
-    assert np.array_equal(b, eval_isosceles(4, 1, s, t))
+    # each grid chooses its evaluators once, and exact_at mixes them alone: a
+    # hemiequilateral basis that also evaluated S would have C's bits at
+    # theta 0 all the same, so the tuples are asserted too
+    def basis_at(d, pair):
+        basis = _grid_values(EigenfunctionHandle(d, Mode(*pair)), 64)
+        i, j = np.nonzero(basis.mask)
+        return basis, i[::7], j[::7], basis.x[i[::7]], basis.x[j[::7]]
+
+    basis, i, j, s, t = basis_at(E, (2, 3))
+    assert basis.functions == (eval_C, eval_S)
+    assert np.array_equal(basis.exact_at(0.0, i, j), eval_C(2, 3, s, t))
+    assert np.array_equal(basis.exact_at(0.35, i, j), eval_psi_grid(2, 3, 0.35, s, t))
+    basis, i, j, s, t = basis_at(H, (4, 2))
+    assert basis.functions == (eval_C,)
+    assert np.array_equal(basis.exact_at(0.0, i, j), eval_C(4, 2, s, t))
+    basis, i, j, s, t = basis_at(B, (4, 1))
+    assert basis.functions == (eval_isosceles,)
+    assert np.array_equal(basis.exact_at(0.0, i, j), eval_isosceles(4, 1, s, t))
     with pytest.raises(ValueError, match="torus"):
-        eigenbasis(DomainKind.TORUS, (1, 0), s, t)
+        _grid_values(EigenfunctionHandle(DomainKind.TORUS, Mode(1, 0)), 64)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +480,7 @@ def test_mix_at_zero_is_c_bit_for_bit_on_the_nodal_median(pair):
     # C vanishes on s = t, where it is often an exact 0 and S < 0 there:
     # 1.0 C + 0.0 S is still C, sign bit included, as C is never -0.0
     s = np.linspace(0.0, 1.0, 100001)
-    c, sn = eigenbasis(E, pair, s, s)
+    c, sn = eval_C(*pair, s, s), eval_S(*pair, s, s)
     zeros = (c == 0.0) & (sn < 0.0)
     assert zeros.sum() > 1000
     assert not np.signbit(c[c == 0.0]).any()

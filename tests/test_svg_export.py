@@ -1,12 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from courant_lab.alcove_geometry import DOMAINS, CartesianPoint, DomainKind
+from courant_lab.alcove_geometry import (DOMAINS, CartesianPoint, DomainKind,
+                                         to_cartesian)
 from courant_lab.eigenfunction_eval import EigenfunctionHandle
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.svg_export import render_nodal_svg, zero_segments
+from courant_lab.nodal_analysis import (bifurcation_angle, edge_critical_zeros,
+                                        median_fixed_points)
+from courant_lab.svg_export import (MARGIN, PX_PER_UNIT, render_nodal_svg,
+                                    zero_segments)
 from test_nodal_analysis import grid, pointwise
 
 E = DomainKind.EQUILATERAL
@@ -72,6 +77,29 @@ def _plot_inputs(h, resolution):
     values = np.zeros(mask.shape)
     values[mask] = pointwise(h, p[mask], q[mask])
     return values, mask, basis.x, DOMAINS[h.domain].frame
+
+
+@pytest.mark.parametrize("pair,theta", [((1, 3), 0.2618),
+                                         ((2, 3), bifurcation_angle()[1])])
+def test_overlays_mark_the_fixed_points_and_critical_zeros_at_their_images(pair, theta):
+    # each circle is centred on a median fixed point's image in the
+    # Euclidean frame, and each cross on an edge critical zero's, in order
+    svg = render_nodal_svg(EigenfunctionHandle(E, Mode(*pair), theta), 64)
+    height = float(re.search(r'<svg [^>]*height="([-\d.]+)"', svg)[1])
+
+    def px(location):
+        x, y = to_cartesian(location)
+        return MARGIN + x * PX_PER_UNIT, height - MARGIN - y * PX_PER_UNIT
+
+    circles = [tuple(map(float, c)) for c in
+               re.findall(r'<circle cx="([-\d.]+)" cy="([-\d.]+)"', svg)]
+    crosses = [(float(x) + 5, float(y) + 5) for x, y in
+               re.findall(r'<path d="M([-\d.]+) ([-\d.]+)L[^"]*" stroke="red"', svg)]
+    fixed, zeros = median_fixed_points(pair), edge_critical_zeros(pair, theta)
+    assert len(circles) == len(fixed) and len(crosses) == len(zeros) > 0
+    for drawn, points in ((circles, fixed), (crosses, zeros)):
+        for centre, point in zip(drawn, points):
+            assert np.allclose(centre, px(point.location), rtol=0.0, atol=1e-3)
 
 
 @pytest.mark.parametrize("resolution", [64, 128])

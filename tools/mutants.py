@@ -129,8 +129,8 @@ MUTANTS = (
      "test_nodal_analysis.py::test_a_sign_labelled_over_its_box_has_the_whole_grid_components"),
     ("nodal_analysis.py", "slice(cols[0], cols[-1] + 1)", "slice(cols[0], cols[-1])",
      "test_nodal_analysis.py::test_a_sign_labelled_over_its_box_has_the_whole_grid_components"),
-    ("nodal_analysis.py", "return ndimage.label(signs[box] == sign)[1]",
-     "return ndimage.label(signs[box] == sign)[1] if signs[box].size else 0",
+    ("nodal_analysis.py", "return ndimage.label(on[box])[1]",
+     "return ndimage.label(on[box])[1] if on[box].size else 0",
      "test_nodal_analysis.py::test_each_grid_labels_each_sign_once_present_or_not"),
     # the grid geometry cached by domain alone: another resolution's geometry
     # is handed back
@@ -166,9 +166,18 @@ MUTANTS = (
      "test_lattice_spectrum.py::test_queries_reject_values_outside_their_domain"),
     ("eigenfunction_eval.py", "if not math.isfinite(self.theta):", "if False:",
      "test_nodal_analysis.py::test_chord_roots_reject_a_non_finite_theta"),
-    # S left out of the equilateral basis
-    ("eigenfunction_eval.py", "    return c, eval_S(m, n, s, t)\n", "    return (c,)\n",
+    # S left out of the equilateral basis, and evaluated, to no effect on the
+    # values, on the hemiequilateral
+    ("eigenfunction_eval.py", "(eval_C, eval_S) if d is DomainKind.EQUILATERAL",
+     "(eval_C,) if d is DomainKind.EQUILATERAL",
      "test_eigenfunction_eval.py::test_eigenbasis_spans_each_triangle_eigenspace"),
+    ("eigenfunction_eval.py", "else (eval_C,))", "else (eval_C, eval_S))",
+     "test_eigenfunction_eval.py::test_eigenbasis_spans_each_triangle_eigenspace"),
+    # a plot's fixed points and critical zeros drawn in alcove coordinates
+    ("svg_export.py", "px(spec.frame(fp.location))", "px(fp.location)",
+     "test_svg_export.py::test_overlays_mark_the_fixed_points_and_critical_zeros_at_their_images"),
+    ("svg_export.py", "px(spec.frame(cz.location))", "px(cz.location)",
+     "test_svg_export.py::test_overlays_mark_the_fixed_points_and_critical_zeros_at_their_images"),
     # a grid sample's sums read at (x[j], x[i]), and the certificate's row of
     # a row's first position taken as the row before
     ("eigenfunction_eval.py", "self.x[i], self.x[j]", "self.x[j], self.x[i]",
