@@ -5,17 +5,15 @@ right-isosceles triangle.
 
 Evaluators accept scalars or numpy arrays in (s, t), elementwise; gradients
 are analytic (term-by-term differentiation), never internal finite
-differences.  A triangle's nodal grid (_grid_values, GridBasis.separable)
-and a chord s + t = a (_chord_table) are one table form: the separable
-product A_r W A_c^T of weyl_tables, in (s, t) on the grid and in (a, u) on
-the chord, within delta of the sums: one table bound (_table_error) and the
-sums' own rounding (_sums_error).  One rule (_decisive) names the samples
-where delta could decide the largest |value| or a side of the band, and one
-call reads the sums there, by row and column on a grid (GridBasis.exact_at)
-and by (s, t) on a chord (eval_psi), for counts, plots and root scans alike
-(_certified_values, _certified_chord).  A grid's geometry (the axis, the
-rows' inside intervals and the mask) depends on the domain and the
-resolution alone and is built once for all that share it (_grid_geometry).
+differences.  A triangle's nodal grid (_grid_values, GridBasis.separable) is
+a table form: the separable product A W A^T of weyl_tables, within delta of
+the sums: the table's bound (_table_error) and the sums' own rounding
+(_sums_error).  One rule (_decisive) names the samples where delta could
+decide the largest |value| or a side of the band, and one call reads the
+sums there, by row and column (GridBasis.exact_at), for counts and plots
+alike (_certified_values).  A grid's geometry (the axis, the rows' inside
+intervals and the mask) depends on the domain and the resolution alone and
+is built once for all that share it (_grid_geometry).
 """
 
 import functools
@@ -85,30 +83,29 @@ def _sums_error(w: float, k: int, x: float) -> float:
     """A bound on the rounding of eval_psi's value, or of mix((eval_C,
     eval_S), theta), at a point where each Weyl phase 2 pi (a s + b t) has
     |a s| + |b t| <= k x, against the truth mixed with the same c = cos theta
-    and s = sin theta, w = |c| + |s|: the phase has six roundings (fl(2 pi),
-    a s, b t, their sum, the product, and t = fl(a - u) on a chord), so its
-    cos and sin are within eta = gamma_6 2 pi k x + TRIG_ERR of the truth's,
-    and C and S add gamma_5 and the mix gamma_2, so the value is within 6 w
-    (eta + gamma_7 (1 + eta)).  Below it a sample's sign is not known."""
+    and s = sin theta, w = |c| + |s|: the phase has five roundings (fl(2 pi),
+    a s, b t, their sum and the product), within gamma_6, so its cos and sin
+    are within eta = gamma_6 2 pi k x + TRIG_ERR of the truth's, and C and S
+    add gamma_5 and the mix gamma_2, so the value is within 6 w (eta +
+    gamma_7 (1 + eta)).  Below it a sample's sign is not known."""
     eta = _gamma(6) * TWO_PI * k * x + TRIG_ERR
     return 6.0 * w * (eta + _gamma(7) * (1.0 + eta))
 
 
-def _table_error(size: np.ndarray, phase: float, roundings: int = 16) -> float:
-    """A bound on the rounding of a separable product A_r W A_c^T (the grid's
-    and the chord's), in any order of summation: A_r and A_c hold cos and sin
-    of phases fl(fl(2 pi) k) x of at most `phase`, W = c M_C + s M_S and size
-    = |fl(W)|, which is |c| |M_C| + |s| |M_S| to one rounding, as M_C and M_S
-    share no entry (u the unit roundoff, gamma_k = k u / (1 - k u)).  A phase
-    has three roundings, so each entry of A_r and A_c is within alpha =
-    gamma_3 phase + TRIG_ERR of the true one; fl(W) is within gamma_2 |W| of
-    W, and the two products of inner length 6 or less add gamma_13 (1 +
-    gamma_2) |A_r| |W| |A_c|^T, so the value is within sum |W| (2 alpha +
-    alpha^2 + gamma_16 (1 + alpha)^2).  A middle matrix with more roundings
-    than W's two passes 14 plus their count as roundings."""
+def _table_error(size: np.ndarray, phase: float) -> float:
+    """A bound on the rounding of a separable product A_r W A_c^T (the grid's,
+    and a chord's in nodal_analysis), in any order of summation: A_r and A_c
+    hold cos and sin of phases fl(fl(2 pi) k) x of at most `phase`, W = c M_C
+    + s M_S and size = |fl(W)|, which is |c| |M_C| + |s| |M_S| to one
+    rounding, as M_C and M_S share no entry (u the unit roundoff, gamma_k = k
+    u / (1 - k u)).  A phase has three roundings, so each entry of A_r and
+    A_c is within alpha = gamma_3 phase + TRIG_ERR of the true one; fl(W) is
+    within gamma_2 |W| of W, and the two products of inner length 6 or less
+    add gamma_13 (1 + gamma_2) |A_r| |W| |A_c|^T, so the value is within sum
+    |W| (2 alpha + alpha^2 + gamma_16 (1 + alpha)^2)."""
     alpha = _gamma(3) * phase + TRIG_ERR
     return float(np.sum(size)) * (
-        2.0 * alpha + alpha * alpha + _gamma(roundings) * (1.0 + alpha) ** 2)
+        2.0 * alpha + alpha * alpha + _gamma(16) * (1.0 + alpha) ** 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,8 +268,8 @@ def sign_grid(inside: np.ndarray, band: float, mask: np.ndarray) -> np.ndarray:
 def _decisive(values, delta: float, rel: float) -> np.ndarray:
     """The samples, as a mask, where a table within delta of the sums could
     decide the largest |value| or a sample's side of the band rel max |value|
-    (0 for a chord's signs and exact zeros).  With v the table value and V the
-    sum at a sample:
+    (0 for a plot's signs).  With v the table value and V the sum at a
+    sample:
     - |v| >= max |v| - 2 delta: the sample where |V| is largest has |v| >=
       max |V| - delta >= max |v| - 2 delta, and every other sample has |v| <
       max |V| - delta, so max |V| is among the sums read here;
@@ -308,63 +305,6 @@ def _certified_values(basis: GridBasis, theta: float,
     i = np.searchsorted(basis.starts, read, side="right") - 1
     values[read] = basis.exact_at(theta, i, basis.lo[i] + (read - basis.starts[i]))
     return values, rel * float(np.max(np.abs(values[read])))
-
-
-def _chord_table(h: EigenfunctionHandle, a: float, u):
-    """(values, slopes, delta, delta_slope): Psi^theta on the chord s + t = a
-    at the samples u in (0, a), and its derivative in u, as the grid's
-    separable product in (a, u) (weyl_tables, chord=True): with g = A_r(a) W,
-    W = c M_C + s M_S and (c, s) = (cos theta, sin theta), the values are
-    A_c(u) g and the slopes A_c(u) D g, D taking the cos and sin coefficients
-    (p_k, q_k) to (2 pi k q_k, -2 pi k p_k).  delta and delta_slope bound
-    |value - eval_psi's value| and |slope - eval_psi's grad_s - grad_t| at
-    every sample, each twice the sum of two bounds on the truth, the
-    restriction mixed with the same c and s, as in GridBasis.separable:
-    - the table: _table_error over |W|, and for the slopes over |W| |D|,
-      each cos and sin column of |W| times its 2 pi k, as fl(fl(2 pi) k) and
-      its product with g add three roundings;
-    - eval_psi at (u, fl(a - u)): |a_j| u + |b_j| t <= (m + n) a, so its value
-      is within _sums_error(w, m + n, a), w = |c| + |s|.  Its slope mixes each
-      term's cos and sin as the value does, times 2 pi a_j or 2 pi b_j
-      (gamma_3), summed (gamma_5) and subtracted (one rounding), so it is
-      within L (eta + gamma_11 (1 + eta)) <= L _sums_error(w, m + n, a) / (3
-      w), eta as there and L = 2 pi w sum (|a_j| + |b_j|) = 16 pi w (m + n)."""
-    m, n = h.mode
-    rows, cols, mc, ms, _ = weyl_tables(m, n, chord=True)
-    c, s = math.cos(h.theta), math.sin(h.theta)
-    row = [TWO_PI * k * a for k in rows]
-    mixed = c * mc + s * ms
-    g = np.array([*map(math.cos, row), *map(math.sin, row)]) @ mixed
-    omega, half = np.array([TWO_PI * k for k in cols] * 2), len(cols)
-    phase = np.multiply.outer(omega[:half], u)
-    values, slopes = (np.array([g, omega * np.concatenate((g[half:], -g[:half]))])
-                      @ np.vstack((np.cos(phase), np.sin(phase))))
-    largest = max(row[-1], float(omega[-1]) * float(np.max(u)))
-    table = _table_error(np.abs(mixed), largest)
-    table_slope = _table_error(np.abs(mixed) * omega, largest, 19)
-    sums = _sums_error(abs(c) + abs(s), m + n, a)
-    sums_slope = TWO_PI * 8 * (m + n) / 3.0 * sums
-    return values, slopes, 2.0 * (table + sums), 2.0 * (table_slope + sums_slope)
-
-
-def _certified_chord(h: EigenfunctionHandle, a: float, u):
-    """(values, slopes, (M0, M2), floor): Psi^theta on the chord s + t = a at
-    the samples u and its derivative in u, from _chord_table, with eval_psi's
-    value and grad_s - grad_t read back in one call where delta could decide
-    (_decisive at band 0: the largest |value|, every sign and every exact
-    zero) and where |v'| <= delta_slope (the slopes' signs and zeros);
-    find_roots' bounds: M0 = 6 w, the size of the six terms, and M2 = w
-    curvature = w sum (2 pi (a_j - b_j))^2 >= max |f''| (weyl_tables), w =
-    |cos theta| + |sin theta|; and floor = _sums_error(w, m + n, a), the
-    sums' own rounding, below which a sample's sign is not known."""
-    values, slopes, delta, delta_slope = _chord_table(h, a, u)
-    read = np.flatnonzero(_decisive(values, delta, 0.0)
-                          | (np.abs(slopes) <= delta_slope))
-    r = eval_psi(h, u[read], a - u[read])
-    values[read], slopes[read] = r.value, r.grad_s - r.grad_t
-    w = abs(math.cos(h.theta)) + abs(math.sin(h.theta))
-    curvature = weyl_tables(*h.mode, chord=True)[4]
-    return values, slopes, (6.0 * w, w * curvature), _sums_error(w, sum(h.mode), a)
 
 
 class EvalResult(NamedTuple):

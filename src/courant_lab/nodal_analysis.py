@@ -17,12 +17,10 @@ root x0 != 1 of P_W is a breakpoint of the theta partition.
 Each root scan samples once and hands find_roots the samples: an edge scan
 mixes at its angle the theta-independent tables of gc, gs, gc' and gs'
 (_edge_functions), built once per pair and range (_edge_tables), a chord
-scan reads the restriction and its slope from the grid's certified table
-form in (a, u), with eval_psi read back by the grid's rule in one call
-(_certified_chord), and the others evaluate on the sample array.  find_roots
-reads only the samples' largest |value|, signs and exact zeros, which are
-the function's, and solves on f and df themselves, so every root has the
-function's bits.
+scan evaluates the restriction's three-frequency form and its slope
+(_chord_functions) on the sample array, and the others evaluate their
+functions there too.  Every sample has the bits of the f or df that
+find_roots solves on, so every root has the function's bits.
 
 find_roots solves a sign change of the derivative, a candidate tangent root,
 only where Taylor's theorem cannot prove |f| too large for the root to be
@@ -43,10 +41,10 @@ import numpy as np
 from scipy import ndimage
 
 from .alcove_geometry import AlcovePoint, DomainKind, weyl_coefficients
-from .eigenfunction_eval import (MAX_GRID, MIN_GRID, EigenfunctionHandle,
-                                 _certified_chord, _certified_values,
-                                 _grid_values, eval_C, eval_psi, eval_psi_grid,
-                                 eval_S, sign_grid)
+from .eigenfunction_eval import (MAX_GRID, MIN_GRID, TWO_PI,
+                                 EigenfunctionHandle, _certified_values,
+                                 _grid_values, _table_error, eval_C, eval_psi,
+                                 eval_S, sign_grid, weyl_tables)
 from .lattice_spectrum import Mode
 from .pleijel_screening import candidates
 
@@ -179,11 +177,56 @@ def _edge_functions(pair: Mode):
                                          for n, a in zip(degrees, sizes)))
 
 
-def _cos_sin(u):
-    """cos pi u and sin pi u, numpy's, as Python floats for a scalar u: the
-    same bits, and the arithmetic on them is cheaper than on numpy scalars."""
-    c, s = np.cos(PI * u), np.sin(PI * u)
-    return (float(c), float(s)) if isinstance(u, float) else (c, s)
+def _chord_functions(h: EigenfunctionHandle, a: float):
+    """(trig, values, slopes, bounds, floor), the restriction of Psi^theta to
+    the chord s + t = a written once, as a trigonometric polynomial in u with
+    the chord's three frequencies (weyl_tables, chord=True): (p, q) = A_r(a)
+    W, W = c M_C + s M_S and (c, s) = (cos theta, sin theta), gives
+    Psi^theta(u, a - u) = sum p_k cos o_k u + q_k sin o_k u, o_k = 2 pi k for
+    k in the columns.  trig(u) takes each cos o_k u and sin o_k u once,
+    values(trig(u)) is the restriction and slopes(trig(u)) its derivative in
+    u, sum o_k (q_k cos o_k u - p_k sin o_k u), each summed term by term in
+    one order with Python's + on floats or arrays, so an array of u and a
+    scalar u give the same bits.  bounds = (6 w, w curvature), w = |c| +
+    |s|: the size of the six Weyl terms and a bound on |f''| (weyl_tables).
+    floor bounds the rounding of values against the restriction mixed with
+    the same c and s: the form is A_r W A_c^T in (a, u), whose largest
+    phases are 2 pi (m + n) a in the row and o_k 2a/3 in the columns on the
+    scanned u <= 2a/3 (_table_error).  Below it a sample's sign is not
+    known."""
+    rows, cols, mc, ms, curvature = weyl_tables(*h.mode, chord=True)
+    c, s = math.cos(h.theta), math.sin(h.theta)
+    row = [TWO_PI * k * a for k in rows]
+    mixed = c * mc + s * ms
+    pq = (np.array([*map(math.cos, row), *map(math.sin, row)]) @ mixed).tolist()
+    p, q = pq[:len(cols)], pq[len(cols):]
+    omega = [TWO_PI * k for k in cols]
+
+    def trig(u):
+        return [_cos_sin(ok * u) for ok in omega]
+
+    def values(cs):
+        acc = 0.0
+        for pk, qk, (ck, sk) in zip(p, q, cs):
+            acc = acc + pk * ck + qk * sk
+        return acc
+
+    def slopes(cs):
+        acc = 0.0
+        for ok, pk, qk, (ck, sk) in zip(omega, p, q, cs):
+            acc = acc + ok * (qk * ck - pk * sk)
+        return acc
+
+    w = abs(c) + abs(s)
+    floor = _table_error(np.abs(mixed), max(row[-1], omega[-1] * 2.0 * a / 3.0))
+    return trig, values, slopes, (6.0 * w, w * curvature), floor
+
+
+def _cos_sin(x):
+    """cos x and sin x, numpy's, as Python floats for a scalar x: the same
+    bits, and the arithmetic on them is cheaper than on numpy scalars."""
+    c, s = np.cos(x), np.sin(x)
+    return (float(c), float(s)) if isinstance(x, float) else (c, s)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +308,8 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     values of f, and d times those of f' (d < 1e-3, _tangent_floor), round
     by less than 1e-13 M0, a tenth of ROUNDING M0: a Weyl term's phase has a
     few roundings relative to a phase of at most 2 pi (m + n), numpy's cos
-    and sin are within 1 ulp, a chord's table is within a bound of at most
-    5e-14 M0 (_chord_table), a polynomial of degree n <= 5 evaluated by
+    and sin are within 1 ulp, a chord's form is within its floor, at most
+    5e-14 M0 (_chord_functions), a polynomial of degree n <= 5 evaluated by
     Horner's rule at |x| <= 1 rounds by at most 2n u M0 (u the unit
     roundoff), and one in a rounded cosine is off by at most n^2 M0 times
     the cosine's error (Markov's inequality); tests check it against mpmath.
@@ -404,28 +447,27 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     pair = _check_pair(pair)
     if not 0.0 < a < 1.0:
         raise ValueError("a must be in (0, 1)")
-    m, n = pair
-    h = EigenfunctionHandle(DomainKind.EQUILATERAL, pair, theta)
+    trig, values, slopes, bounds, floor = _chord_functions(
+        EigenfunctionHandle(DomainKind.EQUILATERAL, pair, theta), a)
 
     def f(u):
-        return eval_psi_grid(m, n, theta, u, a - u)
+        return values(trig(u))
 
     def df(u):
-        # directional derivative of Psi along the chord direction (1, -1)
-        r = eval_psi(h, u, a - u)
-        return r.grad_s - r.grad_t
+        return slopes(trig(u))
 
     # the chord endpoints sit on the boundary edges, where the restriction
     # vanishes trivially; only interior intersections are reported
     lo, hi = a / 3.0, 2.0 * a / 3.0
     margin = (hi - lo) * 1e-6
     xs = np.linspace(lo + margin, hi - margin, ROOT_SAMPLES)
-    ys, dys, bounds, floor = _certified_chord(h, a, xs)
-    # the sums round by up to 1e-13 M0 (find_roots): on a chord this small
+    cs = trig(xs)
+    ys, dys = values(cs), slopes(cs)
+    # the form rounds by up to 1e-13 M0 (find_roots): on a chord this small
     # no sample's sign is known to be the restriction's
     if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:
         raise ValueError(f"the chord s + t = {a!r} is within rounding of zero")
-    # nor is it below the sums' own rounding, as near an end of a chord by a
+    # nor is it below the form's own rounding, as near an end of a chord by a
     # vertex: the scan runs from the first sample above that floor to the last
     known = np.abs(ys) > floor
     scan = slice(known.argmax(), len(ys) - known[::-1].argmax())
@@ -453,10 +495,10 @@ def _k_theta(pair: Mode, theta: float, sign: int):
         return ct * a + st * b
 
     def k(u):
-        return mix(*values(*_cos_sin(u)))
+        return mix(*values(*_cos_sin(PI * u)))
 
     def dk(u):
-        return mix(*slopes(*_cos_sin(u)))
+        return mix(*slopes(*_cos_sin(PI * u)))
 
     return k, dk, mix
 
@@ -545,7 +587,7 @@ def bifurcations(pair) -> List[Tuple[float, float]]:
         if x0 == 1.0:
             continue
         u_b = 1.0 / 3.0 + math.acos(-x0) / (3.0 * PI)
-        g_c, g_s = _edge_functions(pair)[0](*_cos_sin(u_b))
+        g_c, g_s = _edge_functions(pair)[0](*_cos_sin(PI * u_b))
         theta = math.atan2(-g_c, g_s)
         if not 0.0 < theta < PI / 6.0:
             raise AssertionError("bifurcation angle outside (0, pi/6)")

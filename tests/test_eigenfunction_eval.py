@@ -180,8 +180,8 @@ def test_decisive_block_by_block_is_the_whole_array_rule(rel):
         assert read[BLOCK + 7] and read[3 * BLOCK + 17]
 
 
-# GridBasis.separable's delta on the grids below, typed in: the chord's table
-# bound is the grid's (_table_error), so a change to it for one shows here;
+# GridBasis.separable's delta on the grids below, typed in: a chord's floor
+# is the grid's table bound (_table_error), so a change to it for one shows here;
 # each grid's largest phase is at the vertex e, whatever the resolution
 GRID_DELTAS = {(E, -7.0): 1.0557322100009117e-12, (E, 0.3): 9.359842208488066e-13,
                (E, math.pi / 2): 7.48274541761121e-13, (E, 7.0): 1.0557322100009117e-12,
@@ -518,7 +518,8 @@ def test_numpy_trig_is_within_the_error_the_table_bound_allows():
     # the table bound (_table_error) and the sums' (_sums_error) take numpy's
     # float64 cos and sin to be within TRIG_ERR of the true values (the
     # phases stay below 80 on the modes the tests and the benchmark count),
-    # and math's, which the chord's row A_r(a) takes (_chord_table), to be;
+    # and math's, which a chord's row A_r(a) takes
+    # (nodal_analysis._chord_functions), to be;
     # they are within 1 ulp of 1
     import mpmath
 

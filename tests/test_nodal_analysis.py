@@ -8,16 +8,15 @@ from scipy import ndimage
 from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint,
                                          DomainKind, weyl_coefficients)
 from courant_lab.eigenfunction_eval import (EigenfunctionHandle,
-                                            _certified_chord,
-                                            _certified_values, _chord_table,
-                                            _grid_values, _sums_error,
+                                            _certified_values, _grid_values,
                                             eval_C, eval_S, eval_isosceles,
                                             eval_psi, eval_psi_grid, mix,
                                             sign_grid)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (_EDGES, BRENT_XTOL, EDGE_PAIRS,
                                         MERGE_TOL, ROOT_SAMPLES, ROUNDING,
-                                        CriticalZero, _brentq, _cos_sin,
+                                        CriticalZero, _brentq,
+                                        _chord_functions, _cos_sin,
                                         _edge_functions, _edge_tables,
                                         _k_theta, _max_count_over_thetas,
                                         _polyder, _polyval, _sweep_counts,
@@ -237,10 +236,11 @@ def test_chord_roots_validation():
 @pytest.mark.parametrize("a, count", [(1.0 - 1e-9, 3), (4e-5, 0)])
 def test_chord_ends_below_the_sums_rounding_give_no_noise_roots(a, count):
     # (2,3) at theta 0.3: max |f| clears ROUNDING M0, but by the chord's ends
-    # the samples are below the sums' own rounding, where they gave 5 roots
-    # for 3 and 1 for none; the roots are the sign changes of 40-digit
-    # mpmath at the scan's samples, where |f| is small, and of eval_psi
-    # where |f| > 1e-10 M0, a thousand times the sums' rounding
+    # the samples are below the form's own rounding (_chord_functions'
+    # floor), where they gave 5 roots for 3 and 1 for none; the roots are the
+    # sign changes of 40-digit mpmath at the scan's samples, where |f| is
+    # small, and of eval_psi where |f| > 1e-10 M0, a thousand times the
+    # sums' rounding
     import mpmath as mp
 
     theta, xs = 0.3, _chord_xs(a)
@@ -426,84 +426,61 @@ def _chord_xs(a):
     return np.linspace(lo + (hi - lo) * 1e-6, hi - (hi - lo) * 1e-6, ROOT_SAMPLES)
 
 
-def _assert_certified_chord(pair, a, theta, xs, ys, dys):
-    """The certificate's statement (_certified_chord) for a chord's samples:
-    within delta and delta_slope of eval_psi's, equal to them at the top and
-    band samples, and with their signs, exact zeros and largest |value|, so
-    find_roots' threshold, brackets and grid zeros, to the last bit."""
-    h = EigenfunctionHandle(E, Mode(*pair), theta)
-    r = eval_psi(h, xs, a - xs)
-    exact, exact_slopes = r.value, r.grad_s - r.grad_t
-    values, slopes, delta, delta_slope = _chord_table(h, a, xs)
-    assert np.all(np.abs(ys - exact) <= delta)
-    assert np.all(np.abs(dys - exact_slopes) <= delta_slope)
-    size = np.abs(values)
-    read = (size >= size.max() - 2.0 * delta) | (size <= delta)
-    assert np.array_equal(ys[read], exact[read])
-    for got, want in ((ys, exact), (dys, exact_slopes)):
-        assert np.array_equal(np.sign(got), np.sign(want))
-        assert np.array_equal(got == 0.0, want == 0.0)
-    assert np.max(np.abs(ys)) == np.max(np.abs(exact))
-
-
 @pytest.mark.parametrize("pair, a, theta", [((1, 3), 2 / 3, 0.0), ((2, 3), 2 / 5, math.pi / 2),
                                             ((2, 3), 0.7, 0.4), ((1, 3), 0.31, 2.9)])
 def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, theta):
-    # the certified three-frequency table gives f's and df's samples, with
-    # eval_psi's signs, exact zeros and largest |f|, and the tangential pass
-    # reads those very arrays
+    # the samples edge_restriction_roots hands to find_roots are its f and df
+    # at each sample, called on a scalar as Brent's method and Newton's step
+    # call them, and the tangential pass reads those very arrays
     calls, reads = _record_scans(monkeypatch)
     edge_restriction_roots(pair, a, theta)
-    (_, (xs, ys, dys), df, bounds), = calls
-    assert np.array_equal(xs, np.linspace(xs[0], xs[-1], ROOT_SAMPLES))
-    _assert_certified_chord(pair, a, theta, xs, ys, dys)
+    (f, (xs, ys, dys), df, bounds), = calls
+    assert np.array_equal(xs, _chord_xs(a))
+    assert np.array([f(u) for u in xs.tolist()]).tobytes() == ys.tobytes()
+    assert np.array([df(u) for u in xs.tolist()]).tobytes() == dys.tobytes()
     (tangent,) = reads
     assert tangent[0] is xs and tangent[1] is ys and tangent[2] is dys
     assert tangent[3] == bounds
 
 
-def test_digest_chords_are_certified(monkeypatch):
+def test_digest_chord_roots_match_mpmath():
     # the root digest's 200 chords, drawn as test_root_digest.root_reprs
-    # draws them after its 300 angles
+    # draws them after its 300 angles: each root is within 1e-13 a of the
+    # root 40-digit mpmath reaches from it, the restriction mixed with the
+    # same floats cos(theta) and sin(theta)
+    import mpmath as mp
+
     rng = random.Random(7)
     for _ in range(300):
         rng.random()
     chords = [(EDGE_PAIRS[i % 2], rng.uniform(0.05, 0.95), rng.uniform(0.0, math.pi))
               for i in range(200)]
-    calls, _ = _record_scans(monkeypatch)
-    for chord in chords:
-        edge_restriction_roots(*chord)
-    assert len(calls) == len(chords)
-    for chord, (_, (xs, ys, dys), _, _) in zip(chords, calls):
-        _assert_certified_chord(*chord, xs, ys, dys)
+    count = 0
+    with mp.workdps(40):
+        for pair, a, theta in chords:
+            c, s, a_mp = mp.mpf(math.cos(theta)), mp.mpf(math.sin(theta)), mp.mpf(a)
+            terms = weyl_coefficients(*pair)
+
+            def f(u):
+                phases = [(sign, 2 * mp.pi * (ta * u + tb * (a_mp - u)))
+                          for sign, ta, tb in terms]
+                return sum(sign * (c * mp.cos(p) + s * mp.sin(p)) for sign, p in phases)
+
+            for u in edge_restriction_roots(pair, a, theta):
+                truth = mp.findroot(f, (mp.mpf(u), mp.mpf(u) + 1e-10 * a))
+                assert abs(u - truth) <= 1e-13 * a
+                count += 1
+    assert count == 221
 
 
-@pytest.mark.parametrize("pair, a, theta, which", [
-    ((1, 3), 0.3, 0.0, 0), ((2, 3), 0.7, 0.0, 0), ((2, 3), 0.9, 0.0, 0),
-    ((1, 3), 0.64, math.pi / 2, 1), ((2, 3), 0.61, math.pi / 2, 1)])
-def test_chord_read_back_keeps_the_exact_zeros_of_the_sums(pair, a, theta, which):
-    # on the median s = t, at u = a/2, eval_psi's C is exactly 0, and so is
-    # the slope of S on these chords, where the table is off by up to 2e-13
-    # and |S| is not the largest: only the read-back of the band |v| <=
-    # delta, or |v'| <= delta_slope, keeps the zero
-    h = EigenfunctionHandle(E, Mode(*pair), theta)
-    u = np.append(np.linspace(a / 3, 2 * a / 3, 257)[1:-1], a / 2)
-    r = eval_psi(h, u, a - u)
-    exact = (r.value, r.grad_s - r.grad_t)[which]
-    values, _, delta, _ = table = _chord_table(h, a, u)
-    assert exact[-1] == 0.0 and table[which][-1] != 0.0
-    assert abs(values[-1]) < np.max(np.abs(values)) - 2.0 * delta
-    got = _certified_chord(h, a, u)[which]
-    assert got[-1] == 0.0 and np.array_equal(np.sign(got), np.sign(exact))
-
-
-def test_chord_bounds_cover_the_table_and_the_sums():
-    # delta >= |table - truth| + |eval_psi - truth| and delta_slope the same
-    # for the slopes, against 40-digit mpmath, the truth mixed with the same
-    # floats cos(theta) and sin(theta), on chords from a = 1e-4 to 1 - 1e-10
-    # and at angles in [-7, 7]; the table alone, and its bound (delta / 2
-    # less the sums' rounding), are within the 1e-13 M0 that find_roots grants
-    # a sample
+def test_chord_form_rounds_within_its_floor():
+    # the premises of find_roots and _tangent_floor on a chord, against
+    # 40-digit mpmath, the truth mixed with the same floats cos(theta) and
+    # sin(theta), on chords from a = 1e-4 to 1 - 1e-10 and at angles in [-7,
+    # 7]: each value of the form (_chord_functions) is within its floor, the
+    # floor is within the 1e-13 M0 that find_roots grants a sample, and so is
+    # 1e-3 times each slope's error, as 1e-3 exceeds the d = h/2 + MERGE_TOL
+    # that scales it there
     import mpmath as mp
 
     with mp.workdps(40):
@@ -513,12 +490,11 @@ def test_chord_bounds_cover_the_table_and_the_sums():
                 xs = _chord_xs(a)[list(range(0, ROOT_SAMPLES, 273)) + [-1]]
                 for theta in (-7.0, -2.9, 0.0, 0.3, PI / 2, 7.0):
                     h = EigenfunctionHandle(E, Mode(*pair), theta)
+                    trig, values, slopes, (size, _), floor = _chord_functions(h, a)
+                    assert floor <= 1e-13 * size
+                    cs = trig(xs)
+                    got, got_slopes = values(cs), slopes(cs)
                     c, s = mp.mpf(math.cos(theta)), mp.mpf(math.sin(theta))
-                    w = abs(math.cos(theta)) + abs(math.sin(theta))
-                    size = len(terms) * w
-                    values, slopes, delta, delta_slope = _chord_table(h, a, xs)
-                    assert delta / 2 - _sums_error(w, sum(pair), a) <= 1e-13 * size
-                    r = eval_psi(h, xs, a - xs)
                     for i, u in enumerate(xs):
                         u = mp.mpf(float(u))
                         phases = [(sign, 2 * mp.pi * (ta * u + tb * (mp.mpf(a) - u)),
@@ -526,10 +502,8 @@ def test_chord_bounds_cover_the_table_and_the_sums():
                         f = sum(sign * (c * mp.cos(p) + s * mp.sin(p)) for sign, p, _ in phases)
                         df = sum(sign * k * (s * mp.cos(p) - c * mp.sin(p))
                                  for sign, p, k in phases)
-                        assert abs(values[i] - f) + abs(r.value[i] - f) <= delta
-                        assert (abs(slopes[i] - df) + abs(r.grad_s[i] - r.grad_t[i] - df)
-                                <= delta_slope)
-                        assert abs(values[i] - f) <= 1e-13 * size
+                        assert abs(got[i] - f) <= floor
+                        assert 1e-3 * abs(got_slopes[i] - df) <= 1e-13 * size
 
 
 @pytest.mark.parametrize("pair, theta", [((2, 3), 0.3), ((1, 3), 1.0)])
@@ -728,7 +702,7 @@ def _fs_prime_typed(pair, u):
 def _edge_values(pair, u):
     """The library's (gc, gs) at u: _edge_functions' values at cos pi u
     and sin pi u, as bifurcations reads them."""
-    return _edge_functions(Mode(*pair))[0](*_cos_sin(u))
+    return _edge_functions(Mode(*pair))[0](*_cos_sin(PI * u))
 
 
 # gc and gs and their derivatives, written out from the typed P_C and P_S in

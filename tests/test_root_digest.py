@@ -14,7 +14,7 @@ from courant_lab.nodal_analysis import (EDGE_PAIRS, bifurcation_angle,
                                         median_critical_zeros,
                                         polynomial_roots_unit_interval)
 
-ROOT_DIGEST = "41cfe6426a2040a7ba1aa83601650f9629ec035c5e0ef9c635767eb6b797c4b9"
+ROOT_DIGEST = "db5123e589919aa721f60419aa1b3bed44d50970690a5b5cc7e5e08ea577dbfa"
 
 
 def root_reprs():

@@ -72,7 +72,7 @@ MUTANTS = (
      "test_nodal_analysis.py::test_chord_roots_s23_tangent"),
     # the tangential floor: the chord's M2 dropped, the d^2 M2 / 2 term
     # dropped, and the comparison flipped, solving only what can be skipped
-    ("eigenfunction_eval.py", "(6.0 * w, w * curvature)", "(6.0 * w, 0.0)",
+    ("nodal_analysis.py", "(6.0 * w, w * curvature)", "(6.0 * w, 0.0)",
      "test_nodal_analysis.py::test_skipped_tangential_solves_could_not_give_a_root"),
     ("nodal_analysis.py", "             - d * d * curvature / 2.0 - 2.0 * ROUNDING * size)",
      "             - 2.0 * ROUNDING * size)",
@@ -80,20 +80,17 @@ MUTANTS = (
     ("nodal_analysis.py", "for i in brackets[floor <= threshold]]",
      "for i in brackets[floor > threshold]]",
      "test_nodal_analysis.py::test_chord_roots_s23_tangent"),
-    # the chord certificate without the exact reads at the largest table
-    # values, which fix find_roots' threshold, at the band |v| <= delta, which
-    # fixes the signs and exact zeros, or at |v'| <= delta_slope, and with its
-    # bound delta taken as 0; the first two drop a clause of the read-back
-    # rule the grid shares (_decisive)
-    ("eigenfunction_eval.py", "        read[high] = True\n", "",
-     "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
-    ("eigenfunction_eval.py", "read = np.abs(size, out=size) <= (1.0 + rel) * delta",
-     "read = np.zeros_like(size, dtype=bool)",
-     "test_nodal_analysis.py::test_chord_read_back_keeps_the_exact_zeros_of_the_sums"),
-    ("eigenfunction_eval.py", "\n                          | (np.abs(slopes) <= delta_slope))",
-     ")", "test_nodal_analysis.py::test_chord_read_back_keeps_the_exact_zeros_of_the_sums"),
-    ("eigenfunction_eval.py", "return values, slopes, 2.0 * (table + sums),",
-     "return values, slopes, 0.0 * (table + sums),",
+    # the chord's form with its slope's sign flipped and its rounding floor
+    # taken as 0, and Brent's f read through the sums, not the form the
+    # samples come from
+    ("nodal_analysis.py", "acc = acc + ok * (qk * ck - pk * sk)",
+     "acc = acc + ok * (pk * sk - qk * ck)",
+     "test_nodal_analysis.py::test_chord_form_rounds_within_its_floor"),
+    ("nodal_analysis.py", "floor = _table_error(np.abs(mixed), ",
+     "floor = 0.0 * _table_error(np.abs(mixed), ",
+     "test_nodal_analysis.py::test_chord_form_rounds_within_its_floor"),
+    ("nodal_analysis.py", "return values(trig(u))",
+     "return eval_psi(EigenfunctionHandle(DomainKind.EQUILATERAL, pair, theta), u, a - u).value",
      "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
     # a chord within rounding of zero scanned for noise roots, and a chord's
     # ends below the sums' rounding scanned too
@@ -107,9 +104,9 @@ MUTANTS = (
      "EigenfunctionHandle(d, pair)",
      "test_nodal_analysis.py::test_verdict_counts_only_candidates_above_two"),
     # the grid certificate without the exact reads at the largest table
-    # values, which fix the band, or at the band's edges (the two mutants of
-    # the shared rule above), with its band halved, and with the band window
-    # missing the rel delta gap between the table's band and the sums'
+    # values, which fix the band, or at the band's edges, with its band
+    # halved, and with the band window missing the rel delta gap between the
+    # table's band and the sums'
     ("eigenfunction_eval.py", "        read[high] = True\n", "",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
     ("eigenfunction_eval.py", "read = np.abs(size, out=size) <= (1.0 + rel) * delta",
@@ -193,12 +190,12 @@ MUTANTS = (
      "test_eigenfunction_eval.py::"
      "test_separable_skips_a_last_block_of_rows_with_no_inside_sample"),
     # the sums' rounding without numpy's trig error, the table bound (the
-    # grid's and the chord's) without the products' roundings, and the table
-    # values taken as the sums: no margin for the exact reads
+    # grid's, and a chord's floor) without the products' roundings, and the
+    # table values taken as the sums: no margin for the exact reads
     ("eigenfunction_eval.py", "eta = _gamma(6) * TWO_PI * k * x + TRIG_ERR",
      "eta = _gamma(6) * TWO_PI * k * x",
      "test_eigenfunction_eval.py::test_sums_error_grants_each_cos_and_sin_the_trig_error"),
-    ("eigenfunction_eval.py", " + _gamma(roundings) * (1.0 + alpha) ** 2)", ")",
+    ("eigenfunction_eval.py", " + _gamma(16) * (1.0 + alpha) ** 2)", ")",
      "test_eigenfunction_eval.py::test_grid_bounds_cover_the_table_and_the_sums"),
     ("eigenfunction_eval.py", "return values, 2.0 * (sums + table)",
      "return values, 0.0 * (sums + table)",

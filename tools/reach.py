@@ -28,6 +28,7 @@ UNREACHED = {
     "pleijel_screening.courant_upper_bound": "benchmark hook (perfbench/tracer.py)",
     "pleijel_screening.fk_line": "benchmark hook (perfbench/tracer.py)",
     "pleijel_screening.cutoff_scan": "benchmark hook (perfbench/tracer.py)",
+    "eigenfunction_eval.eval_psi_grid": "benchmark hook (perfbench/tracer.py)",
 }
 
 DOMAINS = ("torus", "equilateral", "right-isosceles", "hemiequilateral")
