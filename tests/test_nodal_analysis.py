@@ -473,6 +473,35 @@ def test_digest_chord_roots_match_mpmath():
     assert count == 221
 
 
+@pytest.mark.parametrize("pair, a, theta, which", [
+    ((1, 3), 0.3, 0.0, 0), ((2, 3), 0.7, 0.0, 0), ((2, 3), 0.9, 0.0, 0),
+    ((1, 3), 0.64, math.pi / 2, 1), ((2, 3), 0.61, math.pi / 2, 1)])
+def test_chord_form_keeps_the_median_zeros_of_the_sums(pair, a, theta, which):
+    # on the median s = t, at u = a/2, eval_psi's C is exactly 0, and so is
+    # the slope of S on these chords; the form (_chord_functions) is within
+    # its floor of 0 there, or 1e-10 M0 for the slope
+    # (test_chord_form_rounds_within_its_floor), and has the sums' sign
+    # wherever they are above that; so the roots pair up about the median,
+    # and a zero of C there is one root, at a/2 to 1e-13 a
+    h = EigenfunctionHandle(E, Mode(*pair), theta)
+    u = np.append(np.linspace(a / 3, 2 * a / 3, 257)[1:-1], a / 2)
+    r = eval_psi(h, u, a - u)
+    exact = (r.value, r.grad_s - r.grad_t)[which]
+    trig, values, slopes, (size, _), floor = _chord_functions(h, a)
+    cs = trig(u)
+    got = (values(cs), slopes(cs))[which]
+    bound = (floor, 1e-10 * size)[which]
+    assert exact[-1] == 0.0 and abs(got[-1]) <= bound
+    known = np.abs(exact) > bound
+    assert np.count_nonzero(~known) == 2
+    assert np.array_equal(np.sign(got[known]), np.sign(exact[known]))
+    roots = edge_restriction_roots(pair, a, theta)
+    assert roots == pytest.approx([a - x for x in reversed(roots)], abs=1e-13 * a)
+    if which == 0:
+        assert len(roots) % 2 == 1
+        assert roots[len(roots) // 2] == pytest.approx(a / 2, abs=1e-13 * a)
+
+
 def test_chord_form_rounds_within_its_floor():
     # the premises of find_roots and _tangent_floor on a chord, against
     # 40-digit mpmath, the truth mixed with the same floats cos(theta) and
