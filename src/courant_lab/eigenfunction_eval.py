@@ -9,17 +9,17 @@ differences.  A triangle's nodal grid (_grid_values, GridBasis.separable) is
 a table form: the separable product A W A^T of weyl_tables, within delta of
 the sums: the table's bound (_table_error) and the sums' own rounding
 (_sums_error).  One rule (_decisive) names the samples where delta could
-decide the largest |value| or a side of the band, and one call reads the
-sums there, by row and column (GridBasis.exact_at), for counts and plots
-alike (_certified_values).  A grid's geometry (the axis, the rows' inside
-intervals and the mask) depends on the domain and the resolution alone and
-is built once for all that share it (_grid_geometry).
+decide the largest |value| or a side of the band, and one call, for counts
+and plots alike, reads the sums there, by row and column (GridBasis.exact_at),
+and bands them into signs (sign_grid).  A grid's geometry (the axis, the
+rows' inside intervals and the mask) depends on the domain and the
+resolution alone and is built once for all that share it (_grid_geometry).
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,15 +256,6 @@ def _grid_values(h: EigenfunctionHandle, resolution: int) -> GridBasis:
     return GridBasis(h.domain, h.mode, resolution)
 
 
-def sign_grid(inside: np.ndarray, band: float, mask: np.ndarray) -> np.ndarray:
-    """{+1, -1, 0} per sample: the sign of the values inside the mask (given
-    in its row order), 0 in the zero band [-band, band] and outside the
-    mask."""
-    signs = np.zeros(mask.shape, dtype=np.int8)
-    signs[mask] = (inside > band).astype(np.int8) - (inside < -band)
-    return signs
-
-
 def _decisive(values, delta: float, rel: float) -> np.ndarray:
     """The samples, as a mask, where a table within delta of the sums could
     decide the largest |value| or a sample's side of the band rel max |value|
@@ -291,20 +282,22 @@ def _decisive(values, delta: float, rel: float) -> np.ndarray:
     return out
 
 
-def _certified_values(basis: GridBasis, theta: float,
-                      rel: float) -> Tuple[np.ndarray, float]:
-    """(values, band): values whose signs outside the band rel * max |value|
-    (a count's at ZERO_BAND_REL, a plot's strict signs at 0) are those of
-    the sums mixed at theta, and that band: the table values
-    (GridBasis.separable), within delta of the sums, with the sums themselves
-    (exact_at) read in one call wherever delta could decide (_decisive), so
-    the band is rel times the largest |sum| read.  _decisive's positions
-    in row order become the samples' rows and columns (i, j) here."""
+def sign_grid(basis: GridBasis, theta: float, rel: float) -> np.ndarray:
+    """{+1, -1, 0} per sample of basis.mask: the signs of the sums mixed at
+    theta, 0 in the zero band [-band, band] and outside the mask, band = rel
+    times the largest |sum| read (a count's at ZERO_BAND_REL, a plot's strict
+    signs at 0).  The values are the table's (GridBasis.separable), within
+    delta of the sums, with the sums themselves (exact_at) read in one call
+    wherever delta could decide (_decisive); _decisive's positions in row
+    order become the samples' rows and columns (i, j) here."""
     values, delta = basis.separable(theta)
     read = np.flatnonzero(_decisive(values, delta, rel))
     i = np.searchsorted(basis.starts, read, side="right") - 1
     values[read] = basis.exact_at(theta, i, basis.lo[i] + (read - basis.starts[i]))
-    return values, rel * float(np.max(np.abs(values[read])))
+    band = rel * float(np.max(np.abs(values[read])))
+    signs = np.zeros(basis.mask.shape, dtype=np.int8)
+    signs[basis.mask] = (values > band).astype(np.int8) - (values < -band)
+    return signs
 
 
 class EvalResult(NamedTuple):

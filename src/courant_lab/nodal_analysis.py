@@ -41,8 +41,7 @@ import numpy as np
 from scipy import ndimage
 
 from .alcove_geometry import AlcovePoint, DomainKind, weyl_coefficients
-from .eigenfunction_eval import (MAX_GRID, MIN_GRID, TWO_PI,
-                                 EigenfunctionHandle, _certified_values,
+from .eigenfunction_eval import (MAX_GRID, MIN_GRID, TWO_PI, EigenfunctionHandle,
                                  _grid_values, _table_error, eval_C, eval_psi,
                                  eval_S, sign_grid, weyl_tables)
 from .lattice_spectrum import Mode
@@ -246,7 +245,7 @@ MERGE_TOL = 1e-9
 ROUNDING = 1e-12
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+def _brentq(f, xa: float, xb: float) -> float:
     """A root of f in [xa, xb] by Brent's method (Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 4), step for step scipy's
     brentq: the same iterates, so the same bits.  xcur is the best estimate
@@ -268,7 +267,7 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -322,7 +321,7 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     roots = []
     sign = np.sign(ys)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        r = _brentq(f, xs[i], xs[i + 1], xtol=BRENT_XTOL)
+        r = _brentq(f, xs[i], xs[i + 1])
         if df is not None:
             d = df(r)
             if d != 0.0:
@@ -336,7 +335,7 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     if df is not None:
         dys = np.asarray(dys, dtype=float)
         brackets, floor = _tangent_floor(xs, ys, dys, bounds)
-        tangent = [float(min(max(_brentq(df, xs[i], xs[i + 1], xtol=BRENT_XTOL), lo), hi))
+        tangent = [float(min(max(_brentq(df, xs[i], xs[i + 1]), lo), hi))
                    for i in brackets[floor <= threshold]]
         tangent += [float(xs[i]) for i in np.nonzero(dys == 0)[0]]
         roots += [r for r in _merged(tangent) if abs(f(r)) < threshold]
@@ -633,12 +632,12 @@ def _sweep_counts(h: EigenfunctionHandle, resolution: int,
     """(positive, negative) 4-connected sign components (ndimage.label's
     default structure in 2-D) of the basis mixed at theta on the handle's
     grid at each of thetas, in order.  The grid is built once, so an angle
-    costs one table product, a few exact samples and the labelling
-    (_certified_values), each sign over its bounding box (_components)."""
+    costs one sign_grid call (a table product and a few exact samples) and
+    the labelling, each sign over its bounding box (_components)."""
     basis = _grid_values(h, resolution)
     counts = []
     for theta in thetas:
-        signs = sign_grid(*_certified_values(basis, theta, ZERO_BAND_REL), basis.mask)
+        signs = sign_grid(basis, theta, ZERO_BAND_REL)
         counts.append((_components(signs, 1), _components(signs, -1)))
     return counts
 

@@ -1,9 +1,9 @@
 """Nodal-set plots as plain SVG 1.1 line art: marching-squares segments of
 the zero level set, the domain outline, fixed points as circles and critical
 zeros as crosses, all in the Euclidean frame at 512 px per unit.  The grid's
-signs are the sign grid of the certified values the nodal counts read
-(eigenfunction_eval's _certified_values and sign_grid), and marching squares
-interpolates on the sums read at the crossing cells' corners."""
+signs are the certified sign grid the nodal counts read (eigenfunction_eval's
+sign_grid), and marching squares interpolates on the sums read at the
+crossing cells' corners."""
 
 import functools
 from typing import List, Tuple
@@ -11,8 +11,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .alcove_geometry import DOMAINS, DomainKind
-from .eigenfunction_eval import (EigenfunctionHandle, _certified_values,
-                                 _grid_values, sign_grid)
+from .eigenfunction_eval import EigenfunctionHandle, _grid_values, sign_grid
 from .nodal_analysis import (EDGE_PAIRS, edge_critical_zeros, edge_theta_in_range,
                              median_fixed_points)
 
@@ -57,7 +56,7 @@ def render_nodal_svg(h: EigenfunctionHandle, resolution: int) -> str:
     segments of the sums: the certified values' strict signs (band 0),
     tested > 0 in place in one r^2 grid, and the gathered corners' sums."""
     basis = _grid_values(h, resolution)
-    signs = sign_grid(*_certified_values(basis, h.theta, 0.0), basis.mask)
+    signs = sign_grid(basis, h.theta, 0.0)
     pos = np.greater(signs, 0, out=signs.view(bool))
     read = functools.partial(basis.exact_at, h.theta)
     spec = DOMAINS[h.domain]

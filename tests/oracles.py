@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, SQRT3, AlcovePoint,
                                          CartesianPoint, DomainKind)
 from courant_lab.eigenfunction_eval import TWO_PI
@@ -114,3 +116,12 @@ def counting_lower_bound(d: DomainKind, lam: float) -> float:
         raise ValueError("lambda must be > 0")
     a, b, c = bound_coefficients(d)
     return a * lam - b * math.sqrt(lam) + c
+
+
+def band_signs(values, band: float, mask):
+    """{+1, -1, 0} per sample of mask: the sign of values, given in the
+    mask's row order, outside the zero band [-band, band], and 0 in the band
+    and outside the mask."""
+    signs = np.zeros(mask.shape, dtype=np.int8)
+    signs[mask] = np.where(values > band, 1, np.where(values < -band, -1, 0))
+    return signs

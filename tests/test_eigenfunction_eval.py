@@ -234,7 +234,7 @@ def test_plots_and_counts_read_one_certified_grid():
     import courant_lab.nodal_analysis as nodal
     import courant_lab.svg_export as svg
 
-    for name in ("_grid_values", "_certified_values", "sign_grid"):
+    for name in ("_grid_values", "sign_grid"):
         assert getattr(svg, name) is getattr(nodal, name) is getattr(ev, name)
 
 

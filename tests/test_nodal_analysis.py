@@ -7,8 +7,7 @@ from scipy import ndimage
 
 from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, AlcovePoint,
                                          DomainKind, weyl_coefficients)
-from courant_lab.eigenfunction_eval import (EigenfunctionHandle,
-                                            _certified_values, _grid_values,
+from courant_lab.eigenfunction_eval import (EigenfunctionHandle, _grid_values,
                                             eval_C, eval_S, eval_isosceles,
                                             eval_psi, eval_psi_grid, mix,
                                             sign_grid)
@@ -30,7 +29,7 @@ from courant_lab.nodal_analysis import (_EDGES, BRENT_XTOL, EDGE_PAIRS,
                                         median_critical_zeros,
                                         median_fixed_points,
                                         polynomial_roots_unit_interval)
-from oracles import in_domain, pullback_theta
+from oracles import band_signs, in_domain, pullback_theta
 
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
@@ -376,7 +375,7 @@ def test_skipped_tangential_solves_could_not_give_a_root(monkeypatch):
         brackets, floor = _tangent_floor(xs, ys, dys, bounds)
         skip = floor > threshold
         for i in brackets[skip]:
-            assert abs(f(_brentq(df, xs[i], xs[i + 1], xtol=BRENT_XTOL))) >= threshold
+            assert abs(f(_brentq(df, xs[i], xs[i + 1]))) >= threshold
         dense = np.clip(np.linspace(xs[brackets[skip]] - MERGE_TOL,
                                     xs[brackets[skip] + 1] + MERGE_TOL, 17, axis=-1),
                         lo, hi)
@@ -964,9 +963,9 @@ def test_brent_step_is_scipys_bit_for_bit(f, a, b):
 
     port, port_xs = _calls(f)
     ref, ref_xs = _calls(f)
-    root = _brentq(port, a, b, xtol=1e-13)
+    root = _brentq(port, a, b)
     assert type(root) is float
-    assert root.hex() == brentq(ref, a, b, xtol=1e-13).hex()
+    assert root.hex() == brentq(ref, a, b, xtol=BRENT_XTOL).hex()
     assert port_xs == ref_xs
 
 
@@ -974,15 +973,15 @@ def test_brent_step_raises_as_scipy_does():
     from scipy.optimize import brentq
 
     with pytest.raises(ValueError, match="different signs"):
-        brentq(math.cos, 0.0, 1.0, xtol=1e-13)
+        brentq(math.cos, 0.0, 1.0, xtol=BRENT_XTOL)
     with pytest.raises(ValueError, match="different signs"):
-        _brentq(math.cos, 0.0, 1.0, xtol=1e-13)
+        _brentq(math.cos, 0.0, 1.0)
     # a triple root: interpolation creeps, and 100 iterations do not reach
     # xtol on either side
     with pytest.raises(RuntimeError):
-        brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0, xtol=1e-13)
+        brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0, xtol=BRENT_XTOL)
     with pytest.raises(RuntimeError, match="did not converge"):
-        _brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0, xtol=1e-13)
+        _brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
 
 
 def test_find_roots_brackets_give_scipys_roots(monkeypatch):
@@ -994,9 +993,9 @@ def test_find_roots_brackets_give_scipys_roots(monkeypatch):
 
     brackets = []
 
-    def both(f, a, b, xtol):
-        root = _brentq(f, a, b, xtol=xtol)
-        brackets.append((root, brentq(f, a, b, xtol=xtol)))
+    def both(f, a, b):
+        root = _brentq(f, a, b)
+        brackets.append((root, brentq(f, a, b, xtol=BRENT_XTOL)))
         return root
 
     monkeypatch.setattr(nodal, "_brentq", both)
@@ -1326,12 +1325,14 @@ def test_count_refuses_a_doubled_grid_above_the_cap_before_any_grid(monkeypatch)
 
 class _TableStub:
     """A basis whose table values are given, on a one-column grid whose
-    starts and lo map each position to its own row: exact_at reads the sums
-    and records the rows read and the calls."""
+    starts and lo map each position to its own row and whose mask is all
+    inside: exact_at reads the sums and records the rows read and the
+    calls."""
 
     def __init__(self, exact, table, delta):
         self.exact, self.table, self.delta, self.read, self.calls = exact, table, delta, [], 0
         self.starts, self.lo = np.arange(len(table)), np.zeros(len(table), dtype=int)
+        self.mask = np.ones((len(table), 1), dtype=bool)
 
     def separable(self, theta):
         return self.table.copy(), self.delta
@@ -1352,28 +1353,27 @@ def test_certificate_reads_the_sums_at_the_top_and_the_band_edge():
     exact = np.array([1.0, 1.0 - 0.5 * delta, 1e-5 + 0.1 * delta, -0.5, 2e-6])
     table = exact + np.array([-0.9, 0.9, -0.6, 0.9, -0.9]) * delta
     stub = _TableStub(exact, table, delta)
-    mask = np.ones((1, 5), dtype=bool)
-    values, band = _certified_values(stub, 0.3, rel)
+    signs = sign_grid(stub, 0.3, rel)
     assert sorted(set(stub.read)) == [0, 1, 2] and stub.calls == 1
-    assert np.max(np.abs(values)) == 1.0 and band == rel
-    assert sign_grid(values, band, mask).tolist() == [[1, 1, 1, -1, 0]]
+    assert signs.ravel().tolist() == [1, 1, 1, -1, 0]
     # the table alone, banded at its own largest |value|, misreads sample 2
     table_band = rel * np.max(np.abs(table))
-    assert sign_grid(table, table_band, mask).tolist() == [[1, 1, 0, -1, 0]]
+    assert band_signs(table, table_band, stub.mask).ravel().tolist() == [1, 1, 0, -1, 0]
     # the table's largest |value| nearly delta below the sums', so its band
     # is 0.99 rel delta below theirs: the sum at 1 lies between the two
     # bands, and its table value (1 + rel / 2) delta above the table's band
-    # is read only by the window's (1 + rel) factor
+    # is read only by the window's (1 + rel) factor; the sums' band, rel,
+    # halved would give it a sign
     top = 1.0 - 0.99 * delta
     table_band = rel * top
     exact = np.array([1.0, table_band + 0.7 * rel * delta, -0.5])
     table = np.array([top, table_band + (1.0 + 0.5 * rel) * delta, -0.5 + 0.5 * delta])
     assert np.max(np.abs(table - exact)) <= delta and table[1] - table_band > delta
     stub = _TableStub(exact, table, delta)
-    values, band = _certified_values(stub, 0.3, rel)
-    assert stub.read == [0, 1] and stub.calls == 1 and band == rel
-    assert sign_grid(values, band, mask[:, :3]).tolist() == [[1, 0, -1]]
-    assert sign_grid(table, band, mask[:, :3]).tolist() == [[1, 1, -1]]
+    signs = sign_grid(stub, 0.3, rel)
+    assert stub.read == [0, 1] and stub.calls == 1
+    assert signs.ravel().tolist() == [1, 0, -1]
+    assert band_signs(table, rel, stub.mask).ravel().tolist() == [1, 1, -1]
 
 
 # the benchmark gallery's modes and angles on each triangle
@@ -1390,9 +1390,9 @@ GALLERY = {
 
 
 def _check_certified_signs(d, pair, thetas, resolution):
-    """The certified sign grid is the sign grid of the sums at each angle, its
-    largest |value| is theirs, its band is ZERO_BAND_REL times that value,
-    and the table is well within delta of them."""
+    """The certified sign grid at each angle is the sums' signs banded at
+    ZERO_BAND_REL times their largest |value| (band_signs), and the table is
+    well within delta of the sums."""
     import courant_lab.nodal_analysis as nodal
 
     h = EigenfunctionHandle(d, Mode(*pair), thetas[0])
@@ -1404,11 +1404,9 @@ def _check_certified_signs(d, pair, thetas, resolution):
         exact = mix(sums, theta)
         table, delta = basis.separable(theta)
         assert np.max(np.abs(table - exact)) <= delta / 10, (pair, theta)
-        values, band = _certified_values(basis, theta, nodal.ZERO_BAND_REL)
-        assert np.max(np.abs(values)) == np.max(np.abs(exact)), (pair, theta)
-        assert band == nodal.ZERO_BAND_REL * np.max(np.abs(exact)), (pair, theta)
-        assert np.array_equal(sign_grid(values, band, mask),
-                              sign_grid(exact, band, mask)), (pair, theta)
+        band = nodal.ZERO_BAND_REL * np.max(np.abs(exact))
+        assert np.array_equal(sign_grid(basis, theta, nodal.ZERO_BAND_REL),
+                              band_signs(exact, band, mask)), (pair, theta)
 
 
 @pytest.mark.parametrize("resolution", [512, 1023, 1024])

@@ -112,7 +112,7 @@ MUTANTS = (
     ("eigenfunction_eval.py", "read = np.abs(size, out=size) <= (1.0 + rel) * delta",
      "read = np.zeros_like(size, dtype=bool)",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
-    ("eigenfunction_eval.py", "return values, rel * float(", "return values, 0.5 * rel * float(",
+    ("eigenfunction_eval.py", "band = rel * float(", "band = 0.5 * rel * float(",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
     ("eigenfunction_eval.py", "<= (1.0 + rel) * delta", "<= delta",
      "test_nodal_analysis.py::test_certificate_reads_the_sums_at_the_top_and_the_band_edge"),
@@ -134,8 +134,8 @@ MUTANTS = (
     ("eigenfunction_eval.py", "key = (d, resolution)", "key = d",
      "test_eigenfunction_eval.py::test_a_new_geometry_drops_the_old_one_before_it_is_built"),
     # a 1 fill outside the mask
-    ("eigenfunction_eval.py", "signs = np.zeros(mask.shape, dtype=np.int8)",
-     "signs = np.ones(mask.shape, dtype=np.int8)",
+    ("eigenfunction_eval.py", "signs = np.zeros(basis.mask.shape, dtype=np.int8)",
+     "signs = np.ones(basis.mask.shape, dtype=np.int8)",
      "test_nodal_analysis.py::test_counts_13_family_res256"),
     # nodal's cap without the doubled grid
     ("nodal_analysis.py", "resolution <= MAX_GRID // 2:", "resolution <= MAX_GRID:",
@@ -267,8 +267,8 @@ MUTANTS = (
      "test_svg_export.py::test_zero_segments_match_the_loop_on_domain_grids"),
     # a plot whose signs read the sums back at the count's band edge, not
     # where the table's sign may be wrong, or with the corners read at (j, i)
-    ("svg_export.py", "_certified_values(basis, h.theta, 0.0)",
-     "_certified_values(basis, h.theta, 1e-5)",
+    ("svg_export.py", "sign_grid(basis, h.theta, 0.0)",
+     "sign_grid(basis, h.theta, 1e-5)",
      "test_svg_export.py::test_plot_segments_are_those_of_the_sums"),
     ("svg_export.py", "v = read(ci, cj)", "v = read(cj, ci)",
      "test_svg_export.py::test_zero_segments_match_the_loop_on_domain_grids"),
