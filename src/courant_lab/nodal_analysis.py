@@ -8,6 +8,13 @@ in their box.  ndimage.label costs about the same per pixel set or not, and
 the triangles fill 3/8 (equilateral), 3/16 (hemiequilateral) and 1/2
 (right-isosceles) of the square their grid samples.
 
+A verdict labels less: it needs to know whether some count reaches n, and
+each sign's top runs (_top_runs), the runs in a row with nothing of their
+sign above them, bound its components from above, as the topmost row of a
+component holds one.  An angle whose two bounds sum to less than n has fewer
+than n domains and is never labelled, so a false verdict is settled by the
+bound on the grid; only an angle whose bound reaches n is labelled.
+
 On an edge, in x = cos pi u, the edge sums are fc = sigma (T_3 - 1)(x - 1) sin(pi
 u) P_C(x) and fs = sigma (T_3 - 1) P_S(x), where T_3 - 1 = 4 (x - 1)(x + 1/2)^2
 vanishes only at the vertices.  The edge functions gc and gs, the only ones
@@ -627,6 +634,27 @@ def _components(signs: np.ndarray, sign: int) -> int:
     return ndimage.label(on[box])[1]
 
 
+def _top_runs(signs: np.ndarray, sign: int) -> int:
+    """An upper bound on _components(signs, sign): the number of top runs of
+    the sign, the maximal runs of it in a row with no sample of it directly
+    above any of their samples.  The topmost row of a component holds one of
+    the component's runs, and a sample of the sign above that run would join
+    the component a row higher, so that run is a top run; a run lies in one
+    component, so no two components share it, and the bound is never below
+    the count.  A zero row above the grid and a zero column before each row
+    keep a run, in the flattened grid, from wrapping into the next row or
+    reading a sample above the first row as its own."""
+    on = np.pad(signs == sign, ((1, 0), (1, 0)))
+    width = on.shape[1]
+    on = on.ravel()
+    grid, above, left = on[width:], on[:-width], on[width - 1:-1]
+    starts = np.flatnonzero(grid & ~left)
+    # from one start to the next lie one run and unset samples: a run is
+    # covered if any of its samples has one of the sign above it
+    covered = np.logical_or.reduceat(grid & above, starts)
+    return starts.size - int(np.count_nonzero(covered))
+
+
 def _sweep_counts(h: EigenfunctionHandle, resolution: int,
                   thetas) -> List[Tuple[int, int]]:
     """(positive, negative) 4-connected sign components (ndimage.label's
@@ -679,11 +707,24 @@ def _theta_partition(d: DomainKind, pair: Mode) -> List[float]:
     return thetas
 
 
-def _max_count_over_thetas(d: DomainKind, pair: Mode, resolution: int) -> int:
+def _max_count_over_thetas(d: DomainKind, pair: Mode, resolution: int,
+                           n: int) -> int:
+    """The largest nodal count over the pair's theta partition among the
+    angles where it can reach n, 0 if it can reach n at none.  The grid is
+    built once and each angle costs one sign_grid call and the two signs'
+    top-run bounds (_top_runs); only an angle whose bounds sum to n or more
+    is labelled (_components).  As an angle below that has fewer than n
+    components, the result is n exactly when the largest count over the
+    partition is n."""
     thetas = _theta_partition(d, pair)
-    sweep = _sweep_counts(EigenfunctionHandle(d, pair, thetas[0]), resolution,
-                          thetas)
-    return max(pos + neg for pos, neg in sweep)
+    basis = _grid_values(EigenfunctionHandle(d, pair, thetas[0]), resolution)
+    best = 0
+    for theta in thetas:
+        signs = sign_grid(basis, theta, ZERO_BAND_REL)
+        if _top_runs(signs, 1) + _top_runs(signs, -1) < n:
+            continue
+        best = max(best, _components(signs, 1) + _components(signs, -1))
+    return best
 
 
 def courant_sharp_verdict(d: DomainKind):
@@ -693,12 +734,16 @@ def courant_sharp_verdict(d: DomainKind):
     must be the cluster's only pair up to swap (AssertionError otherwise).
     By Courant's theorem every n <= 2 is sharp: a lambda_2 eigenfunction is
     orthogonal to the one-signed first one, so it has exactly two nodal
-    domains."""
+    domains.  A count is taken only where it can reach n: an angle whose
+    top-run bound (_top_runs) is below n is settled without labelling, so a
+    false verdict is proved on the grid by the bound alone, and only an
+    angle whose bound reaches n is labelled (_max_count_over_thetas)."""
     verdict = []
     for n, modes in candidates(d):
         if n > 2 and len({tuple(sorted(p)) for p in modes}) > 1:
             raise AssertionError(f"lambda_{n} on {d.value} holds more than one pair "
                                  f"class: {list(modes)}")
-        mu = n if n <= 2 else _max_count_over_thetas(d, min(modes), VERDICT_RESOLUTION)
+        mu = n if n <= 2 else _max_count_over_thetas(d, min(modes),
+                                                      VERDICT_RESOLUTION, n)
         verdict.append((n, mu == n))
     return verdict

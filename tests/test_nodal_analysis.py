@@ -20,6 +20,7 @@ from courant_lab.nodal_analysis import (_EDGES, BRENT_XTOL, EDGE_PAIRS,
                                         _k_theta, _max_count_over_thetas,
                                         _polyder, _polyval, _sweep_counts,
                                         _tangent_floor, _theta_partition,
+                                        _top_runs,
                                         bifurcation_angle, bifurcations,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
@@ -119,6 +120,69 @@ def test_a_sign_labelled_over_its_box_has_the_whole_grid_components(signs):
             == _whole_square_counts(signs))
 
 
+def _per_row_top_runs(signs, sign):
+    """The top runs of the sign read row by row: each maximal run of it in a
+    row, counted when no sample of the row above it, over its columns, has
+    the sign."""
+    count = 0
+    for i, row in enumerate(signs.tolist()):
+        j = 0
+        while j < len(row):
+            if row[j] != sign:
+                j += 1
+                continue
+            end = j
+            while end < len(row) and row[end] == sign:
+                end += 1
+            count += i == 0 or sign not in signs[i - 1, j:end].tolist()
+            j = end
+    return count
+
+
+@pytest.mark.parametrize("signs", _edge_grids() + _random_grids())
+def test_top_runs_are_the_per_row_count_and_bound_the_components(signs):
+    bounds = _top_runs(signs, 1), _top_runs(signs, -1)
+    assert bounds == (_per_row_top_runs(signs, 1), _per_row_top_runs(signs, -1))
+    assert all(b >= c for b, c in zip(bounds, _whole_square_counts(signs)))
+
+
+@pytest.mark.parametrize("resolution", [256, 512, 1024])
+@pytest.mark.parametrize("d", [E, H, B])
+def test_top_runs_bound_the_counts_on_every_verdict_candidate(monkeypatch, d, resolution):
+    from courant_lab.pleijel_screening import candidates
+
+    grids = _record_sign_grids(monkeypatch)
+    for n, modes in candidates(d):
+        if n > 2:
+            pair = min(modes)
+            thetas = _theta_partition(d, pair)
+            grids.clear()
+            counts = _sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
+                                   resolution, thetas)
+            for signs, (pos, neg) in zip(grids, counts, strict=True):
+                assert _top_runs(signs, 1) >= pos and _top_runs(signs, -1) >= neg
+
+
+@pytest.mark.parametrize("resolution", [256, 512, 1024])
+@pytest.mark.parametrize("d", [E, H, B])
+def test_verdict_is_the_verdict_of_the_exact_counts(monkeypatch, d, resolution):
+    import courant_lab.nodal_analysis as nodal
+    from courant_lab.pleijel_screening import candidates
+
+    exact = []
+    for n, modes in candidates(d):
+        if n > 2:
+            pair = min(modes)
+            thetas = _theta_partition(d, pair)
+            counts = _sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
+                                   resolution, thetas)
+            exact.append((n, max(pos + neg for pos, neg in counts) == n))
+        else:
+            exact.append((n, True))
+    monkeypatch.setattr(nodal, "VERDICT_RESOLUTION", resolution)
+    assert courant_sharp_verdict(d) == exact
+
+
 class _LabelCalls:
     """nodal_analysis.ndimage with the shape of each label input recorded."""
 
@@ -131,6 +195,16 @@ class _LabelCalls:
     def label(self, on):
         self.shapes.append(on.shape)
         return self.module.label(on)
+
+
+def _box_shapes(signs):
+    """The shapes of the bounding boxes of the positive and the negative
+    samples, (0, 0) for an absent sign."""
+    shapes = []
+    for sign in (1, -1):
+        i, j = np.nonzero(signs == sign)
+        shapes.append((i.max() - i.min() + 1, j.max() - j.min() + 1) if i.size else (0, 0))
+    return shapes
 
 
 def test_each_grid_labels_each_sign_once_present_or_not(monkeypatch):
@@ -152,7 +226,14 @@ def test_each_grid_labels_each_sign_once_present_or_not(monkeypatch):
     grids.clear()
     monkeypatch.setattr(nodal, "VERDICT_RESOLUTION", 128)
     nodal.courant_sharp_verdict(E)
-    assert len(grids) == 10 and len(calls.shapes) == 2 * len(grids)
+    # a verdict reads the 10 angles of (2,2), (1,3), (2,3) and (3,3), for
+    # n = 4, 5, 7 and 11, and labels each sign once only where the top-run
+    # bound reaches n: at 128 that is (2,2) and (3,3), each at pi/2
+    ns = [4] + [5] * 3 + [7] * 5 + [11]
+    reach = [_top_runs(s, 1) + _top_runs(s, -1) >= n for s, n in zip(grids, ns, strict=True)]
+    assert reach == [True] + [False] * 8 + [True]
+    assert calls.shapes == [shape for s, r in zip(grids, reach) if r
+                            for shape in _box_shapes(s)]
 
 
 
@@ -1177,7 +1258,7 @@ def test_theta_partition_counts(pair):
     at_512 = sweep(E, pair, 512, thetas)
     assert at_512 == sweep(E, pair, 1024, thetas)
     sampled = max(sweep(E, pair, 512, sampled_thetas()))
-    best = _max_count_over_thetas(E, pair, 512)
+    best = _max_count_over_thetas(E, pair, 512, 0)  # n = 0: every angle is labelled
     assert best == max(at_512)
     assert best == sampled
 
@@ -1289,27 +1370,36 @@ def test_single_angle_at_zero_evaluates_c_only(pair, resolution):
 def test_verdict_counts_only_candidates_above_two(monkeypatch):
     import courant_lab.nodal_analysis as nodal
 
-    calls, grids = [], []
-    sweep_counts, grid_values = nodal._sweep_counts, nodal._grid_values
+    calls, grids, angles = [], [], []
+    sweep, grid_values, signs_at = (nodal._max_count_over_thetas, nodal._grid_values,
+                                    nodal.sign_grid)
 
-    def record_sweep(h, resolution, thetas):
-        calls.append((tuple(h.mode), len(thetas)))
-        return sweep_counts(h, resolution, thetas)
+    def record_sweep(d, pair, resolution, n):
+        calls.append((tuple(pair), resolution, n))
+        return sweep(d, pair, resolution, n)
 
     def record_grid(h, resolution):
         grids.append((tuple(h.mode), resolution))
         return grid_values(h, resolution)
 
-    monkeypatch.setattr(nodal, "_sweep_counts", record_sweep)
+    def record_angle(basis, theta, rel):
+        angles.append(tuple(basis.pair))
+        return signs_at(basis, theta, rel)
+
+    monkeypatch.setattr(nodal, "_max_count_over_thetas", record_sweep)
     monkeypatch.setattr(nodal, "_grid_values", record_grid)
+    monkeypatch.setattr(nodal, "sign_grid", record_angle)
     assert nodal.courant_sharp_verdict(DomainKind.TORUS) == [(1, True), (2, True)]
-    assert calls == grids == []
+    assert calls == grids == angles == []
     monkeypatch.setattr(nodal, "VERDICT_RESOLUTION", 128)
     nodal.courant_sharp_verdict(E)
     # (1,2) at n = 2 is decided by the theorem; (2,2) and (3,3) are simple
-    assert calls == [((2, 2), 1), ((1, 3), 3), ((2, 3), 5), ((3, 3), 1)]
-    # one grid evaluation per candidate, whatever its number of angles
+    assert calls == [((2, 2), 128, 4), ((1, 3), 128, 5), ((2, 3), 128, 7),
+                     ((3, 3), 128, 11)]
+    # one grid evaluation per candidate, whatever its number of angles, and
+    # one sign grid per angle of its partition
     assert grids == [((2, 2), 128), ((1, 3), 128), ((2, 3), 128), ((3, 3), 128)]
+    assert angles == [(2, 2)] + [(1, 3)] * 3 + [(2, 3)] * 5 + [(3, 3)]
 
 
 def test_count_refuses_a_doubled_grid_above_the_cap_before_any_grid(monkeypatch):

@@ -129,6 +129,21 @@ MUTANTS = (
     ("nodal_analysis.py", "return ndimage.label(on[box])[1]",
      "return ndimage.label(on[box])[1] if on[box].size else 0",
      "test_nodal_analysis.py::test_each_grid_labels_each_sign_once_present_or_not"),
+    # a top run taken as a run whose first sample has nothing of its sign
+    # above, the padding column dropped so that runs wrap across rows, and
+    # every run counted; the verdict not labelling an angle whose bound is n
+    ("nodal_analysis.py", "np.logical_or.reduceat(grid & above, starts)",
+     "(grid & above)[starts]",
+     "test_nodal_analysis.py::test_top_runs_are_the_per_row_count_and_bound_the_components"),
+    ("nodal_analysis.py", "np.pad(signs == sign, ((1, 0), (1, 0)))",
+     "np.pad(signs == sign, ((1, 0), (0, 0)))",
+     "test_nodal_analysis.py::test_top_runs_are_the_per_row_count_and_bound_the_components"),
+    ("nodal_analysis.py", "return starts.size - int(np.count_nonzero(covered))",
+     "return starts.size",
+     "test_nodal_analysis.py::test_top_runs_are_the_per_row_count_and_bound_the_components"),
+    ("nodal_analysis.py", "if _top_runs(signs, 1) + _top_runs(signs, -1) < n:",
+     "if _top_runs(signs, 1) + _top_runs(signs, -1) <= n:",
+     "test_nodal_analysis.py::test_verdict_is_the_verdict_of_the_exact_counts"),
     # the grid geometry cached by domain alone: another resolution's geometry
     # is handed back
     ("eigenfunction_eval.py", "key = (d, resolution)", "key = d",
