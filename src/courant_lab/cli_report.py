@@ -11,9 +11,9 @@ checked before its runner returns, so a refused table writes nothing, and no
 Exit codes: 0 success, 1 stdout closed by its reader (as by `| head`),
 2 validation error, 3 unstable nodal count.
 
-The nodal commands import nodal_analysis, and with it scipy.ndimage (for
-ndimage.label, scipy's only use), where they use it, so `spectrum` and
-`screen` start without scipy.
+The nodal commands import nodal_analysis where they use it, so `spectrum`
+and `screen` start without scipy; nodal_analysis loads scipy.ndimage (for
+ndimage.label, scipy's only use) on the first label.
 """
 
 import argparse

@@ -21,13 +21,18 @@ vanishes only at the vertices.  The edge functions gc and gs, the only ones
 evaluated, drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi u), and each
 root x0 != 1 of P_W is a breakpoint of the theta partition.
 
-Each root scan samples once and hands find_roots the samples: an edge scan
-mixes at its angle the theta-independent tables of gc, gs, gc' and gs'
-(_edge_functions), built once per pair and range (_edge_tables), a chord
-scan evaluates the restriction's three-frequency form and its slope
-(_chord_functions) on the sample array, and the others evaluate their
-functions there too.  Every sample has the bits of the f or df that
-find_roots solves on, so every root has the function's bits.
+Each root scan hands find_roots its samples with their indices on the
+scan's grid: an edge scan mixes at its angle the theta-independent tables of
+gc, gs, gc' and gs' (_edge_functions), built once per pair and range
+(_edge_tables), and the polynomial and median scans evaluate their functions
+on the whole grid.  A chord scan evaluates the restriction's three-frequency
+form and its slope (_chord_functions) at every CHORD_STRIDE-th sample and
+the last, then at every sample of each cell between two of those that
+Taylor's theorem cannot prove undecided (_open_cells): a cleared cell holds
+no sign change, no exact zero, no tangential solve and not the largest |f|,
+so find_roots decides on the samples taken what it would on all of them.
+Every sample has the bits of the f or df that find_roots solves on, so every
+root has the function's bits.
 
 find_roots solves a sign change of the derivative, a candidate tangent root,
 only where Taylor's theorem cannot prove |f| too large for the root to be
@@ -38,6 +43,7 @@ skipped solve is one whose root would have been thrown away, so every
 output is the one of solving them all."""
 
 import functools
+import importlib.util
 import math
 import sys
 from dataclasses import dataclass
@@ -45,7 +51,6 @@ from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .alcove_geometry import AlcovePoint, DomainKind, weyl_coefficients
 from .eigenfunction_eval import (MAX_GRID, MIN_GRID, TWO_PI, EigenfunctionHandle,
@@ -55,6 +60,24 @@ from .lattice_spectrum import Mode
 from .pleijel_screening import candidates
 
 PI = math.pi
+
+
+def _lazy_module(name: str):
+    """The module name, bound now and executed on first attribute access
+    (importlib.util.LazyLoader), or the module itself if it is loaded."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# scipy.ndimage, for ndimage.label alone, is most of this module's import
+# time; it loads on the first label, so the commands that never label (plot,
+# the root scans, the verdicts no bound sends to the labeller) start without it
+ndimage = _lazy_module("scipy.ndimage")
 
 # Relative half-width of the zero band in the sign grid.  1e-5 (rather than a
 # tighter band) is required so that the single grid pixel closest to a
@@ -237,10 +260,14 @@ def _cos_sin(x):
 
 # ---------------------------------------------------------------------------
 # The one root-finding protocol: sample, bracket, Brent, one Newton polish.
-# Each caller takes its scan's samples once and hands them to find_roots.
+# Each caller takes its scan's samples once and hands them to find_roots with
+# their indices on the scan's grid.
 # ---------------------------------------------------------------------------
 
 ROOT_SAMPLES = 4096
+# the indices of a scan that takes every sample of its grid
+EVERY_SAMPLE = np.arange(ROOT_SAMPLES)
+EVERY_SAMPLE.flags.writeable = False
 # Brent's absolute tolerance; its relative tolerance and iteration cap are
 # scipy brentq's defaults
 BRENT_XTOL = 1e-13
@@ -250,6 +277,12 @@ MERGE_TOL = 1e-9
 # a bound on the rounding of a value of f, relative to the size M0 of its
 # terms that the caller states, ten times the callers' (find_roots)
 ROUNDING = 1e-12
+# a chord scan takes every CHORD_STRIDE-th sample of its grid and the last,
+# the ends of its cells, and every sample of the cells _open_cells leaves open
+CHORD_STRIDE = 32
+_CELL_ENDS = np.append(np.arange(0, ROOT_SAMPLES - 1, CHORD_STRIDE), ROOT_SAMPLES - 1)
+# the cell of each sample, the right one at an end but the last
+_CELL_OF = np.minimum(EVERY_SAMPLE // CHORD_STRIDE, len(_CELL_ENDS) - 2)
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -299,12 +332,18 @@ def _brentq(f, xa: float, xb: float) -> float:
 
 
 def find_roots(f, samples, df=None, bounds=None) -> List[float]:
-    """All roots of f on [lo, hi], as floats, from its samples = (xs, f(xs),
-    df(xs) or None), xs = linspace(lo, hi, ROOT_SAMPLES) or, on a chord, a
-    run of it (edge_restriction_roots): solve each sign change by Brent's
-    method (_brentq) and, given df, Newton-polish it and add the tangent
-    (even-order) roots, the roots of df where |f| < 1e-9 max |f(xs)|.  A
-    root on a sample is caught as an exact grid zero: on [-1, 1], where the
+    """All roots of f on [lo, hi], as floats, from its samples = (xs, at,
+    f(xs[at]), df(xs[at]) or None): xs = linspace(lo, hi, ROOT_SAMPLES), or
+    on a chord a run of it, is the scan's grid and at the increasing indices
+    of the samples taken.  The sampler takes both ends of xs and a sample of
+    the largest |f|, so lo, hi and the threshold below are the whole grid's,
+    and leaves out only samples it proves can decide nothing here
+    (_open_cells); the edge, polynomial and median scans take every sample
+    (EVERY_SAMPLE).  A bracket is two samples of opposite signs that are
+    neighbours on the grid (_sign_changes): solve each by Brent's method
+    (_brentq) and, given df, Newton-polish it and add the tangent
+    (even-order) roots, the roots of df where |f| < 1e-9 max |f(xs[at])|.
+    A root on a sample is caught as an exact zero: on [-1, 1], where the
     reduction polynomials are solved, that is how P_W's triple root at the
     sample x = 1 is found.  Roots within MERGE_TOL of the last one kept are
     dropped, the roots of df before |f| is tested.
@@ -321,14 +360,13 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     the cosine's error (Markov's inequality); tests check it against mpmath.
     A sign change of df's samples is solved only where _tangent_floor cannot
     rule out a kept root."""
-    xs, ys, dys = samples
+    xs, at, ys, dys = samples
     lo, hi = float(xs[0]), float(xs[-1])
     ys = np.asarray(ys, dtype=float)
     threshold = 1e-9 * (float(np.max(np.abs(ys))) or 1.0)
     roots = []
-    sign = np.sign(ys)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        r = _brentq(f, xs[i], xs[i + 1])
+    for i in _sign_changes(at, ys):
+        r = _brentq(f, xs[at[i]], xs[at[i + 1]])
         if df is not None:
             d = df(r)
             if d != 0.0:
@@ -336,24 +374,34 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
                 if abs(step) < (xs[1] - xs[0]):
                     r -= step
         roots.append(float(min(max(r, lo), hi)))
-    # grid points that are exact zeros
-    for i in np.nonzero(sign == 0)[0]:
-        roots.append(float(xs[i]))
+    # samples that are exact zeros
+    roots += [float(x) for x in xs[at[ys == 0]]]
     if df is not None:
         dys = np.asarray(dys, dtype=float)
-        brackets, floor = _tangent_floor(xs, ys, dys, bounds)
-        tangent = [float(min(max(_brentq(df, xs[i], xs[i + 1]), lo), hi))
+        brackets, floor = _tangent_floor(xs, at, ys, dys, bounds)
+        tangent = [float(min(max(_brentq(df, xs[at[i]], xs[at[i + 1]]), lo), hi))
                    for i in brackets[floor <= threshold]]
-        tangent += [float(xs[i]) for i in np.nonzero(dys == 0)[0]]
+        tangent += [float(x) for x in xs[at[dys == 0]]]
         roots += [r for r in _merged(tangent) if abs(f(r)) < threshold]
     return _merged(roots)
 
 
-def _tangent_floor(xs, ys, dys, bounds):
-    """(i, floor): the sign changes i of df's samples dys and, for each, a
-    lower bound on the computed |f| at every point within MERGE_TOL of the
-    bracket [xs[i], xs[i + 1]], all brackets in one pass.  find_roots skips
-    the solve where floor exceeds its threshold, and the output is unchanged:
+def _sign_changes(at, values):
+    """The brackets of a scan: each i where values[i] and values[i + 1] have
+    opposite signs and their samples are neighbours on the grid, at[i + 1] =
+    at[i] + 1.  Between samples that are not, the sampler has proved no
+    bracket (_open_cells)."""
+    sign = np.sign(values)
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    return i[at[i + 1] - at[i] == 1]
+
+
+def _tangent_floor(xs, at, ys, dys, bounds):
+    """(i, floor): the brackets i of df's samples dys (_sign_changes) and,
+    for each, a lower bound on the computed |f| at every point within
+    MERGE_TOL of the bracket [xs[at[i]], xs[at[i + 1]]], all brackets in one
+    pass.  find_roots skips the solve where floor exceeds its threshold, and
+    the output is unchanged:
     - Taylor's theorem with remainder: such a point x lies within d = h/2 +
       MERGE_TOL of an end e of the bracket (h its width), so |f(x)| >= |f(e)|
       - d |f'(e)| - d^2 M2 / 2, and the lesser of the two ends' bounds holds
@@ -371,13 +419,52 @@ def _tangent_floor(xs, ys, dys, bounds):
       every bracket is solved.
     An exact zero of df's samples is no sign change; find_roots tests it."""
     size, curvature = bounds
-    sign = np.sign(dys)
-    i = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    d = (xs[i + 1] - xs[i]) / 2.0 + MERGE_TOL
+    i = _sign_changes(at, dys)
+    d = (xs[at[i + 1]] - xs[at[i]]) / 2.0 + MERGE_TOL
     floor = (np.minimum(np.abs(ys[i]) - d * np.abs(dys[i]),
                         np.abs(ys[i + 1]) - d * np.abs(dys[i + 1]))
              - d * d * curvature / 2.0 - 2.0 * ROUNDING * size)
     return i, np.where(d > 2.0 * MERGE_TOL, floor, -np.inf)
+
+
+def _open_cells(ends, ys, dys, bounds, floor):
+    """Which cells of a chord scan to sample in full, from the form's f and
+    f' (ys and dys) at the cells' ends = xs[_CELL_ENDS]; bounds = (M0, M2)
+    and floor are _chord_functions'.  The samples of a cleared cell decide
+    nothing in find_roots, with h the grid's step and each sample's
+    rounding within 1e-13 M0, 1e-10 M0 for a slope:
+    - each x in a cell is within w, half its width, of an end e, so by
+      Taylor's theorem |f(x)| >= |f(e)| - w |f'(e)| - w^2 M2 / 2, the lesser
+      of the two ends' bounds holds on the cell, and a cell is cleared only
+      where that exceeds a guard: the floor, 1e-9 (1 + ROUNDING) M0 (above
+      the threshold), _tangent_floor's d M2 h + d^2 M2 / 2 + 2 ROUNDING M0
+      (d = h/2 + MERGE_TOL) and a rounding margin of 2 ROUNDING M0.  So
+      each of its samples is above the floor and the threshold, with f's
+      one sign there, and at a sign change of df's samples f' is within
+      1e-10 M0 of 0 in the bracket, so |f'| <= M2 h + 2e-10 M0 at its ends
+      and _tangent_floor's floor is above the threshold: no solve.  An
+      exact zero of df's samples there is a root of df thrown away, with no
+      other within MERGE_TOL of it as h > 2 MERGE_TOL.  Where h is at most
+      4 MERGE_TOL every cell is open: _tangent_floor solves every bracket
+      narrower than 2 MERGE_TOL;
+    - a cell stays open where its upper bound |f(e)| + w |f'(e)| + w^2 M2 /
+      2, with the margin, reaches the largest |f| at the ends, so the
+      scan's largest |f| is a sample taken."""
+    size, curvature = bounds
+    h = (ends[-1] - ends[0]) / (ROOT_SAMPLES - 1)
+    d = h / 2.0 + MERGE_TOL
+    # twice the narrowest step _tangent_floor bounds, for the steps' rounding
+    if h <= 4.0 * MERGE_TOL:
+        return np.ones(len(ends) - 1, dtype=bool)
+    w = np.diff(ends) / 2.0
+    value, slope = np.abs(ys), np.abs(dys)
+    low = np.minimum(value[:-1] - w * slope[:-1], value[1:] - w * slope[1:])
+    high = np.maximum(value[:-1] + w * slope[:-1], value[1:] + w * slope[1:])
+    curve = w * w * curvature / 2.0
+    margin = 2.0 * ROUNDING * size
+    guard = (floor + 1e-9 * (1.0 + ROUNDING) * size + d * curvature * h
+             + d * d * curvature / 2.0 + 2.0 * ROUNDING * size + margin)
+    return (low - curve <= guard) | (high + curve + margin >= value.max())
 
 
 def _merged(roots) -> List[float]:
@@ -400,7 +487,7 @@ def polynomial_roots_unit_interval(pair, which: str) -> List[float]:
     # on [-1, 1] a polynomial is at most the sum of its |coefficients|
     bounds = sum(map(abs, coeffs)), sum(map(abs, _polyder(dcoeffs)))
     xs = np.linspace(-1.0, 1.0, ROOT_SAMPLES)
-    return find_roots(f, (xs, f(xs), df(xs)), df=df, bounds=bounds)
+    return find_roots(f, (xs, EVERY_SAMPLE, f(xs), df(xs)), df=df, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +536,12 @@ def median_fixed_points(pair) -> List[FixedPoint]:
 
 def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     """Zeros of u -> Psi^theta(u, a-u) on [a/3, 2a/3] (the chord s+t=a),
-    including tangential double roots."""
+    including tangential double roots.  The scan's grid is ROOT_SAMPLES
+    points spaced evenly from 1e-6 of the chord inside one end to as far
+    inside the other; the form (_chord_functions) is evaluated at the ends
+    of its cells, every CHORD_STRIDE-th sample and the last, then at every
+    sample of the cells _open_cells leaves open, and find_roots decides on
+    those what it would on every sample."""
     pair = _check_pair(pair)
     if not 0.0 < a < 1.0:
         raise ValueError("a must be in (0, 1)")
@@ -467,7 +559,12 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     lo, hi = a / 3.0, 2.0 * a / 3.0
     margin = (hi - lo) * 1e-6
     xs = np.linspace(lo + margin, hi - margin, ROOT_SAMPLES)
-    cs = trig(xs)
+    ends = xs[_CELL_ENDS]
+    cs = trig(ends)
+    taken = _open_cells(ends, values(cs), slopes(cs), bounds, floor)[_CELL_OF]
+    taken[_CELL_ENDS] = True
+    at = np.flatnonzero(taken)
+    cs = trig(xs[at])
     ys, dys = values(cs), slopes(cs)
     # the form rounds by up to 1e-13 M0 (find_roots): on a chord this small
     # no sample's sign is known to be the restriction's
@@ -477,7 +574,9 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     # vertex: the scan runs from the first sample above that floor to the last
     known = np.abs(ys) > floor
     scan = slice(known.argmax(), len(ys) - known[::-1].argmax())
-    return find_roots(f, (xs[scan], ys[scan], dys[scan]), df=df, bounds=bounds)
+    run = at[scan]
+    return find_roots(f, (xs[run[0]:run[-1] + 1], run - run[0], ys[scan], dys[scan]),
+                      df=df, bounds=bounds)
 
 
 # The open edges: name, the sign of gs in K, the scanned range of the edge
@@ -546,7 +645,7 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     for edge, sign, (lo, hi), point in _EDGES:
         k, dk, mix = _k_theta(pair, theta, sign)
         xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
-        samples = xs, mix(gc_xs, gs_xs), mix(dgc_xs, dgs_xs)
+        samples = xs, EVERY_SAMPLE, mix(gc_xs, gs_xs), mix(dgc_xs, dgs_xs)
         step = (hi - lo) / (ROOT_SAMPLES - 1)
         for u in find_roots(k, samples, df=dk, bounds=bounds):
             order = 3 if k(u - step) * k(u + step) > 0 else 2
@@ -569,7 +668,7 @@ def median_critical_zeros(pair, which: str) -> List[CriticalZero]:
         # g has a zero of order >= 4 at O, so start the scan past the noise
         # floor; the interior zeros are well away from the vertex
         xs = np.linspace(0.05, 1.0 - 1e-6, ROOT_SAMPLES)
-        for u in find_roots(g, (xs, g(xs), None)):
+        for u in find_roots(g, (xs, EVERY_SAMPLE, g(xs), None)):
             out.append(CriticalZero(AlcovePoint(u / 2.0, u / 2.0), "OM", u, 2))
         out.append(CriticalZero(AlcovePoint(0.5, 0.5), "OM", 1.0, 2))
         return out

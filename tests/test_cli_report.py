@@ -596,6 +596,43 @@ def test_spectrum_and_screen_run_without_scipy(capsys):
     assert code == 0 and '"theta_c": 0.3005211736685075' in out
 
 
+UNLABELLED_ARGVS = [["plot", "--domain", "equilateral", "--pair", "1,3", "--theta", "pi/12",
+                     "--resolution", "64"],
+                    ["bifurcation"],
+                    ["critical-zeros", "--pair", "2,3", "--theta", "theta_c"],
+                    ["verdict", "--domain", "torus"],
+                    ["verdict", "--domain", "right-isosceles"],
+                    ["verdict", "--domain", "hemiequilateral"]]
+
+FRESH_UNLABELLED = FRESH_RUN + """
+def ndimage_loaded():
+    return any(m.startswith("scipy.ndimage.") for m in sys.modules)
+
+outputs, loaded = [], []
+for argv in json.loads(sys.argv[1]) + [["nodal", "--domain", "equilateral",
+                                        "--pair", "1,3", "--resolution", "64"]]:
+    outputs.append(run(argv))
+    loaded.append(ndimage_loaded())
+print(json.dumps({"outputs": outputs, "loaded": loaded}))
+"""
+
+
+def test_commands_that_never_label_run_without_scipy_ndimage(capsys):
+    # nodal_analysis binds scipy.ndimage lazily and ndimage.label loads it:
+    # a plot, the root commands and the verdicts whose top-run bounds settle
+    # every angle run in a fresh interpreter without loading it, each with
+    # the output it has here, and a nodal count then loads it (its package's
+    # submodules are in sys.modules only once it has run)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", FRESH_UNLABELLED,
+                           json.dumps(UNLABELLED_ARGVS)],
+                          capture_output=True, text=True, env=env, check=True)
+    fresh = json.loads(proc.stdout)
+    assert fresh["loaded"] == [False] * len(UNLABELLED_ARGVS) + [True]
+    assert fresh["outputs"][:-1] == [list(run_cli(capsys, *argv)) for argv in UNLABELLED_ARGVS]
+    assert fresh["outputs"][-1][0] == 0
+
+
 ROOT_ARGVS = [["bifurcation"],
               ["critical-zeros", "--pair", "2,3", "--theta", "theta_c"],
               ["fixed-points", "--pair", "1,3"]]

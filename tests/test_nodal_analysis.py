@@ -12,7 +12,8 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle, _grid_values,
                                             eval_psi, eval_psi_grid, mix,
                                             sign_grid)
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import (_EDGES, BRENT_XTOL, EDGE_PAIRS,
+from courant_lab.nodal_analysis import (_CELL_ENDS, _EDGES, BRENT_XTOL,
+                                        CHORD_STRIDE, EDGE_PAIRS, EVERY_SAMPLE,
                                         MERGE_TOL, ROOT_SAMPLES, ROUNDING,
                                         CriticalZero, _brentq,
                                         _chord_functions, _cos_sin,
@@ -345,15 +346,15 @@ def test_chord_ends_below_the_sums_rounding_give_no_noise_roots(a, count):
 
 
 def sampled(f, lo, hi, df=None):
-    """f's samples, and df's or None, at linspace(lo, hi, ROOT_SAMPLES), as
-    find_roots takes them."""
+    """f's samples, and df's or None, at every point of xs = linspace(lo,
+    hi, ROOT_SAMPLES), as find_roots takes them."""
     xs = np.linspace(lo, hi, ROOT_SAMPLES)
-    return xs, f(xs), None if df is None else df(xs)
+    return xs, EVERY_SAMPLE, f(xs), None if df is None else df(xs)
 
 
 def _record_scans(monkeypatch):
     """Every find_roots call from now on, as (f, samples, df, bounds), and
-    every read of its tangential pass, as _tangent_floor's (xs, ys, dys,
+    every read of its tangential pass, as _tangent_floor's (xs, at, ys, dys,
     bounds), each in call order."""
     import courant_lab.nodal_analysis as nodal
 
@@ -364,9 +365,9 @@ def _record_scans(monkeypatch):
         calls.append((f, samples, df, bounds))
         return original(f, samples, df=df, bounds=bounds)
 
-    def read(xs, ys, dys, bounds):
-        reads.append((xs, ys, dys, bounds))
-        return floor(xs, ys, dys, bounds)
+    def read(xs, at, ys, dys, bounds):
+        reads.append((xs, at, ys, dys, bounds))
+        return floor(xs, at, ys, dys, bounds)
 
     monkeypatch.setattr(nodal, "find_roots", record)
     monkeypatch.setattr(nodal, "_tangent_floor", read)
@@ -377,8 +378,8 @@ def _record_scans(monkeypatch):
 def test_polynomial_and_median_scans_sample_f_and_df_bit_for_bit(monkeypatch, pair):
     # the scans that evaluate their own functions on the sample array, P_C,
     # P_S and P_W on [-1, 1] and the median's g from 0.05, hand find_roots
-    # f(xs), and df(xs) where there is one, at xs = linspace(lo, hi,
-    # ROOT_SAMPLES)
+    # f(xs), and df(xs) where there is one, at every point of xs =
+    # linspace(lo, hi, ROOT_SAMPLES)
     calls, _ = _record_scans(monkeypatch)
     for which in ("P_C", "P_S", "P_W"):
         polynomial_roots_unit_interval(pair, which)
@@ -386,8 +387,9 @@ def test_polynomial_and_median_scans_sample_f_and_df_bit_for_bit(monkeypatch, pa
     ranges = [(-1.0, 1.0)] * 3 + [(0.05, 1.0 - 1e-6)]
     assert len(calls) == len(ranges)
     assert [df is None for _, _, df, _ in calls] == [False, False, False, True]
-    for (f, (xs, ys, dys), df, _), (lo, hi) in zip(calls, ranges):
+    for (f, (xs, at, ys, dys), df, _), (lo, hi) in zip(calls, ranges):
         assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
+        assert np.array_equal(at, np.arange(ROOT_SAMPLES))
         assert np.array_equal(ys, f(xs))
         assert dys is None if df is None else np.array_equal(dys, df(xs))
 
@@ -399,11 +401,11 @@ def test_a_tangent_root_just_under_the_threshold_is_solved(monkeypatch):
     # must let find_roots solve it
     calls, _ = _record_scans(monkeypatch)
     assert edge_restriction_roots((2, 3), 2 / 5, math.pi / 2) == pytest.approx([0.2], abs=1e-10)
-    (f, (xs, ys, dys), df, bounds), = calls
+    (f, (xs, at, ys, dys), df, bounds), = calls
     shift = math.copysign(0.9e-9 * np.max(np.abs(ys)), f(0.2 + 1e-3))
     shifted = ys + shift
     threshold = 1e-9 * np.max(np.abs(shifted))
-    roots = find_roots(lambda u: f(u) + shift, (xs, shifted, dys), df=df,
+    roots = find_roots(lambda u: f(u) + shift, (xs, at, shifted, dys), df=df,
                        bounds=(bounds[0] + abs(shift), bounds[1]))
     tangent = [r for r in roots if abs(r - 0.2) < 1e-10]
     assert len(tangent) == 1 and 0.5 * threshold < abs(f(tangent[0]) + shift) < threshold
@@ -437,7 +439,10 @@ def test_skipped_tangential_solves_could_not_give_a_root(monkeypatch):
     # M2 is above |f''|, by central differences of df, on dense samples of
     # the range (to their rounding: M2 = 8 = P_C'' is exact for (1,3)).  The
     # scans are the root digest's, then the CI's fixed sweeps: (2,3)'s edges
-    # at 100 angles and 100 chords
+    # at 100 angles and 100 chords.  A chord's brackets are those of df at
+    # every sample of its grid: its scan reads those in the cells it leaves
+    # open, with the same floors, among them every one it solves, so the
+    # scans read 3328 of the 3699
     from test_root_digest import root_reprs
 
     calls, reads = _record_scans(monkeypatch)
@@ -449,22 +454,30 @@ def test_skipped_tangential_solves_could_not_give_a_root(monkeypatch):
                                math.pi * j / 99)
     scans = [call for call in calls if call[2] is not None]
     assert len(scans) == len(reads)
-    skipped = solved = 0
-    for (f, _, df, bounds), (xs, ys, dys, _) in zip(scans, reads):
+    skipped = solved = read = 0
+    for (f, _, df, bounds), (xs, at, ys, dys, _) in zip(scans, reads):
+        brackets, floor = _tangent_floor(xs, at, ys, dys, bounds)
+        read += len(brackets)
+        if getattr(f, "__qualname__", "").startswith("edge_restriction_roots"):
+            sparse = at[brackets], floor
+            at, ys, dys = EVERY_SAMPLE[:len(xs)], f(xs), df(xs)
+            brackets, floor = _tangent_floor(xs, at, ys, dys, bounds)
+            kept = np.isin(brackets, sparse[0])
+            assert np.array_equal(floor[kept], sparse[1])
+            assert np.all(kept[floor <= 1e-9 * np.max(np.abs(ys))])
         lo, hi = xs[0], xs[-1]
         threshold = 1e-9 * (float(np.max(np.abs(ys))) or 1.0)
-        brackets, floor = _tangent_floor(xs, ys, dys, bounds)
         skip = floor > threshold
         for i in brackets[skip]:
-            assert abs(f(_brentq(df, xs[i], xs[i + 1]))) >= threshold
-        dense = np.clip(np.linspace(xs[brackets[skip]] - MERGE_TOL,
-                                    xs[brackets[skip] + 1] + MERGE_TOL, 17, axis=-1),
+            assert abs(f(_brentq(df, xs[at[i]], xs[at[i + 1]]))) >= threshold
+        dense = np.clip(np.linspace(xs[at[brackets[skip]]] - MERGE_TOL,
+                                    xs[at[brackets[skip] + 1]] + MERGE_TOL, 17, axis=-1),
                         lo, hi)
         assert np.all(floor[skip, None] <= np.abs(f(dense)))
         u, eta = np.linspace(lo, hi, ROOT_SAMPLES // 4)[1:-1], (hi - lo) * 1e-6
         assert np.max(np.abs(df(u + eta) - df(u - eta))) / (2 * eta) <= bounds[1] * (1 + 1e-6)
         skipped, solved = skipped + np.count_nonzero(skip), solved + np.count_nonzero(~skip)
-    assert (skipped, solved) == (3697, 2)
+    assert (skipped, solved, read) == (3697, 2, 3328)
 
 
 @pytest.mark.parametrize("pair", EDGE_PAIRS)
@@ -476,14 +489,15 @@ def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
     calls, reads = _record_scans(monkeypatch)
     edge_critical_zeros(pair, theta)
     assert len(calls) == len(reads) == len(_EDGES)
-    for (_, sign, (lo, hi), _), (_, (xs, ys, dys), df, bounds), tangent in zip(
+    for (_, sign, (lo, hi), _), (_, (xs, at, ys, dys), df, bounds), tangent in zip(
             _EDGES, calls, reads):
         k, dk, _ = _k_theta(pair, theta, sign)
         assert (xs[0], xs[-1]) == (lo, hi)
         assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
+        assert np.array_equal(at, np.arange(ROOT_SAMPLES))
         assert np.array_equal(ys, k(xs)) and np.array_equal(dys, dk(xs))
-        assert tangent[0] is xs and tangent[1] is ys and tangent[2] is dys
-        assert tangent[3] == bounds
+        assert all(read is handed for read, handed in zip(tangent, (xs, at, ys, dys)))
+        assert tangent[4] == bounds
     # each range's tables combine with either sign into k's and dk's bits
     ct, st = math.cos(theta), math.sin(theta)
     for _, _, (lo, hi), _ in _EDGES:
@@ -501,26 +515,154 @@ def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
 
 
 def _chord_xs(a):
-    """edge_restriction_roots' samples on the chord s + t = a."""
+    """edge_restriction_roots' grid on the chord s + t = a."""
     lo, hi = a / 3.0, 2.0 * a / 3.0
     return np.linspace(lo + (hi - lo) * 1e-6, hi - (hi - lo) * 1e-6, ROOT_SAMPLES)
+
+
+def _full_chord_scan(pair, a, theta):
+    """(roots, samples, bounds) of the chord scan on every sample of its
+    grid, as edge_restriction_roots scanned before it cleared cells: the
+    form's f and df at each sample, refused within rounding of zero and run
+    from the first sample above the form's floor to the last."""
+    trig, values, slopes, bounds, floor = _chord_functions(
+        EigenfunctionHandle(E, Mode(*pair), theta), a)
+    xs = _chord_xs(a)
+    cs = trig(xs)
+    ys, dys = values(cs), slopes(cs)
+    if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:
+        raise ValueError("within rounding of zero")
+    known = np.abs(ys) > floor
+    run = slice(known.argmax(), len(ys) - known[::-1].argmax())
+    samples = xs[run], EVERY_SAMPLE[:len(xs[run])], ys[run], dys[run]
+    roots = find_roots(lambda u: values(trig(u)), samples,
+                       df=lambda u: slopes(trig(u)), bounds=bounds)
+    return roots, samples, bounds
 
 
 @pytest.mark.parametrize("pair, a, theta", [((1, 3), 2 / 3, 0.0), ((2, 3), 2 / 5, math.pi / 2),
                                             ((2, 3), 0.7, 0.4), ((1, 3), 0.31, 2.9)])
 def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, theta):
     # the samples edge_restriction_roots hands to find_roots are its f and df
-    # at each sample, called on a scalar as Brent's method and Newton's step
-    # call them, and the tangential pass reads those very arrays
+    # at each sample taken, called on a scalar as Brent's method and Newton's
+    # step call them.  Their grid is the run of the chord's grid from its
+    # first sample above the form's floor to its last, and they are both
+    # ends of the run, the cell ends in it and every sample of the cells
+    # they take an inner sample of, fewer than all; the tangential pass
+    # reads those very arrays
+    _, (full_xs, _, _, _), _ = _full_chord_scan(pair, a, theta)
     calls, reads = _record_scans(monkeypatch)
     edge_restriction_roots(pair, a, theta)
-    (f, (xs, ys, dys), df, bounds), = calls
-    assert np.array_equal(xs, _chord_xs(a))
-    assert np.array([f(u) for u in xs.tolist()]).tobytes() == ys.tobytes()
-    assert np.array([df(u) for u in xs.tolist()]).tobytes() == dys.tobytes()
+    (f, (xs, at, ys, dys), df, bounds), = calls
+    assert np.array_equal(xs, full_xs)
+    (first,) = np.flatnonzero(_chord_xs(a) == xs[0])
+    grid = first + at
+    assert at[0] == 0 and at[-1] == len(xs) - 1 and np.all(np.diff(at) > 0)
+    assert len(at) < len(xs)
+    ends = _CELL_ENDS[(_CELL_ENDS >= grid[0]) & (_CELL_ENDS <= grid[-1])]
+    assert np.isin(ends, grid).all()
+    inner = np.setdiff1d(grid, _CELL_ENDS)
+    for cell in np.unique(np.minimum(inner // CHORD_STRIDE, len(_CELL_ENDS) - 2)):
+        lo, hi = _CELL_ENDS[cell], _CELL_ENDS[cell + 1]
+        assert np.isin(np.arange(max(lo, grid[0]), min(hi, grid[-1]) + 1), grid).all()
+    assert np.array([f(u) for u in xs[at].tolist()]).tobytes() == ys.tobytes()
+    assert np.array([df(u) for u in xs[at].tolist()]).tobytes() == dys.tobytes()
     (tangent,) = reads
-    assert tangent[0] is xs and tangent[1] is ys and tangent[2] is dys
-    assert tangent[3] == bounds
+    assert all(read is handed for read, handed in zip(tangent, (xs, at, ys, dys)))
+    assert tangent[4] == bounds
+
+
+def _scan_chords():
+    """Chords of every kind the cleared cells must keep the output of: the
+    root digest's 200, drawn as test_root_digest.root_reprs draws them, 600
+    drawn as the benchmark's queries draw theirs, 600 with a log-uniform in
+    [1e-5, 1) and theta in [-7, 7], the (2,3) family at pi/2 and the (1,3)
+    one at 0 on a = j/400, a chord with a root 1.15e-5 from its end, chords
+    whose ends are below the form's rounding and chords within rounding of
+    zero."""
+    rng = random.Random(7)
+    for _ in range(300):
+        rng.random()
+    chords = [(EDGE_PAIRS[i % 2], rng.uniform(0.05, 0.95), rng.uniform(0.0, math.pi))
+              for i in range(200)]
+    rng = random.Random(1)
+    chords += [(rng.choice(EDGE_PAIRS), rng.uniform(0.05, 0.95), rng.uniform(0.0, math.pi))
+               for _ in range(600)]
+    chords += [(rng.choice(EDGE_PAIRS), 10.0 ** rng.uniform(-5.0, -1e-9), rng.uniform(-7.0, 7.0))
+               for _ in range(600)]
+    chords += [((2, 3), j / 400, math.pi / 2) for j in range(1, 400)]
+    chords += [((1, 3), j / 400, 0.0) for j in range(1, 400)]
+    chords += [((1, 3), 0.5714017037121516, 6.9843154764202815),
+               ((2, 3), 1.0 - 1e-9, 0.3), ((2, 3), 4e-5, 0.3)]
+    chords += [(pair, a, theta) for pair, theta in [((2, 3), 0.3), ((1, 3), 1.0)]
+               for a in (1e-6, 1.0 - 2.0 ** -53)]
+    return chords
+
+
+def test_chord_scan_decides_what_every_sample_would(monkeypatch):
+    # on 2205 chords the scan over the cells it leaves open reports the roots
+    # and refusals of the scan over every sample (_full_chord_scan), with the
+    # largest |f| bit for bit, and no sample it leaves out could have decided
+    # anything there: none is in a bracket of f, an exact zero of f or a
+    # bracket of df that _tangent_floor lets find_roots solve.  The scans
+    # take fewer than a fifth of the samples
+    calls, _ = _record_scans(monkeypatch)
+    chords, refused, taken, total = _scan_chords(), 0, 0, 0
+    for pair, a, theta in chords:
+        calls.clear()
+        try:
+            roots = edge_restriction_roots(pair, a, theta)
+        except ValueError as refusal:
+            assert "within rounding of zero" in str(refusal)
+            with pytest.raises(ValueError, match="within rounding of zero"):
+                _full_chord_scan(pair, a, theta)
+            refused += 1
+            continue
+        full_roots, (xs, at, ys, dys), bounds = _full_chord_scan(pair, a, theta)
+        assert repr(roots) == repr(full_roots)
+        (_, (sparse_xs, sparse_at, sparse_ys, _), _, _), = calls
+        assert np.array_equal(sparse_xs, xs)
+        assert np.max(np.abs(sparse_ys)).tobytes() == np.max(np.abs(ys)).tobytes()
+        left_out = np.ones(len(xs), dtype=bool)
+        left_out[sparse_at] = False
+        sign = np.sign(ys)
+        changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        assert not np.any(left_out[changes] | left_out[changes + 1])
+        assert not np.any(left_out & (ys == 0))
+        threshold = 1e-9 * np.max(np.abs(ys))
+        brackets, floor = _tangent_floor(xs, at, ys, dys, bounds)
+        solved = brackets[floor <= threshold]
+        assert not np.any(left_out[solved] | left_out[solved + 1])
+        taken, total = taken + len(sparse_at), total + len(xs)
+    assert (len(chords), refused) == (2205, 68)
+    assert taken < total / 5
+
+
+def test_a_root_by_a_chord_end_keeps_its_bits():
+    # (1,3) on the chord a = 0.5714017037121516 at theta 6.98: its first root
+    # is 1.15e-5 from the chord's end a/3, in the first cell of the scan
+    a = 0.5714017037121516
+    roots = edge_restriction_roots((1, 3), a, 6.9843154764202815)
+    assert [repr(r) for r in roots] == ["0.19047876871512567", "0.27895384396824724"]
+    assert roots[0] - a / 3 == pytest.approx(1.15e-5, abs=5e-8)
+
+
+def test_find_roots_brackets_only_neighbouring_samples():
+    # between two samples that are not neighbours on the grid the sampler has
+    # proved that nothing is decided (_open_cells): f = x - 1/2 taken only at
+    # the grid's first two and last two samples has no bracket, and the
+    # slope of (x - 1/2)^2 + 1 changes sign there with no bracket of df
+    xs = np.linspace(0.0, 1.0, ROOT_SAMPLES)
+    at = np.array([0, 1, ROOT_SAMPLES - 2, ROOT_SAMPLES - 1])
+
+    def f(x):
+        return x - 0.5
+
+    assert find_roots(f, sampled(f, 0.0, 1.0)) == [0.5]
+    assert find_roots(f, (xs, at, f(xs[at]), None)) == []
+    u = xs[at]
+    brackets, floor = _tangent_floor(xs, at, (u - 0.5) ** 2 + 1.0, 2.0 * (u - 0.5), (1.25, 2.0))
+    assert brackets.size == floor.size == 0
 
 
 def test_digest_chord_roots_match_mpmath():
@@ -1118,10 +1260,11 @@ def test_root_scans_round_within_a_tenth_of_the_margin(monkeypatch):
             truths.append(lambda x, coeffs=list(reversed(coeffs)): mp.polyval(coeffs, x))
     assert len(truths) == len(reads)
     with mp.workdps(40):
-        for truth, (xs, ys, dys, (size, _)) in zip(truths, reads):
+        for truth, (xs, at, ys, dys, (size, _)) in zip(truths, reads):
             d = (xs[1] - xs[0]) / 2 + MERGE_TOL
-            for i in range(0, ROOT_SAMPLES, 113):
-                x = mp.mpf(float(xs[i]))
+            # every 113th sample of a full scan, as many of a chord's
+            for i in range(0, len(ys), max(1, 113 * len(ys) // ROOT_SAMPLES)):
+                x = mp.mpf(float(xs[at[i]]))
                 assert abs(ys[i] - truth(x)) <= 1e-13 * size
                 assert d * abs(dys[i] - mp.diff(truth, x)) <= 1e-13 * size
 
@@ -1604,7 +1747,7 @@ def test_verdict_refuses_a_candidate_with_two_pair_classes(monkeypatch):
     s, _ = screening_table(B)
     (i,) = (s.min_index == 19).nonzero()[0]
     assert s.modes[s.min_index[i] - 1:s.max_index[i]].tolist() == [[7, 4], [8, 1]]
-    monkeypatch.setattr(nodal, "_sweep_counts", refused)
+    monkeypatch.setattr(nodal, "_max_count_over_thetas", refused)
     monkeypatch.setattr(nodal, "candidates", lambda d: [(19, ((7, 4), (8, 1)))])
     with pytest.raises(AssertionError, match="more than one pair class"):
         nodal.courant_sharp_verdict(B)

@@ -48,10 +48,14 @@ MUTANTS = (
      "test_nodal_analysis.py::test_brent_step_is_scipys_bit_for_bit"),
     ("nodal_analysis.py", "stry = -fcur * (fblk * dblk", "stry = fcur * (fblk * dblk",
      "test_nodal_analysis.py::test_brent_step_is_scipys_bit_for_bit"),
-    # the root commands would load scipy.optimize again
-    ("nodal_analysis.py", "from scipy import ndimage\n",
-     "from scipy import ndimage, optimize\n",
+    # the root commands would load scipy.optimize again, and scipy.ndimage
+    # loaded on import, not on the first label
+    ("nodal_analysis.py", 'ndimage = _lazy_module("scipy.ndimage")\n',
+     'ndimage = _lazy_module("scipy.ndimage")\nfrom scipy import optimize  # noqa\n',
      "test_cli_report.py::test_root_commands_run_without_scipy_optimize"),
+    ("nodal_analysis.py", 'ndimage = _lazy_module("scipy.ndimage")\n',
+     "from scipy import ndimage  # noqa\n",
+     "test_cli_report.py::test_commands_that_never_label_run_without_scipy_ndimage"),
     # gc, and dK's gc' part with PI, regrouped: the same values to rounding,
     # other bits
     ("nodal_analysis.py", "return s * (c - 1.0) * _polyval(p_c, c), _polyval(p_s, c)",
@@ -64,11 +68,12 @@ MUTANTS = (
     ("nodal_analysis.py", "sign * math.sin(theta)", "math.sin(theta)",
      "test_nodal_analysis.py::test_k_theta_is_the_edge_function_combination"),
     # the polynomial scan handed f's samples as df's
-    ("nodal_analysis.py", "(xs, f(xs), df(xs))", "(xs, f(xs), f(xs))",
+    ("nodal_analysis.py", "(xs, EVERY_SAMPLE, f(xs), df(xs))",
+     "(xs, EVERY_SAMPLE, f(xs), f(xs))",
      "test_nodal_analysis.py::test_polynomial_and_median_scans_sample_f_and_df_bit_for_bit"),
     # the tangential pass handed f's samples in place of df's
-    ("nodal_analysis.py", "= _tangent_floor(xs, ys, dys, bounds)",
-     "= _tangent_floor(xs, ys, ys, bounds)",
+    ("nodal_analysis.py", "= _tangent_floor(xs, at, ys, dys, bounds)",
+     "= _tangent_floor(xs, at, ys, ys, bounds)",
      "test_nodal_analysis.py::test_chord_roots_s23_tangent"),
     # the tangential floor: the chord's M2 dropped, the d^2 M2 / 2 term
     # dropped, and the comparison flipped, solving only what can be skipped
@@ -92,6 +97,19 @@ MUTANTS = (
     ("nodal_analysis.py", "return values(trig(u))",
      "return eval_psi(EigenfunctionHandle(DomainKind.EQUILATERAL, pair, theta), u, a - u).value",
      "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
+    # a chord's cells cleared by a bound without its |f'| w term, and the
+    # cells that can hold the largest |f| left cleared; a bracket between two
+    # samples that are not neighbours on the grid
+    ("nodal_analysis.py",
+     "low = np.minimum(value[:-1] - w * slope[:-1], value[1:] - w * slope[1:])",
+     "low = np.minimum(value[:-1], value[1:])",
+     "test_nodal_analysis.py::test_chord_scan_decides_what_every_sample_would"),
+    ("nodal_analysis.py",
+     "return (low - curve <= guard) | (high + curve + margin >= value.max())",
+     "return low - curve <= guard",
+     "test_nodal_analysis.py::test_chord_scan_decides_what_every_sample_would"),
+    ("nodal_analysis.py", "return i[at[i + 1] - at[i] == 1]", "return i",
+     "test_nodal_analysis.py::test_find_roots_brackets_only_neighbouring_samples"),
     # a chord within rounding of zero scanned for noise roots, and a chord's
     # ends below the sums' rounding scanned too
     ("nodal_analysis.py", "if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:", "if False:",
@@ -99,6 +117,10 @@ MUTANTS = (
     ("nodal_analysis.py", "scan = slice(known.argmax(), len(ys) - known[::-1].argmax())",
      "scan = slice(None)",
      "test_nodal_analysis.py::test_chord_ends_below_the_sums_rounding_give_no_noise_roots"),
+    # the verdict counting a candidate whose cluster holds two pair classes
+    ("nodal_analysis.py",
+     "if n > 2 and len({tuple(sorted(p)) for p in modes}) > 1:", "if False:",
+     "test_nodal_analysis.py::test_verdict_refuses_a_candidate_with_two_pair_classes"),
     # the verdict's handle at theta 0, which is C_{m,m} = 0 for m = n
     ("nodal_analysis.py", "EigenfunctionHandle(d, pair, thetas[0])",
      "EigenfunctionHandle(d, pair)",
