@@ -8,6 +8,13 @@ text), any other document as indented JSON.  A table is enumerated and
 checked before its runner returns, so a refused table writes nothing, and no
 --out file is made.  `main` also picks the exit code.
 
+A block of table rows is written by one numpy kernel, `_block_text`: a uint8
+array with a row of fixed-width fields per table row, the literals split
+from the TABLE_FORMATS row template, the ints' decimal digits, and each
+ratio's digits where their rounding is certified; only the other ratios
+(exact halves, round-ups to 1 or 10, any outside [0.1, 10)) and the blank
+prefix are written by `%`.  The text is the bytes the templates write.
+
 Exit codes: 0 success, 1 stdout closed by its reader (as by `| head`),
 2 validation error, 3 unstable nodal count.
 
@@ -26,12 +33,15 @@ import sys
 import time
 from collections.abc import Iterator
 
+import numpy as np
+
 from .alcove_geometry import DomainKind
 from .lattice_spectrum import Mode, enumerate_spectrum
 from .pleijel_screening import index_cutoff, ratio_rule, screening_summary
 from .eigenfunction_eval import EigenfunctionHandle
 
-# 10 significant digits, trailing zeros kept; fixed-point for ratios 0.27 to 7.0
+# 10 significant digits, trailing zeros kept; fixed-point for the tables'
+# ratios, 0.27 to 7.0, whose digits _ratio_digits certifies on [0.1, 10)
 RATIO_FORMAT = "%#.10g"
 # Per format: head, row template, ratio template, the ratio where ratio_rule
 # gives none, row separator and tail.  The JSON is the bytes that
@@ -83,6 +93,89 @@ def parse_pair(text: str) -> Mode:
     return Mode(m, n)
 
 
+def _digits(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the non-negative ints v into the uint8 columns of out as ASCII
+    decimal digits, right-aligned, with NUL (0) left of the leading digit;
+    out must have the columns for every v."""
+    width = out.shape[1]
+    # a column of out is strided: fill contiguous rows, then copy once
+    digits = np.empty((width, len(v)), np.uint8)
+    for j in range(width - 1, -1, -1):
+        q = v // 10
+        r = v - q * 10 + 48
+        if j < width - 1:
+            r *= v > 0  # a column left of the leading digit is NUL
+        digits[j] = r
+        v = q
+    out[...] = digits.T
+
+
+def _ratio_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each ratio's RATIO_FORMAT digits as an int q, and where q is certified
+    to be them.  On [0.1, 10), q = rint(x 10^k), k = 9 from 1 up and 10
+    below, is certified where x 10^k's fraction is more than 1e-5 from 1/2
+    and q < 10^10.  fl(x 10^k) is below 2^34, so within 2^-20 of the exact
+    product: away from a half both round to q, the rounding of x's exact
+    value to 10 significant digits, and q < 10^10 keeps the exponent %g
+    picks (a round-up to 1 or 10 moves it).  Exact and near halves,
+    round-ups and ratios outside [0.1, 10) stay uncertified, their q a
+    placeholder."""
+    inside = (x >= 0.1) & (x < 10)
+    y = np.where(inside, x, 1.0) * np.where(x >= 1, 1e9, 1e10)
+    q = np.rint(y)
+    certified = inside & (np.abs(y - np.floor(y) - 0.5) > 1e-5) & (q < 1e10)
+    return q.astype(np.int64), certified
+
+
+def _block_text(fmt: str, columns: list[np.ndarray], ratios: np.ndarray,
+                skip: int) -> str:
+    """Rows of a table in format fmt, each led by its separator: the row
+    template filled from the four int columns and the ratios, the first
+    `skip` with the ratio `blank`.  One uint8 array holds a row of
+    fixed-width fields per table row, NUL (0) in every position the row's
+    text does not fill, so removing the NULs gives the text.  The literals
+    are the row template's text around its fields; the ints are their
+    decimal digits (_digits); a certified ratio (_ratio_digits) is written
+    from its digits into 12 columns, '0', '.' and 10 digits below 1, NUL, a
+    digit, '.' and 9 digits from 1 up; every other ratio field holds
+    `ratio % x` or `blank`."""
+    _, row, ratio, blank, sep, _ = TABLE_FORMATS[fmt]
+    literals = [t.encode() for t in (sep + row).replace("%s", "%d").split("%d")]
+    pre, post = (t.encode() for t in ratio.split(RATIO_FORMAT))
+    q, certified = _ratio_digits(ratios)
+    certified[:skip] = False
+    loose = np.flatnonzero(~certified).tolist()
+    texts = [(blank if i < skip else ratio % x).encode()
+             for i, x in zip(loose, ratios[loose].tolist())]
+    # a row's fixed text: the literals, NULs for the int digits, and the
+    # ratio field as a certified ratio below 1 fills it but for the digits
+    fields = [bytes(len(str(int(c.max())))) for c in columns]
+    fields.append((pre + b"0." + bytes(10) + post).ljust(
+        max([len(pre) + 12 + len(post), *map(len, texts)]), b"\0"))
+    buf = np.empty((len(ratios), sum(map(len, literals + fields))), np.uint8)
+    buf[...] = np.frombuffer(b"".join(a + b for a, b in zip(literals, fields))
+                             + literals[-1], np.uint8)
+    views, at = [], 0
+    for literal, field in zip(literals, fields):
+        at += len(literal) + len(field)
+        views.append(buf[:, at - len(field):at])
+    for c, view in zip(columns, views):
+        _digits(c, view)
+    field = views[-1]
+    digits = field[:, len(pre):len(pre) + 12]
+    _digits(q, digits[:, 2:])
+    # from 1 up: NUL, the first digit, then the point
+    ones = ratios >= 1
+    first = digits[:, 2].copy()
+    digits[:, 0] = np.where(ones, 0, 48)
+    digits[:, 1] = np.where(ones, first, 46)
+    digits[:, 2] = np.where(ones, 46, first)
+    for i, text in zip(loose, texts):
+        field[i] = 0
+        field[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return buf.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def _table(d: DomainKind, count: int, fmt: str) -> Iterator[str]:
     """The table of the domain's eigenvalues up to index count in format fmt,
     as text pieces to write in order: the head, the rows TABLE_BLOCK at a
@@ -90,8 +183,9 @@ def _table(d: DomainKind, count: int, fmt: str) -> Iterator[str]:
     returns, so a refused count raises here, before any piece is written.
     Each row is the template `row` filled from the spectrum's int64 columns,
     the ratio written by the template `ratio`, or `blank` where it does not
-    apply (see ratio_rule)."""
-    head, row, ratio, blank, sep, tail = TABLE_FORMATS[fmt]
+    apply (see ratio_rule): the text `_block_text` writes for each block, the
+    first without its leading separator."""
+    head, _, _, _, sep, tail = TABLE_FORMATS[fmt]
     s = enumerate_spectrum(d, count)
     skip, ratios = ratio_rule(d, s)
     columns = (s.normalized, s.min_index, s.max_index, s.multiplicity)
@@ -99,11 +193,10 @@ def _table(d: DomainKind, count: int, fmt: str) -> Iterator[str]:
     def pieces():
         yield head
         for start in range(0, len(ratios), TABLE_BLOCK):
-            stop = start + TABLE_BLOCK
-            cells = [c[start:stop].tolist() for c in columns]
-            cells.append([blank] * (min(skip, stop) - start)
-                         + [ratio % x for x in ratios[max(skip, start):stop].tolist()])
-            yield (sep if start else "") + sep.join(map(row.__mod__, zip(*cells)))
+            block = slice(start, start + TABLE_BLOCK)
+            text = _block_text(fmt, [c[block] for c in columns], ratios[block],
+                               max(skip - start, 0))
+            yield text if start else text[len(sep):]
         yield tail
     return pieces()
 

@@ -6,10 +6,11 @@ equilateral and hemiequilateral (physical scale 16 pi^2 / 9), and m^2 + n^2
 for the right-isosceles triangle with side pi (scale 1).  The admissible
 modes up to a value are read off one description, `_rows`: an exact integer
 m-interval for each row n.  The spectrum builds those rows' cells as integer
-arrays, sorts them with one lexsort and groups equal values with np.unique
-into int64 columns, which are the spectrum's only representation; the
-counting function and the multiplicity are point queries that sum the
-rows' lengths in O(sqrt(lambda)), without enumerating.
+arrays, sorts them with one lexsort and groups equal values where the
+sorted values step up (np.diff) into int64 columns, which are the
+spectrum's only representation; the counting function and the multiplicity
+are point queries that sum the rows' lengths in O(sqrt(lambda)), without
+enumerating.
 """
 
 import math
@@ -73,9 +74,12 @@ def modes_up_to(d: DomainKind, limit: int) -> np.ndarray:
 
 
 def _entries_from_modes(d: DomainKind, modes: np.ndarray):
-    """Group modes ordered by value: np.unique over their values gives each
-    distinct value, its first position in `modes` and its multiplicity."""
-    return np.unique(DOMAINS[d].value(*modes.T), return_index=True, return_counts=True)
+    """Group modes ordered by value: each distinct value, its first position
+    in `modes` and its multiplicity.  The values are sorted, so a group
+    starts wherever the value steps up."""
+    values = DOMAINS[d].value(*modes.T)
+    first = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
+    return values[first], first, np.diff(first, append=len(values))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,13 +8,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import DOMAINS, DomainKind
 from courant_lab import cli_report
 from courant_lab.cli_report import RATIO_FORMAT, main, parse_pair, parse_theta
 from courant_lab.lattice_spectrum import MAX_COUNT, enumerate_spectrum
-from courant_lab.pleijel_screening import screening_summary
+from courant_lab.pleijel_screening import ratio_rule, screening_summary
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +43,72 @@ def test_ratio_format():
     assert RATIO_FORMAT % 3.5 == "3.500000000"
     assert RATIO_FORMAT % 2.6 == "2.600000000"
     assert RATIO_FORMAT % (13 / 6) == "2.166666667"
+
+
+def _template_rows(fmt, columns, ratios, skip):
+    # the reference: the row template filled row by row, joined by sep
+    _, row, ratio, blank, sep, _ = cli_report.TABLE_FORMATS[fmt]
+    cells = [c.tolist() for c in columns]
+    cells.append([blank] * skip + [ratio % x for x in ratios[skip:].tolist()])
+    return sep.join(row % r for r in zip(*cells))
+
+
+def _kernel_rows(fmt, columns, ratios, skip):
+    sep = cli_report.TABLE_FORMATS[fmt][4]
+    text = cli_report._block_text(fmt, columns, ratios, skip)
+    assert text.startswith(sep)
+    return text[len(sep):]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_block_text_is_the_row_template_on_every_table(fmt, d):
+    # each block as _table cuts it, the blank prefix (the torus's first two
+    # rows) among them; the whole table at 6000 holds an exact half on every
+    # triangle (8617/5120 on the equilateral)
+    for count, blocks in ((300, (1, 2, 7)), (6000, (6000,))):
+        s = enumerate_spectrum(d, count)
+        skip, ratios = ratio_rule(d, s)
+        columns = (s.normalized, s.min_index, s.max_index, s.multiplicity)
+        for block in blocks:
+            for start in range(0, len(ratios), block):
+                rows = slice(start, start + block)
+                args = ([c[rows] for c in columns], ratios[rows], max(skip - start, 0))
+                assert _kernel_rows(fmt, *args) == _template_rows(fmt, *args), (block, start)
+
+
+# exact halves at the 11th digit (1025/1024, and 8617/5120 on the
+# equilateral table), decimal halves whose doubles lie off the half by less
+# than fl(x 10^k) can resolve, ratios that round up to 1 or 10, ratios
+# outside [0.1, 10), and the range's ends
+ADVERSARIAL_RATIOS = [1025 / 1024, 8617 / 5120, 0.20955131485, 7.2255167075,
+                      4.3875410145, 0.99999999996, 9.9999999996, 0.05, 12.5, 1e-5,
+                      0.1, 0.09999999999996, 1.0, 10.0, 0.375, 3.5, 13 / 6]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_block_text_writes_every_ratio_as_the_ratio_template(fmt):
+    rng = np.random.default_rng(47)
+    ratios = np.concatenate([ADVERSARIAL_RATIOS, rng.uniform(0.1, 10, 50_000),
+                             10 ** rng.uniform(-1, 1, 50_000)])
+    ints = [np.arange(len(ratios), dtype=np.int64)] * 4
+    for skip in (0, 3):
+        assert _kernel_rows(fmt, ints, ratios, skip) == _template_rows(fmt, ints, ratios, skip)
+    for x in ADVERSARIAL_RATIOS:  # each alone, in a one-row block
+        one, x = [np.array([1])] * 4, np.array([x])
+        assert _kernel_rows(fmt, one, x, 0) == _template_rows(fmt, one, x, 0)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_block_text_writes_every_int_in_decimal(fmt):
+    values = [0, 9, 10, 2 ** 62, *(10 ** k + e for k in range(1, 19) for e in (-1, 0))]
+    v = np.array(values, dtype=np.int64)
+    columns = [v, v[::-1], np.roll(v, 1), np.zeros_like(v)]
+    ratios = np.full(len(v), 2.5)
+    assert _kernel_rows(fmt, columns, ratios, 0) == _template_rows(fmt, columns, ratios, 0)
+    for value in values:  # each alone, in a one-row block
+        one = [np.array([value])] * 4
+        assert _kernel_rows(fmt, one, ratios[:1], 1) == _template_rows(fmt, one, ratios[:1], 1)
 
 
 def test_parse_theta():

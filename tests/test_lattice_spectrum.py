@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from courant_lab.alcove_geometry import DOMAINS, SCALE_A2, DomainKind
@@ -107,6 +108,18 @@ def test_entries_group_the_box_oracle(box_scan, d):
         index += mult
     assert [(value, mult, lo, hi, modes) for (value, lo, hi, mult), modes
             in zip(_rows(s), _row_modes(s))] == expected
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_entries_are_the_unique_grouping_of_the_sorted_modes(d):
+    # the grouping np.unique gives, dtypes included, with or without modes
+    modes = lattice_spectrum.modes_up_to(d, 3000)
+    values = lattice_spectrum.DOMAINS[d].value(*modes.T)
+    for k in (0, 1, len(modes)):
+        got = lattice_spectrum._entries_from_modes(d, modes[:k])
+        expected = np.unique(values[:k], return_index=True, return_counts=True)
+        assert ([(a.tolist(), a.dtype) for a in got]
+                == [(a.tolist(), a.dtype) for a in expected])
 
 
 def test_multiplicity_examples():

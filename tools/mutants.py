@@ -272,8 +272,21 @@ MUTANTS = (
     ("cli_report.py", 'RATIO_FORMAT, "", "\\n", "\\n")', 'RATIO_FORMAT, "", "\\n", "")',
      "test_cli_report.py::test_spectrum_csv_is_the_box_oracle_table"),
     # a table's blocks written with no separator between them
-    ("cli_report.py", 'yield (sep if start else "") + sep.join', "yield sep.join",
+    ("cli_report.py", "yield text if start else text[len(sep):]",
+     "yield text[len(sep):]",
      "test_cli_report.py::test_a_table_written_in_blocks_is_the_one_block_text"),
+    # the table kernel: a ratio within 1e-5 of a half, or outside [0.1, 10),
+    # taken as certified; '0' left of an int's leading digit; ratios from 1
+    # up written as if below 1
+    ("cli_report.py", "inside & (np.abs(y - np.floor(y) - 0.5) > 1e-5) & ",
+     "inside & ",
+     "test_cli_report.py::test_block_text_writes_every_ratio_as_the_ratio_template"),
+    ("cli_report.py", "inside = (x >= 0.1) & (x < 10)", "inside = np.isfinite(x)",
+     "test_cli_report.py::test_block_text_writes_every_ratio_as_the_ratio_template"),
+    ("cli_report.py", "            r *= v > 0", "            pass",
+     "test_cli_report.py::test_block_text_writes_every_int_in_decimal"),
+    ("cli_report.py", "ones = ratios >= 1", "ones = ratios < 0",
+     "test_cli_report.py::test_block_text_is_the_row_template_on_every_table"),
     # a closed stdout reported as a validation error
     ("cli_report.py", "    except BrokenPipeError:\n"
      "        # the interpreter flushes stdout at exit: let that write go nowhere\n"
