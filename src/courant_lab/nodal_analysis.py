@@ -1,19 +1,19 @@
 """Fixed points on medians, chord restrictions, critical zeros, the edge
 algebra of the mixed equilateral pairs and its bifurcations, and nodal-domain
-counts: the 4-connected ndimage.label components of each sign of the
-certified sign grid (eigenfunction_eval), each sign labelled over the
-bounding box of its samples alone.  The counts are the whole grid's, as a
-4-path between two samples of one sign runs through that sign and so stays
-in their box.  ndimage.label costs about the same per pixel set or not, and
-the triangles fill 3/8 (equilateral), 3/16 (hemiequilateral) and 1/2
-(right-isosceles) of the square their grid samples.
+counts: the 4-connected ndimage.label components of each sign's mask of the
+certified sign grid (eigenfunction_eval), signs == 1 or -1, compared once and
+labelled over the bounding box of its samples alone.  The counts are the
+whole grid's, as a 4-path between two samples of one sign runs through that
+sign and so stays in their box.  ndimage.label costs about the same per pixel
+set or not, and the triangles fill 3/8 (equilateral), 3/16 (hemiequilateral)
+and 1/2 (right-isosceles) of the square their grid samples.
 
 A verdict labels less: it needs to know whether some count reaches n, and
-each sign's top runs (_top_runs), the runs in a row with nothing of their
-sign above them, bound its components from above, as the topmost row of a
-component holds one.  An angle whose two bounds sum to less than n has fewer
-than n domains and is never labelled, so a false verdict is settled by the
-bound on the grid; only an angle whose bound reaches n is labelled.
+each mask's top runs (_top_runs), the runs in a row with nothing set above
+them, bound its components from above, as the topmost row of a component
+holds one.  An angle whose two bounds sum to less than n has fewer than n
+domains and is never labelled, so a false verdict is settled by the bound
+on the grid; only an angle whose bound reaches n is labelled.
 
 On an edge, in x = cos pi u, the edge sums are fc = sigma (T_3 - 1)(x - 1) sin(pi
 u) P_C(x) and fs = sigma (T_3 - 1) P_S(x), where T_3 - 1 = 4 (x - 1)(x + 1/2)^2
@@ -21,9 +21,9 @@ vanishes only at the vertices.  The edge functions gc and gs, the only ones
 evaluated, drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi u), and each
 root x0 != 1 of P_W is a breakpoint of the theta partition.
 
-Each root scan hands find_roots its samples with their indices on the
-scan's grid: an edge scan mixes at its angle the theta-independent tables of
-gc, gs, gc' and gs' (_edge_functions), built once per pair and range
+Each root scan hands find_roots its whole grid and its samples with their
+indices on it: an edge scan mixes at its angle the theta-independent tables
+of gc, gs, gc' and gs' (_edge_functions), built once per pair and range
 (_edge_tables), and the polynomial and median scans evaluate their functions
 on the whole grid.  A chord scan evaluates the restriction's three-frequency
 form and its slope (_chord_functions) at every CHORD_STRIDE-th sample and
@@ -332,11 +332,11 @@ def _brentq(f, xa: float, xb: float) -> float:
 
 
 def find_roots(f, samples, df=None, bounds=None) -> List[float]:
-    """All roots of f on [lo, hi], as floats, from its samples = (xs, at,
-    f(xs[at]), df(xs[at]) or None): xs = linspace(lo, hi, ROOT_SAMPLES), or
-    on a chord a run of it, is the scan's grid and at the increasing indices
-    of the samples taken.  The sampler takes both ends of xs and a sample of
-    the largest |f|, so lo, hi and the threshold below are the whole grid's,
+    """All roots of f on [lo, hi] = [xs[at[0]], xs[at[-1]]], as floats, from
+    its samples = (xs, at, f(xs[at]), df(xs[at]) or None): xs is the scan's
+    grid, ROOT_SAMPLES points spaced evenly, and at the increasing indices of
+    the samples taken.  The sampler takes both ends of [lo, hi] and a sample
+    of the largest |f| on it, so the threshold below is the whole range's,
     and leaves out only samples it proves can decide nothing here
     (_open_cells); the edge, polynomial and median scans take every sample
     (EVERY_SAMPLE).  A bracket is two samples of opposite signs that are
@@ -361,7 +361,7 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     A sign change of df's samples is solved only where _tangent_floor cannot
     rule out a kept root."""
     xs, at, ys, dys = samples
-    lo, hi = float(xs[0]), float(xs[-1])
+    lo, hi = float(xs[at[0]]), float(xs[at[-1]])
     ys = np.asarray(ys, dtype=float)
     threshold = 1e-9 * (float(np.max(np.abs(ys))) or 1.0)
     roots = []
@@ -540,8 +540,9 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     points spaced evenly from 1e-6 of the chord inside one end to as far
     inside the other; the form (_chord_functions) is evaluated at the ends
     of its cells, every CHORD_STRIDE-th sample and the last, then at every
-    sample of the cells _open_cells leaves open, and find_roots decides on
-    those what it would on every sample."""
+    sample of the cells _open_cells leaves open.  find_roots gets the whole
+    grid and the samples taken from the first above the form's floor to the
+    last, and decides on them what it would on every sample."""
     pair = _check_pair(pair)
     if not 0.0 < a < 1.0:
         raise ValueError("a must be in (0, 1)")
@@ -574,9 +575,7 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     # vertex: the scan runs from the first sample above that floor to the last
     known = np.abs(ys) > floor
     scan = slice(known.argmax(), len(ys) - known[::-1].argmax())
-    run = at[scan]
-    return find_roots(f, (xs[run[0]:run[-1] + 1], run - run[0], ys[scan], dys[scan]),
-                      df=df, bounds=bounds)
+    return find_roots(f, (xs, at[scan], ys[scan], dys[scan]), df=df, bounds=bounds)
 
 
 # The open edges: name, the sign of gs in K, the scanned range of the edge
@@ -719,65 +718,52 @@ class NodalReport:
     stable: bool
 
 
-def _components(signs: np.ndarray, sign: int) -> int:
-    """The number of 4-connected components of the samples of signs equal to
-    sign, by one ndimage.label call over their bounding box: the same number
-    as over the whole grid, as a 4-path between two such samples runs through
-    samples of that sign alone and so never leaves their box.  The box is
-    read from the compare that found it, and an absent sign is labelled over
-    the empty (0, 0) box, which has no component."""
-    on = signs == sign
+def _components(on: np.ndarray) -> int:
+    """The number of 4-connected components of on, one sign's mask of a sign
+    grid, by one ndimage.label call over the bounding box of its set samples:
+    the same number as over the whole grid, as a 4-path between two of them
+    runs through set samples alone and so never leaves their box.  An absent
+    sign is labelled over the empty (0, 0) box, which has no component."""
     rows, cols = (np.flatnonzero(on.any(axis)) for axis in (1, 0))
     box = ((slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
            if rows.size else (slice(0), slice(0)))
     return ndimage.label(on[box])[1]
 
 
-def _top_runs(signs: np.ndarray, sign: int) -> int:
-    """An upper bound on _components(signs, sign): the number of top runs of
-    the sign, the maximal runs of it in a row with no sample of it directly
-    above any of their samples.  The topmost row of a component holds one of
-    the component's runs, and a sample of the sign above that run would join
-    the component a row higher, so that run is a top run; a run lies in one
+def _top_runs(on: np.ndarray) -> int:
+    """An upper bound on _components(on): the number of top runs of on, the
+    maximal runs of set samples in a row with no set sample directly above
+    any of theirs.  The topmost row of a component holds one of the
+    component's runs, and a set sample above that run would join the
+    component a row higher, so that run is a top run; a run lies in one
     component, so no two components share it, and the bound is never below
     the count.  A zero row above the grid and a zero column before each row
     keep a run, in the flattened grid, from wrapping into the next row or
     reading a sample above the first row as its own."""
-    on = np.pad(signs == sign, ((1, 0), (1, 0)))
+    on = np.pad(on, ((1, 0), (1, 0)))
     width = on.shape[1]
     on = on.ravel()
     grid, above, left = on[width:], on[:-width], on[width - 1:-1]
     starts = np.flatnonzero(grid & ~left)
     # from one start to the next lie one run and unset samples: a run is
-    # covered if any of its samples has one of the sign above it
+    # covered if any of its samples has a set sample above it
     covered = np.logical_or.reduceat(grid & above, starts)
     return starts.size - int(np.count_nonzero(covered))
 
 
-def _sweep_counts(h: EigenfunctionHandle, resolution: int,
-                  thetas) -> List[Tuple[int, int]]:
-    """(positive, negative) 4-connected sign components (ndimage.label's
-    default structure in 2-D) of the basis mixed at theta on the handle's
-    grid at each of thetas, in order.  The grid is built once, so an angle
-    costs one sign_grid call (a table product and a few exact samples) and
-    the labelling, each sign over its bounding box (_components)."""
-    basis = _grid_values(h, resolution)
-    counts = []
-    for theta in thetas:
-        signs = sign_grid(basis, theta, ZERO_BAND_REL)
-        counts.append((_components(signs, 1), _components(signs, -1)))
-    return counts
-
-
 def count_nodal_domains(h: EigenfunctionHandle, resolution: int) -> NodalReport:
-    """Count sign components on the grid; stable means the total is unchanged
-    when the resolution is doubled."""
+    """Count the sign components (_components) of the handle's sign grid at
+    h.theta, built at resolution and then at twice it; stable means the total
+    is unchanged when the resolution is doubled."""
     # 2r above the cap: refuse before building the r grid, naming r's range
     if not MIN_GRID <= resolution <= MAX_GRID // 2:
         raise ValueError(f"resolution must be >= {MIN_GRID} and <= "
                          f"{MAX_GRID // 2}, got {resolution}")
-    (pos, neg), = _sweep_counts(h, resolution, [h.theta])
-    (pos2, neg2), = _sweep_counts(h, 2 * resolution, [h.theta])
+    counts = []
+    for r in (resolution, 2 * resolution):
+        signs = sign_grid(_grid_values(h, r), h.theta, ZERO_BAND_REL)
+        counts.append((_components(signs == 1), _components(signs == -1)))
+    (pos, neg), (pos2, neg2) = counts
     return NodalReport(resolution, pos + neg, pos, neg,
                        pos + neg == pos2 + neg2)
 
@@ -820,9 +806,10 @@ def _max_count_over_thetas(d: DomainKind, pair: Mode, resolution: int,
     best = 0
     for theta in thetas:
         signs = sign_grid(basis, theta, ZERO_BAND_REL)
-        if _top_runs(signs, 1) + _top_runs(signs, -1) < n:
+        positive, negative = signs == 1, signs == -1
+        if _top_runs(positive) + _top_runs(negative) < n:
             continue
-        best = max(best, _components(signs, 1) + _components(signs, -1))
+        best = max(best, _components(positive) + _components(negative))
     return best
 
 

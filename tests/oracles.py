@@ -6,7 +6,9 @@ predicate, the triangle's symmetry group and its action on the mixing angle
 (which reduces theta to [0, pi/6] and so fixes the verdict's theta
 partition), the torus exponentials, and the Weyl counting lower bound that
 `bound_inverse` inverts.  No command runs them, so they live beside the
-tests, independent of the code they check.
+tests, independent of the code they check.  One composes the library's own
+steps instead: `sweep_counts`, the nodal counts of one grid at many angles,
+which no command takes.
 """
 
 import cmath
@@ -16,6 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
+import courant_lab.nodal_analysis as nodal
 from courant_lab.alcove_geometry import (DOMAINS, EDGE_TOL, SQRT3, AlcovePoint,
                                          CartesianPoint, DomainKind)
 from courant_lab.eigenfunction_eval import TWO_PI
@@ -125,3 +128,17 @@ def band_signs(values, band: float, mask):
     signs = np.zeros(mask.shape, dtype=np.int8)
     signs[mask] = np.where(values > band, 1, np.where(values < -band, -1, 0))
     return signs
+
+
+def sweep_counts(h, resolution: int, thetas):
+    """(positive, negative) 4-connected sign components of the handle's basis
+    mixed at each of thetas, in order, on one grid (_grid_values): per angle
+    one sign_grid read and a label of each sign's mask (_components).  Each
+    step is read from nodal_analysis at the call, so a test's patch of it
+    applies."""
+    basis = nodal._grid_values(h, resolution)
+    counts = []
+    for theta in thetas:
+        signs = nodal.sign_grid(basis, theta, nodal.ZERO_BAND_REL)
+        counts.append((nodal._components(signs == 1), nodal._components(signs == -1)))
+    return counts

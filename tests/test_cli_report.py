@@ -219,15 +219,15 @@ def test_nodal_unstable_exit_three(capsys):
 
 @pytest.fixture
 def one_more_at_2r(monkeypatch):
-    """Nodal counts one more positive component on the doubled grid of 64."""
+    """Nodal counts one more component of each sign on the doubled grid of
+    64, the grid of 128 rows."""
     import courant_lab.nodal_analysis as nodal
-    sweep_counts = nodal._sweep_counts
+    components = nodal._components
 
-    def one_more_at_2r(h, resolution, thetas):
-        counts = sweep_counts(h, resolution, thetas)
-        return counts if resolution == 64 else [(p + 1, n) for p, n in counts]
+    def one_more_at_2r(on):
+        return components(on) + (len(on) == 128)
 
-    monkeypatch.setattr(nodal, "_sweep_counts", one_more_at_2r)
+    monkeypatch.setattr(nodal, "_components", one_more_at_2r)
 
 
 def test_nodal_exits_three_when_the_doubled_grid_changes_the_count(

@@ -19,7 +19,7 @@ from courant_lab.nodal_analysis import (_CELL_ENDS, _EDGES, BRENT_XTOL,
                                         _chord_functions, _cos_sin,
                                         _edge_functions, _edge_tables,
                                         _k_theta, _max_count_over_thetas,
-                                        _polyder, _polyval, _sweep_counts,
+                                        _polyder, _polyval,
                                         _tangent_floor, _theta_partition,
                                         _top_runs,
                                         bifurcation_angle, bifurcations,
@@ -31,7 +31,7 @@ from courant_lab.nodal_analysis import (_CELL_ENDS, _EDGES, BRENT_XTOL,
                                         median_critical_zeros,
                                         median_fixed_points,
                                         polynomial_roots_unit_interval)
-from oracles import band_signs, in_domain, pullback_theta
+from oracles import band_signs, in_domain, pullback_theta, sweep_counts
 
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
@@ -73,8 +73,8 @@ def test_cropped_counts_are_the_whole_square_counts_on_every_verdict_candidate(
             pair = min(modes)
             thetas = _theta_partition(d, pair)
             grids.clear()
-            counts = _sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
-                                   resolution, thetas)
+            counts = sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
+                                  resolution, thetas)
             assert len(grids) == len(thetas)
             assert counts == [_whole_square_counts(s) for s in grids], (pair, resolution)
 
@@ -117,7 +117,7 @@ def _random_grids():
 def test_a_sign_labelled_over_its_box_has_the_whole_grid_components(signs):
     import courant_lab.nodal_analysis as nodal
 
-    assert ((nodal._components(signs, 1), nodal._components(signs, -1))
+    assert ((nodal._components(signs == 1), nodal._components(signs == -1))
             == _whole_square_counts(signs))
 
 
@@ -142,7 +142,7 @@ def _per_row_top_runs(signs, sign):
 
 @pytest.mark.parametrize("signs", _edge_grids() + _random_grids())
 def test_top_runs_are_the_per_row_count_and_bound_the_components(signs):
-    bounds = _top_runs(signs, 1), _top_runs(signs, -1)
+    bounds = _top_runs(signs == 1), _top_runs(signs == -1)
     assert bounds == (_per_row_top_runs(signs, 1), _per_row_top_runs(signs, -1))
     assert all(b >= c for b, c in zip(bounds, _whole_square_counts(signs)))
 
@@ -158,10 +158,10 @@ def test_top_runs_bound_the_counts_on_every_verdict_candidate(monkeypatch, d, re
             pair = min(modes)
             thetas = _theta_partition(d, pair)
             grids.clear()
-            counts = _sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
-                                   resolution, thetas)
+            counts = sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
+                                  resolution, thetas)
             for signs, (pos, neg) in zip(grids, counts, strict=True):
-                assert _top_runs(signs, 1) >= pos and _top_runs(signs, -1) >= neg
+                assert _top_runs(signs == 1) >= pos and _top_runs(signs == -1) >= neg
 
 
 @pytest.mark.parametrize("resolution", [256, 512, 1024])
@@ -175,8 +175,8 @@ def test_verdict_is_the_verdict_of_the_exact_counts(monkeypatch, d, resolution):
         if n > 2:
             pair = min(modes)
             thetas = _theta_partition(d, pair)
-            counts = _sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
-                                   resolution, thetas)
+            counts = sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
+                                  resolution, thetas)
             exact.append((n, max(pos + neg for pos, neg in counts) == n))
         else:
             exact.append((n, True))
@@ -231,7 +231,8 @@ def test_each_grid_labels_each_sign_once_present_or_not(monkeypatch):
     # n = 4, 5, 7 and 11, and labels each sign once only where the top-run
     # bound reaches n: at 128 that is (2,2) and (3,3), each at pi/2
     ns = [4] + [5] * 3 + [7] * 5 + [11]
-    reach = [_top_runs(s, 1) + _top_runs(s, -1) >= n for s, n in zip(grids, ns, strict=True)]
+    reach = [_top_runs(s == 1) + _top_runs(s == -1) >= n
+             for s, n in zip(grids, ns, strict=True)]
     assert reach == [True] + [False] * 8 + [True]
     assert calls.shapes == [shape for s, r in zip(grids, reach) if r
                             for shape in _box_shapes(s)]
@@ -545,26 +546,26 @@ def _full_chord_scan(pair, a, theta):
 def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, theta):
     # the samples edge_restriction_roots hands to find_roots are its f and df
     # at each sample taken, called on a scalar as Brent's method and Newton's
-    # step call them.  Their grid is the run of the chord's grid from its
-    # first sample above the form's floor to its last, and they are both
-    # ends of the run, the cell ends in it and every sample of the cells
-    # they take an inner sample of, fewer than all; the tangential pass
-    # reads those very arrays
+    # step call them.  Their grid is the chord's whole grid, and they lie on
+    # the run of it from its first sample above the form's floor to its
+    # last: both ends of the run, the cell ends in it and every sample of
+    # the cells they take an inner sample of, fewer than all; the tangential
+    # pass reads those very arrays
     _, (full_xs, _, _, _), _ = _full_chord_scan(pair, a, theta)
     calls, reads = _record_scans(monkeypatch)
     edge_restriction_roots(pair, a, theta)
     (f, (xs, at, ys, dys), df, bounds), = calls
-    assert np.array_equal(xs, full_xs)
-    (first,) = np.flatnonzero(_chord_xs(a) == xs[0])
-    grid = first + at
-    assert at[0] == 0 and at[-1] == len(xs) - 1 and np.all(np.diff(at) > 0)
-    assert len(at) < len(xs)
-    ends = _CELL_ENDS[(_CELL_ENDS >= grid[0]) & (_CELL_ENDS <= grid[-1])]
-    assert np.isin(ends, grid).all()
-    inner = np.setdiff1d(grid, _CELL_ENDS)
+    assert np.array_equal(xs, _chord_xs(a))
+    (first,) = np.flatnonzero(xs == full_xs[0])
+    assert at[0] == first and at[-1] == first + len(full_xs) - 1
+    assert np.all(np.diff(at) > 0)
+    assert len(at) < len(full_xs)
+    ends = _CELL_ENDS[(_CELL_ENDS >= at[0]) & (_CELL_ENDS <= at[-1])]
+    assert np.isin(ends, at).all()
+    inner = np.setdiff1d(at, _CELL_ENDS)
     for cell in np.unique(np.minimum(inner // CHORD_STRIDE, len(_CELL_ENDS) - 2)):
         lo, hi = _CELL_ENDS[cell], _CELL_ENDS[cell + 1]
-        assert np.isin(np.arange(max(lo, grid[0]), min(hi, grid[-1]) + 1), grid).all()
+        assert np.isin(np.arange(max(lo, at[0]), min(hi, at[-1]) + 1), at).all()
     assert np.array([f(u) for u in xs[at].tolist()]).tobytes() == ys.tobytes()
     assert np.array([df(u) for u in xs[at].tolist()]).tobytes() == dys.tobytes()
     (tangent,) = reads
@@ -604,8 +605,9 @@ def test_chord_scan_decides_what_every_sample_would(monkeypatch):
     # and refusals of the scan over every sample (_full_chord_scan), with the
     # largest |f| bit for bit, and no sample it leaves out could have decided
     # anything there: none is in a bracket of f, an exact zero of f or a
-    # bracket of df that _tangent_floor lets find_roots solve.  The scans
-    # take fewer than a fifth of the samples
+    # bracket of df that _tangent_floor lets find_roots solve.  Each scan
+    # hands over the chord's whole grid, its range ends bit for bit the full
+    # scan's.  The scans take fewer than a fifth of the samples
     calls, _ = _record_scans(monkeypatch)
     chords, refused, taken, total = _scan_chords(), 0, 0, 0
     for pair, a, theta in chords:
@@ -621,10 +623,12 @@ def test_chord_scan_decides_what_every_sample_would(monkeypatch):
         full_roots, (xs, at, ys, dys), bounds = _full_chord_scan(pair, a, theta)
         assert repr(roots) == repr(full_roots)
         (_, (sparse_xs, sparse_at, sparse_ys, _), _, _), = calls
-        assert np.array_equal(sparse_xs, xs)
+        assert np.array_equal(sparse_xs, _chord_xs(a))
+        assert sparse_xs[sparse_at[0]].tobytes() == xs[0].tobytes()
+        assert sparse_xs[sparse_at[-1]].tobytes() == xs[-1].tobytes()
         assert np.max(np.abs(sparse_ys)).tobytes() == np.max(np.abs(ys)).tobytes()
         left_out = np.ones(len(xs), dtype=bool)
-        left_out[sparse_at] = False
+        left_out[sparse_at - sparse_at[0]] = False
         sign = np.sign(ys)
         changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
         assert not np.any(left_out[changes] | left_out[changes + 1])
@@ -1295,9 +1299,9 @@ def count(domain, pair, theta=0.0, res=256):
 
 
 def sweep(domain, pair, res, thetas):
-    """The nodal count at each of thetas, from one _sweep_counts."""
+    """The nodal count at each of thetas, from one sweep_counts."""
     h = EigenfunctionHandle(domain, Mode(*pair))
-    return [pos + neg for pos, neg in _sweep_counts(h, res, thetas)]
+    return [pos + neg for pos, neg in sweep_counts(h, res, thetas)]
 
 
 def test_counts_13_family_res256():
@@ -1330,11 +1334,11 @@ def sampled_thetas():
 def test_sweep_counts_match_count_once(d, pair):
     # a one-function eigenbasis has only theta 0
     thetas = sampled_thetas() if d is E else [0.0]
-    counts = _sweep_counts(EigenfunctionHandle(d, Mode(*pair)), 128, thetas)
+    counts = sweep_counts(EigenfunctionHandle(d, Mode(*pair)), 128, thetas)
     assert len(counts) == len(thetas)
     for theta, pos_neg in zip(thetas, counts):
         h = EigenfunctionHandle(d, Mode(*pair), theta)
-        assert [pos_neg] == _sweep_counts(h, 128, [theta])
+        assert [pos_neg] == sweep_counts(h, 128, [theta])
         r = count_nodal_domains(h, 128)
         assert pos_neg == (r.positive_components, r.negative_components)
 
@@ -1506,7 +1510,7 @@ def test_single_angle_at_zero_evaluates_c_only(pair, resolution):
     assert np.array_equal(mixed, c)
     assert np.array_equal(np.signbit(mixed), np.signbit(c))
     expected = count_nodal_domains(h, resolution)
-    sweep = _sweep_counts(h, resolution, [0.0, 0.1])
+    sweep = sweep_counts(h, resolution, [0.0, 0.1])
     assert sweep[0] == (expected.positive_components, expected.negative_components)
 
 
