@@ -668,6 +668,7 @@ UNLABELLED_ARGVS = [["plot", "--domain", "equilateral", "--pair", "1,3", "--thet
                     ["bifurcation"],
                     ["critical-zeros", "--pair", "2,3", "--theta", "theta_c"],
                     ["verdict", "--domain", "torus"],
+                    ["verdict", "--domain", "equilateral"],
                     ["verdict", "--domain", "right-isosceles"],
                     ["verdict", "--domain", "hemiequilateral"]]
 
@@ -686,8 +687,9 @@ print(json.dumps({"outputs": outputs, "loaded": loaded}))
 
 def test_commands_that_never_label_run_without_scipy_ndimage(capsys):
     # nodal_analysis binds scipy.ndimage lazily and ndimage.label loads it:
-    # a plot, the root commands and the verdicts whose top-run bounds settle
-    # every angle run in a fresh interpreter without loading it, each with
+    # a plot, the root commands and the verdicts, which count their tiled
+    # rows exactly and whose top-run bounds settle every other angle, run in
+    # a fresh interpreter without loading it, each with
     # the output it has here, and a nodal count then loads it (its package's
     # submodules are in sys.modules only once it has run)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))

@@ -15,13 +15,14 @@ from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (_CELL_ENDS, _EDGES, BRENT_XTOL,
                                         CHORD_STRIDE, EDGE_PAIRS, EVERY_SAMPLE,
                                         MERGE_TOL, ROOT_SAMPLES, ROUNDING,
+                                        ZERO_BAND_REL,
                                         CriticalZero, _brentq,
                                         _chord_functions, _cos_sin,
                                         _edge_functions, _edge_tables,
                                         _k_theta, _max_count_over_thetas,
                                         _polyder, _polyval,
                                         _tangent_floor, _theta_partition,
-                                        _top_runs,
+                                        _tiled_count, _top_runs,
                                         bifurcation_angle, bifurcations,
                                         count_nodal_domains,
                                         courant_sharp_verdict,
@@ -36,6 +37,82 @@ from oracles import band_signs, in_domain, pullback_theta, sweep_counts
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
 H = DomainKind.HEMIEQUILATERAL
+
+
+# ---------------------------------------------------------------------------
+# tiled counts and the verdict's top-run bound
+# ---------------------------------------------------------------------------
+
+# the verdict rows above n = 2 whose pair tiles a lambda_1 pair, g = 2 or 3
+TILED_ROWS = [(E, (2, 2), 4), (E, (3, 3), 9), (B, (4, 2), 4), (H, (4, 2), 4)]
+
+
+def test_a_bound_of_n_is_labelled_and_reaches_the_count():
+    # (2,2) at pi/2 has 1 + 3 domains and a top-run bound of exactly 4: an
+    # angle whose bound is n is labelled, both signs read
+    basis = _grid_values(EigenfunctionHandle(E, Mode(2, 2), math.pi / 2), 512)
+    signs = sign_grid(basis, math.pi / 2, ZERO_BAND_REL)
+    assert sum(_top_runs(signs)) == 4
+    assert _max_count_over_thetas(E, Mode(2, 2), 512, 4) == 4
+
+
+@pytest.mark.parametrize("d,pair,count", TILED_ROWS)
+def test_tiled_count_is_the_grid_count_at_1024(d, pair, count):
+    from courant_lab.pleijel_screening import candidates
+
+    assert _tiled_count(d, Mode(*pair), candidates(d)) == count
+    thetas = _theta_partition(d, Mode(*pair))
+    counts = sweep_counts(EigenfunctionHandle(d, Mode(*pair), thetas[0]), 1024, thetas)
+    assert [pos + neg for pos, neg in counts] == [count] * len(thetas)
+
+
+@pytest.mark.parametrize("d", [E, H, B])
+def test_the_tiled_verdict_rows_are_the_four_known(d):
+    from courant_lab.pleijel_screening import candidates
+
+    rows = candidates(d)
+    tiled = [(d, tuple(min(modes)), _tiled_count(d, min(modes), rows))
+             for n, modes in rows if n > 2 and _tiled_count(d, min(modes), rows)]
+    assert tiled == [row for row in TILED_ROWS if row[0] is d]
+
+
+def test_tiled_count_refuses_a_primitive_pair_whose_count_is_unknown():
+    from courant_lab.pleijel_screening import candidates
+
+    rows = candidates(E)
+    # (2,6) = 2 (1,3), and (1,3) is lambda_5, whose count is not known
+    assert _tiled_count(E, Mode(2, 6), rows) is None
+    assert _tiled_count(E, Mode(1, 3), rows) is None
+    # (4,2) = 2 (2,1) and (2,4) tile the equilateral lambda_2 pair (1,2)
+    assert _tiled_count(E, Mode(4, 2), rows) == _tiled_count(E, Mode(2, 4), rows) == 8
+    # the torus has no mirrors: cos 4 pi x has 4 domains, not 8
+    assert _tiled_count(DomainKind.TORUS, Mode(-2, 0),
+                        candidates(DomainKind.TORUS)) is None
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_weyl_coefficients_are_linear_in_the_pair(g):
+    for m in range(1, 9):
+        for n in range(1, 9):
+            assert weyl_coefficients(g * m, g * n) == tuple(
+                (sign, g * a, g * b) for sign, a, b in weyl_coefficients(m, n))
+            if m != n:
+                x, y = np.array([2.9, 1.3, 0.4]), np.array([0.2, 1.1, 0.3])
+                np.testing.assert_allclose(eval_isosceles(g * m, g * n, x, y),
+                                           eval_isosceles(m, n, g * x, g * y),
+                                           rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pair", [(2, 2), (2, 4)])
+def test_tile_edges_are_in_the_zero_set(pair):
+    # the three midlines of the triangle O, A = (2/3, 1/3), B = (1/3, 2/3),
+    # between the midpoints of its edges, are the edges of its four tiles
+    mids = [(1 / 3, 1 / 6), (1 / 6, 1 / 3), (1 / 2, 1 / 2)]
+    tau = np.linspace(0.0, 1.0, 21)
+    for (s0, t0), (s1, t1) in [(mids[0], mids[1]), (mids[0], mids[2]), (mids[1], mids[2])]:
+        s, t = s0 + tau * (s1 - s0), t0 + tau * (t1 - t0)
+        for f in (eval_C, eval_S):
+            assert np.max(np.abs(f(*pair, s, t))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +219,7 @@ def _per_row_top_runs(signs, sign):
 
 @pytest.mark.parametrize("signs", _edge_grids() + _random_grids())
 def test_top_runs_are_the_per_row_count_and_bound_the_components(signs):
-    bounds = _top_runs(signs == 1), _top_runs(signs == -1)
+    bounds = _top_runs(signs)
     assert bounds == (_per_row_top_runs(signs, 1), _per_row_top_runs(signs, -1))
     assert all(b >= c for b, c in zip(bounds, _whole_square_counts(signs)))
 
@@ -161,7 +238,8 @@ def test_top_runs_bound_the_counts_on_every_verdict_candidate(monkeypatch, d, re
             counts = sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
                                   resolution, thetas)
             for signs, (pos, neg) in zip(grids, counts, strict=True):
-                assert _top_runs(signs == 1) >= pos and _top_runs(signs == -1) >= neg
+                bound = _top_runs(signs)
+                assert bound[0] >= pos and bound[1] >= neg
 
 
 @pytest.mark.parametrize("resolution", [256, 512, 1024])
@@ -170,14 +248,17 @@ def test_verdict_is_the_verdict_of_the_exact_counts(monkeypatch, d, resolution):
     import courant_lab.nodal_analysis as nodal
     from courant_lab.pleijel_screening import candidates
 
-    exact = []
-    for n, modes in candidates(d):
+    # a tiled pair's count is exact; its grid can overcount, as equilateral
+    # (2,2) does at 256 with 5 where the truth is 4
+    exact, rows = [], candidates(d)
+    for n, modes in rows:
         if n > 2:
             pair = min(modes)
             thetas = _theta_partition(d, pair)
-            counts = sweep_counts(EigenfunctionHandle(d, pair, thetas[0]),
-                                  resolution, thetas)
-            exact.append((n, max(pos + neg for pos, neg in counts) == n))
+            mu = _tiled_count(d, pair, rows) or max(
+                pos + neg for pos, neg in sweep_counts(
+                    EigenfunctionHandle(d, pair, thetas[0]), resolution, thetas))
+            exact.append((n, mu == n))
         else:
             exact.append((n, True))
     monkeypatch.setattr(nodal, "VERDICT_RESOLUTION", resolution)
@@ -227,15 +308,13 @@ def test_each_grid_labels_each_sign_once_present_or_not(monkeypatch):
     grids.clear()
     monkeypatch.setattr(nodal, "VERDICT_RESOLUTION", 128)
     nodal.courant_sharp_verdict(E)
-    # a verdict reads the 10 angles of (2,2), (1,3), (2,3) and (3,3), for
-    # n = 4, 5, 7 and 11, and labels each sign once only where the top-run
-    # bound reaches n: at 128 that is (2,2) and (3,3), each at pi/2
-    ns = [4] + [5] * 3 + [7] * 5 + [11]
-    reach = [_top_runs(s == 1) + _top_runs(s == -1) >= n
-             for s, n in zip(grids, ns, strict=True)]
-    assert reach == [True] + [False] * 8 + [True]
-    assert calls.shapes == [shape for s, r in zip(grids, reach) if r
-                            for shape in _box_shapes(s)]
+    # a verdict reads the 8 angles of (1,3) and (2,3), for n = 5 and 7
+    # ((2,2) and (3,3) are tiled: no grid), and labels each sign once only
+    # where the top-run bound reaches n: at 128 that is nowhere
+    ns = [5] * 3 + [7] * 5
+    reach = [sum(_top_runs(s)) >= n for s, n in zip(grids, ns, strict=True)]
+    assert reach == [False] * 8
+    assert calls.shapes == []
 
 
 
@@ -1540,13 +1619,13 @@ def test_verdict_counts_only_candidates_above_two(monkeypatch):
     assert calls == grids == angles == []
     monkeypatch.setattr(nodal, "VERDICT_RESOLUTION", 128)
     nodal.courant_sharp_verdict(E)
-    # (1,2) at n = 2 is decided by the theorem; (2,2) and (3,3) are simple
-    assert calls == [((2, 2), 128, 4), ((1, 3), 128, 5), ((2, 3), 128, 7),
-                     ((3, 3), 128, 11)]
-    # one grid evaluation per candidate, whatever its number of angles, and
-    # one sign grid per angle of its partition
-    assert grids == [((2, 2), 128), ((1, 3), 128), ((2, 3), 128), ((3, 3), 128)]
-    assert angles == [(2, 2)] + [(1, 3)] * 3 + [(2, 3)] * 5 + [(3, 3)]
+    # (1,2) at n = 2 is decided by the theorem; (2,2) and (3,3) tile (1,1)
+    # and are counted exactly, with no grid
+    assert calls == [((1, 3), 128, 5), ((2, 3), 128, 7)]
+    # one grid evaluation per counted candidate, whatever its number of
+    # angles, and one sign grid per angle of its partition
+    assert grids == [((1, 3), 128), ((2, 3), 128)]
+    assert angles == [(1, 3)] * 3 + [(2, 3)] * 5
 
 
 def test_count_refuses_a_doubled_grid_above_the_cap_before_any_grid(monkeypatch):

@@ -124,7 +124,7 @@ MUTANTS = (
     # the verdict's handle at theta 0, which is C_{m,m} = 0 for m = n
     ("nodal_analysis.py", "EigenfunctionHandle(d, pair, thetas[0])",
      "EigenfunctionHandle(d, pair)",
-     "test_nodal_analysis.py::test_verdict_counts_only_candidates_above_two"),
+     "test_nodal_analysis.py::test_a_bound_of_n_is_labelled_and_reaches_the_count"),
     # the grid certificate without the exact reads at the largest table
     # values, which fix the band, or at the band's edges, with its band
     # halved, and with the band window missing the rel delta gap between the
@@ -151,25 +151,34 @@ MUTANTS = (
     ("nodal_analysis.py", "return ndimage.label(on[box])[1]",
      "return ndimage.label(on[box])[1] if on[box].size else 0",
      "test_nodal_analysis.py::test_each_grid_labels_each_sign_once_present_or_not"),
-    # a top run taken as a run whose first sample has nothing of its sign
-    # above, the padding column dropped so that runs wrap across rows, and
-    # every run counted; the verdict not labelling an angle whose bound is n
-    ("nodal_analysis.py", "np.logical_or.reduceat(grid & above, starts)",
-     "(grid & above)[starts]",
+    # a top run taken as a run whose first sample has its value above it,
+    # each row's first sample no longer starting a run, so that runs wrap
+    # across rows, every run counted, and a run covered by its value below
+    # it, not above; the verdict not labelling an angle whose bound is n
+    ("nodal_analysis.py", "np.logical_or.reduceat(above, starts)", "above[starts]",
      "test_nodal_analysis.py::test_top_runs_are_the_per_row_count_and_bound_the_components"),
-    ("nodal_analysis.py", "np.pad(on, ((1, 0), (1, 0)))",
-     "np.pad(on, ((1, 0), (0, 0)))",
+    ("nodal_analysis.py", "    starts[::width] = True\n", "",
      "test_nodal_analysis.py::test_top_runs_are_the_per_row_count_and_bound_the_components"),
-    ("nodal_analysis.py", "return starts.size - int(np.count_nonzero(covered))",
-     "return starts.size",
+    ("nodal_analysis.py", "top = flat[starts[~np.logical_or.reduceat(above, starts)]]",
+     "top = flat[starts]",
      "test_nodal_analysis.py::test_top_runs_are_the_per_row_count_and_bound_the_components"),
-    ("nodal_analysis.py", "if _top_runs(positive) + _top_runs(negative) < n:",
-     "if _top_runs(positive) + _top_runs(negative) <= n:",
-     "test_nodal_analysis.py::test_verdict_is_the_verdict_of_the_exact_counts"),
-    # the verdict reading the positive mask for both signs
-    ("nodal_analysis.py", "positive, negative = signs == 1, signs == -1",
-     "positive, negative = signs == 1, signs == 1",
-     "test_nodal_analysis.py::test_verdict_is_the_verdict_of_the_exact_counts"),
+    ("nodal_analysis.py", "np.equal(flat[width:], flat[:-width], out=above[width:])",
+     "np.equal(flat[:-width], flat[width:], out=above[:-width])",
+     "test_nodal_analysis.py::test_top_runs_are_the_per_row_count_and_bound_the_components"),
+    ("nodal_analysis.py", "if sum(_top_runs(signs)) < n:", "if sum(_top_runs(signs)) <= n:",
+     "test_nodal_analysis.py::test_a_bound_of_n_is_labelled_and_reaches_the_count"),
+    # the verdict's sweep reading the positive mask for both signs
+    ("nodal_analysis.py",
+     "best = max(best, _components(signs == 1) + _components(signs == -1))",
+     "best = max(best, _components(signs == 1) + _components(signs == 1))",
+     "test_nodal_analysis.py::test_a_bound_of_n_is_labelled_and_reaches_the_count"),
+    # a tiled pair's count g k where g^2 k is due, and a pair tiled from a
+    # primitive pair of any candidate row, whose count is not known
+    ("nodal_analysis.py", "return k * g * g", "return k * g",
+     "test_nodal_analysis.py::test_tiled_count_is_the_grid_count_at_1024"),
+    ("nodal_analysis.py", "for k, modes in rows[:2]:", "for k, modes in rows:",
+     "test_nodal_analysis.py::"
+     "test_tiled_count_refuses_a_primitive_pair_whose_count_is_unknown"),
     # the grid geometry cached by domain alone: another resolution's geometry
     # is handed back
     ("eigenfunction_eval.py", "key = (d, resolution)", "key = d",
