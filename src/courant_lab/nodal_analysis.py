@@ -31,20 +31,15 @@ of gc, gs, gc' and gs' (_edge_functions), built once per pair and range
 (_edge_tables), and the polynomial and median scans evaluate their functions
 on the whole grid.  A chord scan evaluates the restriction's three-frequency
 form and its slope (_chord_functions) at every CHORD_STRIDE-th sample and
-the last, then at every sample of each cell between two of those that
-Taylor's theorem cannot prove undecided (_open_cells): a cleared cell holds
-no sign change, no exact zero, no tangential solve and not the largest |f|,
-so find_roots decides on the samples taken what it would on all of them.
-Every sample has the bits of the f or df that find_roots solves on, so every
-root has the function's bits.
+the last, then at every sample of each cell between two of those that the
+cell test leaves near a root.  Every sample has the bits of the f or df
+that find_roots solves on, so every root has the function's bits.
 
-find_roots solves a sign change of the derivative, a candidate tangent root,
-only where Taylor's theorem cannot prove |f| too large for the root to be
-kept (_tangent_floor).  Each caller bounds its function's terms and |f''|
-in closed form: the chord by its Weyl frequencies, an edge by Bernstein's
-inequality on gc and gs, a reduction polynomial by its coefficients.  A
-skipped solve is one whose root would have been thrown away, so every
-output is the one of solving them all."""
+One cell test (_cell_test) decides what a scan with a derivative reads: by
+Taylor's theorem, from f and f' at a cell's ends and the bounds on f's
+terms and |f''| its caller states in closed form, f has no root on the cell
+or is monotone there.  A cell it leaves open is split (_split), so two
+zeros within one sample step, as just past theta_c, are found."""
 
 import functools
 import importlib.util
@@ -188,10 +183,10 @@ def _edge_functions(pair: Mode):
     |gc| <= A_C and |gs| <= A_S, the sums of their terms' sizes, and |gc''|
     <= B_C and |gs''| <= B_S, so K's bounds at theta (find_roots) are |cos
     theta| A_C + |sin theta| A_S and the same in B.  As |c| <= 1, A_C = 2 sum
-    |P_C| and A_S = sum |P_S|.  In pi u, gc is a trigonometric polynomial of
-    degree deg P_C + 2 and gs one of degree deg P_S, and Bernstein's
-    inequality bounds the second derivative of one of degree N by N^2 times
-    its largest value, so B = (pi N)^2 A."""
+    |P_C| and A_S = sum |P_S|.  In Chebyshev form g = sum q_k T_k(c) and P_S
+    = sum s_k T_k(c), and T_k(cos pi u) = cos k pi u, so gs'' = -sum s_k (k
+    pi)^2 cos k pi u and gc = sum q_k (sin (k + 1) pi u - sin (k - 1) pi u) /
+    2: B_S = pi^2 sum |s_k| k^2 and B_C = pi^2 sum |q_k| (k^2 + 1)."""
     p_c, p_s = edge_polynomials(pair)[:2]
     dp_c, dp_s = _polyder(p_c), _polyder(p_s)
 
@@ -205,9 +200,10 @@ def _edge_functions(pair: Mode):
         return PI * (c * g - s * s * dg), -PI * s * _polyval(dp_s, c)
 
     sizes = 2.0 * sum(map(abs, p_c)), sum(map(abs, p_s))
-    degrees = len(p_c) + 1, len(p_s) - 1
-    return values, slopes, (sizes, tuple((PI * n) ** 2 * a
-                                         for n, a in zip(degrees, sizes)))
+    q_c, q_s = map(np.polynomial.chebyshev.poly2cheb, (np.convolve([-1.0, 1.0], p_c), p_s))
+    k_c, k_s = np.arange(len(q_c)), np.arange(len(q_s))
+    return values, slopes, (sizes, (PI * PI * float(np.abs(q_c) @ (k_c * k_c + 1.0)),
+                                    PI * PI * float(np.abs(q_s) @ (k_s * k_s))))
 
 
 def _chord_functions(h: EigenfunctionHandle, a: float):
@@ -276,13 +272,15 @@ EVERY_SAMPLE.flags.writeable = False
 # scipy brentq's defaults
 BRENT_XTOL = 1e-13
 BRENT_RTOL, BRENT_MAXITER = 4 * sys.float_info.epsilon, 100
-# roots closer than MERGE_TOL are reported once
+# roots closer than MERGE_TOL are reported once, and no cell narrower than it
+# is split
 MERGE_TOL = 1e-9
 # a bound on the rounding of a value of f, relative to the size M0 of its
 # terms that the caller states, ten times the callers' (find_roots)
 ROUNDING = 1e-12
 # a chord scan takes every CHORD_STRIDE-th sample of its grid and the last,
-# the ends of its cells, and every sample of the cells _open_cells leaves open
+# the ends of its cells, and every sample of the cells the cell test leaves
+# near a root
 CHORD_STRIDE = 32
 _CELL_ENDS = np.append(np.arange(0, ROOT_SAMPLES - 1, CHORD_STRIDE), ROOT_SAMPLES - 1)
 # the cell of each sample, the right one at an end but the last
@@ -339,143 +337,143 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     """All roots of f on [lo, hi] = [xs[at[0]], xs[at[-1]]], as floats, from
     its samples = (xs, at, f(xs[at]), df(xs[at]) or None): xs is the scan's
     grid, ROOT_SAMPLES points spaced evenly, and at the increasing indices of
-    the samples taken.  The sampler takes both ends of [lo, hi] and a sample
-    of the largest |f| on it, so the threshold below is the whole range's,
-    and leaves out only samples it proves can decide nothing here
-    (_open_cells); the edge, polynomial and median scans take every sample
-    (EVERY_SAMPLE).  A bracket is two samples of opposite signs that are
-    neighbours on the grid (_sign_changes): solve each by Brent's method
-    (_brentq) and, given df, Newton-polish it and add the tangent
-    (even-order) roots, the roots of df where |f| < 1e-9 max |f(xs[at])|.
-    A root on a sample is caught as an exact zero: on [-1, 1], where the
-    reduction polynomials are solved, that is how P_W's triple root at the
-    sample x = 1 is found.  Roots within MERGE_TOL of the last one kept are
-    dropped, the roots of df before |f| is tested.
+    the samples taken, all (EVERY_SAMPLE) but on a chord, whose sampler
+    leaves out only cells the cell test (_cell_test) finds far from a root.
+    A bracket is a cell of two consecutive samples of opposite signs, solved
+    by Brent's method (_brentq) and, given df, one Newton step; a sample
+    where f is 0 is a root too, as P_W's triple root x = 1.  Roots within
+    MERGE_TOL of the last one kept are dropped.  Without df, as on the
+    median, the samples are trusted.
 
-    With df come bounds = (M0, M2): M2 >= max |f''| on [lo, hi], and M0 the
-    sum of the absolute values of the terms f is summed from.  The callers'
-    values of f, and d times those of f' (d < 1e-3, _tangent_floor), round
-    by less than 1e-13 M0, a tenth of ROUNDING M0: a Weyl term's phase has a
-    few roundings relative to a phase of at most 2 pi (m + n), numpy's cos
-    and sin are within 1 ulp, a chord's form is within its floor, at most
-    5e-14 M0 (_chord_functions), a polynomial of degree n <= 5 evaluated by
-    Horner's rule at |x| <= 1 rounds by at most 2n u M0 (u the unit
-    roundoff), and one in a rounded cosine is off by at most n^2 M0 times
-    the cosine's error (Markov's inequality); tests check it against mpmath.
-    A sign change of df's samples is solved only where _tangent_floor cannot
-    rule out a kept root."""
+    With df come bounds = (M0, M2): M2 >= max |f''| on [lo, hi] and M0 the
+    sum of the sizes of the terms f is summed from.  Only a cell the test
+    leaves near a root can be a bracket, and each it leaves open is split
+    (_split); its brackets are solved the same way, a root of df in its
+    leaves where |f| <= 2 ROUNDING M0 is a tangent (even-order) root, and a
+    root found so is kept where no root of the scan's own brackets is within
+    MERGE_TOL: a scan whose cells all clear keeps every root's bits.  The
+    callers' values of f round by less than 1e-13 M0 and those of f' by less
+    than 1e-10 M0: a Weyl term's phase has a few roundings relative to a
+    phase of at most 2 pi (m + n), numpy's cos and sin are within 1 ulp, a
+    chord's form is within its floor, at most 5e-14 M0 (_chord_functions),
+    a polynomial of degree n <= 5 evaluated by Horner's rule at |x| <= 1
+    rounds by at most 2n u M0 (u the unit roundoff), and one in a rounded
+    cosine is off by at most n^2 M0 times the cosine's error (Markov's
+    inequality); tests check it against mpmath."""
+    return [r for r, _ in _scan_roots(f, samples, df, bounds)]
+
+
+def _scan_roots(f, samples, df, bounds) -> List[Tuple[float, bool]]:
+    """find_roots' roots in order, each with whether it is a tangent root."""
     xs, at, ys, dys = samples
-    lo, hi = float(xs[at[0]]), float(xs[at[-1]])
-    ys = np.asarray(ys, dtype=float)
-    threshold = 1e-9 * (float(np.max(np.abs(ys))) or 1.0)
-    roots = []
-    for i in _sign_changes(at, ys):
-        r = _brentq(f, xs[at[i]], xs[at[i + 1]])
+    x, ys = xs[at], np.asarray(ys, dtype=float)
+    lo, hi = float(x[0]), float(x[-1])
+
+    def solve(a, b):
+        r = _brentq(f, a, b)
         if df is not None:
             d = df(r)
             if d != 0.0:
                 step = f(r) / d
                 if abs(step) < (xs[1] - xs[0]):
                     r -= step
-        roots.append(float(min(max(r, lo), hi)))
-    # samples that are exact zeros
-    roots += [float(x) for x in xs[at[ys == 0]]]
-    if df is not None:
-        dys = np.asarray(dys, dtype=float)
-        brackets, floor = _tangent_floor(xs, at, ys, dys, bounds)
-        tangent = [float(min(max(_brentq(df, xs[at[i]], xs[at[i + 1]]), lo), hi))
-                   for i in brackets[floor <= threshold]]
-        tangent += [float(x) for x in xs[at[dys == 0]]]
-        roots += [r for r in _merged(tangent) if abs(f(r)) < threshold]
-    return _merged(roots)
+        return float(min(max(r, lo), hi))
+
+    near, steep = ((np.arange(len(x) - 1), np.ones(len(x) - 1, dtype=bool)) if df is None
+                   else _cell_test(x, ys, dys, bounds))
+    # each near cell's two ends, a row: a sign change or a sample where f is
+    # 0 is at one
+    ends = near[:, None] + (0, 1)
+    sign = np.sign(ys[ends])
+    roots = [solve(*x[i]) for i in ends[sign[:, 0] * sign[:, 1] < 0]]
+    roots = _merged((r, False) for r in roots + x[ends[sign == 0]].tolist())
+    if steep.all():
+        return roots
+    ends = ends[~steep]
+    brackets, tangents = _split(f, df, bounds, x[ends], ys[ends], dys[ends])
+    # a bracket that holds a root found already, within MERGE_TOL, holds no other
+    kept = np.array([r for r, _ in roots])
+    found = [(solve(a, b), False) for a, b in brackets
+             if not np.any((a - MERGE_TOL <= kept) & (kept <= b + MERGE_TOL))]
+    found += [(float(min(max(u, lo), hi)), True) for u in tangents
+              if abs(f(u)) <= 2.0 * ROUNDING * bounds[0]]
+    return _merged(roots + [(r, tangent) for r, tangent in _merged(found)
+                            if not np.any(np.abs(kept - r) <= MERGE_TOL)])
 
 
-def _sign_changes(at, values):
-    """The brackets of a scan: each i where values[i] and values[i + 1] have
-    opposite signs and their samples are neighbours on the grid, at[i + 1] =
-    at[i] + 1.  Between samples that are not, the sampler has proved no
-    bracket (_open_cells)."""
-    sign = np.sign(values)
-    i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    return i[at[i + 1] - at[i] == 1]
+def _meets_zero(ends):
+    """Which rows of ends, a function at two ends of a cell, reach 0."""
+    return np.sign(ends[:, 0]) * np.sign(ends[:, 1]) <= 0
 
 
-def _tangent_floor(xs, at, ys, dys, bounds):
-    """(i, floor): the brackets i of df's samples dys (_sign_changes) and,
-    for each, a lower bound on the computed |f| at every point within
-    MERGE_TOL of the bracket [xs[at[i]], xs[at[i + 1]]], all brackets in one
-    pass.  find_roots skips the solve where floor exceeds its threshold, and
-    the output is unchanged:
-    - Taylor's theorem with remainder: such a point x lies within d = h/2 +
-      MERGE_TOL of an end e of the bracket (h its width), so |f(x)| >= |f(e)|
-      - d |f'(e)| - d^2 M2 / 2, and the lesser of the two ends' bounds holds
-      at every x;
-    - the margin 2 ROUNDING M0 = 2e-12 M0 covers the rounding of the
-      samples of f and of d f', and of f(x) when it is computed, 1e-13 M0 each
-      (bounds = (M0, M2), find_roots), and the floor's own few operations,
-      so at a skipped bracket's root r of df the computed |f(r)| exceeds the
-      threshold and r would have been thrown away;
-    - the merge: a root of df within MERGE_TOL after r would have been
-      dropped with it.  That root is within MERGE_TOL of the bracket, so its
-      |f| is above the threshold too and it is thrown away either way.  With
-      h > 2 MERGE_TOL a root of df is within MERGE_TOL of at most one other,
-      so no other merge changes; on narrower brackets floor is -inf and
-      every bracket is solved.
-    An exact zero of df's samples is no sign change; find_roots tests it."""
+def _cell_test(x, ys, dys, bounds):
+    """(near, steep) for the cells between consecutive samples x, with f's
+    and f''s samples ys and dys and bounds = (M0, M2) (find_roots): near,
+    the cells Taylor's bound on |f| leaves near a root, and for each whether
+    f' keeps one sign on it, so that f has one root there at most, where its
+    ends differ in sign.  A cell not near, or steep, is cleared.  Each point
+    within MERGE_TOL of a cell is within w, half its width plus MERGE_TOL,
+    of an end e, so |f(x)| >= |f(e)| - w |f'(e)| - w^2 M2 / 2 and |f'(x) -
+    f'(e)| <= w M2.  A cell is near unless that bound exceeds the margin 2
+    ROUNDING M0 at both ends, and steep where w |f'(e)| - w^2 M2 does and f'
+    has one sign at them.  The margin covers the rounding of f, 1e-13 M0,
+    of w f', w < 1e-2 in every scan, and of the test's few operations."""
     size, curvature = bounds
-    i = _sign_changes(at, dys)
-    d = (xs[at[i + 1]] - xs[at[i]]) / 2.0 + MERGE_TOL
-    floor = (np.minimum(np.abs(ys[i]) - d * np.abs(dys[i]),
-                        np.abs(ys[i + 1]) - d * np.abs(dys[i + 1]))
-             - d * d * curvature / 2.0 - 2.0 * ROUNDING * size)
-    return i, np.where(d > 2.0 * MERGE_TOL, floor, -np.inf)
-
-
-def _open_cells(ends, ys, dys, bounds, floor):
-    """Which cells of a chord scan to sample in full, from the form's f and
-    f' (ys and dys) at the cells' ends = xs[_CELL_ENDS]; bounds = (M0, M2)
-    and floor are _chord_functions'.  The samples of a cleared cell decide
-    nothing in find_roots, with h the grid's step and each sample's
-    rounding within 1e-13 M0, 1e-10 M0 for a slope:
-    - each x in a cell is within w, half its width, of an end e, so by
-      Taylor's theorem |f(x)| >= |f(e)| - w |f'(e)| - w^2 M2 / 2, the lesser
-      of the two ends' bounds holds on the cell, and a cell is cleared only
-      where that exceeds a guard: the floor, 1e-9 (1 + ROUNDING) M0 (above
-      the threshold), _tangent_floor's d M2 h + d^2 M2 / 2 + 2 ROUNDING M0
-      (d = h/2 + MERGE_TOL) and a rounding margin of 2 ROUNDING M0.  So
-      each of its samples is above the floor and the threshold, with f's
-      one sign there, and at a sign change of df's samples f' is within
-      1e-10 M0 of 0 in the bracket, so |f'| <= M2 h + 2e-10 M0 at its ends
-      and _tangent_floor's floor is above the threshold: no solve.  An
-      exact zero of df's samples there is a root of df thrown away, with no
-      other within MERGE_TOL of it as h > 2 MERGE_TOL.  Where h is at most
-      4 MERGE_TOL every cell is open: _tangent_floor solves every bracket
-      narrower than 2 MERGE_TOL;
-    - a cell stays open where its upper bound |f(e)| + w |f'(e)| + w^2 M2 /
-      2, with the margin, reaches the largest |f| at the ends, so the
-      scan's largest |f| is a sample taken."""
-    size, curvature = bounds
-    h = (ends[-1] - ends[0]) / (ROOT_SAMPLES - 1)
-    d = h / 2.0 + MERGE_TOL
-    # twice the narrowest step _tangent_floor bounds, for the steps' rounding
-    if h <= 4.0 * MERGE_TOL:
-        return np.ones(len(ends) - 1, dtype=bool)
-    w = np.diff(ends) / 2.0
+    margin = 2.0 * ROUNDING * size
+    w = np.diff(x) / 2.0 + MERGE_TOL
     value, slope = np.abs(ys), np.abs(dys)
     low = np.minimum(value[:-1] - w * slope[:-1], value[1:] - w * slope[1:])
-    high = np.maximum(value[:-1] + w * slope[:-1], value[1:] + w * slope[1:])
-    curve = w * w * curvature / 2.0
-    margin = 2.0 * ROUNDING * size
-    guard = (floor + 1e-9 * (1.0 + ROUNDING) * size + d * curvature * h
-             + d * d * curvature / 2.0 + 2.0 * ROUNDING * size + margin)
-    return (low - curve <= guard) | (high + curve + margin >= value.max())
+    low -= w * w * (curvature / 2.0)
+    near = np.flatnonzero(low <= margin)
+    w = w[near]
+    steep = ((w * np.minimum(slope[near], slope[near + 1]) - w * w * curvature > margin)
+             & ((dys[near] > 0) == (dys[near + 1] > 0)))
+    return near, steep
 
 
-def _merged(roots) -> List[float]:
-    """roots in order, less each one within MERGE_TOL of the last one kept."""
+def _split(f, df, bounds, x, ys, dys):
+    """(brackets, tangents) in the open cells, rows [a, b] of x with f's and
+    f''s samples ys and dys.  Each is split into CHORD_STRIDE cells, by the
+    scan's own vectorized f and df, until it clears (_cell_test), is
+    narrower than MERGE_TOL or has |f| within the margin 2 ROUNDING M0 at
+    both ends, a leaf.  A cleared cell where f reaches 0 is a bracket; so is
+    such a leaf if |f| is beyond the margin at both ends, where their signs
+    are f's, else only if f' keeps one sign, not 0, on its run of adjoining
+    leaves, as a sign change of rounding by a root of f' is not f's.  Where
+    f' reaches 0 in a leaf, its root is a candidate tangent root."""
+    margin = 2.0 * ROUNDING * bounds[0]
+    brackets, leaves = [], []
+    while True:
+        leaf = (x[:, 1] - x[:, 0] < MERGE_TOL) | np.all(np.abs(ys) <= margin, axis=1)
+        leaves.append((x[leaf], ys[leaf], dys[leaf]))
+        x, ys, dys = x[~leaf], ys[~leaf], dys[~leaf]
+        if not len(x):
+            break
+        inner = x[:, :1] + (x[:, 1:] - x[:, :1]) * (np.arange(1, CHORD_STRIDE) / CHORD_STRIDE)
+        # each cell's samples in one row, the rows in one array
+        x, ys, dys = (np.concatenate([v[:, :1], inside, v[:, 1:]], 1).ravel()
+                      for v, inside in ((x, inner), (ys, f(inner)), (dys, df(inner))))
+        near, steep = _cell_test(x, ys, dys, bounds)
+        # the last cell of a row joins it to the next
+        real = near % (CHORD_STRIDE + 1) < CHORD_STRIDE
+        shut, ends = near[real & steep, None] + (0, 1), near[real & ~steep, None] + (0, 1)
+        brackets.append(x[shut][_meets_zero(ys[shut])])
+        x, ys, dys = x[ends], ys[ends], dys[ends]
+    x, ys, dys = map(np.concatenate, zip(*leaves))
+    order = np.argsort(x[:, 0])
+    x, ys, dys = x[order], ys[order], dys[order]
+    run = np.cumsum(np.append(True, x[1:, 0] != x[:-1, 1]))[:len(x)]
+    turn = _meets_zero(dys)
+    sure = np.all(np.abs(ys) > margin, axis=1)
+    brackets.append(x[_meets_zero(ys) & (sure | (np.bincount(run, turn)[run] == 0))])
+    return np.concatenate(brackets).tolist(), [_brentq(df, a, b) for a, b in x[turn].tolist()]
+
+
+def _merged(roots) -> List[Tuple[float, bool]]:
+    """(root, tangent) pairs in order, less each within MERGE_TOL of the last."""
     out = []
     for r in sorted(roots):
-        if not out or abs(r - out[-1]) > MERGE_TOL:
+        if not out or abs(r[0] - out[-1][0]) > MERGE_TOL:
             out.append(r)
     return out
 
@@ -544,9 +542,10 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     points spaced evenly from 1e-6 of the chord inside one end to as far
     inside the other; the form (_chord_functions) is evaluated at the ends
     of its cells, every CHORD_STRIDE-th sample and the last, then at every
-    sample of the cells _open_cells leaves open.  find_roots gets the whole
-    grid and the samples taken from the first above the form's floor to the
-    last, and decides on them what it would on every sample."""
+    sample of the cells the cell test (_cell_test) leaves near a root.
+    find_roots gets the whole grid and the samples taken from the first
+    above the form's floor to the last, and decides on them what it would
+    on every sample."""
     pair = _check_pair(pair)
     if not 0.0 < a < 1.0:
         raise ValueError("a must be in (0, 1)")
@@ -564,9 +563,10 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     lo, hi = a / 3.0, 2.0 * a / 3.0
     margin = (hi - lo) * 1e-6
     xs = np.linspace(lo + margin, hi - margin, ROOT_SAMPLES)
-    ends = xs[_CELL_ENDS]
-    cs = trig(ends)
-    taken = _open_cells(ends, values(cs), slopes(cs), bounds, floor)[_CELL_OF]
+    cs = trig(xs[_CELL_ENDS])
+    near = np.zeros(len(_CELL_ENDS) - 1, dtype=bool)
+    near[_cell_test(xs[_CELL_ENDS], values(cs), slopes(cs), bounds)[0]] = True
+    taken = near[_CELL_OF]
     taken[_CELL_ENDS] = True
     at = np.flatnonzero(taken)
     cs = trig(xs[at])
@@ -634,9 +634,9 @@ def edge_theta_in_range(theta: float) -> bool:
 
 def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     """Critical zeros of Psi^theta on the open edges, for theta in (0, pi/6].
-    A zero of K is a double root, and Psi^theta's zero there has order 3,
-    when K keeps its sign one find_roots sample step on either side of it;
-    else K crosses and the order is 2."""
+    A zero of K found as a sign change is a simple root, where Psi^theta's
+    zero has order 2; one found as a tangent root, a root of dK where |K| is
+    within rounding (find_roots), is a double root, of order 3."""
     pair = _check_pair(pair)
     if not edge_theta_in_range(theta):
         raise ValueError("theta must be in (0, pi/6]")
@@ -649,10 +649,8 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
         k, dk, mix = _k_theta(pair, theta, sign)
         xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
         samples = xs, EVERY_SAMPLE, mix(gc_xs, gs_xs), mix(dgc_xs, dgs_xs)
-        step = (hi - lo) / (ROOT_SAMPLES - 1)
-        for u in find_roots(k, samples, df=dk, bounds=bounds):
-            order = 3 if k(u - step) * k(u + step) > 0 else 2
-            zeros.append(CriticalZero(point(u), edge, u, order))
+        zeros += [CriticalZero(point(u), edge, u, 3 if tangent else 2)
+                  for u, tangent in _scan_roots(k, samples, dk, bounds)]
     return zeros
 
 

@@ -19,9 +19,9 @@ from courant_lab.nodal_analysis import (_CELL_ENDS, _EDGES, BRENT_XTOL,
                                         CriticalZero, _brentq,
                                         _chord_functions, _cos_sin,
                                         _edge_functions, _edge_tables,
-                                        _k_theta, _max_count_over_thetas,
-                                        _polyder, _polyval,
-                                        _tangent_floor, _theta_partition,
+                                        _cell_test, _k_theta,
+                                        _max_count_over_thetas, _polyder,
+                                        _polyval, _theta_partition,
                                         _tiled_count, _top_runs,
                                         bifurcation_angle, bifurcations,
                                         count_nodal_domains,
@@ -37,6 +37,9 @@ from oracles import band_signs, in_domain, pullback_theta, sweep_counts
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
 H = DomainKind.HEMIEQUILATERAL
+# bifurcation_angle()'s theta_c (test_bifurcation_angle_digits), written out
+# so that collecting this module runs no root scan
+THETA_C = 0.3005211736685075
 
 
 # ---------------------------------------------------------------------------
@@ -433,24 +436,30 @@ def sampled(f, lo, hi, df=None):
 
 
 def _record_scans(monkeypatch):
-    """Every find_roots call from now on, as (f, samples, df, bounds), and
-    every read of its tangential pass, as _tangent_floor's (xs, at, ys, dys,
-    bounds), each in call order."""
+    """Every root scan from now on, as (f, samples, df, bounds), and for each
+    the cell test's reads within it, as _cell_test's (x, ys, dys, bounds):
+    the first of the scan's own samples, then of the cells it splits."""
     import courant_lab.nodal_analysis as nodal
 
-    calls, reads = [], []
-    original, floor = nodal.find_roots, nodal._tangent_floor
+    calls, reads, inside = [], [], []
+    scan, test = nodal._scan_roots, nodal._cell_test
 
-    def record(f, samples, df=None, bounds=None):
+    def record(f, samples, df, bounds):
         calls.append((f, samples, df, bounds))
-        return original(f, samples, df=df, bounds=bounds)
+        reads.append([])
+        inside.append(True)
+        try:
+            return scan(f, samples, df, bounds)
+        finally:
+            inside.pop()
 
-    def read(xs, at, ys, dys, bounds):
-        reads.append((xs, at, ys, dys, bounds))
-        return floor(xs, at, ys, dys, bounds)
+    def read(x, ys, dys, bounds):
+        if inside:
+            reads[-1].append((x, ys, dys, bounds))
+        return test(x, ys, dys, bounds)
 
-    monkeypatch.setattr(nodal, "find_roots", record)
-    monkeypatch.setattr(nodal, "_tangent_floor", read)
+    monkeypatch.setattr(nodal, "_scan_roots", record)
+    monkeypatch.setattr(nodal, "_cell_test", read)
     return calls, reads
 
 
@@ -474,30 +483,35 @@ def test_polynomial_and_median_scans_sample_f_and_df_bit_for_bit(monkeypatch, pa
         assert dys is None if df is None else np.array_equal(dys, df(xs))
 
 
-def test_a_tangent_root_just_under_the_threshold_is_solved(monkeypatch):
-    # S_{2,3} touches zero at u = 0.2 on the chord s + t = 2/5.  Shifted by
-    # 0.9 times the threshold toward its sign there, the chord keeps a
-    # tangent root at 0.2 with |f| just under the threshold, and the floor
-    # must let find_roots solve it
+@pytest.mark.parametrize("times, kept", [(0.9, True), (1.1, False)])
+def test_a_tangent_root_just_within_the_margin_is_solved(monkeypatch, times, kept):
+    # S_{2,3} touches zero at u = 0.2 on the chord s + t = 2/5.  Shifted
+    # toward its sign there by 0.9 times the margin 2 ROUNDING M0 (M0 grown
+    # by the shift), the chord keeps a tangent root at 0.2 with |f| just
+    # within the margin, which find_roots solves; shifted by 1.1 times it,
+    # the chord has no root
     calls, _ = _record_scans(monkeypatch)
     assert edge_restriction_roots((2, 3), 2 / 5, math.pi / 2) == pytest.approx([0.2], abs=1e-10)
-    (f, (xs, at, ys, dys), df, bounds), = calls
-    shift = math.copysign(0.9e-9 * np.max(np.abs(ys)), f(0.2 + 1e-3))
-    shifted = ys + shift
-    threshold = 1e-9 * np.max(np.abs(shifted))
-    roots = find_roots(lambda u: f(u) + shift, (xs, at, shifted, dys), df=df,
-                       bounds=(bounds[0] + abs(shift), bounds[1]))
-    tangent = [r for r in roots if abs(r - 0.2) < 1e-10]
-    assert len(tangent) == 1 and 0.5 * threshold < abs(f(tangent[0]) + shift) < threshold
+    (f, (xs, at, ys, dys), df, (size, curvature)), = calls
+    margin = 2 * ROUNDING * size / (1 - 2 * ROUNDING)
+    shift = math.copysign(times * margin, f(0.2 + 1e-3))
+    roots = find_roots(lambda u: f(u) + shift, (xs, at, ys + shift, dys), df=df,
+                       bounds=(size + abs(shift), curvature))
+    assert roots == ([pytest.approx(0.2, abs=1e-10)] if kept else [])
+    if kept:
+        assert 0.5 * margin < abs(f(roots[0]) + shift) <= 2 * ROUNDING * (size + abs(shift))
 
 
-def test_a_tangent_root_between_flat_samples_is_solved():
-    # f = 1 - depth / (1 + ((x - x0) / w)^2) dips to 5e-10, half the
-    # threshold, between two samples where |f| is near 1 and |f'| h is near
-    # 0.02; only the floor's d^2 M2 / 2 term, with |f''| <= 2 depth / w^2,
-    # keeps the solve
+@pytest.mark.parametrize("low, roots", [(5e-10, 0), (1e-12, 1)])
+def test_a_dip_between_flat_samples_is_a_root_only_within_the_margin(low, roots):
+    # f = 1 - depth / (1 + ((x - x0) / w)^2) dips to low between two samples
+    # where |f| is near 1 and |f'| h is near 0.02, so only the cell test's
+    # w^2 M2 / 2 term, with |f''| <= 2 depth / w^2, leaves the cell open.
+    # Split to its leaves, it holds a root of f' at x0, a tangent root only
+    # where |f| is within the margin 2 ROUNDING M0 = 4e-12: a dip to 5e-10
+    # is no root, and one to 1e-12 is
     xs = np.linspace(0.0, 1.0, ROOT_SAMPLES)
-    x0, w, depth = (xs[2000] + xs[2001]) / 2, xs[1] / 20, 1.0 - 5e-10
+    x0, w, depth = (xs[2000] + xs[2001]) / 2, xs[1] / 20, 1.0 - low
 
     def f(x):
         return 1.0 - depth / (1.0 + ((x - x0) / w) ** 2)
@@ -505,24 +519,52 @@ def test_a_tangent_root_between_flat_samples_is_solved():
     def df(x):
         return 2.0 * depth * (x - x0) / w ** 2 / (1.0 + ((x - x0) / w) ** 2) ** 2
 
-    roots = find_roots(f, sampled(f, 0.0, 1.0, df), df=df,
+    found = find_roots(f, sampled(f, 0.0, 1.0, df), df=df,
                        bounds=(1.0 + depth, 2.0 * depth / w ** 2))
-    assert roots == [pytest.approx(x0, abs=1e-12)]
+    assert found == [pytest.approx(x0, abs=1e-12)] * roots
 
 
-def test_skipped_tangential_solves_could_not_give_a_root(monkeypatch):
-    # on every scan with a derivative, each bracket of df's samples that the
-    # floor lets find_roots skip, solved as the tangential pass solved every
-    # bracket before, gives a root of df where |f| is at or above the
-    # threshold, so it would have been thrown away; the floor is below |f|
-    # on dense samples of the bracket widened by MERGE_TOL; and the caller's
-    # M2 is above |f''|, by central differences of df, on dense samples of
-    # the range (to their rounding: M2 = 8 = P_C'' is exact for (1,3)).  The
-    # scans are the root digest's, then the CI's fixed sweeps: (2,3)'s edges
-    # at 100 angles and 100 chords.  A chord's brackets are those of df at
-    # every sample of its grid: its scan reads those in the cells it leaves
-    # open, with the same floors, among them every one it solves, so the
-    # scans read 3328 of the 3699
+def _dense(cells, lo, hi, points):
+    """points samples of each cell [a, b] widened by MERGE_TOL, within [lo,
+    hi]."""
+    return np.clip(np.linspace(cells[:, 0] - MERGE_TOL, cells[:, 1] + MERGE_TOL, points,
+                               axis=-1), lo, hi)
+
+
+def _check_cleared_cells(f, df, x, ys, dys, bounds, points):
+    """(cells, near, open) of one scan's cell test, after checking that no
+    cell it clears holds a root its brackets miss, on points dense samples
+    of each: f keeps the sign of the cell's ends where the test bounds |f|
+    away from 0, and where it proves f' one-signed (steep), f' keeps its
+    sign, and f changes sign on the cell at most once, only where its ends
+    do."""
+    near, steep = _cell_test(x, ys, dys, bounds)
+    far = np.ones(len(x) - 1, dtype=bool)
+    far[near] = False
+    lo, hi = x[0], x[-1]
+    cells = np.column_stack([x[:-1], x[1:]])
+    values = f(_dense(cells[far], lo, hi, points))
+    assert np.all(np.sign(values) == np.sign(ys[:-1][far])[:, None])
+    shut = near[steep]
+    slopes = df(_dense(cells[shut], lo, hi, points))
+    assert np.all(np.sign(slopes) == np.sign(dys[shut])[:, None])
+    sign = np.sign(f(np.linspace(cells[shut, 0], cells[shut, 1], points, axis=-1)))
+    changes = np.count_nonzero(sign[:, :-1] * sign[:, 1:] < 0, axis=1)
+    assert np.all(changes <= (ys[shut] * ys[shut + 1] < 0))
+    return len(cells), len(near), np.count_nonzero(~steep)
+
+
+def test_cleared_cells_could_not_give_a_root(monkeypatch):
+    # on every scan with a derivative, the root digest's and then the CI's
+    # fixed sweeps, (2,3)'s edges at 100 angles and 100 chords, no cell the
+    # cell test clears holds a root the scan's brackets miss, on its ends
+    # and middle, widened by MERGE_TOL (_check_cleared_cells), and
+    # the caller's M2 is above |f''|, by central differences of df, on dense
+    # samples of the range (to their rounding: M2 = 8 = P_C'' is exact for
+    # (1,3)).  Of their 9.0M cells, 8.1k are near a root, and the test
+    # leaves 316 of those open: most by the vertices at angles up to 1e-12,
+    # where |f| is within the margin, the others by P_W's triple root at x =
+    # 1, by u_b near theta_c and at the median's zero on a chord at theta = 0
     from test_root_digest import root_reprs
 
     calls, reads = _record_scans(monkeypatch)
@@ -532,52 +574,35 @@ def test_skipped_tangential_solves_could_not_give_a_root(monkeypatch):
     for j in range(100):
         edge_restriction_roots((1, 3) if j % 2 else (2, 3), 0.05 + 0.9 * j / 99,
                                math.pi * j / 99)
-    scans = [call for call in calls if call[2] is not None]
-    assert len(scans) == len(reads)
-    skipped = solved = read = 0
-    for (f, _, df, bounds), (xs, at, ys, dys, _) in zip(scans, reads):
-        brackets, floor = _tangent_floor(xs, at, ys, dys, bounds)
-        read += len(brackets)
-        if getattr(f, "__qualname__", "").startswith("edge_restriction_roots"):
-            sparse = at[brackets], floor
-            at, ys, dys = EVERY_SAMPLE[:len(xs)], f(xs), df(xs)
-            brackets, floor = _tangent_floor(xs, at, ys, dys, bounds)
-            kept = np.isin(brackets, sparse[0])
-            assert np.array_equal(floor[kept], sparse[1])
-            assert np.all(kept[floor <= 1e-9 * np.max(np.abs(ys))])
-        lo, hi = xs[0], xs[-1]
-        threshold = 1e-9 * (float(np.max(np.abs(ys))) or 1.0)
-        skip = floor > threshold
-        for i in brackets[skip]:
-            assert abs(f(_brentq(df, xs[at[i]], xs[at[i + 1]]))) >= threshold
-        dense = np.clip(np.linspace(xs[at[brackets[skip]]] - MERGE_TOL,
-                                    xs[at[brackets[skip] + 1]] + MERGE_TOL, 17, axis=-1),
-                        lo, hi)
-        assert np.all(floor[skip, None] <= np.abs(f(dense)))
+    scans = [(call, scan_reads[0]) for call, scan_reads in zip(calls, reads) if call[2]]
+    for (_, (xs, at, _, _), df, bounds), _ in scans:
+        lo, hi = xs[at[0]], xs[at[-1]]
         u, eta = np.linspace(lo, hi, ROOT_SAMPLES // 4)[1:-1], (hi - lo) * 1e-6
         assert np.max(np.abs(df(u + eta) - df(u - eta))) / (2 * eta) <= bounds[1] * (1 + 1e-6)
-        skipped, solved = skipped + np.count_nonzero(skip), solved + np.count_nonzero(~skip)
-    assert (skipped, solved, read) == (3697, 2, 3328)
+    totals = np.sum([_check_cleared_cells(f, df, x, ys, dys, bounds, 3)
+                     for (f, _, df, bounds), (x, ys, dys, _) in scans], axis=0)
+    assert tuple(totals) == (8953381, 8074, 316)
 
 
 @pytest.mark.parametrize("pair", EDGE_PAIRS)
-@pytest.mark.parametrize("theta", [1e-300, 0.1, bifurcation_angle()[1], math.pi / 6])
+@pytest.mark.parametrize("theta", [1e-300, 0.1, THETA_C, math.pi / 6])
 def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
-    # the samples edge_critical_zeros hands to find_roots are _k_theta's k
-    # and dk at the edge's samples, for its sign, and the tangential pass
-    # reads those very arrays
+    # the samples edge_critical_zeros hands to its root scans are _k_theta's
+    # k and dk at the edge's samples, for its sign, and the cell test reads
+    # those very arrays of K and dK, at xs
     calls, reads = _record_scans(monkeypatch)
     edge_critical_zeros(pair, theta)
     assert len(calls) == len(reads) == len(_EDGES)
-    for (_, sign, (lo, hi), _), (_, (xs, at, ys, dys), df, bounds), tangent in zip(
+    for (_, sign, (lo, hi), _), (_, (xs, at, ys, dys), df, bounds), scan_reads in zip(
             _EDGES, calls, reads):
         k, dk, _ = _k_theta(pair, theta, sign)
         assert (xs[0], xs[-1]) == (lo, hi)
         assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
         assert np.array_equal(at, np.arange(ROOT_SAMPLES))
         assert np.array_equal(ys, k(xs)) and np.array_equal(dys, dk(xs))
-        assert all(read is handed for read, handed in zip(tangent, (xs, at, ys, dys)))
-        assert tangent[4] == bounds
+        (x, read_ys, read_dys, read_bounds), *_ = scan_reads
+        assert np.array_equal(x, xs) and read_ys is ys and read_dys is dys
+        assert read_bounds == bounds
     # each range's tables combine with either sign into k's and dk's bits
     ct, st = math.cos(theta), math.sin(theta)
     for _, _, (lo, hi), _ in _EDGES:
@@ -628,8 +653,8 @@ def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, th
     # step call them.  Their grid is the chord's whole grid, and they lie on
     # the run of it from its first sample above the form's floor to its
     # last: both ends of the run, the cell ends in it and every sample of
-    # the cells they take an inner sample of, fewer than all; the tangential
-    # pass reads those very arrays
+    # the cells they take an inner sample of, fewer than all; the cell test
+    # reads those very arrays of f and df, at xs[at]
     _, (full_xs, _, _, _), _ = _full_chord_scan(pair, a, theta)
     calls, reads = _record_scans(monkeypatch)
     edge_restriction_roots(pair, a, theta)
@@ -647,9 +672,9 @@ def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, th
         assert np.isin(np.arange(max(lo, at[0]), min(hi, at[-1]) + 1), at).all()
     assert np.array([f(u) for u in xs[at].tolist()]).tobytes() == ys.tobytes()
     assert np.array([df(u) for u in xs[at].tolist()]).tobytes() == dys.tobytes()
-    (tangent,) = reads
-    assert all(read is handed for read, handed in zip(tangent, (xs, at, ys, dys)))
-    assert tangent[4] == bounds
+    ((x, read_ys, read_dys, read_bounds), *_), = reads
+    assert np.array_equal(x, xs[at]) and read_ys is ys and read_dys is dys
+    assert read_bounds == bounds
 
 
 def _scan_chords():
@@ -681,12 +706,13 @@ def _scan_chords():
 
 def test_chord_scan_decides_what_every_sample_would(monkeypatch):
     # on 2205 chords the scan over the cells it leaves open reports the roots
-    # and refusals of the scan over every sample (_full_chord_scan), with the
-    # largest |f| bit for bit, and no sample it leaves out could have decided
-    # anything there: none is in a bracket of f, an exact zero of f or a
-    # bracket of df that _tangent_floor lets find_roots solve.  Each scan
-    # hands over the chord's whole grid, its range ends bit for bit the full
-    # scan's.  The scans take fewer than a fifth of the samples
+    # and refusals of the scan over every sample (_full_chord_scan), bit for
+    # bit, and no sample it leaves out could have decided anything there:
+    # none is in a sign change of f or an exact zero of f, and each lies in
+    # a cell of the samples taken that the cell test (_cell_test) finds far
+    # from a root.  Each scan hands over the chord's whole grid, its
+    # range ends bit for bit the full scan's.  The scans take fewer than a
+    # fifth of the samples
     calls, _ = _record_scans(monkeypatch)
     chords, refused, taken, total = _scan_chords(), 0, 0, 0
     for pair, a, theta in chords:
@@ -699,23 +725,21 @@ def test_chord_scan_decides_what_every_sample_would(monkeypatch):
                 _full_chord_scan(pair, a, theta)
             refused += 1
             continue
+        (_, (sparse_xs, sparse_at, sparse_ys, sparse_dys), _, _), = calls
         full_roots, (xs, at, ys, dys), bounds = _full_chord_scan(pair, a, theta)
         assert repr(roots) == repr(full_roots)
-        (_, (sparse_xs, sparse_at, sparse_ys, _), _, _), = calls
         assert np.array_equal(sparse_xs, _chord_xs(a))
         assert sparse_xs[sparse_at[0]].tobytes() == xs[0].tobytes()
         assert sparse_xs[sparse_at[-1]].tobytes() == xs[-1].tobytes()
-        assert np.max(np.abs(sparse_ys)).tobytes() == np.max(np.abs(ys)).tobytes()
         left_out = np.ones(len(xs), dtype=bool)
         left_out[sparse_at - sparse_at[0]] = False
         sign = np.sign(ys)
         changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
         assert not np.any(left_out[changes] | left_out[changes + 1])
         assert not np.any(left_out & (ys == 0))
-        threshold = 1e-9 * np.max(np.abs(ys))
-        brackets, floor = _tangent_floor(xs, at, ys, dys, bounds)
-        solved = brackets[floor <= threshold]
-        assert not np.any(left_out[solved] | left_out[solved + 1])
+        gaps = np.flatnonzero(np.diff(sparse_at) > 1)
+        near, _ = _cell_test(sparse_xs[sparse_at], sparse_ys, sparse_dys, bounds)
+        assert not np.any(np.isin(gaps, near))
         taken, total = taken + len(sparse_at), total + len(xs)
     assert (len(chords), refused) == (2205, 68)
     assert taken < total / 5
@@ -730,22 +754,34 @@ def test_a_root_by_a_chord_end_keeps_its_bits():
     assert roots[0] - a / 3 == pytest.approx(1.15e-5, abs=5e-8)
 
 
-def test_find_roots_brackets_only_neighbouring_samples():
-    # between two samples that are not neighbours on the grid the sampler has
-    # proved that nothing is decided (_open_cells): f = x - 1/2 taken only at
-    # the grid's first two and last two samples has no bracket, and the
-    # slope of (x - 1/2)^2 + 1 changes sign there with no bracket of df
+def test_find_roots_brackets_every_gap_and_splits_the_open_ones():
+    # a cell between two samples that are not neighbours on the grid is a
+    # cell like any other: f = x - 1/2 taken only at the grid's first two and
+    # last two samples has its root bracketed there.  With df, the cell test
+    # clears that gap for (x - 1/2)^2 + 1, and leaves it open for (x - 1/2)^2
+    # - 1/100, whose two roots its split finds; without df the samples are
+    # trusted, and no sign change of them brackets those
     xs = np.linspace(0.0, 1.0, ROOT_SAMPLES)
     at = np.array([0, 1, ROOT_SAMPLES - 2, ROOT_SAMPLES - 1])
+    u = xs[at]
 
     def f(x):
         return x - 0.5
 
     assert find_roots(f, sampled(f, 0.0, 1.0)) == [0.5]
-    assert find_roots(f, (xs, at, f(xs[at]), None)) == []
-    u = xs[at]
-    brackets, floor = _tangent_floor(xs, at, (u - 0.5) ** 2 + 1.0, 2.0 * (u - 0.5), (1.25, 2.0))
-    assert brackets.size == floor.size == 0
+    assert find_roots(f, (xs, at, f(u), None)) == [pytest.approx(0.5, abs=1e-15)]
+    for depth, roots in ((-1.0, []), (0.01, [0.4, 0.6])):
+        def g(x, depth=depth):
+            return (x - 0.5) ** 2 - depth
+
+        def dg(x):
+            return 2.0 * (x - 0.5)
+
+        near, steep = _cell_test(u, g(u), dg(u), (1.25, 2.0))
+        assert list(near[~steep]) == ([] if depth < 0 else [1])
+        assert find_roots(g, (xs, at, g(u), dg(u)), df=dg, bounds=(1.25, 2.0)) == pytest.approx(
+            roots, abs=1e-12)
+        assert find_roots(g, (xs, at, g(u), None)) == []
 
 
 def test_digest_chord_roots_match_mpmath():
@@ -808,13 +844,12 @@ def test_chord_form_keeps_the_median_zeros_of_the_sums(pair, a, theta, which):
 
 
 def test_chord_form_rounds_within_its_floor():
-    # the premises of find_roots and _tangent_floor on a chord, against
+    # the premises of find_roots and its cell test on a chord, against
     # 40-digit mpmath, the truth mixed with the same floats cos(theta) and
     # sin(theta), on chords from a = 1e-4 to 1 - 1e-10 and at angles in [-7,
     # 7]: each value of the form (_chord_functions) is within its floor, the
-    # floor is within the 1e-13 M0 that find_roots grants a sample, and so is
-    # 1e-3 times each slope's error, as 1e-3 exceeds the d = h/2 + MERGE_TOL
-    # that scales it there
+    # floor is within the 1e-13 M0 that find_roots grants a sample, and each
+    # slope's error within the 1e-10 M0 it grants a sample of f'
     import mpmath as mp
 
     with mp.workdps(40):
@@ -1162,7 +1197,7 @@ def test_edge_functions_times_the_vertex_factor(pair, name, typed):
 
 @pytest.mark.parametrize("pair", EDGE_PAIRS)
 @pytest.mark.parametrize("sign", [+1, -1])
-@pytest.mark.parametrize("theta", [1e-12, 0.1, bifurcation_angle()[1], PI / 6])
+@pytest.mark.parametrize("theta", [1e-12, 0.1, THETA_C, PI / 6])
 def test_k_theta_is_the_edge_function_combination(pair, sign, theta):
     # bit for bit on each edge's scanned samples: K is cos(theta) gc + sign
     # sin(theta) gs, and dK the same combination of the typed derivatives
@@ -1178,7 +1213,7 @@ def test_k_theta_is_the_edge_function_combination(pair, sign, theta):
 
 @pytest.mark.parametrize("pair", EDGE_PAIRS)
 @pytest.mark.parametrize("sign", [+1, -1])
-@pytest.mark.parametrize("theta", [1e-300, 0.1, bifurcation_angle()[1], PI / 6])
+@pytest.mark.parametrize("theta", [1e-300, 0.1, THETA_C, PI / 6])
 def test_k_theta_scalar_reads_are_the_array_reads(pair, sign, theta):
     # k and dk at a Python float are Python floats with the bits of the same
     # sample read in an array, at every sample of each edge's range
@@ -1192,7 +1227,7 @@ def test_k_theta_scalar_reads_are_the_array_reads(pair, sign, theta):
 
 
 def test_bifurcation_angle_digits():
-    assert bifurcation_angle()[1] == 0.3005211736685075
+    assert bifurcation_angle()[1] == THETA_C
 
 
 def test_bifurcation_angle():
@@ -1212,6 +1247,55 @@ def test_bifurcation_angle():
     double = [z for z in edge_critical_zeros((2, 3), theta_c) if z.order == 3]
     assert [z.edge_or_median for z in double] == ["OA"]
     assert double[0].parameter_u == pytest.approx(u_b, abs=1e-9)
+
+
+def _oa_zeros_by_u_b(theta):
+    """(u, order) of each OA zero of (2,3) within 1e-3 of u_b at theta."""
+    u_b = bifurcation_angle()[0]
+    return [(z.parameter_u, z.order) for z in edge_critical_zeros((2, 3), theta)
+            if z.edge_or_median == "OA" and abs(z.parameter_u - u_b) < 1e-3]
+
+
+@pytest.mark.parametrize("after", [1e-9, 1e-8, 1e-7, 1e-6])
+def test_the_pair_born_at_theta_c_is_found_at_once(after):
+    # past theta_c two simple zeros of K part from u_b, 4.7e-6 apart at
+    # theta_c + 1e-9 and 1.5e-4 at + 1e-6, within one sample step of the
+    # scan: its cell test leaves their cell open and the split finds both,
+    # each a sign change, so of order 2
+    u_b, theta_c = bifurcation_angle()
+    zeros = _oa_zeros_by_u_b(theta_c + after)
+    assert [order for _, order in zeros] == [2, 2]
+    assert zeros[0][0] < u_b < zeros[1][0]
+
+
+def test_no_zero_by_u_b_before_theta_c():
+    # at theta_c - 1e-9, K is -3.9e-10 at u_b, five times the margin 2
+    # ROUNDING M0 of the scan: its split clears every cell there
+    assert _oa_zeros_by_u_b(bifurcation_angle()[1] - 1e-9) == []
+
+
+def test_theta_c_keeps_one_double_zero_at_u_b():
+    # at theta_c itself K's zeros by u_b are one tangent root, within the
+    # margin, of order 3, and its sign changes of rounding are none
+    u_b, theta_c = bifurcation_angle()
+    (zero,) = _oa_zeros_by_u_b(theta_c)
+    assert zero == (pytest.approx(u_b, abs=1e-12), 3)
+
+
+def test_random_scans_clear_no_cell_with_a_root(monkeypatch):
+    # 64 dense samples of every cell the cell test clears, on the edge scans
+    # at 12 random (pair, theta) and the chord scans at 12 random (pair, a,
+    # theta), find no root that the scan's brackets miss
+    # (_check_cleared_cells)
+    rng = random.Random(51)
+    calls, reads = _record_scans(monkeypatch)
+    for _ in range(12):
+        edge_critical_zeros(rng.choice(EDGE_PAIRS), math.pi / 6 * (1.0 - rng.random()))
+        edge_restriction_roots(rng.choice(EDGE_PAIRS), rng.uniform(0.05, 0.95),
+                               rng.uniform(0.0, math.pi))
+    assert len(calls) == 12 * 4
+    for (f, _, df, bounds), ((x, ys, dys, _), *_) in zip(calls, reads):
+        _check_cleared_cells(f, df, x, ys, dys, bounds, 64)
 
 
 def test_edge_zero_orders_near_vertex():
@@ -1291,8 +1375,9 @@ def test_brent_step_raises_as_scipy_does():
 
 
 def test_find_roots_brackets_give_scipys_roots(monkeypatch):
-    # all 44 brackets find_roots solves on the way to the edge zeros, the
-    # P_W roots and a chord's roots, solved by both
+    # all 48 brackets find_roots solves on the way to the edge zeros, the
+    # P_W roots and a chord's roots, of f and of df, those its splits give
+    # with them, solved by both
     from scipy.optimize import brentq
 
     import courant_lab.nodal_analysis as nodal
@@ -1310,19 +1395,19 @@ def test_find_roots_brackets_give_scipys_roots(monkeypatch):
             edge_critical_zeros(pair, theta)
         bifurcations(pair)
         edge_restriction_roots(pair, 0.7, 0.4)
-    assert len(brackets) == 44
+    assert len(brackets) == 48
     assert all(root.hex() == ref.hex() for root, ref in brackets)
 
 
 def test_root_scans_round_within_a_tenth_of_the_margin(monkeypatch):
-    # the premise of the floor's margin (_tangent_floor): each sample of f,
-    # and d = h/2 + MERGE_TOL times each sample of f', is within 1e-13 M0 of
-    # the true value, a tenth of ROUNDING M0, against 40-digit mpmath (f'
-    # by mpmath's differentiation) on chords, edges and the reduction
+    # the premise of the cell test's margin (find_roots, _cell_test): each
+    # sample of f is within 1e-13 M0 of the true value, a tenth of ROUNDING
+    # M0, and each of f' within 1e-10 M0, against 40-digit mpmath (f' by
+    # mpmath's differentiation) on chords, edges and the reduction
     # polynomials
     import mpmath as mp
 
-    _, reads = _record_scans(monkeypatch)
+    calls, _ = _record_scans(monkeypatch)
     truths = []
     for pair, a, theta in [((1, 3), 0.05, 2.9), ((2, 3), 0.5, 0.4), ((2, 3), 0.95, PI / 2)]:
         edge_restriction_roots(pair, a, theta)
@@ -1341,15 +1426,14 @@ def test_root_scans_round_within_a_tenth_of_the_margin(monkeypatch):
         for which, coeffs in zip(("P_C", "P_S", "P_W"), edge_polynomials(pair)):
             polynomial_roots_unit_interval(pair, which)
             truths.append(lambda x, coeffs=list(reversed(coeffs)): mp.polyval(coeffs, x))
-    assert len(truths) == len(reads)
+    assert len(truths) == len(calls)
     with mp.workdps(40):
-        for truth, (xs, at, ys, dys, (size, _)) in zip(truths, reads):
-            d = (xs[1] - xs[0]) / 2 + MERGE_TOL
+        for truth, (_, (xs, at, ys, dys), _, (size, _)) in zip(truths, calls):
             # every 113th sample of a full scan, as many of a chord's
             for i in range(0, len(ys), max(1, 113 * len(ys) // ROOT_SAMPLES)):
                 x = mp.mpf(float(xs[at[i]]))
                 assert abs(ys[i] - truth(x)) <= 1e-13 * size
-                assert d * abs(dys[i] - mp.diff(truth, x)) <= 1e-13 * size
+                assert abs(dys[i] - mp.diff(truth, x)) <= 1e-10 * size
 
 
 def test_boundary_zero_sets_symmetric_under_pullback():

@@ -1,8 +1,8 @@
 """Every root the root finders report, to the last bit: one sha256 over the
 reprs of the edge critical zeros, chord roots, reduction and Wronskian
-polynomial roots and median critical zeros, recorded when the scans sampled
-each function themselves.  A float's repr round-trips, so an equal digest
-means equal bits."""
+polynomial roots and median critical zeros, recorded when one Taylor cell
+test decided every root scan.  A float's repr round-trips, so an equal
+digest means equal bits."""
 
 import hashlib
 import math
@@ -14,7 +14,7 @@ from courant_lab.nodal_analysis import (EDGE_PAIRS, bifurcation_angle,
                                         median_critical_zeros,
                                         polynomial_roots_unit_interval)
 
-ROOT_DIGEST = "db5123e589919aa721f60419aa1b3bed44d50970690a5b5cc7e5e08ea577dbfa"
+ROOT_DIGEST = "d96b86f3652d8dea63b586718907716491c2f0bfb45abba057912a792a61f841"
 
 
 def root_reprs():

@@ -71,20 +71,39 @@ MUTANTS = (
     ("nodal_analysis.py", "(xs, EVERY_SAMPLE, f(xs), df(xs))",
      "(xs, EVERY_SAMPLE, f(xs), f(xs))",
      "test_nodal_analysis.py::test_polynomial_and_median_scans_sample_f_and_df_bit_for_bit"),
-    # the tangential pass handed f's samples in place of df's
-    ("nodal_analysis.py", "= _tangent_floor(xs, at, ys, dys, bounds)",
-     "= _tangent_floor(xs, at, ys, ys, bounds)",
-     "test_nodal_analysis.py::test_chord_roots_s23_tangent"),
-    # the tangential floor: the chord's M2 dropped, the d^2 M2 / 2 term
-    # dropped, and the comparison flipped, solving only what can be skipped
+    # the cell test handed f's samples in place of df's, and the chord's M2
+    # dropped
+    ("nodal_analysis.py", "else _cell_test(x, ys, dys, bounds))",
+     "else _cell_test(x, ys, ys, bounds))",
+     "test_nodal_analysis.py::test_edge_scans_sample_k_and_dk_bit_for_bit"),
     ("nodal_analysis.py", "(6.0 * w, w * curvature)", "(6.0 * w, 0.0)",
-     "test_nodal_analysis.py::test_skipped_tangential_solves_could_not_give_a_root"),
-    ("nodal_analysis.py", "             - d * d * curvature / 2.0 - 2.0 * ROUNDING * size)",
-     "             - 2.0 * ROUNDING * size)",
-     "test_nodal_analysis.py::test_a_tangent_root_between_flat_samples_is_solved"),
-    ("nodal_analysis.py", "for i in brackets[floor <= threshold]]",
-     "for i in brackets[floor > threshold]]",
+     "test_nodal_analysis.py::test_cleared_cells_could_not_give_a_root"),
+    # an edge's M2 from its Chebyshev coefficients without their k^2
+    ("nodal_analysis.py", "float(np.abs(q_s) @ (k_s * k_s))", "float(np.abs(q_s) @ k_s)",
+     "test_nodal_analysis.py::test_cleared_cells_could_not_give_a_root"),
+    # the cell test without its w^2 M2 / 2 term, without its w |f'| term and
+    # without its slope clause
+    ("nodal_analysis.py", "    low -= w * w * (curvature / 2.0)\n", "",
+     "test_nodal_analysis.py::test_a_dip_between_flat_samples_is_a_root_only_within_the_margin"),
+    ("nodal_analysis.py",
+     "low = np.minimum(value[:-1] - w * slope[:-1], value[1:] - w * slope[1:])",
+     "low = np.minimum(value[:-1], value[1:])",
+     "test_nodal_analysis.py::test_random_scans_clear_no_cell_with_a_root"),
+    ("nodal_analysis.py", "- w * w * curvature > margin)", "- w * w * curvature > np.inf)",
+     "test_nodal_analysis.py::test_cleared_cells_could_not_give_a_root"),
+    # no open cell split; the tangent margin set back to 1e-9 max |f|; a
+    # sign change of rounding by a root of f' taken for a root; a zero's
+    # order not taken from how it was found
+    ("nodal_analysis.py", "    if steep.all():\n        return roots\n",
+     "    if True:\n        return roots\n",
+     "test_nodal_analysis.py::test_the_pair_born_at_theta_c_is_found_at_once"),
+    ("nodal_analysis.py", "if abs(f(u)) <= 2.0 * ROUNDING * bounds[0]]",
+     "if abs(f(u)) < 1e-9 * np.max(np.abs(ys))]",
+     "test_nodal_analysis.py::test_a_dip_between_flat_samples_is_a_root_only_within_the_margin"),
+    ("nodal_analysis.py", "(sure | (np.bincount(run, turn)[run] == 0))", "(sure | True)",
      "test_nodal_analysis.py::test_chord_roots_s23_tangent"),
+    ("nodal_analysis.py", "3 if tangent else 2", "2 if tangent else 2",
+     "test_nodal_analysis.py::test_theta_c_keeps_one_double_zero_at_u_b"),
     # the chord's form with its slope's sign flipped and its rounding floor
     # taken as 0, and Brent's f read through the sums, not the form the
     # samples come from
@@ -97,19 +116,13 @@ MUTANTS = (
     ("nodal_analysis.py", "return values(trig(u))",
      "return eval_psi(EigenfunctionHandle(DomainKind.EQUILATERAL, pair, theta), u, a - u).value",
      "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
-    # a chord's cells cleared by a bound without its |f'| w term, and the
-    # cells that can hold the largest |f| left cleared; a bracket between two
-    # samples that are not neighbours on the grid
-    ("nodal_analysis.py",
-     "low = np.minimum(value[:-1] - w * slope[:-1], value[1:] - w * slope[1:])",
-     "low = np.minimum(value[:-1], value[1:])",
+    # a chord sampler that takes no cell near a root in full; a bracket only
+    # between samples that are neighbours on the grid
+    ("nodal_analysis.py", "bounds)[0]] = True", "bounds)[0]] = False",
      "test_nodal_analysis.py::test_chord_scan_decides_what_every_sample_would"),
-    ("nodal_analysis.py",
-     "return (low - curve <= guard) | (high + curve + margin >= value.max())",
-     "return low - curve <= guard",
-     "test_nodal_analysis.py::test_chord_scan_decides_what_every_sample_would"),
-    ("nodal_analysis.py", "return i[at[i + 1] - at[i] == 1]", "return i",
-     "test_nodal_analysis.py::test_find_roots_brackets_only_neighbouring_samples"),
+    ("nodal_analysis.py", "ends[sign[:, 0] * sign[:, 1] < 0]",
+     "ends[(sign[:, 0] * sign[:, 1] < 0) & (at[ends[:, 1]] - at[ends[:, 0]] == 1)]",
+     "test_nodal_analysis.py::test_find_roots_brackets_every_gap_and_splits_the_open_ones"),
     # a chord within rounding of zero scanned for noise roots, and a chord's
     # ends below the sums' rounding scanned too
     ("nodal_analysis.py", "if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:", "if False:",
