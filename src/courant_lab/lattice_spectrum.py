@@ -6,9 +6,11 @@ equilateral and hemiequilateral (physical scale 16 pi^2 / 9), and m^2 + n^2
 for the right-isosceles triangle with side pi (scale 1).  The admissible
 modes up to a value are read off one description, `_rows`: an exact integer
 m-interval for each row n.  The spectrum builds those rows' cells as integer
-arrays, sorts them with one lexsort and groups equal values where the
-sorted values step up (np.diff) into int64 columns, which are the
-spectrum's only representation; the counting function and the multiplicity
+arrays, packs each cell's value, m and n into one int64 key whose order is
+the three-key order (value, then m, then n), sorts the keys in place,
+decodes m and n back and groups equal values where the sorted values step
+up (np.diff) into int64 columns, which are the spectrum's only
+representation; the counting function and the multiplicity
 are point queries that sum the rows' lengths in O(sqrt(lambda)), without
 enumerating.
 """
@@ -35,6 +37,14 @@ def _admissible(spec, m: int, n: int) -> bool:
     return lowest is None or n >= lowest and (m > n if spec.ordered else m >= lowest)
 
 
+def _reach(spec, limit: int) -> int:
+    """The largest |n| of a mode with normalized value <= limit (>= 0):
+    (4 - c^2) n^2 <= 4 (m^2 + c mn + n^2).  The form is symmetric in m and
+    n, so it bounds |m| as well."""
+    c = spec.cross
+    return math.isqrt(4 * limit // (4 - c * c))
+
+
 def _rows(spec, limit: int):
     """(n, lo, hi) for each row n holding admissible modes with normalized
     value <= limit, which are the m with lo <= m <= hi: since 4 (m^2 + c mn
@@ -43,7 +53,7 @@ def _rows(spec, limit: int):
     if limit < 0:
         return
     c, lowest = spec.cross, spec.lowest
-    n_max = math.isqrt(4 * limit // (4 - c * c))
+    n_max = _reach(spec, limit)
     for n in range(-n_max if lowest is None else lowest, n_max + 1):
         r = math.isqrt(4 * limit - (4 - c * c) * n * n)
         lo, hi = -((r + c * n) // 2), (r - c * n) // 2
@@ -53,15 +63,34 @@ def _rows(spec, limit: int):
             yield n, lo, hi
 
 
+def _key_fields(spec, limit: int):
+    """(origin, bits, width) of `modes_up_to`'s sort key at limit: each mode
+    is the key value << 2 bits | (m - origin) << bits | (n - origin), which
+    is below 2**width.  By `_reach`, m and n lie in [origin, n_max], so each
+    field is non-negative and below 2**bits, and the value, in [0, limit],
+    is below 2**limit.bit_length(): the fields do not overlap, no two modes
+    share a key, and the keys' order is the order by value, then m, then n."""
+    n_max = _reach(spec, max(limit, 0))
+    origin = -n_max if spec.lowest is None else spec.lowest
+    bits = (n_max - origin).bit_length()
+    return origin, bits, max(limit, 0).bit_length() + 2 * bits
+
+
 def modes_up_to(d: DomainKind, limit: int) -> np.ndarray:
-    """All admissible modes with normalized value <= limit: a (k, 2) int64
-    array of (m, n), ordered by value, then m, then n.  Row n of `_rows` holds
-    hi - lo + 1 cells, so n is the row's index repeated that often and m
-    counts up from the row's lo.  The rows are checked against the scalar
-    rule `_admissible` (AssertionError otherwise) at their first cells only:
-    for fixed n the rule is false up to some m and true from there on, so a
-    row holds only admissible modes exactly when its first cell is one."""
+    """All admissible modes with normalized value <= limit: a C-contiguous
+    (k, 2) int64 array of (m, n), ordered by value, then m, then n, as the
+    `_key_fields` keys sort.  Row n of `_rows` holds hi - lo + 1 cells, so n
+    is the row's index repeated that often and m counts up from the row's
+    lo.  The rows are checked against the scalar rule `_admissible`
+    (AssertionError otherwise) at their first cells only: for fixed n the
+    rule is false up to some m and true from there on, so a row holds only
+    admissible modes exactly when its first cell is one.  A limit whose key
+    needs more than 63 bits is refused (ValueError) before any row is
+    built."""
     spec = DOMAINS[d]
+    origin, bits, width = _key_fields(spec, limit)
+    if width > 63:
+        raise ValueError(f"limit {limit} needs a {width}-bit sort key, over 63 bits")
     rows = list(_rows(spec, limit))
     if not all(_admissible(spec, lo, n) for n, lo, _ in rows):
         raise AssertionError(f"_rows holds a mode that is not admissible on {d.value}")
@@ -70,7 +99,13 @@ def modes_up_to(d: DomainKind, limit: int) -> np.ndarray:
     n = np.repeat(row_n, length)
     start = np.cumsum(length) - length  # each row's first cell
     m = np.arange(n.size, dtype=np.int64) - np.repeat(start - lo, length)
-    return np.column_stack((m, n))[np.lexsort((n, m, spec.value(m, n)))]
+    key = spec.value(m, n) << 2 * bits | (m - origin) << bits | (n - origin)
+    key.sort()
+    modes = np.empty((key.size, 2), dtype=np.int64)
+    modes[:, 0], modes[:, 1] = key >> bits, key
+    modes &= (1 << bits) - 1
+    modes += origin
+    return modes
 
 
 def _entries_from_modes(d: DomainKind, modes: np.ndarray):

@@ -12,10 +12,9 @@ from courant_lab.eigenfunction_eval import (BLOCK, TRIG_ERR, EigenfunctionHandle
                                             eval_C, eval_isosceles, eval_psi,
                                             eval_psi_grid, eval_S, mix)
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import bifurcation_angle
 from oracles import (alpha_mn, apply_symmetry, eval_torus_mode,
                      pullback_theta)
-from test_nodal_analysis import _fc_typed
+from test_nodal_analysis import THETA_C, _fc_typed
 
 E = DomainKind.EQUILATERAL
 H, B = DomainKind.HEMIEQUILATERAL, DomainKind.RIGHT_ISOSCELES
@@ -28,7 +27,7 @@ def random_points(k):
 
 ARRAY_HANDLES = [EigenfunctionHandle(E, Mode(*pair), theta)
                  for pair in [(1, 3), (2, 3)]
-                 for theta in [0.0, bifurcation_angle()[1], math.pi / 6,
+                 for theta in [0.0, THETA_C, math.pi / 6,
                                math.pi / 2]]
 ARRAY_HANDLES.append(EigenfunctionHandle(DomainKind.HEMIEQUILATERAL,
                                          Mode(2, 5), 0.0))

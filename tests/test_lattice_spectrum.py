@@ -5,7 +5,7 @@ import pytest
 
 from courant_lab.alcove_geometry import DOMAINS, SCALE_A2, DomainKind
 from courant_lab import lattice_spectrum
-from courant_lab.lattice_spectrum import (Mode, bound_inverse,
+from courant_lab.lattice_spectrum import (MAX_COUNT, Mode, bound_inverse,
                                           counting_function,
                                           enumerate_spectrum, modes_up_to,
                                           multiplicity)
@@ -214,6 +214,31 @@ def test_enumeration_box_oracle(box_scan, d, limit):
     # limit up to twice the case's, so the 200 case covers all of -1..400
     for k in range(-1, 2 * limit + 1):
         assert list(map(Mode._make, modes_up_to(d, k).tolist())) == box_scan(d, k)
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+@pytest.mark.parametrize("count", [20000, 200000, MAX_COUNT])
+def test_modes_up_to_is_the_three_key_lexsort_of_the_rows(d, count):
+    # the rows' cells, ordered by np.lexsort on value, then m, then n
+    limit = math.ceil(bound_inverse(d, count) / DOMAINS[d].scale)
+    rows = list(lattice_spectrum._rows(DOMAINS[d], limit))
+    m = np.concatenate([np.arange(lo, hi + 1) for _, lo, hi in rows])
+    n = np.concatenate([np.full(hi - lo + 1, n) for n, lo, hi in rows])
+    expected = np.column_stack((m, n))[np.lexsort((n, m, DOMAINS[d].value(m, n)))]
+    modes = modes_up_to(d, limit)
+    assert modes.dtype == np.int64 and modes.shape == (len(expected), 2)
+    assert modes.flags.c_contiguous
+    assert np.array_equal(modes, expected)
+
+
+@pytest.mark.parametrize("d", list(DomainKind))
+def test_modes_up_to_refuses_a_limit_whose_key_does_not_fit_before_any_row(monkeypatch, d):
+    def refused(spec, limit):
+        raise AssertionError("_rows entered for a limit whose key does not fit")
+
+    monkeypatch.setattr(lattice_spectrum, "_rows", refused)
+    with pytest.raises(ValueError, match="over 63 bits"):
+        modes_up_to(d, 2 ** 40)
 
 
 def test_weyl_asymptotics_torus():

@@ -8,11 +8,10 @@ from courant_lab.alcove_geometry import (DOMAINS, CartesianPoint, DomainKind,
                                          to_cartesian)
 from courant_lab.eigenfunction_eval import EigenfunctionHandle
 from courant_lab.lattice_spectrum import Mode
-from courant_lab.nodal_analysis import (bifurcation_angle, edge_critical_zeros,
-                                        median_fixed_points)
+from courant_lab.nodal_analysis import edge_critical_zeros, median_fixed_points
 from courant_lab.svg_export import (MARGIN, PX_PER_UNIT, render_nodal_svg,
                                     zero_segments)
-from test_nodal_analysis import grid, pointwise
+from test_nodal_analysis import THETA_C, grid, pointwise
 
 E = DomainKind.EQUILATERAL
 B = DomainKind.RIGHT_ISOSCELES
@@ -80,7 +79,7 @@ def _plot_inputs(h, resolution):
 
 
 @pytest.mark.parametrize("pair,theta", [((1, 3), 0.2618),
-                                         ((2, 3), bifurcation_angle()[1])])
+                                         ((2, 3), THETA_C)])
 def test_overlays_mark_the_fixed_points_and_critical_zeros_at_their_images(pair, theta):
     # each circle is centred on a median fixed point's image in the
     # Euclidean frame, and each cross on an edge critical zero's, in order

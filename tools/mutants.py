@@ -217,6 +217,13 @@ MUTANTS = (
     ("lattice_spectrum.py", "if not all(_admissible(spec, lo, n) for n, lo, _ in rows):",
      "if False:",
      "test_lattice_spectrum.py::test_modes_up_to_refuses_a_row_whose_first_cell_is_not_admissible"),
+    # the sort key's m field written without its shift, and a limit whose key
+    # does not fit in 63 bits let through to _rows
+    ("lattice_spectrum.py", "2 * bits | (m - origin) << bits |", "2 * bits | (m - origin) |",
+     "test_lattice_spectrum.py::test_enumeration_box_oracle"),
+    ("lattice_spectrum.py", "if width > 63:", "if False:",
+     "test_lattice_spectrum.py::"
+     "test_modes_up_to_refuses_a_limit_whose_key_does_not_fit_before_any_row"),
     ("lattice_spectrum.py", "n + 1 if spec.ordered", "n if spec.ordered",
      "test_lattice_spectrum.py::test_isosceles_first_two"),
     # each row's m-interval one short
@@ -375,9 +382,13 @@ def run(file: str, old: str, new: str, test: str) -> str:
                                capture_output=True, text=True).stdout.strip()
         if Path(where) != path.with_name("__init__.py"):
             return f"courant_lab imports from {where!r}, not from the copy"
+        # loading the hypothesis and pytest-benchmark plugins takes about 1 s,
+        # most of a row's time; no test needs either plugin (a @given test
+        # runs and fails the same without hypothesis's)
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             f"tests/{test}"], cwd=tmp, env=env, capture_output=True, text=True)
+             "-p", "no:hypothesispytest", "-p", "no:benchmark", f"tests/{test}"],
+            cwd=tmp, env=env, capture_output=True, text=True)
     if proc.returncode == 1:
         failed = [line.split(" - ")[0] for line in proc.stdout.splitlines()
                   if line.startswith("FAILED ")]
