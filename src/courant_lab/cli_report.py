@@ -295,12 +295,12 @@ def main(argv=None) -> int:
                             ("theta", parse_theta)):
             if hasattr(args, name):
                 setattr(args, name, parse(getattr(args, name)))
-        if args.stamp and not args.out:
+        if args.stamp and args.out is None:
             raise ValueError("--stamp needs --out: the sidecar is written next to it")
-        if args.out and (os.path.isdir(args.out)
-                         or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        if args.out is not None and (not args.out or os.path.isdir(args.out)
+                                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise ValueError(f"--out must name a file in an existing directory, "
-                             f"got {args.out}")
+                             f"got {args.out!r}")
         out = args.run(args)
         pieces = (out if isinstance(out, Iterator)
                   else [out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"])

@@ -25,15 +25,16 @@ vanishes only at the vertices.  The edge functions gc and gs, the only ones
 evaluated, drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi u), and each
 root x0 != 1 of P_W is a breakpoint of the theta partition.
 
-Each root scan hands find_roots its whole grid and its samples with their
-indices on it: an edge scan mixes at its angle the theta-independent tables
+Each root scan hands find_roots the points it sampled and f's and f''s
+values there: an edge scan mixes at its angle the theta-independent tables
 of gc, gs, gc' and gs' (_edge_functions), built once per pair and range
 (_edge_tables), and the polynomial and median scans evaluate their functions
-on the whole grid.  A chord scan evaluates the restriction's three-frequency
-form and its slope (_chord_functions) at every CHORD_STRIDE-th sample and
-the last, then at every sample of each cell between two of those that the
-cell test leaves near a root.  Every sample has the bits of the f or df
-that find_roots solves on, so every root has the function's bits.
+on their whole grid.  A chord scan evaluates the restriction's
+three-frequency form and its slope (_chord_functions) at every
+CHORD_STRIDE-th point of its grid and the last, then at every point of each
+cell between two of those that the cell test leaves near a root.  Every
+sample has the bits of the f or df that find_roots solves on, so every root
+has the function's bits.
 
 One cell test (_cell_test) decides what a scan with a derivative reads: by
 Taylor's theorem, from f and f' at a cell's ends and the bounds on f's
@@ -260,14 +261,10 @@ def _cos_sin(x):
 
 # ---------------------------------------------------------------------------
 # The one root-finding protocol: sample, bracket, Brent, one Newton polish.
-# Each caller takes its scan's samples once and hands them to find_roots with
-# their indices on the scan's grid.
+# Each caller takes its scan's samples once and hands them to find_roots.
 # ---------------------------------------------------------------------------
 
 ROOT_SAMPLES = 4096
-# the indices of a scan that takes every sample of its grid
-EVERY_SAMPLE = np.arange(ROOT_SAMPLES)
-EVERY_SAMPLE.flags.writeable = False
 # Brent's absolute tolerance; its relative tolerance and iteration cap are
 # scipy brentq's defaults
 BRENT_XTOL = 1e-13
@@ -283,8 +280,6 @@ ROUNDING = 1e-12
 # near a root
 CHORD_STRIDE = 32
 _CELL_ENDS = np.append(np.arange(0, ROOT_SAMPLES - 1, CHORD_STRIDE), ROOT_SAMPLES - 1)
-# the cell of each sample, the right one at an end but the last
-_CELL_OF = np.minimum(EVERY_SAMPLE // CHORD_STRIDE, len(_CELL_ENDS) - 2)
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -334,21 +329,22 @@ def _brentq(f, xa: float, xb: float) -> float:
 
 
 def find_roots(f, samples, df=None, bounds=None) -> List[float]:
-    """All roots of f on [lo, hi] = [xs[at[0]], xs[at[-1]]], as floats, from
-    its samples = (xs, at, f(xs[at]), df(xs[at]) or None): xs is the scan's
-    grid, ROOT_SAMPLES points spaced evenly, and at the increasing indices of
-    the samples taken, all (EVERY_SAMPLE) but on a chord, whose sampler
-    leaves out only cells the cell test (_cell_test) finds far from a root.
-    A bracket is a cell of two consecutive samples of opposite signs, solved
-    by Brent's method (_brentq) and, given df, one Newton step; a sample
+    """All roots of f on [x[0], x[-1]], as floats, from its samples = (x,
+    f(x), df(x) or None) at the increasing points x: a scan's whole grid of
+    ROOT_SAMPLES points spaced evenly, or on a chord the part of it its
+    sampler takes, which leaves out only cells the cell test (_cell_test)
+    finds far from a root.  A bracket [a, b] is a cell of two consecutive
+    samples of opposite signs, solved by Brent's method (_brentq), whose
+    root lies in [a, b]; given df, one Newton step from it is kept where it
+    lands in [a, b] too, so every root lies in [x[0], x[-1]].  A sample
     where f is 0 is a root too, as P_W's triple root x = 1.  Roots within
     MERGE_TOL of the last one kept are dropped.  Without df, as on the
     median, the samples are trusted.
 
-    With df come bounds = (M0, M2): M2 >= max |f''| on [lo, hi] and M0 the
-    sum of the sizes of the terms f is summed from.  Only a cell the test
-    leaves near a root can be a bracket, and each it leaves open is split
-    (_split); its brackets are solved the same way, a root of df in its
+    With df come bounds = (M0, M2): M2 >= max |f''| on [x[0], x[-1]] and
+    M0 the sum of the sizes of the terms f is summed from.  Only a cell the
+    test leaves near a root can be a bracket, and each it leaves open is
+    split (_split); its brackets are solved the same way, a root of df in its
     leaves where |f| <= 2 ROUNDING M0 is a tangent (even-order) root, and a
     root found so is kept where no root of the scan's own brackets is within
     MERGE_TOL: a scan whose cells all clear keeps every root's bits.  The
@@ -365,19 +361,17 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
 
 def _scan_roots(f, samples, df, bounds) -> List[Tuple[float, bool]]:
     """find_roots' roots in order, each with whether it is a tangent root."""
-    xs, at, ys, dys = samples
-    x, ys = xs[at], np.asarray(ys, dtype=float)
-    lo, hi = float(x[0]), float(x[-1])
+    x, ys, dys = samples
 
     def solve(a, b):
         r = _brentq(f, a, b)
         if df is not None:
             d = df(r)
             if d != 0.0:
-                step = f(r) / d
-                if abs(step) < (xs[1] - xs[0]):
-                    r -= step
-        return float(min(max(r, lo), hi))
+                polished = r - f(r) / d
+                if a <= polished <= b:
+                    r = polished
+        return float(r)
 
     near, steep = ((np.arange(len(x) - 1), np.ones(len(x) - 1, dtype=bool)) if df is None
                    else _cell_test(x, ys, dys, bounds))
@@ -395,7 +389,7 @@ def _scan_roots(f, samples, df, bounds) -> List[Tuple[float, bool]]:
     kept = np.array([r for r, _ in roots])
     found = [(solve(a, b), False) for a, b in brackets
              if not np.any((a - MERGE_TOL <= kept) & (kept <= b + MERGE_TOL))]
-    found += [(float(min(max(u, lo), hi)), True) for u in tangents
+    found += [(u, True) for u in tangents
               if abs(f(u)) <= 2.0 * ROUNDING * bounds[0]]
     return _merged(roots + [(r, tangent) for r, tangent in _merged(found)
                             if not np.any(np.abs(kept - r) <= MERGE_TOL)])
@@ -489,7 +483,7 @@ def polynomial_roots_unit_interval(pair, which: str) -> List[float]:
     # on [-1, 1] a polynomial is at most the sum of its |coefficients|
     bounds = sum(map(abs, coeffs)), sum(map(abs, _polyder(dcoeffs)))
     xs = np.linspace(-1.0, 1.0, ROOT_SAMPLES)
-    return find_roots(f, (xs, EVERY_SAMPLE, f(xs), df(xs)), df=df, bounds=bounds)
+    return find_roots(f, (xs, f(xs), df(xs)), df=df, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +537,8 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     inside the other; the form (_chord_functions) is evaluated at the ends
     of its cells, every CHORD_STRIDE-th sample and the last, then at every
     sample of the cells the cell test (_cell_test) leaves near a root.
-    find_roots gets the whole grid and the samples taken from the first
-    above the form's floor to the last, and decides on them what it would
-    on every sample."""
+    find_roots gets the samples taken from the first above the form's floor
+    to the last, and decides on them what it would on every sample."""
     pair = _check_pair(pair)
     if not 0.0 < a < 1.0:
         raise ValueError("a must be in (0, 1)")
@@ -566,10 +559,10 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     cs = trig(xs[_CELL_ENDS])
     near = np.zeros(len(_CELL_ENDS) - 1, dtype=bool)
     near[_cell_test(xs[_CELL_ENDS], values(cs), slopes(cs), bounds)[0]] = True
-    taken = near[_CELL_OF]
+    taken = np.repeat(near, CHORD_STRIDE)
     taken[_CELL_ENDS] = True
-    at = np.flatnonzero(taken)
-    cs = trig(xs[at])
+    x = xs[taken]
+    cs = trig(x)
     ys, dys = values(cs), slopes(cs)
     # the form rounds by up to 1e-13 M0 (find_roots): on a chord this small
     # no sample's sign is known to be the restriction's
@@ -579,7 +572,7 @@ def edge_restriction_roots(pair, a: float, theta: float) -> List[float]:
     # vertex: the scan runs from the first sample above that floor to the last
     known = np.abs(ys) > floor
     scan = slice(known.argmax(), len(ys) - known[::-1].argmax())
-    return find_roots(f, (xs, at[scan], ys[scan], dys[scan]), df=df, bounds=bounds)
+    return find_roots(f, (x[scan], ys[scan], dys[scan]), df=df, bounds=bounds)
 
 
 # The open edges: name, the sign of gs in K, the scanned range of the edge
@@ -648,7 +641,7 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     for edge, sign, (lo, hi), point in _EDGES:
         k, dk, mix = _k_theta(pair, theta, sign)
         xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
-        samples = xs, EVERY_SAMPLE, mix(gc_xs, gs_xs), mix(dgc_xs, dgs_xs)
+        samples = xs, mix(gc_xs, gs_xs), mix(dgc_xs, dgs_xs)
         zeros += [CriticalZero(point(u), edge, u, 3 if tangent else 2)
                   for u, tangent in _scan_roots(k, samples, dk, bounds)]
     return zeros
@@ -669,7 +662,7 @@ def median_critical_zeros(pair, which: str) -> List[CriticalZero]:
         # g has a zero of order >= 4 at O, so start the scan past the noise
         # floor; the interior zeros are well away from the vertex
         xs = np.linspace(0.05, 1.0 - 1e-6, ROOT_SAMPLES)
-        for u in find_roots(g, (xs, EVERY_SAMPLE, g(xs), None)):
+        for u in find_roots(g, (xs, g(xs), None)):
             out.append(CriticalZero(AlcovePoint(u / 2.0, u / 2.0), "OM", u, 2))
         out.append(CriticalZero(AlcovePoint(0.5, 0.5), "OM", 1.0, 2))
         return out

@@ -566,6 +566,18 @@ def test_out_in_a_missing_directory_is_rejected(tmp_path, capsys):
     assert not p.parent.exists()
 
 
+@pytest.mark.parametrize("stamp", [[], ["--stamp"]])
+def test_an_empty_out_is_refused(tmp_path, monkeypatch, capsys, stamp):
+    # --out '' names no file: it is refused as a directory is, with or
+    # without --stamp, not read as no --out
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--domain", "torus", "--count", "3", "--out", "", *stamp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out must name a file")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_is_checked_before_the_work(tmp_path, monkeypatch, capsys):
     from courant_lab import cli_report
 

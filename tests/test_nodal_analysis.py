@@ -13,7 +13,7 @@ from courant_lab.eigenfunction_eval import (EigenfunctionHandle, _grid_values,
                                             sign_grid)
 from courant_lab.lattice_spectrum import Mode
 from courant_lab.nodal_analysis import (_CELL_ENDS, _EDGES, BRENT_XTOL,
-                                        CHORD_STRIDE, EDGE_PAIRS, EVERY_SAMPLE,
+                                        CHORD_STRIDE, EDGE_PAIRS,
                                         MERGE_TOL, ROOT_SAMPLES, ROUNDING,
                                         ZERO_BAND_REL,
                                         CriticalZero, _brentq,
@@ -430,9 +430,9 @@ def test_chord_ends_below_the_sums_rounding_give_no_noise_roots(a, count):
 
 def sampled(f, lo, hi, df=None):
     """f's samples, and df's or None, at every point of xs = linspace(lo,
-    hi, ROOT_SAMPLES), as find_roots takes them."""
+    hi, ROOT_SAMPLES), as find_roots takes them: (xs, f(xs), df(xs))."""
     xs = np.linspace(lo, hi, ROOT_SAMPLES)
-    return xs, EVERY_SAMPLE, f(xs), None if df is None else df(xs)
+    return xs, f(xs), None if df is None else df(xs)
 
 
 def _record_scans(monkeypatch):
@@ -476,9 +476,8 @@ def test_polynomial_and_median_scans_sample_f_and_df_bit_for_bit(monkeypatch, pa
     ranges = [(-1.0, 1.0)] * 3 + [(0.05, 1.0 - 1e-6)]
     assert len(calls) == len(ranges)
     assert [df is None for _, _, df, _ in calls] == [False, False, False, True]
-    for (f, (xs, at, ys, dys), df, _), (lo, hi) in zip(calls, ranges):
+    for (f, (xs, ys, dys), df, _), (lo, hi) in zip(calls, ranges):
         assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
-        assert np.array_equal(at, np.arange(ROOT_SAMPLES))
         assert np.array_equal(ys, f(xs))
         assert dys is None if df is None else np.array_equal(dys, df(xs))
 
@@ -492,10 +491,10 @@ def test_a_tangent_root_just_within_the_margin_is_solved(monkeypatch, times, kep
     # the chord has no root
     calls, _ = _record_scans(monkeypatch)
     assert edge_restriction_roots((2, 3), 2 / 5, math.pi / 2) == pytest.approx([0.2], abs=1e-10)
-    (f, (xs, at, ys, dys), df, (size, curvature)), = calls
+    (f, (x, ys, dys), df, (size, curvature)), = calls
     margin = 2 * ROUNDING * size / (1 - 2 * ROUNDING)
     shift = math.copysign(times * margin, f(0.2 + 1e-3))
-    roots = find_roots(lambda u: f(u) + shift, (xs, at, ys + shift, dys), df=df,
+    roots = find_roots(lambda u: f(u) + shift, (x, ys + shift, dys), df=df,
                        bounds=(size + abs(shift), curvature))
     assert roots == ([pytest.approx(0.2, abs=1e-10)] if kept else [])
     if kept:
@@ -575,8 +574,8 @@ def test_cleared_cells_could_not_give_a_root(monkeypatch):
         edge_restriction_roots((1, 3) if j % 2 else (2, 3), 0.05 + 0.9 * j / 99,
                                math.pi * j / 99)
     scans = [(call, scan_reads[0]) for call, scan_reads in zip(calls, reads) if call[2]]
-    for (_, (xs, at, _, _), df, bounds), _ in scans:
-        lo, hi = xs[at[0]], xs[at[-1]]
+    for (_, (x, _, _), df, bounds), _ in scans:
+        lo, hi = x[0], x[-1]
         u, eta = np.linspace(lo, hi, ROOT_SAMPLES // 4)[1:-1], (hi - lo) * 1e-6
         assert np.max(np.abs(df(u + eta) - df(u - eta))) / (2 * eta) <= bounds[1] * (1 + 1e-6)
     totals = np.sum([_check_cleared_cells(f, df, x, ys, dys, bounds, 3)
@@ -593,12 +592,11 @@ def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
     calls, reads = _record_scans(monkeypatch)
     edge_critical_zeros(pair, theta)
     assert len(calls) == len(reads) == len(_EDGES)
-    for (_, sign, (lo, hi), _), (_, (xs, at, ys, dys), df, bounds), scan_reads in zip(
+    for (_, sign, (lo, hi), _), (_, (xs, ys, dys), df, bounds), scan_reads in zip(
             _EDGES, calls, reads):
         k, dk, _ = _k_theta(pair, theta, sign)
         assert (xs[0], xs[-1]) == (lo, hi)
         assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
-        assert np.array_equal(at, np.arange(ROOT_SAMPLES))
         assert np.array_equal(ys, k(xs)) and np.array_equal(dys, dk(xs))
         (x, read_ys, read_dys, read_bounds), *_ = scan_reads
         assert np.array_equal(x, xs) and read_ys is ys and read_dys is dys
@@ -639,7 +637,7 @@ def _full_chord_scan(pair, a, theta):
         raise ValueError("within rounding of zero")
     known = np.abs(ys) > floor
     run = slice(known.argmax(), len(ys) - known[::-1].argmax())
-    samples = xs[run], EVERY_SAMPLE[:len(xs[run])], ys[run], dys[run]
+    samples = xs[run], ys[run], dys[run]
     roots = find_roots(lambda u: values(trig(u)), samples,
                        df=lambda u: slopes(trig(u)), bounds=bounds)
     return roots, samples, bounds
@@ -650,30 +648,32 @@ def _full_chord_scan(pair, a, theta):
 def test_chord_scan_samples_the_restriction_bit_for_bit(monkeypatch, pair, a, theta):
     # the samples edge_restriction_roots hands to find_roots are its f and df
     # at each sample taken, called on a scalar as Brent's method and Newton's
-    # step call them.  Their grid is the chord's whole grid, and they lie on
-    # the run of it from its first sample above the form's floor to its
-    # last: both ends of the run, the cell ends in it and every sample of
-    # the cells they take an inner sample of, fewer than all; the cell test
-    # reads those very arrays of f and df, at xs[at]
-    _, (full_xs, _, _, _), _ = _full_chord_scan(pair, a, theta)
+    # step call them.  Their points x = xs[at] are points of the chord's
+    # grid xs, and lie on the run of it from its first sample above the
+    # form's floor to its last: both ends of the run, the cell ends in it and
+    # every sample of the cells they take an inner sample of, fewer than
+    # all; the cell test reads those very arrays of x, f and df
+    _, (full_x, _, _), _ = _full_chord_scan(pair, a, theta)
     calls, reads = _record_scans(monkeypatch)
     edge_restriction_roots(pair, a, theta)
-    (f, (xs, at, ys, dys), df, bounds), = calls
-    assert np.array_equal(xs, _chord_xs(a))
-    (first,) = np.flatnonzero(xs == full_xs[0])
-    assert at[0] == first and at[-1] == first + len(full_xs) - 1
+    (f, (x, ys, dys), df, bounds), = calls
+    xs = _chord_xs(a)
+    at = np.searchsorted(xs, x)
+    assert xs[at].tobytes() == x.tobytes()
+    (first,) = np.flatnonzero(xs == full_x[0])
+    assert at[0] == first and at[-1] == first + len(full_x) - 1
     assert np.all(np.diff(at) > 0)
-    assert len(at) < len(full_xs)
+    assert len(at) < len(full_x)
     ends = _CELL_ENDS[(_CELL_ENDS >= at[0]) & (_CELL_ENDS <= at[-1])]
     assert np.isin(ends, at).all()
     inner = np.setdiff1d(at, _CELL_ENDS)
     for cell in np.unique(np.minimum(inner // CHORD_STRIDE, len(_CELL_ENDS) - 2)):
         lo, hi = _CELL_ENDS[cell], _CELL_ENDS[cell + 1]
         assert np.isin(np.arange(max(lo, at[0]), min(hi, at[-1]) + 1), at).all()
-    assert np.array([f(u) for u in xs[at].tolist()]).tobytes() == ys.tobytes()
-    assert np.array([df(u) for u in xs[at].tolist()]).tobytes() == dys.tobytes()
-    ((x, read_ys, read_dys, read_bounds), *_), = reads
-    assert np.array_equal(x, xs[at]) and read_ys is ys and read_dys is dys
+    assert np.array([f(u) for u in x.tolist()]).tobytes() == ys.tobytes()
+    assert np.array([df(u) for u in x.tolist()]).tobytes() == dys.tobytes()
+    ((read_x, read_ys, read_dys, read_bounds), *_), = reads
+    assert read_x is x and read_ys is ys and read_dys is dys
     assert read_bounds == bounds
 
 
@@ -710,7 +710,7 @@ def test_chord_scan_decides_what_every_sample_would(monkeypatch):
     # bit, and no sample it leaves out could have decided anything there:
     # none is in a sign change of f or an exact zero of f, and each lies in
     # a cell of the samples taken that the cell test (_cell_test) finds far
-    # from a root.  Each scan hands over the chord's whole grid, its
+    # from a root.  Each scan's points are points of the full scan's, its
     # range ends bit for bit the full scan's.  The scans take fewer than a
     # fifth of the samples
     calls, _ = _record_scans(monkeypatch)
@@ -725,20 +725,22 @@ def test_chord_scan_decides_what_every_sample_would(monkeypatch):
                 _full_chord_scan(pair, a, theta)
             refused += 1
             continue
-        (_, (sparse_xs, sparse_at, sparse_ys, sparse_dys), _, _), = calls
-        full_roots, (xs, at, ys, dys), bounds = _full_chord_scan(pair, a, theta)
+        (_, (sparse_x, sparse_ys, sparse_dys), _, _), = calls
+        full_roots, (xs, ys, dys), bounds = _full_chord_scan(pair, a, theta)
         assert repr(roots) == repr(full_roots)
-        assert np.array_equal(sparse_xs, _chord_xs(a))
-        assert sparse_xs[sparse_at[0]].tobytes() == xs[0].tobytes()
-        assert sparse_xs[sparse_at[-1]].tobytes() == xs[-1].tobytes()
+        # the index of each point taken in the full scan
+        sparse_at = np.searchsorted(xs, sparse_x)
+        assert xs[sparse_at].tobytes() == sparse_x.tobytes()
+        assert sparse_x[0].tobytes() == xs[0].tobytes()
+        assert sparse_x[-1].tobytes() == xs[-1].tobytes()
         left_out = np.ones(len(xs), dtype=bool)
-        left_out[sparse_at - sparse_at[0]] = False
+        left_out[sparse_at] = False
         sign = np.sign(ys)
         changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
         assert not np.any(left_out[changes] | left_out[changes + 1])
         assert not np.any(left_out & (ys == 0))
         gaps = np.flatnonzero(np.diff(sparse_at) > 1)
-        near, _ = _cell_test(sparse_xs[sparse_at], sparse_ys, sparse_dys, bounds)
+        near, _ = _cell_test(sparse_x, sparse_ys, sparse_dys, bounds)
         assert not np.any(np.isin(gaps, near))
         taken, total = taken + len(sparse_at), total + len(xs)
     assert (len(chords), refused) == (2205, 68)
@@ -769,7 +771,7 @@ def test_find_roots_brackets_every_gap_and_splits_the_open_ones():
         return x - 0.5
 
     assert find_roots(f, sampled(f, 0.0, 1.0)) == [0.5]
-    assert find_roots(f, (xs, at, f(u), None)) == [pytest.approx(0.5, abs=1e-15)]
+    assert find_roots(f, (u, f(u), None)) == [pytest.approx(0.5, abs=1e-15)]
     for depth, roots in ((-1.0, []), (0.01, [0.4, 0.6])):
         def g(x, depth=depth):
             return (x - 0.5) ** 2 - depth
@@ -779,9 +781,9 @@ def test_find_roots_brackets_every_gap_and_splits_the_open_ones():
 
         near, steep = _cell_test(u, g(u), dg(u), (1.25, 2.0))
         assert list(near[~steep]) == ([] if depth < 0 else [1])
-        assert find_roots(g, (xs, at, g(u), dg(u)), df=dg, bounds=(1.25, 2.0)) == pytest.approx(
+        assert find_roots(g, (u, g(u), dg(u)), df=dg, bounds=(1.25, 2.0)) == pytest.approx(
             roots, abs=1e-12)
-        assert find_roots(g, (xs, at, g(u), None)) == []
+        assert find_roots(g, (u, g(u), None)) == []
 
 
 def test_digest_chord_roots_match_mpmath():
@@ -1399,6 +1401,67 @@ def test_find_roots_brackets_give_scipys_roots(monkeypatch):
     assert all(root.hex() == ref.hex() for root, ref in brackets)
 
 
+def test_every_root_lies_in_its_bracket_and_its_scan(monkeypatch):
+    # the premise that lets find_roots return its roots as found: Brent's
+    # root lies in its bracket, on BRENT_BRACKETS and on 2000 random
+    # sign-changing brackets of cubics 1e-14 to 10 wide, and every root the
+    # root digest's scans return lies in [x[0], x[-1]] of their samples
+    from test_root_digest import root_reprs
+
+    import courant_lab.nodal_analysis as nodal
+
+    rng = random.Random(11)
+    brackets = list(BRENT_BRACKETS)
+    while len(brackets) < len(BRENT_BRACKETS) + 2000:
+        r0, c1, c2 = rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        a = r0 - 10.0 ** rng.uniform(-14.0, 1.0)
+        b = r0 + 10.0 ** rng.uniform(-14.0, 1.0)
+
+        def f(x, r0=r0, c1=c1, c2=c2):
+            return (x - r0) * (1.0 + c1 * x + c2 * x * x)
+
+        if f(a) * f(b) < 0:
+            brackets.append((f, *rng.sample((a, b), 2)))
+    for f, a, b in brackets:
+        assert min(a, b) <= _brentq(f, a, b) <= max(a, b)
+
+    scans, scan = [], nodal._scan_roots
+
+    def record(f, samples, df, bounds):
+        roots = scan(f, samples, df, bounds)
+        scans.append((samples[0], [r for r, _ in roots]))
+        return roots
+
+    monkeypatch.setattr(nodal, "_scan_roots", record)
+    root_reprs()
+    assert sum(len(roots) for _, roots in scans) > 1000
+    assert all(x[0] <= r <= x[-1] for x, roots in scans for r in roots)
+
+
+def test_a_polish_that_would_leave_its_bracket_is_not_taken():
+    # Newton's step from Brent's root is kept only where it lands in the
+    # root's bracket.  Handed a df 1e-20 times e^x, the step from Brent's
+    # root of e^x - 3/2, where f is not 0, is far longer than the cell, and
+    # the root returned is Brent's; handed e^x, it is the polished root
+    xs = np.linspace(0.0, 1.0, ROOT_SAMPLES)
+
+    def f(x):
+        return np.exp(x) - 1.5
+
+    def flat(x):
+        return 1e-20 * np.exp(x)
+
+    (i,), = np.nonzero(f(xs[:-1]) * f(xs[1:]) < 0)
+    brent = _brentq(f, xs[i], xs[i + 1])
+    assert f(brent) != 0.0
+    assert abs(f(brent) / flat(brent)) > xs[i + 1] - xs[i]
+    samples, bounds = (xs, f(xs), np.exp(xs)), (math.e + 1.5, math.e)
+    assert find_roots(f, samples, df=flat, bounds=bounds) == [brent]
+    polished = brent - f(brent) / np.exp(brent)
+    assert polished != brent
+    assert find_roots(f, samples, df=np.exp, bounds=bounds) == [polished]
+
+
 def test_root_scans_round_within_a_tenth_of_the_margin(monkeypatch):
     # the premise of the cell test's margin (find_roots, _cell_test): each
     # sample of f is within 1e-13 M0 of the true value, a tenth of ROUNDING
@@ -1428,10 +1491,10 @@ def test_root_scans_round_within_a_tenth_of_the_margin(monkeypatch):
             truths.append(lambda x, coeffs=list(reversed(coeffs)): mp.polyval(coeffs, x))
     assert len(truths) == len(calls)
     with mp.workdps(40):
-        for truth, (_, (xs, at, ys, dys), _, (size, _)) in zip(truths, calls):
+        for truth, (_, (xs, ys, dys), _, (size, _)) in zip(truths, calls):
             # every 113th sample of a full scan, as many of a chord's
             for i in range(0, len(ys), max(1, 113 * len(ys) // ROOT_SAMPLES)):
-                x = mp.mpf(float(xs[at[i]]))
+                x = mp.mpf(float(xs[i]))
                 assert abs(ys[i] - truth(x)) <= 1e-13 * size
                 assert abs(dys[i] - mp.diff(truth, x)) <= 1e-10 * size
 

@@ -68,8 +68,7 @@ MUTANTS = (
     ("nodal_analysis.py", "sign * math.sin(theta)", "math.sin(theta)",
      "test_nodal_analysis.py::test_k_theta_is_the_edge_function_combination"),
     # the polynomial scan handed f's samples as df's
-    ("nodal_analysis.py", "(xs, EVERY_SAMPLE, f(xs), df(xs))",
-     "(xs, EVERY_SAMPLE, f(xs), f(xs))",
+    ("nodal_analysis.py", "(xs, f(xs), df(xs))", "(xs, f(xs), f(xs))",
      "test_nodal_analysis.py::test_polynomial_and_median_scans_sample_f_and_df_bit_for_bit"),
     # the cell test handed f's samples in place of df's, and the chord's M2
     # dropped
@@ -117,12 +116,15 @@ MUTANTS = (
      "return eval_psi(EigenfunctionHandle(DomainKind.EQUILATERAL, pair, theta), u, a - u).value",
      "test_nodal_analysis.py::test_chord_scan_samples_the_restriction_bit_for_bit"),
     # a chord sampler that takes no cell near a root in full; a bracket only
-    # between samples that are neighbours on the grid
+    # in a cell no wider than the scan's narrowest
     ("nodal_analysis.py", "bounds)[0]] = True", "bounds)[0]] = False",
      "test_nodal_analysis.py::test_chord_scan_decides_what_every_sample_would"),
     ("nodal_analysis.py", "ends[sign[:, 0] * sign[:, 1] < 0]",
-     "ends[(sign[:, 0] * sign[:, 1] < 0) & (at[ends[:, 1]] - at[ends[:, 0]] == 1)]",
+     "ends[(sign[:, 0] * sign[:, 1] < 0) & (np.diff(x)[near] <= np.diff(x).min())]",
      "test_nodal_analysis.py::test_find_roots_brackets_every_gap_and_splits_the_open_ones"),
+    # a Newton polish kept wherever it lands
+    ("nodal_analysis.py", "if a <= polished <= b:", "if True:",
+     "test_nodal_analysis.py::test_a_polish_that_would_leave_its_bracket_is_not_taken"),
     # a chord within rounding of zero scanned for noise roots, and a chord's
     # ends below the sums' rounding scanned too
     ("nodal_analysis.py", "if np.max(np.abs(ys)) <= ROUNDING * bounds[0]:", "if False:",
@@ -298,6 +300,11 @@ MUTANTS = (
     ("alcove_geometry.py",
      "        lo, hi = np.where(inside, cols, r).min(1), np.where(inside, cols + 1, 0).max(1)\n",
      "", "test_alcove_geometry.py::test_row_ends_are_the_rows_of_the_predicate"),
+    # an empty --out read as no --out, by the --out check and by --stamp's
+    ("cli_report.py", "(not args.out or os.path.isdir(args.out)", "(os.path.isdir(args.out)",
+     "test_cli_report.py::test_an_empty_out_is_refused"),
+    ("cli_report.py", "if args.stamp and args.out is None:", "if args.stamp and not args.out:",
+     "test_cli_report.py::test_an_empty_out_is_refused"),
     ("cli_report.py", 'RATIO_FORMAT = "%#.10g"', 'RATIO_FORMAT = "%#.11g"',
      "test_cli_report.py::test_ratio_format"),
     ("cli_report.py", "if not math.isfinite(theta):", "if False:",
