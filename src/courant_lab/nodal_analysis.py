@@ -26,15 +26,18 @@ evaluated, drop sigma (T_3 - 1).  W(fc, fs) = 16 pi P_W(cos 3 pi u), and each
 root x0 != 1 of P_W is a breakpoint of the theta partition.
 
 Each root scan hands find_roots the points it sampled and f's and f''s
-values there: an edge scan mixes at its angle the theta-independent tables
-of gc, gs, gc' and gs' (_edge_functions), built once per pair and range
-(_edge_tables), and the polynomial and median scans evaluate their functions
-on their whole grid.  A chord scan evaluates the restriction's
-three-frequency form and its slope (_chord_functions) at every
-CHORD_STRIDE-th point of its grid and the last, then at every point of each
-cell between two of those that the cell test leaves near a root.  Every
-sample has the bits of the f or df that find_roots solves on, so every root
-has the function's bits.
+values there.  An edge scan mixes at its angle the theta-independent tables
+of gc, gs, gc' and gs' (_edge_functions), built once per pair and edge
+(_edge_tables) and holding only the cells of its grid that some angle in (0,
+pi/6] can leave near a root, in runs with one NaN sample between two; no
+cell spans a gap, and the cells left out hold no root at any angle.  The
+polynomial and median scans evaluate their functions on their whole grid.
+A chord scan evaluates the restriction's three-frequency form and its slope
+(_chord_functions) at every CHORD_STRIDE-th point of its grid and the last,
+then at every point of each cell between two of those that the cell test
+leaves near a root.  Every sample has the bits of the f or df that
+find_roots solves on, so Brent's method reads a bracket's ends from the
+samples and every root has the function's bits.
 
 One cell test (_cell_test) decides what a scan with a derivative reads: by
 Taylor's theorem, from f and f' at a cell's ends and the bounds on f's
@@ -333,13 +336,17 @@ def find_roots(f, samples, df=None, bounds=None) -> List[float]:
     f(x), df(x) or None) at the increasing points x: a scan's whole grid of
     ROOT_SAMPLES points spaced evenly, or on a chord the part of it its
     sampler takes, which leaves out only cells the cell test (_cell_test)
-    finds far from a root.  A bracket [a, b] is a cell of two consecutive
-    samples of opposite signs, solved by Brent's method (_brentq), whose
-    root lies in [a, b]; given df, one Newton step from it is kept where it
-    lands in [a, b] too, so every root lies in [x[0], x[-1]].  A sample
-    where f is 0 is a root too, as P_W's triple root x = 1.  Roots within
-    MERGE_TOL of the last one kept are dropped.  Without df, as on the
-    median, the samples are trusted.
+    finds far from a root, or on an edge runs of it with one NaN sample
+    between two, which leave out only cells the cell test finds far from a
+    root at every angle (_edge_tables).  A cell with a NaN end is never near
+    a root, so no cell spans the gap between two runs.  A bracket [a, b] is
+    a cell of two consecutive samples of opposite signs, solved by Brent's
+    method (_brentq), whose root lies in [a, b] and which reads f at a and b
+    from their samples; given df, one Newton step from it, reading f there
+    from Brent's own call, is kept where it lands in [a, b] too, so every
+    root lies in [x[0], x[-1]].  A sample where f is 0 is a root too, as
+    P_W's triple root x = 1.  Roots within MERGE_TOL of the last one kept
+    are dropped.  Without df, as on the median, the samples are trusted.
 
     With df come bounds = (M0, M2): M2 >= max |f''| on [x[0], x[-1]] and
     M0 the sum of the sizes of the terms f is summed from.  Only a cell the
@@ -363,12 +370,21 @@ def _scan_roots(f, samples, df, bounds) -> List[Tuple[float, bool]]:
     """find_roots' roots in order, each with whether it is a tangent root."""
     x, ys, dys = samples
 
-    def solve(a, b):
-        r = _brentq(f, a, b)
+    def solve(a, b, fa, fb):
+        # Brent's method reads f at a and b from their samples, which have
+        # f's bits, and Newton's step reads f at Brent's root from Brent
+        seen = {a: fa, b: fb}
+
+        def memo(u):
+            if u not in seen:
+                seen[u] = f(u)
+            return seen[u]
+
+        r = _brentq(memo, a, b)
         if df is not None:
             d = df(r)
             if d != 0.0:
-                polished = r - f(r) / d
+                polished = r - memo(r) / d
                 if a <= polished <= b:
                     r = polished
         return float(r)
@@ -379,7 +395,8 @@ def _scan_roots(f, samples, df, bounds) -> List[Tuple[float, bool]]:
     # 0 is at one
     ends = near[:, None] + (0, 1)
     sign = np.sign(ys[ends])
-    roots = [solve(*x[i]) for i in ends[sign[:, 0] * sign[:, 1] < 0]]
+    cells = ends[sign[:, 0] * sign[:, 1] < 0]
+    roots = [solve(*row) for row in np.hstack([x[cells], ys[cells]]).tolist()]
     roots = _merged((r, False) for r in roots + x[ends[sign == 0]].tolist())
     if steep.all():
         return roots
@@ -387,7 +404,7 @@ def _scan_roots(f, samples, df, bounds) -> List[Tuple[float, bool]]:
     brackets, tangents = _split(f, df, bounds, x[ends], ys[ends], dys[ends])
     # a bracket that holds a root found already, within MERGE_TOL, holds no other
     kept = np.array([r for r, _ in roots])
-    found = [(solve(a, b), False) for a, b in brackets
+    found = [(solve(a, b, fa, fb), False) for a, b, fa, fb in brackets
              if not np.any((a - MERGE_TOL <= kept) & (kept <= b + MERGE_TOL))]
     found += [(u, True) for u in tangents
               if abs(f(u)) <= 2.0 * ROUNDING * bounds[0]]
@@ -411,7 +428,9 @@ def _cell_test(x, ys, dys, bounds):
     f'(e)| <= w M2.  A cell is near unless that bound exceeds the margin 2
     ROUNDING M0 at both ends, and steep where w |f'(e)| - w^2 M2 does and f'
     has one sign at them.  The margin covers the rounding of f, 1e-13 M0,
-    of w f', w < 1e-2 in every scan, and of the test's few operations."""
+    of w f', w < 1e-2 in every scan, and of the test's few operations.  A
+    cell with a NaN end, across the gap between two runs of an edge scan's
+    samples (_edge_tables), is never near: NaN <= margin is false."""
     size, curvature = bounds
     margin = 2.0 * ROUNDING * size
     w = np.diff(x) / 2.0 + MERGE_TOL
@@ -427,7 +446,8 @@ def _cell_test(x, ys, dys, bounds):
 
 def _split(f, df, bounds, x, ys, dys):
     """(brackets, tangents) in the open cells, rows [a, b] of x with f's and
-    f''s samples ys and dys.  Each is split into CHORD_STRIDE cells, by the
+    f''s samples ys and dys; a bracket is a row [a, b, f(a), f(b)], its
+    values the samples'.  Each cell is split into CHORD_STRIDE cells, by the
     scan's own vectorized f and df, until it clears (_cell_test), is
     narrower than MERGE_TOL or has |f| within the margin 2 ROUNDING M0 at
     both ends, a leaf.  A cleared cell where f reaches 0 is a bracket; so is
@@ -451,7 +471,7 @@ def _split(f, df, bounds, x, ys, dys):
         # the last cell of a row joins it to the next
         real = near % (CHORD_STRIDE + 1) < CHORD_STRIDE
         shut, ends = near[real & steep, None] + (0, 1), near[real & ~steep, None] + (0, 1)
-        brackets.append(x[shut][_meets_zero(ys[shut])])
+        brackets.append(np.hstack([x[shut], ys[shut]])[_meets_zero(ys[shut])])
         x, ys, dys = x[ends], ys[ends], dys[ends]
     x, ys, dys = map(np.concatenate, zip(*leaves))
     order = np.argsort(x[:, 0])
@@ -459,7 +479,8 @@ def _split(f, df, bounds, x, ys, dys):
     run = np.cumsum(np.append(True, x[1:, 0] != x[:-1, 1]))[:len(x)]
     turn = _meets_zero(dys)
     sure = np.all(np.abs(ys) > margin, axis=1)
-    brackets.append(x[_meets_zero(ys) & (sure | (np.bincount(run, turn)[run] == 0))])
+    solvable = _meets_zero(ys) & (sure | (np.bincount(run, turn)[run] == 0))
+    brackets.append(np.hstack([x, ys])[solvable])
     return np.concatenate(brackets).tolist(), [_brentq(df, a, b) for a, b in x[turn].tolist()]
 
 
@@ -604,17 +625,55 @@ def _k_theta(pair: Mode, theta: float, sign: int):
     return k, dk, mix
 
 
+# the largest angle edge_critical_zeros takes, pi/6 and a rounding's slack
+EDGE_THETA_MAX = PI / 6.0 + 1e-12
+
+
 @functools.lru_cache(maxsize=None)
-def _edge_tables(pair: Mode, lo: float, hi: float):
-    """The theta-independent samples of an edge scan, read-only: xs =
-    linspace(lo, hi, ROOT_SAMPLES) and, at xs, gc, gs, gc' and gs', with cos
-    pi u and sin pi u taken once.  K's and dK's samples at theta are
-    _k_theta's mix of gc and gs and of gc' and gs', as its k and dk are, so
-    each sample has their bits.  OA and OB scan one range: two per pair."""
+def _edge_tables(pair: Mode, sign: int, lo: float, hi: float):
+    """The theta-independent samples of an edge scan, read-only: of xs =
+    linspace(lo, hi, ROOT_SAMPLES), the ends of the cells that some angle in
+    (0, EDGE_THETA_MAX] can leave near a root, and at each gc, gs, gc' and
+    gs', with cos pi u and sin pi u taken once; one NaN sample sits between
+    two runs of kept cells, so no cell spans a gap.  K's and dK's samples at
+    theta are _k_theta's mix of gc and gs and of gc' and gs', as its k and
+    dk are, so each sample has their bits.  One entry per pair and edge.
+
+    At a sample e, K_e = cos theta gc_e + sign sin theta gs_e is a sinusoid
+    in theta, with at most one zero on [0, EDGE_THETA_MAX] and |K_e| concave
+    between its zeros: there |K_e| >= L_e, the smaller of |K_e| at the two
+    ends where they share a strict sign, and 0 otherwise.  Also |dK_e| <=
+    hypot(gc'_e, gs'_e), and the scan's M2 and margin (edge_critical_zeros)
+    are at most hypot(B_C, B_S) and 2 ROUNDING hypot(A_C, A_S)
+    (_edge_functions).  So a cell that the cell test (_cell_test) clears on
+    (L, hypot(gc', gs')) at those bounds it clears at every angle, and only
+    the cells it leaves near are kept.  Its margin there is widened by 1%
+    and by 1e-13 (A_C + A_S), a slack for rounding.  With u = 2^-53, the
+    scan's K_e rounds by at most 2u (A_C + A_S), and its (cos theta, sin
+    theta) is rho (cos theta', sin theta') with |rho - 1| <= 2u and theta'
+    at most 2u past EDGE_THETA_MAX, which moves K_e by at most 4u (A_C +
+    A_S); L_e rounds as K_e does; w |dK_e| and w^2 M2 / 2 are below 1e-4
+    (A_C + A_S) on every edge, so round by far less, and the scan's margin
+    and M2 round by 4u of themselves.  In all, under 20u (A_C + A_S), well
+    within the slack."""
     xs = np.linspace(lo, hi, ROOT_SAMPLES)
     c, s = np.cos(PI * xs), np.sin(PI * xs)
-    values, slopes, _ = _edge_functions(pair)
+    values, slopes, (sizes, curvatures) = _edge_functions(pair)
     tables = (xs, *values(c, s), *slopes(c, s))
+    _, gc, gs, dgc, dgs = tables
+    # K at theta = 0 is gc, and at EDGE_THETA_MAX k_max
+    k_max = _k_theta(pair, EDGE_THETA_MAX, sign)[2](gc, gs)
+    low = np.where(np.sign(gc) * np.sign(k_max) > 0,
+                   np.minimum(np.abs(gc), np.abs(k_max)), 0.0)
+    bounds = (1.01 * math.hypot(*sizes) + 1e-13 * sum(sizes) / (2.0 * ROUNDING),
+              math.hypot(*curvatures))
+    near = _cell_test(xs, low, np.hypot(dgc, dgs), bounds)[0]
+    keep = np.zeros(ROOT_SAMPLES - 1, dtype=bool)
+    keep[near] = True
+    # the ends of the kept cells; a run ends where the next cell is not kept
+    at = np.flatnonzero(np.append(keep, False) | np.append(False, keep))
+    gaps = np.flatnonzero(~keep[at[:-1]]) + 1
+    tables = tuple(np.insert(table[at], gaps, np.nan) for table in tables)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -622,7 +681,7 @@ def _edge_tables(pair: Mode, lo: float, hi: float):
 
 def edge_theta_in_range(theta: float) -> bool:
     """Whether theta is in (0, pi/6], the angles edge_critical_zeros takes."""
-    return 0.0 < theta <= PI / 6.0 + 1e-12
+    return 0.0 < theta <= EDGE_THETA_MAX
 
 
 def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
@@ -640,7 +699,7 @@ def edge_critical_zeros(pair, theta: float) -> List[CriticalZero]:
     bounds = tuple(ct * a + st * b for a, b in _edge_functions(pair)[2])
     for edge, sign, (lo, hi), point in _EDGES:
         k, dk, mix = _k_theta(pair, theta, sign)
-        xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
+        xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, sign, lo, hi)
         samples = xs, mix(gc_xs, gs_xs), mix(dgc_xs, dgs_xs)
         zeros += [CriticalZero(point(u), edge, u, 3 if tangent else 2)
                   for u, tangent in _scan_roots(k, samples, dk, bounds)]

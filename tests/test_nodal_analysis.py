@@ -530,15 +530,43 @@ def _dense(cells, lo, hi, points):
                                axis=-1), lo, hi)
 
 
-def _check_cleared_cells(f, df, x, ys, dys, bounds, points):
+def _handed(grid, x):
+    """Which cells of grid, an edge's whole grid, are cells of x, the points
+    an edge scan is handed (_edge_tables), after checking that each cell of
+    x is one of grid's: a cell with a NaN end spans the gap between two runs
+    and is none."""
+    cells = np.column_stack([x[:-1], x[1:]])
+    cells = cells[~np.isnan(cells).any(axis=1)]
+    at = np.searchsorted(grid, cells[:, 0])
+    assert grid[at].tobytes() == cells[:, 0].tobytes()
+    assert grid[at + 1].tobytes() == cells[:, 1].tobytes()
+    handed = np.zeros(len(grid) - 1, dtype=bool)
+    handed[at] = True
+    return handed
+
+
+def _edge_grids():
+    """{id of the x table each edge scan is handed (_edge_tables): that
+    edge's whole grid, linspace(lo, hi, ROOT_SAMPLES)}, for every pair and
+    edge."""
+    return {id(_edge_tables(pair, sign, lo, hi)[0]): np.linspace(lo, hi, ROOT_SAMPLES)
+            for pair in EDGE_PAIRS for _, sign, (lo, hi), _ in _EDGES}
+
+
+def _check_cleared_cells(f, df, x, ys, dys, bounds, points, grid=None):
     """(cells, near, open) of one scan's cell test, after checking that no
     cell it clears holds a root its brackets miss, on points dense samples
     of each: f keeps the sign of the cell's ends where the test bounds |f|
     away from 0, and where it proves f' one-signed (steep), f' keeps its
     sign, and f changes sign on the cell at most once, only where its ends
-    do."""
+    do.  A cell with a NaN end, across the gap between two runs of an edge
+    scan, is none.  Given grid, the whole grid an edge scan's points are
+    taken from, each of its cells the scan is not handed (_handed) keeps
+    f's sign on its dense samples too, and the cell test on the whole grid
+    leaves none of them near a root."""
     near, steep = _cell_test(x, ys, dys, bounds)
-    far = np.ones(len(x) - 1, dtype=bool)
+    real = ~np.isnan(np.diff(x))
+    far = real.copy()
     far[near] = False
     lo, hi = x[0], x[-1]
     cells = np.column_stack([x[:-1], x[1:]])
@@ -550,20 +578,27 @@ def _check_cleared_cells(f, df, x, ys, dys, bounds, points):
     sign = np.sign(f(np.linspace(cells[shut, 0], cells[shut, 1], points, axis=-1)))
     changes = np.count_nonzero(sign[:, :-1] * sign[:, 1:] < 0, axis=1)
     assert np.all(changes <= (ys[shut] * ys[shut + 1] < 0))
-    return len(cells), len(near), np.count_nonzero(~steep)
+    if grid is not None:
+        handed, grid_ys = _handed(grid, x), f(grid)
+        values = f(_dense(np.column_stack([grid[:-1], grid[1:]])[~handed], grid[0], grid[-1],
+                          points))
+        assert np.all(np.sign(values) == np.sign(grid_ys[:-1][~handed])[:, None])
+        assert handed[_cell_test(grid, grid_ys, df(grid), bounds)[0]].all()
+    return np.count_nonzero(real), len(near), np.count_nonzero(~steep)
 
 
 def test_cleared_cells_could_not_give_a_root(monkeypatch):
     # on every scan with a derivative, the root digest's and then the CI's
     # fixed sweeps, (2,3)'s edges at 100 angles and 100 chords, no cell the
     # cell test clears holds a root the scan's brackets miss, on its ends
-    # and middle, widened by MERGE_TOL (_check_cleared_cells), and
-    # the caller's M2 is above |f''|, by central differences of df, on dense
-    # samples of the range (to their rounding: M2 = 8 = P_C'' is exact for
-    # (1,3)).  Of their 9.0M cells, 8.1k are near a root, and the test
-    # leaves 316 of those open: most by the vertices at angles up to 1e-12,
-    # where |f| is within the margin, the others by P_W's triple root at x =
-    # 1, by u_b near theta_c and at the median's zero on a chord at theta = 0
+    # and middle, widened by MERGE_TOL (_check_cleared_cells), nor does a
+    # cell of an edge's grid that its tables leave out, and the caller's M2
+    # is above |f''|, by central differences of df, on dense samples of the
+    # range (to their rounding: M2 = 8 = P_C'' is exact for (1,3)).  Of
+    # their 1.6M cells, 8.1k are near a root, and the test leaves 316 of
+    # those open: most by the vertices at angles up to 1e-12, where |f| is
+    # within the margin, the others by P_W's triple root at x = 1, by u_b
+    # near theta_c and at the median's zero on a chord at theta = 0
     from test_root_digest import root_reprs
 
     calls, reads = _record_scans(monkeypatch)
@@ -578,43 +613,98 @@ def test_cleared_cells_could_not_give_a_root(monkeypatch):
         lo, hi = x[0], x[-1]
         u, eta = np.linspace(lo, hi, ROOT_SAMPLES // 4)[1:-1], (hi - lo) * 1e-6
         assert np.max(np.abs(df(u + eta) - df(u - eta))) / (2 * eta) <= bounds[1] * (1 + 1e-6)
-    totals = np.sum([_check_cleared_cells(f, df, x, ys, dys, bounds, 3)
+    grids = _edge_grids()
+    totals = np.sum([_check_cleared_cells(f, df, x, ys, dys, bounds, 3, grids.get(id(x)))
                      for (f, _, df, bounds), (x, ys, dys, _) in scans], axis=0)
-    assert tuple(totals) == (8953381, 8074, 316)
+    assert tuple(totals) == (1646881, 8074, 316)
 
 
 @pytest.mark.parametrize("pair", EDGE_PAIRS)
 @pytest.mark.parametrize("theta", [1e-300, 0.1, THETA_C, math.pi / 6])
 def test_edge_scans_sample_k_and_dk_bit_for_bit(monkeypatch, pair, theta):
-    # the samples edge_critical_zeros hands to its root scans are _k_theta's
-    # k and dk at the edge's samples, for its sign, and the cell test reads
-    # those very arrays of K and dK, at xs
+    # the points edge_critical_zeros hands to an edge's root scan are its
+    # tables' (_edge_tables): runs of consecutive points of the edge's grid
+    # linspace(lo, hi, ROOT_SAMPLES), at least one cell apart, one NaN
+    # between two runs and none at either end.  The samples there are
+    # _k_theta's k and dk for the edge's sign, to the bit, as k and dk give
+    # them on the array and on each float, as Brent's method reads the ends
+    # of a bracket from them, NaN at a NaN; the tables are gc, gs, gc' and
+    # gs' as typed, to the bit; and the cell test reads those very arrays
     calls, reads = _record_scans(monkeypatch)
     edge_critical_zeros(pair, theta)
     assert len(calls) == len(reads) == len(_EDGES)
-    for (_, sign, (lo, hi), _), (_, (xs, ys, dys), df, bounds), scan_reads in zip(
-            _EDGES, calls, reads):
-        k, dk, _ = _k_theta(pair, theta, sign)
-        assert (xs[0], xs[-1]) == (lo, hi)
-        assert np.array_equal(xs, np.linspace(lo, hi, ROOT_SAMPLES))
-        assert np.array_equal(ys, k(xs)) and np.array_equal(dys, dk(xs))
-        (x, read_ys, read_dys, read_bounds), *_ = scan_reads
-        assert np.array_equal(x, xs) and read_ys is ys and read_dys is dys
-        assert read_bounds == bounds
-    # each range's tables combine with either sign into k's and dk's bits
     ct, st = math.cos(theta), math.sin(theta)
-    for _, _, (lo, hi), _ in _EDGES:
-        xs, gc_xs, gs_xs, dgc_xs, dgs_xs = _edge_tables(pair, lo, hi)
+    for (_, sign, (lo, hi), _), (_, (x, ys, dys), df, bounds), scan_reads in zip(
+            _EDGES, calls, reads):
+        tables = _edge_tables(pair, sign, lo, hi)
+        assert x is tables[0]
+        grid, gap = np.linspace(lo, hi, ROOT_SAMPLES), np.isnan(x)
+        assert not gap[0] and not gap[-1] and not np.any(gap[1:] & gap[:-1])
+        runs = np.split(x[~gap], np.flatnonzero(gap) - np.arange(np.count_nonzero(gap)))
+        at = [np.searchsorted(grid, run[0]) for run in runs]
+        for i, run in zip(at, runs):
+            assert len(run) >= 2 and grid[i:i + len(run)].tobytes() == run.tobytes()
+        assert all(i + len(run) <= j for i, run, j in zip(at, runs, at[1:]))
+        k, dk, _ = _k_theta(pair, theta, sign)
+        assert np.array_equal(ys, k(x), equal_nan=True)
+        assert np.array_equal(dys, dk(x), equal_nan=True)
+        assert np.array_equal(np.isnan(ys), gap) and np.array_equal(np.isnan(dys), gap)
+        u = x[~gap].tolist()
+        assert np.array([k(v) for v in u]).tobytes() == ys[~gap].tobytes()
+        assert np.array([dk(v) for v in u]).tobytes() == dys[~gap].tobytes()
+        (read_x, read_ys, read_dys, read_bounds), *_ = scan_reads
+        assert read_x is x and read_ys is ys and read_dys is dys
+        assert read_bounds == bounds
+        # the tables combine with the edge's sign into k's and dk's bits
+        xs, gc_xs, gs_xs, dgc_xs, dgs_xs = (table[~gap] for table in tables)
         gc_u, gs_u = _edge_values(pair, xs)
         assert np.array_equal(gc_xs, gc_u) and np.array_equal(gs_xs, gs_u)
         assert np.array_equal(gc_xs, _gc_typed(tuple(pair), xs))
         assert np.array_equal(gs_xs, _gs_typed(tuple(pair), xs))
         assert np.array_equal(dgc_xs, _gc_prime_typed(tuple(pair), xs))
         assert np.array_equal(dgs_xs, _gs_prime_typed(tuple(pair), xs))
-        for sign in (+1, -1):
-            k, dk, _ = _k_theta(pair, theta, sign)
-            assert np.array_equal(ct * gc_xs + sign * st * gs_xs, k(xs))
-            assert np.array_equal(ct * dgc_xs + sign * st * dgs_xs, dk(xs))
+        assert np.array_equal(ct * gc_xs + sign * st * gs_xs, ys[~gap])
+        assert np.array_equal(ct * dgc_xs + sign * st * dgs_xs, dys[~gap])
+
+
+# the edge sweep every pruned table is checked at: the vertex angles, theta_c
+# and its neighbours, pi/12, pi/6 and the largest angle taken, and one angle
+# drawn from each of 30 equal strata of (0, pi/6]
+_STRATA = random.Random(6)
+EDGE_SWEEP = ([1e-300, 1e-12, 1e-3, THETA_C, THETA_C - 1e-9, THETA_C + 1e-9,
+               THETA_C - 1e-7, THETA_C + 1e-7, math.pi / 12, math.pi / 6, math.pi / 6 + 1e-12]
+              + [math.pi / 6 * (j + 1 - _STRATA.random()) / 30 for j in range(30)])
+
+
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
+def test_edge_tables_keep_every_cell_near_a_root_at_some_angle(pair):
+    # at each of the 41 angles of EDGE_SWEEP, every cell of an edge's whole
+    # grid that the cell test leaves near a root is a cell of the edge's
+    # tables (_edge_tables), and edge_critical_zeros reports the zeros of
+    # the scan over the whole grid, as it scanned before its tables kept
+    # only those cells, repr for repr and in order
+    import courant_lab.nodal_analysis as nodal
+
+    pair = Mode(*pair)
+    values, slopes, edge_bounds = _edge_functions(pair)
+    grids = {}
+    for _, sign, (lo, hi), _ in _EDGES:
+        grid = np.linspace(lo, hi, ROOT_SAMPLES)
+        c, s = np.cos(PI * grid), np.sin(PI * grid)
+        grids[sign, lo] = (grid, values(c, s), slopes(c, s),
+                           _handed(grid, _edge_tables(pair, sign, lo, hi)[0]))
+    for theta in EDGE_SWEEP:
+        ct, st = math.cos(theta), math.sin(theta)
+        bounds = tuple(ct * a + st * b for a, b in edge_bounds)
+        zeros = []
+        for edge, sign, (lo, hi), point in _EDGES:
+            grid, (gc, gs), (dgc, dgs), handed = grids[sign, lo]
+            k, dk, mix = _k_theta(pair, theta, sign)
+            samples = grid, mix(gc, gs), mix(dgc, dgs)
+            assert handed[_cell_test(*samples, bounds)[0]].all()
+            zeros += [CriticalZero(point(u), edge, u, 3 if tangent else 2)
+                      for u, tangent in nodal._scan_roots(k, samples, dk, bounds)]
+        assert repr(edge_critical_zeros(pair, theta)) == repr(zeros)
 
 
 def _chord_xs(a):
@@ -898,12 +988,13 @@ def test_edge_tables_are_built_once_per_pair_and_range():
     for theta in np.linspace(math.pi / 6 / 200, math.pi / 6, 200):
         for pair in EDGE_PAIRS:
             edge_critical_zeros(pair, float(theta))
-    # OA and OB scan one range, BA another
-    assert nodal._edge_tables.cache_info().currsize == 4
+    # OA and OB scan one range, but keep the cells of their own signs of K:
+    # one entry per pair and edge
+    assert nodal._edge_tables.cache_info().currsize == 6
     for pair in EDGE_PAIRS:
-        for _, _, (lo, hi), _ in _EDGES:
-            assert not any(table.flags.writeable for table in _edge_tables(pair, lo, hi))
-    assert nodal._edge_tables.cache_info().misses == 4
+        for _, sign, (lo, hi), _ in _EDGES:
+            assert not any(table.flags.writeable for table in _edge_tables(pair, sign, lo, hi))
+    assert nodal._edge_tables.cache_info().misses == 6
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -1287,8 +1378,8 @@ def test_theta_c_keeps_one_double_zero_at_u_b():
 def test_random_scans_clear_no_cell_with_a_root(monkeypatch):
     # 64 dense samples of every cell the cell test clears, on the edge scans
     # at 12 random (pair, theta) and the chord scans at 12 random (pair, a,
-    # theta), find no root that the scan's brackets miss
-    # (_check_cleared_cells)
+    # theta), and of every cell of an edge's grid its tables leave out, find
+    # no root that the scan's brackets miss (_check_cleared_cells)
     rng = random.Random(51)
     calls, reads = _record_scans(monkeypatch)
     for _ in range(12):
@@ -1296,8 +1387,9 @@ def test_random_scans_clear_no_cell_with_a_root(monkeypatch):
         edge_restriction_roots(rng.choice(EDGE_PAIRS), rng.uniform(0.05, 0.95),
                                rng.uniform(0.0, math.pi))
     assert len(calls) == 12 * 4
+    grids = _edge_grids()
     for (f, _, df, bounds), ((x, ys, dys, _), *_) in zip(calls, reads):
-        _check_cleared_cells(f, df, x, ys, dys, bounds, 64)
+        _check_cleared_cells(f, df, x, ys, dys, bounds, 64, grids.get(id(x)))
 
 
 def test_edge_zero_orders_near_vertex():

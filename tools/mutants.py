@@ -64,6 +64,12 @@ MUTANTS = (
     ("nodal_analysis.py", "PI * (c * g - s * s * dg)",
      "PI * c * g - PI * s * s * dg",
      "test_nodal_analysis.py::test_edge_scans_sample_k_and_dk_bit_for_bit"),
+    # an edge's tables pruned by L_e without its sign-change clause, as if
+    # K_e kept one sign over every angle, and by |dK| bounded by |gc'| alone
+    ("nodal_analysis.py", "np.sign(gc) * np.sign(k_max) > 0", "True",
+     "test_nodal_analysis.py::test_edge_tables_keep_every_cell_near_a_root_at_some_angle"),
+    ("nodal_analysis.py", "np.hypot(dgc, dgs)", "np.abs(dgc)",
+     "test_nodal_analysis.py::test_edge_tables_keep_every_cell_near_a_root_at_some_angle"),
     # K's theta-mix with +sin(theta) on OB and BA: the sign dropped
     ("nodal_analysis.py", "sign * math.sin(theta)", "math.sin(theta)",
      "test_nodal_analysis.py::test_k_theta_is_the_edge_function_combination"),
